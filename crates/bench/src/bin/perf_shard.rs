@@ -231,8 +231,8 @@ fn large_stage(args: &Args, threads: usize) {
     );
 
     // memory-model check: the per-worker accounting
-    // (`stream::per_worker_bytes`, Brandes scratch + the two
-    // direction-optimizing frontier bitmaps) must stay an upper bound on
+    // (`stream::per_worker_bytes`: Brandes scratch, which also covers
+    // the batched BFS scratch, plus slack) must stay an upper bound on
     // what a streamed pass actually adds to the process RSS
     let (rss_model_mb, rss_probe_mb) = {
         let csr = CsrGraph::from_graph(&g);

@@ -628,23 +628,43 @@ mod tests {
     use super::*;
     use dk_graph::builders;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("dk_cli_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    /// The scratch directory of one test, removed when dropped. The
+    /// process id and the test name in its path keep tests running in
+    /// parallel (and concurrent test processes) from reading each
+    /// other's half-written files.
+    struct Scratch(std::path::PathBuf);
+
+    impl std::ops::Deref for Scratch {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
     }
 
-    fn write_karate() -> std::path::PathBuf {
-        let p = tmp("karate.edges");
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn scratch(test: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("dk_cli_{}_{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+
+    fn write_karate(dir: &Path) -> std::path::PathBuf {
+        let p = dir.join("karate.edges");
         graph_io::save_edge_list(&builders::karate_club(), &p).unwrap();
         p
     }
 
     #[test]
     fn extract_generate_roundtrip_2k() {
-        let graph = write_karate();
-        let dist = tmp("karate.2k");
-        let out = tmp("karate_2k.edges");
+        let dir = scratch("extract_generate_roundtrip_2k");
+        let graph = write_karate(&dir);
+        let dist = dir.join("karate.2k");
+        let out = dir.join("karate_2k.edges");
         cmd_extract(2, &graph, &dist).unwrap();
         let msg = cmd_generate(2, &dist, &out, GenAlgo::Matching, 7).unwrap();
         assert!(msg.contains("m = 78"), "{msg}");
@@ -657,24 +677,27 @@ mod tests {
 
     #[test]
     fn extract_rejects_bad_d() {
-        let graph = write_karate();
-        assert!(cmd_extract(0, &graph, &tmp("x.dk")).is_err());
-        assert!(cmd_extract(4, &graph, &tmp("x.dk")).is_err());
+        let dir = scratch("extract_rejects_bad_d");
+        let graph = write_karate(&dir);
+        assert!(cmd_extract(0, &graph, &dir.join("x.dk")).is_err());
+        assert!(cmd_extract(4, &graph, &dir.join("x.dk")).is_err());
     }
 
     #[test]
     fn generate_3k_requires_targeting() {
-        let graph = write_karate();
-        let dist = tmp("karate.3k");
+        let dir = scratch("generate_3k_requires_targeting");
+        let graph = write_karate(&dir);
+        let dist = dir.join("karate.3k");
         cmd_extract(3, &graph, &dist).unwrap();
-        let err = cmd_generate(3, &dist, &tmp("y.edges"), GenAlgo::Matching, 1).unwrap_err();
+        let err = cmd_generate(3, &dist, &dir.join("y.edges"), GenAlgo::Matching, 1).unwrap_err();
         assert!(err.to_string().contains("targeting"), "{err}");
     }
 
     #[test]
     fn rewire_preserves_level() {
-        let graph = write_karate();
-        let out = tmp("karate_rw.edges");
+        let dir = scratch("rewire_preserves_level");
+        let graph = write_karate(&dir);
+        let out = dir.join("karate_rw.edges");
         let msg = cmd_rewire(2, &graph, &out, Some(2000), 3).unwrap();
         assert!(msg.contains("accepted"), "{msg}");
         let g = graph_io::load_edge_list(&out).unwrap();
@@ -686,8 +709,9 @@ mod tests {
 
     #[test]
     fn explore_moves_objective() {
-        let graph = write_karate();
-        let out = tmp("karate_maxs.edges");
+        let dir = scratch("explore_moves_objective");
+        let graph = write_karate(&dir);
+        let out = dir.join("karate_maxs.edges");
         let msg = cmd_explore("s", "max", &graph, &out, 5).unwrap();
         assert!(msg.contains("accepted moves"), "{msg}");
         assert!(cmd_explore("bogus", "max", &graph, &out, 5).is_err());
@@ -696,14 +720,15 @@ mod tests {
 
     #[test]
     fn compare_zero_on_identical_graphs() {
-        let graph = write_karate();
+        let dir = scratch("compare_zero_on_identical_graphs");
+        let graph = write_karate(&dir);
         let out = cmd_compare(&graph, &graph, &MetricsOptions::default()).unwrap();
         assert!(out.contains("D1 = 0"), "{out}");
         assert!(out.contains("D2 = 0"));
         assert!(out.contains("D3 = 0"));
         assert!(out.contains("k_avg"), "side-by-side battery: {out}");
         // and nonzero against a rewired version
-        let rw = tmp("karate_cmp.edges");
+        let rw = dir.join("karate_cmp.edges");
         cmd_rewire(1, &graph, &rw, Some(2000), 9).unwrap();
         let out = cmd_compare(&graph, &rw, &MetricsOptions::default()).unwrap();
         assert!(out.contains("D1 = 0"), "1K preserved: {out}");
@@ -712,7 +737,8 @@ mod tests {
 
     #[test]
     fn compare_json_carries_distances_and_reports() {
-        let graph = write_karate();
+        let dir = scratch("compare_json_carries_distances_and_reports");
+        let graph = write_karate(&dir);
         let out = cmd_compare(
             &graph,
             &graph,
@@ -732,7 +758,8 @@ mod tests {
 
     #[test]
     fn compare_honors_metrics_and_gcc_flags() {
-        let graph = write_karate();
+        let dir = scratch("compare_honors_metrics_and_gcc_flags");
+        let graph = write_karate(&dir);
         // custom metric selection flows into the side-by-side battery
         let out = cmd_compare(
             &graph,
@@ -758,7 +785,8 @@ mod tests {
 
     #[test]
     fn metrics_and_census_render() {
-        let graph = write_karate();
+        let dir = scratch("metrics_and_census_render");
+        let graph = write_karate(&dir);
         let m = cmd_metrics(&graph, &MetricsOptions::default()).unwrap();
         assert!(m.contains("n = 34"));
         assert!(m.contains("k_avg"));
@@ -769,8 +797,9 @@ mod tests {
 
     #[test]
     fn metrics_selection_reaches_betweenness() {
+        let dir = scratch("metrics_selection_reaches_betweenness");
         // pre-facade, betweenness was unreachable from the CLI
-        let graph = write_karate();
+        let graph = write_karate(&dir);
         let m = cmd_metrics(
             &graph,
             &MetricsOptions {
@@ -794,7 +823,8 @@ mod tests {
 
     #[test]
     fn metrics_sampled_selection_and_samples_flag() {
-        let graph = write_karate();
+        let dir = scratch("metrics_sampled_selection_and_samples_flag");
+        let graph = write_karate(&dir);
         // samples >= n: sampled metrics must equal their exact twins
         let opts = MetricsOptions {
             metrics: Some("d_avg,b_max,distance_approx,betweenness_approx".into()),
@@ -864,7 +894,8 @@ mod tests {
 
     #[test]
     fn metrics_sketch_selection_and_bits_flag() {
-        let graph = write_karate();
+        let dir = scratch("metrics_sketch_selection_and_bits_flag");
+        let graph = write_karate(&dir);
         // sketch metrics are reachable by name and defined on karate
         let m = cmd_metrics(
             &graph,
@@ -905,10 +936,11 @@ mod tests {
 
     #[test]
     fn metrics_streaming_flags_preserve_output() {
+        let dir = scratch("metrics_streaming_flags_preserve_output");
         // the streamed route at the default shard count must not change
         // a single output byte; a custom shard count keeps histogram
         // metrics identical too (integer reducers)
-        let graph = write_karate();
+        let graph = write_karate(&dir);
         let base = cmd_metrics(
             &graph,
             &MetricsOptions {
@@ -954,8 +986,9 @@ mod tests {
 
     #[test]
     fn metrics_json_and_no_gcc() {
+        let dir = scratch("metrics_json_and_no_gcc");
         // karate + isolated node: GCC drops it, --no-gcc keeps it
-        let p = tmp("karate_iso.edges");
+        let p = dir.join("karate_iso.edges");
         let mut g = builders::karate_club();
         g.add_node();
         graph_io::save_edge_list(&g, &p).unwrap();
@@ -983,7 +1016,8 @@ mod tests {
 
     #[test]
     fn metrics_help_lists_capabilities() {
-        let graph = write_karate();
+        let dir = scratch("metrics_help_lists_capabilities");
+        let graph = write_karate(&dir);
         let m = cmd_metrics(
             &graph,
             &MetricsOptions {
@@ -998,7 +1032,8 @@ mod tests {
 
     #[test]
     fn attack_renders_text_and_json() {
-        let graph = write_karate();
+        let dir = scratch("attack_renders_text_and_json");
+        let graph = write_karate(&dir);
         let t = cmd_attack(&graph, &AttackCmdOptions::default()).unwrap();
         assert!(t.contains("strategy degree"), "{t}");
         assert!(t.contains("GCC halves at removal fraction"), "{t}");
@@ -1022,7 +1057,8 @@ mod tests {
 
     #[test]
     fn attack_random_is_seed_reproducible() {
-        let graph = write_karate();
+        let dir = scratch("attack_random_is_seed_reproducible");
+        let graph = write_karate(&dir);
         let run = |seed| {
             cmd_attack(
                 &graph,
@@ -1041,7 +1077,8 @@ mod tests {
 
     #[test]
     fn attack_rejections_are_cli_worded() {
-        let graph = write_karate();
+        let dir = scratch("attack_rejections_are_cli_worded");
+        let graph = write_karate(&dir);
         let err = cmd_attack(
             &graph,
             &AttackCmdOptions {
@@ -1079,7 +1116,8 @@ mod tests {
 
     #[test]
     fn attack_checkpoints_come_back_ascending() {
-        let graph = write_karate();
+        let dir = scratch("attack_checkpoints_come_back_ascending");
+        let graph = write_karate(&dir);
         let j = cmd_attack(
             &graph,
             &AttackCmdOptions {
@@ -1102,8 +1140,9 @@ mod tests {
 
     #[test]
     fn viz_writes_svg() {
-        let graph = write_karate();
-        let out = tmp("karate.svg");
+        let dir = scratch("viz_writes_svg");
+        let graph = write_karate(&dir);
+        let out = dir.join("karate.svg");
         cmd_viz(&graph, &out, 1).unwrap();
         let svg = std::fs::read_to_string(&out).unwrap();
         assert!(svg.starts_with("<svg"));
@@ -1117,13 +1156,14 @@ mod tests {
 
     #[test]
     fn generate_rejects_rewiring_with_cli_worded_hint() {
+        let dir = scratch("generate_rejects_rewiring_with_cli_worded_hint");
         // `rewiring` parses (shared Method name set) but cannot construct
         // from a distribution file; the error must point at `dk rewire`,
         // not at library API.
-        let graph = write_karate();
-        let dist = tmp("karate_rw.2k");
+        let graph = write_karate(&dir);
+        let dist = dir.join("karate_rw.2k");
         cmd_extract(2, &graph, &dist).unwrap();
-        let err = cmd_generate(2, &dist, &tmp("z.edges"), GenAlgo::Rewiring, 1).unwrap_err();
+        let err = cmd_generate(2, &dist, &dir.join("z.edges"), GenAlgo::Rewiring, 1).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("dk rewire"), "{msg}");
         assert!(!msg.contains("Generator::"), "library API leaked: {msg}");

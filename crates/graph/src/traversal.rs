@@ -36,6 +36,34 @@
 //! so every reducer built on this kernel (distance histograms,
 //! eccentricities, reach counts) is order-insensitive within a level
 //! and produces bit-identical results on either path.
+//!
+//! ## Batched multi-source BFS
+//!
+//! [`bfs_batch`] runs up to [`BATCH_LANES`] = 64 BFS sources in one
+//! sweep (MS-BFS; Then et al., "The More the Merrier", PVLDB 2014):
+//! bit `i` of a node's `seen`, `frontier` and `next` words belongs to
+//! source `i`, so one word operation advances every lane that shares
+//! the node. It reports only `(level, pairs)` counts — the integers a
+//! distance histogram needs, identical to summing [`bfs_visit`]'s
+//! visits over the batch — which is why the all-source and pivot
+//! distance passes in `dk-metrics` run on it.
+//!
+//! Each level runs **pull** (every node some lane has not reached ORs
+//! its neighbors' frontier words, stopping once all its missing lanes
+//! are found) or **push** (the frontier node list ORs its words into
+//! its neighbors' unseen bits). The choice is [`bfs_visit`]'s
+//! [`DOBFS_ALPHA`] / [`DOBFS_BETA`] rule applied to quantities summed
+//! over the lanes: `mf`, `mu` and `nf` are each lane's frontier edge
+//! endpoints, unexplored edge endpoints and frontier size, added up, and
+//! the pull → push test compares `nf · BETA` with `lanes · n`. On
+//! small-world graphs the lanes meet on the same wide mid-BFS levels and
+//! pull shares the work. Push levels are required for high-diameter
+//! shapes (cycles, paths, grids): there each lane's frontier is a few
+//! nodes for hundreds of levels, lanes rarely share a node, and a pull
+//! level still scans all `n` words — a pull-only kernel is several
+//! times slower than one BFS per source there, while push costs what
+//! the per-source walks cost together. The direction changes speed
+//! only: both directions set the same bits at the same level.
 
 use crate::csr::{AdjacencyView, CsrGraph};
 use crate::graph::{Graph, NodeId};
@@ -54,12 +82,10 @@ pub const DOBFS_ALPHA: u64 = 14;
 /// frontier shrinks below `n / BETA` nodes (`nf · BETA < n`).
 pub const DOBFS_BETA: u64 = 24;
 
-/// Reusable per-worker scratch for [`bfs_visit`]: the distance array,
-/// the frontier/next queues, and the two frontier bitmaps the
-/// bottom-up direction reads and writes. One allocation per worker,
-/// reused across thousands of sources by the sharded streaming
-/// traversals in `dk-metrics` — `4n + 4n + 4n + 2·(n/8)` bytes, the
-/// figure `dk_metrics::stream::per_worker_bytes` charges.
+/// Reusable scratch for [`bfs_visit`]: the distance array, the
+/// frontier/next queues, and the two frontier bitmaps the bottom-up
+/// direction reads and writes — `4n + 4n + 4n + 2·(n/8)` bytes, one
+/// allocation reused across any number of sources.
 #[derive(Debug, Default)]
 pub struct BfsScratch {
     dist: Vec<u32>,
@@ -102,10 +128,11 @@ fn bit_set(bits: &mut [u64], i: NodeId) {
     bits[(i / 64) as usize] |= 1u64 << (i % 64);
 }
 
-/// Single-source direction-optimizing BFS into caller-provided scratch
-/// — the hot loop of the sharded streaming traversals in `dk-metrics`,
-/// where one worker runs thousands of BFS sweeps reusing the same
-/// `O(n)` scratch instead of allocating per source.
+/// Single-source direction-optimizing BFS into caller-provided scratch,
+/// reusable across sources instead of allocating per source. The
+/// sharded distance passes in `dk-metrics` batch their sources through
+/// [`bfs_batch`] instead; this kernel serves callers that need the
+/// per-node distances or visit callbacks of one source.
 ///
 /// Resets the scratch, runs the BFS, and calls `visit(node, distance)`
 /// exactly once for every reached node: in FIFO discovery order on
@@ -113,11 +140,11 @@ fn bit_set(bits: &mut [u64], i: NodeId) {
 /// and in ascending node id on bottom-up levels — see the
 /// [module docs](self) for the switching heuristic and the determinism
 /// argument. The visit order is identical for [`Graph`] and
-/// [`CsrGraph`], so reducers built on this kernel (distance
-/// histograms) are representation-independent.
+/// [`CsrGraph`], so reducers built on this kernel are
+/// representation-independent.
 /// Returns `(reached, depth)`: the number of reached nodes and the
 /// greatest finite distance (the source's eccentricity within its
-/// component — the streamed diameter reducer max-merges this).
+/// component).
 ///
 /// # Panics
 /// Panics if `source` is out of range.
@@ -207,6 +234,177 @@ pub fn bfs_visit<V: AdjacencyView + ?Sized>(
         mu -= mf_next;
         mf = mf_next;
         std::mem::swap(frontier, next);
+    }
+    (reached, depth)
+}
+
+/// Sources one [`bfs_batch`] call advances together: one bit of a `u64`
+/// word per source.
+pub const BATCH_LANES: usize = 64;
+
+/// Reusable per-worker scratch for [`bfs_batch`]: the `seen`,
+/// `frontier` and `next` words (one `u64` per node, bit `i` belonging
+/// to source `i` of the batch) and the frontier node lists the push
+/// levels walk — `3·8n + 2·4n = 32n` bytes at most, inside the
+/// per-worker charge of `dk_metrics::stream::per_worker_bytes`.
+#[derive(Debug, Default)]
+pub struct BatchScratch {
+    seen: Vec<u64>,
+    frontier: Vec<u64>,
+    next: Vec<u64>,
+    front_list: Vec<NodeId>,
+    next_list: Vec<NodeId>,
+}
+
+impl BatchScratch {
+    /// Scratch sized for an `n`-node graph (resized on demand by
+    /// [`bfs_batch`], so any starting size is valid).
+    pub fn new(n: usize) -> Self {
+        let mut s = BatchScratch::default();
+        s.reset(n);
+        s
+    }
+
+    /// Zeroes every word and sizes the arrays for `n` nodes.
+    fn reset(&mut self, n: usize) {
+        for words in [&mut self.seen, &mut self.frontier, &mut self.next] {
+            words.clear();
+            words.resize(n, 0);
+        }
+        self.front_list.clear();
+        self.next_list.clear();
+    }
+}
+
+/// Multi-source bit-parallel BFS (MS-BFS; Then et al., PVLDB 2014):
+/// up to [`BATCH_LANES`] breadth-first searches advanced in one sweep,
+/// source `sources[i]` owning bit `i` of every node's `seen`,
+/// `frontier` and `next` word. Sources may repeat; each is its own
+/// lane.
+///
+/// Calls `level(d, pairs)` once per non-empty level, in increasing
+/// `d` from `0`, with the number of `(source, node)` pairs at distance
+/// exactly `d` — the per-lane [`bfs_visit`] visit counts summed over
+/// the batch. Returns `(reached, depth)`: the reached pairs and the
+/// greatest finite distance of any lane. Integer results only, so they
+/// are independent of how the levels ran.
+///
+/// Each level runs either **push** (walk the frontier node list, OR
+/// each node's frontier word into its neighbors' unseen bits) or
+/// **pull** (every node not yet reached by all lanes ORs its
+/// neighbors' frontier words, stopping once every missing lane is
+/// found). The direction follows the [`DOBFS_ALPHA`] / [`DOBFS_BETA`]
+/// rule of [`bfs_visit`] on quantities summed over lanes — see the
+/// [module docs](self).
+///
+/// # Panics
+/// Panics if a source is out of range or `sources` holds more than
+/// [`BATCH_LANES`] entries.
+pub fn bfs_batch<V: AdjacencyView + ?Sized>(
+    g: &V,
+    sources: &[NodeId],
+    scratch: &mut BatchScratch,
+    mut level: impl FnMut(u32, u64),
+) -> (u64, u32) {
+    let n = g.node_count();
+    assert!(sources.len() <= BATCH_LANES, "more sources than lanes");
+    scratch.reset(n);
+    if sources.is_empty() {
+        return (0, 0);
+    }
+    let BatchScratch {
+        seen,
+        frontier,
+        next,
+        front_list,
+        next_list,
+    } = scratch;
+    let lanes = sources.len() as u64;
+    let all = u64::MAX >> (64 - lanes);
+    // Lane sums of bfs_visit's heuristic inputs: `mf` frontier edge
+    // endpoints, `mu` endpoints still unexplored by their lane, `nf`
+    // frontier size — integers, so the per-level direction is a pure
+    // function of (graph, sources).
+    let mut mu = lanes * g.edge_endpoints();
+    let mut mf = 0u64;
+    for (i, &s) in sources.iter().enumerate() {
+        assert!((s as usize) < n, "BFS source out of range");
+        let deg = g.degree(s) as u64;
+        mu -= deg;
+        mf += deg;
+        if frontier[s as usize] == 0 {
+            front_list.push(s);
+        }
+        frontier[s as usize] |= 1 << i;
+        seen[s as usize] |= 1 << i;
+    }
+    level(0, lanes);
+    let mut nf = lanes;
+    let mut reached = lanes;
+    let mut depth = 0u32;
+    let mut pull = false;
+    while !front_list.is_empty() {
+        pull = if pull {
+            nf * DOBFS_BETA >= lanes * n as u64
+        } else {
+            mf * DOBFS_ALPHA > mu
+        };
+        let (mut pairs, mut mf_next) = (0u64, 0u64);
+        if pull {
+            for v in 0..n as NodeId {
+                let missing = all & !seen[v as usize];
+                if missing == 0 {
+                    continue;
+                }
+                let mut hit = 0u64;
+                for &u in g.neighbors(v) {
+                    hit |= frontier[u as usize];
+                    if hit & missing == missing {
+                        break;
+                    }
+                }
+                let new = hit & missing;
+                if new != 0 {
+                    seen[v as usize] |= new;
+                    next[v as usize] = new;
+                    next_list.push(v);
+                    let k = new.count_ones() as u64;
+                    pairs += k;
+                    mf_next += k * g.degree(v) as u64;
+                }
+            }
+        } else {
+            for &u in front_list.iter() {
+                let f = frontier[u as usize];
+                for &v in g.neighbors(u) {
+                    let new = f & !seen[v as usize];
+                    if new != 0 {
+                        seen[v as usize] |= new;
+                        if next[v as usize] == 0 {
+                            next_list.push(v);
+                        }
+                        next[v as usize] |= new;
+                        let k = new.count_ones() as u64;
+                        pairs += k;
+                        mf_next += k * g.degree(v) as u64;
+                    }
+                }
+            }
+        }
+        for &u in front_list.iter() {
+            frontier[u as usize] = 0;
+        }
+        std::mem::swap(frontier, next);
+        std::mem::swap(front_list, next_list);
+        next_list.clear();
+        if pairs > 0 {
+            depth += 1;
+            level(depth, pairs);
+        }
+        reached += pairs;
+        nf = pairs;
+        mu -= mf_next;
+        mf = mf_next;
     }
     (reached, depth)
 }
@@ -508,6 +706,63 @@ mod tests {
                 assert_eq!(got, visits, "visit set differs from oracle, source {s}");
             }
         }
+    }
+
+    #[test]
+    fn bfs_batch_counts_pairs_per_level() -> Result<(), crate::GraphError> {
+        // P5 from sources 0 and 2: (source, node) pairs per distance
+        let g = builders::path(5);
+        let mut scratch = BatchScratch::new(5);
+        let mut levels = Vec::new();
+        let (reached, depth) = bfs_batch(&g, &[0, 2], &mut scratch, |d, k| levels.push((d, k)));
+        assert_eq!(levels, vec![(0, 2), (1, 3), (2, 3), (3, 1), (4, 1)]);
+        assert_eq!((reached, depth), (10, 4));
+        // repeated sources are separate lanes; unreached pairs are not
+        // counted, and the scratch is reusable across graphs
+        let g = Graph::from_edges(6, [(0, 1), (1, 2), (3, 4)])?;
+        let (reached, depth) = bfs_batch(&g, &[0, 3, 3, 5], &mut scratch, |_, _| {});
+        assert_eq!((reached, depth), (3 + 2 + 2 + 1, 2));
+        Ok(())
+    }
+
+    #[test]
+    fn bfs_batch_matches_bfs_visit_across_shapes() -> Result<(), crate::GraphError> {
+        // dense shapes run pull levels, sparse high-diameter ones push;
+        // either way the per-level pair counts are bfs_visit's, summed
+        for g in [
+            builders::complete(70),
+            builders::karate_club(),
+            builders::star(80),
+            builders::cycle(130),
+            builders::grid(7, 11),
+            Graph::from_edges(7, [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)])?,
+        ] {
+            let csr = CsrGraph::from_graph(&g);
+            let n = g.node_count() as NodeId;
+            let sources: Vec<NodeId> = (0..n).collect();
+            let mut want = Vec::new();
+            let mut single = BfsScratch::new(0);
+            for &s in &sources {
+                bfs_visit(&csr, s, &mut single, |_, d| {
+                    if want.len() <= d as usize {
+                        want.resize(d as usize + 1, 0u64);
+                    }
+                    want[d as usize] += 1;
+                });
+            }
+            let mut got = Vec::new();
+            let mut scratch = BatchScratch::new(0);
+            for batch in sources.chunks(BATCH_LANES) {
+                bfs_batch(&csr, batch, &mut scratch, |d, k| {
+                    if got.len() <= d as usize {
+                        got.resize(d as usize + 1, 0u64);
+                    }
+                    got[d as usize] += k;
+                });
+            }
+            assert_eq!(got, want, "n = {n}");
+        }
+        Ok(())
     }
 
     #[test]

@@ -609,9 +609,11 @@ fn checkpoint_at(
             })
             .expect("non-empty residual GCC");
         let hub = Some(map.to_old(hub_new));
+        // the distance-only pivot pass: the same histogram as the fused
+        // Brandes pass over the same pivots, without its σ/δ work
         let avg = (members.len() >= 2).then(|| {
             let sub_csr = CsrGraph::from_graph(&sub);
-            sampled::sampled_traversal_csr(&sub_csr, samples.max(1), threads)
+            sampled::sampled_distances_csr(&sub_csr, samples.max(1), threads)
                 .distances
                 .mean()
         });
@@ -835,6 +837,61 @@ mod tests {
         assert_eq!(emptied.hub, None);
         // hub is keyed by the original node id even after renumbering
         assert!(intact.hub.is_some());
+    }
+
+    #[test]
+    fn checkpoint_distances_equal_the_fused_pass_bit_for_bit() -> Result<(), dk_graph::GraphError> {
+        // checkpoints read the distance-only pivot pass; each estimate
+        // must equal the mean of the fused Brandes pass over the same
+        // residual GCC to the bit, for partial and full pivot budgets
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut g = Graph::from_edges(300, [(0, 1), (1, 2), (2, 0)])?;
+        let mut ends: Vec<NodeId> = vec![0, 1, 1, 2, 2, 0];
+        for u in 3..300 {
+            for _ in 0..2 {
+                let v = ends[rng.gen_range(0..ends.len())];
+                if g.try_add_edge(u, v) {
+                    ends.extend([u, v]);
+                }
+            }
+        }
+        let c = csr(&g);
+        for strategy in [Strategy::Degree, Strategy::Random] {
+            for samples in [8, 70, 400] {
+                let opts = AttackOptions {
+                    strategy,
+                    checkpoints: vec![0.0, 0.05, 0.2, 0.5],
+                    ..Default::default()
+                };
+                let rep = attack_sweep(&g, &c, &opts, samples, 2);
+                for cp in &rep.checkpoints {
+                    let alive: Vec<NodeId> = (0..g.node_count() as NodeId)
+                        .filter(|u| !rep.order[..cp.removed].contains(u))
+                        .collect();
+                    let (residual, map) = g.subgraph(&alive)?;
+                    let members: Vec<NodeId> = traversal::giant_component_nodes(&residual)
+                        .into_iter()
+                        .map(|u| map[u as usize])
+                        .collect();
+                    let want = match members.len() {
+                        0 | 1 => None,
+                        _ => {
+                            let (sub, _) = g.subgraph(&members)?;
+                            let fused = sampled::sampled_traversal_csr(&csr(&sub), samples, 2);
+                            Some(fused.distances.mean())
+                        }
+                    };
+                    assert_eq!(
+                        cp.avg_distance_estimate.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "{strategy}, samples = {samples}, removed = {}",
+                        cp.removed
+                    );
+                }
+            }
+        }
+        Ok(())
     }
 
     #[test]

@@ -375,7 +375,7 @@ pub(crate) fn brandes_over_sources_sharded<V: AdjacencyView + ?Sized>(
     let n = g.node_count();
     let k = sources.len();
     let threads = threads.clamp(1, k.max(1));
-    let partials = run_sharded(k as u32, shards, threads, |range| {
+    let partials = run_sharded(k as u32, shards, 1, threads, |range| {
         brandes_shard(g, sources, range)
     });
     let mut acc = BrandesSums::zero(n);
@@ -400,6 +400,7 @@ pub(crate) fn brandes_over_sources_streamed<V: AdjacencyView + ?Sized>(
     run_sharded_fold(
         k as u32,
         shards,
+        1,
         threads,
         |range| brandes_shard(g, sources, range),
         BrandesSums::zero(n),

@@ -17,15 +17,19 @@
 //! * **Distances + betweenness** share one fused all-source traversal
 //!   ([`crate::betweenness::betweenness_and_distances_csr`]) whenever
 //!   both are requested — Brandes' BFS already knows every distance.
+//!   Distances alone run the batched multi-source kernel
+//!   [`dk_graph::traversal::bfs_batch`] instead, 64 sources per sweep
+//!   (see [`crate::distance`]).
 //! * **Triangles** are censused once for `c_mean`/`c_k`/`transitivity`.
 //! * **Sampled traversal** ([`crate::sampled`]) runs once from
 //!   [`AnalyzeOptions::samples`] pivots for the `*_approx` metrics.
 //!   When no sampled-*betweenness* reader is selected the cache
 //!   prepares the cheaper [`Dep::SampledDistances`] pass instead: the
-//!   same pivots walked by the direction-optimizing
-//!   [`dk_graph::traversal::bfs_visit`] kernel, skipping Brandes'
-//!   σ/δ bookkeeping entirely (distance histograms are visit-order
-//!   independent, so the reported scalars are bit-identical).
+//!   same pivots walked by the batched
+//!   [`dk_graph::traversal::bfs_batch`] kernel, skipping Brandes'
+//!   σ/δ bookkeeping entirely (distance histograms only count
+//!   `(source, node, distance)` triples, so the reported scalars are
+//!   bit-identical).
 //! * **Neighborhood sketches** ([`crate::sketch`]) iterate once at
 //!   [`AnalyzeOptions::sketch_bits`] register bits for the `*_sketch`
 //!   metrics — every round a sharded pass over the same CSR snapshot.
@@ -324,7 +328,7 @@ impl<'g> AnalysisCache<'g> {
             jobs.push(Job::Sampled);
         } else if deps.contains(&Dep::SampledDistances) {
             // no sampled-betweenness reader: the distance-only pass rides
-            // the direction-optimizing BFS instead of the Brandes kernel
+            // the batched multi-source BFS instead of the Brandes kernel
             jobs.push(Job::SampledDistances);
         }
         if deps.contains(&Dep::Sketch) {
@@ -587,8 +591,8 @@ impl<'g> AnalysisCache<'g> {
         }
     }
 
-    /// The sampled K-pivot distance histogram — the
-    /// direction-optimizing BFS route. Reads the distance-only pass when
+    /// The sampled K-pivot distance histogram — the batched BFS
+    /// route. Reads the distance-only pass when
     /// that is what was prepared, falls back to the fused sampled
     /// traversal's histogram (identical integers by construction) when
     /// the Brandes pass ran instead, and computes on demand otherwise.
@@ -806,7 +810,7 @@ mod tests {
     #[test]
     fn distance_only_battery_skips_brandes_and_matches_the_fused_value() {
         // d_avg_approx without a sampled-betweenness reader prepares the
-        // direction-optimized distance-only pass (no fused pivot pass in
+        // batched distance-only pass (no fused pivot pass in
         // the cache) — and reports the exact same scalar, relabeled or not
         let g = builders::karate_club();
         let base = AnalyzeOptions {

@@ -3,15 +3,27 @@
 //! The paper defines `d(x)` as "the number of pairs of nodes at a distance
 //! `x`, divided by the total number of pairs `n²` (self-pairs included)"
 //! (§2). We compute it **exactly** by running BFS from every node —
-//! O(n·m), a few seconds at skitter scale — parallelized over sources with
-//! scoped threads. All-source sweeps run over a frozen [`CsrGraph`]
-//! snapshot (two flat arrays; no per-neighbor-list pointer chase), taken
-//! internally by [`DistanceDistribution::from_graph`] or supplied by the
-//! analyzer cache via [`DistanceDistribution::from_csr_with_threads`].
-//! Above [`crate::stream::AUTO_STREAM_NODES`] the analyzer plans the
+//! still O(n·m) edge work in the worst case, but batched: the
+//! multi-source kernel [`traversal::bfs_batch`] advances 64 sources per
+//! sweep as the bits of one `u64` word per node, so on small-world
+//! inputs most of that work is shared (0.07 s instead of 2.0 s for one
+//! BFS per source on the 9k-node skitter-like graph, one thread of a
+//! 2-vCPU Xeon), and high-diameter shapes still take push levels that
+//! cost no more than per-source BFS. Sources are
+//! sharded over scoped threads. All-source sweeps run over a frozen
+//! [`CsrGraph`] snapshot (two flat arrays; no per-neighbor-list pointer
+//! chase), taken internally by [`DistanceDistribution::from_graph`] or
+//! supplied by the analyzer cache via
+//! [`DistanceDistribution::from_csr_with_threads`]. Above
+//! [`crate::stream::AUTO_STREAM_NODES`] the analyzer plans the
 //! **streaming** sweep ([`DistanceDistribution::from_csr_streamed`]):
 //! identical histogram, `O(workers)` partials in flight instead of
 //! `O(shards)`.
+//!
+//! The same batched shard pass (`histogram_pass`) serves the sampled
+//! distance-only estimator in [`crate::sampled`]: both only count
+//! `(source, node, distance)` triples, so the integer histogram — and
+//! every scalar derived from it — is the one a per-source BFS gives.
 //!
 //! The exact distribution carries no sampling noise: reproduction tables
 //! must not stack sampling noise on top of ensemble noise. The *opt-in*
@@ -19,8 +31,9 @@
 //! [`crate::sampled`].
 
 use crate::stream::{run_sharded, run_sharded_fold, DEFAULT_SHARDS};
-use dk_graph::traversal::BfsScratch;
-use dk_graph::{traversal, AdjacencyView, CsrGraph, Graph, NodeId};
+use dk_graph::traversal::{self, BatchScratch, BATCH_LANES};
+use dk_graph::{AdjacencyView, CsrGraph, Graph, NodeId};
+use std::ops::Range;
 
 /// Exact distance distribution of a graph.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,12 +61,12 @@ impl DistanceDistribution {
     /// [`DistanceDistribution::from_csr_with_threads`] to skip the
     /// rebuild.
     pub fn from_graph_with_threads(g: &Graph, threads: usize) -> Self {
-        Self::from_view(&CsrGraph::from_graph(g), threads)
+        Self::from_csr_with_threads(&CsrGraph::from_graph(g), threads)
     }
 
     /// Exact distribution over a prepared CSR snapshot.
     pub fn from_csr_with_threads(g: &CsrGraph, threads: usize) -> Self {
-        Self::from_view(g, threads)
+        Self::from_csr_sharded(g, DEFAULT_SHARDS, threads)
     }
 
     /// In-memory sweep with an explicit shard count — the equivalence
@@ -61,7 +74,7 @@ impl DistanceDistribution {
     /// shard count (the histogram reducer is integer, so any shard count
     /// gives identical counts; the knob fixes the partial layout).
     pub fn from_csr_sharded(g: &CsrGraph, shards: usize, threads: usize) -> Self {
-        Self::from_view_sharded(g, shards, threads)
+        Self::all_sources(g, shards, threads, false)
     }
 
     /// **Streaming** sweep over a prepared snapshot: each worker streams
@@ -71,95 +84,22 @@ impl DistanceDistribution {
     /// analyzer plans for 10⁶-node graphs (see [`crate::stream`]).
     /// Identical to the in-memory sweep for every shard and thread count.
     pub fn from_csr_streamed(g: &CsrGraph, shards: usize, threads: usize) -> Self {
+        Self::all_sources(g, shards, threads, true)
+    }
+
+    /// The all-source sweep on either route: every node is a source.
+    fn all_sources(g: &CsrGraph, shards: usize, threads: usize, streamed: bool) -> Self {
         let n = g.node_count();
-        if n == 0 {
-            return Self::empty();
-        }
-        let threads = threads.clamp(1, n);
-        let (counts, unreachable) = run_sharded_fold(
-            n as u32,
-            shards,
-            threads,
-            |range| Self::bfs_shard(g, range),
-            (Vec::new(), 0u64),
-            Self::merge_shard,
-        );
+        let hist = histogram_pass(g, n, |i| i, shards, threads, streamed);
+        Self::from_histogram(n, hist)
+    }
+
+    /// The distribution a histogram pass over `n` nodes produced.
+    pub(crate) fn from_histogram(n: usize, hist: Histogram) -> Self {
         DistanceDistribution {
-            counts,
+            counts: hist.counts,
             nodes: n,
-            unreachable_pairs: unreachable,
-        }
-    }
-
-    /// The all-source BFS sweep, generic over the adjacency
-    /// representation (CSR preserves neighbor order, so both views
-    /// produce identical distributions).
-    pub(crate) fn from_view<V: AdjacencyView + ?Sized>(g: &V, threads: usize) -> Self {
-        Self::from_view_sharded(g, DEFAULT_SHARDS, threads)
-    }
-
-    fn from_view_sharded<V: AdjacencyView + ?Sized>(g: &V, shards: usize, threads: usize) -> Self {
-        let n = g.node_count();
-        if n == 0 {
-            return Self::empty();
-        }
-        let threads = threads.clamp(1, n);
-        let results = run_sharded(n as u32, shards, threads, |range| Self::bfs_shard(g, range));
-        let mut acc = (Vec::new(), 0u64);
-        for partial in results {
-            Self::merge_shard(&mut acc, partial);
-        }
-        DistanceDistribution {
-            counts: acc.0,
-            nodes: n,
-            unreachable_pairs: acc.1,
-        }
-    }
-
-    /// One shard's worth of BFS sources folded into a compact partial:
-    /// the per-distance visit counts and the unreached-pair tally. The
-    /// worker-local scratch ([`BfsScratch`]: distances, frontiers, and
-    /// the direction-optimizing bitmaps) is `O(n)` and reused across
-    /// the shard's sources. The histogram reducer only counts
-    /// `(node, level)` pairs, so it is insensitive to the within-level
-    /// visit-order difference between the top-down and bottom-up paths.
-    fn bfs_shard<V: AdjacencyView + ?Sized>(g: &V, range: std::ops::Range<u32>) -> (Vec<u64>, u64) {
-        let n = g.node_count();
-        let mut counts: Vec<u64> = Vec::new();
-        let mut unreachable = 0u64;
-        let mut scratch = BfsScratch::new(n);
-        for s in range {
-            let (reached, _depth) = traversal::bfs_visit(g, s, &mut scratch, |_, du| {
-                let dx = du as usize;
-                if counts.len() <= dx {
-                    counts.resize(dx + 1, 0);
-                }
-                counts[dx] += 1;
-            });
-            unreachable += n as u64 - reached;
-        }
-        (counts, unreachable)
-    }
-
-    /// Shard-order histogram merge — the distance reducer shared by the
-    /// in-memory and streaming routes (integer, so grouping-proof).
-    fn merge_shard(acc: &mut (Vec<u64>, u64), partial: (Vec<u64>, u64)) {
-        let (counts, unreachable) = acc;
-        let (c, u) = partial;
-        if counts.len() < c.len() {
-            counts.resize(c.len(), 0);
-        }
-        for (x, v) in c.into_iter().enumerate() {
-            counts[x] += v;
-        }
-        *unreachable += u;
-    }
-
-    fn empty() -> Self {
-        DistanceDistribution {
-            counts: vec![],
-            nodes: 0,
-            unreachable_pairs: 0,
+            unreachable_pairs: hist.unreachable,
         }
     }
 
@@ -220,6 +160,107 @@ impl DistanceDistribution {
     /// Longest finite distance (graph diameter on connected graphs).
     pub fn diameter(&self) -> usize {
         self.counts.len().saturating_sub(1)
+    }
+}
+
+/// Integer result of a distance-histogram pass: `counts[x]` ordered
+/// `(source, node)` pairs at distance `x`, the unreached pairs, and the
+/// greatest finite distance from any source. Every field merges by
+/// integer addition or max, so any shard layout, thread count or batch
+/// grouping gives the same values.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Histogram {
+    pub(crate) counts: Vec<u64>,
+    pub(crate) unreachable: u64,
+    pub(crate) max_depth: u32,
+}
+
+impl Histogram {
+    /// Shard-order merge — the reducer shared by the in-memory and
+    /// streamed routes.
+    fn merge(&mut self, part: Histogram) {
+        if self.counts.len() < part.counts.len() {
+            self.counts.resize(part.counts.len(), 0);
+        }
+        for (x, c) in part.counts.into_iter().enumerate() {
+            self.counts[x] += c;
+        }
+        self.unreachable += part.unreachable;
+        self.max_depth = self.max_depth.max(part.max_depth);
+    }
+}
+
+/// The distance-histogram pass behind both the exact distribution and
+/// the sampled distance-only estimator: BFS from `count` sources,
+/// source `i` being `source(i)`, sharded over `threads` workers
+/// (`streamed` picks the fold route of [`crate::stream`], otherwise
+/// partials are collected and merged in shard order).
+///
+/// Shard lengths are rounded up to whole [`BATCH_LANES`]-source batches
+/// — a pure function of `(count, shards)` like every shard layout — so
+/// a 16-pivot pass runs as one 16-lane batch instead of 16 one-lane
+/// ones.
+pub(crate) fn histogram_pass<V: AdjacencyView + ?Sized>(
+    g: &V,
+    count: usize,
+    source: impl Fn(u32) -> NodeId + Sync,
+    shards: usize,
+    threads: usize,
+    streamed: bool,
+) -> Histogram {
+    let threads = threads.clamp(1, count.max(1));
+    let work = |range: Range<u32>| histogram_shard(g, range.map(&source));
+    let (count, quantum) = (count as u32, BATCH_LANES as u32);
+    if streamed {
+        run_sharded_fold(
+            count,
+            shards,
+            quantum,
+            threads,
+            work,
+            Histogram::default(),
+            Histogram::merge,
+        )
+    } else {
+        let mut acc = Histogram::default();
+        for part in run_sharded(count, shards, quantum, threads, work) {
+            acc.merge(part);
+        }
+        acc
+    }
+}
+
+/// One shard's sources, [`BATCH_LANES`] at a time through
+/// [`traversal::bfs_batch`] with one worker-local [`BatchScratch`]
+/// (`O(n)`, reused by every batch of the shard).
+fn histogram_shard<V: AdjacencyView + ?Sized>(
+    g: &V,
+    mut sources: impl Iterator<Item = NodeId>,
+) -> Histogram {
+    let n = g.node_count() as u64;
+    let mut hist = Histogram::default();
+    let mut scratch = BatchScratch::new(g.node_count());
+    let mut batch = [0 as NodeId; BATCH_LANES];
+    loop {
+        let mut lanes = 0;
+        for (slot, s) in batch.iter_mut().zip(sources.by_ref()) {
+            *slot = s;
+            lanes += 1;
+        }
+        if lanes == 0 {
+            return hist;
+        }
+        let counts = &mut hist.counts;
+        let (reached, depth) =
+            traversal::bfs_batch(g, &batch[..lanes], &mut scratch, |d, pairs| {
+                let d = d as usize;
+                if counts.len() <= d {
+                    counts.resize(d + 1, 0);
+                }
+                counts[d] += pairs;
+            });
+        hist.unreachable += lanes as u64 * n - reached;
+        hist.max_depth = hist.max_depth.max(depth);
     }
 }
 

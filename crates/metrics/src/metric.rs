@@ -80,10 +80,10 @@
 //! | cost | route | traversal working memory |
 //! |------|-------|--------------------------|
 //! | `trivial`, `linear` | single pass over the snapshot | O(n + m) |
-//! | `sampled` | K pivots through the shard executor | in-memory O(shards·n); streamed **O(workers·n)** + 2·n/8-byte frontier bitmaps per worker |
+//! | `sampled` | K pivots through the shard executor (distance-only batteries: batched BFS, 64 pivots per sweep) | in-memory O(shards·n); streamed **O(workers·n)** |
 //! | `sketch` | ≤ diameter rounds of register unions through the shard executor | **n·2^b bytes** per register file (×2 per round: Jacobi double buffer), error 1.04/√2^b |
 //! | `incremental` | reverse union-find percolation sweep over the snapshot ([`crate::attack`]) | O(n) forest + trajectory |
-//! | `all-pairs` | n sources through the shard executor | in-memory O(shards·n); streamed **O(workers·n)** + 2·n/8-byte frontier bitmaps per worker |
+//! | `all-pairs` | n sources through the shard executor (distances alone: batched BFS, 64 sources per sweep; with betweenness: per-source Brandes) | in-memory O(shards·n); streamed **O(workers·n)** |
 //! | `spectral` | Lanczos (dense below cutoff) | O(n) iteration vectors |
 //!
 //! The streamed route is auto-selected above
@@ -92,9 +92,11 @@
 //! (CLI `--shards`/`--memory-budget`); per-source vectors are worker
 //! scratch only, so per-worker buffers stay O(n) in total — the
 //! [`stream::per_worker_bytes`](crate::stream::per_worker_bytes) model
-//! charges `40n` bytes of Brandes scratch plus the two `n/8`-byte
-//! direction-optimizing frontier bitmaps — and results are
-//! bit-identical to the in-memory route at equal shard counts.
+//! charges `40n` bytes of Brandes scratch, which also covers the
+//! batched BFS scratch of the distance-only passes (three `u64` words
+//! and two frontier lists per node, at most `32n` bytes), plus `2·n/8`
+//! bytes of slack — and results are bit-identical to the in-memory
+//! route at equal shard counts.
 
 use crate::cache::AnalysisCache;
 use crate::{betweenness, clustering, jdd, kcore, likelihood, richclub};
@@ -219,8 +221,8 @@ pub enum Dep {
     /// Sampled K-pivot traversal (Brandes–Pich) — the `*_approx`
     /// metrics' shared pass.
     Sampled,
-    /// Sampled K-pivot **distance histogram only** — the
-    /// direction-optimizing BFS route ([`crate::sampled`]'s
+    /// Sampled K-pivot **distance histogram only** — the batched
+    /// multi-source BFS route ([`crate::sampled`]'s
     /// `sampled_distances_*` family). Declared by sampled metrics that
     /// never read σ/δ path counts, so a battery without a sampled
     /// *betweenness* metric skips the Brandes machinery entirely;

@@ -31,10 +31,9 @@
 use crate::betweenness::{
     brandes_over_sources, brandes_over_sources_sharded, brandes_over_sources_streamed, BrandesSums,
 };
-use crate::distance::DistanceDistribution;
-use crate::stream::{run_sharded, run_sharded_fold, DEFAULT_SHARDS};
-use dk_graph::traversal::BfsScratch;
-use dk_graph::{traversal, AdjacencyView, CsrGraph, NodeId, Relabeling};
+use crate::distance::{histogram_pass, DistanceDistribution};
+use crate::stream::DEFAULT_SHARDS;
+use dk_graph::{AdjacencyView, CsrGraph, NodeId, Relabeling};
 
 /// Result of one sampled traversal: the shared pass behind the
 /// `distance_approx` and `betweenness_approx` registry metrics.
@@ -147,7 +146,7 @@ pub fn sampled_traversal_csr(g: &CsrGraph, k: usize, threads: usize) -> SampledT
 /// ([`crate::betweenness::betweenness_and_distances_streamed`]) — same
 /// pivots, same merge order, so the result is bit-identical to
 /// [`sampled_traversal_csr`] when `shards` is
-/// [`DEFAULT_SHARDS`](crate::stream::DEFAULT_SHARDS), and to
+/// [`DEFAULT_SHARDS`], and to
 /// [`sampled_traversal_sharded`] at any equal shard count.
 pub fn sampled_traversal_streamed(
     g: &CsrGraph,
@@ -224,15 +223,17 @@ pub fn sampled_traversal_relabeled(
 /// `distance_approx` reads when no sampled *betweenness* metric rides
 /// along ([`crate::metric::Dep::SampledDistances`]).
 ///
-/// Splitting it off matters because plain BFS is free to
-/// direction-optimize: [`traversal::bfs_visit`] switches to bottom-up
-/// scans on the wide mid-BFS levels of scale-free graphs, skipping most
-/// edge probes — several times faster than the Brandes forward pass,
-/// which must follow discovery order for its σ accumulation and can
-/// never take that route. The histogram reducer only counts
-/// `(node, level)` pairs, so the within-level visit-order difference
-/// between the two kernels is invisible: `distances`, `sources`, and
-/// `max_depth` are **bit-identical** to the corresponding
+/// Splitting it off matters because a plain distance histogram needs
+/// no per-source σ/δ state: the pivots run through the batched
+/// multi-source kernel [`dk_graph::traversal::bfs_batch`] (the pass
+/// the exact distribution uses, see [`crate::distance`]), up to 64 of
+/// them per sweep as the bits of one word per node, with bottom-up
+/// (pull) levels on the wide mid-BFS levels of scale-free graphs — far
+/// cheaper than the Brandes forward pass, which must follow discovery
+/// order for its σ accumulation, one source at a time. The histogram
+/// reducer only counts `(source, node, level)` triples, so the
+/// difference in traversal order is invisible: `distances`, `sources`,
+/// and `max_depth` are **bit-identical** to the corresponding
 /// [`SampledTraversal`] fields from the fused pass over the same pivots.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SampledDistances {
@@ -245,76 +246,28 @@ pub struct SampledDistances {
     pub max_depth: u32,
 }
 
-impl SampledDistances {
-    fn empty() -> Self {
-        SampledDistances {
-            distances: DistanceDistribution {
-                counts: vec![],
-                nodes: 0,
-                unreachable_pairs: 0,
-            },
-            sources: 0,
-            max_depth: 0,
-        }
-    }
-}
-
-/// One shard's worth of pivot BFS sources folded into a compact partial
-/// (histogram counts, unreached tally, depth max) — the
-/// direction-optimizing analogue of the Brandes shard, reusing one
-/// [`BfsScratch`] across the shard's sources.
-fn distance_shard<V: AdjacencyView + ?Sized>(
-    g: &V,
-    sources: &[NodeId],
-    range: std::ops::Range<u32>,
-) -> (Vec<u64>, u64, u32) {
-    let n = g.node_count();
-    let mut counts: Vec<u64> = Vec::new();
-    let mut unreachable = 0u64;
-    let mut depth = 0u32;
-    let mut scratch = BfsScratch::new(n);
-    for idx in range {
-        let s = sources[idx as usize];
-        let (reached, d) = traversal::bfs_visit(g, s, &mut scratch, |_, du| {
-            let dx = du as usize;
-            if counts.len() <= dx {
-                counts.resize(dx + 1, 0);
-            }
-            counts[dx] += 1;
-        });
-        unreachable += n as u64 - reached;
-        depth = depth.max(d);
-    }
-    (counts, unreachable, depth)
-}
-
-/// Shard-order merge of the distance partials — all integer reducers,
-/// so any shard/thread layout gives identical sums.
-fn merge_distance_shard(acc: &mut (Vec<u64>, u64, u32), p: (Vec<u64>, u64, u32)) {
-    let (counts, unreachable, depth) = acc;
-    if counts.len() < p.0.len() {
-        counts.resize(p.0.len(), 0);
-    }
-    for (x, v) in p.0.into_iter().enumerate() {
-        counts[x] += v;
-    }
-    *unreachable += p.1;
-    *depth = (*depth).max(p.2);
-}
-
-fn finish_sampled_distances(
-    n: usize,
-    pivot_count: usize,
-    (counts, unreachable, depth): (Vec<u64>, u64, u32),
+/// The distance-only pivot pass over `pivots` on either route — the
+/// batched histogram pass shared with the exact distribution.
+fn pivot_distances(
+    g: &CsrGraph,
+    pivots: &[NodeId],
+    shards: usize,
+    threads: usize,
+    streamed: bool,
 ) -> SampledDistances {
+    let n = g.node_count();
+    let hist = histogram_pass(
+        g,
+        pivots.len(),
+        |i| pivots[i as usize],
+        shards,
+        threads,
+        streamed,
+    );
     SampledDistances {
-        distances: DistanceDistribution {
-            counts,
-            nodes: n,
-            unreachable_pairs: unreachable,
-        },
-        sources: pivot_count,
-        max_depth: depth,
+        max_depth: hist.max_depth,
+        distances: DistanceDistribution::from_histogram(n, hist),
+        sources: pivots.len(),
     }
 }
 
@@ -332,25 +285,13 @@ pub fn sampled_distances_sharded(
     shards: usize,
     threads: usize,
 ) -> SampledDistances {
-    let n = g.node_count();
-    if n == 0 {
-        return SampledDistances::empty();
-    }
-    let pivots = sample_pivots(n, k.max(1));
-    let threads = threads.clamp(1, pivots.len().max(1));
-    let partials = run_sharded(pivots.len() as u32, shards, threads, |range| {
-        distance_shard(g, &pivots, range)
-    });
-    let mut acc = (Vec::new(), 0u64, 0u32);
-    for p in partials {
-        merge_distance_shard(&mut acc, p);
-    }
-    finish_sampled_distances(n, pivots.len(), acc)
+    let pivots = sample_pivots(g.node_count(), k.max(1));
+    pivot_distances(g, &pivots, shards, threads, false)
 }
 
 /// **Streaming** distance-only pivot pass: workers stream their pivot
-/// shards through the direction-optimizing BFS into compact integer
-/// reducers — `O(workers · n)` scratch in flight, identical results to
+/// shards through the batched BFS into compact integer reducers —
+/// `O(workers · n)` scratch in flight, identical results to
 /// [`sampled_distances_sharded`] for every shard and thread count.
 pub fn sampled_distances_streamed(
     g: &CsrGraph,
@@ -358,21 +299,8 @@ pub fn sampled_distances_streamed(
     shards: usize,
     threads: usize,
 ) -> SampledDistances {
-    let n = g.node_count();
-    if n == 0 {
-        return SampledDistances::empty();
-    }
-    let pivots = sample_pivots(n, k.max(1));
-    let threads = threads.clamp(1, pivots.len().max(1));
-    let acc = run_sharded_fold(
-        pivots.len() as u32,
-        shards,
-        threads,
-        |range| distance_shard(g, &pivots, range),
-        (Vec::new(), 0u64, 0u32),
-        merge_distance_shard,
-    );
-    finish_sampled_distances(n, pivots.len(), acc)
+    let pivots = sample_pivots(g.node_count(), k.max(1));
+    pivot_distances(g, &pivots, shards, threads, true)
 }
 
 /// Distance-only pivot pass over a **relabeled** snapshot — the pivot
@@ -387,35 +315,11 @@ pub fn sampled_distances_relabeled(
     threads: usize,
     streamed: bool,
 ) -> SampledDistances {
-    let n = g.node_count();
-    if n == 0 {
-        return SampledDistances::empty();
-    }
-    let pivots: Vec<NodeId> = sample_pivots(n, k.max(1))
+    let pivots: Vec<NodeId> = sample_pivots(g.node_count(), k.max(1))
         .into_iter()
         .map(|e| relab.to_new(e))
         .collect();
-    let threads = threads.clamp(1, pivots.len().max(1));
-    let acc = if streamed {
-        run_sharded_fold(
-            pivots.len() as u32,
-            shards,
-            threads,
-            |range| distance_shard(g, &pivots, range),
-            (Vec::new(), 0u64, 0u32),
-            merge_distance_shard,
-        )
-    } else {
-        let partials = run_sharded(pivots.len() as u32, shards, threads, |range| {
-            distance_shard(g, &pivots, range)
-        });
-        let mut acc = (Vec::new(), 0u64, 0u32);
-        for p in partials {
-            merge_distance_shard(&mut acc, p);
-        }
-        acc
-    };
-    finish_sampled_distances(n, pivots.len(), acc)
+    pivot_distances(g, &pivots, shards, threads, streamed)
 }
 
 /// As [`sampled_traversal_csr`], generic over the adjacency view.
@@ -620,7 +524,7 @@ mod tests {
 
     #[test]
     fn sampled_distances_match_the_fused_pass_bit_for_bit() {
-        // the direction-optimizing distance-only kernel and the Brandes
+        // the batched distance-only kernel and the Brandes
         // fused kernel must agree on every integer reducer — histogram,
         // unreached tally, depth — for the same pivots, on every route
         for g in [

@@ -229,7 +229,7 @@ fn swar_max8(x: u64, y: u64) -> u64 {
 
 /// Elementwise register max — the union kernel shared by [`HllSketch`]
 /// and the HyperANF round. Registers are processed 8 at a time via
-/// [`swar_max8`] (register files are `2^b ≥ 16` bytes, so the scalar
+/// `swar_max8` (register files are `2^b ≥ 16` bytes, so the scalar
 /// tail only runs for ad-hoc slices); equality with the scalar
 /// byte-loop oracle on arbitrary register files is locked down by
 /// `proptests::swar_union_matches_scalar_oracle`. Exposed for that
@@ -555,13 +555,14 @@ fn hyper_anf_impl(
             run_sharded_fold(
                 n as u32,
                 shards,
+                1,
                 threads,
                 work,
                 (Vec::with_capacity(cur.regs.len()), false),
                 merge_round,
             )
         } else {
-            let partials = run_sharded(n as u32, shards, threads, work);
+            let partials = run_sharded(n as u32, shards, 1, threads, work);
             let mut acc = (Vec::with_capacity(cur.regs.len()), false);
             for p in partials {
                 merge_round(&mut acc, p);

@@ -60,21 +60,31 @@ pub const AUTO_STREAM_NODES: usize = 1 << 17;
 
 /// Shard layout for `n` sources split `shards` ways: `(length, count)`
 /// with every shard `length` sources long except a possibly-short last
-/// one. A pure function of `(n, shards)` — never of the worker count —
-/// so the floating-point merge tree of a sharded pass is fixed by the
-/// shard count alone. `shards` is clamped to `1..=n`.
-pub(crate) fn shard_layout(n: u32, shards: usize) -> (u32, u32) {
+/// one. The length is rounded up to a multiple of `quantum` — `1` for
+/// the per-source passes, [`BATCH_LANES`](dk_graph::traversal::BATCH_LANES)
+/// for the batched distance-histogram passes, whose shards then hold
+/// whole 64-source batches. A pure function of `(n, shards, quantum)`
+/// — never of the worker count — so the floating-point merge tree of a
+/// sharded pass is fixed by the shard count alone. `shards` is clamped
+/// to `1..=n`.
+pub(crate) fn shard_layout(n: u32, shards: usize, quantum: u32) -> (u32, u32) {
     let shards = shards.clamp(1, n.max(1) as usize) as u32;
-    let len = n.div_ceil(shards).max(1);
+    let len = n.div_ceil(shards).max(1).next_multiple_of(quantum);
     (len, n.div_ceil(len))
 }
 
-/// Runs `work` on every shard of `0..n` across `threads` workers and
-/// returns the per-shard partials **in shard order** — the in-memory
-/// route, `O(shards · |partial|)` resident. Callers that merge partials
-/// in the returned order produce bit-identical results for every thread
-/// count.
-pub(crate) fn run_sharded<A, F>(n: u32, shards: usize, threads: usize, work: F) -> Vec<A>
+/// Runs `work` on every shard of `0..n` (laid out by [`shard_layout`])
+/// across `threads` workers and returns the per-shard partials **in
+/// shard order** — the in-memory route, `O(shards · |partial|)`
+/// resident. Callers that merge partials in the returned order produce
+/// bit-identical results for every thread count.
+pub(crate) fn run_sharded<A, F>(
+    n: u32,
+    shards: usize,
+    quantum: u32,
+    threads: usize,
+    work: F,
+) -> Vec<A>
 where
     F: Fn(Range<u32>) -> A + Sync,
     A: Send,
@@ -82,7 +92,7 @@ where
     if n == 0 {
         return vec![work(0..0)];
     }
-    let (len, count) = shard_layout(n, shards);
+    let (len, count) = shard_layout(n, shards, quantum);
     dk_graph::ensemble::run(count as u64, 0, threads, |i, _rng| {
         let lo = i as u32 * len;
         work(lo..(lo + len).min(n))
@@ -97,6 +107,7 @@ where
 pub(crate) fn run_sharded_fold<T, A, F, M>(
     n: u32,
     shards: usize,
+    quantum: u32,
     threads: usize,
     work: F,
     mut acc: A,
@@ -112,7 +123,7 @@ where
         fold(&mut acc, work(0..0));
         return acc;
     }
-    let (len, count) = shard_layout(n, shards);
+    let (len, count) = shard_layout(n, shards, quantum);
     dk_graph::ensemble::run_fold(
         count as u64,
         0,
@@ -166,12 +177,14 @@ pub enum ExecMode {
 /// count.
 pub fn per_worker_bytes(n: usize) -> u64 {
     // bc 8 + sigma 8 + delta 8 + dist 4 + order 4 + queue 4 = 36 B/node;
-    // round up for allocator slack and the histogram. The
-    // direction-optimizing BFS scratch adds two n-bit frontier bitmaps
-    // (`front_bits`/`next_bits` in
-    // [`BfsScratch`](dk_graph::traversal::BfsScratch)) — charge them
-    // explicitly so a budget-capped worker count stays an upper bound
-    // for the distance-only pass too.
+    // round up for allocator slack and the histogram. The distance-only
+    // passes (exact and sampled) run the batched kernel, whose
+    // `BatchScratch` — three u64 words plus two frontier node lists,
+    // at most 32 B/node — fits inside the same 40 B/node. The two n-bit
+    // terms are the frontier bitmaps the single-source
+    // direction-optimizing BFS once charged here; no shard pass uses
+    // that scratch any more, and they stay as slack so the planned
+    // worker count does not move.
     40 * n as u64 + 2 * (n as u64).div_ceil(8)
 }
 
@@ -226,7 +239,7 @@ mod tests {
     fn shard_layout_matches_historical_chunking() {
         // DEFAULT_SHARDS reproduces run_chunked's ceil(n/64) layout
         for n in [1u32, 7, 63, 64, 65, 1000, 12345] {
-            let (len, count) = shard_layout(n, DEFAULT_SHARDS);
+            let (len, count) = shard_layout(n, DEFAULT_SHARDS, 1);
             let want_len = n.div_ceil(64).max(1);
             assert_eq!(len, want_len, "n = {n}");
             assert_eq!(count, n.div_ceil(want_len), "n = {n}");
@@ -237,21 +250,34 @@ mod tests {
 
     #[test]
     fn shard_layout_clamps() {
-        assert_eq!(shard_layout(5, 0), (5, 1));
-        assert_eq!(shard_layout(5, 1), (5, 1));
-        assert_eq!(shard_layout(5, 5), (1, 5));
-        assert_eq!(shard_layout(5, 99), (1, 5));
-        assert_eq!(shard_layout(0, 3), (1, 0));
+        assert_eq!(shard_layout(5, 0, 1), (5, 1));
+        assert_eq!(shard_layout(5, 1, 1), (5, 1));
+        assert_eq!(shard_layout(5, 5, 1), (1, 5));
+        assert_eq!(shard_layout(5, 99, 1), (1, 5));
+        assert_eq!(shard_layout(0, 3, 1), (1, 0));
+    }
+
+    #[test]
+    fn batched_layout_holds_whole_batches() {
+        // shard lengths round up to whole 64-source batches: a 16-pivot
+        // pass at the default shard count is one batch, not 16
+        assert_eq!(shard_layout(16, DEFAULT_SHARDS, 64), (64, 1));
+        assert_eq!(shard_layout(9071, DEFAULT_SHARDS, 64), (192, 48));
+        assert_eq!(shard_layout(129, 2, 64), (128, 2));
+        assert_eq!(shard_layout(200, 200, 64), (64, 4));
+        assert_eq!(shard_layout(0, 3, 64), (64, 0));
     }
 
     #[test]
     fn sharded_and_fold_agree_on_integer_reduction() {
         let work = |r: Range<u32>| r.map(|x| x as u64).sum::<u64>();
         for shards in [1, 2, 7, 100] {
-            let collected: u64 = run_sharded(100, shards, 3, work).into_iter().sum();
-            let folded = run_sharded_fold(100, shards, 3, work, 0u64, |a, p| *a += p);
-            assert_eq!(collected, folded, "shards = {shards}");
-            assert_eq!(folded, 4950);
+            for quantum in [1, 64] {
+                let collected: u64 = run_sharded(100, shards, quantum, 3, work).into_iter().sum();
+                let folded = run_sharded_fold(100, shards, quantum, 3, work, 0u64, |a, p| *a += p);
+                assert_eq!(collected, folded, "shards = {shards}");
+                assert_eq!(folded, 4950);
+            }
         }
     }
 

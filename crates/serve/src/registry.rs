@@ -17,7 +17,7 @@
 //!
 //! Identical concurrent work — same `(graph, epoch, op, knobs)` key —
 //! collapses onto one computation: the first requester inserts a
-//! [`Flight`] and computes; later arrivals find the flight, park on its
+//! `Flight` and computes; later arrivals find the flight, park on its
 //! condvar, and are counted in [`Counters::coalesced`]. The flight
 //! table is registry-global, so every key embeds the graph *name* as
 //! well as the observed epoch — two same-epoch graphs must never share

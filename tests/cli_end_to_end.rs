@@ -1,7 +1,7 @@
 //! End-to-end tests of the `dk` binary: the Orbis-style workflow driven
 //! through the real executable (argument parsing included).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn dk_bin() -> PathBuf {
@@ -18,13 +18,32 @@ fn dk_bin() -> PathBuf {
     p
 }
 
-fn tmpdir() -> PathBuf {
-    let d = std::env::temp_dir().join("dk_e2e");
-    std::fs::create_dir_all(&d).unwrap();
-    d
+/// The scratch directory of one test, removed when dropped. The process
+/// id and the test name in its path keep tests running in parallel (and
+/// concurrent test processes) from reading each other's half-written
+/// files.
+struct Scratch(PathBuf);
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
 }
 
-fn write_karate(dir: &std::path::Path) -> PathBuf {
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn tmpdir(test: &str) -> Scratch {
+    let d = std::env::temp_dir().join(format!("dk_e2e_{}_{test}", std::process::id()));
+    std::fs::create_dir_all(&d).unwrap();
+    Scratch(d)
+}
+
+fn write_karate(dir: &Path) -> PathBuf {
     let p = dir.join("karate.edges");
     let g = dk_repro::graph::builders::karate_club();
     dk_repro::graph::io::save_edge_list(&g, &p).unwrap();
@@ -66,7 +85,7 @@ fn help_and_unknown_command() {
 
 #[test]
 fn extract_generate_compare_workflow() {
-    let dir = tmpdir();
+    let dir = tmpdir("extract_generate_compare_workflow");
     let graph = write_karate(&dir);
     let dist = dir.join("karate.2k");
     let out = dir.join("karate_regen.edges");
@@ -105,7 +124,7 @@ fn extract_generate_compare_workflow() {
 
 #[test]
 fn rewire_and_metrics_via_binary() {
-    let dir = tmpdir();
+    let dir = tmpdir("rewire_and_metrics_via_binary");
     let graph = write_karate(&dir);
     let out = dir.join("karate_3k.edges");
     let (ok, text) = run(&[
@@ -128,7 +147,7 @@ fn rewire_and_metrics_via_binary() {
 
 #[test]
 fn metrics_flags_via_binary() {
-    let dir = tmpdir();
+    let dir = tmpdir("metrics_flags_via_binary");
     let graph = write_karate(&dir);
     let path = graph.to_str().unwrap();
 
@@ -168,7 +187,7 @@ fn metrics_flags_via_binary() {
 
 #[test]
 fn streaming_flags_via_binary() {
-    let dir = tmpdir();
+    let dir = tmpdir("streaming_flags_via_binary");
     let graph = write_karate(&dir);
     let path = graph.to_str().unwrap();
     let battery = ["--metrics", "d_avg,d_std,diameter,b_max,distance_approx"];
@@ -247,7 +266,7 @@ fn streaming_flags_via_binary() {
 
 #[test]
 fn sketch_flags_via_binary() {
-    let dir = tmpdir();
+    let dir = tmpdir("sketch_flags_via_binary");
     let graph = write_karate(&dir);
     let path = graph.to_str().unwrap();
 
@@ -331,7 +350,7 @@ fn missing_arguments_fail_cleanly() {
     let (ok, text) = run(&["extract", "2"]);
     assert!(!ok);
     assert!(text.contains("missing argument"), "{text}");
-    let dir = tmpdir();
+    let dir = tmpdir("missing_arguments_fail_cleanly");
     let graph = write_karate(&dir);
     let (ok, text) = run(&["extract", "2", graph.to_str().unwrap()]);
     assert!(!ok);
