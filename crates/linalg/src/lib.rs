@@ -22,12 +22,15 @@
 //!   matrices; the test oracle and the solver used below Lanczos scale;
 //! * [`tridiag::tridiag_eigenvalues`] — implicit-shift **QL** for symmetric
 //!   tridiagonal matrices;
-//! * [`lanczos`] — **Lanczos** with full reorthogonalization and explicit
-//!   deflation; converges to spectrum extremes in a few hundred iterations
-//!   even for the ≈10⁴-node skitter-scale graphs;
+//! * [`lanczos`] — **Lanczos** as the plain three-term recurrence with
+//!   the kernel deflated every step and a local second Gram–Schmidt pass;
+//!   it holds a handful of n-vectors, stores no Krylov basis, and
+//!   converges to the spectrum extremes in a few hundred iterations even
+//!   for the ≈10⁴-node skitter-scale graphs;
 //! * [`laplacian`] — the graph-facing API: [`laplacian::spectral_extremes`]
 //!   returns `(λ1, λ_{n−1})`, deflating the analytically-known null vector
-//!   rather than estimating it numerically.
+//!   rather than estimating it numerically; [`laplacian::spectral_bytes`]
+//!   is its memory model, which the daemon's admission control charges.
 //!
 //! Solvers are deterministic: Lanczos uses a fixed arithmetic start vector
 //! (orthogonalized against the deflation space), not a random one.

@@ -84,7 +84,7 @@
 //! | `sketch` | ≤ diameter rounds of register unions through the shard executor | **n·2^b bytes** per register file (×2 per round: Jacobi double buffer), error 1.04/√2^b |
 //! | `incremental` | reverse union-find percolation sweep over the snapshot ([`crate::attack`]) | O(n) forest + trajectory |
 //! | `all-pairs` | n sources through the shard executor (distances alone: batched BFS, 64 sources per sweep; with betweenness: per-source Brandes) | in-memory O(shards·n); streamed **O(workers·n)** |
-//! | `spectral` | Lanczos (dense below cutoff) | O(n) iteration vectors |
+//! | `spectral` | Lanczos three-term recurrence on the sparse Laplacian (dense Jacobi below cutoff) | O(n + m) Laplacian + O(n) iteration vectors; **16·n² bytes** on the dense path ([`spectral::spectral_bytes`](crate::spectral::spectral_bytes)) |
 //!
 //! The streamed route is auto-selected above
 //! [`AUTO_STREAM_NODES`](crate::stream::AUTO_STREAM_NODES) analyzed

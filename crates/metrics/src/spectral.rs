@@ -5,7 +5,7 @@
 //! [`dk_linalg`].
 
 use dk_graph::Graph;
-pub use dk_linalg::laplacian::{SpectralError, SpectralExtremes};
+pub use dk_linalg::laplacian::{spectral_bytes, SpectralError, SpectralExtremes};
 
 /// `λ1` and `λ_{n−1}` of the normalized Laplacian of a **connected** graph.
 ///

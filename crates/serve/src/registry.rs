@@ -32,10 +32,15 @@
 //! [`Registry::admit`] prices a request before any allocation using the
 //! exact byte model the streamed executor plans with
 //! ([`dk_metrics::stream::fixed_bytes`] /
-//! [`dk_metrics::stream::per_worker_bytes`], plus HyperANF register
-//! sheets when a sketch metric is selected). Requests whose *minimum*
-//! footprint (one worker) exceeds the effective budget — the smaller of
-//! the server-wide `--memory-budget` and the request's own
+//! [`dk_metrics::stream::per_worker_bytes`]), plus HyperANF register
+//! sheets when a sketch metric is selected and the spectral solver's
+//! working set ([`dk_metrics::spectral::spectral_bytes`]: the dense
+//! matrices below the Lanczos cutoff, the sparse Laplacian and a few
+//! n-vectors above it) when `lambda1` or `lambda_n` is. The spectral
+//! term is added, not maxed: the spectral job runs after the traversal
+//! jobs, so the sum over-approximates the peak. Requests whose
+//! *minimum* footprint (one worker) exceeds the effective budget — the
+//! smaller of the server-wide `--memory-budget` and the request's own
 //! `memory_budget` knob — are rejected with a structured `over_budget`
 //! error. Admitted requests carry the effective budget into the
 //! analyzer, which lowers the worker count / takes the streamed route
@@ -323,6 +328,10 @@ impl Registry {
                 .saturating_mul(2);
             min_bytes = min_bytes.saturating_add(registers);
         }
+        if metrics.iter().any(|m| m.cost() == Cost::Spectral) {
+            min_bytes =
+                min_bytes.saturating_add(dk_metrics::spectral::spectral_bytes(nodes, edges));
+        }
         if budget < min_bytes {
             Counters::bump(&self.counters.rejected);
             return Err(ReqError::new(
@@ -533,6 +542,26 @@ mod tests {
         // no budgets anywhere: always admitted
         let open = Registry::new(None, 1);
         assert_eq!(open.admit(1 << 20, 1 << 22, &metrics, 8, None), Ok(None));
+    }
+
+    #[test]
+    fn admission_prices_the_spectral_pass_in() {
+        let spectral: Vec<AnyMetric> = AnyMetric::all().filter(|m| m.name() == "lambda1").collect();
+        assert!(spectral.len() == 1 && spectral[0].cost() == Cost::Spectral);
+        // the daemon's BA n = 10^5 graph: two edges per arriving node
+        let n = 100_000;
+        let m = 200_000;
+        let plain_floor =
+            dk_metrics::stream::fixed_bytes(n, m) + dk_metrics::stream::per_worker_bytes(n);
+        let spectral_floor = plain_floor + dk_metrics::spectral::spectral_bytes(n, m);
+        // a budget between the two minimums
+        let reg = Registry::new(Some((plain_floor + spectral_floor) / 2), 1);
+        assert!(reg.admit(n, m, &AnyMetric::cheap_set(), 8, None).is_ok());
+        let err = reg.admit(n, m, &spectral, 8, None).unwrap_err();
+        assert_eq!(err.code, "over_budget");
+        assert!(err.message.contains(&spectral_floor.to_string()));
+        // so is the paper battery (`metrics: default`), which includes it
+        assert!(reg.admit(n, m, &AnyMetric::default_set(), 8, None).is_err());
     }
 
     #[test]

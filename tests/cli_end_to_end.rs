@@ -5,17 +5,15 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn dk_bin() -> PathBuf {
-    // integration tests run from the workspace root; the binary is built
-    // as a dependency of the test profile
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.push("target");
-    p.push(if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    });
-    p.push("dk");
-    p
+    // this test runs as `<target dir>/<profile>/deps/cli_end_to_end-<hash>`
+    // and cargo builds the `dk` binary of the same profile into
+    // `<target dir>/<profile>`, wherever `CARGO_TARGET_DIR` points
+    let exe = std::env::current_exe().expect("test executable path");
+    let profile_dir = exe
+        .parent()
+        .and_then(Path::parent)
+        .expect("test executable lives in <profile>/deps");
+    profile_dir.join(format!("dk{}", std::env::consts::EXE_SUFFIX))
 }
 
 /// The scratch directory of one test, removed when dropped. The process
