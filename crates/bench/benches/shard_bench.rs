@@ -1,7 +1,8 @@
-//! Criterion: streamed vs in-memory sharded execution of the fused
-//! distance+betweenness pass (and the sampled pivot pass) — the streaming
-//! layer must cost ~nothing over collect-then-merge at bench scale while
-//! bounding memory at 10⁶-node scale (measured by `perf_shard`).
+//! Criterion: the sharded streaming execution of the fused
+//! distance+betweenness pass at two shard counts (and the sampled pivot
+//! pass) — the shard layout fixes the merge tree, and memory stays
+//! bounded by the worker count at 10⁶-node scale (measured by
+//! `perf_shard`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dk_graph::CsrGraph;
@@ -26,21 +27,14 @@ fn bench_shard(c: &mut Criterion) {
 
     for shards in [stream::DEFAULT_SHARDS, 256] {
         group.bench_with_input(
-            BenchmarkId::new(format!("fused_in_memory_s{shards}"), &name),
+            BenchmarkId::new(format!("fused_s{shards}"), &name),
             &csr,
             |b, csr| b.iter(|| betweenness::betweenness_and_distances_sharded(csr, shards, 1)),
         );
-        group.bench_with_input(
-            BenchmarkId::new(format!("fused_streamed_s{shards}"), &name),
-            &csr,
-            |b, csr| b.iter(|| betweenness::betweenness_and_distances_streamed(csr, shards, 1)),
-        );
     }
-    group.bench_with_input(
-        BenchmarkId::new("sampled_streamed_k64", &name),
-        &csr,
-        |b, csr| b.iter(|| sampled::sampled_traversal_streamed(csr, 64, stream::DEFAULT_SHARDS, 1)),
-    );
+    group.bench_with_input(BenchmarkId::new("sampled_k64", &name), &csr, |b, csr| {
+        b.iter(|| sampled::sampled_traversal_sharded(csr, 64, stream::DEFAULT_SHARDS, 1))
+    });
     group.finish();
 }
 

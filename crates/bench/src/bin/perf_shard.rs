@@ -1,19 +1,19 @@
 //! **perf_shard** — the sharded streaming layer's perf and memory
-//! record: streamed vs in-memory fused traversal (bit-identity asserted,
-//! both timed) at an oracle-feasible scale, and — with `--full` — the
-//! 10⁶-node Barabási–Albert end-to-end run through `dk metrics`'
-//! analyzer on the streaming route, with a hard per-worker memory
+//! record: the fused traversal at one thread vs the run's thread count
+//! (bit-identity asserted, both timed) at an oracle-feasible scale, and
+//! — with `--full` — the 10⁶-node Barabási–Albert end-to-end run
+//! through `dk metrics`' analyzer, with a hard per-worker memory
 //! accounting and the process peak RSS.
 //!
 //! At 10⁶ nodes the *exact* all-pairs battery is a multi-hour
-//! computation regardless of route (O(n·m) edge visits), so the large
+//! computation however it is sharded (O(n·m) edge visits), so the large
 //! run exercises the paper-default battery with its two exact all-pairs
 //! columns replaced by their registry-sampled twins
 //! (`distance_approx`/`betweenness_approx`, K = 64 Brandes–Pich pivots)
 //! and the spectral solve omitted — every traversal-shaped pass still
-//! goes through the streamed shard executor, which is what this binary
-//! measures. The streamed-vs-oracle bit-identity at full exactness is
-//! covered by the oracle stage here and by `tests/stream_equivalence.rs`.
+//! goes through the shard executor, which is what this binary
+//! measures. The thread-count bit-identity at full exactness is covered
+//! by the oracle stage here and by `tests/stream_equivalence.rs`.
 //!
 //! Appends `"bench": "shard_oracle"` / `"bench": "shard_large"` records
 //! to the `BENCH_metrics.json` JSON-lines log.
@@ -131,9 +131,9 @@ fn time_s<T>(f: impl FnOnce() -> T) -> (f64, T) {
     (t0.elapsed().as_secs_f64(), out)
 }
 
-/// Streamed vs in-memory fused pass at oracle-feasible scale:
-/// bit-identity asserted at the default and at a non-default shard
-/// count, both routes timed.
+/// The fused pass at one thread (the oracle) vs the run's thread count
+/// at oracle-feasible scale: bit-identity asserted at the default and
+/// at a non-default shard count, both timed.
 fn oracle_stage(args: &Args, threads: usize) {
     let g = ba(args.oracle_n, args.seed);
     let csr = CsrGraph::from_graph(&g);
@@ -143,36 +143,35 @@ fn oracle_stage(args: &Args, threads: usize) {
         g.edge_count()
     );
 
-    let (streamed_s, streamed) = time_s(|| {
-        betweenness::betweenness_and_distances_streamed(&csr, stream::DEFAULT_SHARDS, threads)
-    });
+    let fused = |shards: usize, workers: usize| {
+        betweenness::betweenness_and_distances_sharded(&csr, shards, workers)
+    };
+    let (streamed_s, streamed) = time_s(|| fused(stream::DEFAULT_SHARDS, threads));
     println!(
-        "fused streamed  (S = {:>3})  {streamed_s:>8.2} s",
+        "fused, {threads} threads (S = {:>3})  {streamed_s:>8.2} s",
         stream::DEFAULT_SHARDS
     );
-    let (in_memory_s, in_memory) = time_s(|| {
-        betweenness::betweenness_and_distances_sharded(&csr, stream::DEFAULT_SHARDS, threads)
-    });
+    let (serial_s, serial) = time_s(|| fused(stream::DEFAULT_SHARDS, 1));
     println!(
-        "fused in-memory (S = {:>3})  {in_memory_s:>8.2} s",
+        "fused, 1 thread   (S = {:>3})  {serial_s:>8.2} s",
         stream::DEFAULT_SHARDS
     );
     assert_eq!(
-        streamed.betweenness, in_memory.betweenness,
-        "streamed route must be bit-identical to the in-memory oracle"
+        streamed.betweenness, serial.betweenness,
+        "the fused pass must be bit-identical to its one-thread oracle"
     );
-    assert_eq!(streamed.distances, in_memory.distances);
-    assert_eq!(streamed.max_depth, in_memory.max_depth);
+    assert_eq!(streamed.distances, serial.distances);
+    assert_eq!(streamed.max_depth, serial.max_depth);
 
     // a non-default shard count changes the merge tree but never the
-    // streamed-vs-oracle agreement
+    // agreement across thread counts
     let odd = 7;
-    let s7 = betweenness::betweenness_and_distances_streamed(&csr, odd, threads);
-    let m7 = betweenness::betweenness_and_distances_sharded(&csr, odd, threads);
-    assert_eq!(s7.betweenness, m7.betweenness, "shards = {odd}");
-    assert_eq!(s7.distances, m7.distances);
+    let par7 = fused(odd, threads);
+    let one7 = fused(odd, 1);
+    assert_eq!(par7.betweenness, one7.betweenness, "shards = {odd}");
+    assert_eq!(par7.distances, one7.distances);
     println!(
-        "bit-identity: streamed == in-memory at S = {} and S = {odd}",
+        "bit-identity: {threads} threads == 1 thread at S = {} and S = {odd}",
         stream::DEFAULT_SHARDS
     );
 
@@ -183,7 +182,7 @@ fn oracle_stage(args: &Args, threads: usize) {
         ("threads".into(), threads.to_string()),
         ("shards".into(), stream::DEFAULT_SHARDS.to_string()),
         ("streamed_s".into(), json::number(streamed_s)),
-        ("in_memory_s".into(), json::number(in_memory_s)),
+        ("serial_s".into(), json::number(serial_s)),
         ("bit_identical".into(), "true".into()),
         (
             "per_worker_mb".into(),
@@ -201,7 +200,7 @@ fn oracle_stage(args: &Args, threads: usize) {
 
 /// The 10⁶-node end-to-end streaming run: paper-default battery with the
 /// exact all-pairs columns swapped for their sampled twins (see the
-/// module docs), every traversal pass on the streamed route.
+/// module docs), every traversal pass through the shard executor.
 fn large_stage(args: &Args, threads: usize) {
     let battery =
         "n,m,gcc_fraction,k_avg,r,c_mean,s,s2,kcore_max,distance_approx,betweenness_approx";
@@ -214,7 +213,7 @@ fn large_stage(args: &Args, threads: usize) {
     // the plan the analyzer actually resolves for these options (GCC
     // policy applied, post-extraction node count) — read back through
     // the cache rather than re-derived, so the bench record cannot
-    // drift from the route taken
+    // drift from the plan used
     let plan = AnalysisCache::build(
         &g,
         &[],
@@ -225,10 +224,6 @@ fn large_stage(args: &Args, threads: usize) {
         },
     )
     .exec_plan();
-    assert!(
-        plan.streamed,
-        "10^6 nodes must auto-select the streamed route"
-    );
 
     // memory-model check: the per-worker accounting
     // (`stream::per_worker_bytes`: Brandes scratch, which also covers
@@ -237,7 +232,7 @@ fn large_stage(args: &Args, threads: usize) {
     let (rss_model_mb, rss_probe_mb) = {
         let csr = CsrGraph::from_graph(&g);
         let before = rss_now_bytes();
-        let probe = std::hint::black_box(dk_metrics::sampled::sampled_traversal_streamed(
+        let probe = std::hint::black_box(dk_metrics::sampled::sampled_traversal_sharded(
             &csr,
             SAMPLES,
             plan.shards,
@@ -267,18 +262,15 @@ fn large_stage(args: &Args, threads: usize) {
         }
     };
 
-    let mk = |relabel: bool| {
-        Analyzer::new()
-            .metric_names(battery)
-            .expect("battery names are registered")
-            .threads(threads)
-            .sample_sources(SAMPLES)
-            .relabel(relabel)
-    };
-    let (analyze_s, report) = time_s(|| mk(false).analyze(&g));
+    let analyzer = Analyzer::new()
+        .metric_names(battery)
+        .expect("battery names are registered")
+        .threads(threads)
+        .sample_sources(SAMPLES);
+    let (analyze_s, report) = time_s(|| analyzer.analyze(&g));
     let scalar = |name: &str| report.scalar(name).unwrap_or(f64::NAN);
     println!(
-        "analyzed in {analyze_s:.1} s (streamed route, S = {}, workers = {}): \
+        "analyzed in {analyze_s:.1} s (S = {}, workers = {}): \
          d_avg_approx = {:.4}, b_max_approx = {:.6}, kcore_max = {}",
         plan.shards,
         plan.workers,
@@ -286,15 +278,6 @@ fn large_stage(args: &Args, threads: usize) {
         scalar("betweenness_approx"),
         scalar("kcore_max"),
     );
-    // the locality-relabeled route must reproduce the report byte for
-    // byte — the permutation is an internal detail
-    let (relabel_s, relabel_report) = time_s(|| mk(true).analyze(&g));
-    assert_eq!(
-        report.to_json(),
-        relabel_report.to_json(),
-        "relabeled battery must be byte-identical to the external-id route"
-    );
-    println!("relabeled battery in {relabel_s:.1} s — report byte-identical");
     let peak = peak_rss_bytes();
     if let Some(p) = peak {
         println!("peak RSS {:.0} MiB", p as f64 / (1 << 20) as f64);
@@ -344,32 +327,6 @@ fn large_stage(args: &Args, threads: usize) {
     }
     let out = args.out_dir.join("BENCH_metrics.json");
     append_json_line(&out, &json::object(fields)).expect("append to BENCH_metrics.json");
-
-    // the relabeled run gets its own line so the locality speedup stays
-    // traceable against the external-id history
-    let relabel_fields = vec![
-        ("bench".into(), "\"shard_large_relabel\"".to_string()),
-        ("n".into(), g.node_count().to_string()),
-        ("m".into(), g.edge_count().to_string()),
-        ("threads".into(), threads.to_string()),
-        ("samples".into(), SAMPLES.to_string()),
-        ("shards".into(), plan.shards.to_string()),
-        ("workers".into(), plan.workers.to_string()),
-        ("streamed".into(), "true".into()),
-        ("relabel".into(), "true".into()),
-        ("battery".into(), format!("\"{battery}\"")),
-        ("analyze_s".into(), json::number(relabel_s)),
-        ("byte_identical".into(), "true".into()),
-        (
-            "d_avg_approx".into(),
-            json::number(scalar("distance_approx")),
-        ),
-        (
-            "b_max_approx".into(),
-            json::number(scalar("betweenness_approx")),
-        ),
-    ];
-    append_json_line(&out, &json::object(relabel_fields)).expect("append to BENCH_metrics.json");
     println!("appended to {}", out.display());
 }
 

@@ -3,10 +3,10 @@
 //! scale (with the Brandes–Pich sampled twin measured alongside, so the
 //! two estimator families stay comparable run over run), and — with
 //! `--full` — the 10⁶-node Barabási–Albert end-to-end run of the sketch
-//! battery through `dk metrics`' analyzer on the streaming route.
+//! battery through `dk metrics`' analyzer.
 //!
-//! At 10⁶ nodes the exact distance family is O(n·m) ≈ hours on any
-//! route; the sketch battery covers it in `O(diameter)` sharded
+//! At 10⁶ nodes the exact distance family is O(n·m) ≈ hours however it
+//! is sharded; the sketch battery covers it in `O(diameter)` sharded
 //! register-union passes whose error `1.04/√2^b` is set by
 //! `--sketch-bits`, with the `distance_approx` sampled twin (K = 64
 //! pivots) recorded next to it for the accuracy-vs-cost comparison the
@@ -135,8 +135,8 @@ fn time_s<T>(f: impl FnOnce() -> T) -> (f64, T) {
 
 /// Sketch vs exact oracle (and the sampled twin) at oracle-feasible
 /// scale: relative error of `d̄` at each register-bit count, asserted
-/// against the 3σ HLL bound, streamed-vs-in-memory bit-identity
-/// asserted along the way.
+/// against the 3σ HLL bound, bit-identity of the sketch pass across
+/// thread counts asserted along the way.
 fn oracle_stage(args: &Args, threads: usize) {
     let g = ba(args.oracle_n, args.seed);
     let csr = CsrGraph::from_graph(&g);
@@ -147,7 +147,7 @@ fn oracle_stage(args: &Args, threads: usize) {
     );
 
     let (exact_s, exact) =
-        time_s(|| DistanceDistribution::from_csr_streamed(&csr, stream_shards(), threads));
+        time_s(|| DistanceDistribution::from_csr_sharded(&csr, stream_shards(), threads));
     let d_exact = exact.mean();
     println!("exact all-source BFS       {exact_s:>8.2} s   d_avg = {d_exact:.4}");
 
@@ -175,11 +175,10 @@ fn oracle_stage(args: &Args, threads: usize) {
     ];
     for bits in ORACLE_BITS {
         let (sketch_s, anf) =
-            time_s(|| sketch::hyper_anf_streamed(&csr, bits, 128, stream_shards(), threads));
-        // the streamed pass is the one the analyzer plans at scale; the
-        // in-memory collect is its equivalence oracle
-        let in_memory = sketch::hyper_anf_sharded(&csr, bits, 128, stream_shards(), threads);
-        assert_eq!(anf, in_memory, "streamed == in-memory at b = {bits}");
+            time_s(|| sketch::hyper_anf_sharded(&csr, bits, 128, stream_shards(), threads));
+        // the same pass at one thread is its equivalence oracle
+        let serial = sketch::hyper_anf_sharded(&csr, bits, 128, stream_shards(), 1);
+        assert_eq!(anf, serial, "{threads} threads == 1 thread at b = {bits}");
         let d_sketch = anf.avg_distance();
         let err = (d_sketch - d_exact).abs() / d_exact;
         let bound = 3.0 * sketch::standard_error(bits);
@@ -204,7 +203,7 @@ fn stream_shards() -> usize {
 }
 
 /// The 10⁶-node end-to-end run: the sketch distance battery (plus the
-/// sampled twin for comparison) through the analyzer's streamed route.
+/// sampled twin for comparison) through the analyzer.
 fn large_stage(args: &Args, threads: usize) {
     let battery = "n,m,k_avg,distance_approx,avg_distance_sketch,effective_diameter_sketch";
     let (gen_s, g) = time_s(|| ba(LARGE_N, args.seed));
@@ -224,26 +223,19 @@ fn large_stage(args: &Args, threads: usize) {
         },
     )
     .exec_plan();
-    assert!(
-        plan.streamed,
-        "10^6 nodes must auto-select the streamed route"
-    );
-    let mk = |relabel: bool| {
-        Analyzer::new()
-            .metric_names(battery)
-            .expect("battery names are registered")
-            .threads(threads)
-            .sample_sources(SAMPLES)
-            .sketch_bits(args.bits)
-            .relabel(relabel)
-    };
-    let (analyze_s, report) = time_s(|| mk(false).analyze(&g));
+    let analyzer = Analyzer::new()
+        .metric_names(battery)
+        .expect("battery names are registered")
+        .threads(threads)
+        .sample_sources(SAMPLES)
+        .sketch_bits(args.bits);
+    let (analyze_s, report) = time_s(|| analyzer.analyze(&g));
     let scalar = |name: &str| report.scalar(name).unwrap_or(f64::NAN);
     let d_sketch = scalar("avg_distance_sketch");
     let d_sampled = scalar("distance_approx");
     let twin_gap = (d_sketch - d_sampled).abs() / d_sampled;
     println!(
-        "analyzed in {analyze_s:.1} s (streamed route, S = {}, workers = {}, b = {}): \
+        "analyzed in {analyze_s:.1} s (S = {}, workers = {}, b = {}): \
          d_avg_sketch = {d_sketch:.4}, d_avg_approx = {d_sampled:.4} (gap {twin_gap:.4}), \
          effective_diameter_sketch = {:.3}",
         plan.shards,
@@ -251,16 +243,6 @@ fn large_stage(args: &Args, threads: usize) {
         args.bits,
         scalar("effective_diameter_sketch"),
     );
-    // the locality-relabeled route must reproduce the report byte for
-    // byte — hash seeding and N(t) sums are mapped through the
-    // permutation, the registers themselves are set-determined
-    let (relabel_s, relabel_report) = time_s(|| mk(true).analyze(&g));
-    assert_eq!(
-        report.to_json(),
-        relabel_report.to_json(),
-        "relabeled sketch battery must be byte-identical to the external-id route"
-    );
-    println!("relabeled battery in {relabel_s:.1} s — report byte-identical");
     let peak = peak_rss_bytes();
     if let Some(p) = peak {
         println!("peak RSS {:.0} MiB", p as f64 / (1 << 20) as f64);
@@ -299,28 +281,6 @@ fn large_stage(args: &Args, threads: usize) {
     }
     let out = args.out_dir.join("BENCH_metrics.json");
     append_json_line(&out, &json::object(fields)).expect("append to BENCH_metrics.json");
-
-    let relabel_fields = vec![
-        ("bench".into(), "\"sketch_large_relabel\"".to_string()),
-        ("n".into(), g.node_count().to_string()),
-        ("m".into(), g.edge_count().to_string()),
-        ("threads".into(), threads.to_string()),
-        ("bits".into(), args.bits.to_string()),
-        ("samples".into(), SAMPLES.to_string()),
-        ("shards".into(), plan.shards.to_string()),
-        ("workers".into(), plan.workers.to_string()),
-        ("streamed".into(), "true".into()),
-        ("relabel".into(), "true".into()),
-        ("battery".into(), format!("\"{battery}\"")),
-        ("analyze_s".into(), json::number(relabel_s)),
-        ("byte_identical".into(), "true".into()),
-        ("d_avg_sketch".into(), json::number(d_sketch)),
-        (
-            "effective_diameter_sketch".into(),
-            json::number(scalar("effective_diameter_sketch")),
-        ),
-    ];
-    append_json_line(&out, &json::object(relabel_fields)).expect("append to BENCH_metrics.json");
     println!("appended to {}", out.display());
 }
 

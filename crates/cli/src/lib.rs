@@ -11,9 +11,9 @@
 //! dk rewire   <d> <graph.edges> -o <out.edges>    dK-randomizing rewiring
 //! dk explore  <s|s2|c> <min|max> <graph.edges> -o <out.edges>
 //! dk metrics  <graph.edges> [--metrics LIST] [--format text|json] [--no-gcc] [--samples K]
-//!             [--sketch-bits B] [--shards N] [--memory-budget B] [--relabel]
+//!             [--sketch-bits B] [--shards N] [--memory-budget B]
 //! dk compare  <a.edges> <b.edges> [--metrics LIST] [--format text|json] [--no-gcc] [--samples K]
-//!             [--sketch-bits B] [--shards N] [--memory-budget B] [--relabel]
+//!             [--sketch-bits B] [--shards N] [--memory-budget B]
 //! dk attack   <graph.edges> [--strategy S] [--checkpoints F,..] [--seed N] [--format text|json]
 //! dk census   <graph.edges>                       Table 5 census
 //! dk viz      <graph.edges>     -o <out.svg>      layout + SVG
@@ -227,18 +227,12 @@ pub struct MetricsOptions {
     /// (`None` = the analyzer default, 8).
     pub sketch_bits: Option<u32>,
     /// `--shards N`: source shard count for the all-pairs/sampled
-    /// traversal passes; setting it opts into the streamed route
-    /// (`None` = auto — streamed with the default shard count once the
-    /// graph is large enough).
+    /// traversal passes; it fixes the merge tree of the betweenness
+    /// passes (`None` = the analyzer default, 64).
     pub shards: Option<usize>,
     /// `--memory-budget BYTES`: traversal working-memory cap (accepts
-    /// K/M/G suffixes at parse time); opts into the streamed route.
+    /// K/M/G suffixes at parse time); caps the worker count.
     pub memory_budget: Option<u64>,
-    /// `--relabel`: route the traversal-shaped passes over a
-    /// degree-descending relabeled CSR snapshot for cache locality —
-    /// the permutation is inverted on every output surface, so the
-    /// report is byte-identical either way.
-    pub relabel: bool,
 }
 
 /// Parses a `--memory-budget` value: a positive integer byte count with
@@ -315,9 +309,6 @@ fn build_analyzer(
     if let Some(budget) = opts.memory_budget {
         analyzer = analyzer.memory_budget(budget);
     }
-    if opts.relabel {
-        analyzer = analyzer.relabel(true);
-    }
     Ok(analyzer)
 }
 
@@ -387,12 +378,10 @@ pub fn cmd_compare(
 /// GCC extraction, `--samples K` sets the pivot budget of the sampled
 /// `*_approx` metrics, `--sketch-bits B` sets the HyperLogLog register
 /// bits of the sketch `*_sketch` metrics (error `1.04/√2^B`, memory
-/// `n·2^B` bytes), `--shards N` / `--memory-budget B` opt the
-/// traversal passes into the sharded streaming route (identical
-/// results, memory bounded by workers — auto-selected anyway past
-/// ~131k nodes), `--relabel` runs them over a degree-descending
-/// relabeled snapshot for cache locality (byte-identical output), and
-/// `--format json` emits the machine-readable report.
+/// `n·2^B` bytes), `--shards N` fixes the merge tree of the sharded
+/// traversal passes, `--memory-budget B` caps their worker count
+/// (identical results, memory bounded by workers), and `--format json`
+/// emits the machine-readable report.
 pub fn cmd_metrics(graph_path: &Path, opts: &MetricsOptions) -> Result<String, GraphError> {
     if opts.metrics.as_deref() == Some("help") {
         return Ok(AnyMetric::listing());
@@ -937,8 +926,8 @@ mod tests {
     #[test]
     fn metrics_streaming_flags_preserve_output() {
         let dir = scratch("metrics_streaming_flags_preserve_output");
-        // the streamed route at the default shard count must not change
-        // a single output byte; a custom shard count keeps histogram
+        // the default shard count and a memory budget must not change a
+        // single output byte; a custom shard count keeps histogram
         // metrics identical too (integer reducers)
         let graph = write_karate(&dir);
         let base = cmd_metrics(

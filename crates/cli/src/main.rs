@@ -15,9 +15,9 @@ USAGE:
   dk rewire   <d: 0..3> <graph.edges> -o <out.edges> [--attempts N] [--seed N]
   dk explore  <s|s2|c>  <min|max> <graph.edges> -o <out.edges> [--seed N]
   dk metrics  <graph.edges> [--metrics LIST] [--format text|json] [--no-gcc] [--samples K]
-              [--sketch-bits B] [--shards N] [--memory-budget B] [--relabel]
+              [--sketch-bits B] [--shards N] [--memory-budget B]
   dk compare  <a.edges> <b.edges> [--metrics LIST] [--format text|json] [--no-gcc] [--samples K]
-              [--sketch-bits B] [--shards N] [--memory-budget B] [--relabel]
+              [--sketch-bits B] [--shards N] [--memory-budget B]
   dk attack   <graph.edges> [--strategy random|degree|betweenness|degree-adaptive] [--seed N]
               [--checkpoints F1,F2,...] [--format text|json] [--no-gcc] [--samples K]
   dk census   <graph.edges> [--max-d D]
@@ -37,12 +37,11 @@ O(1) edge index, with O(1) census deltas applied on acceptance — `--attempts`
 budgets proposed (not accepted) moves, default 50 per edge. `--sketch-bits B`
 sets the HyperLogLog register bits of the sketch distance metrics
 (distance_sketch/avg_distance_sketch/effective_diameter_sketch; 4..=16,
-default 8 — error ~1.04/sqrt(2^B), memory n*2^B bytes). `--shards N`
-streams the all-pairs/sampled passes shard by shard (identical results,
-memory bounded by workers — the default past ~131k nodes); `--memory-budget
-B` caps their working memory (bytes, K/M/G suffixes); `--relabel` runs
-them over a degree-descending relabeled snapshot for cache locality
-(byte-identical output). `attack` computes
+default 8 — error ~1.04/sqrt(2^B), memory n*2^B bytes). The
+all-pairs/sampled passes stream shard by shard (identical results for every
+--threads value, memory bounded by workers): `--shards N` fixes their merge
+tree (default 64), and `--memory-budget B` caps their workers (bytes, K/M/G
+suffixes). `attack` computes
 the full node-removal percolation trajectory in one reverse union-find
 pass (bit-identical for every thread count): `--strategy` picks the
 removal order (default degree), `--checkpoints` probes the residual GCC
@@ -74,7 +73,6 @@ struct Args {
     sketch_bits: Option<u32>,
     shards: Option<usize>,
     memory_budget: Option<u64>,
-    relabel: bool,
     socket: Option<PathBuf>,
     threads: Option<usize>,
 }
@@ -96,7 +94,6 @@ fn parse(mut raw: Vec<String>) -> Result<Args, String> {
         sketch_bits: None,
         shards: None,
         memory_budget: None,
-        relabel: false,
         socket: None,
         threads: None,
     };
@@ -116,7 +113,6 @@ fn parse(mut raw: Vec<String>) -> Result<Args, String> {
             }
             "--format" => args.format = raw.pop().ok_or("missing value after --format")?.parse()?,
             "--no-gcc" => args.no_gcc = true,
-            "--relabel" => args.relabel = true,
             "--samples" => {
                 args.samples = Some(
                     raw.pop()
@@ -207,7 +203,6 @@ impl Args {
             sketch_bits: self.sketch_bits,
             shards: self.shards,
             memory_budget: self.memory_budget,
-            relabel: self.relabel,
         }
     }
 }

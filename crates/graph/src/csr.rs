@@ -22,30 +22,6 @@
 //! [`crate::traversal`] (and the metric passes in `dk-metrics`) run on
 //! either: on a `Graph` for convenience, on a `CsrGraph` snapshot when an
 //! analyzer amortizes the build cost across many passes.
-//!
-//! ## Locality relabeling and the permutation-inversion contract
-//!
-//! [`CsrGraph::from_graph_relabeled`] builds a second snapshot flavor
-//! whose node ids are permuted **degree-descending (ties broken by
-//! ascending old id)** — hubs land at the front of the flat arrays, so
-//! the high-traffic rows of an all-source traversal share cache lines.
-//! The permutation is carried explicitly as a [`Relabeling`]
-//! (`to_new`/`to_old`), and the contract is strict:
-//!
-//! * internal ids **never leak** — every consumer maps per-node outputs
-//!   back through `to_old` (and external inputs in through `to_new`)
-//!   before anything crosses its API boundary, so external results are
-//!   bit-identical to the unpermuted route;
-//! * neighbor lists are renamed **in place, order preserved** (they are
-//!   *not* re-sorted). Preserving adjacency order is what makes
-//!   traversal kernels label-equivariant — a BFS/Brandes sweep from
-//!   `to_new[s]` on the relabeled snapshot performs the identical
-//!   arithmetic, in the identical order, as a sweep from `s` on the
-//!   plain snapshot — but it also means the relabeled snapshot violates
-//!   the sorted-neighbor clause of [`AdjacencyView`], so it must stay
-//!   private to order-insensitive traversal kernels and never serve
-//!   sortedness-dependent passes (triangle intersection, k-core) or be
-//!   exposed through a public accessor.
 
 use crate::graph::{Graph, NodeId};
 
@@ -245,109 +221,6 @@ impl<V: AdjacencyView + ?Sized> AdjacencyView for &V {
     }
 }
 
-/// Explicit node permutation carried by a relabeled
-/// [`CsrGraph`] snapshot — see the [module docs](self) for the
-/// inversion contract. `to_new[old] = new`, `to_old[new] = old`; both
-/// are bijections on `0..n`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Relabeling {
-    to_new: Vec<NodeId>,
-    to_old: Vec<NodeId>,
-}
-
-impl Relabeling {
-    /// Maps an external (old) id to its internal (new) id.
-    #[inline]
-    pub fn to_new(&self, old: NodeId) -> NodeId {
-        self.to_new[old as usize]
-    }
-
-    /// Maps an internal (new) id back to its external (old) id.
-    #[inline]
-    pub fn to_old(&self, new: NodeId) -> NodeId {
-        self.to_old[new as usize]
-    }
-
-    /// The full `old → new` map, indexed by old id.
-    #[inline]
-    pub fn forward(&self) -> &[NodeId] {
-        &self.to_new
-    }
-
-    /// The full `new → old` map, indexed by new id.
-    #[inline]
-    pub fn backward(&self) -> &[NodeId] {
-        &self.to_old
-    }
-
-    /// Number of nodes the permutation covers.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.to_new.len()
-    }
-
-    /// `true` for the empty permutation.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.to_new.is_empty()
-    }
-
-    /// Inverse-permutes a per-internal-node vector into external id
-    /// order: `out[old] = values[to_new[old]]`. The one call every
-    /// per-node output surface makes before results leave the
-    /// relabeled route.
-    ///
-    /// # Panics
-    /// Panics if `values.len() != self.len()`.
-    pub fn invert_values<T: Copy>(&self, values: &[T]) -> Vec<T> {
-        assert_eq!(
-            values.len(),
-            self.len(),
-            "value vector sized to the permutation"
-        );
-        self.to_new
-            .iter()
-            .map(|&new| values[new as usize])
-            .collect()
-    }
-}
-
-impl CsrGraph {
-    /// Builds a **locality-relabeled** snapshot: node ids permuted
-    /// degree-descending (ties broken by ascending old id) so hub rows
-    /// cluster at the front of the flat arrays, plus the explicit
-    /// [`Relabeling`] consumers must invert on every output surface.
-    ///
-    /// Neighbor lists are renamed in place with their order preserved
-    /// (**not** re-sorted) — the label-equivariance property the
-    /// bit-identity contract rests on; the returned snapshot therefore
-    /// must stay private to order-insensitive traversal kernels (see
-    /// the [module docs](self)).
-    ///
-    /// # Panics
-    /// Panics if the graph has more than `u32::MAX` edge endpoints,
-    /// as [`CsrGraph::from_graph`].
-    pub fn from_graph_relabeled(g: &Graph) -> (Self, Relabeling) {
-        let n = g.node_count();
-        let ends = 2 * g.edge_count();
-        assert!(u32::try_from(ends).is_ok(), "graph too large for u32 CSR");
-        let mut to_old: Vec<NodeId> = (0..n as NodeId).collect();
-        to_old.sort_by_key(|&u| (std::cmp::Reverse(g.degree(u)), u));
-        let mut to_new = vec![0 as NodeId; n];
-        for (new, &old) in to_old.iter().enumerate() {
-            to_new[old as usize] = new as NodeId;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(ends);
-        offsets.push(0);
-        for &old in &to_old {
-            targets.extend(g.neighbors(old).iter().map(|&v| to_new[v as usize]));
-            offsets.push(targets.len() as u32);
-        }
-        (CsrGraph { offsets, targets }, Relabeling { to_new, to_old })
-    }
-}
-
 impl From<&Graph> for CsrGraph {
     fn from(g: &Graph) -> Self {
         CsrGraph::from_graph(g)
@@ -422,63 +295,6 @@ mod tests {
         let csr = CsrGraph::from_graph(&g);
         assert_eq!(sum_deg(&g), sum_deg(&csr));
         assert_eq!(sum_deg(&g), 2 * g.edge_count());
-    }
-
-    #[test]
-    fn relabeling_is_degree_descending_with_old_id_ties() {
-        let g = builders::star(5); // center 0 (deg 5), leaves 1..=5 (deg 1)
-        let (csr, relab) = CsrGraph::from_graph_relabeled(&g);
-        assert_eq!(relab.to_new(0), 0, "hub keeps front position");
-        // leaves tie on degree → ascending old id
-        assert_eq!(relab.backward(), &[0, 1, 2, 3, 4, 5]);
-        assert_eq!(csr.degree(0), 5);
-
-        let g = builders::path(4); // degrees 1,2,2,1
-        let (csr, relab) = CsrGraph::from_graph_relabeled(&g);
-        assert_eq!(relab.backward(), &[1, 2, 0, 3]);
-        assert_eq!(relab.forward(), &[2, 0, 1, 3]);
-        assert_eq!(csr.degrees(), vec![2, 2, 1, 1]);
-        // round trip: to_old ∘ to_new = identity
-        for u in 0..4 {
-            assert_eq!(relab.to_old(relab.to_new(u)), u);
-        }
-    }
-
-    #[test]
-    fn relabeled_snapshot_is_isomorphic_with_order_preserved() {
-        for g in [
-            builders::karate_club(),
-            builders::petersen(),
-            builders::complete(5),
-            Graph::with_nodes(3),
-            Graph::new(),
-        ] {
-            let (csr, relab) = CsrGraph::from_graph_relabeled(&g);
-            assert_eq!(csr.node_count(), g.node_count());
-            assert_eq!(csr.edge_count(), g.edge_count());
-            assert_eq!(csr.edge_endpoints(), 2 * g.edge_count() as u64);
-            for old in g.nodes() {
-                let new = relab.to_new(old);
-                // renamed in place, order preserved: new list is the old
-                // list mapped elementwise through the permutation
-                let expect: Vec<NodeId> =
-                    g.neighbors(old).iter().map(|&v| relab.to_new(v)).collect();
-                assert_eq!(csr.neighbors(new), expect.as_slice(), "node {old}");
-            }
-            // degree-descending placement
-            let degs = csr.degrees();
-            assert!(degs.windows(2).all(|w| w[0] >= w[1]));
-        }
-    }
-
-    #[test]
-    fn invert_values_restores_external_order() {
-        let g = builders::path(4);
-        let (_, relab) = CsrGraph::from_graph_relabeled(&g);
-        // internal vector holding each node's own old id, inverted,
-        // must read 0,1,2,3 in external order
-        let internal: Vec<NodeId> = (0..4).map(|new| relab.to_old(new)).collect();
-        assert_eq!(relab.invert_values(&internal), vec![0, 1, 2, 3]);
     }
 
     #[test]

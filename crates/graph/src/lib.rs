@@ -70,7 +70,7 @@ pub mod svg;
 pub mod traversal;
 pub mod unionfind;
 
-pub use csr::{AdjacencyView, CsrGraph, Relabeling};
+pub use csr::{AdjacencyView, CsrGraph};
 pub use error::GraphError;
 pub use graph::{canon_edge, Graph, NodeId, SubgraphMap};
 pub use multigraph::MultiGraph;

@@ -1,8 +1,8 @@
 //! # dk-lint — the workspace determinism auditor
 //!
 //! Every result in this reproduction rests on bit-for-bit
-//! reproducibility contracts (identical output across thread counts,
-//! shard counts, and in-memory/streamed routes — see `DESIGN.md` and
+//! reproducibility contracts (identical output across thread counts
+//! and, for the integer reducers, shard counts — see `DESIGN.md` and
 //! the `csr_equivalence` / `stream_equivalence` / `sketch_tolerance`
 //! harnesses). Those contracts are enforced *after the fact* by
 //! equivalence tests; `dk-lint` enforces them **at the source level**,

@@ -36,7 +36,6 @@ use crate::cache::{AnalysisCache, AnalyzeOptions, GccPolicy};
 use crate::json;
 use crate::metric::{AnyMetric, Kind, MetricValue};
 use crate::report::{GraphSummary, MetricRecord, Report};
-use crate::stream::ExecMode;
 use dk_graph::Graph;
 use rand::rngs::StdRng;
 
@@ -148,12 +147,13 @@ impl Analyzer {
     }
 
     /// Sets the source shard count for the traversal passes (CLI
-    /// `--shards`) and opts into the **streamed** route: shard partials
-    /// fold into `O(n)` reducers in shard order instead of being
-    /// collected, so traversal memory is bounded by the worker count,
-    /// not the shard count. Results are bit-identical to the in-memory
-    /// route at the same shard count, for every thread count; values
-    /// are clamped to at least 1. See [`crate::stream`].
+    /// `--shards`; default
+    /// [`DEFAULT_SHARDS`](crate::stream::DEFAULT_SHARDS)). Shard partials
+    /// fold into `O(n)` reducers in shard order, so the shard count
+    /// fixes the f64 merge tree of the betweenness passes while
+    /// traversal memory stays bounded by the worker count. Results are
+    /// bit-identical for every thread count at a given shard count;
+    /// values are clamped to at least 1. See [`crate::stream`].
     pub fn shards(mut self, shards: usize) -> Self {
         self.opts.shards = Some(shards.max(1));
         self
@@ -168,34 +168,12 @@ impl Analyzer {
         self
     }
 
-    /// Caps the traversal passes' working memory (CLI `--memory-budget`)
-    /// and opts into the streamed route: the worker count is lowered
-    /// until `workers × per-worker scratch` fits the budget (never below
-    /// one worker). Results are identical for every budget.
+    /// Caps the traversal passes' working memory (CLI `--memory-budget`):
+    /// the worker count is lowered until `workers × per-worker scratch`
+    /// fits the budget (never below one worker). Results are identical
+    /// for every budget.
     pub fn memory_budget(mut self, bytes: u64) -> Self {
         self.opts.memory_budget = Some(bytes.max(1));
-        self
-    }
-
-    /// Routes the traversal-shaped passes over a degree-descending
-    /// relabeled CSR snapshot for cache locality (CLI `--relabel`). The
-    /// permutation is inverted on every output surface, so every
-    /// reported value is bit-identical to the unrelabeled route — this
-    /// knob only changes memory-access order inside the passes.
-    pub fn relabel(mut self, on: bool) -> Self {
-        self.opts.relabel = on;
-        self
-    }
-
-    /// Overrides the route policy for the traversal passes (default
-    /// [`ExecMode::Auto`]: stream when `shards`/`memory_budget` are set
-    /// or the analyzed graph exceeds
-    /// [`AUTO_STREAM_NODES`](crate::stream::AUTO_STREAM_NODES)).
-    /// [`ExecMode::InMemory`] pins the retained collect-then-merge
-    /// route — the equivalence oracle the streamed route is tested
-    /// against.
-    pub fn exec_mode(mut self, mode: ExecMode) -> Self {
-        self.opts.exec = mode;
         self
     }
 

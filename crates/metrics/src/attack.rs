@@ -23,8 +23,7 @@
 //! neighbors in ascending node-id order (sorted adjacency), and the
 //! forest itself breaks every tie deterministically — so the whole
 //! trajectory is a pure function of `(graph, removal order)`:
-//! bit-identical across thread counts, shard counts, and execution
-//! routes. Size ties for "the" giant component break toward the
+//! bit-identical across thread counts and shard counts. Size ties for "the" giant component break toward the
 //! component containing the smallest node id, the same rule
 //! [`giant_component_nodes`](dk_graph::traversal::giant_component_nodes)
 //! documents — so checkpoint snapshots here agree with a per-step

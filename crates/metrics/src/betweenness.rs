@@ -7,8 +7,8 @@
 //! back-propagation per source — and sources are embarrassingly parallel.
 
 use crate::distance::{default_threads, DistanceDistribution};
-use crate::stream::{run_sharded, run_sharded_fold, DEFAULT_SHARDS};
-use dk_graph::{AdjacencyView, CsrGraph, Graph, NodeId, Relabeling};
+use crate::stream::{run_sharded_fold, DEFAULT_SHARDS};
+use dk_graph::{AdjacencyView, CsrGraph, Graph, NodeId};
 use std::collections::VecDeque;
 
 /// Joint result of the fused all-source traversal: Brandes' BFS already
@@ -28,10 +28,10 @@ pub struct FusedTraversal {
     /// [`DistanceDistribution::from_graph`]).
     pub distances: DistanceDistribution,
     /// Greatest finite distance discovered from any source — the
-    /// max-merge of per-source eccentricities, one of the streamed
+    /// max-merge of per-source eccentricities, one of the sharded
     /// pass's compact reducers. Always equals `distances.diameter()`;
-    /// carried separately so the streamed route cross-checks its
-    /// histogram against an independently merged reducer.
+    /// carried separately so the pass cross-checks its histogram
+    /// against an independently merged reducer.
     pub max_depth: u32,
 }
 
@@ -57,11 +57,16 @@ pub fn betweenness_and_distances_csr(g: &CsrGraph, threads: usize) -> FusedTrave
     fused_traversal(g, threads)
 }
 
-/// The **in-memory** fused pass with an explicit shard count: collects
-/// every shard's partial, then merges them in shard order. This is the
-/// equivalence oracle for [`betweenness_and_distances_streamed`] — at
-/// equal shard counts the two are bit-identical, and at
-/// [`DEFAULT_SHARDS`] this is exactly [`betweenness_and_distances_csr`].
+/// The fused pass with an explicit shard count: each worker streams its
+/// source shards over the snapshot into a compact `BrandesSums` partial
+/// (betweenness accumulation, distance-histogram merge, eccentricity
+/// max-merge) and partials fold into one global accumulator in shard
+/// order — in-flight memory `O(workers · n)`, with **no** per-source
+/// n-vector ever materialized beyond the worker's reusable scratch. The
+/// shard count fixes the f64 merge tree, so the result is bit-identical
+/// for every thread count; at [`DEFAULT_SHARDS`] it is exactly
+/// [`betweenness_and_distances_csr`]. This is the pass the analyzer
+/// cache runs (see [`crate::stream`]).
 pub fn betweenness_and_distances_sharded(
     g: &CsrGraph,
     shards: usize,
@@ -76,68 +81,6 @@ pub fn betweenness_and_distances_sharded(
         n,
         brandes_over_sources_sharded(g, &sources, shards, threads),
     )
-}
-
-/// The **streaming** fused pass: each worker streams its source shards
-/// over the snapshot into a compact `BrandesSums` partial (betweenness
-/// accumulation, distance-histogram merge, eccentricity max-merge) and
-/// partials fold into one global accumulator in shard order — in-flight
-/// memory `O(workers · n)` instead of `O(shards · n)`, with **no**
-/// per-source n-vector ever materialized beyond the worker's reusable
-/// scratch. Bit-identical to [`betweenness_and_distances_sharded`] at
-/// the same shard count, for every thread count. This is the route the
-/// analyzer plans for 10⁶-node graphs (see [`crate::stream`]).
-pub fn betweenness_and_distances_streamed(
-    g: &CsrGraph,
-    shards: usize,
-    threads: usize,
-) -> FusedTraversal {
-    let n = g.node_count();
-    if n == 0 {
-        return FusedTraversal::empty();
-    }
-    let sources: Vec<NodeId> = (0..n as NodeId).collect();
-    finish_fused(
-        n,
-        brandes_over_sources_streamed(g, &sources, shards, threads),
-    )
-}
-
-/// The fused pass over a **relabeled** snapshot
-/// ([`CsrGraph::from_graph_relabeled`]), returning results in
-/// **external** id space — bit-identical to the unpermuted sharded /
-/// streamed routes at the same shard count.
-///
-/// Why the bits survive the permutation: Brandes' kernel never branches
-/// on an id's *value* (only on distances, σ counts, and adjacency
-/// order), and the relabeled snapshot preserves adjacency order under
-/// renaming, so the sweep from `to_new[s]` performs the identical f64
-/// operations in the identical order as the sweep from `s` on the plain
-/// snapshot. Sources are listed in **external** order (`to_new[0],
-/// to_new[1], …`), keeping the per-node accumulation order across
-/// sources unchanged, and shard boundaries depend only on the source
-/// *count* — the raw `bc` vector (internal id space) is then
-/// inverse-permuted before leaving.
-pub fn betweenness_and_distances_relabeled(
-    g: &CsrGraph,
-    relab: &Relabeling,
-    shards: usize,
-    threads: usize,
-    streamed: bool,
-) -> FusedTraversal {
-    let n = g.node_count();
-    if n == 0 {
-        return FusedTraversal::empty();
-    }
-    // external source order, mapped into internal ids
-    let sources: Vec<NodeId> = relab.forward().to_vec();
-    let mut sums = if streamed {
-        brandes_over_sources_streamed(g, &sources, shards, threads)
-    } else {
-        brandes_over_sources_sharded(g, &sources, shards, threads)
-    };
-    sums.bc = relab.invert_values(&sums.bc);
-    finish_fused(n, sums)
 }
 
 /// The fused pass over `Graph`'s `Vec<Vec<_>>` adjacency directly, with
@@ -177,8 +120,7 @@ impl FusedTraversal {
 }
 
 /// Applies the pair-convention halving and packages the reducer sums —
-/// the step every fused entry point (in-memory, sharded, streamed)
-/// shares after its Brandes pass.
+/// the step every fused entry point shares after its Brandes pass.
 fn finish_fused(n: usize, sums: BrandesSums) -> FusedTraversal {
     let BrandesSums {
         mut bc,
@@ -209,7 +151,7 @@ fn finish_fused(n: usize, sums: BrandesSums) -> FusedTraversal {
 /// Compact reducer state of a (possibly partial) Brandes traversal: the
 /// raw dependency sums, the distance histogram, the unreached-pair
 /// tally, and the max-merged source eccentricity. One of these per shard
-/// is all the sharded routes ever hold — per-source vectors live only in
+/// is all a sharded pass ever holds — per-source vectors live only in
 /// the worker's reusable scratch.
 pub(crate) struct BrandesSums {
     /// Raw per-node dependency sums over the listed sources (no
@@ -234,9 +176,7 @@ impl BrandesSums {
         }
     }
 
-    /// Shard-order merge — identical operations whether partials were
-    /// collected first (in-memory route) or stream in one at a time
-    /// (streamed route), so the two routes cannot diverge by a bit.
+    /// Shard-order merge — the fold step of every sharded Brandes pass.
     fn merge(&mut self, p: BrandesSums) {
         for (acc, v) in self.bc.iter_mut().zip(p.bc) {
             *acc += v;
@@ -364,31 +304,10 @@ pub(crate) fn brandes_over_sources<V: AdjacencyView + ?Sized>(
     brandes_over_sources_sharded(g, sources, DEFAULT_SHARDS, threads)
 }
 
-/// As [`brandes_over_sources`] with an explicit shard count — the
-/// in-memory route: collect all shard partials, merge in shard order.
+/// As [`brandes_over_sources`] with an explicit shard count: partials
+/// fold into the accumulator in shard order as workers finish —
+/// `O(workers · n)` in flight, bit-identical for every thread count.
 pub(crate) fn brandes_over_sources_sharded<V: AdjacencyView + ?Sized>(
-    g: &V,
-    sources: &[NodeId],
-    shards: usize,
-    threads: usize,
-) -> BrandesSums {
-    let n = g.node_count();
-    let k = sources.len();
-    let threads = threads.clamp(1, k.max(1));
-    let partials = run_sharded(k as u32, shards, 1, threads, |range| {
-        brandes_shard(g, sources, range)
-    });
-    let mut acc = BrandesSums::zero(n);
-    for p in partials {
-        acc.merge(p);
-    }
-    acc
-}
-
-/// As [`brandes_over_sources_sharded`], but partials fold into the
-/// accumulator in shard order as workers finish — `O(workers · n)` in
-/// flight, bit-identical to the in-memory route at the same shard count.
-pub(crate) fn brandes_over_sources_streamed<V: AdjacencyView + ?Sized>(
     g: &V,
     sources: &[NodeId],
     shards: usize,
@@ -630,37 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn relabeled_route_is_bit_identical() {
-        // external-order sources + label-equivariant sweeps + inverse
-        // permutation: the locality relabeling must not perturb a single
-        // bit of the fused report.
-        for g in [
-            builders::karate_club(),
-            builders::grid(4, 5),
-            builders::star(8),
-            Graph::from_edges(6, [(0, 1), (1, 2), (3, 4)]).unwrap(),
-        ] {
-            let csr = CsrGraph::from_graph(&g);
-            let (rcsr, relab) = CsrGraph::from_graph_relabeled(&g);
-            for streamed in [false, true] {
-                let plain = if streamed {
-                    betweenness_and_distances_streamed(&csr, 3, 2)
-                } else {
-                    betweenness_and_distances_sharded(&csr, 3, 2)
-                };
-                let rel = betweenness_and_distances_relabeled(&rcsr, &relab, 3, 2, streamed);
-                assert_eq!(plain.betweenness, rel.betweenness, "streamed = {streamed}");
-                assert_eq!(plain.distances, rel.distances, "streamed = {streamed}");
-                assert_eq!(plain.max_depth, rel.max_depth);
-            }
-        }
-        let (e, r) = CsrGraph::from_graph_relabeled(&Graph::new());
-        assert!(betweenness_and_distances_relabeled(&e, &r, 2, 1, false)
-            .betweenness
-            .is_empty());
-    }
-
-    #[test]
     fn fused_distances_match_distance_module() {
         // the fused pass must reproduce DistanceDistribution exactly,
         // including unreachable-pair accounting on disconnected graphs
@@ -699,7 +587,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_bit_identical_to_in_memory_across_shard_counts() {
+    fn sharded_pass_bit_identical_across_thread_and_shard_counts() {
         for g in [
             builders::karate_club(),
             builders::grid(5, 7),
@@ -710,13 +598,10 @@ mod tests {
             for shards in [1, 2, 7, n] {
                 let oracle = betweenness_and_distances_sharded(&csr, shards, 1);
                 for threads in [1, 3] {
-                    let streamed = betweenness_and_distances_streamed(&csr, shards, threads);
-                    assert_eq!(
-                        streamed.betweenness, oracle.betweenness,
-                        "shards = {shards}"
-                    );
-                    assert_eq!(streamed.distances, oracle.distances);
-                    assert_eq!(streamed.max_depth, oracle.max_depth);
+                    let par = betweenness_and_distances_sharded(&csr, shards, threads);
+                    assert_eq!(par.betweenness, oracle.betweenness, "shards = {shards}");
+                    assert_eq!(par.distances, oracle.distances);
+                    assert_eq!(par.max_depth, oracle.max_depth);
                 }
             }
             // the default shard count reproduces the historical route
@@ -731,10 +616,10 @@ mod tests {
     fn max_depth_reducer_equals_diameter() {
         let g = builders::grid(4, 6);
         let csr = CsrGraph::from_graph(&g);
-        let fused = betweenness_and_distances_streamed(&csr, 7, 2);
+        let fused = betweenness_and_distances_sharded(&csr, 7, 2);
         assert_eq!(fused.max_depth as usize, fused.distances.diameter());
         assert_eq!(fused.max_depth, 8); // (4-1) + (6-1)
-        let empty = betweenness_and_distances_streamed(&CsrGraph::from_graph(&Graph::new()), 3, 2);
+        let empty = betweenness_and_distances_sharded(&CsrGraph::from_graph(&Graph::new()), 3, 2);
         assert_eq!(empty.max_depth, 0);
         assert!(empty.betweenness.is_empty());
     }

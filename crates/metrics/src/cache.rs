@@ -33,37 +33,26 @@
 //! * **Neighborhood sketches** ([`crate::sketch`]) iterate once at
 //!   [`AnalyzeOptions::sketch_bits`] register bits for the `*_sketch`
 //!   metrics — every round a sharded pass over the same CSR snapshot.
-//! * Each pass owns the full worker budget while it runs (the traversal
-//!   parallelizes over BFS source shards via the deterministic
-//!   scheduler); passes execute sequentially so an explicit `threads`
+//! * Every traversal-shaped pass runs through the sharded fold of
+//!   [`crate::stream`] with the resolved [`ExecPlan`]: per-shard partials
+//!   fold into `O(n)` reducers in shard order, the shard count fixes the
+//!   f64 merge tree, and the worker count is the thread budget capped by
+//!   [`AnalyzeOptions::memory_budget`]. Each pass owns that worker budget
+//!   while it runs; passes execute sequentially so an explicit `threads`
 //!   cap is never oversubscribed.
-//! * **Locality relabeling is opt-in and invisible**: under
-//!   [`AnalyzeOptions::relabel`] the traversal-shaped passes read a
-//!   private degree-descending snapshot
-//!   ([`CsrGraph::from_graph_relabeled`]); sources are mapped into the
-//!   permuted id space and every per-node output is inverse-permuted on
-//!   the way out, so all reported values stay bit-identical to the
-//!   unrelabeled route.
-//! * **Large graphs stream**: once the analyzed graph exceeds
-//!   [`stream::AUTO_STREAM_NODES`] (or when
-//!   [`AnalyzeOptions::shards`]/[`AnalyzeOptions::memory_budget`] opt
-//!   in), the traversal passes take the sharded streaming route of
-//!   [`crate::stream`] — per-shard partials fold into `O(n)` reducers in
-//!   shard order instead of being collected, bounding the working set by
-//!   the worker count while staying bit-identical to the in-memory
-//!   route.
 //!
 //! Metrics computed outside an [`Analyzer`](crate::analyzer::Analyzer)
-//! run (no prepared dep) fall back to computing on demand, so
+//! run (no prepared dep) fall back to computing on demand through the
+//! same pass and the same plan, so
 //! [`Metric::compute`](crate::metric::Metric::compute) is total either
-//! way.
+//! way and a prepared value equals its on-demand twin bit for bit.
 
 use crate::betweenness;
-use crate::distance::{default_threads, DistanceDistribution};
+use crate::distance::DistanceDistribution;
 use crate::metric::{AnyMetric, Dep};
 use crate::sampled::{self, SampledDistances, SampledTraversal};
 use crate::sketch::{self, HyperAnf};
-use crate::stream::{self, ExecMode, ExecPlan};
+use crate::stream::{self, ExecPlan};
 use crate::{clustering, spectral};
 use dk_graph::{traversal, CsrGraph, Graph};
 use dk_linalg::laplacian::SpectralExtremes;
@@ -112,25 +101,14 @@ pub struct AnalyzeOptions {
     /// earlier at the register fixpoint (full convergence).
     pub sketch_rounds: usize,
     /// Explicit source shard count for the traversal passes (`None` =
-    /// [`stream::DEFAULT_SHARDS`]). Setting it opts into the streamed
-    /// route under [`ExecMode::Auto`].
+    /// [`stream::DEFAULT_SHARDS`]). It fixes the f64 merge tree of the
+    /// betweenness passes; the integer reducers (distances, sketches)
+    /// are identical at every shard count.
     pub shards: Option<usize>,
     /// Working-memory budget in bytes for the traversal passes: caps the
     /// worker count so `workers × per-worker scratch` stays under it
-    /// (never below one worker). Setting it opts into the streamed route
-    /// under [`ExecMode::Auto`].
+    /// (never below one worker). Results are identical for every budget.
     pub memory_budget: Option<u64>,
-    /// Route the traversal-shaped passes (fused traversal, sampled,
-    /// sketch) over a **degree-descending relabeled** CSR snapshot
-    /// ([`CsrGraph::from_graph_relabeled`]) for cache locality. The
-    /// permutation is carried explicitly and inverted on every output
-    /// surface, so all reported values stay bit-identical to the
-    /// unrelabeled route; the relabeled snapshot is private to those
-    /// passes and never reaches [`AnalysisCache::csr`], triangles,
-    /// k-core, spectral, or the attack sweep. Default `false`.
-    pub relabel: bool,
-    /// Route policy for the traversal passes — see [`stream::plan`].
-    pub exec: ExecMode,
     /// Generation stamp of the graph this analysis reads. Long-lived
     /// holders (the `dk serve` registry) bump a per-graph epoch on every
     /// mutation and stamp it here at build time; comparing
@@ -151,8 +129,6 @@ impl Default for AnalyzeOptions {
             sketch_rounds: sketch::DEFAULT_SKETCH_ROUNDS,
             shards: None,
             memory_budget: None,
-            relabel: false,
-            exec: ExecMode::Auto,
             epoch: 0,
         }
     }
@@ -166,15 +142,6 @@ struct TraversalData {
     betweenness: Option<Vec<f64>>,
 }
 
-enum DepOut {
-    Triangles(Vec<usize>),
-    Traversal(TraversalData),
-    Sampled(SampledTraversal),
-    SampledDistances(SampledDistances),
-    Sketch(HyperAnf),
-    Spectral(Option<SpectralExtremes>),
-}
-
 /// Prepared per-graph state every [`Metric`](crate::metric::Metric)
 /// computes from.
 pub struct AnalysisCache<'g> {
@@ -184,12 +151,11 @@ pub struct AnalysisCache<'g> {
     gcc_fraction: f64,
     gcc_applied: bool,
     lanczos_iter: usize,
-    threads: usize,
     samples: usize,
     sketch_bits: u32,
     sketch_rounds: usize,
-    /// Resolved execution plan for the traversal passes (route, shard
-    /// count, worker count).
+    /// Resolved execution plan for the traversal passes (shard count,
+    /// worker count).
     exec: ExecPlan,
     /// Generation stamp copied from [`AnalyzeOptions::epoch`] at build
     /// time (see there).
@@ -288,7 +254,6 @@ impl<'g> AnalysisCache<'g> {
             gcc_fraction,
             gcc_applied,
             lanczos_iter: opts.lanczos_iter,
-            threads: opts.threads,
             samples: opts.samples,
             sketch_bits: opts.sketch_bits,
             sketch_rounds: opts.sketch_rounds,
@@ -303,201 +268,75 @@ impl<'g> AnalysisCache<'g> {
             spectral: None,
         };
 
-        #[derive(Clone, Copy)]
-        enum Job {
-            Triangles,
-            Traversal { betweenness: bool },
-            Sampled,
-            SampledDistances,
-            Sketch,
-            Spectral,
-        }
-        let mut jobs: Vec<Job> = Vec::new();
-        if deps.contains(&Dep::Triangles) {
-            jobs.push(Job::Triangles);
-        }
-        if deps.contains(&Dep::Betweenness) {
-            // the fused pass hands back distances for free
-            jobs.push(Job::Traversal { betweenness: true });
-        } else if deps.contains(&Dep::Distances) {
-            jobs.push(Job::Traversal { betweenness: false });
-        }
-        if deps.contains(&Dep::Sampled) {
-            // the fused pivot pass hands back the distance histogram for
-            // free, so a separate distance-only job would be redundant
-            jobs.push(Job::Sampled);
-        } else if deps.contains(&Dep::SampledDistances) {
-            // no sampled-betweenness reader: the distance-only pass rides
-            // the batched multi-source BFS instead of the Brandes kernel
-            jobs.push(Job::SampledDistances);
-        }
-        if deps.contains(&Dep::Sketch) {
-            jobs.push(Job::Sketch);
-        }
-        if deps.contains(&Dep::Spectral) {
-            jobs.push(Job::Spectral);
-        }
-        // every traversal-shaped dep reads the shared CSR snapshot
-        let needs_csr = deps.iter().any(|d| d.implies_csr());
-        if jobs.is_empty() {
-            if needs_csr {
-                cache.csr = Some(CsrGraph::from_graph(cache.target.as_ref()));
-            }
-            return cache;
-        }
-
         let target = cache.target.as_ref();
-        let csr = needs_csr.then(|| CsrGraph::from_graph(target));
-        // Opt-in locality relabeling: the traversal-shaped passes read a
-        // private degree-descending snapshot whose permutation is
-        // inverted on every output surface (sources mapped in, per-node
-        // vectors mapped out), keeping all reported values bit-identical.
-        // Triangles/spectral/[`AnalysisCache::csr`] keep the external
-        // snapshot — its sorted-neighbor contract does not survive
-        // relabeling.
-        let relabeled = (opts.relabel
-            && jobs.iter().any(|j| {
-                matches!(
-                    j,
-                    Job::Traversal { .. } | Job::Sampled | Job::SampledDistances | Job::Sketch
-                )
-            }))
-        .then(|| CsrGraph::from_graph_relabeled(target));
-        let plan = cache.exec;
+        // every traversal-shaped dep reads the shared CSR snapshot
+        let csr = deps
+            .iter()
+            .any(|d| d.implies_csr())
+            .then(|| CsrGraph::from_graph(target));
+        let (shards, workers) = (cache.exec.shards, cache.exec.workers);
         // Passes run one after another; the heavy ones (traversal) use
         // the *full* worker budget internally, parallelizing over BFS
         // source shards. Running passes concurrently on top of that
         // would oversubscribe an explicit `threads` cap (and a memory
-        // budget: `plan.workers` is what the budget capped).
-        let snap = || csr.as_ref().expect("traversal jobs imply the CSR snapshot");
-        let outs = jobs.iter().map(|job| match *job {
-            Job::Triangles => DepOut::Triangles(clustering::triangles_per_node(snap())),
-            Job::Traversal { betweenness: true } => {
-                let fused = match &relabeled {
-                    Some((rcsr, relab)) => betweenness::betweenness_and_distances_relabeled(
-                        rcsr,
-                        relab,
-                        plan.shards,
-                        plan.workers,
-                        plan.streamed,
-                    ),
-                    None if plan.streamed => betweenness::betweenness_and_distances_streamed(
-                        snap(),
-                        plan.shards,
-                        plan.workers,
-                    ),
-                    None => betweenness::betweenness_and_distances_sharded(
-                        snap(),
-                        plan.shards,
-                        plan.workers,
-                    ),
-                };
-                DepOut::Traversal(TraversalData {
+        // budget: `workers` is what the budget capped).
+        if let Some(snap) = &csr {
+            if deps.contains(&Dep::Triangles) {
+                cache.triangles = Some(clustering::triangles_per_node(snap));
+            }
+            if deps.contains(&Dep::Betweenness) {
+                // the fused pass hands back distances for free
+                let fused = betweenness::betweenness_and_distances_sharded(snap, shards, workers);
+                cache.traversal = Some(TraversalData {
                     distances: fused.distances,
                     betweenness: Some(betweenness::normalize_raw(
                         fused.betweenness,
                         target.node_count(),
                     )),
-                })
+                });
+            } else if deps.contains(&Dep::Distances) {
+                cache.traversal = Some(TraversalData {
+                    distances: DistanceDistribution::from_csr_sharded(snap, shards, workers),
+                    betweenness: None,
+                });
             }
-            Job::Traversal { betweenness: false } => DepOut::Traversal(TraversalData {
-                distances: {
-                    // histogram/eccentricity reducers are label-
-                    // independent, so the plain entry points over the
-                    // relabeled snapshot are already bit-identical
-                    let dg = relabeled.as_ref().map(|(r, _)| r).unwrap_or_else(snap);
-                    if plan.streamed {
-                        DistanceDistribution::from_csr_streamed(dg, plan.shards, plan.workers)
-                    } else {
-                        DistanceDistribution::from_csr_sharded(dg, plan.shards, plan.workers)
-                    }
-                },
-                betweenness: None,
-            }),
-            Job::Sampled => DepOut::Sampled(match &relabeled {
-                Some((rcsr, relab)) => sampled::sampled_traversal_relabeled(
-                    rcsr,
-                    relab,
+            if deps.contains(&Dep::Sampled) {
+                // the fused pivot pass hands back the distance histogram
+                // for free, so a separate distance-only pass would be
+                // redundant
+                cache.sampled = Some(sampled::sampled_traversal_sharded(
+                    snap,
                     opts.samples,
-                    plan.shards,
-                    plan.workers,
-                    plan.streamed,
-                ),
-                None if plan.streamed => sampled::sampled_traversal_streamed(
-                    snap(),
+                    shards,
+                    workers,
+                ));
+            } else if deps.contains(&Dep::SampledDistances) {
+                // no sampled-betweenness reader: the distance-only pass
+                // rides the batched multi-source BFS instead of the
+                // Brandes kernel
+                cache.sampled_distances = Some(sampled::sampled_distances_sharded(
+                    snap,
                     opts.samples,
-                    plan.shards,
-                    plan.workers,
-                ),
-                None => sampled::sampled_traversal_sharded(
-                    snap(),
-                    opts.samples,
-                    plan.shards,
-                    plan.workers,
-                ),
-            }),
-            Job::SampledDistances => DepOut::SampledDistances(match &relabeled {
-                Some((rcsr, relab)) => sampled::sampled_distances_relabeled(
-                    rcsr,
-                    relab,
-                    opts.samples,
-                    plan.shards,
-                    plan.workers,
-                    plan.streamed,
-                ),
-                None if plan.streamed => sampled::sampled_distances_streamed(
-                    snap(),
-                    opts.samples,
-                    plan.shards,
-                    plan.workers,
-                ),
-                None => sampled::sampled_distances_sharded(
-                    snap(),
-                    opts.samples,
-                    plan.shards,
-                    plan.workers,
-                ),
-            }),
-            Job::Sketch => DepOut::Sketch(match &relabeled {
-                Some((rcsr, relab)) => sketch::hyper_anf_relabeled(
-                    rcsr,
-                    relab,
+                    shards,
+                    workers,
+                ));
+            }
+            if deps.contains(&Dep::Sketch) {
+                cache.sketch = Some(sketch::hyper_anf_sharded(
+                    snap,
                     opts.sketch_bits,
                     opts.sketch_rounds,
-                    plan.shards,
-                    plan.workers,
-                    plan.streamed,
-                ),
-                None if plan.streamed => sketch::hyper_anf_streamed(
-                    snap(),
-                    opts.sketch_bits,
-                    opts.sketch_rounds,
-                    plan.shards,
-                    plan.workers,
-                ),
-                None => sketch::hyper_anf_sharded(
-                    snap(),
-                    opts.sketch_bits,
-                    opts.sketch_rounds,
-                    plan.shards,
-                    plan.workers,
-                ),
-            }),
-            Job::Spectral => DepOut::Spectral(if target.node_count() >= 2 {
+                    shards,
+                    workers,
+                ));
+            }
+        }
+        if deps.contains(&Dep::Spectral) {
+            cache.spectral = Some(if target.node_count() >= 2 {
                 spectral::spectral_extremes_with(target, opts.lanczos_iter).ok()
             } else {
                 None
-            }),
-        });
-        for out in outs {
-            match out {
-                DepOut::Triangles(t) => cache.triangles = Some(t),
-                DepOut::Traversal(t) => cache.traversal = Some(t),
-                DepOut::Sampled(s) => cache.sampled = Some(s),
-                DepOut::SampledDistances(s) => cache.sampled_distances = Some(s),
-                DepOut::Sketch(s) => cache.sketch = Some(s),
-                DepOut::Spectral(s) => cache.spectral = Some(s),
-            }
+            });
         }
         cache.csr = csr;
         cache
@@ -534,9 +373,8 @@ impl<'g> AnalysisCache<'g> {
         self.gcc_applied
     }
 
-    /// The resolved execution plan for the traversal passes: route
-    /// (streamed vs in-memory), shard count, worker count. See
-    /// [`stream::plan`] for the selection rules.
+    /// The resolved execution plan for the traversal passes: shard count
+    /// and worker count. See [`stream::plan`] for how they are resolved.
     pub fn exec_plan(&self) -> ExecPlan {
         self.exec
     }
@@ -549,24 +387,16 @@ impl<'g> AnalysisCache<'g> {
         self.epoch
     }
 
-    fn inner_threads(&self) -> usize {
-        if self.threads == 0 {
-            default_threads()
-        } else {
-            self.threads
-        }
-    }
-
     /// The `samples` budget this cache was built with (pivot count for
     /// sampled passes; attack-sweep checkpoints reuse it).
     pub(crate) fn samples_budget(&self) -> usize {
         self.samples
     }
 
-    /// The resolved worker-thread count (an explicit `threads` cap, or
-    /// the machine default when unset).
+    /// The plan's worker count: an explicit `threads` cap, or the
+    /// machine default when unset, lowered by any memory budget.
     pub(crate) fn worker_threads(&self) -> usize {
-        self.inner_threads()
+        self.exec.workers
     }
 
     /// The frozen CSR snapshot of the analyzed graph (cached when any
@@ -579,14 +409,15 @@ impl<'g> AnalysisCache<'g> {
     }
 
     /// The sampled K-pivot traversal (cached or computed on demand with
-    /// this cache's `samples` budget).
+    /// this cache's `samples` budget and plan).
     pub fn sampled(&self) -> Cow<'_, SampledTraversal> {
         match &self.sampled {
             Some(s) => Cow::Borrowed(s),
-            None => Cow::Owned(sampled::sampled_traversal_csr(
+            None => Cow::Owned(sampled::sampled_traversal_sharded(
                 self.csr().as_ref(),
                 self.samples,
-                self.inner_threads(),
+                self.exec.shards,
+                self.exec.workers,
             )),
         }
     }
@@ -607,23 +438,25 @@ impl<'g> AnalysisCache<'g> {
                 max_depth: s.max_depth,
             });
         }
-        Cow::Owned(sampled::sampled_distances_csr(
+        Cow::Owned(sampled::sampled_distances_sharded(
             self.csr().as_ref(),
             self.samples,
-            self.inner_threads(),
+            self.exec.shards,
+            self.exec.workers,
         ))
     }
 
     /// The HyperANF sketch iteration (cached or computed on demand with
-    /// this cache's `sketch_bits`/`sketch_rounds` budget).
+    /// this cache's `sketch_bits`/`sketch_rounds` budget and plan).
     pub fn sketch(&self) -> Cow<'_, HyperAnf> {
         match &self.sketch {
             Some(s) => Cow::Borrowed(s),
-            None => Cow::Owned(sketch::hyper_anf_csr(
+            None => Cow::Owned(sketch::hyper_anf_sharded(
                 self.csr().as_ref(),
                 self.sketch_bits,
                 self.sketch_rounds,
-                self.inner_threads(),
+                self.exec.shards,
+                self.exec.workers,
             )),
         }
     }
@@ -636,18 +469,21 @@ impl<'g> AnalysisCache<'g> {
         }
     }
 
-    /// Exact distance distribution (cached or computed on demand).
+    /// Exact distance distribution (cached or computed on demand with
+    /// this cache's plan).
     pub fn distances(&self) -> Cow<'_, DistanceDistribution> {
         match &self.traversal {
             Some(t) => Cow::Borrowed(&t.distances),
-            None => Cow::Owned(DistanceDistribution::from_graph_with_threads(
-                self.graph(),
-                self.inner_threads(),
+            None => Cow::Owned(DistanceDistribution::from_csr_sharded(
+                self.csr().as_ref(),
+                self.exec.shards,
+                self.exec.workers,
             )),
         }
     }
 
-    /// Normalized node betweenness (cached or computed on demand).
+    /// Normalized node betweenness (cached or computed on demand with
+    /// this cache's plan).
     pub fn betweenness(&self) -> Cow<'_, [f64]> {
         match &self.traversal {
             Some(TraversalData {
@@ -655,9 +491,10 @@ impl<'g> AnalysisCache<'g> {
                 ..
             }) => Cow::Borrowed(b.as_slice()),
             _ => {
-                let fused = betweenness::betweenness_and_distances_with_threads(
-                    self.graph(),
-                    self.inner_threads(),
+                let fused = betweenness::betweenness_and_distances_sharded(
+                    self.csr().as_ref(),
+                    self.exec.shards,
+                    self.exec.workers,
                 );
                 Cow::Owned(betweenness::normalize_raw(
                     fused.betweenness,
@@ -771,81 +608,41 @@ mod tests {
     }
 
     #[test]
-    fn relabel_option_is_invisible_in_every_cached_dep() {
-        let g = builders::karate_club();
-        // b_max_approx keeps the fused Brandes pivot pass in the battery
-        // next to the distance-only pass d_avg_approx now rides
-        let names = "c_mean,d_avg,b_max,d_avg_approx,b_max_approx,avg_distance_sketch";
-        let base = AnalyzeOptions {
-            threads: 2,
-            samples: 8,
-            ..Default::default()
-        };
-        for exec in [ExecMode::InMemory, ExecMode::Streamed] {
-            let plain = AnalysisCache::build(&g, &metrics(names), &AnalyzeOptions { exec, ..base });
-            let rel = AnalysisCache::build(
-                &g,
-                &metrics(names),
-                &AnalyzeOptions {
-                    relabel: true,
-                    exec,
-                    ..base
-                },
-            );
-            assert_eq!(plain.distances(), rel.distances(), "{exec:?}");
-            assert_eq!(plain.betweenness(), rel.betweenness(), "{exec:?}");
-            assert_eq!(plain.sampled(), rel.sampled(), "{exec:?}");
-            assert_eq!(
-                plain.sampled_distances(),
-                rel.sampled_distances(),
-                "{exec:?}"
-            );
-            assert_eq!(plain.sketch(), rel.sketch(), "{exec:?}");
-            assert_eq!(plain.triangles(), rel.triangles(), "{exec:?}");
-            // the public CSR snapshot stays external either way
-            assert_eq!(plain.csr().as_ref(), rel.csr().as_ref(), "{exec:?}");
-        }
-    }
-
-    #[test]
     fn distance_only_battery_skips_brandes_and_matches_the_fused_value() {
         // d_avg_approx without a sampled-betweenness reader prepares the
         // batched distance-only pass (no fused pivot pass in
-        // the cache) — and reports the exact same scalar, relabeled or not
+        // the cache) — and reports the exact same scalar
         let g = builders::karate_club();
-        let base = AnalyzeOptions {
+        let opts = AnalyzeOptions {
             threads: 2,
             samples: 8,
             ..Default::default()
         };
         let metric = AnyMetric::get("d_avg_approx").unwrap();
-        for exec in [ExecMode::InMemory, ExecMode::Streamed] {
-            let both = AnalysisCache::build(
-                &g,
-                &metrics("d_avg_approx,b_max_approx"),
-                &AnalyzeOptions { exec, ..base },
-            );
-            assert!(both.sampled.is_some());
-            assert!(both.sampled_distances.is_none());
-            for relabel in [false, true] {
-                let dist_only = AnalysisCache::build(
-                    &g,
-                    &metrics("d_avg_approx"),
-                    &AnalyzeOptions {
-                        relabel,
-                        exec,
-                        ..base
-                    },
-                );
-                assert!(dist_only.sampled.is_none(), "{exec:?}");
-                assert!(dist_only.sampled_distances.is_some(), "{exec:?}");
-                assert_eq!(
-                    metric.compute(&dist_only),
-                    metric.compute(&both),
-                    "{exec:?}, relabel = {relabel}"
-                );
-            }
-        }
+        let both = AnalysisCache::build(&g, &metrics("d_avg_approx,b_max_approx"), &opts);
+        assert!(both.sampled.is_some());
+        assert!(both.sampled_distances.is_none());
+        let dist_only = AnalysisCache::build(&g, &metrics("d_avg_approx"), &opts);
+        assert!(dist_only.sampled.is_none());
+        assert!(dist_only.sampled_distances.is_some());
+        assert_eq!(metric.compute(&dist_only), metric.compute(&both));
+    }
+
+    #[test]
+    fn worker_threads_follow_the_budget_capped_plan() {
+        // the attack sweep and every on-demand fallback read the plan's
+        // worker count, never the uncapped thread knob
+        let g = builders::karate_club();
+        let cache = AnalysisCache::bare(
+            &g,
+            &AnalyzeOptions {
+                threads: 4,
+                memory_budget: Some(1),
+                ..Default::default()
+            },
+        );
+        assert_eq!(cache.exec_plan().workers, 1);
+        assert_eq!(cache.worker_threads(), cache.exec_plan().workers);
     }
 
     #[test]

@@ -14,11 +14,9 @@
 //! [`CsrGraph`] snapshot (two flat arrays; no per-neighbor-list pointer
 //! chase), taken internally by [`DistanceDistribution::from_graph`] or
 //! supplied by the analyzer cache via
-//! [`DistanceDistribution::from_csr_with_threads`]. Above
-//! [`crate::stream::AUTO_STREAM_NODES`] the analyzer plans the
-//! **streaming** sweep ([`DistanceDistribution::from_csr_streamed`]):
-//! identical histogram, `O(workers)` partials in flight instead of
-//! `O(shards)`.
+//! [`DistanceDistribution::from_csr_sharded`], which streams shard
+//! histograms through the fold of [`crate::stream`]: `O(workers)`
+//! partials in flight, whatever the shard count.
 //!
 //! The same batched shard pass (`histogram_pass`) serves the sampled
 //! distance-only estimator in [`crate::sampled`]: both only count
@@ -30,7 +28,7 @@
 //! sampled estimator (registry metric `distance_approx`) lives in
 //! [`crate::sampled`].
 
-use crate::stream::{run_sharded, run_sharded_fold, DEFAULT_SHARDS};
+use crate::stream::{run_sharded_fold, DEFAULT_SHARDS};
 use dk_graph::traversal::{self, BatchScratch, BATCH_LANES};
 use dk_graph::{AdjacencyView, CsrGraph, Graph, NodeId};
 use std::ops::Range;
@@ -69,28 +67,15 @@ impl DistanceDistribution {
         Self::from_csr_sharded(g, DEFAULT_SHARDS, threads)
     }
 
-    /// In-memory sweep with an explicit shard count — the equivalence
-    /// oracle for [`DistanceDistribution::from_csr_streamed`] at the same
-    /// shard count (the histogram reducer is integer, so any shard count
-    /// gives identical counts; the knob fixes the partial layout).
+    /// Sweep with an explicit shard count: each worker streams its
+    /// source shards into a per-shard histogram, and histograms merge
+    /// into one accumulator in shard order — `O(workers)` histograms in
+    /// flight (see [`crate::stream`]). The histogram reducer is integer,
+    /// so every shard and thread count gives identical counts; the knob
+    /// fixes the partial layout.
     pub fn from_csr_sharded(g: &CsrGraph, shards: usize, threads: usize) -> Self {
-        Self::all_sources(g, shards, threads, false)
-    }
-
-    /// **Streaming** sweep over a prepared snapshot: each worker streams
-    /// its source shards into a per-shard histogram, and histograms
-    /// merge into one accumulator in shard order — `O(workers)`
-    /// histograms in flight instead of `O(shards)`, the route the
-    /// analyzer plans for 10⁶-node graphs (see [`crate::stream`]).
-    /// Identical to the in-memory sweep for every shard and thread count.
-    pub fn from_csr_streamed(g: &CsrGraph, shards: usize, threads: usize) -> Self {
-        Self::all_sources(g, shards, threads, true)
-    }
-
-    /// The all-source sweep on either route: every node is a source.
-    fn all_sources(g: &CsrGraph, shards: usize, threads: usize, streamed: bool) -> Self {
         let n = g.node_count();
-        let hist = histogram_pass(g, n, |i| i, shards, threads, streamed);
+        let hist = histogram_pass(g, n, |i| i, shards, threads);
         Self::from_histogram(n, hist)
     }
 
@@ -176,8 +161,7 @@ pub(crate) struct Histogram {
 }
 
 impl Histogram {
-    /// Shard-order merge — the reducer shared by the in-memory and
-    /// streamed routes.
+    /// Shard-order merge — the fold step of every histogram pass.
     fn merge(&mut self, part: Histogram) {
         if self.counts.len() < part.counts.len() {
             self.counts.resize(part.counts.len(), 0);
@@ -192,9 +176,8 @@ impl Histogram {
 
 /// The distance-histogram pass behind both the exact distribution and
 /// the sampled distance-only estimator: BFS from `count` sources,
-/// source `i` being `source(i)`, sharded over `threads` workers
-/// (`streamed` picks the fold route of [`crate::stream`], otherwise
-/// partials are collected and merged in shard order).
+/// source `i` being `source(i)`, sharded over `threads` workers whose
+/// shard histograms fold in shard order ([`crate::stream`]).
 ///
 /// Shard lengths are rounded up to whole [`BATCH_LANES`]-source batches
 /// — a pure function of `(count, shards)` like every shard layout — so
@@ -206,28 +189,17 @@ pub(crate) fn histogram_pass<V: AdjacencyView + ?Sized>(
     source: impl Fn(u32) -> NodeId + Sync,
     shards: usize,
     threads: usize,
-    streamed: bool,
 ) -> Histogram {
     let threads = threads.clamp(1, count.max(1));
-    let work = |range: Range<u32>| histogram_shard(g, range.map(&source));
-    let (count, quantum) = (count as u32, BATCH_LANES as u32);
-    if streamed {
-        run_sharded_fold(
-            count,
-            shards,
-            quantum,
-            threads,
-            work,
-            Histogram::default(),
-            Histogram::merge,
-        )
-    } else {
-        let mut acc = Histogram::default();
-        for part in run_sharded(count, shards, quantum, threads, work) {
-            acc.merge(part);
-        }
-        acc
-    }
+    run_sharded_fold(
+        count as u32,
+        shards,
+        BATCH_LANES as u32,
+        threads,
+        |range: Range<u32>| histogram_shard(g, range.map(&source)),
+        Histogram::default(),
+        Histogram::merge,
+    )
 }
 
 /// One shard's sources, [`BATCH_LANES`] at a time through
@@ -375,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_equals_in_memory_for_any_shard_count() {
+    fn sharded_sweep_identical_for_any_shard_and_thread_count() {
         for g in [
             builders::karate_club(),
             Graph::from_edges(5, [(0, 1), (1, 2), (3, 4)]).unwrap(),
@@ -386,20 +358,16 @@ mod tests {
             for shards in [1, 2, 7, n] {
                 for threads in [1, 3] {
                     assert_eq!(
-                        DistanceDistribution::from_csr_streamed(&csr, shards, threads),
+                        DistanceDistribution::from_csr_sharded(&csr, shards, threads),
                         want,
                         "shards = {shards}, threads = {threads}"
-                    );
-                    assert_eq!(
-                        DistanceDistribution::from_csr_sharded(&csr, shards, threads),
-                        want
                     );
                 }
             }
         }
         let empty = CsrGraph::from_graph(&Graph::new());
         assert_eq!(
-            DistanceDistribution::from_csr_streamed(&empty, 4, 2),
+            DistanceDistribution::from_csr_sharded(&empty, 4, 2),
             DistanceDistribution::from_graph(&Graph::new())
         );
     }

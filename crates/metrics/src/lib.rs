@@ -76,12 +76,12 @@
 //!   `effective_diameter_sketch` metrics ([`sketch`], `Cost::Sketch`)
 //!   estimate the distance family from HyperANF neighborhood sketches
 //!   whose error `1.04/√2^b` is set by the register count.
-//! * Past ~10⁵ analyzed nodes the traversal passes switch to the
-//!   **sharded streaming** route ([`stream`]): per-shard partials fold
-//!   into `O(n)` reducers in shard order, bounding traversal memory by
-//!   the worker count (`Analyzer::shards` / `Analyzer::memory_budget`;
-//!   CLI `--shards` / `--memory-budget`) while staying bit-identical to
-//!   the retained in-memory route.
+//! * Every traversal pass runs through one **sharded streaming**
+//!   executor ([`stream`]): per-shard partials fold into `O(n)` reducers
+//!   in shard order, so traversal memory is bounded by the worker count.
+//!   The shard count (`Analyzer::shards`, CLI `--shards`) fixes the f64
+//!   merge tree; a memory budget (`Analyzer::memory_budget`, CLI
+//!   `--memory-budget`) caps the worker count.
 //! * Results never depend on thread counts: parallel analysis is
 //!   byte-identical to serial.
 
@@ -113,5 +113,5 @@ pub use attack::{AttackOptions, AttackReport, Checkpoint, Strategy};
 pub use cache::{AnalysisCache, AnalyzeOptions, GccPolicy};
 pub use metric::{AnyMetric, Metric, MetricValue};
 pub use report::{MetricReport, Report};
-pub use stream::{ExecMode, ExecPlan};
+pub use stream::ExecPlan;
 pub use table::MetricTable;

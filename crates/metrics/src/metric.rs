@@ -74,29 +74,27 @@
 //!
 //! Each cost class maps to an execution route over the shared
 //! [`CsrGraph`](dk_graph::CsrGraph) snapshot; the traversal-shaped
-//! classes additionally pick between the in-memory and the **sharded
-//! streaming** route of [`crate::stream`]:
+//! classes run through the **sharded streaming** executor of
+//! [`crate::stream`]:
 //!
 //! | cost | route | traversal working memory |
 //! |------|-------|--------------------------|
 //! | `trivial`, `linear` | single pass over the snapshot | O(n + m) |
-//! | `sampled` | K pivots through the shard executor (distance-only batteries: batched BFS, 64 pivots per sweep) | in-memory O(shards·n); streamed **O(workers·n)** |
+//! | `sampled` | K pivots through the shard executor (distance-only batteries: batched BFS, 64 pivots per sweep) | **O(workers·n)** |
 //! | `sketch` | ≤ diameter rounds of register unions through the shard executor | **n·2^b bytes** per register file (×2 per round: Jacobi double buffer), error 1.04/√2^b |
 //! | `incremental` | reverse union-find percolation sweep over the snapshot ([`crate::attack`]) | O(n) forest + trajectory |
-//! | `all-pairs` | n sources through the shard executor (distances alone: batched BFS, 64 sources per sweep; with betweenness: per-source Brandes) | in-memory O(shards·n); streamed **O(workers·n)** |
+//! | `all-pairs` | n sources through the shard executor (distances alone: batched BFS, 64 sources per sweep; with betweenness: per-source Brandes) | **O(workers·n)** |
 //! | `spectral` | Lanczos three-term recurrence on the sparse Laplacian (dense Jacobi below cutoff) | O(n + m) Laplacian + O(n) iteration vectors; **16·n² bytes** on the dense path ([`spectral::spectral_bytes`](crate::spectral::spectral_bytes)) |
 //!
-//! The streamed route is auto-selected above
-//! [`AUTO_STREAM_NODES`](crate::stream::AUTO_STREAM_NODES) analyzed
-//! nodes and forced by `Analyzer::shards`/`Analyzer::memory_budget`
-//! (CLI `--shards`/`--memory-budget`); per-source vectors are worker
-//! scratch only, so per-worker buffers stay O(n) in total — the
+//! Per-source vectors are worker scratch only, so per-worker buffers
+//! stay O(n) in total — the
 //! [`stream::per_worker_bytes`](crate::stream::per_worker_bytes) model
 //! charges `40n` bytes of Brandes scratch, which also covers the
 //! batched BFS scratch of the distance-only passes (three `u64` words
 //! and two frontier lists per node, at most `32n` bytes), plus `2·n/8`
-//! bytes of slack — and results are bit-identical to the in-memory
-//! route at equal shard counts.
+//! bytes of slack. `Analyzer::memory_budget` (CLI `--memory-budget`)
+//! caps the worker count against that model; results are bit-identical
+//! for every worker count at a given shard count.
 
 use crate::cache::AnalysisCache;
 use crate::{betweenness, clustering, jdd, kcore, likelihood, richclub};
@@ -164,9 +162,9 @@ pub enum Cost {
     /// near-linear pass, exact (not an estimator) and bit-identical
     /// across thread counts; see the module docs' route table.
     Incremental,
-    /// O(n·m) — all-source BFS (distances, betweenness). On large
-    /// graphs runs via the sharded streaming route with O(workers·n)
-    /// working memory; see the module docs' route table.
+    /// O(n·m) — all-source BFS (distances, betweenness). Runs through
+    /// the sharded streaming executor with O(workers·n) working memory;
+    /// see the module docs' route table.
     AllPairs,
     /// Eigensolver (Jacobi / Lanczos).
     Spectral,
@@ -246,7 +244,8 @@ impl Dep {
 
     /// Whether this dep's pass runs **through the sharded traversal
     /// executor** ([`crate::stream`]) and therefore owes the
-    /// streamed-vs-in-memory equivalence contract. The equivalence
+    /// thread-count equivalence contract (any worker count reproduces
+    /// the serial pass bit for bit). The equivalence
     /// suites (`tests/stream_equivalence.rs`, the
     /// `proptests::streamed_analysis_equals_in_memory` property) derive
     /// their metric list from this predicate, so a future estimator dep
@@ -823,10 +822,10 @@ impl AnyMetric {
              invariant); `dk attack` exposes the full trajectory behind them\n",
         );
         out.push_str(
-            "large graphs stream all-pairs/sampled passes shard by shard \
-             (auto above 131072 nodes; --shards N and --memory-budget B opt in \
-             and tune it): same results bit for bit, traversal memory bounded \
-             by workers, not shards\n",
+            "all-pairs/sampled/sketch passes stream shard by shard: --shards N \
+             fixes the merge tree (default 64), --memory-budget B caps the \
+             workers; same results bit for bit at every thread count, traversal \
+             memory bounded by workers, not shards\n",
         );
         out
     }

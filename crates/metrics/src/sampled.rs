@@ -28,12 +28,10 @@
 //! * `K ≥ n` degrades to the identity pivot set with scale 1, making the
 //!   estimate **equal to the exact pass** bit for bit.
 
-use crate::betweenness::{
-    brandes_over_sources, brandes_over_sources_sharded, brandes_over_sources_streamed, BrandesSums,
-};
+use crate::betweenness::{brandes_over_sources, brandes_over_sources_sharded, BrandesSums};
 use crate::distance::{histogram_pass, DistanceDistribution};
 use crate::stream::DEFAULT_SHARDS;
-use dk_graph::{AdjacencyView, CsrGraph, NodeId, Relabeling};
+use dk_graph::{AdjacencyView, CsrGraph, NodeId};
 
 /// Result of one sampled traversal: the shared pass behind the
 /// `distance_approx` and `betweenness_approx` registry metrics.
@@ -56,8 +54,8 @@ pub struct SampledTraversal {
     pub betweenness: Vec<f64>,
     /// Number of pivot sources actually traversed (`min(K, n)`).
     pub sources: usize,
-    /// Greatest finite distance discovered from any pivot (the streamed
-    /// eccentricity max-merge) — a lower bound on the diameter; equals
+    /// Greatest finite distance discovered from any pivot (the sharded
+    /// pass's eccentricity max-merge) — a lower bound on the diameter; equals
     /// `distances.diameter()` by construction.
     pub max_depth: u32,
 }
@@ -140,31 +138,12 @@ pub fn sampled_traversal_csr(g: &CsrGraph, k: usize, threads: usize) -> SampledT
     sampled_traversal(g, k, threads)
 }
 
-/// **Streaming** Brandes–Pich pass: the pivot sources are partitioned
-/// into shards and each worker streams its shards into compact reducers,
-/// exactly like the exact streamed pass
-/// ([`crate::betweenness::betweenness_and_distances_streamed`]) — same
-/// pivots, same merge order, so the result is bit-identical to
-/// [`sampled_traversal_csr`] when `shards` is
-/// [`DEFAULT_SHARDS`], and to
-/// [`sampled_traversal_sharded`] at any equal shard count.
-pub fn sampled_traversal_streamed(
-    g: &CsrGraph,
-    k: usize,
-    shards: usize,
-    threads: usize,
-) -> SampledTraversal {
-    let n = g.node_count();
-    if n == 0 {
-        return SampledTraversal::empty();
-    }
-    let pivots = sample_pivots(n, k.max(1));
-    let sums = brandes_over_sources_streamed(g, &pivots, shards, threads);
-    finish_sampled(n, pivots.len(), sums)
-}
-
-/// In-memory pivot pass with an explicit shard count — the equivalence
-/// oracle for [`sampled_traversal_streamed`] at the same shard count.
+/// The Brandes–Pich pass with an explicit shard count: the pivot
+/// sources are partitioned into shards and each worker streams its
+/// shards into compact reducers, exactly like the exact pass
+/// ([`crate::betweenness::betweenness_and_distances_sharded`]) — same
+/// pivots, same merge order at every thread count, and bit-identical to
+/// [`sampled_traversal_csr`] when `shards` is [`DEFAULT_SHARDS`].
 pub fn sampled_traversal_sharded(
     g: &CsrGraph,
     k: usize,
@@ -180,42 +159,16 @@ pub fn sampled_traversal_sharded(
     finish_sampled(n, pivots.len(), sums)
 }
 
-/// The Brandes–Pich pass over a **relabeled** snapshot
-/// ([`CsrGraph::from_graph_relabeled`]), returning results in
-/// **external** id space — bit-identical to the plain sharded/streamed
-/// routes at the same shard count.
-///
-/// The pivot *identities* are computed in external id space
-/// ([`sample_pivots`] strides over external ids exactly as the
-/// unpermuted route does) and only then mapped through the permutation
-/// — striding over internal ids would silently select a different
-/// pivot set whenever the permutation lands, changing every `--samples
-/// K` report. The estimated betweenness is inverse-permuted before it
-/// leaves; histogram/eccentricity reducers are label-independent.
-pub fn sampled_traversal_relabeled(
+/// Forwards to [`sampled_traversal_sharded`]. Kept for the benchmark
+/// helper under `perfbench/`, which calls it, until that helper next
+/// changes.
+pub fn sampled_traversal_streamed(
     g: &CsrGraph,
-    relab: &Relabeling,
     k: usize,
     shards: usize,
     threads: usize,
-    streamed: bool,
 ) -> SampledTraversal {
-    let n = g.node_count();
-    if n == 0 {
-        return SampledTraversal::empty();
-    }
-    let pivots: Vec<NodeId> = sample_pivots(n, k.max(1))
-        .into_iter()
-        .map(|e| relab.to_new(e))
-        .collect();
-    let sums = if streamed {
-        brandes_over_sources_streamed(g, &pivots, shards, threads)
-    } else {
-        brandes_over_sources_sharded(g, &pivots, shards, threads)
-    };
-    let mut out = finish_sampled(n, pivots.len(), sums);
-    out.betweenness = relab.invert_values(&out.betweenness);
-    out
+    sampled_traversal_sharded(g, k, shards, threads)
 }
 
 /// The distance-only half of the sampled pass: the pivot distance
@@ -246,80 +199,30 @@ pub struct SampledDistances {
     pub max_depth: u32,
 }
 
-/// The distance-only pivot pass over `pivots` on either route — the
-/// batched histogram pass shared with the exact distribution.
-fn pivot_distances(
-    g: &CsrGraph,
-    pivots: &[NodeId],
-    shards: usize,
-    threads: usize,
-    streamed: bool,
-) -> SampledDistances {
-    let n = g.node_count();
-    let hist = histogram_pass(
-        g,
-        pivots.len(),
-        |i| pivots[i as usize],
-        shards,
-        threads,
-        streamed,
-    );
-    SampledDistances {
-        max_depth: hist.max_depth,
-        distances: DistanceDistribution::from_histogram(n, hist),
-        sources: pivots.len(),
-    }
-}
-
-/// Distance-only pivot pass at the default shard count — the on-demand
-/// entry the analyzer cache falls back to.
+/// Distance-only pivot pass at the default shard count — the
+/// convenience entry the attack-sweep checkpoints use.
 pub fn sampled_distances_csr(g: &CsrGraph, k: usize, threads: usize) -> SampledDistances {
     sampled_distances_sharded(g, k, DEFAULT_SHARDS, threads)
 }
 
-/// In-memory distance-only pivot pass with an explicit shard count —
-/// the equivalence oracle for [`sampled_distances_streamed`].
+/// Distance-only pivot pass with an explicit shard count: workers
+/// stream their pivot shards through the batched BFS into compact
+/// integer reducers — `O(workers · n)` scratch in flight, identical
+/// results for every shard and thread count.
 pub fn sampled_distances_sharded(
     g: &CsrGraph,
     k: usize,
     shards: usize,
     threads: usize,
 ) -> SampledDistances {
-    let pivots = sample_pivots(g.node_count(), k.max(1));
-    pivot_distances(g, &pivots, shards, threads, false)
-}
-
-/// **Streaming** distance-only pivot pass: workers stream their pivot
-/// shards through the batched BFS into compact integer reducers —
-/// `O(workers · n)` scratch in flight, identical results to
-/// [`sampled_distances_sharded`] for every shard and thread count.
-pub fn sampled_distances_streamed(
-    g: &CsrGraph,
-    k: usize,
-    shards: usize,
-    threads: usize,
-) -> SampledDistances {
-    let pivots = sample_pivots(g.node_count(), k.max(1));
-    pivot_distances(g, &pivots, shards, threads, true)
-}
-
-/// Distance-only pivot pass over a **relabeled** snapshot — the pivot
-/// identities come from external id space exactly as in
-/// [`sampled_traversal_relabeled`]; the histogram/depth reducers are
-/// label-independent, so no inverse mapping is needed on the way out.
-pub fn sampled_distances_relabeled(
-    g: &CsrGraph,
-    relab: &Relabeling,
-    k: usize,
-    shards: usize,
-    threads: usize,
-    streamed: bool,
-) -> SampledDistances {
-    let pivots: Vec<NodeId> = sample_pivots(g.node_count(), k.max(1))
-        .into_iter()
-        .map(|e| relab.to_new(e))
-        .collect();
-    pivot_distances(g, &pivots, shards, threads, streamed)
+    let n = g.node_count();
+    let pivots = sample_pivots(n, k.max(1));
+    let hist = histogram_pass(g, pivots.len(), |i| pivots[i as usize], shards, threads);
+    SampledDistances {
+        max_depth: hist.max_depth,
+        distances: DistanceDistribution::from_histogram(n, hist),
+        sources: pivots.len(),
+    }
 }
 
 /// As [`sampled_traversal_csr`], generic over the adjacency view.
@@ -352,8 +255,8 @@ impl SampledTraversal {
     }
 }
 
-/// Pair-convention halving plus the `n/K` extrapolation — shared by the
-/// in-memory and streamed pivot passes.
+/// Pair-convention halving plus the `n/K` extrapolation — shared by
+/// every Brandes pivot pass.
 fn finish_sampled(n: usize, pivot_count: usize, sums: BrandesSums) -> SampledTraversal {
     let BrandesSums {
         mut bc,
@@ -467,7 +370,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_pivot_pass_bit_identical_to_in_memory() {
+    fn sharded_pivot_pass_bit_identical_across_thread_counts() {
         let g = builders::grid(6, 7);
         let csr = dk_graph::CsrGraph::from_graph(&g);
         let n = g.node_count();
@@ -476,7 +379,7 @@ mod tests {
                 let oracle = sampled_traversal_sharded(&csr, k, shards, 1);
                 for threads in [1, 3] {
                     assert_eq!(
-                        sampled_traversal_streamed(&csr, k, shards, threads),
+                        sampled_traversal_sharded(&csr, k, shards, threads),
                         oracle,
                         "k = {k}, shards = {shards}, threads = {threads}"
                     );
@@ -491,42 +394,11 @@ mod tests {
     }
 
     #[test]
-    fn relabeled_route_is_bit_identical() {
-        // same pivots (external id space), same per-source arithmetic,
-        // inverse-permuted outputs: the relabeled snapshot must be
-        // invisible in the report, bit for bit.
-        for g in [
-            builders::karate_club(),
-            builders::grid(5, 6),
-            builders::star(9),
-            dk_graph::Graph::from_edges(7, [(0, 1), (1, 2), (3, 4), (5, 6)]).unwrap(),
-        ] {
-            let csr = dk_graph::CsrGraph::from_graph(&g);
-            let (rcsr, relab) = dk_graph::CsrGraph::from_graph_relabeled(&g);
-            for k in [1, 8, g.node_count() + 3] {
-                for streamed in [false, true] {
-                    let plain = if streamed {
-                        sampled_traversal_streamed(&csr, k, 3, 2)
-                    } else {
-                        sampled_traversal_sharded(&csr, k, 3, 2)
-                    };
-                    let rel = sampled_traversal_relabeled(&rcsr, &relab, k, 3, 2, streamed);
-                    assert_eq!(plain, rel, "k = {k}, streamed = {streamed}");
-                }
-            }
-        }
-        let (e, r) = dk_graph::CsrGraph::from_graph_relabeled(&dk_graph::Graph::new());
-        assert_eq!(
-            sampled_traversal_relabeled(&e, &r, 8, 2, 1, false).sources,
-            0
-        );
-    }
-
-    #[test]
     fn sampled_distances_match_the_fused_pass_bit_for_bit() {
         // the batched distance-only kernel and the Brandes
         // fused kernel must agree on every integer reducer — histogram,
-        // unreached tally, depth — for the same pivots, on every route
+        // unreached tally, depth — for the same pivots, at every thread
+        // count
         for g in [
             builders::karate_club(),
             builders::grid(5, 6),
@@ -534,7 +406,6 @@ mod tests {
             dk_graph::Graph::from_edges(7, [(0, 1), (1, 2), (3, 4), (5, 6)]).unwrap(),
         ] {
             let csr = dk_graph::CsrGraph::from_graph(&g);
-            let (rcsr, relab) = dk_graph::CsrGraph::from_graph_relabeled(&g);
             for k in [1, 8, g.node_count() + 3] {
                 let fused = sampled_traversal_sharded(&csr, k, 3, 2);
                 let check = |d: &SampledDistances, route: &str| {
@@ -543,23 +414,12 @@ mod tests {
                     assert_eq!(d.max_depth, fused.max_depth, "k = {k}, {route}");
                 };
                 check(&sampled_distances_sharded(&csr, k, 3, 2), "sharded");
-                check(&sampled_distances_streamed(&csr, k, 3, 2), "streamed");
+                check(&sampled_distances_sharded(&csr, k, 3, 1), "serial");
                 check(&sampled_distances_csr(&csr, k, 1), "csr");
-                for streamed in [false, true] {
-                    check(
-                        &sampled_distances_relabeled(&rcsr, &relab, k, 3, 2, streamed),
-                        "relabeled",
-                    );
-                }
             }
         }
         let empty = dk_graph::CsrGraph::from_graph(&dk_graph::Graph::new());
-        assert_eq!(sampled_distances_streamed(&empty, 8, 2, 1).sources, 0);
-        let (e, r) = dk_graph::CsrGraph::from_graph_relabeled(&dk_graph::Graph::new());
-        assert_eq!(
-            sampled_distances_relabeled(&e, &r, 8, 2, 1, true).sources,
-            0
-        );
+        assert_eq!(sampled_distances_sharded(&empty, 8, 2, 1).sources, 0);
     }
 
     #[test]
@@ -573,7 +433,7 @@ mod tests {
         // disconnected graph: fraction strictly inside (0, 1), all finite
         let g = dk_graph::Graph::from_edges(6, [(0, 1), (2, 3), (3, 4)]).unwrap();
         let csr = dk_graph::CsrGraph::from_graph(&g);
-        let s = sampled_traversal_streamed(&csr, 99, 3, 2);
+        let s = sampled_traversal_sharded(&csr, 99, 3, 2);
         assert_eq!(s.sources, 6); // K >= n: every node is a pivot
         let f = s.unreachable_fraction();
         assert!(f > 0.0 && f < 1.0, "unreachable fraction {f}");

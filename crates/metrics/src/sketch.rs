@@ -1,8 +1,8 @@
 //! HyperANF-style neighborhood sketches — the distance family at
 //! 10⁶-node scale.
 //!
-//! The exact all-pairs battery is O(n·m) (hours at 10⁶ nodes on any
-//! route — see [`crate::stream`]), and the Brandes–Pich estimator of
+//! The exact all-pairs battery is O(n·m) (hours at 10⁶ nodes, however
+//! it is sharded — see [`crate::stream`]), and the Brandes–Pich estimator of
 //! [`crate::sampled`] trades that for K pivot BFS trees with `~1/√K`
 //! error. This module adds the complementary estimator of Boldi, Rosa &
 //! Vigna ("HyperANF: approximating the neighbourhood function of very
@@ -38,9 +38,9 @@
 //!   same graph are bit-identical.
 //! * A round is a Jacobi-style double-buffered update: every new counter
 //!   reads only the previous round's registers, so the result is a pure
-//!   function of the input — **independent of shard count, thread
-//!   count, and route** (the registers are `u8` max-merges, and the
-//!   `N(t)` sums are accumulated in fixed node order).
+//!   function of the input — **independent of shard count and thread
+//!   count** (the registers are `u8` max-merges, and the `N(t)` sums
+//!   are accumulated in fixed node order).
 //! * Rounds run as sharded passes over the frozen
 //!   [`CsrGraph`] through the same streaming
 //!   machinery as the exact traversals ([`crate::stream`] →
@@ -55,8 +55,8 @@
 //! contract requires), so the pass peaks at `2 · n · 2^b` bytes plus
 //! `O(workers · shard)` partial blocks — see [`sketch_bytes`].
 
-use crate::stream::{run_sharded, run_sharded_fold};
-use dk_graph::{CsrGraph, Relabeling};
+use crate::stream::run_sharded_fold;
+use dk_graph::CsrGraph;
 use std::ops::Range;
 
 /// Smallest supported register-bit count (`m = 16` registers).
@@ -281,28 +281,6 @@ impl NodeSketches {
         NodeSketches { bits, nodes, regs }
     }
 
-    /// Round-zero file for a **relabeled** snapshot: internal node `v`
-    /// is seeded from its *external* id `to_old[v]`, so the register
-    /// contents — which are determined by the *set* of hashed external
-    /// ids a ball contains, not by internal labels — are bitwise equal
-    /// to the unpermuted route's after the permutation is inverted.
-    /// Part of the [`dk_graph::csr`] permutation-inversion contract:
-    /// hashing internal ids here would silently change every estimate.
-    pub fn init_mapped(bits: u32, to_old: &[u32]) -> Self {
-        assert!(
-            (MIN_SKETCH_BITS..=MAX_SKETCH_BITS).contains(&bits),
-            "sketch bits {bits} outside {MIN_SKETCH_BITS}..={MAX_SKETCH_BITS}"
-        );
-        let m = 1usize << bits;
-        let nodes = to_old.len();
-        let mut regs = vec![0u8; nodes * m];
-        for (v, &old) in to_old.iter().enumerate() {
-            let (index, rank) = index_and_rank(node_hash(u64::from(old)), bits);
-            regs[v * m + index] = rank;
-        }
-        NodeSketches { bits, nodes, regs }
-    }
-
     /// Node `v`'s register slice.
     #[inline]
     pub fn node(&self, v: u32) -> &[u8] {
@@ -321,16 +299,6 @@ impl NodeSketches {
     /// it reads already are: they are integer max-merges).
     pub fn sum_estimates(&self) -> f64 {
         (0..self.nodes as u32).map(|v| self.estimate_node(v)).sum()
-    }
-
-    /// As [`NodeSketches::sum_estimates`], over a relabeled file:
-    /// summed in **external** node order (`to_new[old]` for
-    /// `old = 0, 1, …`), so the floating-point sum adds the exact same
-    /// terms in the exact same order as the unpermuted route — the
-    /// second half of the permutation-inversion contract (seeding via
-    /// [`NodeSketches::init_mapped`] is the first).
-    pub fn sum_estimates_mapped(&self, to_new: &[u32]) -> f64 {
-        to_new.iter().map(|&v| self.estimate_node(v)).sum()
     }
 }
 
@@ -361,8 +329,7 @@ fn union_shard(g: &CsrGraph, prev: &NodeSketches, range: Range<u32>) -> (Vec<u8>
 
 /// Shard-order merge of round partials: blocks concatenate back into a
 /// full register file (shards are contiguous node ranges in order), the
-/// change flags OR together. Identical whether partials were collected
-/// first or stream in one at a time.
+/// change flags OR together.
 fn merge_round(acc: &mut (Vec<u8>, bool), partial: (Vec<u8>, bool)) {
     acc.0.extend_from_slice(&partial.0);
     acc.1 |= partial.1;
@@ -465,70 +432,23 @@ impl HyperAnf {
 }
 
 /// HyperANF over a prepared CSR snapshot with the default shard count —
-/// the convenience entry point (analyzer on-demand fallback, tests).
+/// the convenience entry point for callers without an execution plan.
 pub fn hyper_anf_csr(g: &CsrGraph, bits: u32, max_rounds: usize, threads: usize) -> HyperAnf {
     hyper_anf_sharded(g, bits, max_rounds, crate::stream::DEFAULT_SHARDS, threads)
 }
 
-/// HyperANF over a **relabeled** snapshot ([`CsrGraph::from_graph_relabeled`]):
-/// counters are seeded from external ids ([`NodeSketches::init_mapped`])
-/// and the per-round `N(t)` sums run in external node order
-/// ([`NodeSketches::sum_estimates_mapped`]), so the result is
-/// bit-identical to [`hyper_anf_sharded`]/[`hyper_anf_streamed`] on the
-/// unpermuted snapshot — the iteration itself only max-merges per-node
-/// register sets, which no relabeling can observe. `streamed` picks the
-/// fold route exactly as the plain entry points do.
-pub fn hyper_anf_relabeled(
-    g: &CsrGraph,
-    relab: &Relabeling,
-    bits: u32,
-    max_rounds: usize,
-    shards: usize,
-    threads: usize,
-    streamed: bool,
-) -> HyperAnf {
-    hyper_anf_impl(g, bits, max_rounds, shards, threads, streamed, Some(relab))
-}
-
-/// **In-memory** HyperANF with an explicit shard count: every round
-/// collects its shard blocks, then merges them in shard order — the
-/// equivalence oracle for [`hyper_anf_streamed`]. Since registers are
-/// integer max-merges and the `N(t)` sums run in fixed node order, the
-/// result is identical for **any** shard and thread count.
+/// HyperANF with an explicit shard count: each round's shard blocks
+/// fold into the next register file in shard order as workers finish
+/// ([`dk_graph::ensemble::run_fold`] via [`crate::stream`]), so
+/// in-flight partials are bounded by the worker count. Since registers
+/// are integer max-merges and the `N(t)` sums run in fixed node order,
+/// the result is identical for **any** shard and thread count.
 pub fn hyper_anf_sharded(
     g: &CsrGraph,
     bits: u32,
     max_rounds: usize,
     shards: usize,
     threads: usize,
-) -> HyperAnf {
-    hyper_anf_impl(g, bits, max_rounds, shards, threads, false, None)
-}
-
-/// **Streaming** HyperANF: each round's shard blocks fold into the next
-/// register file in shard order as workers finish
-/// ([`dk_graph::ensemble::run_fold`] via [`crate::stream`]), so
-/// in-flight partials are bounded by the worker count — the route the
-/// analyzer plans for 10⁶-node graphs. Bit-identical to
-/// [`hyper_anf_sharded`].
-pub fn hyper_anf_streamed(
-    g: &CsrGraph,
-    bits: u32,
-    max_rounds: usize,
-    shards: usize,
-    threads: usize,
-) -> HyperAnf {
-    hyper_anf_impl(g, bits, max_rounds, shards, threads, true, None)
-}
-
-fn hyper_anf_impl(
-    g: &CsrGraph,
-    bits: u32,
-    max_rounds: usize,
-    shards: usize,
-    threads: usize,
-    streamed: bool,
-    relab: Option<&Relabeling>,
 ) -> HyperAnf {
     let n = g.node_count();
     if n == 0 {
@@ -539,36 +459,19 @@ fn hyper_anf_impl(
         };
     }
     let threads = threads.clamp(1, n);
-    let sum = |s: &NodeSketches| match relab {
-        Some(r) => s.sum_estimates_mapped(r.forward()),
-        None => s.sum_estimates(),
-    };
-    let mut cur = match relab {
-        Some(r) => NodeSketches::init_mapped(bits, r.backward()),
-        None => NodeSketches::init(n, bits),
-    };
-    let mut neighborhood = vec![sum(&cur)];
+    let mut cur = NodeSketches::init(n, bits);
+    let mut neighborhood = vec![cur.sum_estimates()];
     let mut converged = false;
     for _round in 1..=max_rounds.max(1) {
-        let work = |range: Range<u32>| union_shard(g, &cur, range);
-        let (next, changed) = if streamed {
-            run_sharded_fold(
-                n as u32,
-                shards,
-                1,
-                threads,
-                work,
-                (Vec::with_capacity(cur.regs.len()), false),
-                merge_round,
-            )
-        } else {
-            let partials = run_sharded(n as u32, shards, 1, threads, work);
-            let mut acc = (Vec::with_capacity(cur.regs.len()), false);
-            for p in partials {
-                merge_round(&mut acc, p);
-            }
-            acc
-        };
+        let (next, changed) = run_sharded_fold(
+            n as u32,
+            shards,
+            1,
+            threads,
+            |range: Range<u32>| union_shard(g, &cur, range),
+            (Vec::with_capacity(cur.regs.len()), false),
+            merge_round,
+        );
         if !changed {
             // fixpoint: this round's file equals the last one, so its
             // estimate adds no information — stop without recording it
@@ -581,13 +484,25 @@ fn hyper_anf_impl(
             regs: next,
         };
         let prev = *neighborhood.last().expect("N(0) recorded");
-        neighborhood.push(sum(&cur).max(prev));
+        neighborhood.push(cur.sum_estimates().max(prev));
     }
     HyperAnf {
         bits,
         neighborhood,
         converged,
     }
+}
+
+/// Forwards to [`hyper_anf_sharded`]. Kept for the benchmark helper
+/// under `perfbench/`, which calls it, until that helper next changes.
+pub fn hyper_anf_streamed(
+    g: &CsrGraph,
+    bits: u32,
+    max_rounds: usize,
+    shards: usize,
+    threads: usize,
+) -> HyperAnf {
+    hyper_anf_sharded(g, bits, max_rounds, shards, threads)
 }
 
 #[cfg(test)]
@@ -708,7 +623,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_and_sharded_identical_across_shards_and_threads() {
+    fn identical_across_shards_and_threads() {
         let g = builders::grid(5, 6);
         let csr = CsrGraph::from_graph(&g);
         let n = g.node_count();
@@ -716,33 +631,9 @@ mod tests {
         for shards in [1, 2, 7, n] {
             for threads in [1, 3] {
                 assert_eq!(
-                    hyper_anf_streamed(&csr, 7, 64, shards, threads),
+                    hyper_anf_sharded(&csr, 7, 64, shards, threads),
                     oracle,
                     "shards = {shards}, threads = {threads}"
-                );
-                assert_eq!(hyper_anf_sharded(&csr, 7, 64, shards, threads), oracle);
-            }
-        }
-    }
-
-    #[test]
-    fn relabeled_route_is_bit_identical() {
-        // external-id seeding + external-order sums make the relabeled
-        // iteration reproduce the plain route bit for bit, on both fold
-        // routes — the sketch half of the permutation-inversion contract
-        for g in [
-            builders::karate_club(),
-            builders::grid(4, 5),
-            builders::star(9),
-            Graph::from_edges(5, [(0, 1), (2, 3), (3, 4)]).unwrap(),
-        ] {
-            let plain = hyper_anf_sharded(&CsrGraph::from_graph(&g), 7, 64, 3, 2);
-            let (rel, relab) = CsrGraph::from_graph_relabeled(&g);
-            for streamed in [false, true] {
-                assert_eq!(
-                    hyper_anf_relabeled(&rel, &relab, 7, 64, 3, 2, streamed),
-                    plain,
-                    "streamed = {streamed}"
                 );
             }
         }

@@ -1,40 +1,33 @@
 //! Sharded streaming execution for the all-pairs traversal passes.
 //!
 //! The exact §5 metrics (distance distribution, betweenness) run one BFS
-//! or Brandes sweep per source. Since PR 2 those sweeps are chunked over
-//! sources and merged in fixed chunk order, which makes results
-//! thread-count-invariant — but the in-memory route *collects every
-//! chunk's partial* before merging, and a betweenness partial is an
-//! `O(n)` vector. At 10⁶ nodes, 64 collected partials are half a
-//! gigabyte of `f64`s before the merge even starts, and the footprint
-//! grows with the shard count, not the worker count.
-//!
-//! This module fixes the shape, not the math:
+//! or Brandes sweep per source; the sampled estimator runs one per
+//! pivot, and HyperANF one register-union round per node range. Every
+//! such pass goes through the one executor here, `run_sharded_fold`:
 //!
 //! * **Shards** (`shard_layout`): sources are partitioned into
 //!   contiguous shards whose boundaries are a pure function of the
-//!   source count and the shard count — never of the worker count (the
-//!   invariant `run_chunked` established; [`DEFAULT_SHARDS`] reproduces
-//!   its historical layout exactly).
-//! * **Streaming reducers** (`run_sharded_fold`): each worker streams
-//!   its shard over the shared frozen [`CsrGraph`](dk_graph::CsrGraph)
-//!   into compact per-shard state — a distance-histogram, an `O(n)`
-//!   betweenness partial, a max-merged eccentricity — and partials fold
-//!   into **one** global accumulator in strict shard order
+//!   source count and the shard count — never of the worker count
+//!   ([`DEFAULT_SHARDS`] reproduces the historical chunking exactly).
+//! * **Streaming reducers**: each worker streams its shard over the
+//!   shared frozen [`CsrGraph`](dk_graph::CsrGraph) into compact
+//!   per-shard state — a distance histogram, an `O(n)` betweenness
+//!   partial, a max-merged eccentricity — and partials fold into **one**
+//!   global accumulator in strict shard order
 //!   ([`dk_graph::ensemble::run_fold`]). In-flight memory is
 //!   `O(workers · n)`; the per-source BFS/Brandes vectors are worker
 //!   scratch, never materialized per source.
-//! * **Bit-identity**: the in-memory route (`run_sharded`) merges the
-//!   same partials, with the same floating-point operations, in the same
-//!   shard order — so for any shard count the streamed result is
-//!   **bit-identical** to the in-memory one, which stays retained as the
-//!   equivalence oracle (`tests/stream_equivalence.rs`, the
-//!   `proptests::streamed_equals_in_memory` property).
-//! * **Planning** ([`plan`]): the streamed route is selected explicitly
-//!   (`Analyzer::shards` / `Analyzer::memory_budget`, CLI `--shards` /
-//!   `--memory-budget`) or automatically once the analyzed graph exceeds
-//!   [`AUTO_STREAM_NODES`]; a memory budget caps the worker count so the
-//!   traversal working set stays under it.
+//! * **Bit-identity**: with one worker the fold computes each shard and
+//!   merges it, in shard order — the same operations as collecting every
+//!   partial and merging front to back. Since the shard layout ignores
+//!   the worker count, a pass at `threads = 1` is the oracle for the same
+//!   pass at any thread count (`tests/stream_equivalence.rs`, the
+//!   `proptests::streamed_analysis_equals_in_memory` property).
+//! * **Planning** ([`plan`]): resolves the shard count (`Analyzer::shards`,
+//!   CLI `--shards`; default [`DEFAULT_SHARDS`]), which fixes the f64
+//!   merge tree of the betweenness passes, and the worker count (the
+//!   thread knob, capped by `Analyzer::memory_budget` / CLI
+//!   `--memory-budget` so the traversal working set stays under it).
 //!
 //! This is the Brandes–Pich shape (source partitioning with streaming
 //! per-source accumulation) applied to the *exact* passes; the sampled
@@ -47,16 +40,8 @@ use std::ops::Range;
 
 /// Default shard count — the historical `run_chunked` chunking (enough
 /// shards that work-stealing balances uneven BFS costs, few enough that
-/// per-shard setup stays negligible). The default analyzer route uses
-/// this layout whether it streams or not, so default results never
-/// depend on the route taken.
+/// per-shard setup stays negligible).
 pub const DEFAULT_SHARDS: usize = 64;
-
-/// Node count above which [`plan`] auto-selects the streamed route
-/// (2¹⁷): below it the collected partials fit comfortably in memory;
-/// above it they grow past hundreds of megabytes toward the 10⁶-node
-/// scale the streaming layer exists for.
-pub const AUTO_STREAM_NODES: usize = 1 << 17;
 
 /// Shard layout for `n` sources split `shards` ways: `(length, count)`
 /// with every shard `length` sources long except a possibly-short last
@@ -74,36 +59,10 @@ pub(crate) fn shard_layout(n: u32, shards: usize, quantum: u32) -> (u32, u32) {
 }
 
 /// Runs `work` on every shard of `0..n` (laid out by [`shard_layout`])
-/// across `threads` workers and returns the per-shard partials **in
-/// shard order** — the in-memory route, `O(shards · |partial|)`
-/// resident. Callers that merge partials in the returned order produce
-/// bit-identical results for every thread count.
-pub(crate) fn run_sharded<A, F>(
-    n: u32,
-    shards: usize,
-    quantum: u32,
-    threads: usize,
-    work: F,
-) -> Vec<A>
-where
-    F: Fn(Range<u32>) -> A + Sync,
-    A: Send,
-{
-    if n == 0 {
-        return vec![work(0..0)];
-    }
-    let (len, count) = shard_layout(n, shards, quantum);
-    dk_graph::ensemble::run(count as u64, 0, threads, |i, _rng| {
-        let lo = i as u32 * len;
-        work(lo..(lo + len).min(n))
-    })
-}
-
-/// As `run_sharded`, but each shard partial folds into `acc` in strict
-/// shard order as soon as it is ready — the streaming route,
-/// `O(workers · |partial|)` in flight. Fold order and fold operations
-/// are exactly those of merging `run_sharded`'s vector front to back,
-/// so the two routes are bit-identical at equal shard counts.
+/// across `threads` workers and folds each shard partial into `acc` in
+/// strict shard order as soon as it is ready — `O(workers · |partial|)`
+/// in flight. The fold order is fixed by the shard layout alone, so the
+/// result is bit-identical for every thread count.
 pub(crate) fn run_sharded_fold<T, A, F, M>(
     n: u32,
     shards: usize,
@@ -142,8 +101,9 @@ where
 /// [`AnalysisCache::exec_plan`](crate::cache::AnalysisCache::exec_plan).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecPlan {
-    /// `true` → shard partials stream through `run_sharded_fold`;
-    /// `false` → the retained in-memory collect-then-merge route.
+    /// Always `true`: every pass streams through `run_sharded_fold`.
+    /// Kept for the benchmark helper under `perfbench/`, which reads it,
+    /// until that helper next changes.
     pub streamed: bool,
     /// Source shard count (fixes the merge tree; default
     /// [`DEFAULT_SHARDS`]).
@@ -153,28 +113,14 @@ pub struct ExecPlan {
     pub workers: usize,
 }
 
-/// Route selection policy for the traversal passes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Stream when asked to (`shards`/`memory_budget` set) or when the
-    /// analyzed graph exceeds [`AUTO_STREAM_NODES`]; in-memory otherwise.
-    #[default]
-    Auto,
-    /// Force the in-memory route — the equivalence oracle.
-    InMemory,
-    /// Force the streamed route.
-    Streamed,
-}
-
 /// Working-set bytes one streaming worker needs for the fused
 /// Brandes+distance pass on an `n`-node graph: the `O(n)` betweenness
 /// partial (`f64`) plus the BFS scratch (`dist`, `sigma`, `delta`,
 /// `order`, queue). The distance histogram is `O(diameter)` — noise.
 ///
 /// This is the per-worker bound the acceptance criterion names: total
-/// traversal memory is `workers × per_worker_bytes` plus the
-/// route-independent [`fixed_bytes`], never a function of the shard
-/// count.
+/// traversal memory is `workers × per_worker_bytes` plus
+/// [`fixed_bytes`], never a function of the shard count.
 pub fn per_worker_bytes(n: usize) -> u64 {
     // bc 8 + sigma 8 + delta 8 + dist 4 + order 4 + queue 4 = 36 B/node;
     // round up for allocator slack and the histogram. The distance-only
@@ -188,10 +134,10 @@ pub fn per_worker_bytes(n: usize) -> u64 {
     40 * n as u64 + 2 * (n as u64).div_ceil(8)
 }
 
-/// Route-independent bytes every traversal pass holds regardless of the
-/// worker count: the shared frozen [`CsrGraph`](dk_graph::CsrGraph)
-/// snapshot (`CsrGraph::size_bytes`: `4(n+1) + 8m`) plus the `O(n)`
-/// global accumulator the shard partials fold into. A memory budget is
+/// Bytes every traversal pass holds regardless of the worker count: the
+/// shared frozen [`CsrGraph`](dk_graph::CsrGraph) snapshot
+/// (`CsrGraph::size_bytes`: `4(n+1) + 8m`) plus the `O(n)` global
+/// accumulator the shard partials fold into. A memory budget is
 /// charged these up front; only the remainder buys workers.
 pub fn fixed_bytes(n: usize, edges: usize) -> u64 {
     let snapshot = 4 * (n as u64 + 1) + 8 * edges as u64;
@@ -200,20 +146,14 @@ pub fn fixed_bytes(n: usize, edges: usize) -> u64 {
 }
 
 /// Resolves the execution plan for one analyzer run over an analyzed
-/// graph of `n` nodes and `edges` edges, honoring the thread knob in
-/// `opts` (`0` = all cores). A `memory_budget` first pays the
-/// route-independent [`fixed_bytes`] (snapshot + global accumulator),
+/// graph of `n` nodes and `edges` edges: the shard count (`opts.shards`,
+/// default [`DEFAULT_SHARDS`]) and the worker count, from the thread
+/// knob in `opts` (`0` = all cores). A `memory_budget` first pays the
+/// worker-independent [`fixed_bytes`] (snapshot + global accumulator),
 /// then lowers the worker count until the per-worker scratch fits the
 /// remainder — never below 1 worker, the floor the pass needs to run at
 /// all.
 pub fn plan(n: usize, edges: usize, opts: &AnalyzeOptions) -> ExecPlan {
-    let streamed = match opts.exec {
-        ExecMode::InMemory => false,
-        ExecMode::Streamed => true,
-        ExecMode::Auto => {
-            opts.shards.is_some() || opts.memory_budget.is_some() || n > AUTO_STREAM_NODES
-        }
-    };
     let mut workers = if opts.threads == 0 {
         default_threads()
     } else {
@@ -225,7 +165,7 @@ pub fn plan(n: usize, edges: usize, opts: &AnalyzeOptions) -> ExecPlan {
         workers = workers.min(fit.max(1) as usize);
     }
     ExecPlan {
-        streamed,
+        streamed: true,
         shards: opts.shards.unwrap_or(DEFAULT_SHARDS).max(1),
         workers,
     }
@@ -268,19 +208,6 @@ mod tests {
         assert_eq!(shard_layout(0, 3, 64), (64, 0));
     }
 
-    #[test]
-    fn sharded_and_fold_agree_on_integer_reduction() {
-        let work = |r: Range<u32>| r.map(|x| x as u64).sum::<u64>();
-        for shards in [1, 2, 7, 100] {
-            for quantum in [1, 64] {
-                let collected: u64 = run_sharded(100, shards, quantum, 3, work).into_iter().sum();
-                let folded = run_sharded_fold(100, shards, quantum, 3, work, 0u64, |a, p| *a += p);
-                assert_eq!(collected, folded, "shards = {shards}");
-                assert_eq!(folded, 4950);
-            }
-        }
-    }
-
     fn opts_threads(threads: usize) -> AnalyzeOptions {
         AnalyzeOptions {
             threads,
@@ -289,16 +216,15 @@ mod tests {
     }
 
     #[test]
-    fn plan_auto_thresholds() {
+    fn plan_defaults() {
         let p = plan(1000, 2000, &opts_threads(1));
-        assert!(!p.streamed);
+        assert!(p.streamed);
         assert_eq!((p.shards, p.workers), (DEFAULT_SHARDS, 1));
-        assert!(plan(AUTO_STREAM_NODES + 1, 0, &opts_threads(1)).streamed);
-        assert!(!plan(AUTO_STREAM_NODES, 0, &opts_threads(1)).streamed);
+        assert_eq!(plan(10_000_000, 0, &opts_threads(3)).workers, 3);
     }
 
     #[test]
-    fn plan_explicit_knobs_force_streaming() {
+    fn plan_explicit_knobs() {
         let p = plan(
             100,
             200,
@@ -307,7 +233,6 @@ mod tests {
                 ..opts_threads(2)
             },
         );
-        assert!(p.streamed);
         assert_eq!(p.shards, 7);
         let p = plan(
             100,
@@ -317,7 +242,6 @@ mod tests {
                 ..opts_threads(2)
             },
         );
-        assert!(p.streamed);
         assert_eq!(p.workers, 2);
     }
 
@@ -354,29 +278,5 @@ mod tests {
             },
         );
         assert_eq!(tiny.workers, 1);
-    }
-
-    #[test]
-    fn plan_mode_overrides_win() {
-        let streamed_small = plan(
-            10,
-            20,
-            &AnalyzeOptions {
-                exec: ExecMode::Streamed,
-                ..opts_threads(1)
-            },
-        );
-        assert!(streamed_small.streamed);
-        let in_memory_large = plan(
-            10_000_000,
-            20_000_000,
-            &AnalyzeOptions {
-                exec: ExecMode::InMemory,
-                shards: Some(7),
-                ..opts_threads(1)
-            },
-        );
-        assert!(!in_memory_large.streamed);
-        assert_eq!(in_memory_large.shards, 7);
     }
 }

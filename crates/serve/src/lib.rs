@@ -17,7 +17,7 @@
 //! * **Batched coalescing** — identical concurrent requests (same
 //!   graph, epoch, op, knobs) collapse onto one computation; sequential
 //!   repeats replay from a per-epoch memo ([`registry`]).
-//! * **Admission control** — requests are priced against the streamed
+//! * **Admission control** — requests are priced against the sharded
 //!   executor's byte model before any allocation; over-budget requests
 //!   get a structured `over_budget` error instead of an OOM, and
 //!   admitted ones carry the budget into the executor ([`registry`]).

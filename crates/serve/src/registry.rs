@@ -30,7 +30,7 @@
 //! # Admission
 //!
 //! [`Registry::admit`] prices a request before any allocation using the
-//! exact byte model the streamed executor plans with
+//! exact byte model the sharded executor plans with
 //! ([`dk_metrics::stream::fixed_bytes`] /
 //! [`dk_metrics::stream::per_worker_bytes`]), plus HyperANF register
 //! sheets when a sketch metric is selected and the spectral solver's
@@ -43,8 +43,8 @@
 //! smaller of the server-wide `--memory-budget` and the request's own
 //! `memory_budget` knob — are rejected with a structured `over_budget`
 //! error. Admitted requests carry the effective budget into the
-//! analyzer, which lowers the worker count / takes the streamed route
-//! to stay inside it; the daemon never OOMs on an admitted request.
+//! analyzer, which lowers the worker count to stay inside it; the
+//! daemon never OOMs on an admitted request.
 
 use crate::protocol::ReqError;
 use dk_graph::hashers::DetHashMap;

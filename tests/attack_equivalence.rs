@@ -176,25 +176,6 @@ fn fixed_seed_reports_are_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn relabel_option_is_invisible_in_attack_reports() {
-    // the locality relabeling (PR 10) must never leak permuted ids into
-    // attack output: hub ids, removal order, and the ranked strategies
-    // all read the external-id CSR snapshot, so the serialized report is
-    // byte-identical with relabeling on and off — for every strategy
-    let g = builders::karate_club();
-    for strategy in AttackStrategy::all() {
-        let opts = AttackOptions {
-            strategy,
-            checkpoints: vec![0.0, 0.25, 0.5],
-            ..Default::default()
-        };
-        let plain = Analyzer::new().attack(&g, &opts);
-        let relabeled = Analyzer::new().relabel(true).attack(&g, &opts);
-        assert_eq!(plain.to_json(), relabeled.to_json(), "{strategy}");
-    }
-}
-
-#[test]
 fn analyzer_entry_reuses_gcc_policy_and_registry_metrics_are_defined() {
     let g = builders::karate_club();
     let rep = Analyzer::new().attack(

@@ -202,7 +202,7 @@ fn streaming_flags_via_binary() {
     ]
     .concat());
     assert!(ok, "{streamed}");
-    assert_eq!(base, streamed, "streamed route changed the report");
+    assert_eq!(base, streamed, "--shards 64 changed the report");
     for key in [
         "\"graph\":{",
         "\"analyzed_nodes\":34",
@@ -255,7 +255,7 @@ fn streaming_flags_via_binary() {
     assert!(!ok);
     assert!(text.contains("missing value after --shards"), "{text}");
 
-    // the capability listing documents the streaming route
+    // the capability listing documents the streaming flags
     let (ok, text) = run(&["metrics", "--metrics", "help"]);
     assert!(ok, "{text}");
     assert!(text.contains("--shards"), "{text}");

@@ -4,7 +4,7 @@
 //! exactly the integers one BFS per source produces — the count of
 //! `(source, node)` pairs at each distance, the unreachable pairs, and
 //! the greatest finite distance — whatever the batch grouping, shard
-//! layout, route, thread count or node labeling.
+//! layout or thread count.
 //!
 //! The oracle is the per-source `bfs_visit` histogram the exact and
 //! sampled shard passes ran before the batched kernel replaced them.
@@ -156,7 +156,6 @@ fn exact_distribution_matches_oracle_on_every_route() {
     for (name, g) in zoo() {
         let n = g.node_count();
         let csr = CsrGraph::from_graph(&g);
-        let (rcsr, _) = CsrGraph::from_graph_relabeled(&g);
         let all: Vec<NodeId> = (0..n as NodeId).collect();
         let (counts, unreachable, depth) = per_source(&csr, &all);
         let check = |d: DistanceDistribution, route: &str| {
@@ -171,17 +170,10 @@ fn exact_distribution_matches_oracle_on_every_route() {
         );
         for shards in [1, 2, 7, n] {
             for threads in [1, 3] {
-                for (snapshot, label) in [(&csr, "plain"), (&rcsr, "relabeled")] {
-                    let route = format!("{label}, shards = {shards}, threads = {threads}");
-                    check(
-                        DistanceDistribution::from_csr_sharded(snapshot, shards, threads),
-                        &format!("in-memory, {route}"),
-                    );
-                    check(
-                        DistanceDistribution::from_csr_streamed(snapshot, shards, threads),
-                        &format!("streamed, {route}"),
-                    );
-                }
+                check(
+                    DistanceDistribution::from_csr_sharded(&csr, shards, threads),
+                    &format!("shards = {shards}, threads = {threads}"),
+                );
             }
         }
     }
@@ -192,7 +184,6 @@ fn sampled_distance_pass_matches_oracle_on_every_route() {
     for (name, g) in zoo() {
         let n = g.node_count();
         let csr = CsrGraph::from_graph(&g);
-        let (rcsr, relab) = CsrGraph::from_graph_relabeled(&g);
         for k in [1, 16, 63, 65, n + 3] {
             let pivots = sampled::sample_pivots(n, k);
             let (counts, unreachable, depth) = per_source(&csr, &pivots);
@@ -208,23 +199,10 @@ fn sampled_distance_pass_matches_oracle_on_every_route() {
             check(sampled::sampled_distances_csr(&csr, k, 2), "csr");
             for shards in [1, 2, 7, n] {
                 for threads in [1, 3] {
-                    let route = format!("shards = {shards}, threads = {threads}");
                     check(
                         sampled::sampled_distances_sharded(&csr, k, shards, threads),
-                        &format!("in-memory, {route}"),
+                        &format!("shards = {shards}, threads = {threads}"),
                     );
-                    check(
-                        sampled::sampled_distances_streamed(&csr, k, shards, threads),
-                        &format!("streamed, {route}"),
-                    );
-                    for streamed in [false, true] {
-                        check(
-                            sampled::sampled_distances_relabeled(
-                                &rcsr, &relab, k, shards, threads, streamed,
-                            ),
-                            &format!("relabeled, streamed = {streamed}, {route}"),
-                        );
-                    }
                 }
             }
         }
@@ -235,11 +213,11 @@ fn sampled_distance_pass_matches_oracle_on_every_route() {
 fn empty_graph_and_empty_batch() {
     let empty = CsrGraph::from_graph(&Graph::new());
     assert_eq!(
-        DistanceDistribution::from_csr_streamed(&empty, 4, 2),
+        DistanceDistribution::from_csr_sharded(&empty, 4, 2),
         DistanceDistribution::from_graph(&Graph::new())
     );
     assert_eq!(
-        sampled::sampled_distances_streamed(&empty, 8, 2, 1).sources,
+        sampled::sampled_distances_sharded(&empty, 8, 2, 1).sources,
         0
     );
     let mut scratch = BatchScratch::new(0);
@@ -283,7 +261,7 @@ proptest! {
         prop_assert_eq!(batched(&csr, &sources, 13), want);
         let all: Vec<NodeId> = (0..g.node_count() as NodeId).collect();
         let (counts, unreachable, _) = per_source(&csr, &all);
-        let d = DistanceDistribution::from_csr_streamed(&csr, 3, 2);
+        let d = DistanceDistribution::from_csr_sharded(&csr, 3, 2);
         prop_assert_eq!(d.counts, counts);
         prop_assert_eq!(d.unreachable_pairs, unreachable);
     }

@@ -106,8 +106,9 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Sharded streaming analysis is bit-identical to the in-memory
-    /// route across shard counts {1, 2, 7, n} and thread counts, for
+    /// Sharded streaming analysis at any thread count is bit-identical
+    /// to the same analysis at one thread (the collect-then-merge
+    /// oracle), across shard counts {1, 2, 7, n}, for
     /// every metric whose pass rides the shard executor (exact distance
     /// family, betweenness family, the sampled estimators, the HyperANF
     /// sketches — the set is derived from the registry's dependency
@@ -116,7 +117,6 @@ proptest! {
     #[test]
     fn streamed_analysis_equals_in_memory(g in arb_graph(24, 80), threads in 1usize..4) {
         use dk_repro::metrics::metric::AnyMetric;
-        use dk_repro::metrics::stream::ExecMode;
         use dk_repro::metrics::Analyzer;
         let names = AnyMetric::all()
             .filter(|m| m.deps().iter().any(|d| d.rides_shard_executor()))
@@ -128,14 +128,12 @@ proptest! {
             let oracle = Analyzer::new()
                 .metric_names(&names)
                 .unwrap()
-                .exec_mode(ExecMode::InMemory)
                 .shards(shards)
                 .threads(1)
                 .analyze(&g);
             let streamed = Analyzer::new()
                 .metric_names(&names)
                 .unwrap()
-                .exec_mode(ExecMode::Streamed)
                 .shards(shards)
                 .threads(threads)
                 .analyze(&g);
@@ -212,8 +210,8 @@ proptest! {
     }
 
     /// HyperANF results are bit-identical across thread counts and
-    /// shard counts {1, 2, 7, n}, on both the in-memory and the
-    /// streamed route — the same invariant family as
+    /// shard counts {1, 2, 7, n} against the one-shard, one-thread pass
+    /// — the same invariant family as
     /// `streamed_analysis_equals_in_memory`, at the library layer.
     #[test]
     fn hyperanf_bit_identical_across_shards_and_threads(
@@ -221,7 +219,7 @@ proptest! {
         threads in 1usize..4,
         bits in 4u32..=7,
     ) {
-        use dk_repro::metrics::sketch::{hyper_anf_sharded, hyper_anf_streamed};
+        use dk_repro::metrics::sketch::hyper_anf_sharded;
         let csr = CsrGraph::from_graph(&g);
         let n = g.node_count();
         let oracle = hyper_anf_sharded(&csr, bits, 64, 1, 1);
@@ -229,12 +227,7 @@ proptest! {
             prop_assert_eq!(
                 &hyper_anf_sharded(&csr, bits, 64, shards, threads),
                 &oracle,
-                "in-memory, shards {}", shards
-            );
-            prop_assert_eq!(
-                &hyper_anf_streamed(&csr, bits, 64, shards, threads),
-                &oracle,
-                "streamed, shards {}", shards
+                "shards {}", shards
             );
         }
     }

@@ -12,7 +12,6 @@ use dk_repro::graph::csr::CsrGraph;
 use dk_repro::graph::{builders, Graph};
 use dk_repro::metrics::distance::DistanceDistribution;
 use dk_repro::metrics::sketch::{self, hyper_anf_csr, HyperAnf};
-use dk_repro::metrics::stream::ExecMode;
 use dk_repro::metrics::Analyzer;
 use dk_repro::topologies::ba::{barabasi_albert, BaParams};
 use rand::rngs::StdRng;
@@ -256,16 +255,14 @@ fn analyzer_sketch_routes_and_bits_knob_are_deterministic() {
     let oracle = Analyzer::new()
         .metric_names(names)
         .unwrap()
-        .exec_mode(ExecMode::InMemory)
         .threads(1)
         .analyze(&g);
-    // streamed route, any shard/thread count: identical reports
+    // any shard/thread count: identical reports
     for shards in [1, 2, 7, 42] {
         for threads in [1, 4] {
             let streamed = Analyzer::new()
                 .metric_names(names)
                 .unwrap()
-                .exec_mode(ExecMode::Streamed)
                 .shards(shards)
                 .threads(threads)
                 .analyze(&g);

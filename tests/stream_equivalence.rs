@@ -1,8 +1,11 @@
-//! Streaming equivalence suite: the sharded **streaming** route of every
-//! traversal-shaped metric must be **bit-identical** to the retained
-//! in-memory route (the equivalence oracle) at equal shard counts, for
-//! every thread count — and the default analyzer output must be
-//! byte-identical whether it streams or not.
+//! Streaming equivalence suite: every traversal-shaped metric runs
+//! through one sharded streaming executor, and at a given shard count it
+//! must be **bit-identical** for every thread count to the same pass at
+//! `threads = 1` — the oracle, since one worker computes each shard and
+//! merges it in shard order, the same operations as collect-then-merge.
+//! The default analyzer output must not change a byte under `--shards`
+//! at the default count or a memory budget, and a metric computed on
+//! demand from a bare cache must equal the prepared one bit for bit.
 //!
 //! The sampled (Brandes–Pich) estimators ride the same shard executor,
 //! so their edge cases live here too: disconnected, empty, and `n < K`
@@ -12,8 +15,10 @@
 use dk_repro::graph::builders;
 use dk_repro::graph::csr::CsrGraph;
 use dk_repro::graph::Graph;
-use dk_repro::metrics::stream::{self, ExecMode};
+use dk_repro::metrics::metric::AnyMetric;
+use dk_repro::metrics::stream;
 use dk_repro::metrics::{betweenness, distance::DistanceDistribution, sampled, Analyzer};
+use dk_repro::metrics::{AnalysisCache, AnalyzeOptions};
 
 /// The graphs every equivalence check runs over: golden anchors plus a
 /// disconnected graph (unreachable-pair accounting) and one with
@@ -39,7 +44,6 @@ fn zoo() -> Vec<Graph> {
 /// future estimator metric is covered automatically instead of silently
 /// skipping the equivalence sweep.
 fn traversal_metric_names() -> String {
-    use dk_repro::metrics::metric::AnyMetric;
     let names: Vec<&str> = AnyMetric::all()
         .filter(|m| m.deps().iter().any(|d| d.rides_shard_executor()))
         .map(|m| m.name())
@@ -56,7 +60,7 @@ fn traversal_metric_names() -> String {
 }
 
 // ---------------------------------------------------------------------
-// Library-level bit-identity: streamed vs in-memory oracle
+// Library-level bit-identity: any thread count vs the one-thread oracle
 // ---------------------------------------------------------------------
 
 #[test]
@@ -67,7 +71,7 @@ fn fused_streamed_bit_identical_to_oracle_across_shards_and_threads() {
         for shards in [1, 2, 7, n] {
             let oracle = betweenness::betweenness_and_distances_sharded(&csr, shards, 1);
             for threads in [1, 3] {
-                let s = betweenness::betweenness_and_distances_streamed(&csr, shards, threads);
+                let s = betweenness::betweenness_and_distances_sharded(&csr, shards, threads);
                 // Vec<f64> equality is exact — any rounding drift fails
                 assert_eq!(s.betweenness, oracle.betweenness, "shards = {shards}");
                 assert_eq!(s.distances, oracle.distances);
@@ -79,15 +83,15 @@ fn fused_streamed_bit_identical_to_oracle_across_shards_and_threads() {
 
 #[test]
 fn distance_streamed_identical_for_every_shard_count() {
-    // the histogram reducer is integer, so the streamed result matches
-    // the default route at ANY shard count, not just equal ones
+    // the histogram reducer is integer, so the result at ANY shard
+    // count matches the default shard count's, not just at equal ones
     for g in zoo() {
         let csr = CsrGraph::from_graph(&g);
         let want = DistanceDistribution::from_csr_with_threads(&csr, 1);
         for shards in [1, 2, 7, g.node_count()] {
             for threads in [1, 3] {
                 assert_eq!(
-                    DistanceDistribution::from_csr_streamed(&csr, shards, threads),
+                    DistanceDistribution::from_csr_sharded(&csr, shards, threads),
                     want,
                     "shards = {shards}, threads = {threads}"
                 );
@@ -106,7 +110,7 @@ fn sampled_streamed_bit_identical_to_oracle() {
                 let oracle = sampled::sampled_traversal_sharded(&csr, k, shards, 1);
                 for threads in [1, 3] {
                     assert_eq!(
-                        sampled::sampled_traversal_streamed(&csr, k, shards, threads),
+                        sampled::sampled_traversal_sharded(&csr, k, shards, threads),
                         oracle,
                         "k = {k}, shards = {shards}, threads = {threads}"
                     );
@@ -120,15 +124,15 @@ fn sampled_streamed_bit_identical_to_oracle() {
 fn eccentricity_reducer_agrees_with_histogram() {
     for g in zoo() {
         let csr = CsrGraph::from_graph(&g);
-        let fused = betweenness::betweenness_and_distances_streamed(&csr, 7, 2);
+        let fused = betweenness::betweenness_and_distances_sharded(&csr, 7, 2);
         assert_eq!(fused.max_depth as usize, fused.distances.diameter());
-        let s = sampled::sampled_traversal_streamed(&csr, 8, 3, 2);
+        let s = sampled::sampled_traversal_sharded(&csr, 8, 3, 2);
         assert_eq!(s.max_depth as usize, s.distances.diameter());
     }
 }
 
 // ---------------------------------------------------------------------
-// Analyzer-level equivalence (the facade route selection)
+// Analyzer-level equivalence (the facade and its cache)
 // ---------------------------------------------------------------------
 
 #[test]
@@ -140,7 +144,6 @@ fn analyzer_streamed_report_identical_to_in_memory_oracle() {
             let oracle = Analyzer::new()
                 .metric_names(&names)
                 .unwrap()
-                .exec_mode(ExecMode::InMemory)
                 .shards(shards)
                 .threads(1)
                 .analyze(&g);
@@ -148,7 +151,6 @@ fn analyzer_streamed_report_identical_to_in_memory_oracle() {
                 let streamed = Analyzer::new()
                     .metric_names(&names)
                     .unwrap()
-                    .exec_mode(ExecMode::Streamed)
                     .shards(shards)
                     .threads(threads)
                     .analyze(&g);
@@ -160,38 +162,9 @@ fn analyzer_streamed_report_identical_to_in_memory_oracle() {
 }
 
 #[test]
-fn analyzer_relabel_report_identical_across_routes_and_threads() {
-    // the locality relabeling (PR 10) must be invisible in the report:
-    // relabel-on vs relabel-off, on both routes, at every thread count,
-    // over every shard-executor metric the registry knows about
-    let names = traversal_metric_names();
-    for g in zoo() {
-        for exec in [ExecMode::InMemory, ExecMode::Streamed] {
-            let oracle = Analyzer::new()
-                .metric_names(&names)
-                .unwrap()
-                .exec_mode(exec)
-                .threads(1)
-                .analyze(&g);
-            for threads in [1, 4] {
-                let relabeled = Analyzer::new()
-                    .metric_names(&names)
-                    .unwrap()
-                    .exec_mode(exec)
-                    .relabel(true)
-                    .threads(threads)
-                    .analyze(&g);
-                assert_eq!(oracle, relabeled, "exec = {exec:?}, threads = {threads}");
-                assert_eq!(oracle.to_json(), relabeled.to_json());
-            }
-        }
-    }
-}
-
-#[test]
 fn analyzer_default_route_unchanged_by_streaming_optin() {
     // shards at the default count + a generous memory budget must not
-    // change a byte of the default (auto, in-memory at this size) report
+    // change a byte of the default report
     let g = builders::karate_club();
     let base = Analyzer::new().all_metrics().analyze(&g);
     let streamed = Analyzer::new()
@@ -224,20 +197,66 @@ fn analyzer_memory_budget_caps_workers_without_changing_results() {
 
 #[test]
 fn cache_plan_is_visible_and_auto_threshold_applies() {
-    use dk_repro::metrics::{AnalysisCache, AnalyzeOptions};
     let g = builders::karate_club();
-    let small = AnalysisCache::build(&g, &[], &AnalyzeOptions::default());
-    assert!(!small.exec_plan().streamed, "34 nodes stay in memory");
-    let opted_in = AnalysisCache::build(
-        &g,
-        &[],
-        &AnalyzeOptions {
-            shards: Some(7),
-            ..Default::default()
-        },
+    let plan = |opts: AnalyzeOptions| AnalysisCache::build(&g, &[], &opts).exec_plan();
+    let default = plan(AnalyzeOptions {
+        threads: 3,
+        ..Default::default()
+    });
+    assert_eq!(
+        (default.shards, default.workers),
+        (stream::DEFAULT_SHARDS, 3)
     );
-    assert!(opted_in.exec_plan().streamed);
-    assert_eq!(opted_in.exec_plan().shards, 7);
+    let sharded = plan(AnalyzeOptions {
+        shards: Some(7),
+        ..Default::default()
+    });
+    assert_eq!(sharded.shards, 7);
+    // a one-byte budget caps the workers at the floor of one
+    let budgeted = plan(AnalyzeOptions {
+        threads: 4,
+        memory_budget: Some(1),
+        ..Default::default()
+    });
+    assert_eq!(
+        (budgeted.shards, budgeted.workers),
+        (stream::DEFAULT_SHARDS, 1)
+    );
+}
+
+#[test]
+fn bare_cache_fallbacks_equal_prepared_deps_bitwise() {
+    // a metric computed on demand from a bare cache runs the same sharded
+    // pass with the same plan as the prepared dep — so a non-default
+    // shard count yields the same f64 merge tree either way
+    let names = [
+        "b_max",
+        "b_k",
+        "betweenness_approx",
+        "d_avg",
+        "avg_distance_sketch",
+    ];
+    for g in [builders::karate_club(), builders::grid(9, 11)] {
+        for shards in [1, 3, 7] {
+            let opts = AnalyzeOptions {
+                shards: Some(shards),
+                threads: 2,
+                samples: 16,
+                ..Default::default()
+            };
+            let bare = AnalysisCache::bare(&g, &opts);
+            for name in names {
+                let metric = AnyMetric::get(name).unwrap();
+                let prepared = AnalysisCache::build(&g, &[metric], &opts);
+                assert_eq!(
+                    metric.compute(&prepared),
+                    metric.compute(&bare),
+                    "{name}, n = {}, shards = {shards}",
+                    g.node_count()
+                );
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -264,7 +283,8 @@ fn sampled_metrics_undefined_on_empty_and_degenerate_graphs() {
 #[test]
 fn sampled_equals_exact_bitwise_when_k_covers_n() {
     // n < K for every zoo graph at K = 10_000: sampled twins must equal
-    // their exact metrics bit for bit, on both routes
+    // their exact metrics bit for bit, at the default and a custom shard
+    // count
     for g in zoo() {
         for shards in [None, Some(7)] {
             let mut analyzer = Analyzer::new()
@@ -287,12 +307,12 @@ fn sampled_equals_exact_bitwise_when_k_covers_n() {
 
 #[test]
 fn sampled_estimators_finite_on_disconnected_graphs() {
-    // heavily disconnected graph straight through the streamed pass:
+    // heavily disconnected graph straight through the sharded pass:
     // no NaN, no division by zero, fractions in range
     let g = Graph::from_edges(9, [(0, 1), (2, 3), (3, 4), (5, 6)]).unwrap();
     let csr = CsrGraph::from_graph(&g);
     for k in [1, 3, 9, 50] {
-        let s = sampled::sampled_traversal_streamed(&csr, k, 4, 2);
+        let s = sampled::sampled_traversal_sharded(&csr, k, 4, 2);
         let f = s.unreachable_fraction();
         assert!(f.is_finite() && (0.0..=1.0).contains(&f), "k = {k}: {f}");
         assert!(s.pdf_estimate().iter().all(|p| p.is_finite() && *p >= 0.0));
