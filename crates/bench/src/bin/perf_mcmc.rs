@@ -9,8 +9,14 @@
 //! (the original graph realizes it), so the run measures the engine, not
 //! the realizability of a synthetic target.
 //!
-//! Appends `"bench": "mcmc_2k"` / `"bench": "mcmc_2k_large"` records to
-//! the `BENCH_metrics.json` JSON-lines log.
+//! The small-n stage also runs a 3K-preserving randomization
+//! (`randomize` at `d = 3`, default 50·m budget) on the same graph and
+//! asserts the wedge/triangle census is unchanged — the swap-level 3K
+//! delta's perf record.
+//!
+//! Appends `"bench": "mcmc_2k"` / `"bench": "mcmc_3k"` /
+//! `"bench": "mcmc_2k_large"` records to the `BENCH_metrics.json`
+//! JSON-lines log.
 //!
 //! ```text
 //! cargo run -p dk-bench --release --bin perf_mcmc -- \
@@ -18,7 +24,7 @@
 //! ```
 
 use dk_bench::append_json_line;
-use dk_core::dist::Dist2K;
+use dk_core::dist::{Dist2K, Dist3K};
 use dk_core::generate::rewire::{randomize, RewireOptions, SwapBudget};
 use dk_core::generate::target::{target_2k_from_1k, TargetOptions};
 use dk_graph::Graph;
@@ -188,6 +194,45 @@ fn mcmc_stage(args: &Args, bench: &str, original: &Graph, max_attempts: u64) -> 
     g
 }
 
+/// One 3K-preserving randomization of `original` at the default budget:
+/// every attempt that passes the 2K checks pays for one swap-level 3K
+/// census delta. Asserts the census is unchanged and appends the record.
+fn mcmc_3k_stage(args: &Args, original: &Graph) {
+    let before = Dist3K::from_graph(original);
+    let mut g = original.clone();
+    let mut rng = StdRng::seed_from_u64(args.seed ^ 0x3b);
+    let (rewire3_s, stats) = time_s(|| randomize(&mut g, 3, &RewireOptions::default(), &mut rng));
+    let moves_s = stats.attempts as f64 / rewire3_s.max(1e-9);
+    println!(
+        "mcmc_3k: 3K-randomized in {rewire3_s:.2} s — {} accepted / {} attempts ({moves_s:.3e} moves/s)",
+        stats.accepted, stats.attempts
+    );
+    assert_eq!(
+        Dist3K::from_graph(&g),
+        before,
+        "3K-preserving rewiring changed the wedge/triangle census"
+    );
+    let mut fields = vec![
+        ("bench".into(), "\"mcmc_3k\"".to_string()),
+        ("n".into(), original.node_count().to_string()),
+        ("m".into(), original.edge_count().to_string()),
+        ("threads".into(), "1".to_string()),
+        ("attempts".into(), stats.attempts.to_string()),
+        ("accepted".into(), stats.accepted.to_string()),
+        ("rewire3_s".into(), json::number(rewire3_s)),
+        ("moves_s".into(), json::number(moves_s)),
+    ];
+    if let Some(p) = peak_rss_bytes() {
+        fields.push((
+            "peak_rss_mb".into(),
+            json::number(p as f64 / (1 << 20) as f64),
+        ));
+    }
+    let out = args.out_dir.join("BENCH_metrics.json");
+    append_json_line(&out, &json::object(fields)).expect("append to BENCH_metrics.json");
+    println!("appended to {}", out.display());
+}
+
 /// Verifies a recovered 10⁶-node graph against the original with the
 /// sketch/sampled battery: assortativity `r` is a direct function of the
 /// JDD the chain targeted (tight assert); the distance estimators are
@@ -259,6 +304,7 @@ fn main() {
         small.edge_count()
     );
     mcmc_stage(&args, "mcmc_2k", &small, 4_000_000);
+    mcmc_3k_stage(&args, &small);
     if args.full {
         let (gen_s, large) = time_s(|| ba(LARGE_N, args.seed));
         println!(

@@ -11,18 +11,23 @@
 //! 326K → 146 for HOT), which is the quantitative face of Figure 2's
 //! shrinking circles.
 //!
-//! Complexity: O(m²) pair enumeration for `d ≥ 1` (with an O(deg) 3K
-//! check per pair at `d = 3`) — intended for HOT-scale graphs, exactly
-//! like the paper's own Table 5.
+//! Complexity: O(m²) pair enumeration for `d ≥ 1` (with a swap-level 3K
+//! delta per valid pair at `d = 3`, whose cost follows the swapped
+//! edges' common neighbours) — intended for HOT-scale graphs, exactly
+//! like the paper's own Table 5. The `d = 0` count is a closed form in
+//! `n` and `m`.
 
-use crate::generate::delta::{add_edge_tracked, frozen_degrees, remove_edge_tracked, Delta3K};
+use crate::generate::delta::{frozen_degrees, Delta3K};
 use dk_graph::Graph;
 
 /// Result of [`count_initial_rewirings`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RewireCensus {
     /// Edge (pairs) admitting at least one valid dK-preserving rewiring.
-    pub total: u64,
+    /// `u128` because the `d = 0` count `m · (C(n,2) − m)` passes
+    /// `u64::MAX` at a few million nodes (≈ 4.5·10¹⁹ at n = 3·10⁶,
+    /// m = 10⁷); it fits exactly for any graph with `u32` node ids.
+    pub total: u128,
     /// As `total`, excluding pairs whose only valid rewirings are obvious
     /// isomorphisms (leaf swaps). `None` for `d = 0`, where the paper
     /// reports no discount (Table 5's "-").
@@ -41,19 +46,15 @@ pub struct RewireCensus {
 pub fn count_initial_rewirings(g: &Graph, d: u8) -> RewireCensus {
     assert!(d <= 3, "census implemented for d ≤ 3");
     if d == 0 {
-        let n = g.node_count() as u64;
-        let m = g.edge_count() as u64;
-        let slots = n * n.saturating_sub(1) / 2 - m;
         return RewireCensus {
-            total: m * slots,
+            total: edge_relocations(g.node_count() as u64, g.edge_count() as u64),
             excluding_obvious_isomorphic: None,
         };
     }
-    let mut work = g.clone(); // mutated only transiently for d = 3 checks
     let deg = frozen_degrees(g);
     let mut scratch = Delta3K::default();
     let m = g.edge_count();
-    let mut total = 0u64;
+    let mut total = 0u128;
     let mut non_iso = 0u64;
     for i in 0..m {
         let (a, b) = g.edge_at(i);
@@ -63,7 +64,7 @@ pub fn count_initial_rewirings(g: &Graph, d: u8) -> RewireCensus {
             let mut any_non_iso = false;
             // two orientations of the second edge
             for (c, dd) in [(c0, d0), (d0, c0)] {
-                if !swap_ok(&mut work, d, &deg, &mut scratch, a, b, c, dd) {
+                if !swap_ok(g, d, &deg, &mut scratch, a, b, c, dd) {
                     continue;
                 }
                 any_valid = true;
@@ -71,8 +72,8 @@ pub fn count_initial_rewirings(g: &Graph, d: u8) -> RewireCensus {
                 // b ↔ dd; obvious isomorphism when both are leaves
                 // (the paper's (1,k)/(1,k') case), or when the other
                 // exchanged pair a ↔ c are both leaves.
-                let leaf_swap = (work.degree(b) == 1 && work.degree(dd) == 1)
-                    || (work.degree(a) == 1 && work.degree(c) == 1);
+                let leaf_swap = (g.degree(b) == 1 && g.degree(dd) == 1)
+                    || (g.degree(a) == 1 && g.degree(c) == 1);
                 if !leaf_swap {
                     any_non_iso = true;
                 }
@@ -91,10 +92,19 @@ pub fn count_initial_rewirings(g: &Graph, d: u8) -> RewireCensus {
     }
 }
 
-/// Checks the swap `{a,b},{c,d} → {a,d},{c,b}` for validity at level `dk`.
+/// The `d = 0` census `m · (C(n,2) − m)`: every edge times every empty
+/// node pair it could move to. With `m ≤ C(n,2)` and `n ≤ 2³²` (`u32`
+/// node ids) the product stays below 2¹²⁵, so `u128` holds it exactly.
+fn edge_relocations(n: u64, m: u64) -> u128 {
+    let (n, m) = (u128::from(n), u128::from(m));
+    m * (n * n.saturating_sub(1) / 2 - m)
+}
+
+/// Checks the swap `{a,b},{c,d} → {a,d},{c,b}` for validity at level `dk`
+/// without mutating `g`.
 #[allow(clippy::too_many_arguments)] // four endpoints + level + scratch is the natural shape
 fn swap_ok(
-    work: &mut Graph,
+    g: &Graph,
     dk: u8,
     deg: &[u32],
     scratch: &mut Delta3K,
@@ -104,27 +114,18 @@ fn swap_ok(
     d: u32,
 ) -> bool {
     // endpoints come from the edge list; see rewiring's swap_valid
-    if a == d || c == b || work.has_edge_fast(a, d) || work.has_edge_fast(c, b) {
+    if a == d || c == b || g.has_edge_fast(a, d) || g.has_edge_fast(c, b) {
         return false;
     }
-    if dk >= 2 && !(work.degree(b) == work.degree(d) || work.degree(a) == work.degree(c)) {
+    if dk >= 2 && !(g.degree(b) == g.degree(d) || g.degree(a) == g.degree(c)) {
         return false;
     }
     if dk < 3 {
         return true;
     }
-    // 3K: tentatively apply, inspect the histogram delta, revert.
     scratch.clear();
-    remove_edge_tracked(work, a, b, deg, scratch);
-    remove_edge_tracked(work, c, d, deg, scratch);
-    add_edge_tracked(work, a, d, deg, scratch);
-    add_edge_tracked(work, c, b, deg, scratch);
-    let ok = scratch.is_zero();
-    work.remove_edge(a, d).expect("just added");
-    work.remove_edge(c, b).expect("just added");
-    work.add_edge(a, b).expect("restore");
-    work.add_edge(c, d).expect("restore");
-    ok
+    scratch.track_swap(g, deg, [(a, b), (c, d)]);
+    scratch.is_zero()
 }
 
 #[cfg(test)]
@@ -136,9 +137,27 @@ mod tests {
     fn census_0k_formula() {
         let g = builders::karate_club(); // n = 34, m = 78
         let c = count_initial_rewirings(&g, 0);
-        let slots = 34u64 * 33 / 2 - 78;
+        let slots = 34u128 * 33 / 2 - 78;
         assert_eq!(c.total, 78 * slots);
         assert_eq!(c.excluding_obvious_isomorphic, None);
+    }
+
+    #[test]
+    fn census_0k_formula_does_not_wrap_at_scale() {
+        // n = 3·10⁶, m = 10⁷: C(n,2) = 4,499,998,500,000 slots, and
+        // m · (C(n,2) − m) ≈ 4.5·10¹⁹ is past u64::MAX ≈ 1.8·10¹⁹
+        let want = 44_999_885_000_000_000_000u128;
+        assert!(want > u128::from(u64::MAX));
+        assert_eq!(edge_relocations(3_000_000, 10_000_000), want);
+        // the worst case over u32 node ids, m = C(n,2)/2 at n = 2³²,
+        // still fits
+        let n = 1u64 << 32;
+        let pairs = u128::from(n) * u128::from(n - 1) / 2;
+        let m = pairs / 2;
+        assert_eq!(
+            edge_relocations(n, m as u64),
+            21_267_647_922_655_133_653_330_792_269_899_366_400
+        );
     }
 
     #[test]
@@ -184,7 +203,7 @@ mod tests {
         assert!(c1.total > 0);
         let ex = c1.excluding_obvious_isomorphic.unwrap();
         assert!(
-            ex < c1.total,
+            u128::from(ex) < c1.total,
             "leaf swaps must be discounted: {} vs {}",
             ex,
             c1.total

@@ -17,9 +17,10 @@
 //! All exploration is greedy hill climbing, exactly as in the paper; the
 //! returned extreme is a local optimum of the rewiring neighborhood.
 
-use crate::generate::delta::{add_edge_tracked, frozen_degrees, remove_edge_tracked, Delta3K};
+use crate::generate::delta::{frozen_degrees, Delta3K};
 use crate::generate::rewire::pick_2k_swap;
 use dk_graph::Graph;
+use dk_mcmc::{apply_swap, revert_swap, MoveProposal};
 use rand::Rng;
 
 /// Whether to drive the objective up or down.
@@ -188,11 +189,18 @@ pub fn explore_2k<R: Rng + ?Sized>(
         };
         let (a, b) = e1;
         let (c, d) = if orient { e2 } else { (e2.1, e2.0) };
+        // the greedy walk never reads the proposal probabilities
+        let swap = MoveProposal {
+            remove: [(a, b), (c, d)],
+            add: [(a, d), (c, b)],
+            forward_prob: 1.0,
+            reverse_prob: 1.0,
+        };
         delta.clear();
-        remove_edge_tracked(g, a, b, &deg, &mut delta);
-        remove_edge_tracked(g, c, d, &deg, &mut delta);
-        add_edge_tracked(g, a, d, &deg, &mut delta);
-        add_edge_tracked(g, c, b, &deg, &mut delta);
+        delta.track_swap(g, &deg, swap.remove);
+        // Applied before the verdict for the edge order: a rejection's
+        // revert permutes `Graph::edges`, which the next pick reads.
+        apply_swap(g, &swap);
         let obj_delta = match objective {
             Objective2K::SecondOrderLikelihood => delta
                 .wedges
@@ -212,10 +220,7 @@ pub fn explore_2k<R: Rng + ?Sized>(
             stats.accepted += 1;
             since = 0;
         } else {
-            g.remove_edge(a, d).expect("just added");
-            g.remove_edge(c, b).expect("just added");
-            g.add_edge(a, b).expect("restore");
-            g.add_edge(c, d).expect("restore");
+            revert_swap(g, &swap);
         }
     }
     stats.final_value = match objective {

@@ -1,19 +1,48 @@
 //! Incremental census bookkeeping for rewiring.
 //!
-//! A degree-preserving edge swap changes the JDD in exactly four entries
-//! ([`Delta2K`], O(1) per move) and the wedge/triangle census only in
-//! the neighborhoods of the four endpoints ([`Delta3K`],
-//! O(deg(x) + deg(y)) per operation) — the difference between an
-//! O(1)-amortized rewiring step and re-extracting an O(Σ deg²)
-//! distribution per step. The MCMC chain's objectives
-//! ([`super::objective`]) accumulate these deltas per proposed move and
-//! fold them in only on acceptance.
+//! A degree-preserving double-edge swap `{a,b},{c,d} → {a,d},{c,b}`
+//! changes the JDD in exactly four entries ([`Delta2K`], O(1) per move)
+//! and the wedge/triangle census only around its four endpoints
+//! ([`Delta3K::track_swap`]) — the difference between an O(1)-amortized
+//! rewiring step and re-extracting an O(Σ deg²) distribution per step.
+//! The MCMC chain's objectives ([`super::objective`]) compute these
+//! deltas per proposed move and fold them in only on acceptance.
 //!
-//! Degrees are read from a *frozen* degree vector captured before the
-//! swap: all moves used with this module preserve every node's degree, so
-//! the frozen degrees equal both the pre- and post-swap degrees, and the
-//! histogram keys stay consistent even mid-swap (when an endpoint's
-//! transient degree is off by one).
+//! Degrees are read from a *frozen* degree vector `k(·)` captured before
+//! the swap: all moves used with this module preserve every node's
+//! degree, so the frozen degrees equal both the pre- and post-swap
+//! degrees and every key is exact.
+//!
+//! ## The 3K swap delta
+//!
+//! [`Delta3K::track_swap`] reads the pre-swap graph only. Split the
+//! induced-wedge census into *paths* (all 2-paths `u − v − w`, keyed
+//! `(k(u), k(v), k(w))` with the centre in the middle) minus *closed
+//! wedges* (the three paths around each triangle):
+//!
+//! * **Paths** change only at the four endpoints, and each of them
+//!   trades one partner `p` for `p′`: `a: b→d`, `c: d→b`, `b: a→c`,
+//!   `d: c→a`. The other arm ranges over `N(v) ∖ {p}` before and after.
+//!   If `k(p) = k(p′)` nothing changes at `v`; otherwise every
+//!   `z ∈ N(v) ∖ {p}` moves one path from `(k(p), k(v), k(z))` to
+//!   `(k(p′), k(v), k(z))`. A JDD-preserving swap has `k(b) = k(d)` or
+//!   `k(a) = k(c)`, so at least one side — in practice the hub's — is
+//!   skipped.
+//! * **Triangles** change only on the swapped edges. They die on `{a,b}`
+//!   (`z ∈ N(a) ∩ N(b)`) and on `{c,d}` (`z ∈ N(c) ∩ N(d)`), and are
+//!   born on `{a,d}` (`z ∈ N(a) ∩ N(d) ∖ {b,c}`) and on `{c,b}`
+//!   (`z ∈ N(c) ∩ N(b) ∖ {a,d}`).
+//! * **Open wedges = paths − closed wedges**: a dying triangle bumps its
+//!   triangle key by `−1` and the open-wedge key at each of its three
+//!   corners by `+1`; a born triangle flips both signs.
+//!
+//! Cost per swap: one intersection per common-neighbour pair (scan the
+//! shorter sorted list, binary-search the longer), plus one walk over
+//! the neighbours of each centre whose partner changes degree. In the
+//! 3K chains on the skitter-like input (n = 9,071, m = 30,505) that is
+//! ≈ 14.6 intersection probes plus ≈ 9.7 neighbours walked per evaluated
+//! swap; walking both endpoints' neighbour lists for each of the four
+//! edge operations would visit ≈ 1,720.
 
 use crate::dist::{canon_pair, canon_triangle, canon_wedge, Degree, Dist2K, Dist3K};
 use dk_graph::hashers::DetHashMap;
@@ -141,6 +170,71 @@ impl Delta3K {
         }
     }
 
+    /// Accumulates the 3K change of the double-edge swap
+    /// `{a,b},{c,d} → {a,d},{c,b}` (`swap = [(a, b), (c, d)]`), reading
+    /// the **pre-swap** graph `g`, which is not mutated. `a, b, c, d`
+    /// must be distinct and `{a,d}`, `{c,b}` absent (a valid proposal);
+    /// keys use the frozen degrees `deg`.
+    ///
+    /// Paths centred on the four endpoints trade one partner; triangles
+    /// die and are born only through the four common-neighbour sets
+    /// (see the module doc for the derivation). Triangle keys reach
+    /// [`Delta3K::triangles`] in a fixed order — dying on `{a,b}`, then
+    /// `{c,d}`, born on `{a,d}`, then `{c,b}`, each by ascending node id
+    /// — so order-sensitive f64 folds over the map are reproducible.
+    pub fn track_swap(&mut self, g: &Graph, deg: &[Degree], swap: [(u32, u32); 2]) {
+        let [(a, b), (c, d)] = swap;
+        let k = |v: u32| deg[v as usize];
+        // centre v trades partner p for q; the other arm z ranges over
+        // N(v) ∖ {p} both before and after the swap
+        for (v, p, q) in [(a, b, d), (c, d, b), (b, a, c), (d, c, a)] {
+            if k(p) == k(q) {
+                continue;
+            }
+            for &z in g.neighbors(v) {
+                if z != p {
+                    self.bump_wedge(canon_wedge(k(p), k(v), k(z)), -1);
+                    self.bump_wedge(canon_wedge(k(q), k(v), k(z)), 1);
+                }
+            }
+        }
+        self.track_triangles(g, deg, (a, b), &[], -1);
+        self.track_triangles(g, deg, (c, d), &[], -1);
+        self.track_triangles(g, deg, (a, d), &[b, c], 1);
+        self.track_triangles(g, deg, (c, b), &[a, d], 1);
+    }
+
+    /// Bumps the triangles `{x, y, z}` over `z ∈ N(x) ∩ N(y) ∖ skip` by
+    /// `dv`, and each of their three closed paths by `−dv` on the
+    /// open-wedge side. Scans the shorter sorted list and binary-searches
+    /// the longer one, so `z` ascends either way.
+    fn track_triangles(
+        &mut self,
+        g: &Graph,
+        deg: &[Degree],
+        (x, y): (u32, u32),
+        skip: &[u32],
+        dv: i64,
+    ) {
+        let (nx, ny) = (g.neighbors(x), g.neighbors(y));
+        let (short, long) = if nx.len() <= ny.len() {
+            (nx, ny)
+        } else {
+            (ny, nx)
+        };
+        let (kx, ky) = (deg[x as usize], deg[y as usize]);
+        for &z in short {
+            if skip.contains(&z) || long.binary_search(&z).is_err() {
+                continue;
+            }
+            let kz = deg[z as usize];
+            self.bump_tri(canon_triangle(kx, ky, kz), dv);
+            self.bump_wedge(canon_wedge(ky, kx, kz), -dv);
+            self.bump_wedge(canon_wedge(kx, ky, kz), -dv);
+            self.bump_wedge(canon_wedge(kx, kz, ky), -dv);
+        }
+    }
+
     fn bump_wedge(&mut self, key: (Degree, Degree, Degree), dv: i64) {
         *self.wedges.entry(key).or_insert(0) += dv;
     }
@@ -148,88 +242,6 @@ impl Delta3K {
     fn bump_tri(&mut self, key: (Degree, Degree, Degree), dv: i64) {
         *self.triangles.entry(key).or_insert(0) += dv;
     }
-}
-
-/// Removes edge `(x, y)`, accumulating the 3K change.
-///
-/// # Panics
-/// Panics if the edge is absent (caller bug — swaps pick existing edges).
-pub fn remove_edge_tracked(g: &mut Graph, x: u32, y: u32, deg: &[Degree], delta: &mut Delta3K) {
-    // Enumerate with the edge still present.
-    for &z in g.neighbors(x) {
-        if z == y {
-            continue;
-        }
-        if g.has_edge(z, y) {
-            // triangle {x,y,z} dies; an induced wedge centered at z is born
-            delta.bump_tri(
-                canon_triangle(deg[x as usize], deg[y as usize], deg[z as usize]),
-                -1,
-            );
-            delta.bump_wedge(
-                canon_wedge(deg[x as usize], deg[z as usize], deg[y as usize]),
-                1,
-            );
-        } else {
-            // wedge y−x−z (centered at x) dies
-            delta.bump_wedge(
-                canon_wedge(deg[y as usize], deg[x as usize], deg[z as usize]),
-                -1,
-            );
-        }
-    }
-    for &z in g.neighbors(y) {
-        if z == x || g.has_edge(z, x) {
-            continue; // triangles handled from the x side
-        }
-        // wedge x−y−z (centered at y) dies
-        delta.bump_wedge(
-            canon_wedge(deg[x as usize], deg[y as usize], deg[z as usize]),
-            -1,
-        );
-    }
-    g.remove_edge(x, y).expect("swap removes an existing edge");
-}
-
-/// Adds edge `(x, y)`, accumulating the 3K change.
-///
-/// # Panics
-/// Panics if the edge already exists or `x == y` (caller bug — swap
-/// validity is checked before application).
-pub fn add_edge_tracked(g: &mut Graph, x: u32, y: u32, deg: &[Degree], delta: &mut Delta3K) {
-    // Enumerate with the edge still absent.
-    for &z in g.neighbors(x) {
-        if z == y {
-            continue;
-        }
-        if g.has_edge(z, y) {
-            // wedge x−z−y closes into a triangle
-            delta.bump_wedge(
-                canon_wedge(deg[x as usize], deg[z as usize], deg[y as usize]),
-                -1,
-            );
-            delta.bump_tri(
-                canon_triangle(deg[x as usize], deg[y as usize], deg[z as usize]),
-                1,
-            );
-        } else {
-            // new wedge y−x−z centered at x
-            delta.bump_wedge(
-                canon_wedge(deg[y as usize], deg[x as usize], deg[z as usize]),
-                1,
-            );
-        }
-    }
-    for &z in g.neighbors(y) {
-        if z == x || g.has_edge(z, x) {
-            continue;
-        }
-        delta.bump_wedge(
-            canon_wedge(deg[x as usize], deg[y as usize], deg[z as usize]),
-            1,
-        );
-    }
-    g.add_edge(x, y).expect("swap adds a checked-legal edge");
 }
 
 /// Captures the degree vector used as frozen keys during a swap.
@@ -241,6 +253,7 @@ pub fn frozen_degrees(g: &Graph) -> Vec<Degree> {
 mod tests {
     use super::*;
     use dk_graph::builders;
+    use dk_mcmc::{apply_swap, propose_swap, ProposalKind};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -297,61 +310,23 @@ mod tests {
     }
 
     #[test]
-    fn tracked_removal_matches_oracle_on_karate() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..20 {
-            let mut g = builders::karate_club();
-            let before = Dist3K::from_graph(&g);
-            let deg = frozen_degrees(&g);
-            let (x, y) = g.random_edge(&mut rng).unwrap();
-            let mut delta = Delta3K::default();
-            remove_edge_tracked(&mut g, x, y, &deg, &mut delta);
-            // NOTE: removal changes deg(x), deg(y) in reality; the frozen
-            // keys describe the pre-removal degrees, so compare against an
-            // oracle extraction that also uses frozen degrees — i.e. undo
-            // the degree shift by re-adding a *phantom* via direct count.
-            // Simplest honest oracle: re-add the edge, extract, remove
-            // with tracking again, then extract the post state with the
-            // true degrees of a *degree-preserving* double-op (remove+add
-            // elsewhere is what production does). Here instead verify the
-            // round-trip property: add it back tracked, total delta = 0.
-            let mut delta2 = Delta3K::default();
-            add_edge_tracked(&mut g, x, y, &deg, &mut delta2);
-            let after = Dist3K::from_graph(&g);
-            assert_eq!(before, after);
-            // deltas must cancel exactly
-            for (k, v) in &delta.wedges {
-                assert_eq!(delta2.wedges.get(k).copied().unwrap_or(0), -v);
-            }
-            for (k, v) in &delta.triangles {
-                assert_eq!(delta2.triangles.get(k).copied().unwrap_or(0), -v);
-            }
-        }
-    }
-
-    #[test]
     fn full_swap_delta_matches_oracle() {
         // A full degree-preserving swap keeps endpoint degrees intact, so
-        // frozen-degree tracked deltas must equal re-extraction deltas.
+        // the frozen-degree swap delta, read off the pre-swap graph, must
+        // equal the re-extraction delta.
+        let g0 = builders::karate_club();
+        let before = Dist3K::from_graph(&g0);
+        let deg = frozen_degrees(&g0);
         let mut rng = StdRng::seed_from_u64(2);
         let mut done = 0;
         while done < 30 {
-            let mut g = builders::karate_club();
-            let before = Dist3K::from_graph(&g);
-            let deg = frozen_degrees(&g);
-            let e1 = g.random_edge(&mut rng).unwrap();
-            let e2 = g.random_edge(&mut rng).unwrap();
-            let (a, b) = e1;
-            let (c, d) = if rng.gen_bool(0.5) { e2 } else { (e2.1, e2.0) };
-            // swap {a,b},{c,d} → {a,d},{c,b}
-            if a == d || c == b || g.has_edge(a, d) || g.has_edge(c, b) {
+            let Ok(p) = propose_swap(&g0, &deg, ProposalKind::Plain, &mut rng) else {
                 continue;
-            }
+            };
             let mut delta = Delta3K::default();
-            remove_edge_tracked(&mut g, a, b, &deg, &mut delta);
-            remove_edge_tracked(&mut g, c, d, &deg, &mut delta);
-            add_edge_tracked(&mut g, a, d, &deg, &mut delta);
-            add_edge_tracked(&mut g, c, b, &deg, &mut delta);
+            delta.track_swap(&g0, &deg, p.remove);
+            let mut g = g0.clone();
+            apply_swap(&mut g, &p);
             let after = Dist3K::from_graph(&g);
             let want = oracle_delta(&before, &after);
             assert_eq!(normalize(&delta), normalize(&want));

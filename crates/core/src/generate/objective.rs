@@ -4,15 +4,24 @@
 //! knows nothing about dK-distributions. These objectives supply the
 //! census side of the contract: per validated proposal they report the
 //! distance change `ΔD_d` to a target distribution — via the O(1)
-//! [`Delta2K`] for JDD targets, or the tracked tentative-apply
-//! [`Delta3K`] for wedge/triangle targets — and fold the pending delta
-//! into their running histograms only when the chain commits the move.
+//! [`Delta2K`] for JDD targets, or the swap-level [`Delta3K`] (read off
+//! the pre-swap graph) for wedge/triangle targets — and fold the pending
+//! delta into their running histograms only when the chain commits the
+//! move.
+//!
+//! The 3K objectives still apply each evaluated move
+//! ([`Evaluation::applied`]), although their delta does not need the
+//! mutated graph: a rejection then goes through [`dk_mcmc::revert_swap`],
+//! which moves the two removed edges to the end of `Graph::edges`, and
+//! the proposal sampler reads that order. Generated graphs are written in
+//! that order, so the apply is part of their byte-identity
+//! (`tests/mcmc_equivalence.rs` pins it with golden edge-order digests).
 
 use crate::dist::{Degree, Dist2K, Dist3K};
-use crate::generate::delta::{add_edge_tracked, remove_edge_tracked, Delta2K, Delta3K};
+use crate::generate::delta::{Delta2K, Delta3K};
 use dk_graph::hashers::{det_hash_map, DetHashMap};
 use dk_graph::Graph;
-use dk_mcmc::{Evaluation, MoveProposal, SwapObjective};
+use dk_mcmc::{apply_swap, Evaluation, MoveProposal, SwapObjective};
 
 /// 2K-targeting objective: minimizes
 /// `D_2 = Σ (m_cur(k1,k2) − m_tgt(k1,k2))²` (the paper's §4.1.4 metric)
@@ -111,9 +120,11 @@ impl SwapObjective for Objective2K {
 }
 
 /// 3K-targeting objective: minimizes `D_3` (wedge + triangle squared
-/// differences). `ΔD_3` can only be measured on the mutated
-/// neighborhoods, so evaluation applies the move tentatively with
-/// tracking ([`Evaluation::applied`]); the chain reverts on rejection.
+/// differences). `ΔD_3` comes from [`Delta3K::track_swap`] on the
+/// pre-swap graph; evaluation then applies the move
+/// ([`Evaluation::applied`]) and the chain reverts it on rejection, which
+/// keeps the edge-list order — and so every output — unchanged (see the
+/// module doc).
 #[derive(Clone, Debug)]
 pub struct Objective3K {
     cur: Dist3K,
@@ -153,12 +164,11 @@ impl Objective3K {
 impl SwapObjective for Objective3K {
     fn evaluate(&mut self, g: &mut Graph, deg: &[u32], p: &MoveProposal) -> Evaluation {
         self.pending.clear();
-        let [(a, b), (c, d)] = p.remove;
-        let [(x, y), (z, w)] = p.add;
-        remove_edge_tracked(g, a, b, deg, &mut self.pending);
-        remove_edge_tracked(g, c, d, deg, &mut self.pending);
-        add_edge_tracked(g, x, y, deg, &mut self.pending);
-        add_edge_tracked(g, z, w, deg, &mut self.pending);
+        self.pending.track_swap(g, deg, p.remove);
+        // Applied only for the edge order: a rejection reverts through
+        // `revert_swap`, which permutes `Graph::edges`, and the proposal
+        // sampler reads that order.
+        apply_swap(g, p);
         let mut dd = 0.0;
         for (key, &dv) in &self.pending.wedges {
             if dv == 0 {
@@ -200,10 +210,12 @@ impl SwapObjective for Objective3K {
 }
 
 /// 3K-*preserving* objective for `d = 3` randomizing runs: evaluates the
-/// tracked delta of each (already 2K-preserving) proposal and reports
-/// `ΔD = 0` when the wedge/triangle histograms are untouched, `+∞`
-/// otherwise — so a zero-temperature chain accepts exactly the
-/// 3K-preserving moves and reverts the rest.
+/// swap-level [`Delta3K`] of each (already 2K-preserving) proposal and
+/// reports `ΔD = 0` when the wedge/triangle histograms are untouched,
+/// `+∞` otherwise — so a zero-temperature chain accepts exactly the
+/// 3K-preserving moves and reverts the rest. Like [`Objective3K`] it
+/// applies every evaluated move, for the edge-list order (see the module
+/// doc).
 #[derive(Clone, Debug, Default)]
 pub struct Preserve3K {
     pending: Delta3K,
@@ -212,12 +224,9 @@ pub struct Preserve3K {
 impl SwapObjective for Preserve3K {
     fn evaluate(&mut self, g: &mut Graph, deg: &[u32], p: &MoveProposal) -> Evaluation {
         self.pending.clear();
-        let [(a, b), (c, d)] = p.remove;
-        let [(x, y), (z, w)] = p.add;
-        remove_edge_tracked(g, a, b, deg, &mut self.pending);
-        remove_edge_tracked(g, c, d, deg, &mut self.pending);
-        add_edge_tracked(g, x, y, deg, &mut self.pending);
-        add_edge_tracked(g, z, w, deg, &mut self.pending);
+        self.pending.track_swap(g, deg, p.remove);
+        // applied only for the edge order, as in `Objective3K::evaluate`
+        apply_swap(g, p);
         Evaluation {
             delta_d: if self.pending.is_zero() {
                 0.0

@@ -12,13 +12,13 @@
 //!   "at least two nodes of equal degrees adjacent to the different
 //!   edges");
 //! * `d = 3` — a 2K-swap that additionally leaves the wedge and triangle
-//!   histograms unchanged, verified exactly via incremental delta
-//!   tracking ([`super::delta`]) with revert on violation.
+//!   histograms unchanged, verified exactly by the swap-level census
+//!   delta ([`super::delta`]) with revert on violation.
 //!
 //! The swap families (`d ≥ 1`) run on the [`dk_mcmc`] engine: explicit
 //! [`MoveProposal`] records, O(1) edge-index presence checks, and — for
 //! `d = 3` — the [`Preserve3K`] objective deciding acceptance from the
-//! tracked census delta. External [`RewireConstraint`]s plug in as the
+//! swap-level census delta. External [`RewireConstraint`]s plug in as the
 //! chain's veto filter.
 //!
 //! ## Convergence budget
@@ -91,7 +91,8 @@ pub fn randomize<R: Rng + ?Sized>(
 /// `d ∈ {1, 2, 3}` runs on the [`dk_mcmc`] double-edge-swap chain
 /// (neutral temperature: every valid, constraint-allowed, preserving
 /// move is accepted), so each attempt costs O(1) presence lookups plus
-/// — for `d = 3` only — the tracked O(deg) census delta. The `d = 0`
+/// — for `d = 3` only — the swap-level census delta, whose cost follows
+/// the swapped edges' common neighbours (see [`super::delta`]). The `d = 0`
 /// move is an edge *relocation*, not a swap, and keeps its dedicated
 /// loop.
 pub fn randomize_with<R: Rng + ?Sized, C: RewireConstraint + ?Sized>(

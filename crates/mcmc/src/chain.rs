@@ -14,10 +14,12 @@ use rand::{Rng, SeedableRng};
 pub struct Evaluation {
     /// Change `ΔD` of the objective's distance if the move is applied.
     pub delta_d: f64,
-    /// `true` if evaluation tentatively applied the move to the graph
-    /// (needed when `ΔD` can only be measured on the mutated state, e.g.
-    /// tracked 3K deltas). The chain reverts the mutation on rejection
-    /// and skips its own apply on acceptance.
+    /// `true` if evaluation tentatively applied the move to the graph.
+    /// The chain reverts the mutation on rejection and skips its own
+    /// apply on acceptance. The revert moves the two removed edges to the
+    /// end of `Graph::edges`, which later proposals read, so an objective
+    /// whose outputs are pinned to that edge order (the 3K objectives in
+    /// `dk_core::generate::objective`) applies every move it evaluates.
     pub applied: bool,
 }
 
