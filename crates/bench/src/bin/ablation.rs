@@ -1,4 +1,4 @@
-//! **Ablations** of the reproduction's design choices (DESIGN.md §6):
+//! **Ablations** of the reproduction's design choices:
 //!
 //! 1. **Swap budget** — the paper prescribes `10 × census` rewirings;
 //!    we default to `50·m` attempts following Gkantsidis et al. \[15\].

@@ -19,103 +19,16 @@
 //!     [--full] [--oracle-n N] [--threads N] [--seed N] [--out DIR]
 //! ```
 
-use dk_bench::append_json_line;
+use dk_bench::perf::{ba, mib, peak_rss_bytes, time_s, PerfArgs};
+use dk_bench::set;
 use dk_graph::{traversal, CsrGraph, Graph, NodeId};
 use dk_metrics::attack::{gcc_trajectory, removal_order, threshold_from_sizes, Strategy};
 use dk_metrics::json;
-use dk_topologies::ba::{barabasi_albert, BaParams};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::path::PathBuf;
-use std::time::Instant;
 
 /// Node count of the `--full` large-graph runs.
 const LARGE_N: usize = 1_000_000;
 /// Pivot budget of the oracle stage's betweenness ranking.
 const RANK_SAMPLES: usize = 16;
-
-struct Args {
-    full: bool,
-    oracle_n: usize,
-    threads: usize,
-    seed: u64,
-    out_dir: PathBuf,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        full: false,
-        oracle_n: 2_000,
-        threads: 0,
-        seed: 20060911,
-        out_dir: PathBuf::from("results"),
-    };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let usage = || -> ! {
-        eprintln!(
-            "flags: --full (add the 10^6-node trajectories)  --oracle-n N (default 2000)\n       --threads N (0 = all cores)  --seed N  --out DIR (default results/)"
-        );
-        std::process::exit(2)
-    };
-    while i < raw.len() {
-        let flag = raw[i].as_str();
-        match flag {
-            "--full" => args.full = true,
-            "--oracle-n" | "--threads" | "--seed" | "--out" => {
-                i += 1;
-                let Some(value) = raw.get(i) else {
-                    eprintln!("error: {flag} needs a value");
-                    usage()
-                };
-                match flag {
-                    "--oracle-n" => args.oracle_n = value.parse().unwrap_or_else(|_| usage()),
-                    "--threads" => args.threads = value.parse().unwrap_or_else(|_| usage()),
-                    "--seed" => args.seed = value.parse().unwrap_or_else(|_| usage()),
-                    _ => args.out_dir = PathBuf::from(value),
-                }
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown flag {other:?}");
-                usage()
-            }
-        }
-        i += 1;
-    }
-    args
-}
-
-/// Process peak RSS in bytes (Linux `VmHWM`; `None` elsewhere).
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let kb: u64 = status
-        .lines()
-        .find(|l| l.starts_with("VmHWM:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()?;
-    Some(kb * 1024)
-}
-
-fn ba(n: usize, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    barabasi_albert(
-        &BaParams {
-            nodes: n,
-            edges_per_node: 2,
-            seed_nodes: 3,
-        },
-        &mut rng,
-    )
-}
-
-fn time_s<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let t0 = Instant::now();
-    let out = std::hint::black_box(f());
-    (t0.elapsed().as_secs_f64(), out)
-}
 
 /// The `O(n·(n + m))` baseline: recompute the component structure from
 /// scratch after every removal prefix.
@@ -147,8 +60,9 @@ fn oracle_trajectory(g: &Graph, order: &[NodeId]) -> (Vec<u32>, Vec<u32>) {
 
 /// Engine vs per-step oracle for every strategy: bit-identical
 /// trajectories, speedup recorded.
-fn oracle_stage(args: &Args, threads: usize) {
-    let g = ba(args.oracle_n, args.seed);
+fn oracle_stage(args: &PerfArgs, oracle_n: usize) {
+    let threads = args.threads;
+    let g = ba(oracle_n, args.seed);
     let csr = CsrGraph::from_graph(&g);
     println!(
         "oracle: BA n = {}, m = {}, threads = {threads}",
@@ -183,13 +97,12 @@ fn oracle_stage(args: &Args, threads: usize) {
             fields.push((format!("threshold_{key}"), json::number(t)));
         }
     }
-    let out = args.out_dir.join("BENCH_metrics.json");
-    append_json_line(&out, &json::object(fields)).expect("append to BENCH_metrics.json");
-    println!("appended to {}", out.display());
+    args.record(fields);
 }
 
 /// The 10⁶-node trajectories: ranking + one reverse sweep per strategy.
-fn large_stage(args: &Args, threads: usize) {
+fn large_stage(args: &PerfArgs) {
+    let threads = args.threads;
     let (gen_s, g) = time_s(|| ba(LARGE_N, args.seed));
     println!(
         "large: BA n = {}, m = {}, generated in {gen_s:.1} s",
@@ -223,26 +136,20 @@ fn large_stage(args: &Args, threads: usize) {
         }
     }
     if let Some(p) = peak_rss_bytes() {
-        println!("peak RSS {:.0} MiB", p as f64 / (1 << 20) as f64);
-        fields.push((
-            "peak_rss_mb".into(),
-            json::number(p as f64 / (1 << 20) as f64),
-        ));
+        println!("peak RSS {:.0} MiB", mib(p));
+        fields.push(("peak_rss_mb".into(), json::number(mib(p))));
     }
-    let out = args.out_dir.join("BENCH_metrics.json");
-    append_json_line(&out, &json::object(fields)).expect("append to BENCH_metrics.json");
-    println!("appended to {}", out.display());
+    args.record(fields);
 }
 
 fn main() {
-    let args = parse_args();
-    let threads = if args.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        args.threads
-    };
-    oracle_stage(&args, threads);
+    let mut oracle_n = 2_000;
+    let args = PerfArgs::from_args(
+        "--full (add the 10^6-node trajectories)  --oracle-n N (default 2000)",
+        vec![("--oracle-n", set(&mut oracle_n))],
+    );
+    oracle_stage(&args, oracle_n);
     if args.full {
-        large_stage(&args, threads);
+        large_stage(&args);
     }
 }

@@ -23,17 +23,15 @@
 //!     [--full] [--n N] [--threads N] [--seed N] [--out DIR]
 //! ```
 
-use dk_bench::append_json_line;
+use dk_bench::perf::{ba, mib, peak_rss_bytes, time_s, PerfArgs};
+use dk_bench::set;
 use dk_core::dist::{Dist2K, Dist3K};
 use dk_core::generate::rewire::{randomize, RewireOptions, SwapBudget};
 use dk_core::generate::target::{target_2k_from_1k, TargetOptions};
 use dk_graph::Graph;
 use dk_metrics::{json, Analyzer};
-use dk_topologies::ba::{barabasi_albert, BaParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
-use std::time::Instant;
 
 /// Node count of the `--full` large-graph run.
 const LARGE_N: usize = 1_000_000;
@@ -43,94 +41,11 @@ const SAMPLES: usize = 64;
 /// perf_sketch CI-budget point).
 const SKETCH_BITS: u32 = 6;
 
-struct Args {
-    full: bool,
-    n: usize,
-    threads: usize,
-    seed: u64,
-    out_dir: PathBuf,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        full: false,
-        n: 5_000,
-        threads: 0,
-        seed: 20060911,
-        out_dir: PathBuf::from("results"),
-    };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let usage = || -> ! {
-        eprintln!(
-            "flags: --full (add the 10^6-node run)  --n N (small-stage nodes, default 5000)\n       --threads N (0 = all cores)  --seed N  --out DIR (default results/)"
-        );
-        std::process::exit(2)
-    };
-    while i < raw.len() {
-        let flag = raw[i].as_str();
-        match flag {
-            "--full" => args.full = true,
-            "--n" | "--threads" | "--seed" | "--out" => {
-                i += 1;
-                let Some(value) = raw.get(i) else {
-                    eprintln!("error: {flag} needs a value");
-                    usage()
-                };
-                match flag {
-                    "--n" => args.n = value.parse().unwrap_or_else(|_| usage()),
-                    "--threads" => args.threads = value.parse().unwrap_or_else(|_| usage()),
-                    "--seed" => args.seed = value.parse().unwrap_or_else(|_| usage()),
-                    _ => args.out_dir = PathBuf::from(value),
-                }
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown flag {other:?}");
-                usage()
-            }
-        }
-        i += 1;
-    }
-    args
-}
-
-/// Process peak RSS in bytes (Linux `VmHWM`; `None` elsewhere).
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let kb: u64 = status
-        .lines()
-        .find(|l| l.starts_with("VmHWM:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()?;
-    Some(kb * 1024)
-}
-
-fn ba(n: usize, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    barabasi_albert(
-        &BaParams {
-            nodes: n,
-            edges_per_node: 2,
-            seed_nodes: 3,
-        },
-        &mut rng,
-    )
-}
-
-fn time_s<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let t0 = Instant::now();
-    let out = std::hint::black_box(f());
-    (t0.elapsed().as_secs_f64(), out)
-}
-
 /// One scramble-then-recover run: 1K-randomize `original` through the
 /// chain, 2K-target it back to `original`'s JDD, and append the record.
 ///
 /// Returns the recovered graph for downstream verification.
-fn mcmc_stage(args: &Args, bench: &str, original: &Graph, max_attempts: u64) -> Graph {
+fn mcmc_stage(args: &PerfArgs, bench: &str, original: &Graph, max_attempts: u64) -> Graph {
     let m = original.edge_count() as u64;
     let target = Dist2K::from_graph(original);
     let mut g = original.clone();
@@ -183,21 +98,16 @@ fn mcmc_stage(args: &Args, bench: &str, original: &Graph, max_attempts: u64) -> 
         ("d2_final".into(), json::number(stats.final_distance)),
     ];
     if let Some(p) = peak_rss_bytes() {
-        fields.push((
-            "peak_rss_mb".into(),
-            json::number(p as f64 / (1 << 20) as f64),
-        ));
+        fields.push(("peak_rss_mb".into(), json::number(mib(p))));
     }
-    let out = args.out_dir.join("BENCH_metrics.json");
-    append_json_line(&out, &json::object(fields)).expect("append to BENCH_metrics.json");
-    println!("appended to {}", out.display());
+    args.record(fields);
     g
 }
 
 /// One 3K-preserving randomization of `original` at the default budget:
 /// every attempt that passes the 2K checks pays for one swap-level 3K
 /// census delta. Asserts the census is unchanged and appends the record.
-fn mcmc_3k_stage(args: &Args, original: &Graph) {
+fn mcmc_3k_stage(args: &PerfArgs, original: &Graph) {
     let before = Dist3K::from_graph(original);
     let mut g = original.clone();
     let mut rng = StdRng::seed_from_u64(args.seed ^ 0x3b);
@@ -223,26 +133,21 @@ fn mcmc_3k_stage(args: &Args, original: &Graph) {
         ("moves_s".into(), json::number(moves_s)),
     ];
     if let Some(p) = peak_rss_bytes() {
-        fields.push((
-            "peak_rss_mb".into(),
-            json::number(p as f64 / (1 << 20) as f64),
-        ));
+        fields.push(("peak_rss_mb".into(), json::number(mib(p))));
     }
-    let out = args.out_dir.join("BENCH_metrics.json");
-    append_json_line(&out, &json::object(fields)).expect("append to BENCH_metrics.json");
-    println!("appended to {}", out.display());
+    args.record(fields);
 }
 
 /// Verifies a recovered 10⁶-node graph against the original with the
 /// sketch/sampled battery: assortativity `r` is a direct function of the
 /// JDD the chain targeted (tight assert); the distance estimators are
 /// 2K-correlated but not pinned (recorded, loose assert).
-fn verify_large(args: &Args, threads: usize, original: &Graph, recovered: &Graph) {
+fn verify_large(args: &PerfArgs, original: &Graph, recovered: &Graph) {
     let battery = "r,distance_approx,avg_distance_sketch";
     let analyzer = Analyzer::new()
         .metric_names(battery)
         .expect("battery names are registered")
-        .threads(threads)
+        .threads(args.threads)
         .sample_sources(SAMPLES)
         .sketch_bits(SKETCH_BITS);
     let (orig_s, orig) = time_s(|| analyzer.analyze(original));
@@ -268,7 +173,7 @@ fn verify_large(args: &Args, threads: usize, original: &Graph, recovered: &Graph
     let fields = vec![
         ("bench".into(), "\"mcmc_2k_verify\"".to_string()),
         ("n".into(), original.node_count().to_string()),
-        ("threads".into(), threads.to_string()),
+        ("threads".into(), args.threads.to_string()),
         ("battery".into(), format!("\"{battery}\"")),
         ("r_original".into(), json::number(r_orig)),
         ("r_recovered".into(), json::number(r_rec)),
@@ -285,19 +190,16 @@ fn verify_large(args: &Args, threads: usize, original: &Graph, recovered: &Graph
         ("d_sketch_gap".into(), json::number(d_gap)),
         ("analyze_s".into(), json::number(orig_s + rec_s)),
     ];
-    let out = args.out_dir.join("BENCH_metrics.json");
-    append_json_line(&out, &json::object(fields)).expect("append to BENCH_metrics.json");
-    println!("appended to {}", out.display());
+    args.record(fields);
 }
 
 fn main() {
-    let args = parse_args();
-    let threads = if args.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        args.threads
-    };
-    let (gen_s, small) = time_s(|| ba(args.n, args.seed));
+    let mut n = 5_000;
+    let args = PerfArgs::from_args(
+        "--full (add the 10^6-node run)  --n N (small-stage nodes, default 5000)",
+        vec![("--n", set(&mut n))],
+    );
+    let (gen_s, small) = time_s(|| ba(n, args.seed));
     println!(
         "small: BA n = {}, m = {}, generated in {gen_s:.2} s",
         small.node_count(),
@@ -313,6 +215,6 @@ fn main() {
             large.edge_count()
         );
         let recovered = mcmc_stage(&args, "mcmc_2k_large", &large, 60_000_000);
-        verify_large(&args, threads, &large, &recovered);
+        verify_large(&args, &large, &recovered);
     }
 }

@@ -19,101 +19,23 @@
 //!     [--full] [--n N] [--clients C] [--requests R] [--threads N] [--seed N] [--out DIR]
 //! ```
 
-use dk_bench::append_json_line;
-use dk_graph::{io as graph_io, Graph};
+use dk_bench::perf::{ba, mib, peak_rss_bytes, PerfArgs};
+use dk_bench::set;
+use dk_graph::io as graph_io;
 use dk_json::JsonValue;
 use dk_metrics::json;
 use dk_serve::{Client, Counters, Server, ServerConfig};
-use dk_topologies::ba::{barabasi_albert, BaParams};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Node count of the `--full` large-graph stage.
 const LARGE_N: usize = 200_000;
 
-struct Args {
-    full: bool,
+/// The binary's own flags.
+struct Workload {
     n: usize,
     clients: usize,
     requests: usize,
-    threads: usize,
-    seed: u64,
-    out_dir: PathBuf,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        full: false,
-        n: 20_000,
-        clients: 8,
-        requests: 150,
-        threads: 0,
-        seed: 20060911,
-        out_dir: PathBuf::from("results"),
-    };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let usage = || -> ! {
-        eprintln!(
-            "flags: --full (add the {LARGE_N}-node stage)  --n N (default 20000)\n       --clients C (default 8)  --requests R per client (default 150)\n       --threads N (0 = all cores)  --seed N  --out DIR (default results/)"
-        );
-        std::process::exit(2)
-    };
-    while i < raw.len() {
-        let flag = raw[i].as_str();
-        match flag {
-            "--full" => args.full = true,
-            "--n" | "--clients" | "--requests" | "--threads" | "--seed" | "--out" => {
-                i += 1;
-                let Some(value) = raw.get(i) else {
-                    eprintln!("error: {flag} needs a value");
-                    usage()
-                };
-                match flag {
-                    "--n" => args.n = value.parse().unwrap_or_else(|_| usage()),
-                    "--clients" => args.clients = value.parse().unwrap_or_else(|_| usage()),
-                    "--requests" => args.requests = value.parse().unwrap_or_else(|_| usage()),
-                    "--threads" => args.threads = value.parse().unwrap_or_else(|_| usage()),
-                    "--seed" => args.seed = value.parse().unwrap_or_else(|_| usage()),
-                    _ => args.out_dir = PathBuf::from(value),
-                }
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown flag {other:?}");
-                usage()
-            }
-        }
-        i += 1;
-    }
-    args
-}
-
-/// Process peak RSS in bytes (Linux `VmHWM`; `None` elsewhere).
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let kb: u64 = status
-        .lines()
-        .find(|l| l.starts_with("VmHWM:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()?;
-    Some(kb * 1024)
-}
-
-fn ba(n: usize, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    barabasi_albert(
-        &BaParams {
-            nodes: n,
-            edges_per_node: 2,
-            seed_nodes: 3,
-        },
-        &mut rng,
-    )
 }
 
 fn sock_path(tag: &str) -> PathBuf {
@@ -189,8 +111,9 @@ fn snapshot(c: &Counters) -> (u64, u64, u64, u64, u64) {
 
 /// The concurrent mixed-load stage: `clients × requests` requests, tail
 /// latencies, throughput, counter accounting.
-fn mixed_stage(args: &Args, threads: usize) {
-    let g = ba(args.n, args.seed);
+fn mixed_stage(args: &PerfArgs, work: &Workload) {
+    let threads = args.threads;
+    let g = ba(work.n, args.seed);
     let (n, m) = (g.node_count(), g.edge_count());
     let edges = std::env::temp_dir().join(format!("perf_serve_{}_g.edges", std::process::id()));
     graph_io::save_edge_list(&g, &edges).expect("write edge list");
@@ -209,16 +132,16 @@ fn mixed_stage(args: &Args, threads: usize) {
         .expect("load");
     assert!(is_ok(&load), "{load}");
 
-    let total = args.clients * args.requests;
+    let total = work.clients * work.requests;
     println!(
         "mixed: BA n = {n}, m = {m}, {} clients x {} requests = {total}, threads = {threads}",
-        args.clients, args.requests
+        work.clients, work.requests
     );
     let t0 = Instant::now();
-    let handles: Vec<_> = (0..args.clients)
+    let handles: Vec<_> = (0..work.clients)
         .map(|id| {
             let socket = config.socket.clone();
-            let requests = args.requests;
+            let requests = work.requests;
             std::thread::spawn(move || client_workload(&socket, requests, id))
         })
         .collect();
@@ -261,7 +184,7 @@ fn mixed_stage(args: &Args, threads: usize) {
         ("n".into(), n.to_string()),
         ("m".into(), m.to_string()),
         ("threads".into(), threads.to_string()),
-        ("clients".into(), args.clients.to_string()),
+        ("clients".into(), work.clients.to_string()),
         ("requests".into(), total.to_string()),
         ("time_s".into(), json::number(wall_s)),
         ("throughput_rps".into(), json::number(throughput)),
@@ -274,16 +197,15 @@ fn mixed_stage(args: &Args, threads: usize) {
         ("memo_hits".into(), memo_hits.to_string()),
         ("rejected".into(), rejected.to_string()),
     ];
-    let out = args.out_dir.join("BENCH_metrics.json");
-    append_json_line(&out, &json::object(fields)).expect("append to BENCH_metrics.json");
-    println!("appended to {}", out.display());
+    args.record(fields);
 }
 
 /// The coalescing barrage: every client fires the *same* cold-cache
 /// request at once; the counters prove most of them collapsed onto the
 /// leader's computation (or replayed its memoized result).
-fn coalesce_stage(args: &Args, threads: usize) {
-    let g = ba(args.n, args.seed + 1);
+fn coalesce_stage(args: &PerfArgs, work: &Workload) {
+    let threads = args.threads;
+    let g = ba(work.n, args.seed + 1);
     let (n, m) = (g.node_count(), g.edge_count());
     let edges = std::env::temp_dir().join(format!("perf_serve_{}_c.edges", std::process::id()));
     graph_io::save_edge_list(&g, &edges).expect("write edge list");
@@ -304,7 +226,7 @@ fn coalesce_stage(args: &Args, threads: usize) {
 
     // an expensive distinct key nothing has warmed: sampled distances
     let barrage = r#"{"op":"metric","graph":"g","metrics":"cheap","samples":48}"#;
-    let clients = args.clients.max(4);
+    let clients = work.clients.max(4);
     let t0 = Instant::now();
     let handles: Vec<_> = (0..clients)
         .map(|_| {
@@ -354,14 +276,13 @@ fn coalesce_stage(args: &Args, threads: usize) {
         ("coalesced".into(), coalesced.to_string()),
         ("memo_hits".into(), memo_hits.to_string()),
     ];
-    let out = args.out_dir.join("BENCH_metrics.json");
-    append_json_line(&out, &json::object(fields)).expect("append to BENCH_metrics.json");
-    println!("appended to {}", out.display());
+    args.record(fields);
 }
 
 /// The `--full` stage: a 200k-node graph behind the daemon — cold
 /// cheap-battery pass, warm repeat, and one attack sweep.
-fn large_stage(args: &Args, threads: usize) {
+fn large_stage(args: &PerfArgs) {
+    let threads = args.threads;
     let t_gen = Instant::now();
     let g = ba(LARGE_N, args.seed);
     let gen_s = t_gen.elapsed().as_secs_f64();
@@ -424,27 +345,31 @@ fn large_stage(args: &Args, threads: usize) {
         ("attack_s".into(), json::number(attack_s)),
     ];
     if let Some(p) = peak_rss_bytes() {
-        println!("peak RSS {:.0} MiB", p as f64 / (1 << 20) as f64);
-        fields.push((
-            "peak_rss_mb".into(),
-            json::number(p as f64 / (1 << 20) as f64),
-        ));
+        println!("peak RSS {:.0} MiB", mib(p));
+        fields.push(("peak_rss_mb".into(), json::number(mib(p))));
     }
-    let out = args.out_dir.join("BENCH_metrics.json");
-    append_json_line(&out, &json::object(fields)).expect("append to BENCH_metrics.json");
-    println!("appended to {}", out.display());
+    args.record(fields);
 }
 
 fn main() {
-    let args = parse_args();
-    let threads = if args.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        args.threads
+    let mut work = Workload {
+        n: 20_000,
+        clients: 8,
+        requests: 150,
     };
-    mixed_stage(&args, threads);
-    coalesce_stage(&args, threads);
+    let args = PerfArgs::from_args(
+        &format!(
+            "--full (add the {LARGE_N}-node stage)  --n N (default 20000)\n       --clients C (default 8)  --requests R per client (default 150)"
+        ),
+        vec![
+            ("--n", set(&mut work.n)),
+            ("--clients", set(&mut work.clients)),
+            ("--requests", set(&mut work.requests)),
+        ],
+    );
+    mixed_stage(&args, &work);
+    coalesce_stage(&args, &work);
     if args.full {
-        large_stage(&args, threads);
+        large_stage(&args);
     }
 }

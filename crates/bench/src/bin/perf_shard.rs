@@ -23,119 +23,22 @@
 //!     [--full] [--oracle-n N] [--threads N] [--seed N] [--out DIR]
 //! ```
 
-use dk_bench::append_json_line;
+use dk_bench::perf::{ba, mib, peak_rss_bytes, rss_now_bytes, time_s, PerfArgs};
+use dk_bench::set;
 use dk_graph::CsrGraph;
 use dk_metrics::{betweenness, json, stream, AnalysisCache, AnalyzeOptions, Analyzer};
-use dk_topologies::ba::{barabasi_albert, BaParams};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::path::PathBuf;
-use std::time::Instant;
 
 /// Pivot budget of the large run's sampled metrics.
 const SAMPLES: usize = 64;
 /// Node count of the `--full` large-graph run.
 const LARGE_N: usize = 1_000_000;
 
-struct Args {
-    full: bool,
-    oracle_n: usize,
-    threads: usize,
-    seed: u64,
-    out_dir: PathBuf,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        full: false,
-        oracle_n: 5_000,
-        threads: 0,
-        seed: 20060911,
-        out_dir: PathBuf::from("results"),
-    };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let usage = || -> ! {
-        eprintln!(
-            "flags: --full (add the 10^6-node streaming run)  --oracle-n N (default 5000)\n       --threads N (0 = all cores)  --seed N  --out DIR (default results/)"
-        );
-        std::process::exit(2)
-    };
-    while i < raw.len() {
-        let flag = raw[i].as_str();
-        match flag {
-            "--full" => args.full = true,
-            "--oracle-n" | "--threads" | "--seed" | "--out" => {
-                i += 1;
-                let Some(value) = raw.get(i) else {
-                    eprintln!("error: {flag} needs a value");
-                    usage()
-                };
-                match flag {
-                    "--oracle-n" => {
-                        args.oracle_n = value.parse().unwrap_or_else(|_| usage());
-                    }
-                    "--threads" => args.threads = value.parse().unwrap_or_else(|_| usage()),
-                    "--seed" => args.seed = value.parse().unwrap_or_else(|_| usage()),
-                    _ => args.out_dir = PathBuf::from(value),
-                }
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown flag {other:?}");
-                usage()
-            }
-        }
-        i += 1;
-    }
-    args
-}
-
-/// Process peak RSS in bytes (Linux `VmHWM`; `None` elsewhere).
-fn peak_rss_bytes() -> Option<u64> {
-    proc_status_bytes("VmHWM:")
-}
-
-/// Current process RSS in bytes (Linux `VmRSS`; `None` elsewhere).
-fn rss_now_bytes() -> Option<u64> {
-    proc_status_bytes("VmRSS:")
-}
-
-fn proc_status_bytes(key: &str) -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let kb: u64 = status
-        .lines()
-        .find(|l| l.starts_with(key))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()?;
-    Some(kb * 1024)
-}
-
-fn ba(n: usize, seed: u64) -> dk_graph::Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    barabasi_albert(
-        &BaParams {
-            nodes: n,
-            edges_per_node: 2,
-            seed_nodes: 3,
-        },
-        &mut rng,
-    )
-}
-
-fn time_s<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let t0 = Instant::now();
-    let out = std::hint::black_box(f());
-    (t0.elapsed().as_secs_f64(), out)
-}
-
 /// The fused pass at one thread (the oracle) vs the run's thread count
 /// at oracle-feasible scale: bit-identity asserted at the default and
 /// at a non-default shard count, both timed.
-fn oracle_stage(args: &Args, threads: usize) {
-    let g = ba(args.oracle_n, args.seed);
+fn oracle_stage(args: &PerfArgs, oracle_n: usize) {
+    let threads = args.threads;
+    let g = ba(oracle_n, args.seed);
     let csr = CsrGraph::from_graph(&g);
     println!(
         "oracle: BA n = {}, m = {}, threads = {threads}",
@@ -175,7 +78,7 @@ fn oracle_stage(args: &Args, threads: usize) {
         stream::DEFAULT_SHARDS
     );
 
-    let doc = json::object([
+    args.record([
         ("bench".into(), "\"shard_oracle\"".into()),
         ("n".into(), g.node_count().to_string()),
         ("m".into(), g.edge_count().to_string()),
@@ -186,22 +89,17 @@ fn oracle_stage(args: &Args, threads: usize) {
         ("bit_identical".into(), "true".into()),
         (
             "per_worker_mb".into(),
-            json::number(stream::per_worker_bytes(g.node_count()) as f64 / (1 << 20) as f64),
+            json::number(mib(stream::per_worker_bytes(g.node_count()))),
         ),
-        (
-            "csr_mb".into(),
-            json::number(csr.size_bytes() as f64 / (1 << 20) as f64),
-        ),
+        ("csr_mb".into(), json::number(mib(csr.size_bytes() as u64))),
     ]);
-    let out = args.out_dir.join("BENCH_metrics.json");
-    append_json_line(&out, &doc).expect("append to BENCH_metrics.json");
-    println!("appended to {}", out.display());
 }
 
 /// The 10⁶-node end-to-end streaming run: paper-default battery with the
 /// exact all-pairs columns swapped for their sampled twins (see the
 /// module docs), every traversal pass through the shard executor.
-fn large_stage(args: &Args, threads: usize) {
+fn large_stage(args: &PerfArgs) {
+    let threads = args.threads;
     let battery =
         "n,m,gcc_fraction,k_avg,r,c_mean,s,s2,kcore_max,distance_approx,betweenness_approx";
     let (gen_s, g) = time_s(|| ba(LARGE_N, args.seed));
@@ -250,13 +148,12 @@ fn large_stage(args: &Args, threads: usize) {
                     grown <= model,
                     "streamed pass grew RSS by {grown} B, over the {model} B model bound"
                 );
-                let mb = |x: u64| x as f64 / (1 << 20) as f64;
                 println!(
                     "memory model: streamed sampled pass grew RSS by {:.0} MiB (model bound {:.0} MiB)",
-                    mb(grown),
-                    mb(model)
+                    mib(grown),
+                    mib(model)
                 );
-                (Some(mb(model)), Some(mb(grown)))
+                (Some(mib(model)), Some(mib(grown)))
             }
             _ => (None, None),
         }
@@ -280,7 +177,7 @@ fn large_stage(args: &Args, threads: usize) {
     );
     let peak = peak_rss_bytes();
     if let Some(p) = peak {
-        println!("peak RSS {:.0} MiB", p as f64 / (1 << 20) as f64);
+        println!("peak RSS {:.0} MiB", mib(p));
     }
 
     let mut fields = vec![
@@ -297,13 +194,11 @@ fn large_stage(args: &Args, threads: usize) {
         ("analyze_s".into(), json::number(analyze_s)),
         (
             "per_worker_mb".into(),
-            json::number(stream::per_worker_bytes(g.node_count()) as f64 / (1 << 20) as f64),
+            json::number(mib(stream::per_worker_bytes(g.node_count()))),
         ),
         (
             "fixed_mb".into(),
-            json::number(
-                stream::fixed_bytes(g.node_count(), g.edge_count()) as f64 / (1 << 20) as f64,
-            ),
+            json::number(mib(stream::fixed_bytes(g.node_count(), g.edge_count()))),
         ),
         (
             "d_avg_approx".into(),
@@ -320,25 +215,19 @@ fn large_stage(args: &Args, threads: usize) {
         fields.push(("rss_probe_mb".into(), json::number(probe)));
     }
     if let Some(p) = peak {
-        fields.push((
-            "peak_rss_mb".into(),
-            json::number(p as f64 / (1 << 20) as f64),
-        ));
+        fields.push(("peak_rss_mb".into(), json::number(mib(p))));
     }
-    let out = args.out_dir.join("BENCH_metrics.json");
-    append_json_line(&out, &json::object(fields)).expect("append to BENCH_metrics.json");
-    println!("appended to {}", out.display());
+    args.record(fields);
 }
 
 fn main() {
-    let args = parse_args();
-    let threads = if args.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        args.threads
-    };
-    oracle_stage(&args, threads);
+    let mut oracle_n = 5_000;
+    let args = PerfArgs::from_args(
+        "--full (add the 10^6-node streaming run)  --oracle-n N (default 5000)",
+        vec![("--oracle-n", set(&mut oracle_n))],
+    );
+    oracle_stage(&args, oracle_n);
     if args.full {
-        large_stage(&args, threads);
+        large_stage(&args);
     }
 }

@@ -20,15 +20,11 @@
 //!     [--full] [--oracle-n N] [--bits B] [--threads N] [--seed N] [--out DIR]
 //! ```
 
-use dk_bench::append_json_line;
+use dk_bench::perf::{ba, mib, peak_rss_bytes, time_s, PerfArgs};
+use dk_bench::set;
 use dk_graph::CsrGraph;
 use dk_metrics::distance::DistanceDistribution;
 use dk_metrics::{json, sketch, AnalysisCache, AnalyzeOptions, Analyzer};
-use dk_topologies::ba::{barabasi_albert, BaParams};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::path::PathBuf;
-use std::time::Instant;
 
 /// Pivot budget of the sampled twin measured alongside the sketches.
 const SAMPLES: usize = 64;
@@ -37,108 +33,13 @@ const LARGE_N: usize = 1_000_000;
 /// Register bits of the oracle stage's accuracy sweep.
 const ORACLE_BITS: [u32; 3] = [6, 8, 10];
 
-struct Args {
-    full: bool,
-    oracle_n: usize,
-    /// Register bits of the `--full` large run (default 6: 64 MiB of
-    /// registers per file at 10⁶ nodes, ~13% per-counter error — the
-    /// CI-budget point; raise for accuracy at n·2^b bytes).
-    bits: u32,
-    threads: usize,
-    seed: u64,
-    out_dir: PathBuf,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        full: false,
-        oracle_n: 5_000,
-        bits: 6,
-        threads: 0,
-        seed: 20060911,
-        out_dir: PathBuf::from("results"),
-    };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let usage = || -> ! {
-        eprintln!(
-            "flags: --full (add the 10^6-node streaming run)  --oracle-n N (default 5000)\n       --bits B (large-run register bits, 4..=16, default 6)\n       --threads N (0 = all cores)  --seed N  --out DIR (default results/)"
-        );
-        std::process::exit(2)
-    };
-    while i < raw.len() {
-        let flag = raw[i].as_str();
-        match flag {
-            "--full" => args.full = true,
-            "--oracle-n" | "--bits" | "--threads" | "--seed" | "--out" => {
-                i += 1;
-                let Some(value) = raw.get(i) else {
-                    eprintln!("error: {flag} needs a value");
-                    usage()
-                };
-                match flag {
-                    "--oracle-n" => args.oracle_n = value.parse().unwrap_or_else(|_| usage()),
-                    "--bits" => {
-                        args.bits = value.parse().unwrap_or_else(|_| usage());
-                        if !(sketch::MIN_SKETCH_BITS..=sketch::MAX_SKETCH_BITS).contains(&args.bits)
-                        {
-                            eprintln!("error: --bits must lie in 4..=16");
-                            usage()
-                        }
-                    }
-                    "--threads" => args.threads = value.parse().unwrap_or_else(|_| usage()),
-                    "--seed" => args.seed = value.parse().unwrap_or_else(|_| usage()),
-                    _ => args.out_dir = PathBuf::from(value),
-                }
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown flag {other:?}");
-                usage()
-            }
-        }
-        i += 1;
-    }
-    args
-}
-
-/// Process peak RSS in bytes (Linux `VmHWM`; `None` elsewhere).
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let kb: u64 = status
-        .lines()
-        .find(|l| l.starts_with("VmHWM:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()?;
-    Some(kb * 1024)
-}
-
-fn ba(n: usize, seed: u64) -> dk_graph::Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    barabasi_albert(
-        &BaParams {
-            nodes: n,
-            edges_per_node: 2,
-            seed_nodes: 3,
-        },
-        &mut rng,
-    )
-}
-
-fn time_s<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let t0 = Instant::now();
-    let out = std::hint::black_box(f());
-    (t0.elapsed().as_secs_f64(), out)
-}
-
 /// Sketch vs exact oracle (and the sampled twin) at oracle-feasible
 /// scale: relative error of `d̄` at each register-bit count, asserted
 /// against the 3σ HLL bound, bit-identity of the sketch pass across
 /// thread counts asserted along the way.
-fn oracle_stage(args: &Args, threads: usize) {
-    let g = ba(args.oracle_n, args.seed);
+fn oracle_stage(args: &PerfArgs, oracle_n: usize) {
+    let threads = args.threads;
+    let g = ba(oracle_n, args.seed);
     let csr = CsrGraph::from_graph(&g);
     println!(
         "oracle: BA n = {}, m = {}, threads = {threads}",
@@ -193,18 +94,18 @@ fn oracle_stage(args: &Args, threads: usize) {
         fields.push((format!("sketch_err_b{bits}"), json::number(err)));
         fields.push((format!("sketch_s_b{bits}"), json::number(sketch_s)));
     }
-    let out = args.out_dir.join("BENCH_metrics.json");
-    append_json_line(&out, &json::object(fields)).expect("append to BENCH_metrics.json");
-    println!("appended to {}", out.display());
+    args.record(fields);
 }
 
 fn stream_shards() -> usize {
     dk_metrics::stream::DEFAULT_SHARDS
 }
 
-/// The 10⁶-node end-to-end run: the sketch distance battery (plus the
-/// sampled twin for comparison) through the analyzer.
-fn large_stage(args: &Args, threads: usize) {
+/// The 10⁶-node end-to-end run at `bits` register bits: the sketch
+/// distance battery (plus the sampled twin for comparison) through the
+/// analyzer.
+fn large_stage(args: &PerfArgs, bits: u32) {
+    let threads = args.threads;
     let battery = "n,m,k_avg,distance_approx,avg_distance_sketch,effective_diameter_sketch";
     let (gen_s, g) = time_s(|| ba(LARGE_N, args.seed));
     println!(
@@ -218,7 +119,7 @@ fn large_stage(args: &Args, threads: usize) {
         &AnalyzeOptions {
             threads,
             samples: SAMPLES,
-            sketch_bits: args.bits,
+            sketch_bits: bits,
             ..Default::default()
         },
     )
@@ -228,7 +129,7 @@ fn large_stage(args: &Args, threads: usize) {
         .expect("battery names are registered")
         .threads(threads)
         .sample_sources(SAMPLES)
-        .sketch_bits(args.bits);
+        .sketch_bits(bits);
     let (analyze_s, report) = time_s(|| analyzer.analyze(&g));
     let scalar = |name: &str| report.scalar(name).unwrap_or(f64::NAN);
     let d_sketch = scalar("avg_distance_sketch");
@@ -240,12 +141,12 @@ fn large_stage(args: &Args, threads: usize) {
          effective_diameter_sketch = {:.3}",
         plan.shards,
         plan.workers,
-        args.bits,
+        bits,
         scalar("effective_diameter_sketch"),
     );
     let peak = peak_rss_bytes();
     if let Some(p) = peak {
-        println!("peak RSS {:.0} MiB", p as f64 / (1 << 20) as f64);
+        println!("peak RSS {:.0} MiB", mib(p));
     }
 
     let mut fields = vec![
@@ -253,7 +154,7 @@ fn large_stage(args: &Args, threads: usize) {
         ("n".into(), g.node_count().to_string()),
         ("m".into(), g.edge_count().to_string()),
         ("threads".into(), threads.to_string()),
-        ("bits".into(), args.bits.to_string()),
+        ("bits".into(), bits.to_string()),
         ("samples".into(), SAMPLES.to_string()),
         ("shards".into(), plan.shards.to_string()),
         ("workers".into(), plan.workers.to_string()),
@@ -270,29 +171,37 @@ fn large_stage(args: &Args, threads: usize) {
         ),
         (
             "register_file_mb".into(),
-            json::number(sketch::sketch_bytes(g.node_count(), args.bits) as f64 / (1 << 20) as f64),
+            json::number(mib(sketch::sketch_bytes(g.node_count(), bits))),
         ),
     ];
     if let Some(p) = peak {
-        fields.push((
-            "peak_rss_mb".into(),
-            json::number(p as f64 / (1 << 20) as f64),
-        ));
+        fields.push(("peak_rss_mb".into(), json::number(mib(p))));
     }
-    let out = args.out_dir.join("BENCH_metrics.json");
-    append_json_line(&out, &json::object(fields)).expect("append to BENCH_metrics.json");
-    println!("appended to {}", out.display());
+    args.record(fields);
 }
 
 fn main() {
-    let args = parse_args();
-    let threads = if args.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        args.threads
-    };
-    oracle_stage(&args, threads);
+    let mut oracle_n = 5_000;
+    // large-run register bits: 6 is 64 MiB of registers per file at 10⁶
+    // nodes, ~13% per-counter error — the CI-budget point; raise for
+    // accuracy at n·2^b bytes
+    let mut bits = 6;
+    let args = PerfArgs::from_args(
+        &format!(
+            "--full (add the 10^6-node streaming run)  --oracle-n N (default 5000)\n       --bits B (large-run register bits, {}..={}, default 6)",
+            sketch::MIN_SKETCH_BITS,
+            sketch::MAX_SKETCH_BITS
+        ),
+        vec![
+            ("--oracle-n", set(&mut oracle_n)),
+            (
+                "--bits",
+                Box::new(|v: &str| v.parse().ok().and_then(sketch::checked_bits).map(|b| bits = b).is_some()),
+            ),
+        ],
+    );
+    oracle_stage(&args, oracle_n);
     if args.full {
-        large_stage(&args, threads);
+        large_stage(&args, bits);
     }
 }

@@ -16,16 +16,6 @@ use dk_graph::Graph;
 use dk_metrics::{Analyzer, EnsembleSummary};
 use rand::rngs::StdRng;
 
-/// Runs `job(replica, rng)` for every configured seed, in parallel over
-/// `cfg.threads` workers, returning results in replica order.
-pub fn run<T, F>(cfg: &Config, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64, &mut StdRng) -> T + Sync,
-{
-    dk_core::ensemble::run(cfg.seeds, cfg.master_seed, cfg.threads, job)
-}
-
 /// Runs `make` once per seed and summarizes the analyzer's battery:
 /// per-metric mean/std/min/max over the ensemble.
 ///

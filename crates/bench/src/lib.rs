@@ -13,7 +13,9 @@
 //!   (per-metric mean/std/min/max, per-degree / per-distance series
 //!   means);
 //! * [`csv`] — series CSV output (tables use the shared
-//!   `dk_metrics::MetricTable` formatter).
+//!   `dk_metrics::MetricTable` formatter);
+//! * [`perf`] — the shared harness of the `perf_*` binaries (flags,
+//!   seeded input, timing, RSS, `BENCH_metrics.json` records).
 //!
 //! Paper-scale notes: the paper averages over 100 graphs; the default
 //! here is 5 seeds at CI scale so every experiment finishes in minutes —
@@ -25,6 +27,7 @@
 pub mod csv;
 pub mod ensemble;
 pub mod inputs;
+pub mod perf;
 pub mod variants;
 
 use std::path::PathBuf;
@@ -41,7 +44,7 @@ pub struct Config {
     /// Master seed; per-run seeds derive from it.
     pub master_seed: u64,
     /// Ensemble worker threads (`0` = all available cores). Any value
-    /// produces identical results — see [`ensemble::run`].
+    /// produces identical results — see [`dk_graph::ensemble::run`].
     pub threads: usize,
 }
 
@@ -65,64 +68,80 @@ impl Config {
     /// silently ignored would corrupt experiments).
     pub fn from_args() -> Config {
         let mut cfg = Config::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--full" => cfg.full = true,
-                "--seeds" => {
-                    i += 1;
-                    cfg.seeds = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--seeds needs a number"));
-                }
-                "--seed" => {
-                    i += 1;
-                    cfg.master_seed = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--seed needs a number"));
-                }
-                "--threads" => {
-                    i += 1;
-                    cfg.threads = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--threads needs a number"));
-                }
-                "--out" => {
-                    i += 1;
-                    cfg.out_dir = args
-                        .get(i)
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| usage("--out needs a path"));
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --full (paper scale)  --seeds N (ensemble size, default 5)\n       --seed N (master seed)   --out DIR (default results/)\n       --threads N (ensemble workers, default 0 = all cores)"
-                    );
-                    std::process::exit(0);
-                }
-                other => usage(&format!("unknown flag {other:?}")),
+        let parsed = parse_flags(
+            &mut cfg.full,
+            &mut [
+                ("--seeds", set(&mut cfg.seeds)),
+                ("--seed", set(&mut cfg.master_seed)),
+                ("--threads", set(&mut cfg.threads)),
+                ("--out", set(&mut cfg.out_dir)),
+            ],
+        );
+        match parsed {
+            Ok(()) => {}
+            Err(FlagError::Help) => {
+                eprintln!(
+                    "flags: --full (paper scale)  --seeds N (ensemble size, default 5)\n       --seed N (master seed)   --out DIR (default results/)\n       --threads N (ensemble workers, default 0 = all cores)"
+                );
+                std::process::exit(0);
             }
-            i += 1;
+            Err(FlagError::Refused(msg)) => {
+                eprintln!("error: {msg}\nrun with --help for flags");
+                std::process::exit(2)
+            }
         }
         std::fs::create_dir_all(&cfg.out_dir).expect("create output dir");
         cfg
     }
 
     /// Derives the i-th run seed from the master seed. Delegates to
-    /// [`dk_core::ensemble::derive_seed`] so hand-rolled loops and the
+    /// [`dk_graph::ensemble::derive_seed`] so hand-rolled loops and the
     /// parallel runner agree replica by replica.
     pub fn run_seed(&self, i: u64) -> u64 {
-        dk_core::ensemble::derive_seed(self.master_seed, i)
+        dk_graph::ensemble::derive_seed(self.master_seed, i)
     }
 }
 
-fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}\nrun with --help for flags");
-    std::process::exit(2)
+/// Stores one flag value; `false` when the value does not parse.
+pub type Setter<'a> = Box<dyn FnMut(&str) -> bool + 'a>;
+
+/// A [`Setter`] that parses the value into `slot`.
+pub fn set<T: std::str::FromStr>(slot: &mut T) -> Setter<'_> {
+    Box::new(move |v| v.parse().map(|x| *slot = x).is_ok())
+}
+
+/// Why [`parse_flags`] refused a command line.
+enum FlagError {
+    /// `-h` / `--help`.
+    Help,
+    /// An unknown flag, a missing value or a value that does not parse.
+    Refused(String),
+}
+
+/// The one flag loop of the bench binaries ([`Config::from_args`] and
+/// [`perf::PerfArgs::from_args`]): `--full` is the only switch, and
+/// each flag named in `values` takes the next argument, which its
+/// setter must accept.
+fn parse_flags(full: &mut bool, values: &mut [(&str, Setter<'_>)]) -> Result<(), FlagError> {
+    let mut raw = std::env::args().skip(1);
+    while let Some(flag) = raw.next() {
+        match flag.as_str() {
+            "--full" => *full = true,
+            "--help" | "-h" => return Err(FlagError::Help),
+            _ => {
+                let Some((_, setter)) = values.iter_mut().find(|(name, _)| *name == flag) else {
+                    return Err(FlagError::Refused(format!("unknown flag {flag:?}")));
+                };
+                let Some(value) = raw.next() else {
+                    return Err(FlagError::Refused(format!("{flag} needs a value")));
+                };
+                if !setter(&value) {
+                    return Err(FlagError::Refused(format!("bad {flag} value {value:?}")));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Writes a text artifact, creating parent dirs — so every emitter is

@@ -31,7 +31,9 @@ use dk_core::generate::rewire::{randomize, RewireOptions, SwapBudget};
 use dk_core::generate::Generator;
 use dk_core::{census, io as dist_io};
 use dk_graph::{io as graph_io, GraphError};
-use dk_metrics::{json, Analyzer, AnyMetric, AttackOptions, GccPolicy, MetricTable, Strategy};
+use dk_metrics::{
+    json, sketch, Analyzer, AnyMetric, AttackOptions, GccPolicy, MetricTable, Strategy,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
@@ -223,8 +225,8 @@ pub struct MetricsOptions {
     /// (`None` = the analyzer default, 64).
     pub samples: Option<usize>,
     /// `--sketch-bits B`: HyperLogLog register bits for the sketch
-    /// `*_sketch` metrics, validated into `4..=16` at parse time
-    /// (`None` = the analyzer default, 8).
+    /// `*_sketch` metrics, range-checked at parse time by
+    /// [`parse_sketch_bits`] (`None` = the analyzer default, 8).
     pub sketch_bits: Option<u32>,
     /// `--shards N`: source shard count for the all-pairs/sampled
     /// traversal passes; it fixes the merge tree of the betweenness
@@ -261,17 +263,22 @@ pub fn parse_memory_budget(s: &str) -> Result<u64, String> {
         .ok_or_else(bad)
 }
 
-/// Parses a `--sketch-bits` value: a register-bit count in `4..=16`
-/// (each analyzed node carries `2^B` one-byte registers, so `B` outside
-/// that window is either statistically useless or a memory foot-gun).
+/// Parses a `--sketch-bits` value: a register-bit count accepted by
+/// [`sketch::checked_bits`] (each analyzed node carries `2^B` one-byte
+/// registers, so `B` outside that window is either statistically
+/// useless or a memory foot-gun).
 pub fn parse_sketch_bits(s: &str) -> Result<u32, String> {
-    match s.parse::<u32>() {
-        Ok(b) if (4..=16).contains(&b) => Ok(b),
-        _ => Err(format!(
-            "bad --sketch-bits {s:?}: need a register-bit count in 4..=16 \
-             (e.g. --sketch-bits 8; error ~1.04/sqrt(2^B), memory n*2^B bytes)"
-        )),
-    }
+    s.parse()
+        .ok()
+        .and_then(sketch::checked_bits)
+        .ok_or_else(|| {
+            format!(
+                "bad --sketch-bits {s:?}: need a register-bit count in {}..={} \
+             (e.g. --sketch-bits 8; error ~1.04/sqrt(2^B), memory n*2^B bytes)",
+                sketch::MIN_SKETCH_BITS,
+                sketch::MAX_SKETCH_BITS
+            )
+        })
 }
 
 /// Parses a `--shards` value: a positive shard count.

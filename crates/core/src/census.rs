@@ -113,8 +113,7 @@ fn swap_ok(
     c: u32,
     d: u32,
 ) -> bool {
-    // endpoints come from the edge list; see rewiring's swap_valid
-    if a == d || c == b || g.has_edge_fast(a, d) || g.has_edge_fast(c, b) {
+    if a == d || c == b || g.has_edge_indexed(a, d) || g.has_edge_indexed(c, b) {
         return false;
     }
     if dk >= 2 && !(g.degree(b) == g.degree(d) || g.degree(a) == g.degree(c)) {

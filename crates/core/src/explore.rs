@@ -108,10 +108,7 @@ pub fn explore_1k_likelihood<R: Rng + ?Sized>(
         let (a, b) = g.edge_at(i);
         let e2 = g.edge_at(j);
         let (c, d) = if rng.gen_bool(0.5) { e2 } else { (e2.1, e2.0) };
-        // endpoints come from the edge list — skip id revalidation in
-        // the per-attempt membership test (same argument as rewiring's
-        // swap_valid)
-        if a == d || c == b || g.has_edge_fast(a, d) || g.has_edge_fast(c, b) {
+        if a == d || c == b || g.has_edge_indexed(a, d) || g.has_edge_indexed(c, b) {
             continue;
         }
         let delta = kd(a) * kd(d) + kd(c) * kd(b) - kd(a) * kd(b) - kd(c) * kd(d);
@@ -276,7 +273,7 @@ pub fn explore_custom<R: Rng + ?Sized, F: Fn(&Graph) -> f64>(
             let (a, b) = g.edge_at(i);
             let e2 = g.edge_at(j);
             let (c, dd) = if rng.gen_bool(0.5) { e2 } else { (e2.1, e2.0) };
-            if a == dd || c == b || g.has_edge_fast(a, dd) || g.has_edge_fast(c, b) {
+            if a == dd || c == b || g.has_edge_indexed(a, dd) || g.has_edge_indexed(c, b) {
                 None
             } else {
                 Some((a, b, c, dd))

@@ -57,7 +57,7 @@ pub mod target;
 use crate::constraints::{NoConstraint, RewireConstraint};
 use crate::dist::AnyDist;
 use dk_graph::multigraph::Badness;
-use dk_graph::{Graph, GraphError};
+use dk_graph::{ensemble, Graph, GraphError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -487,7 +487,7 @@ impl Generator {
     }
 
     /// Lazy ensemble: replica `i` is built with the derived seed
-    /// [`crate::ensemble::derive_seed`]`(seed, i)`, so any subset of
+    /// [`ensemble::derive_seed`]`(seed, i)`, so any subset of
     /// replicas can be regenerated independently — and the parallel
     /// runner ([`Generator::sample_ensemble`]) produces *identical*
     /// graphs in any thread configuration.
@@ -497,7 +497,7 @@ impl Generator {
         replicas: u64,
     ) -> impl Iterator<Item = Result<Generated, GenError>> + 'a {
         (0..replicas).map(move |i| {
-            let mut rng = StdRng::seed_from_u64(crate::ensemble::derive_seed(self.seed, i));
+            let mut rng = StdRng::seed_from_u64(ensemble::derive_seed(self.seed, i));
             self.build_with_rng(dist, &mut rng)
         })
     }
@@ -512,7 +512,7 @@ impl Generator {
         replicas: u64,
         threads: usize,
     ) -> Vec<Result<Generated, GenError>> {
-        crate::ensemble::run(replicas, self.seed, threads, |_i, rng| {
+        ensemble::run(replicas, self.seed, threads, |_i, rng| {
             self.build_with_rng(dist, rng)
         })
     }

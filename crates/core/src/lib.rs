@@ -82,7 +82,6 @@ pub mod annotate;
 pub mod census;
 pub mod constraints;
 pub mod dist;
-pub mod ensemble;
 pub mod explore;
 pub mod generate;
 pub mod io;

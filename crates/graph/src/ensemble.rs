@@ -10,7 +10,7 @@
 //! The module lives in `dk-graph` (the workspace root crate) so that both
 //! the generation stack (`dk_core::generate::Generator`) and the analysis
 //! stack (`dk_metrics::Analyzer`) can share it without a dependency
-//! cycle; `dk_core::ensemble` re-exports it under its historical path.
+//! cycle.
 //!
 //! ## Determinism contract
 //!

@@ -193,40 +193,15 @@ impl Graph {
         self.adj[a as usize].binary_search(&b).is_ok()
     }
 
-    /// Membership test without node-id validation, O(log deg(min(u, v))).
-    ///
-    /// The rewiring inner loop calls a membership test on every one of
-    /// its ~50·m attempts with endpoints that are *already known valid*
-    /// (sampled from the edge list or from `0..n`); re-validating both
-    /// ids there is measurable overhead. Bounds are still debug-asserted,
-    /// and out-of-range ids panic via slice indexing in release too —
-    /// this trades [`Graph::has_edge`]'s graceful `false` for speed, not
-    /// safety.
-    ///
-    /// # Panics
-    /// Panics if `u` or `v` is out of range.
-    #[inline]
-    pub fn has_edge_fast(&self, u: NodeId, v: NodeId) -> bool {
-        debug_assert!(
-            self.has_node(u) && self.has_node(v),
-            "has_edge_fast on out-of-range endpoint ({u}, {v})"
-        );
-        let (a, b) = if self.adj[u as usize].len() <= self.adj[v as usize].len() {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.adj[a as usize].binary_search(&b).is_ok()
-    }
-
     /// Membership test through the canonical edge index, O(1).
     ///
     /// Every mutation already maintains `edge_index` (a
     /// deterministic-hasher map from canonical edge to its position in
     /// the edge list), so membership is one hash probe regardless of
-    /// degree. The MCMC swap engine validates two presence queries per
-    /// proposal at 10⁶-node scale, where hub degrees make even the
-    /// O(log deg) binary search of [`Graph::has_edge_fast`] measurable.
+    /// degree. The swap loops (MCMC proposals, rewiring, the rewiring
+    /// census, the 2K-space explorer) validate two presence queries per
+    /// attempt at 10⁶-node scale, where hub degrees make even the
+    /// O(log deg) binary search of [`Graph::has_edge`] measurable.
     /// Out-of-range ids simply hash to an absent key, so this never
     /// panics.
     #[inline]
@@ -628,11 +603,14 @@ mod tests {
     }
 
     #[test]
-    fn has_edge_fast_matches_has_edge_on_valid_ids() -> Result<(), GraphError> {
-        let g = Graph::from_edges(5, [(0, 1), (0, 2), (0, 3), (4, 1), (4, 2)])?;
-        for u in 0..5u32 {
-            for v in 0..5 {
-                assert_eq!(g.has_edge(u, v), g.has_edge_fast(u, v), "({u}, {v})");
+    fn has_edge_indexed_matches_has_edge() -> Result<(), GraphError> {
+        let mut g = Graph::from_edges(5, [(0, 1), (0, 2), (0, 3), (4, 1), (4, 2)])?;
+        // the index must follow mutations, and out-of-range ids answer
+        // `false` on both paths
+        g.remove_edge(0, 2)?;
+        for u in 0..7u32 {
+            for v in [0, 1, 2, 3, 4, 5, 6, NodeId::MAX] {
+                assert_eq!(g.has_edge(u, v), g.has_edge_indexed(u, v), "({u}, {v})");
             }
         }
         Ok(())

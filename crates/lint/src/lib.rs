@@ -2,7 +2,7 @@
 //!
 //! Every result in this reproduction rests on bit-for-bit
 //! reproducibility contracts (identical output across thread counts
-//! and, for the integer reducers, shard counts — see `DESIGN.md` and
+//! and, for the integer reducers, shard counts — see `LINTS.md` and
 //! the `csr_equivalence` / `stream_equivalence` / `sketch_tolerance`
 //! harnesses). Those contracts are enforced *after the fact* by
 //! equivalence tests; `dk-lint` enforces them **at the source level**,

@@ -492,8 +492,22 @@ mod tests {
     fn default_battery_matches_selection() {
         let a = Analyzer::new();
         assert_eq!(a.selected(), AnyMetric::default_set().as_slice());
-        let rep = a.analyze(&builders::karate_club());
-        assert_eq!(rep.records.len(), a.selected().len());
+        for g in [builders::karate_club(), Graph::new()] {
+            let rep = a.analyze(&g);
+            let (n, m) = (g.node_count() as f64, g.edge_count() as f64);
+            assert_eq!(rep.records.len(), a.selected().len());
+            assert_eq!(rep.scalar("n"), Some(n));
+            assert_eq!(rep.scalar("gcc_fraction"), Some(1.0));
+            let k_avg = if n > 0.0 { 2.0 * m / n } else { 0.0 };
+            assert!(rep
+                .scalar("k_avg")
+                .is_some_and(|k| (k - k_avg).abs() < 1e-12));
+            // betweenness is opt-in; the spectrum needs edges
+            assert!(rep.record("b_max").is_none());
+            let spectrum = rep.scalar("lambda1").zip(rep.scalar("lambda_n"));
+            assert_eq!(spectrum.is_some(), m > 0.0);
+            assert!(spectrum.is_none_or(|(l1, ln)| l1 > 0.0 && ln <= 2.0));
+        }
     }
 
     #[test]

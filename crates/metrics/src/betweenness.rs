@@ -83,20 +83,8 @@ pub fn betweenness_and_distances_sharded(
     )
 }
 
-/// The fused pass over `Graph`'s `Vec<Vec<_>>` adjacency directly, with
-/// **no** CSR snapshot.
-///
-/// This is the seed implementation's memory-access pattern, retained
-/// deliberately as (a) the baseline the `csr_bench`/`perf_csr` benches
-/// measure the snapshot against and (b) the equivalence oracle for the
-/// CSR port (results are bit-identical — same neighbor order, same
-/// chunking, same merge order). Analysis code should not call this.
-pub fn betweenness_and_distances_adjacency(g: &Graph, threads: usize) -> FusedTraversal {
-    fused_traversal(g, threads)
-}
-
-/// Exact fused traversal over any adjacency view.
-fn fused_traversal<V: AdjacencyView + ?Sized>(g: &V, threads: usize) -> FusedTraversal {
+/// Exact fused traversal over a CSR snapshot.
+fn fused_traversal(g: &CsrGraph, threads: usize) -> FusedTraversal {
     let n = g.node_count();
     if n == 0 {
         return FusedTraversal::empty();
@@ -566,24 +554,6 @@ mod tests {
         let empty = betweenness_and_distances(&Graph::new());
         assert!(empty.betweenness.is_empty());
         assert_eq!(empty.distances.nodes, 0);
-    }
-
-    #[test]
-    fn csr_pass_bit_identical_to_adjacency_pass() {
-        // the CSR port must not change a single bit: same neighbor
-        // order, same chunking, same merge order
-        for g in [
-            builders::karate_club(),
-            builders::grid(5, 7),
-            Graph::from_edges(5, [(0, 1), (1, 2), (3, 4)]).unwrap(),
-        ] {
-            for threads in [1, 3] {
-                let csr = betweenness_and_distances_with_threads(&g, threads);
-                let adj = betweenness_and_distances_adjacency(&g, threads);
-                assert_eq!(csr.betweenness, adj.betweenness);
-                assert_eq!(csr.distances, adj.distances);
-            }
-        }
     }
 
     #[test]

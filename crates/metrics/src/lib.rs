@@ -56,9 +56,6 @@
 //! | rich-club connectivity | [`richclub`] | — (beyond-paper check) |
 //! | attack/failure percolation | [`attack`] | — (robustness study) |
 //!
-//! [`report::MetricReport`] — the historical fixed-field scalar battery —
-//! survives as a thin wrapper over the analyzer.
-//!
 //! ## Conventions
 //!
 //! * All metrics are computed on the **giant connected component** by
@@ -112,6 +109,6 @@ pub use analyzer::{Analyzer, EnsembleSummary, ScalarSummary};
 pub use attack::{AttackOptions, AttackReport, Checkpoint, Strategy};
 pub use cache::{AnalysisCache, AnalyzeOptions, GccPolicy};
 pub use metric::{AnyMetric, Metric, MetricValue};
-pub use report::{MetricReport, Report};
+pub use report::Report;
 pub use stream::ExecPlan;
 pub use table::MetricTable;

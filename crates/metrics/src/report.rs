@@ -1,17 +1,12 @@
-//! Structured analysis reports (and the legacy scalar battery wrapper).
+//! Structured analysis reports.
 //!
 //! A [`Report`] is what [`Analyzer::analyze`](crate::analyzer::Analyzer::analyze)
 //! returns: a graph summary plus one [`MetricValue`] per selected metric,
 //! in selection order. It renders as an aligned text block
 //! ([`Report::to_text`]) or as machine-readable JSON ([`Report::to_json`],
-//! hand-rolled — the workspace builds offline without serde).
-//!
-//! [`MetricReport`] — the fixed-field scalar battery every pre-facade
-//! call site used — survives as a thin compatibility wrapper that runs
-//! the analyzer and copies scalars out. New code should use
-//! [`Analyzer`] directly.
+//! hand-rolled — the workspace builds offline without serde). Several
+//! reports side by side render through [`MetricTable`](crate::table::MetricTable).
 
-use crate::analyzer::Analyzer;
 use crate::json;
 use crate::metric::{AnyMetric, MetricValue};
 
@@ -160,227 +155,10 @@ fn fmt_scalar(x: f64) -> String {
     }
 }
 
-// ---------------------------------------------------------------------
-// Legacy fixed-field battery (thin wrapper over the analyzer)
-// ---------------------------------------------------------------------
-
-/// Which (potentially expensive) metric families to compute.
-///
-/// Legacy knob set, retained for the [`MetricReport`] wrapper; new code
-/// selects metrics by name on [`Analyzer`].
-#[derive(Clone, Copy, Debug)]
-pub struct ReportOptions {
-    /// Compute `λ1`/`λ_{n−1}` (Jacobi/Lanczos).
-    pub spectral: bool,
-    /// Lanczos budget for graphs above the dense cutoff.
-    pub lanczos_iter: usize,
-    /// Compute the exact distance distribution (all-source BFS).
-    pub distances: bool,
-    /// Compute max normalized betweenness (all-source Brandes).
-    pub betweenness: bool,
-}
-
-impl Default for ReportOptions {
-    fn default() -> Self {
-        ReportOptions {
-            spectral: true,
-            lanczos_iter: 300,
-            distances: true,
-            betweenness: false,
-        }
-    }
-}
-
-impl ReportOptions {
-    /// The equivalent analyzer (same metric selection, same GCC policy).
-    pub fn to_analyzer(&self) -> Analyzer {
-        let mut names = vec!["n", "m", "gcc_fraction", "k_avg", "r", "c_mean", "s", "s2"];
-        if self.distances {
-            names.extend(["d_avg", "d_std"]);
-        }
-        if self.spectral {
-            names.extend(["lambda1", "lambda_n"]);
-        }
-        if self.betweenness {
-            names.push("b_max");
-        }
-        Analyzer::new()
-            .metrics(names.iter().map(|n| AnyMetric::get(n).expect("registered")))
-            .lanczos_iter(self.lanczos_iter)
-    }
-}
-
-/// Scalar metric battery of one graph (computed on its GCC).
-///
-/// Thin compatibility wrapper: construction dispatches through
-/// [`Analyzer`] (shared-computation cache included) and copies the
-/// scalars into the historical fixed fields.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MetricReport {
-    /// Nodes in the GCC.
-    pub nodes: usize,
-    /// Edges in the GCC.
-    pub edges: usize,
-    /// Fraction of the original nodes retained by the GCC.
-    pub gcc_fraction: f64,
-    /// Average degree `k̄` (of the GCC).
-    pub k_avg: f64,
-    /// Assortativity coefficient `r`.
-    pub assortativity: f64,
-    /// Mean clustering `C̄` (degree ≥ 2 convention).
-    pub mean_clustering: f64,
-    /// Average distance `d̄` (None if distances were not computed).
-    pub avg_distance: Option<f64>,
-    /// Distance standard deviation `σ_d`.
-    pub distance_std: Option<f64>,
-    /// Likelihood `S`.
-    pub likelihood_s: f64,
-    /// Second-order likelihood `S2`.
-    pub likelihood_s2: f64,
-    /// Smallest nonzero normalized-Laplacian eigenvalue `λ1`.
-    pub lambda1: Option<f64>,
-    /// Largest normalized-Laplacian eigenvalue `λ_{n−1}`.
-    pub lambda_max: Option<f64>,
-    /// Maximum normalized betweenness (None unless requested).
-    pub max_betweenness: Option<f64>,
-}
-
-impl MetricReport {
-    /// Full battery with default options.
-    pub fn compute(g: &dk_graph::Graph) -> Self {
-        Self::compute_with(g, &ReportOptions::default())
-    }
-
-    /// Battery with explicit options. The graph may be disconnected; the
-    /// GCC is extracted internally.
-    pub fn compute_with(g: &dk_graph::Graph, opts: &ReportOptions) -> Self {
-        Self::from_report(&opts.to_analyzer().analyze(g))
-    }
-
-    /// Cheap subset (no distances/spectral/betweenness) — used inside
-    /// rewiring convergence probes where the battery runs repeatedly.
-    pub fn compute_cheap(g: &dk_graph::Graph) -> Self {
-        Self::compute_with(
-            g,
-            &ReportOptions {
-                spectral: false,
-                distances: false,
-                betweenness: false,
-                lanczos_iter: 0,
-            },
-        )
-    }
-
-    /// Copies the battery scalars out of a structured [`Report`]
-    /// (missing metrics become zeros/`None`s).
-    pub fn from_report(rep: &Report) -> Self {
-        let s = |name: &str| rep.scalar(name);
-        MetricReport {
-            nodes: s("n").map_or(0, |x| x as usize),
-            edges: s("m").map_or(0, |x| x as usize),
-            gcc_fraction: s("gcc_fraction").unwrap_or(1.0),
-            k_avg: s("k_avg").unwrap_or(0.0),
-            assortativity: s("r").unwrap_or(0.0),
-            mean_clustering: s("c_mean").unwrap_or(0.0),
-            avg_distance: s("d_avg"),
-            distance_std: s("d_std"),
-            likelihood_s: s("s").unwrap_or(0.0),
-            likelihood_s2: s("s2").unwrap_or(0.0),
-            lambda1: s("lambda1"),
-            lambda_max: s("lambda_n"),
-            max_betweenness: s("b_max"),
-        }
-    }
-
-    /// Paper-style table row: `k̄  r  C̄  d̄  σd  λ1  λn-1`.
-    pub fn table_row(&self) -> String {
-        fn opt(v: Option<f64>) -> String {
-            v.map_or_else(|| "-".into(), |x| format!("{x:.3}"))
-        }
-        format!(
-            "{:>8.2} {:>8.3} {:>8.3} {:>8} {:>8} {:>8} {:>8}",
-            self.k_avg,
-            self.assortativity,
-            self.mean_clustering,
-            opt(self.avg_distance),
-            opt(self.distance_std),
-            opt(self.lambda1),
-            opt(self.lambda_max),
-        )
-    }
-
-    /// Header matching [`MetricReport::table_row`].
-    pub fn table_header() -> String {
-        format!(
-            "{:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-            "k_avg", "r", "C_mean", "d_avg", "d_std", "l1", "ln-1"
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use dk_graph::{builders, Graph};
-
-    #[test]
-    fn full_battery_on_karate() {
-        let r = MetricReport::compute(&builders::karate_club());
-        assert_eq!(r.nodes, 34);
-        assert_eq!(r.edges, 78);
-        assert_eq!(r.gcc_fraction, 1.0);
-        assert!((r.k_avg - 2.0 * 78.0 / 34.0).abs() < 1e-12);
-        assert!(r.assortativity < -0.4);
-        assert!(r.mean_clustering > 0.4); // known ≈ 0.59 (deg ≥ 2 nodes)
-        assert!(r.avg_distance.unwrap() > 2.0 && r.avg_distance.unwrap() < 3.0);
-        assert!(r.lambda1.unwrap() > 0.0);
-        assert!(r.lambda_max.unwrap() <= 2.0);
-        assert!(r.max_betweenness.is_none());
-    }
-
-    #[test]
-    fn gcc_extraction_is_applied() {
-        // path(4) plus 2 isolated nodes: metrics must describe the path
-        let mut g = builders::path(4);
-        g.add_node();
-        g.add_node();
-        let r = MetricReport::compute_cheap(&g);
-        assert_eq!(r.nodes, 4);
-        assert_eq!(r.edges, 3);
-        assert!((r.gcc_fraction - 4.0 / 6.0).abs() < 1e-12);
-        assert!((r.k_avg - 1.5).abs() < 1e-12);
-        assert!(r.avg_distance.is_none());
-    }
-
-    #[test]
-    fn betweenness_opt_in() {
-        let opts = ReportOptions {
-            betweenness: true,
-            ..Default::default()
-        };
-        let r = MetricReport::compute_with(&builders::star(5), &opts);
-        assert!((r.max_betweenness.unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn table_row_formats() {
-        let r = MetricReport::compute_cheap(&builders::cycle(5));
-        let row = r.table_row();
-        assert!(row.contains("2.00"));
-        assert!(row.contains('-')); // skipped metrics print as dashes
-        assert_eq!(
-            MetricReport::table_header().split_whitespace().count(),
-            row.split_whitespace().count()
-        );
-    }
-
-    #[test]
-    fn empty_graph_report() {
-        let r = MetricReport::compute(&Graph::new());
-        assert_eq!(r.nodes, 0);
-        assert_eq!(r.k_avg, 0.0);
-        assert_eq!(r.gcc_fraction, 1.0);
-    }
+    use crate::analyzer::Analyzer;
+    use dk_graph::builders;
 
     #[test]
     fn report_text_and_json_render() {

@@ -73,6 +73,16 @@ pub const DEFAULT_SKETCH_BITS: u32 = 8;
 /// whose diameter exceeds it.
 pub const DEFAULT_SKETCH_ROUNDS: usize = 128;
 
+/// The one range check on a requested register-bit count: `Some(bits)`
+/// when it lies in [`MIN_SKETCH_BITS`]`..=`[`MAX_SKETCH_BITS`], `None`
+/// otherwise. The CLI's `--sketch-bits`, the daemon's `sketch_bits`
+/// knob and `perf_sketch --bits` all validate through it.
+pub fn checked_bits(bits: u64) -> Option<u32> {
+    u32::try_from(bits)
+        .ok()
+        .filter(|b| (MIN_SKETCH_BITS..=MAX_SKETCH_BITS).contains(b))
+}
+
 /// The HyperLogLog per-counter relative standard error `1.04 / √(2^b)` —
 /// the quantity every tolerance in `tests/sketch_tolerance.rs` derives
 /// from (never a hand-tuned constant).

@@ -82,21 +82,35 @@ impl MetricTable {
     }
 
     /// Renders the table (metric rows, then custom rows).
+    ///
+    /// The label column is as wide as the longest row label (at least
+    /// 13); each value column is one wider than its header (at least
+    /// 12), so long names never run into their neighbours.
     pub fn render(&self) -> String {
-        let width = 12usize;
-        let mut out = format!("{:<13}", "metric");
-        for c in &self.columns {
+        let rows = self.rows();
+        let label_width = rows
+            .iter()
+            .map(|m| m.name().chars().count())
+            .chain(self.extra_rows.iter().map(|(l, _)| l.chars().count()))
+            .fold(13, usize::max);
+        let widths: Vec<usize> = self
+            .columns
+            .iter()
+            .map(|c| (c.name.chars().count() + 1).max(12))
+            .collect();
+        let mut out = format!("{:<label_width$}", "metric");
+        for (c, width) in self.columns.iter().zip(&widths) {
             out.push_str(&format!("{:>width$}", c.name));
         }
         out.push('\n');
         let mut emit = |label: &str, values: Vec<Option<f64>>| {
-            out.push_str(&format!("{label:<13}"));
-            for v in values {
+            out.push_str(&format!("{label:<label_width$}"));
+            for (v, width) in values.into_iter().zip(&widths) {
                 out.push_str(&format!("{:>width$}", fmt_opt(v)));
             }
             out.push('\n');
         };
-        for metric in self.rows() {
+        for metric in rows {
             emit(
                 metric.name(),
                 self.columns
@@ -191,24 +205,36 @@ mod tests {
     use super::*;
     use crate::analyzer::Analyzer;
     use dk_graph::builders;
+    use std::collections::BTreeSet;
 
     #[test]
     fn render_contains_all_columns_and_rows() {
-        let cheap = Analyzer::new().metric_names("cheap").unwrap();
-        let mut t = MetricTable::new();
-        t.push("orig", cheap.analyze(&builders::karate_club()));
-        t.push("rand", cheap.analyze(&builders::petersen()));
-        t.push_row("S2/S2max", vec![Some(0.95), Some(1.0)]);
-        let s = t.render();
-        assert!(s.contains("orig") && s.contains("rand"));
-        assert!(s.contains("k_avg") && s.contains("S2/S2max"));
-        let csv = t.to_csv();
-        assert!(csv.starts_with("metric,orig,rand"));
-        // cheap set: 8 scalar rows + extra row + header, no std rows
-        assert_eq!(csv.lines().count(), 1 + 8 + 1);
-        let js = t.to_json();
-        assert!(js.contains("\"orig\":{\"graph\""), "{js}");
-        assert!(js.contains("\"S2/S2max\":[0.95,1]"), "{js}");
+        // the second input carries a 12-character column name and a
+        // metric name longer than the 13-wide label minimum
+        for (names, second) in [
+            ("cheap", "rand"),
+            ("cheap,avg_distance_sketch", "synthetic-2K"),
+        ] {
+            let analyzer = Analyzer::new().metric_names(names).unwrap();
+            let mut t = MetricTable::new();
+            t.push("orig", analyzer.analyze(&builders::karate_club()));
+            t.push(second, analyzer.analyze(&builders::petersen()));
+            t.push_row("S2/S2max", vec![Some(0.95), Some(1.0)]);
+            let s = t.render();
+            assert!(s.contains("orig") && s.contains(second));
+            assert!(s.contains("k_avg") && s.contains("S2/S2max"));
+            // every line: one label and one cell per column, all aligned
+            assert!(s.lines().all(|l| l.split_whitespace().count() == 3), "{s}");
+            let widths: BTreeSet<usize> = s.lines().map(|l| l.chars().count()).collect();
+            assert_eq!(widths.len(), 1, "{s}");
+            let csv = t.to_csv();
+            assert!(csv.starts_with(&format!("metric,orig,{second}")));
+            // one row per selected scalar + extra row + header, no std rows
+            assert_eq!(csv.lines().count(), 1 + analyzer.selected().len() + 1);
+            let js = t.to_json();
+            assert!(js.contains("\"orig\":{\"graph\""), "{js}");
+            assert!(js.contains("\"S2/S2max\":[0.95,1]"), "{js}");
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! | op | request fields | response (beyond `ok`/`op`) |
 //! |----|----------------|------------------------------|
 //! | `load` | `graph`, `path` | `graph`, `epoch`, `n`, `m` |
-//! | `metric` | `graph`, `metrics?` (list or `cheap`/`default`/`all`), `no_gcc?`, `samples?`, `sketch_bits?`, `shards?`, `memory_budget?` | `graph`, `result:{epoch, graph_summary, values}` |
+//! | `metric` | `graph`, `metrics?` (list or `cheap`/`default`/`all`), `no_gcc?`, `samples?`, `sketch_bits?` (the CLI's `--sketch-bits` range), `shards?` (≥ 1), `memory_budget?` (bytes, ≥ 1) | `graph`, `result:{epoch, graph_summary, values}` |
 //! | `compare` | `a`, `b`, + the `metric` knobs | `distances:{d1,d2,d3,epoch_a,epoch_b}`, `a`/`b` sides with `result` fragments (both sides and the distances are computed from one snapshot per graph, captured up front) |
 //! | `attack` | `graph`, `strategy?`, `seed?`, `checkpoints?` (array in `0..=1`), `samples?`, `no_gcc?` | `graph`, `epoch`, `report` (the `dk attack` JSON) |
 //! | `rewire` | `graph`, `d` (0..=3), `attempts?`, `seed?` | `graph`, new `epoch`, `accepted`, `attempts`, `n`, `m` |

@@ -166,6 +166,18 @@ impl<'a> Req<'a> {
         })
     }
 
+    /// Optional positive integer knob: as [`Req::opt_u64`], and `0` is
+    /// refused too.
+    pub fn opt_positive_u64(&self, key: &str) -> Result<Option<u64>, ReqError> {
+        match self.opt_u64(key)? {
+            Some(0) => Err(ReqError::new(
+                "bad_knob",
+                format!("knob {key:?} must be a positive integer"),
+            )),
+            v => Ok(v),
+        }
+    }
+
     /// Optional boolean knob.
     pub fn opt_bool(&self, key: &str) -> Result<Option<bool>, ReqError> {
         self.field(key).map_or(Ok(None), |v| {
@@ -249,7 +261,7 @@ mod tests {
     #[test]
     fn typed_accessors_reject_wrong_shapes() {
         let v = dk_json::JsonValue::parse(
-            r#"{"op":"metric","n":3,"frac":[0.1,0.5],"flag":true,"bad":-1}"#,
+            r#"{"op":"metric","n":3,"frac":[0.1,0.5],"flag":true,"bad":-1,"zero":0}"#,
         )
         .expect("valid");
         let req = Req::new(&v).expect("object");
@@ -263,6 +275,9 @@ mod tests {
         );
         assert_eq!(req.str_field("missing").unwrap_err().code, "bad_request");
         assert_eq!(req.opt_u64("bad").unwrap_err().code, "bad_knob");
+        assert_eq!(req.opt_u64("zero").ok(), Some(Some(0)));
+        assert_eq!(req.opt_positive_u64("n").ok(), Some(Some(3)));
+        assert_eq!(req.opt_positive_u64("zero").unwrap_err().code, "bad_knob");
         assert_eq!(req.opt_bool("n").unwrap_err().code, "bad_knob");
         assert_eq!(req.opt_f64_array("flag").unwrap_err().code, "bad_knob");
         let arr = dk_json::JsonValue::parse("[1]").expect("valid");

@@ -22,7 +22,7 @@ use dk_core::dist::{AnyDist, Dist1K, Dist2K, Dist3K};
 use dk_core::generate::rewire::{randomize, RewireOptions, SwapBudget};
 use dk_core::generate::{Generator, Method};
 use dk_graph::io as graph_io;
-use dk_metrics::json;
+use dk_metrics::{json, sketch};
 use dk_metrics::{AnalysisCache, AnalyzeOptions, AnyMetric, AttackOptions, GccPolicy, Strategy};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -125,7 +125,7 @@ struct MetricKnobs {
     metrics: Vec<AnyMetric>,
     gcc: GccPolicy,
     samples: Option<u64>,
-    sketch_bits: Option<u64>,
+    sketch_bits: Option<u32>,
     shards: Option<u64>,
     memory_budget: Option<u64>,
     /// Canonical key: resolved metric names + every knob, so two
@@ -138,9 +138,22 @@ fn parse_metric_knobs(req: &Req<'_>) -> Result<MetricKnobs, ReqError> {
     let metrics = AnyMetric::parse_list(list).map_err(|e| ReqError::new("unknown_metric", e))?;
     let no_gcc = req.opt_bool("no_gcc")?.unwrap_or(false);
     let samples = req.opt_u64("samples")?;
-    let sketch_bits = req.opt_u64("sketch_bits")?;
-    let shards = req.opt_u64("shards")?;
-    let memory_budget = req.opt_u64("memory_budget")?;
+    // the CLI's ranges, checked before the key is built
+    let sketch_bits = match req.opt_u64("sketch_bits")? {
+        None => None,
+        Some(b) => Some(sketch::checked_bits(b).ok_or_else(|| {
+            ReqError::new(
+                "bad_knob",
+                format!(
+                    "knob \"sketch_bits\" must lie in {}..={}, got {b}",
+                    sketch::MIN_SKETCH_BITS,
+                    sketch::MAX_SKETCH_BITS
+                ),
+            )
+        })?),
+    };
+    let shards = req.opt_positive_u64("shards")?;
+    let memory_budget = req.opt_positive_u64("memory_budget")?;
     let names: Vec<&str> = metrics.iter().map(|m| m.name()).collect();
     let key = format!(
         "metrics={};gcc={};samples={:?};bits={:?};shards={:?};budget={:?}",
@@ -176,22 +189,18 @@ fn analyze_options(
         gcc: knobs.gcc,
         threads: reg.threads,
         epoch,
+        // shard counts clamp to the node count, so saturating is exact
+        shards: knobs
+            .shards
+            .map(|s| usize::try_from(s).unwrap_or(usize::MAX)),
+        memory_budget: budget,
         ..AnalyzeOptions::default()
     };
     if let Some(k) = knobs.samples {
         opts.samples = (k as usize).max(1);
     }
     if let Some(bits) = knobs.sketch_bits {
-        opts.sketch_bits = (bits as u32).clamp(
-            dk_metrics::sketch::MIN_SKETCH_BITS,
-            dk_metrics::sketch::MAX_SKETCH_BITS,
-        );
-    }
-    if let Some(shards) = knobs.shards {
-        opts.shards = Some((shards as usize).max(1));
-    }
-    if let Some(b) = budget {
-        opts.memory_budget = Some(b.max(1));
+        opts.sketch_bits = bits;
     }
     opts
 }
@@ -248,7 +257,7 @@ fn metric_fragment_at(
         graph.node_count(),
         graph.edge_count(),
         &knobs.metrics,
-        knobs.sketch_bits.map_or(8, |b| b as u32),
+        knobs.sketch_bits.unwrap_or(sketch::DEFAULT_SKETCH_BITS),
         knobs.memory_budget,
     )?;
     let key = metric_key(name, epoch, &knobs.key);

@@ -12,7 +12,7 @@
 //! ```
 
 use dk_repro::core::{AnyDist, Generator, Method};
-use dk_repro::metrics::MetricReport;
+use dk_repro::metrics::{Analyzer, MetricTable};
 use dk_repro::topologies::as_like::{skitter_like, AsLikeParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,29 +49,19 @@ fn main() {
     let generator = Generator::new(Method::Pseudograph).seed(7);
     let synthetic = generator.build(&restored).expect("consistent").graph;
 
-    println!("\n{:<14}{}", "", MetricReport::table_header());
-    println!(
-        "{:<14}{}",
-        "measured",
-        MetricReport::compute(&measured).table_row()
-    );
-    println!(
-        "{:<14}{}",
-        "synthetic-2K",
-        MetricReport::compute(&synthetic).table_row()
-    );
-
     // 4. Rescale the JDD to twice the size and generate again — the §6
     //    extension: "skitter at 2× the size".
     let scaled = restored
         .rescale(2 * measured.node_count())
         .expect("rescale");
     let big = generator.seed(8).build(&scaled).expect("consistent").graph;
-    println!(
-        "{:<14}{}",
-        "rescaled-2x",
-        MetricReport::compute(&big).table_row()
-    );
+
+    let analyzer = Analyzer::new();
+    let mut table = MetricTable::new();
+    table.push("measured", analyzer.analyze(&measured));
+    table.push("synthetic-2K", analyzer.analyze(&synthetic));
+    table.push("rescaled-2x", analyzer.analyze(&big));
+    print!("\n{}", table.render());
     println!(
         "\nrescaled graph: n = {} (target {}), same degree-correlation shape",
         big.node_count(),

@@ -13,7 +13,7 @@
 
 use dk_repro::core::census::count_initial_rewirings;
 use dk_repro::core::generate::rewire::{randomize, verify_randomization, RewireOptions};
-use dk_repro::metrics::MetricReport;
+use dk_repro::metrics::{Analyzer, MetricTable};
 use dk_repro::topologies::hot_like::{hot_like, HotLikeParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,25 +42,22 @@ fn main() {
         );
     }
 
-    println!("\nmetric drift under dK-randomizing rewiring:");
-    println!("{:<12}{}", "", MetricReport::table_header());
-    println!(
-        "{:<12}{}",
-        "original",
-        MetricReport::compute(&hot).table_row()
-    );
+    println!("\nmetric drift under dK-randomizing rewiring (converged: 1 = yes):");
+    let analyzer = Analyzer::new();
+    let mut table = MetricTable::new();
+    table.push("original", analyzer.analyze(&hot));
+    let (mut swaps, mut converged) = (vec![None], vec![None]);
     for d in 0..=3u8 {
         let mut g = hot.clone();
         let stats = randomize(&mut g, d, &RewireOptions::default(), &mut rng);
         let probe = verify_randomization(&g, d, &RewireOptions::default(), &mut rng);
-        println!(
-            "{:<12}{}   ({} swaps; converged: {})",
-            format!("{d}K-random"),
-            MetricReport::compute(&g).table_row(),
-            stats.accepted,
-            probe.converged(0.05)
-        );
+        table.push(format!("{d}K-random"), analyzer.analyze(&g));
+        swaps.push(Some(stats.accepted as f64));
+        converged.push(Some(f64::from(u8::from(probe.converged(0.05)))));
     }
+    table.push_row("swaps", swaps);
+    table.push_row("converged", converged);
+    print!("{}", table.render());
 
     println!(
         "\nReading: at d = 1 the router topology falls apart (distances halve,\n\

@@ -6,7 +6,7 @@
 //! ```
 
 use dk_repro::core::annotate::{generate_annotated_2k, Annotated2K, LabeledGraph};
-use dk_repro::metrics::MetricReport;
+use dk_repro::metrics::{Analyzer, MetricTable};
 use dk_repro::topologies::{
     as_like::{skitter_like, AsLikeParams},
     ba::{barabasi_albert, BaParams},
@@ -70,10 +70,12 @@ fn main() {
         ("HOT-like", hot_like(&HotLikeParams::default(), &mut rng)),
     ];
 
-    println!("{:<10}{}", "model", MetricReport::table_header());
+    let analyzer = Analyzer::new();
+    let mut table = MetricTable::new();
     for (name, g) in &graphs {
-        println!("{name:<10}{}", MetricReport::compute(g).table_row());
+        table.push(*name, analyzer.analyze(g));
     }
+    print!("{}", table.render());
 
     // Annotated 2K (§6): label AS-like edges as "peering" when endpoint
     // degrees are within 2× of each other, else "customer–provider", then

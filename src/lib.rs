@@ -13,7 +13,8 @@
 //!   (`dk-core`);
 //! * [`topologies`] — evaluation inputs and baselines (`dk-topologies`).
 //!
-//! See the README for the quickstart and `DESIGN.md` for the system map.
+//! Each crate's own documentation is its quickstart; `examples/` holds
+//! runnable end-to-end workflows.
 
 #![forbid(unsafe_code)]
 

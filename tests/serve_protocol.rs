@@ -449,6 +449,21 @@ fn malformed_requests_get_structured_errors() {
         (r#"{"op":"metric","graph":"k","samples":-3}"#, "bad_knob"),
         (r#"{"op":"metric","graph":"k","samples":1.5}"#, "bad_knob"),
         (r#"{"op":"metric","graph":"k","no_gcc":"yes"}"#, "bad_knob"),
+        // knobs the CLI refuses are refused here too, never clamped
+        (
+            r#"{"op":"metric","graph":"k","sketch_bits":99}"#,
+            "bad_knob",
+        ),
+        (r#"{"op":"metric","graph":"k","sketch_bits":3}"#, "bad_knob"),
+        (
+            r#"{"op":"metric","graph":"k","sketch_bits":4294967304}"#,
+            "bad_knob",
+        ),
+        (r#"{"op":"metric","graph":"k","shards":0}"#, "bad_knob"),
+        (
+            r#"{"op":"metric","graph":"k","memory_budget":0}"#,
+            "bad_knob",
+        ),
         (
             r#"{"op":"attack","graph":"k","strategy":"bogus"}"#,
             "bad_knob",
