@@ -508,26 +508,36 @@ pub fn giant_component_nodes<V: AdjacencyView + ?Sized>(g: &V) -> Vec<NodeId> {
         .collect()
 }
 
+/// The giant component of `g` as a new graph, or `None` when there is
+/// nothing to extract: `g` is empty or one connected component.
+///
+/// `csr` must be a snapshot of `g`; the component labeling runs on it,
+/// so a caller that keeps the snapshot for later passes (the analysis
+/// cache) labels without building a second one. When some component is
+/// left out, the GCC is [`Graph::subgraph`] of its members (ascending
+/// ids, so nodes are renumbered `0..size` in original-id order), built
+/// in O(n + m), and comes with the mapping `new id → original id`. Ties
+/// between equal-size components break toward the component containing
+/// the smallest node id — the rule stated on [`giant_component_nodes`].
+pub fn giant_subgraph(g: &Graph, csr: &CsrGraph) -> Option<(Graph, Vec<NodeId>)> {
+    let nodes = giant_component_nodes(csr);
+    (nodes.len() < g.node_count()).then(|| {
+        g.subgraph(&nodes)
+            .expect("component nodes are valid and unique")
+    })
+}
+
 /// Extracts the giant (largest) connected component.
 ///
-/// Returns the GCC as a new graph with nodes renumbered `0..size` (in
-/// ascending original-id order) and the mapping `new id → original id`.
-/// Ties between equal-size components break toward the component
-/// containing the smallest node id — the deterministic rule stated on
-/// [`giant_component_nodes`].
-///
-/// The component labeling runs on a fresh [`CsrGraph`] snapshot — at
-/// reproduction scale the flat-array BFS more than pays for the O(n + m)
-/// snapshot build.
-///
-/// Returns an empty graph for an empty input.
+/// Returns the GCC with nodes renumbered `0..size` (in ascending
+/// original-id order) and the mapping `new id → original id`, through
+/// [`giant_subgraph`] on a fresh [`CsrGraph`] snapshot. A connected
+/// input is its own GCC: the result is `g.clone()` and the identity
+/// map, equal to what a rebuild would give (same edge list order,
+/// adjacency and edge index) and cheaper. An empty input gives an
+/// empty graph.
 pub fn giant_component(g: &Graph) -> (Graph, Vec<NodeId>) {
-    if g.is_empty() {
-        return (Graph::new(), Vec::new());
-    }
-    let nodes = giant_component_nodes(&CsrGraph::from_graph(g));
-    g.subgraph(&nodes)
-        .expect("component nodes are valid and unique")
+    giant_subgraph(g, &CsrGraph::from_graph(g)).unwrap_or_else(|| (g.clone(), g.nodes().collect()))
 }
 
 /// Fraction of nodes inside the giant component (1.0 for connected graphs).

@@ -8,7 +8,11 @@
 //!
 //! * **GCC extraction** happens once, up front (§5.2 of the paper: "We
 //!   report all the metrics calculated for the giant connected
-//!   component"); [`GccPolicy::Whole`] opts out.
+//!   component"); [`GccPolicy::Whole`] opts out. The components are
+//!   labeled on a CSR snapshot of the input, and the input is copied
+//!   only when its GCC is smaller than it: a connected input is
+//!   analyzed in place (borrowed, or shared through its `Arc`), and the
+//!   labeling snapshot becomes the [`Dep::Csr`] snapshot.
 //! * **One frozen [`CsrGraph`] snapshot** ([`Dep::Csr`]) of the analyzed
 //!   graph backs every traversal-shaped pass — the fused traversal, the
 //!   triangle census, the sampled estimator, and k-core peeling all read
@@ -57,14 +61,24 @@ use crate::{clustering, spectral};
 use dk_graph::{traversal, CsrGraph, Graph};
 use dk_linalg::laplacian::SpectralExtremes;
 use std::borrow::Cow;
+use std::ops::Deref;
+use std::sync::Arc;
 
-/// Fraction of the original `total` nodes retained by the extracted
-/// GCC (`1.0` on an empty input, matching the historical convention).
-fn retained_fraction(gcc: &Graph, total: usize) -> f64 {
-    if total == 0 {
-        1.0
-    } else {
-        gcc.node_count() as f64 / total as f64
+/// The graph a cache analyzes: the caller's graph, borrowed, or a
+/// shared one (a long-lived holder's snapshot, or an extracted GCC).
+enum Analyzed<'g> {
+    Borrowed(&'g Graph),
+    Shared(Arc<Graph>),
+}
+
+impl Deref for Analyzed<'_> {
+    type Target = Graph;
+
+    fn deref(&self) -> &Graph {
+        match self {
+            Analyzed::Borrowed(g) => g,
+            Analyzed::Shared(g) => g,
+        }
     }
 }
 
@@ -147,7 +161,7 @@ struct TraversalData {
 pub struct AnalysisCache<'g> {
     original_nodes: usize,
     original_edges: usize,
-    target: Cow<'g, Graph>,
+    target: Analyzed<'g>,
     gcc_fraction: f64,
     gcc_applied: bool,
     lanczos_iter: usize,
@@ -177,74 +191,52 @@ impl<'g> AnalysisCache<'g> {
     /// policy, then computes the union of the metrics' [`Dep`]s, one
     /// pass at a time (each pass owns the full thread budget
     /// internally), with distances and betweenness fused into one
-    /// traversal when both are needed.
+    /// traversal when both are needed. A connected `g` is analyzed in
+    /// place, without a copy.
     pub fn build(g: &'g Graph, metrics: &[AnyMetric], opts: &AnalyzeOptions) -> Self {
-        let (target, gcc_fraction, gcc_applied) = match opts.gcc {
-            GccPolicy::Extract => {
-                let (gcc, _) = traversal::giant_component(g);
-                let fraction = retained_fraction(&gcc, g.node_count());
-                (Cow::Owned(gcc), fraction, true)
-            }
-            GccPolicy::Whole => (Cow::Borrowed(g), 1.0, false),
-        };
-        Self::finish(
-            g.node_count(),
-            g.edge_count(),
-            target,
-            gcc_fraction,
-            gcc_applied,
-            metrics,
-            opts,
-        )
+        Self::build_from(Analyzed::Borrowed(g), metrics, opts)
     }
 
-    /// As [`AnalysisCache::build`], but takes the graph by value, so the
+    /// As [`AnalysisCache::build`], but over a shared graph, so the
     /// cache borrows nothing — the `'static` lifetime long-lived holders
     /// need. The `dk serve` registry keeps one of these warm per graph
-    /// (sharing the analyzed graph, the frozen CSR snapshot, and every
-    /// prepared dep across requests) next to the epoch that stamps it.
-    pub fn build_owned(
-        g: Graph,
+    /// next to the epoch that stamps it: the cache holds the registry's
+    /// own snapshot (a connected input is never copied; a disconnected
+    /// one costs one GCC copy), and shares the frozen CSR snapshot and
+    /// every prepared dep across requests.
+    pub fn build_shared(
+        g: Arc<Graph>,
         metrics: &[AnyMetric],
         opts: &AnalyzeOptions,
     ) -> AnalysisCache<'static> {
-        let original_nodes = g.node_count();
-        let original_edges = g.edge_count();
-        let (target, gcc_fraction, gcc_applied) = match opts.gcc {
-            GccPolicy::Extract => {
-                let (gcc, _) = traversal::giant_component(&g);
-                let fraction = retained_fraction(&gcc, original_nodes);
-                (Cow::Owned(gcc), fraction, true)
-            }
-            GccPolicy::Whole => (Cow::Owned(g), 1.0, false),
-        };
-        AnalysisCache::finish(
-            original_nodes,
-            original_edges,
-            target,
-            gcc_fraction,
-            gcc_applied,
-            metrics,
-            opts,
-        )
+        AnalysisCache::build_from(Analyzed::Shared(g), metrics, opts)
     }
 
-    /// Shared tail of [`AnalysisCache::build`]/[`AnalysisCache::build_owned`]:
+    /// Shared body of [`AnalysisCache::build`] and
+    /// [`AnalysisCache::build_shared`]: applies the GCC policy, then
     /// unions the metrics' deps and computes each shared pass once.
-    fn finish(
-        original_nodes: usize,
-        original_edges: usize,
-        target: Cow<'g, Graph>,
-        gcc_fraction: f64,
-        gcc_applied: bool,
-        metrics: &[AnyMetric],
-        opts: &AnalyzeOptions,
-    ) -> Self {
+    fn build_from(input: Analyzed<'g>, metrics: &[AnyMetric], opts: &AnalyzeOptions) -> Self {
         let deps: Vec<Dep> = {
             let mut d: Vec<Dep> = metrics.iter().flat_map(|m| m.deps()).copied().collect();
             d.sort_unstable();
             d.dedup();
             d
+        };
+        let (original_nodes, original_edges) = (input.node_count(), input.edge_count());
+        // `labeled` is a snapshot of `target` when GCC labeling built one
+        // and kept the input whole
+        let (target, gcc_fraction, gcc_applied, labeled) = match opts.gcc {
+            GccPolicy::Extract => {
+                let snap = CsrGraph::from_graph(&input);
+                match traversal::giant_subgraph(&input, &snap) {
+                    Some((gcc, _)) => {
+                        let fraction = gcc.node_count() as f64 / original_nodes as f64;
+                        (Analyzed::Shared(Arc::new(gcc)), fraction, true, None)
+                    }
+                    None => (input, 1.0, true, Some(snap)),
+                }
+            }
+            GccPolicy::Whole => (input, 1.0, false, None),
         };
         let exec = stream::plan(target.node_count(), target.edge_count(), opts);
         let mut cache = AnalysisCache {
@@ -268,12 +260,12 @@ impl<'g> AnalysisCache<'g> {
             spectral: None,
         };
 
-        let target = cache.target.as_ref();
+        let target = &*cache.target;
         // every traversal-shaped dep reads the shared CSR snapshot
         let csr = deps
             .iter()
             .any(|d| d.implies_csr())
-            .then(|| CsrGraph::from_graph(target));
+            .then(|| labeled.unwrap_or_else(|| CsrGraph::from_graph(target)));
         let (shards, workers) = (cache.exec.shards, cache.exec.workers);
         // Passes run one after another; the heavy ones (traversal) use
         // the *full* worker budget internally, parallelizing over BFS
@@ -348,9 +340,11 @@ impl<'g> AnalysisCache<'g> {
         Self::build(g, &[], opts)
     }
 
-    /// The analyzed graph (the GCC under [`GccPolicy::Extract`]).
+    /// The analyzed graph (the GCC under [`GccPolicy::Extract`]). For
+    /// a connected input, or under [`GccPolicy::Whole`], this is the
+    /// input graph itself, not a copy.
     pub fn graph(&self) -> &Graph {
-        self.target.as_ref()
+        &self.target
     }
 
     /// Node count of the original (pre-GCC) input.
@@ -533,15 +527,43 @@ mod tests {
 
     #[test]
     fn gcc_policy_extract_vs_whole() {
+        let opts = AnalyzeOptions::default();
+        // a connected input is analyzed in place, borrowed or shared,
+        // and the CSR dep is a snapshot of the input itself
+        let karate = builders::karate_club();
+        let cache = AnalysisCache::build(&karate, &metrics("c_mean"), &opts);
+        assert!(std::ptr::eq(cache.graph(), &karate));
+        assert_eq!(cache.gcc_fraction(), 1.0);
+        assert!(cache.gcc_applied());
+        assert_eq!(cache.csr().as_ref(), &CsrGraph::from_graph(&karate));
+        let shared = Arc::new(karate.clone());
+        let cache = AnalysisCache::build_shared(shared.clone(), &[], &opts);
+        assert!(std::ptr::eq(cache.graph(), &*shared));
+        assert_eq!(cache.gcc_fraction(), 1.0);
+        // the daemon shares warm caches across connection threads
+        fn send_sync<T: Send + Sync>(_: &T) {}
+        send_sync(&cache);
+
+        // path(4) plus 2 isolated nodes: the GCC is a copy, built exactly
+        // as `giant_component` builds it
         let mut g = builders::path(4);
         g.add_node();
         g.add_node();
-        let opts = AnalyzeOptions::default();
         let cache = AnalysisCache::build(&g, &[], &opts);
         assert_eq!(cache.graph().node_count(), 4);
         assert!((cache.gcc_fraction() - 4.0 / 6.0).abs() < 1e-12);
         assert!(cache.gcc_applied());
         assert_eq!(cache.original_nodes(), 6);
+        assert_eq!(
+            cache.graph().edges(),
+            traversal::giant_component(&g).0.edges()
+        );
+
+        // the empty graph keeps the historical fraction of 1
+        let empty = Graph::new();
+        let cache = AnalysisCache::build(&empty, &[], &opts);
+        assert_eq!(cache.graph().node_count(), 0);
+        assert_eq!(cache.gcc_fraction(), 1.0);
 
         let whole = AnalysisCache::build(
             &g,

@@ -4,13 +4,34 @@ use dk_repro::core::dist::{Dist1K, Dist2K, Dist3K};
 use dk_repro::core::generate::rewire::{randomize, RewireOptions, SwapBudget};
 use dk_repro::core::io;
 use dk_repro::graph::csr::CsrGraph;
-use dk_repro::graph::Graph;
+use dk_repro::graph::{builders, traversal, Graph, GraphError, NodeId};
+use dk_repro::topologies::{ba, er};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a random simple graph with up to `n` nodes.
 fn arb_graph(n: u32, max_edges: usize) -> impl Strategy<Value = Graph> {
     proptest::collection::vec((0..n, 0..n), 0..max_edges)
         .prop_map(move |edges| Graph::from_edges_dedup(n as usize, edges).expect("in range"))
+}
+
+/// The per-edge induced-subgraph construction, kept as the oracle of
+/// `Graph::subgraph_mapped`: `g.edges()` filtered to the selection,
+/// remapped, and added one at a time in that order.
+fn subgraph_oracle(g: &Graph, nodes: &[NodeId]) -> Graph {
+    let mut old_to_new = vec![None; g.node_count()];
+    for (new, &old) in nodes.iter().enumerate() {
+        old_to_new[old as usize] = Some(new as NodeId);
+    }
+    Graph::from_edges(
+        nodes.len(),
+        g.edges()
+            .iter()
+            .filter_map(|&(u, v)| Some((old_to_new[u as usize]?, old_to_new[v as usize]?))),
+    )
+    .expect("a valid selection induces a simple graph")
 }
 
 proptest! {
@@ -247,5 +268,77 @@ proptest! {
             // invariant triangle merges rely on)
             prop_assert!(csr.neighbors(u).windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    /// `Graph::subgraph_mapped`'s O(n + m) construction equals the
+    /// per-edge oracle exactly — edge list order included, which
+    /// `Graph`'s set equality cannot see but `r`, `s` and the MCMC
+    /// proposals read — on ER, BA and karate inputs whose edge order
+    /// removing a quarter of their edges has scrambled, for ascending
+    /// (GCC-like and random), shuffled, single-node, empty and identity
+    /// selections.
+    /// Duplicate and out-of-range selections keep their errors.
+    #[test]
+    fn subgraph_matches_per_edge_oracle(kind in 0u8..3, n in 2usize..60, seed in 0u64..1000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = match kind {
+            0 => {
+                let max = n * (n - 1) / 2;
+                er::gnm(n, rng.gen_range(0..=max.min(2 * n)), &mut rng)
+            }
+            1 => ba::barabasi_albert(
+                &ba::BaParams {
+                    nodes: n.max(3),
+                    edges_per_node: 2,
+                    seed_nodes: 3,
+                },
+                &mut rng,
+            ),
+            _ => builders::karate_club(),
+        };
+        for _ in 0..g.edge_count() / 4 {
+            let (u, v) = g.random_edge(&mut rng).expect("edges remain");
+            g.remove_edge(u, v).expect("present");
+        }
+        let n = g.node_count();
+        let ascending: Vec<NodeId> = g.nodes().filter(|_| rng.gen_bool(0.7)).collect();
+        let mut shuffled = ascending.clone();
+        shuffled.shuffle(&mut rng);
+        let selections = [
+            traversal::giant_component_nodes(&g),
+            ascending,
+            shuffled,
+            vec![rng.gen_range(0..n as NodeId)],
+            Vec::new(),
+            g.nodes().collect(),
+        ];
+        for sel in &selections {
+            let (sub, map) = g.subgraph_mapped(sel).expect("valid selection");
+            let oracle = subgraph_oracle(&g, sel);
+            prop_assert_eq!(map.new_to_old(), sel.as_slice());
+            prop_assert_eq!(sub.node_count(), oracle.node_count());
+            prop_assert_eq!(sub.edges(), oracle.edges(), "selection {:?}", sel);
+            for u in sub.nodes() {
+                prop_assert_eq!(sub.neighbors(u), oracle.neighbors(u), "node {}", u);
+            }
+            prop_assert!(sub.check_invariants().is_ok());
+            let k = sub.node_count() as NodeId;
+            for u in 0..=k {
+                for v in 0..=k {
+                    prop_assert_eq!(sub.has_edge_indexed(u, v), oracle.has_edge_indexed(u, v));
+                }
+            }
+        }
+        let last = n as NodeId - 1;
+        prop_assert_eq!(
+            g.subgraph_mapped(&[last, 0, last]).map(|_| ()),
+            Err(GraphError::ConstructionFailed(format!(
+                "duplicate node {last} in subgraph selection"
+            )))
+        );
+        prop_assert_eq!(
+            g.subgraph_mapped(&[0, n as NodeId]).map(|_| ()),
+            Err(GraphError::NodeOutOfRange { node: n as NodeId, nodes: n })
+        );
     }
 }
