@@ -55,7 +55,7 @@ fn oracle_stage(args: &PerfArgs, oracle_n: usize) {
     // the sampled twin at the default pivot budget, for the running
     // sketch-vs-sampled accuracy comparison
     let (sampled_s, sampled) = time_s(|| {
-        dk_metrics::sampled::sampled_traversal_csr(&csr, SAMPLES, threads)
+        dk_metrics::sampled::sampled_traversal_sharded(&csr, SAMPLES, stream_shards(), threads)
             .distances
             .mean()
     });

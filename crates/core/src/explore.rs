@@ -20,7 +20,7 @@
 use crate::generate::delta::{frozen_degrees, Delta3K};
 use crate::generate::rewire::pick_2k_swap;
 use dk_graph::Graph;
-use dk_mcmc::{apply_swap, revert_swap, MoveProposal};
+use dk_mcmc::{apply_swap, propose_swap, revert_swap, ProposalKind};
 use rand::Rng;
 
 /// Whether to drive the objective up or down.
@@ -101,24 +101,15 @@ pub fn explore_1k_likelihood<R: Rng + ?Sized>(
         }
         stats.attempts += 1;
         since += 1;
-        let m = g.edge_count();
-        let i = rng.gen_range(0..m);
-        let j = rng.gen_range(0..m - 1);
-        let j = if j >= i { j + 1 } else { j };
-        let (a, b) = g.edge_at(i);
-        let e2 = g.edge_at(j);
-        let (c, d) = if rng.gen_bool(0.5) { e2 } else { (e2.1, e2.0) };
-        if a == d || c == b || g.has_edge_indexed(a, d) || g.has_edge_indexed(c, b) {
+        let Ok(swap) = propose_swap(g, &deg, ProposalKind::Plain, rng) else {
             continue;
-        }
+        };
+        let [(a, b), (c, d)] = swap.remove;
         let delta = kd(a) * kd(d) + kd(c) * kd(b) - kd(a) * kd(b) - kd(c) * kd(d);
         if !dir.improves(delta) {
             continue;
         }
-        g.remove_edge(a, b).expect("edge 1");
-        g.remove_edge(c, d).expect("edge 2");
-        g.add_edge(a, d).expect("validated");
-        g.add_edge(c, b).expect("validated");
+        apply_swap(g, &swap);
         value += delta;
         stats.accepted += 1;
         since = 0;
@@ -181,17 +172,8 @@ pub fn explore_2k<R: Rng + ?Sized>(
         }
         stats.attempts += 1;
         since += 1;
-        let Some((e1, e2, orient)) = pick_2k_swap(g, rng) else {
+        let Some(swap) = pick_2k_swap(g, rng) else {
             continue;
-        };
-        let (a, b) = e1;
-        let (c, d) = if orient { e2 } else { (e2.1, e2.0) };
-        // the greedy walk never reads the proposal probabilities
-        let swap = MoveProposal {
-            remove: [(a, b), (c, d)],
-            add: [(a, d), (c, b)],
-            forward_prob: 1.0,
-            reverse_prob: 1.0,
         };
         delta.clear();
         delta.track_swap(g, &deg, swap.remove);
@@ -250,6 +232,7 @@ pub fn explore_custom<R: Rng + ?Sized, F: Fn(&Graph) -> f64>(
     if g.edge_count() < 2 {
         return stats;
     }
+    let deg = frozen_degrees(g);
     let mut since = 0u64;
     for _ in 0..opts.max_attempts {
         if let Some(p) = opts.patience {
@@ -260,40 +243,20 @@ pub fn explore_custom<R: Rng + ?Sized, F: Fn(&Graph) -> f64>(
         stats.attempts += 1;
         since += 1;
         // candidate selection per level
-        let cand = if d == 2 {
-            pick_2k_swap(g, rng).map(|(e1, e2, o)| {
-                let (c, dd) = if o { e2 } else { (e2.1, e2.0) };
-                (e1.0, e1.1, c, dd)
-            })
+        let swap = if d == 2 {
+            pick_2k_swap(g, rng)
         } else {
-            let m = g.edge_count();
-            let i = rng.gen_range(0..m);
-            let j = rng.gen_range(0..m - 1);
-            let j = if j >= i { j + 1 } else { j };
-            let (a, b) = g.edge_at(i);
-            let e2 = g.edge_at(j);
-            let (c, dd) = if rng.gen_bool(0.5) { e2 } else { (e2.1, e2.0) };
-            if a == dd || c == b || g.has_edge_indexed(a, dd) || g.has_edge_indexed(c, b) {
-                None
-            } else {
-                Some((a, b, c, dd))
-            }
+            propose_swap(g, &deg, ProposalKind::Plain, rng).ok()
         };
-        let Some((a, b, c, dd)) = cand else { continue };
-        g.remove_edge(a, b).expect("edge 1");
-        g.remove_edge(c, dd).expect("edge 2");
-        g.add_edge(a, dd).expect("validated");
-        g.add_edge(c, b).expect("validated");
+        let Some(swap) = swap else { continue };
+        apply_swap(g, &swap);
         let new_value = objective(g);
         if dir.improves(new_value - value) {
             value = new_value;
             stats.accepted += 1;
             since = 0;
         } else {
-            g.remove_edge(a, dd).expect("just added");
-            g.remove_edge(c, b).expect("just added");
-            g.add_edge(a, b).expect("restore");
-            g.add_edge(c, dd).expect("restore");
+            revert_swap(g, &swap);
         }
     }
     stats.final_value = value;

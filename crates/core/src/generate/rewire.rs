@@ -208,21 +208,20 @@ fn preserves_jdd(g: &Graph, a: u32, b: u32, c: u32, d: u32) -> bool {
     g.degree(b) == g.degree(d) || g.degree(a) == g.degree(c)
 }
 
-/// A candidate 2K swap: the two sampled edges plus the orientation of
-/// the second one.
-pub(crate) type SwapCandidate = ((u32, u32), (u32, u32), bool);
-
 /// Selects two edges plus an orientation such that the swap is both
 /// simple-graph-valid and JDD-preserving, trying the other orientation
-/// as a fallback. Returns `None` if the sampled pair admits no such
+/// as a fallback, and returns it as the move record the caller applies
+/// and reverts. Returns `None` if the sampled pair admits no such
 /// orientation (the attempt just fails).
 ///
 /// Used by the exploration walks ([`crate::explore`]), which want the
 /// higher hit rate of the fallback scan. The rewiring/targeting chains
 /// instead propose a *single* uniform orientation through
 /// [`dk_mcmc::propose_swap`], whose proposal probabilities are exactly
-/// symmetric — the fallback would bias the MH proposal density.
-pub(crate) fn pick_2k_swap<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Option<SwapCandidate> {
+/// symmetric — the fallback would bias the MH proposal density. The
+/// greedy walks never read the proposal probabilities, so the record
+/// carries `1.0` for both.
+pub(crate) fn pick_2k_swap<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Option<MoveProposal> {
     let (e1, e2) = two_edges(g, rng)?;
     let (a, b) = e1;
     let mut orientations = [true, false];
@@ -232,7 +231,12 @@ pub(crate) fn pick_2k_swap<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Option<Sw
     for orient in orientations {
         let (c, d) = if orient { e2 } else { (e2.1, e2.0) };
         if swap_valid(g, a, b, c, d) && preserves_jdd(g, a, b, c, d) {
-            return Some((e1, e2, orient));
+            return Some(MoveProposal {
+                remove: [(a, b), (c, d)],
+                add: [(a, d), (c, b)],
+                forward_prob: 1.0,
+                reverse_prob: 1.0,
+            });
         }
     }
     None

@@ -23,6 +23,12 @@ fn parse_err(line: usize, msg: impl Into<String>) -> GraphError {
     }
 }
 
+/// Duplicate lines merge by adding their counts; a sum past the count
+/// type's range is refused instead of wrapping.
+fn overflow_err(line: usize) -> GraphError {
+    parse_err(line, "count overflows when merged with an earlier line")
+}
+
 /// Writes a 0K-distribution as `nodes N` / `edges M` lines.
 pub fn write_0k<W: Write>(d: &Dist0K, mut w: W) -> Result<(), GraphError> {
     writeln!(w, "# dK-series 0K distribution: nodes/edges totals")?;
@@ -89,11 +95,12 @@ pub fn read_1k<R: Read>(r: R) -> Result<Dist1K, GraphError> {
             continue;
         }
         let mut it = line.split_whitespace();
-        let k: usize = it
+        let k: u32 = it
             .next()
             .ok_or_else(|| parse_err(no, "missing degree"))?
             .parse()
             .map_err(|e| parse_err(no, format!("bad degree: {e}")))?;
+        let k = k as usize;
         let c: usize = it
             .next()
             .ok_or_else(|| parse_err(no, "missing count"))?
@@ -105,7 +112,7 @@ pub fn read_1k<R: Read>(r: R) -> Result<Dist1K, GraphError> {
         if counts.len() <= k {
             counts.resize(k + 1, 0);
         }
-        counts[k] += c;
+        counts[k] = counts[k].checked_add(c).ok_or_else(|| overflow_err(no))?;
     }
     Ok(Dist1K { counts })
 }
@@ -142,7 +149,8 @@ pub fn read_2k<R: Read>(r: R) -> Result<Dist2K, GraphError> {
         let c: u64 = toks[2]
             .parse()
             .map_err(|e| parse_err(no, format!("bad count: {e}")))?;
-        *d.counts.entry(crate::dist::canon_pair(k1, k2)).or_insert(0) += c;
+        let total = d.counts.entry(crate::dist::canon_pair(k1, k2)).or_insert(0);
+        *total = total.checked_add(c).ok_or_else(|| overflow_err(no))?;
     }
     Ok(d)
 }
@@ -186,19 +194,13 @@ pub fn read_3k<R: Read>(r: R) -> Result<Dist3K, GraphError> {
         let n: u64 = toks[4]
             .parse()
             .map_err(|e| parse_err(no, format!("bad count: {e}")))?;
-        match toks[0] {
-            "W" => {
-                *d.wedges
-                    .entry(crate::dist::canon_wedge(a, b, c))
-                    .or_insert(0) += n
-            }
-            "T" => {
-                *d.triangles
-                    .entry(crate::dist::canon_triangle(a, b, c))
-                    .or_insert(0) += n
-            }
+        let total = match toks[0] {
+            "W" => d.wedges.entry(crate::dist::canon_wedge(a, b, c)),
+            "T" => d.triangles.entry(crate::dist::canon_triangle(a, b, c)),
             other => return Err(parse_err(no, format!("unknown tag {other:?}"))),
         }
+        .or_insert(0);
+        *total = total.checked_add(n).ok_or_else(|| overflow_err(no))?;
     }
     Ok(d)
 }

@@ -49,7 +49,7 @@ pub trait AdjacencyView: Sync {
     }
 
     /// Total edge endpoints `Σ_u deg(u) = 2·m` — the unexplored-edge
-    /// budget the direction-optimizing BFS heuristic starts from. The
+    /// budget the push/pull rule of the batched BFS starts from. The
     /// default sums degrees in O(n); both concrete representations
     /// override it with an O(1) answer.
     fn edge_endpoints(&self) -> u64 {

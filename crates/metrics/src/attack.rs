@@ -61,6 +61,7 @@ use crate::distance::default_threads;
 use crate::json;
 use crate::metric::MetricValue;
 use crate::sampled;
+use crate::stream::DEFAULT_SHARDS;
 use dk_graph::{AdjacencyView, CsrGraph, Graph, NodeId, UnionFind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -356,7 +357,8 @@ pub fn removal_order(
             order
         }
         Strategy::Betweenness => {
-            let ranked = sampled::sampled_traversal_csr(csr, samples.max(1), threads);
+            let ranked =
+                sampled::sampled_traversal_sharded(csr, samples.max(1), DEFAULT_SHARDS, threads);
             let mut order: Vec<NodeId> = (0..n as NodeId).collect();
             order.sort_by(|&a, &b| {
                 ranked.betweenness[b as usize]
@@ -608,11 +610,11 @@ fn checkpoint_at(
             })
             .expect("non-empty residual GCC");
         let hub = Some(map.to_old(hub_new));
-        // the distance-only pivot pass: the same histogram as the fused
+        // the distance-only pivot pass: the same histogram as the
         // Brandes pass over the same pivots, without its σ/δ work
         let avg = (members.len() >= 2).then(|| {
             let sub_csr = CsrGraph::from_graph(&sub);
-            sampled::sampled_distances_csr(&sub_csr, samples.max(1), threads)
+            sampled::sampled_distances_sharded(&sub_csr, samples.max(1), DEFAULT_SHARDS, threads)
                 .distances
                 .mean()
         });
@@ -828,7 +830,7 @@ mod tests {
         let intact = &rep.checkpoints[0];
         assert_eq!((intact.removed, intact.gcc_nodes), (0, 10));
         // samples >= n: the sampled mean equals the exact P10 mean
-        let exact = crate::distance::DistanceDistribution::from_graph_with_threads(&g, 1).mean();
+        let exact = crate::distance::DistanceDistribution::from_graph(&g).mean();
         assert!((intact.avg_distance_estimate.unwrap() - exact).abs() < 1e-9);
         let emptied = &rep.checkpoints[2];
         assert_eq!((emptied.removed, emptied.gcc_nodes), (10, 0));
@@ -877,8 +879,13 @@ mod tests {
                         0 | 1 => None,
                         _ => {
                             let (sub, _) = g.subgraph(&members)?;
-                            let fused = sampled::sampled_traversal_csr(&csr(&sub), samples, 2);
-                            Some(fused.distances.mean())
+                            let brandes = sampled::sampled_traversal_sharded(
+                                &csr(&sub),
+                                samples,
+                                DEFAULT_SHARDS,
+                                2,
+                            );
+                            Some(brandes.distances.mean())
                         }
                     };
                     assert_eq!(

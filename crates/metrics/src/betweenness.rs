@@ -5,135 +5,40 @@
 //! the potential traffic load on a node"). Brandes' algorithm computes it
 //! exactly in O(n·m) on unweighted graphs — one BFS plus one dependency
 //! back-propagation per source — and sources are embarrassingly parallel.
+//!
+//! The exact pass is the Brandes–Pich pivot pass of [`crate::sampled`]
+//! with every node as a pivot: [`sample_pivots`](crate::sampled::sample_pivots)
+//! then returns `0..n` and the `n/K` scale is exactly 1. Brandes' BFS
+//! already discovers the distance of every reachable node from every
+//! source, so the same pass returns the exact distance distribution for
+//! a counter increment per visit.
 
-use crate::distance::{default_threads, DistanceDistribution};
+use crate::distance::default_threads;
+use crate::sampled::{self, SampledTraversal};
 use crate::stream::{run_sharded_fold, DEFAULT_SHARDS};
 use dk_graph::{AdjacencyView, CsrGraph, Graph, NodeId};
 use std::collections::VecDeque;
 
-/// Joint result of the fused all-source traversal: Brandes' BFS already
-/// discovers the distance of every reachable node from every source, so
-/// the exact distance distribution falls out of the same pass for the
-/// cost of a counter increment per visit.
+/// The exact all-source Brandes pass over a CSR snapshot: node
+/// betweenness (unordered-pair convention, as [`node_betweenness`]),
+/// the exact distance distribution (as
+/// [`DistanceDistribution::from_graph`](crate::distance::DistanceDistribution::from_graph))
+/// and the greatest finite distance, in one sweep.
 ///
-/// This is the shared-computation path behind the analyzer cache: when a
-/// metric battery requests both the distance family and the betweenness
-/// family, one traversal serves both instead of two all-source sweeps.
-#[derive(Clone, Debug)]
-pub struct FusedTraversal {
-    /// Exact node betweenness, unordered-pair convention (identical to
-    /// [`node_betweenness`]).
-    pub betweenness: Vec<f64>,
-    /// Exact distance distribution (identical to
-    /// [`DistanceDistribution::from_graph`]).
-    pub distances: DistanceDistribution,
-    /// Greatest finite distance discovered from any source — the
-    /// max-merge of per-source eccentricities, one of the sharded
-    /// pass's compact reducers. Always equals `distances.diameter()`;
-    /// carried separately so the pass cross-checks its histogram
-    /// against an independently merged reducer.
-    pub max_depth: u32,
-}
-
-/// Fused all-source pass computing node betweenness **and** the distance
-/// distribution in one sweep. See [`FusedTraversal`].
-pub fn betweenness_and_distances(g: &Graph) -> FusedTraversal {
-    betweenness_and_distances_with_threads(g, default_threads())
-}
-
-/// As [`betweenness_and_distances`] with an explicit worker count.
-///
-/// Takes a fresh [`CsrGraph`] snapshot and traverses that — the fused
-/// pass reads every neighbor list `2n` times, so the flat-array layout
-/// dominates the O(n + m) snapshot cost on anything but toy graphs.
-/// Callers already holding a snapshot (the analyzer cache) use
-/// [`betweenness_and_distances_csr`].
-pub fn betweenness_and_distances_with_threads(g: &Graph, threads: usize) -> FusedTraversal {
-    fused_traversal(&CsrGraph::from_graph(g), threads)
-}
-
-/// The fused pass over a prepared CSR snapshot.
-pub fn betweenness_and_distances_csr(g: &CsrGraph, threads: usize) -> FusedTraversal {
-    fused_traversal(g, threads)
-}
-
-/// The fused pass with an explicit shard count: each worker streams its
-/// source shards over the snapshot into a compact `BrandesSums` partial
-/// (betweenness accumulation, distance-histogram merge, eccentricity
-/// max-merge) and partials fold into one global accumulator in shard
-/// order — in-flight memory `O(workers · n)`, with **no** per-source
-/// n-vector ever materialized beyond the worker's reusable scratch. The
-/// shard count fixes the f64 merge tree, so the result is bit-identical
-/// for every thread count; at [`DEFAULT_SHARDS`] it is exactly
-/// [`betweenness_and_distances_csr`]. This is the pass the analyzer
-/// cache runs (see [`crate::stream`]).
+/// Each worker streams its source shards over the snapshot into a
+/// compact `BrandesSums` partial (betweenness accumulation,
+/// distance-histogram merge, eccentricity max-merge), and partials fold
+/// into one global accumulator in shard order — in-flight memory
+/// `O(workers · n)`, with no per-source n-vector beyond the worker's
+/// reusable scratch. The shard count fixes the f64 merge tree, so the
+/// result is bit-identical for every thread count. This is
+/// [`sampled::sampled_traversal_sharded`] with `K = n`.
 pub fn betweenness_and_distances_sharded(
     g: &CsrGraph,
     shards: usize,
     threads: usize,
-) -> FusedTraversal {
-    let n = g.node_count();
-    if n == 0 {
-        return FusedTraversal::empty();
-    }
-    let sources: Vec<NodeId> = (0..n as NodeId).collect();
-    finish_fused(
-        n,
-        brandes_over_sources_sharded(g, &sources, shards, threads),
-    )
-}
-
-/// Exact fused traversal over a CSR snapshot.
-fn fused_traversal(g: &CsrGraph, threads: usize) -> FusedTraversal {
-    let n = g.node_count();
-    if n == 0 {
-        return FusedTraversal::empty();
-    }
-    let sources: Vec<NodeId> = (0..n as NodeId).collect();
-    finish_fused(n, brandes_over_sources(g, &sources, threads))
-}
-
-impl FusedTraversal {
-    fn empty() -> Self {
-        FusedTraversal {
-            betweenness: Vec::new(),
-            distances: DistanceDistribution {
-                counts: vec![],
-                nodes: 0,
-                unreachable_pairs: 0,
-            },
-            max_depth: 0,
-        }
-    }
-}
-
-/// Applies the pair-convention halving and packages the reducer sums —
-/// the step every fused entry point shares after its Brandes pass.
-fn finish_fused(n: usize, sums: BrandesSums) -> FusedTraversal {
-    let BrandesSums {
-        mut bc,
-        counts,
-        unreachable,
-        depth,
-    } = sums;
-    // each unordered pair was counted from both endpoints
-    for v in bc.iter_mut() {
-        *v /= 2.0;
-    }
-    debug_assert_eq!(
-        depth as usize,
-        counts.len().saturating_sub(1),
-        "eccentricity max-merge must agree with the histogram top bin"
-    );
-    FusedTraversal {
-        betweenness: bc,
-        distances: DistanceDistribution {
-            counts,
-            nodes: n,
-            unreachable_pairs: unreachable,
-        },
-        max_depth: depth,
-    }
+) -> SampledTraversal {
+    sampled::sampled_traversal_sharded(g, g.node_count(), shards, threads)
 }
 
 /// Compact reducer state of a (possibly partial) Brandes traversal: the
@@ -277,24 +182,13 @@ fn brandes_shard<V: AdjacencyView + ?Sized>(
 }
 
 /// One Brandes BFS + dependency back-propagation per listed source,
-/// parallelized over sources with deterministic sharding (boundaries are
-/// a function of `sources.len()` only, so every thread count merges the
-/// floating-point partials in the same order → bit-identical results).
-///
-/// Shared by the exact fused pass (sources = all nodes) and the
-/// Brandes–Pich sampled estimator in [`crate::sampled`] (sources = K
+/// parallelized over sources with deterministic sharding: shard
+/// boundaries are a function of `sources.len()` and `shards` only, and
+/// partials fold into the accumulator in shard order as workers finish
+/// — `O(workers · n)` in flight, bit-identical for every thread count.
+/// The pass behind both the exact betweenness (sources = all nodes) and
+/// the Brandes–Pich estimator of [`crate::sampled`] (sources = K
 /// pivots).
-pub(crate) fn brandes_over_sources<V: AdjacencyView + ?Sized>(
-    g: &V,
-    sources: &[NodeId],
-    threads: usize,
-) -> BrandesSums {
-    brandes_over_sources_sharded(g, sources, DEFAULT_SHARDS, threads)
-}
-
-/// As [`brandes_over_sources`] with an explicit shard count: partials
-/// fold into the accumulator in shard order as workers finish —
-/// `O(workers · n)` in flight, bit-identical for every thread count.
 pub(crate) fn brandes_over_sources_sharded<V: AdjacencyView + ?Sized>(
     g: &V,
     sources: &[NodeId],
@@ -317,17 +211,14 @@ pub(crate) fn brandes_over_sources_sharded<V: AdjacencyView + ?Sized>(
 
 /// Exact node betweenness, **unordered-pair convention**: each `{s, t}`
 /// pair contributes once, endpoints excluded.
-pub fn node_betweenness(g: &Graph) -> Vec<f64> {
-    node_betweenness_with_threads(g, default_threads())
-}
-
-/// As [`node_betweenness`] with an explicit worker count.
 ///
-/// Delegates to the fused pass — the distance counters it also maintains
-/// cost one array increment per BFS visit, noise next to the Brandes
-/// dependency accumulation.
-pub fn node_betweenness_with_threads(g: &Graph, threads: usize) -> Vec<f64> {
-    betweenness_and_distances_with_threads(g, threads).betweenness
+/// Runs [`betweenness_and_distances_sharded`] over a fresh CSR snapshot
+/// at the default shard count on every core — the pass reads every
+/// neighbor list `2n` times, so the flat-array layout repays the
+/// O(n + m) snapshot on anything but toy graphs.
+pub fn node_betweenness(g: &Graph) -> Vec<f64> {
+    betweenness_and_distances_sharded(&CsrGraph::from_graph(g), DEFAULT_SHARDS, default_threads())
+        .betweenness
 }
 
 /// Betweenness normalized to `\[0, 1\]` by the number of unordered pairs
@@ -440,13 +331,19 @@ pub(crate) fn by_degree_from(g: &Graph, bc: &[f64]) -> Vec<(usize, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::DistanceDistribution;
     use dk_graph::builders;
+
+    /// The exact pass over a fresh snapshot at the default shard count.
+    fn exact(g: &Graph, threads: usize) -> SampledTraversal {
+        betweenness_and_distances_sharded(&CsrGraph::from_graph(g), DEFAULT_SHARDS, threads)
+    }
 
     #[test]
     fn path_betweenness_hand_computed() {
         // P5: bc = [0, 3, 4, 3, 0] (pairs routed through each inner node)
         let g = builders::path(5);
-        let bc = node_betweenness_with_threads(&g, 1);
+        let bc = exact(&g, 1).betweenness;
         let want = [0.0, 3.0, 4.0, 3.0, 0.0];
         for (b, w) in bc.iter().zip(want) {
             assert!((b - w).abs() < 1e-12, "{bc:?}");
@@ -493,7 +390,7 @@ mod tests {
         // 4-cycle: pairs (0,2) and (1,3) each have two shortest paths, so
         // each inner node gets 1/2 from the one pair it can serve.
         let g = builders::cycle(4);
-        let bc = node_betweenness_with_threads(&g, 1);
+        let bc = exact(&g, 1).betweenness;
         for b in bc {
             assert!((b - 0.5).abs() < 1e-12);
         }
@@ -502,8 +399,8 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let g = builders::karate_club();
-        let a = node_betweenness_with_threads(&g, 1);
-        let b = node_betweenness_with_threads(&g, 4);
+        let a = exact(&g, 1).betweenness;
+        let b = exact(&g, 4).betweenness;
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-9);
         }
@@ -538,20 +435,20 @@ mod tests {
 
     #[test]
     fn fused_distances_match_distance_module() {
-        // the fused pass must reproduce DistanceDistribution exactly,
+        // the Brandes pass must reproduce DistanceDistribution exactly,
         // including unreachable-pair accounting on disconnected graphs
         for g in [
             builders::karate_club(),
             builders::grid(5, 7),
             Graph::from_edges(5, [(0, 1), (1, 2), (3, 4)]).unwrap(),
         ] {
-            let fused = betweenness_and_distances_with_threads(&g, 3);
+            let csr = CsrGraph::from_graph(&g);
             assert_eq!(
-                fused.distances,
-                crate::distance::DistanceDistribution::from_graph_with_threads(&g, 1)
+                exact(&g, 3).distances,
+                DistanceDistribution::from_csr_sharded(&csr, DEFAULT_SHARDS, 1)
             );
         }
-        let empty = betweenness_and_distances(&Graph::new());
+        let empty = exact(&Graph::new(), 2);
         assert!(empty.betweenness.is_empty());
         assert_eq!(empty.distances.nodes, 0);
     }
@@ -574,11 +471,11 @@ mod tests {
                     assert_eq!(par.max_depth, oracle.max_depth);
                 }
             }
-            // the default shard count reproduces the historical route
-            let historical = betweenness_and_distances_csr(&csr, 2);
-            let default_sharded = betweenness_and_distances_sharded(&csr, DEFAULT_SHARDS, 1);
-            assert_eq!(historical.betweenness, default_sharded.betweenness);
-            assert_eq!(historical.distances, default_sharded.distances);
+            // the Graph-level convenience is the default shard count
+            assert_eq!(
+                node_betweenness(&g),
+                betweenness_and_distances_sharded(&csr, DEFAULT_SHARDS, 1).betweenness
+            );
         }
     }
 
@@ -586,9 +483,9 @@ mod tests {
     fn max_depth_reducer_equals_diameter() {
         let g = builders::grid(4, 6);
         let csr = CsrGraph::from_graph(&g);
-        let fused = betweenness_and_distances_sharded(&csr, 7, 2);
-        assert_eq!(fused.max_depth as usize, fused.distances.diameter());
-        assert_eq!(fused.max_depth, 8); // (4-1) + (6-1)
+        let pass = betweenness_and_distances_sharded(&csr, 7, 2);
+        assert_eq!(pass.max_depth as usize, pass.distances.diameter());
+        assert_eq!(pass.max_depth, 8); // (4-1) + (6-1)
         let empty = betweenness_and_distances_sharded(&CsrGraph::from_graph(&Graph::new()), 3, 2);
         assert_eq!(empty.max_depth, 0);
         assert!(empty.betweenness.is_empty());
@@ -636,7 +533,7 @@ mod tests {
         }
         // total edge betweenness = Σ over pairs of path length
         let total: f64 = eb.iter().map(|&(_, b)| b).sum();
-        let dd = crate::distance::DistanceDistribution::from_graph(&g);
+        let dd = DistanceDistribution::from_graph(&g);
         let sum_dist: f64 = dd
             .counts
             .iter()
@@ -653,7 +550,7 @@ mod tests {
         // length ℓ contributes ℓ edge-visits, split across ties)
         let g = builders::karate_club();
         let total: f64 = edge_betweenness(&g).iter().map(|&(_, b)| b).sum();
-        let dd = crate::distance::DistanceDistribution::from_graph(&g);
+        let dd = DistanceDistribution::from_graph(&g);
         let sum_dist: f64 = dd
             .counts
             .iter()

@@ -14,26 +14,22 @@
 //!   analyzed in place (borrowed, or shared through its `Arc`), and the
 //!   labeling snapshot becomes the [`Dep::Csr`] snapshot.
 //! * **One frozen [`CsrGraph`] snapshot** ([`Dep::Csr`]) of the analyzed
-//!   graph backs every traversal-shaped pass — the fused traversal, the
-//!   triangle census, the sampled estimator, and k-core peeling all read
-//!   the same two flat arrays, so the O(n + m) snapshot cost is paid
-//!   once per analyzer run.
-//! * **Distances + betweenness** share one fused all-source traversal
-//!   ([`crate::betweenness::betweenness_and_distances_csr`]) whenever
-//!   both are requested — Brandes' BFS already knows every distance.
-//!   Distances alone run the batched multi-source kernel
-//!   [`dk_graph::traversal::bfs_batch`] instead, 64 sources per sweep
-//!   (see [`crate::distance`]).
+//!   graph backs every traversal-shaped pass — the Brandes and distance
+//!   passes, the triangle census, the sketches, and k-core peeling all
+//!   read the same two flat arrays, so the O(n + m) snapshot cost is
+//!   paid once per analyzer run.
+//! * **One traversal pass per source set**: all nodes for the exact
+//!   `d_*`/`b_*` metrics, and [`AnalyzeOptions::samples`] pivots for the
+//!   `*_approx` metrics ([`crate::sampled`]; the exact set is the pivot
+//!   set with `K = n`). A set's pass is Brandes
+//!   ([`crate::sampled::sampled_traversal_sharded`]) when a betweenness
+//!   reader is selected — Brandes' BFS already knows every distance, so
+//!   the distance readers take its histogram — and the batched
+//!   distance histogram ([`crate::sampled::sampled_distances_sharded`],
+//!   64 sources per [`dk_graph::traversal::bfs_batch`] sweep) otherwise.
+//!   Both count the same `(source, node, distance)` triples, so the
+//!   distance scalars are bit-identical either way.
 //! * **Triangles** are censused once for `c_mean`/`c_k`/`transitivity`.
-//! * **Sampled traversal** ([`crate::sampled`]) runs once from
-//!   [`AnalyzeOptions::samples`] pivots for the `*_approx` metrics.
-//!   When no sampled-*betweenness* reader is selected the cache
-//!   prepares the cheaper [`Dep::SampledDistances`] pass instead: the
-//!   same pivots walked by the batched
-//!   [`dk_graph::traversal::bfs_batch`] kernel, skipping Brandes'
-//!   σ/δ bookkeeping entirely (distance histograms only count
-//!   `(source, node, distance)` triples, so the reported scalars are
-//!   bit-identical).
 //! * **Neighborhood sketches** ([`crate::sketch`]) iterate once at
 //!   [`AnalyzeOptions::sketch_bits`] register bits for the `*_sketch`
 //!   metrics — every round a sharded pass over the same CSR snapshot.
@@ -148,12 +144,13 @@ impl Default for AnalyzeOptions {
     }
 }
 
-/// One traversal's worth of shared all-pairs results.
-struct TraversalData {
-    distances: DistanceDistribution,
-    /// Normalized node betweenness; `None` when only distances were
-    /// requested.
-    betweenness: Option<Vec<f64>>,
+/// The traversal pass prepared for one source set (see the module
+/// docs).
+enum Pass {
+    /// Brandes: betweenness and the distance histogram.
+    Brandes(SampledTraversal),
+    /// The batched distance histogram alone.
+    Histogram(SampledDistances),
 }
 
 /// Prepared per-graph state every [`Metric`](crate::metric::Metric)
@@ -178,9 +175,10 @@ pub struct AnalysisCache<'g> {
     /// pass ([`Dep::Csr`]).
     csr: Option<CsrGraph>,
     triangles: Option<Vec<usize>>,
-    traversal: Option<TraversalData>,
-    sampled: Option<SampledTraversal>,
-    sampled_distances: Option<SampledDistances>,
+    /// The pass from every node (exact `d_*`, `b_*`).
+    exact: Option<Pass>,
+    /// The pass from the `samples` pivots (`*_approx`).
+    pivots: Option<Pass>,
     sketch: Option<HyperAnf>,
     /// `Some(None)` = computed but undefined (disconnected / too small).
     spectral: Option<Option<SpectralExtremes>>,
@@ -253,9 +251,8 @@ impl<'g> AnalysisCache<'g> {
             epoch: opts.epoch,
             csr: None,
             triangles: None,
-            traversal: None,
-            sampled: None,
-            sampled_distances: None,
+            exact: None,
+            pivots: None,
             sketch: None,
             spectral: None,
         };
@@ -276,42 +273,23 @@ impl<'g> AnalysisCache<'g> {
             if deps.contains(&Dep::Triangles) {
                 cache.triangles = Some(clustering::triangles_per_node(snap));
             }
-            if deps.contains(&Dep::Betweenness) {
-                // the fused pass hands back distances for free
-                let fused = betweenness::betweenness_and_distances_sharded(snap, shards, workers);
-                cache.traversal = Some(TraversalData {
-                    distances: fused.distances,
-                    betweenness: Some(betweenness::normalize_raw(
-                        fused.betweenness,
-                        target.node_count(),
-                    )),
-                });
-            } else if deps.contains(&Dep::Distances) {
-                cache.traversal = Some(TraversalData {
-                    distances: DistanceDistribution::from_csr_sharded(snap, shards, workers),
-                    betweenness: None,
-                });
+            // one pass per source set: Brandes when a betweenness reader
+            // is selected (its histogram serves the distance readers),
+            // the batched distance histogram otherwise
+            let run = |k: usize, brandes: bool| {
+                if brandes {
+                    Pass::Brandes(sampled::sampled_traversal_sharded(snap, k, shards, workers))
+                } else {
+                    Pass::Histogram(sampled::sampled_distances_sharded(snap, k, shards, workers))
+                }
+            };
+            let brandes = deps.contains(&Dep::Betweenness);
+            if brandes || deps.contains(&Dep::Distances) {
+                cache.exact = Some(run(target.node_count(), brandes));
             }
-            if deps.contains(&Dep::Sampled) {
-                // the fused pivot pass hands back the distance histogram
-                // for free, so a separate distance-only pass would be
-                // redundant
-                cache.sampled = Some(sampled::sampled_traversal_sharded(
-                    snap,
-                    opts.samples,
-                    shards,
-                    workers,
-                ));
-            } else if deps.contains(&Dep::SampledDistances) {
-                // no sampled-betweenness reader: the distance-only pass
-                // rides the batched multi-source BFS instead of the
-                // Brandes kernel
-                cache.sampled_distances = Some(sampled::sampled_distances_sharded(
-                    snap,
-                    opts.samples,
-                    shards,
-                    workers,
-                ));
+            let brandes = deps.contains(&Dep::Sampled);
+            if brandes || deps.contains(&Dep::SampledDistances) {
+                cache.pivots = Some(run(opts.samples, brandes));
             }
             if deps.contains(&Dep::Sketch) {
                 cache.sketch = Some(sketch::hyper_anf_sharded(
@@ -402,42 +380,50 @@ impl<'g> AnalysisCache<'g> {
         }
     }
 
-    /// The sampled K-pivot traversal (cached or computed on demand with
-    /// this cache's `samples` budget and plan).
-    pub fn sampled(&self) -> Cow<'_, SampledTraversal> {
-        match &self.sampled {
-            Some(s) => Cow::Borrowed(s),
-            None => Cow::Owned(sampled::sampled_traversal_sharded(
+    /// The Brandes pass over `k` sources: the prepared `slot` when it
+    /// holds one, else run on demand with this cache's plan.
+    fn brandes<'a>(&'a self, slot: &'a Option<Pass>, k: usize) -> Cow<'a, SampledTraversal> {
+        match slot {
+            Some(Pass::Brandes(t)) => Cow::Borrowed(t),
+            _ => Cow::Owned(sampled::sampled_traversal_sharded(
                 self.csr().as_ref(),
-                self.samples,
+                k,
                 self.exec.shards,
                 self.exec.workers,
             )),
         }
     }
 
-    /// The sampled K-pivot distance histogram — the batched BFS
-    /// route. Reads the distance-only pass when
-    /// that is what was prepared, falls back to the fused sampled
-    /// traversal's histogram (identical integers by construction) when
-    /// the Brandes pass ran instead, and computes on demand otherwise.
+    /// The distance histogram over `k` sources: read off the prepared
+    /// `slot`, whichever pass it holds (identical integers by
+    /// construction), else run on demand with this cache's plan.
+    fn histogram<'a>(&'a self, slot: &'a Option<Pass>, k: usize) -> Cow<'a, SampledDistances> {
+        match slot {
+            Some(Pass::Histogram(d)) => Cow::Borrowed(d),
+            Some(Pass::Brandes(t)) => Cow::Owned(SampledDistances {
+                distances: t.distances.clone(),
+                sources: t.sources,
+                max_depth: t.max_depth,
+            }),
+            None => Cow::Owned(sampled::sampled_distances_sharded(
+                self.csr().as_ref(),
+                k,
+                self.exec.shards,
+                self.exec.workers,
+            )),
+        }
+    }
+
+    /// The sampled K-pivot Brandes pass (cached or computed on demand
+    /// with this cache's `samples` budget and plan).
+    pub fn sampled(&self) -> Cow<'_, SampledTraversal> {
+        self.brandes(&self.pivots, self.samples)
+    }
+
+    /// The sampled K-pivot distance histogram (cached, read off the
+    /// prepared Brandes pivot pass, or computed on demand).
     pub fn sampled_distances(&self) -> Cow<'_, SampledDistances> {
-        if let Some(d) = &self.sampled_distances {
-            return Cow::Borrowed(d);
-        }
-        if let Some(s) = &self.sampled {
-            return Cow::Owned(SampledDistances {
-                distances: s.distances.clone(),
-                sources: s.sources,
-                max_depth: s.max_depth,
-            });
-        }
-        Cow::Owned(sampled::sampled_distances_sharded(
-            self.csr().as_ref(),
-            self.samples,
-            self.exec.shards,
-            self.exec.workers,
-        ))
+        self.histogram(&self.pivots, self.samples)
     }
 
     /// The HyperANF sketch iteration (cached or computed on demand with
@@ -463,39 +449,20 @@ impl<'g> AnalysisCache<'g> {
         }
     }
 
-    /// Exact distance distribution (cached or computed on demand with
-    /// this cache's plan).
+    /// Exact distance distribution (cached, read off the prepared
+    /// Brandes pass, or computed on demand with this cache's plan).
     pub fn distances(&self) -> Cow<'_, DistanceDistribution> {
-        match &self.traversal {
-            Some(t) => Cow::Borrowed(&t.distances),
-            None => Cow::Owned(DistanceDistribution::from_csr_sharded(
-                self.csr().as_ref(),
-                self.exec.shards,
-                self.exec.workers,
-            )),
+        match self.histogram(&self.exact, self.graph().node_count()) {
+            Cow::Borrowed(d) => Cow::Borrowed(&d.distances),
+            Cow::Owned(d) => Cow::Owned(d.distances),
         }
     }
 
-    /// Normalized node betweenness (cached or computed on demand with
-    /// this cache's plan).
-    pub fn betweenness(&self) -> Cow<'_, [f64]> {
-        match &self.traversal {
-            Some(TraversalData {
-                betweenness: Some(b),
-                ..
-            }) => Cow::Borrowed(b.as_slice()),
-            _ => {
-                let fused = betweenness::betweenness_and_distances_sharded(
-                    self.csr().as_ref(),
-                    self.exec.shards,
-                    self.exec.workers,
-                );
-                Cow::Owned(betweenness::normalize_raw(
-                    fused.betweenness,
-                    self.graph().node_count(),
-                ))
-            }
-        }
+    /// Normalized node betweenness, from the prepared exact Brandes pass
+    /// or one computed on demand with this cache's plan.
+    pub fn betweenness(&self) -> Vec<f64> {
+        let n = self.graph().node_count();
+        betweenness::normalize_raw(self.brandes(&self.exact, n).betweenness.clone(), n)
     }
 
     /// Spectral extremes; `None` when undefined on this graph
@@ -602,38 +569,35 @@ mod tests {
     }
 
     #[test]
-    fn fused_traversal_serves_both_families() {
+    fn brandes_pass_serves_both_families() {
         let g = builders::karate_club();
         let opts = AnalyzeOptions {
             threads: 1,
             ..Default::default()
         };
         let cache = AnalysisCache::build(&g, &metrics("d_avg,b_max"), &opts);
-        // both deps present without recomputation: the traversal slot
-        // holds distances AND betweenness
-        assert!(cache.traversal.as_ref().unwrap().betweenness.is_some());
+        // both deps present without recomputation: the exact slot holds
+        // the Brandes pass, whose histogram serves the distance readers
+        assert!(matches!(cache.exact, Some(Pass::Brandes(_))));
         assert_eq!(
             cache.distances().as_ref(),
-            &DistanceDistribution::from_graph_with_threads(&g, 1)
+            &DistanceDistribution::from_graph(&g)
         );
-        assert_eq!(
-            cache.betweenness().as_ref(),
-            betweenness::normalized_betweenness(&g).as_slice()
-        );
+        assert_eq!(cache.betweenness(), betweenness::normalized_betweenness(&g));
     }
 
     #[test]
     fn distance_only_request_skips_betweenness() {
         let g = builders::cycle(8);
         let cache = AnalysisCache::build(&g, &metrics("d_avg"), &AnalyzeOptions::default());
-        assert!(cache.traversal.as_ref().unwrap().betweenness.is_none());
+        assert!(matches!(cache.exact, Some(Pass::Histogram(_))));
     }
 
     #[test]
     fn distance_only_battery_skips_brandes_and_matches_the_fused_value() {
         // d_avg_approx without a sampled-betweenness reader prepares the
-        // batched distance-only pass (no fused pivot pass in
-        // the cache) — and reports the exact same scalar
+        // batched distance-only pass (no Brandes pivot pass in the
+        // cache) — and reports the exact same scalar
         let g = builders::karate_club();
         let opts = AnalyzeOptions {
             threads: 2,
@@ -642,11 +606,9 @@ mod tests {
         };
         let metric = AnyMetric::get("d_avg_approx").unwrap();
         let both = AnalysisCache::build(&g, &metrics("d_avg_approx,b_max_approx"), &opts);
-        assert!(both.sampled.is_some());
-        assert!(both.sampled_distances.is_none());
+        assert!(matches!(both.pivots, Some(Pass::Brandes(_))));
         let dist_only = AnalysisCache::build(&g, &metrics("d_avg_approx"), &opts);
-        assert!(dist_only.sampled.is_none());
-        assert!(dist_only.sampled_distances.is_some());
+        assert!(matches!(dist_only.pivots, Some(Pass::Histogram(_))));
         assert_eq!(metric.compute(&dist_only), metric.compute(&both));
     }
 

@@ -13,15 +13,16 @@
 //! sharded over scoped threads. All-source sweeps run over a frozen
 //! [`CsrGraph`] snapshot (two flat arrays; no per-neighbor-list pointer
 //! chase), taken internally by [`DistanceDistribution::from_graph`] or
-//! supplied by the analyzer cache via
-//! [`DistanceDistribution::from_csr_sharded`], which streams shard
-//! histograms through the fold of [`crate::stream`]: `O(workers)`
-//! partials in flight, whatever the shard count.
+//! supplied by the caller of [`DistanceDistribution::from_csr_sharded`],
+//! which streams shard histograms through the fold of [`crate::stream`]:
+//! `O(workers)` partials in flight, whatever the shard count.
 //!
-//! The same batched shard pass (`histogram_pass`) serves the sampled
-//! distance-only estimator in [`crate::sampled`]: both only count
-//! `(source, node, distance)` triples, so the integer histogram — and
-//! every scalar derived from it — is the one a per-source BFS gives.
+//! The same batched shard pass (`histogram_pass`) serves the pivot
+//! distance pass in [`crate::sampled`], which the analyzer cache runs
+//! with every node as a pivot for the exact distribution: both only
+//! count `(source, node, distance)` triples, so the integer histogram —
+//! and every scalar derived from it — is the one a per-source BFS
+//! gives.
 //!
 //! The exact distribution carries no sampling noise: reproduction tables
 //! must not stack sampling noise on top of ensemble noise. The *opt-in*
@@ -46,33 +47,19 @@ pub struct DistanceDistribution {
 }
 
 impl DistanceDistribution {
-    /// Computes the exact distribution with one BFS per node, in parallel.
+    /// Computes the exact distribution with one BFS per node, in
+    /// parallel on every core: [`DistanceDistribution::from_csr_sharded`]
+    /// over a fresh [`CsrGraph`] snapshot at the default shard count.
     pub fn from_graph(g: &Graph) -> Self {
-        Self::from_graph_with_threads(g, default_threads())
+        Self::from_csr_sharded(&CsrGraph::from_graph(g), DEFAULT_SHARDS, default_threads())
     }
 
-    /// As [`DistanceDistribution::from_graph`] with an explicit thread
-    /// count (tests use 1 to exercise the sequential path).
-    ///
-    /// Takes a fresh [`CsrGraph`] snapshot internally; callers that
-    /// already hold one (the analyzer cache) use
-    /// [`DistanceDistribution::from_csr_with_threads`] to skip the
-    /// rebuild.
-    pub fn from_graph_with_threads(g: &Graph, threads: usize) -> Self {
-        Self::from_csr_with_threads(&CsrGraph::from_graph(g), threads)
-    }
-
-    /// Exact distribution over a prepared CSR snapshot.
-    pub fn from_csr_with_threads(g: &CsrGraph, threads: usize) -> Self {
-        Self::from_csr_sharded(g, DEFAULT_SHARDS, threads)
-    }
-
-    /// Sweep with an explicit shard count: each worker streams its
-    /// source shards into a per-shard histogram, and histograms merge
-    /// into one accumulator in shard order — `O(workers)` histograms in
-    /// flight (see [`crate::stream`]). The histogram reducer is integer,
-    /// so every shard and thread count gives identical counts; the knob
-    /// fixes the partial layout.
+    /// The exact distribution over a prepared CSR snapshot: each worker
+    /// streams its source shards into a per-shard histogram, and
+    /// histograms merge into one accumulator in shard order —
+    /// `O(workers)` histograms in flight (see [`crate::stream`]). The
+    /// histogram reducer is integer, so every shard and thread count
+    /// gives identical counts; the knob fixes the partial layout.
     pub fn from_csr_sharded(g: &CsrGraph, shards: usize, threads: usize) -> Self {
         let n = g.node_count();
         let hist = histogram_pass(g, n, |i| i, shards, threads);
@@ -270,22 +257,22 @@ impl DistanceDistribution {
     }
 }
 
-/// Single-source distances re-exported for callers that need raw BFS next
-/// to the distribution type.
-pub fn distances_from(g: &Graph, s: NodeId) -> Vec<u32> {
-    dk_graph::bfs_distances(g, s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dk_graph::builders;
 
+    /// The exact distribution at the default shard count on `threads`
+    /// workers.
+    fn with_threads(g: &Graph, threads: usize) -> DistanceDistribution {
+        DistanceDistribution::from_csr_sharded(&CsrGraph::from_graph(g), DEFAULT_SHARDS, threads)
+    }
+
     #[test]
     fn path_distribution_hand_computed() {
         // P4 ordered pairs: distance 1 → 6, distance 2 → 4, distance 3 → 2.
         let g = builders::path(4);
-        let d = DistanceDistribution::from_graph_with_threads(&g, 1);
+        let d = with_threads(&g, 1);
         assert_eq!(d.counts, vec![4, 6, 4, 2]);
         assert_eq!(d.unreachable_pairs, 0);
         assert_eq!(d.diameter(), 3);
@@ -318,7 +305,7 @@ mod tests {
     #[test]
     fn disconnected_counts_unreachable() {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
-        let d = DistanceDistribution::from_graph_with_threads(&g, 1);
+        let d = with_threads(&g, 1);
         // each node reaches 1 other → 4 ordered reachable pairs at distance 1
         assert_eq!(d.counts, vec![4, 4]);
         assert_eq!(d.unreachable_pairs, 8);
@@ -327,8 +314,8 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let g = builders::grid(9, 11);
-        let seq = DistanceDistribution::from_graph_with_threads(&g, 1);
-        let par = DistanceDistribution::from_graph_with_threads(&g, 4);
+        let seq = with_threads(&g, 1);
+        let par = with_threads(&g, 4);
         assert_eq!(seq, par);
     }
 
@@ -340,8 +327,8 @@ mod tests {
         ] {
             let csr = CsrGraph::from_graph(&g);
             assert_eq!(
-                DistanceDistribution::from_csr_with_threads(&csr, 2),
-                DistanceDistribution::from_graph_with_threads(&g, 1)
+                DistanceDistribution::from_csr_sharded(&csr, DEFAULT_SHARDS, 2),
+                DistanceDistribution::from_graph(&g)
             );
         }
     }
@@ -353,7 +340,7 @@ mod tests {
             Graph::from_edges(5, [(0, 1), (1, 2), (3, 4)]).unwrap(),
         ] {
             let csr = CsrGraph::from_graph(&g);
-            let want = DistanceDistribution::from_csr_with_threads(&csr, 1);
+            let want = with_threads(&g, 1);
             let n = g.node_count();
             for shards in [1, 2, 7, n] {
                 for threads in [1, 3] {

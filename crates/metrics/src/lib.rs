@@ -4,16 +4,16 @@
 //! dK-random topologies, behind one composable analysis API:
 //!
 //! * [`metric::Metric`] — a metric's name, cost class, shared-computation
-//!   dependencies, and scalar/series output, with a type-erased registry
-//!   ([`metric::AnyMetric`]: `FromStr`, capability listing) mirroring the
-//!   generation side's `Method`;
+//!   dependencies, and scalar/series output, one row of the registry
+//!   behind [`metric::AnyMetric`] (`FromStr`, capability listing),
+//!   mirroring the generation side's `Method`;
 //! * [`analyzer::Analyzer`] — builder facade: select metrics by name or
 //!   set, fix the GCC policy (§5.2), and analyze one graph
 //!   ([`analyzer::Analyzer::analyze`]) or a seeded ensemble
 //!   ([`analyzer::Analyzer::run_ensemble`] → per-metric mean/std/min/max,
 //!   the numbers the paper's Table 2 and figures 5–9 report);
 //! * [`cache::AnalysisCache`] — shared computations (GCC extraction,
-//!   triangle census, fused distance+betweenness traversal, spectral
+//!   triangle census, one traversal pass per source set, spectral
 //!   solve) computed once per graph and reused across metrics;
 //! * [`report::Report`] / [`table::MetricTable`] — structured results
 //!   with text and hand-rolled JSON rendering.
@@ -29,7 +29,7 @@
 //! assert_eq!(report.scalar("n"), Some(34.0));
 //!
 //! // custom selection by name — distances and betweenness share one
-//! // fused all-source traversal in the cache
+//! // all-source Brandes pass in the cache
 //! let report = Analyzer::new()
 //!     .metric_names("d_avg,b_max,c_k")
 //!     .unwrap()

@@ -1,4 +1,4 @@
-//! The [`Metric`] trait and its type-erased registry ([`AnyMetric`]).
+//! The [`Metric`] registry rows and their handle ([`AnyMetric`]).
 //!
 //! Mirrors the design of `dk_core::generate::Method` on the generation
 //! side: one canonical name set, parsed and printed everywhere (CLI
@@ -32,12 +32,12 @@
 //! | `distance_sketch` | series | sketch | `d(x)` estimate (HyperANF) |
 //!
 //! Metrics sharing a [`Dep`] are computed from one shared pass: `d_*` and
-//! `b_*` both ride the fused all-source traversal
-//! ([`crate::betweenness::betweenness_and_distances`]), the clustering
-//! family shares one triangle census, and every traversal-shaped pass
-//! (traversals, census, k-core peeling) runs over one frozen
-//! [`CsrGraph`](dk_graph::CsrGraph) snapshot ([`Dep::Csr`]) built once
-//! per analyzer run.
+//! `b_*` both ride the all-source Brandes pass
+//! ([`crate::betweenness::betweenness_and_distances_sharded`]) when a
+//! `b_*` metric is selected, the clustering family shares one triangle
+//! census, and every traversal-shaped pass (traversals, census, k-core
+//! peeling) runs over one frozen [`CsrGraph`](dk_graph::CsrGraph)
+//! snapshot ([`Dep::Csr`]) built once per analyzer run.
 //!
 //! ## Approximate (sampled) modes
 //!
@@ -80,10 +80,10 @@
 //! | cost | route | traversal working memory |
 //! |------|-------|--------------------------|
 //! | `trivial`, `linear` | single pass over the snapshot | O(n + m) |
-//! | `sampled` | K pivots through the shard executor (distance-only batteries: batched BFS, 64 pivots per sweep) | **O(workers·n)** |
+//! | `sampled` | the `all-pairs` route from K pivots instead of all n nodes | **O(workers·n)** |
 //! | `sketch` | ≤ diameter rounds of register unions through the shard executor | **n·2^b bytes** per register file (×2 per round: Jacobi double buffer), error 1.04/√2^b |
 //! | `incremental` | reverse union-find percolation sweep over the snapshot ([`crate::attack`]) | O(n) forest + trajectory |
-//! | `all-pairs` | n sources through the shard executor (distances alone: batched BFS, 64 sources per sweep; with betweenness: per-source Brandes) | **O(workers·n)** |
+//! | `all-pairs` | n sources through the shard executor: per-source Brandes when a betweenness metric is selected, else batched BFS, 64 sources per sweep | **O(workers·n)** |
 //! | `spectral` | Lanczos three-term recurrence on the sparse Laplacian (dense Jacobi below cutoff) | O(n + m) Laplacian + O(n) iteration vectors; **16·n² bytes** on the dense path ([`spectral::spectral_bytes`](crate::spectral::spectral_bytes)) |
 //!
 //! Per-source vectors are worker scratch only, so per-worker buffers
@@ -199,7 +199,7 @@ impl Cost {
 /// The analyzer unions the deps of every selected metric and computes
 /// each shared pass **once**; metrics then read the cached result. When
 /// both [`Dep::Distances`] and [`Dep::Betweenness`] are requested, one
-/// fused all-source traversal serves both.
+/// all-source Brandes pass serves both.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Dep {
     /// Frozen [`CsrGraph`](dk_graph::CsrGraph) snapshot of the analyzed
@@ -224,7 +224,7 @@ pub enum Dep {
     /// `sampled_distances_*` family). Declared by sampled metrics that
     /// never read σ/δ path counts, so a battery without a sampled
     /// *betweenness* metric skips the Brandes machinery entirely;
-    /// subsumed by [`Dep::Sampled`] when one rides along (the fused
+    /// subsumed by [`Dep::Sampled`] when one rides along (the Brandes
     /// pass's integer histogram is identical by construction).
     SampledDistances,
     /// HyperANF neighborhood-sketch iteration ([`crate::sketch`]) — the
@@ -260,34 +260,12 @@ impl Dep {
 }
 
 /// A topology metric: name, capability metadata, and the computation
-/// over the shared cache.
+/// over the shared cache — one row of the registry.
 ///
 /// All built-in metrics are registered in [`AnyMetric::all`]; external
-/// code normally consumes them through the type-erased [`AnyMetric`]
-/// handle and the [`Analyzer`](crate::analyzer::Analyzer) facade.
-pub trait Metric: Sync {
-    /// Canonical lowercase name (the [`AnyMetric::from_str`] inverse).
-    fn name(&self) -> &'static str;
-    /// Accepted alternative spellings.
-    fn aliases(&self) -> &'static [&'static str] {
-        &[]
-    }
-    /// One-line human description (capability listings).
-    fn description(&self) -> &'static str;
-    /// Scalar or series output.
-    fn kind(&self) -> Kind;
-    /// Asymptotic cost class.
-    fn cost(&self) -> Cost;
-    /// Shared computations read from the cache.
-    fn deps(&self) -> &'static [Dep] {
-        &[]
-    }
-    /// Computes the metric over a prepared cache.
-    fn compute(&self, cx: &AnalysisCache<'_>) -> MetricValue;
-}
-
-/// Table-driven [`Metric`] implementation backing the registry.
-struct Def {
+/// code normally consumes them through the [`AnyMetric`] handle and the
+/// [`Analyzer`](crate::analyzer::Analyzer) facade.
+pub struct Metric {
     name: &'static str,
     aliases: &'static [&'static str],
     description: &'static str,
@@ -297,26 +275,33 @@ struct Def {
     compute: fn(&AnalysisCache<'_>) -> MetricValue,
 }
 
-impl Metric for Def {
-    fn name(&self) -> &'static str {
+impl Metric {
+    /// Canonical lowercase name (the [`AnyMetric::from_str`] inverse).
+    pub fn name(&self) -> &'static str {
         self.name
     }
-    fn aliases(&self) -> &'static [&'static str] {
+    /// Accepted alternative spellings.
+    pub fn aliases(&self) -> &'static [&'static str] {
         self.aliases
     }
-    fn description(&self) -> &'static str {
+    /// One-line human description (capability listings).
+    pub fn description(&self) -> &'static str {
         self.description
     }
-    fn kind(&self) -> Kind {
+    /// Scalar or series output.
+    pub fn kind(&self) -> Kind {
         self.kind
     }
-    fn cost(&self) -> Cost {
+    /// Asymptotic cost class.
+    pub fn cost(&self) -> Cost {
         self.cost
     }
-    fn deps(&self) -> &'static [Dep] {
+    /// Shared computations read from the cache.
+    pub fn deps(&self) -> &'static [Dep] {
         self.deps
     }
-    fn compute(&self, cx: &AnalysisCache<'_>) -> MetricValue {
+    /// Computes the metric over a prepared cache.
+    pub fn compute(&self, cx: &AnalysisCache<'_>) -> MetricValue {
         (self.compute)(cx)
     }
 }
@@ -325,8 +310,8 @@ fn scalar(x: f64) -> MetricValue {
     MetricValue::Scalar(x)
 }
 
-static REGISTRY: &[Def] = &[
-    Def {
+static REGISTRY: &[Metric] = &[
+    Metric {
         name: "n",
         aliases: &["nodes"],
         description: "node count of the analyzed graph (GCC by default)",
@@ -335,7 +320,7 @@ static REGISTRY: &[Def] = &[
         deps: &[],
         compute: |cx| scalar(cx.graph().node_count() as f64),
     },
-    Def {
+    Metric {
         name: "m",
         aliases: &["edges"],
         description: "edge count of the analyzed graph",
@@ -344,7 +329,7 @@ static REGISTRY: &[Def] = &[
         deps: &[],
         compute: |cx| scalar(cx.graph().edge_count() as f64),
     },
-    Def {
+    Metric {
         name: "gcc_fraction",
         aliases: &[],
         description: "fraction of the original nodes retained by the GCC (§5.2)",
@@ -353,7 +338,7 @@ static REGISTRY: &[Def] = &[
         deps: &[],
         compute: |cx| scalar(cx.gcc_fraction()),
     },
-    Def {
+    Metric {
         name: "k_avg",
         aliases: &["avg_degree"],
         description: "average degree k̄ (§2)",
@@ -362,7 +347,7 @@ static REGISTRY: &[Def] = &[
         deps: &[],
         compute: |cx| scalar(cx.graph().avg_degree()),
     },
-    Def {
+    Metric {
         name: "r",
         aliases: &["assortativity"],
         description: "Newman assortativity coefficient r (§2)",
@@ -371,7 +356,7 @@ static REGISTRY: &[Def] = &[
         deps: &[],
         compute: |cx| scalar(jdd::assortativity(cx.graph())),
     },
-    Def {
+    Metric {
         name: "c_mean",
         aliases: &["mean_clustering"],
         description: "mean clustering C̄ over degree-≥2 nodes (§2)",
@@ -385,7 +370,7 @@ static REGISTRY: &[Def] = &[
             ))
         },
     },
-    Def {
+    Metric {
         name: "transitivity",
         aliases: &[],
         description: "global transitivity 3·triangles/wedges",
@@ -394,7 +379,7 @@ static REGISTRY: &[Def] = &[
         deps: &[Dep::Triangles],
         compute: |cx| scalar(clustering::transitivity_from(cx.graph(), &cx.triangles())),
     },
-    Def {
+    Metric {
         name: "s",
         aliases: &["likelihood"],
         description: "likelihood S = Σ_(i,j)∈E k_i·k_j (§2)",
@@ -403,7 +388,7 @@ static REGISTRY: &[Def] = &[
         deps: &[],
         compute: |cx| scalar(likelihood::likelihood_s(cx.graph())),
     },
-    Def {
+    Metric {
         name: "s2",
         aliases: &["likelihood_s2"],
         description: "second-order likelihood S2 over induced wedges (§4.3)",
@@ -412,7 +397,7 @@ static REGISTRY: &[Def] = &[
         deps: &[],
         compute: |cx| scalar(likelihood::likelihood_s2(cx.graph())),
     },
-    Def {
+    Metric {
         name: "kcore_max",
         aliases: &["degeneracy"],
         description: "graph degeneracy (maximum k-core index)",
@@ -421,7 +406,7 @@ static REGISTRY: &[Def] = &[
         deps: &[Dep::Csr],
         compute: |cx| scalar(kcore::degeneracy(cx.csr().as_ref()) as f64),
     },
-    Def {
+    Metric {
         name: "d_avg",
         aliases: &["avg_distance"],
         description: "average distance d̄ over connected pairs (§2)",
@@ -436,7 +421,7 @@ static REGISTRY: &[Def] = &[
             }
         },
     },
-    Def {
+    Metric {
         name: "d_std",
         aliases: &["distance_std"],
         description: "distance standard deviation σ_d (§2)",
@@ -451,7 +436,7 @@ static REGISTRY: &[Def] = &[
             }
         },
     },
-    Def {
+    Metric {
         name: "diameter",
         aliases: &[],
         description: "longest finite shortest-path distance",
@@ -466,7 +451,7 @@ static REGISTRY: &[Def] = &[
             }
         },
     },
-    Def {
+    Metric {
         name: "b_max",
         aliases: &["max_betweenness"],
         description: "maximum normalized node betweenness (§2)",
@@ -484,7 +469,7 @@ static REGISTRY: &[Def] = &[
                 .map_or(MetricValue::Undefined, scalar)
         },
     },
-    Def {
+    Metric {
         name: "distance_approx",
         aliases: &["d_avg_approx"],
         description: "sampled estimate of d̄ (K pivot sources, Brandes–Pich)",
@@ -499,7 +484,7 @@ static REGISTRY: &[Def] = &[
             }
         },
     },
-    Def {
+    Metric {
         name: "betweenness_approx",
         aliases: &["b_max_approx"],
         description: "sampled estimate of max normalized betweenness",
@@ -517,7 +502,7 @@ static REGISTRY: &[Def] = &[
                 .map_or(MetricValue::Undefined, scalar)
         },
     },
-    Def {
+    Metric {
         name: "avg_distance_sketch",
         aliases: &["d_avg_sketch"],
         description: "sketch estimate of d̄ (HyperANF neighborhood function)",
@@ -536,7 +521,7 @@ static REGISTRY: &[Def] = &[
             }
         },
     },
-    Def {
+    Metric {
         name: "effective_diameter_sketch",
         aliases: &["eff_diameter_sketch"],
         description: "sketch estimate of the 90% effective diameter (HyperANF)",
@@ -552,7 +537,7 @@ static REGISTRY: &[Def] = &[
             }
         },
     },
-    Def {
+    Metric {
         name: "attack_threshold",
         aliases: &["degree_attack_threshold"],
         description: "removal fraction halving the GCC under the degree-ranked attack",
@@ -561,7 +546,7 @@ static REGISTRY: &[Def] = &[
         deps: &[Dep::Csr],
         compute: crate::attack::attack_threshold_metric,
     },
-    Def {
+    Metric {
         name: "random_failure_threshold",
         aliases: &["failure_threshold"],
         description: "mean removal fraction halving the GCC under seeded uniform failure",
@@ -570,7 +555,7 @@ static REGISTRY: &[Def] = &[
         deps: &[Dep::Csr],
         compute: crate::attack::random_failure_threshold_metric,
     },
-    Def {
+    Metric {
         name: "lambda1",
         aliases: &[],
         description: "smallest nonzero normalized-Laplacian eigenvalue λ1 (§2)",
@@ -582,7 +567,7 @@ static REGISTRY: &[Def] = &[
                 .map_or(MetricValue::Undefined, |s| scalar(s.lambda1))
         },
     },
-    Def {
+    Metric {
         name: "lambda_n",
         aliases: &["lambda_max"],
         description: "largest normalized-Laplacian eigenvalue λ_{n−1} (§2)",
@@ -594,7 +579,7 @@ static REGISTRY: &[Def] = &[
                 .map_or(MetricValue::Undefined, |s| scalar(s.lambda_max))
         },
     },
-    Def {
+    Metric {
         name: "degree_dist",
         aliases: &["pk"],
         description: "degree distribution P(k) over observed degrees (§2)",
@@ -613,7 +598,7 @@ static REGISTRY: &[Def] = &[
             )
         },
     },
-    Def {
+    Metric {
         name: "knn",
         aliases: &["avg_neighbor_degree"],
         description: "average neighbor degree k_nn(k)",
@@ -622,7 +607,7 @@ static REGISTRY: &[Def] = &[
         deps: &[],
         compute: |cx| MetricValue::Series(jdd::avg_neighbor_degree(cx.graph())),
     },
-    Def {
+    Metric {
         name: "c_k",
         aliases: &["clustering_by_degree"],
         description: "degree-dependent clustering C(k) (§2)",
@@ -636,7 +621,7 @@ static REGISTRY: &[Def] = &[
             ))
         },
     },
-    Def {
+    Metric {
         name: "rich_club",
         aliases: &[],
         description: "rich-club connectivity φ(k)",
@@ -645,7 +630,7 @@ static REGISTRY: &[Def] = &[
         deps: &[],
         compute: |cx| MetricValue::Series(richclub::rich_club(cx.graph())),
     },
-    Def {
+    Metric {
         name: "d_x",
         aliases: &["distance_dist"],
         description: "distance distribution d(x) over positive distances (§2)",
@@ -663,7 +648,7 @@ static REGISTRY: &[Def] = &[
             )
         },
     },
-    Def {
+    Metric {
         name: "b_k",
         aliases: &["betweenness_by_degree"],
         description: "mean normalized betweenness of k-degree nodes (figs 6b, 9)",
@@ -674,7 +659,7 @@ static REGISTRY: &[Def] = &[
             MetricValue::Series(betweenness::by_degree_from(cx.graph(), &cx.betweenness()))
         },
     },
-    Def {
+    Metric {
         name: "distance_sketch",
         aliases: &["d_x_sketch"],
         description: "sketch estimate of the distance distribution d(x) (HyperANF)",
@@ -694,19 +679,19 @@ static REGISTRY: &[Def] = &[
     },
 ];
 
-/// Type-erased handle to a registered metric.
+/// Handle to a registered metric.
 ///
 /// `Copy`, compared by canonical name, parsed with [`FromStr`], printed
 /// with [`fmt::Display`] — the analysis-side mirror of
 /// `dk_core::generate::Method`.
 #[derive(Clone, Copy)]
-pub struct AnyMetric(&'static dyn Metric);
+pub struct AnyMetric(&'static Metric);
 
 impl AnyMetric {
     /// Every registered metric, in canonical (registry) order — scalars
     /// cheap-to-expensive, then series.
     pub fn all() -> impl Iterator<Item = AnyMetric> {
-        REGISTRY.iter().map(|d| AnyMetric(d))
+        REGISTRY.iter().map(AnyMetric)
     }
 
     /// Looks a metric up by canonical name or alias.
@@ -714,7 +699,7 @@ impl AnyMetric {
         REGISTRY
             .iter()
             .find(|d| d.name == name || d.aliases.contains(&name))
-            .map(|d| AnyMetric(d as &dyn Metric))
+            .map(AnyMetric)
     }
 
     /// The paper's default scalar battery (Table 2 / Table 6 columns plus
@@ -832,7 +817,7 @@ impl AnyMetric {
 }
 
 impl std::ops::Deref for AnyMetric {
-    type Target = dyn Metric;
+    type Target = Metric;
 
     fn deref(&self) -> &Self::Target {
         self.0

@@ -25,16 +25,18 @@
 //! * The per-pivot partials merge in fixed chunk order (the same
 //!   deterministic chunking the exact pass uses), so results are
 //!   **bit-identical for every thread count**.
-//! * `K ≥ n` degrades to the identity pivot set with scale 1, making the
-//!   estimate **equal to the exact pass** bit for bit.
+//! * `K ≥ n` degrades to the identity pivot set with scale 1: the pass
+//!   then **is the exact pass**
+//!   ([`betweenness_and_distances_sharded`](crate::betweenness::betweenness_and_distances_sharded)
+//!   runs it with `K = n`).
 
-use crate::betweenness::{brandes_over_sources, brandes_over_sources_sharded, BrandesSums};
+use crate::betweenness::{brandes_over_sources_sharded, BrandesSums};
 use crate::distance::{histogram_pass, DistanceDistribution};
-use crate::stream::DEFAULT_SHARDS;
-use dk_graph::{AdjacencyView, CsrGraph, NodeId};
+use dk_graph::{CsrGraph, NodeId};
 
-/// Result of one sampled traversal: the shared pass behind the
-/// `distance_approx` and `betweenness_approx` registry metrics.
+/// Result of one Brandes pass from `K` pivot sources: the shared pass
+/// behind the `betweenness_approx` registry metric, and with `K ≥ n`
+/// the exact betweenness and distance pass behind `b_max` and `b_k`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SampledTraversal {
     /// Distance rows of the pivot sources only (`counts[x]` = ordered
@@ -48,9 +50,9 @@ pub struct SampledTraversal {
     /// rescaled whole-graph estimates.
     pub distances: DistanceDistribution,
     /// Estimated node betweenness, unordered-pair convention — the
-    /// Brandes dependency sum over pivots, scaled by `n/K` (and halved,
-    /// exactly like the exact pass). Equal to the exact values when
-    /// `K ≥ n`.
+    /// Brandes dependency sum over pivots, scaled by `n/K` and halved
+    /// (each pair is counted from both endpoints). The exact values
+    /// when `K ≥ n`.
     pub betweenness: Vec<f64>,
     /// Number of pivot sources actually traversed (`min(K, n)`).
     pub sources: usize,
@@ -132,18 +134,11 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
 }
 
 /// Runs the Brandes–Pich pass from `k` pivots over a prepared CSR
-/// snapshot. See [`SampledTraversal`] for the output conventions and the
-/// [module docs](self) for the determinism contract.
-pub fn sampled_traversal_csr(g: &CsrGraph, k: usize, threads: usize) -> SampledTraversal {
-    sampled_traversal(g, k, threads)
-}
-
-/// The Brandes–Pich pass with an explicit shard count: the pivot
-/// sources are partitioned into shards and each worker streams its
-/// shards into compact reducers, exactly like the exact pass
-/// ([`crate::betweenness::betweenness_and_distances_sharded`]) — same
-/// pivots, same merge order at every thread count, and bit-identical to
-/// [`sampled_traversal_csr`] when `shards` is [`DEFAULT_SHARDS`].
+/// snapshot: the pivot sources are partitioned into `shards` shards and
+/// each worker streams its shards into compact reducers — same pivots,
+/// same merge order at every thread count. See [`SampledTraversal`] for
+/// the output conventions and the [module docs](self) for the
+/// determinism contract.
 pub fn sampled_traversal_sharded(
     g: &CsrGraph,
     k: usize,
@@ -187,7 +182,8 @@ pub fn sampled_traversal_streamed(
 /// reducer only counts `(source, node, level)` triples, so the
 /// difference in traversal order is invisible: `distances`, `sources`,
 /// and `max_depth` are **bit-identical** to the corresponding
-/// [`SampledTraversal`] fields from the fused pass over the same pivots.
+/// [`SampledTraversal`] fields from the Brandes pass over the same
+/// pivots.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SampledDistances {
     /// Distance rows of the pivot sources only — same conventions (and
@@ -199,16 +195,11 @@ pub struct SampledDistances {
     pub max_depth: u32,
 }
 
-/// Distance-only pivot pass at the default shard count — the
-/// convenience entry the attack-sweep checkpoints use.
-pub fn sampled_distances_csr(g: &CsrGraph, k: usize, threads: usize) -> SampledDistances {
-    sampled_distances_sharded(g, k, DEFAULT_SHARDS, threads)
-}
-
-/// Distance-only pivot pass with an explicit shard count: workers
-/// stream their pivot shards through the batched BFS into compact
-/// integer reducers — `O(workers · n)` scratch in flight, identical
-/// results for every shard and thread count.
+/// Distance-only pivot pass: workers stream their pivot shards through
+/// the batched BFS into compact integer reducers — `O(workers · n)`
+/// scratch in flight, identical results for every shard and thread
+/// count. With `k ≥ n` this is the exact distance distribution of
+/// [`DistanceDistribution::from_csr_sharded`].
 pub fn sampled_distances_sharded(
     g: &CsrGraph,
     k: usize,
@@ -223,21 +214,6 @@ pub fn sampled_distances_sharded(
         distances: DistanceDistribution::from_histogram(n, hist),
         sources: pivots.len(),
     }
-}
-
-/// As [`sampled_traversal_csr`], generic over the adjacency view.
-pub fn sampled_traversal<V: AdjacencyView + ?Sized>(
-    g: &V,
-    k: usize,
-    threads: usize,
-) -> SampledTraversal {
-    let n = g.node_count();
-    if n == 0 {
-        return SampledTraversal::empty();
-    }
-    let pivots = sample_pivots(n, k.max(1));
-    let sums = brandes_over_sources(g, &pivots, threads);
-    finish_sampled(n, pivots.len(), sums)
 }
 
 impl SampledTraversal {
@@ -255,8 +231,9 @@ impl SampledTraversal {
     }
 }
 
-/// Pair-convention halving plus the `n/K` extrapolation — shared by
-/// every Brandes pivot pass.
+/// Pair-convention halving plus the `n/K` extrapolation — the finish
+/// step of every Brandes pass, exact (`K = n`, scale exactly `0.5`)
+/// and sampled alike.
 fn finish_sampled(n: usize, pivot_count: usize, sums: BrandesSums) -> SampledTraversal {
     let BrandesSums {
         mut bc,
@@ -264,8 +241,8 @@ fn finish_sampled(n: usize, pivot_count: usize, sums: BrandesSums) -> SampledTra
         unreachable,
         depth,
     } = sums;
-    // pair-convention halving (as in the exact pass), then the n/K
-    // extrapolation; K = n gives scale exactly 1.0
+    // each unordered pair was counted from both endpoints, then the n/K
+    // extrapolation; K = n gives n/K exactly 1.0
     let scale = 0.5 * (n as f64 / pivot_count as f64);
     for v in bc.iter_mut() {
         *v *= scale;
@@ -286,7 +263,13 @@ fn finish_sampled(n: usize, pivot_count: usize, sums: BrandesSums) -> SampledTra
 mod tests {
     use super::*;
     use crate::betweenness;
-    use dk_graph::builders;
+    use crate::stream::DEFAULT_SHARDS;
+    use dk_graph::{builders, Graph};
+
+    /// The Brandes pivot pass at the default shard count.
+    fn pass(g: &Graph, k: usize, threads: usize) -> SampledTraversal {
+        sampled_traversal_sharded(&CsrGraph::from_graph(g), k, DEFAULT_SHARDS, threads)
+    }
 
     #[test]
     fn pivots_distinct_and_in_range() {
@@ -309,32 +292,31 @@ mod tests {
     #[test]
     fn full_sample_equals_exact_bit_for_bit() {
         let g = builders::karate_club();
-        let csr = dk_graph::CsrGraph::from_graph(&g);
-        let exact = betweenness::betweenness_and_distances_csr(&csr, 2);
+        let csr = CsrGraph::from_graph(&g);
+        let exact = betweenness::node_betweenness(&g);
+        let distances = DistanceDistribution::from_csr_sharded(&csr, DEFAULT_SHARDS, 1);
         for k in [34, 35, 1000] {
-            let s = sampled_traversal_csr(&csr, k, 2);
+            let s = pass(&g, k, 2);
             assert_eq!(s.sources, 34);
-            assert_eq!(s.betweenness, exact.betweenness, "k = {k}");
-            assert_eq!(s.distances, exact.distances, "k = {k}");
+            assert_eq!(s.betweenness, exact, "k = {k}");
+            assert_eq!(s.distances, distances, "k = {k}");
         }
     }
 
     #[test]
     fn thread_count_is_invisible() {
         let g = builders::grid(8, 9);
-        let csr = dk_graph::CsrGraph::from_graph(&g);
-        let serial = sampled_traversal_csr(&csr, 16, 1);
+        let serial = pass(&g, 16, 1);
         for threads in [2, 4, 0] {
-            assert_eq!(serial, sampled_traversal_csr(&csr, 16, threads));
+            assert_eq!(serial, pass(&g, 16, threads));
         }
     }
 
     #[test]
     fn estimates_track_exact_on_karate() {
         let g = builders::karate_club();
-        let csr = dk_graph::CsrGraph::from_graph(&g);
-        let exact = betweenness::betweenness_and_distances_csr(&csr, 1);
-        let s = sampled_traversal_csr(&csr, 16, 1);
+        let exact = pass(&g, g.node_count(), 1);
+        let s = pass(&g, 16, 1);
         // distance mean: scale-free, should land within a few percent
         let rel = (s.distances.mean() - exact.distances.mean()).abs() / exact.distances.mean();
         assert!(rel < 0.1, "d̄ rel error {rel}");
@@ -352,17 +334,14 @@ mod tests {
     #[test]
     fn pdf_estimate_rescales_the_sample() {
         let g = builders::karate_club();
-        let csr = dk_graph::CsrGraph::from_graph(&g);
         // full sample: estimate == exact pdf
-        let full = sampled_traversal_csr(&csr, 34, 1);
-        let exact = betweenness::betweenness_and_distances_csr(&csr, 1)
-            .distances
-            .pdf();
+        let full = pass(&g, 34, 1);
+        let exact = DistanceDistribution::from_graph(&g).pdf();
         assert_eq!(full.pdf_estimate(), exact);
         assert_eq!(full.unreachable_fraction(), 0.0);
         // partial sample: estimate still sums to ~1 (connected graph),
         // unlike the raw sample's pdf() which is scaled by K/n
-        let part = sampled_traversal_csr(&csr, 8, 1);
+        let part = pass(&g, 8, 1);
         let total: f64 = part.pdf_estimate().iter().sum();
         assert!((total - 1.0).abs() < 1e-12, "total {total}");
         let raw_total: f64 = part.distances.pdf().iter().sum();
@@ -372,7 +351,7 @@ mod tests {
     #[test]
     fn sharded_pivot_pass_bit_identical_across_thread_counts() {
         let g = builders::grid(6, 7);
-        let csr = dk_graph::CsrGraph::from_graph(&g);
+        let csr = CsrGraph::from_graph(&g);
         let n = g.node_count();
         for k in [1, 8, n + 5] {
             for shards in [1, 2, 7, n] {
@@ -385,54 +364,51 @@ mod tests {
                     );
                 }
             }
-            // the default shard count reproduces the historical route
-            assert_eq!(
-                sampled_traversal_sharded(&csr, k, crate::stream::DEFAULT_SHARDS, 2),
-                sampled_traversal_csr(&csr, k, 1)
-            );
         }
     }
 
     #[test]
     fn sampled_distances_match_the_fused_pass_bit_for_bit() {
-        // the batched distance-only kernel and the Brandes
-        // fused kernel must agree on every integer reducer — histogram,
-        // unreached tally, depth — for the same pivots, at every thread
-        // count
+        // the batched distance-only kernel and the Brandes kernel must
+        // agree on every integer reducer — histogram, unreached tally,
+        // depth — for the same pivots, at every thread count
         for g in [
             builders::karate_club(),
             builders::grid(5, 6),
             builders::star(9),
-            dk_graph::Graph::from_edges(7, [(0, 1), (1, 2), (3, 4), (5, 6)]).unwrap(),
+            Graph::from_edges(7, [(0, 1), (1, 2), (3, 4), (5, 6)]).unwrap(),
         ] {
-            let csr = dk_graph::CsrGraph::from_graph(&g);
+            let csr = CsrGraph::from_graph(&g);
             for k in [1, 8, g.node_count() + 3] {
-                let fused = sampled_traversal_sharded(&csr, k, 3, 2);
+                let brandes = sampled_traversal_sharded(&csr, k, 3, 2);
                 let check = |d: &SampledDistances, route: &str| {
-                    assert_eq!(d.distances, fused.distances, "k = {k}, {route}");
-                    assert_eq!(d.sources, fused.sources, "k = {k}, {route}");
-                    assert_eq!(d.max_depth, fused.max_depth, "k = {k}, {route}");
+                    assert_eq!(d.distances, brandes.distances, "k = {k}, {route}");
+                    assert_eq!(d.sources, brandes.sources, "k = {k}, {route}");
+                    assert_eq!(d.max_depth, brandes.max_depth, "k = {k}, {route}");
                 };
                 check(&sampled_distances_sharded(&csr, k, 3, 2), "sharded");
                 check(&sampled_distances_sharded(&csr, k, 3, 1), "serial");
-                check(&sampled_distances_csr(&csr, k, 1), "csr");
+                check(
+                    &sampled_distances_sharded(&csr, k, DEFAULT_SHARDS, 1),
+                    "default shards",
+                );
             }
         }
-        let empty = dk_graph::CsrGraph::from_graph(&dk_graph::Graph::new());
+        let empty = CsrGraph::from_graph(&Graph::new());
         assert_eq!(sampled_distances_sharded(&empty, 8, 2, 1).sources, 0);
     }
 
     #[test]
     fn estimators_never_divide_by_zero() {
         // empty graph: zero pivots, zero denominators — still defined
-        let empty = sampled_traversal(&dk_graph::Graph::new(), 8, 1);
+        let empty = pass(&Graph::new(), 8, 1);
         assert_eq!(empty.sources, 0);
         assert!(empty.pdf_estimate().is_empty());
         assert_eq!(empty.unreachable_fraction(), 0.0);
         assert_eq!(empty.max_depth, 0);
         // disconnected graph: fraction strictly inside (0, 1), all finite
-        let g = dk_graph::Graph::from_edges(6, [(0, 1), (2, 3), (3, 4)]).unwrap();
-        let csr = dk_graph::CsrGraph::from_graph(&g);
+        let g = Graph::from_edges(6, [(0, 1), (2, 3), (3, 4)]).unwrap();
+        let csr = CsrGraph::from_graph(&g);
         let s = sampled_traversal_sharded(&csr, 99, 3, 2);
         assert_eq!(s.sources, 6); // K >= n: every node is a pivot
         let f = s.unreachable_fraction();
@@ -443,10 +419,10 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_graphs() {
-        let empty = sampled_traversal(&dk_graph::Graph::new(), 8, 1);
+        let empty = pass(&Graph::new(), 8, 1);
         assert_eq!(empty.sources, 0);
         assert!(empty.betweenness.is_empty());
-        let p2 = sampled_traversal(&builders::path(2), 8, 1);
+        let p2 = pass(&builders::path(2), 8, 1);
         assert_eq!(p2.sources, 2);
     }
 }

@@ -441,12 +441,6 @@ impl HyperAnf {
     }
 }
 
-/// HyperANF over a prepared CSR snapshot with the default shard count —
-/// the convenience entry point for callers without an execution plan.
-pub fn hyper_anf_csr(g: &CsrGraph, bits: u32, max_rounds: usize, threads: usize) -> HyperAnf {
-    hyper_anf_sharded(g, bits, max_rounds, crate::stream::DEFAULT_SHARDS, threads)
-}
-
 /// HyperANF with an explicit shard count: each round's shard blocks
 /// fold into the next register file in shard order as workers finish
 /// ([`dk_graph::ensemble::run_fold`] via [`crate::stream`]), so
@@ -518,6 +512,7 @@ pub fn hyper_anf_streamed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::DEFAULT_SHARDS;
     use dk_graph::{builders, Graph};
 
     #[test]
@@ -605,7 +600,7 @@ mod tests {
         // N(0)=4, N(1)=4+6=10, N(2)=14, N(3)=16 (ordered pairs + self)
         let g = builders::path(4);
         let csr = CsrGraph::from_graph(&g);
-        let anf = hyper_anf_csr(&csr, 10, 64, 1);
+        let anf = hyper_anf_sharded(&csr, 10, 64, DEFAULT_SHARDS, 1);
         assert!(anf.converged);
         assert_eq!(anf.neighborhood.len(), 4, "diameter 3 → rounds 0..=3");
         for (t, want) in [(0usize, 4.0), (1, 10.0), (2, 14.0), (3, 16.0)] {
@@ -624,10 +619,10 @@ mod tests {
     fn round_cap_reports_non_convergence() {
         let g = builders::path(10);
         let csr = CsrGraph::from_graph(&g);
-        let capped = hyper_anf_csr(&csr, 8, 2, 1);
+        let capped = hyper_anf_sharded(&csr, 8, 2, DEFAULT_SHARDS, 1);
         assert!(!capped.converged);
         assert_eq!(capped.neighborhood.len(), 3, "N(0)..N(2) only");
-        let full = hyper_anf_csr(&csr, 8, 64, 1);
+        let full = hyper_anf_sharded(&csr, 8, 64, DEFAULT_SHARDS, 1);
         assert!(full.converged);
         assert_eq!(full.neighborhood[..3], capped.neighborhood[..]);
     }
@@ -676,7 +671,7 @@ mod tests {
         // two components: balls never cross, N(max) < n²
         let g = Graph::from_edges(5, [(0, 1), (2, 3), (3, 4)]).unwrap();
         let csr = CsrGraph::from_graph(&g);
-        let anf = hyper_anf_csr(&csr, 10, 64, 1);
+        let anf = hyper_anf_sharded(&csr, 10, 64, DEFAULT_SHARDS, 1);
         assert!(anf.converged);
         // exact: N(0)=5, N(1)=5+2+6=13? pairs: (0,1)x2 at d1; (2,3),(3,4),(2,4 via 3 at d2)...
         // N(max) = 2² + 3² = 13 ordered pairs within components
@@ -688,14 +683,17 @@ mod tests {
 
     #[test]
     fn empty_and_single_node_graphs() {
-        let empty = hyper_anf_csr(&CsrGraph::from_graph(&Graph::new()), 8, 8, 2);
+        let anf = |g: &Graph, threads| {
+            hyper_anf_sharded(&CsrGraph::from_graph(g), 8, 8, DEFAULT_SHARDS, threads)
+        };
+        let empty = anf(&Graph::new(), 2);
         assert!(empty.neighborhood.is_empty());
         assert!(empty.converged);
         assert_eq!(empty.avg_distance(), 0.0);
         assert_eq!(empty.effective_diameter(0.9), 0.0);
         assert!(empty.distance_pdf().is_empty());
 
-        let one = hyper_anf_csr(&CsrGraph::from_graph(&Graph::with_nodes(1)), 8, 8, 1);
+        let one = anf(&Graph::with_nodes(1), 1);
         assert!(one.converged);
         assert_eq!(one.avg_distance(), 0.0);
         assert_eq!(one.effective_diameter(0.9), 0.0);
@@ -707,7 +705,7 @@ mod tests {
         // near-exact, no panic (the explicit n < 2^b requirement)
         let g = builders::complete(5);
         let csr = CsrGraph::from_graph(&g);
-        let anf = hyper_anf_csr(&csr, MAX_SKETCH_BITS, 16, 2);
+        let anf = hyper_anf_sharded(&csr, MAX_SKETCH_BITS, 16, DEFAULT_SHARDS, 2);
         assert!(anf.converged);
         assert!(anf.neighborhood.iter().all(|x| x.is_finite()));
         let d = anf.avg_distance();
@@ -721,7 +719,7 @@ mod tests {
         // between rounds 1 and 2
         let g = builders::star(5);
         let csr = CsrGraph::from_graph(&g);
-        let anf = hyper_anf_csr(&csr, 12, 16, 1);
+        let anf = hyper_anf_sharded(&csr, 12, 16, DEFAULT_SHARDS, 1);
         let eff = anf.effective_diameter(0.9);
         assert!(eff > 1.0 && eff < 2.0, "eff diameter {eff}");
         // q = 1.0 reaches the full diameter
@@ -733,7 +731,7 @@ mod tests {
     fn distance_pdf_sums_to_one() {
         let g = builders::karate_club();
         let csr = CsrGraph::from_graph(&g);
-        let anf = hyper_anf_csr(&csr, 10, 32, 2);
+        let anf = hyper_anf_sharded(&csr, 10, 32, DEFAULT_SHARDS, 2);
         let pdf = anf.distance_pdf();
         assert!(!pdf.is_empty());
         let total: f64 = pdf.iter().map(|&(_, p)| p).sum();

@@ -113,13 +113,13 @@ pub struct ExecPlan {
     pub workers: usize,
 }
 
-/// Working-set bytes one streaming worker needs for the fused
-/// Brandes+distance pass on an `n`-node graph: the `O(n)` betweenness
-/// partial (`f64`) plus the BFS scratch (`dist`, `sigma`, `delta`,
-/// `order`, queue). The distance histogram is `O(diameter)` — noise.
+/// Working-set bytes one streaming worker needs for the Brandes pass
+/// (betweenness and distances) on an `n`-node graph: the `O(n)`
+/// betweenness partial (`f64`) plus the BFS scratch (`dist`, `sigma`,
+/// `delta`, `order`, queue). The distance histogram is `O(diameter)` —
+/// noise.
 ///
-/// This is the per-worker bound the acceptance criterion names: total
-/// traversal memory is `workers × per_worker_bytes` plus
+/// Total traversal memory is `workers × per_worker_bytes` plus
 /// [`fixed_bytes`], never a function of the shard count.
 pub fn per_worker_bytes(n: usize) -> u64 {
     // bc 8 + sigma 8 + delta 8 + dist 4 + order 4 + queue 4 = 36 B/node;
@@ -127,10 +127,9 @@ pub fn per_worker_bytes(n: usize) -> u64 {
     // passes (exact and sampled) run the batched kernel, whose
     // `BatchScratch` — three u64 words plus two frontier node lists,
     // at most 32 B/node — fits inside the same 40 B/node. The two n-bit
-    // terms are the frontier bitmaps the single-source
-    // direction-optimizing BFS once charged here; no shard pass uses
-    // that scratch any more, and they stay as slack so the planned
-    // worker count does not move.
+    // terms are slack, kept so that the worker counts a memory budget
+    // plans, and the byte counts `dk serve` reports in its `over_budget`
+    // rejections, stay what clients and scripts already see.
     40 * n as u64 + 2 * (n as u64).div_ceil(8)
 }
 

@@ -9,7 +9,7 @@
 use dk_repro::graph::builders;
 use dk_repro::graph::csr::CsrGraph;
 use dk_repro::graph::{traversal, Graph};
-use dk_repro::metrics::{sampled, Analyzer, Report};
+use dk_repro::metrics::{sampled, stream, Analyzer, Report};
 
 fn close(got: f64, want: f64, what: &str) {
     assert!((got - want).abs() < 1e-9, "{what}: got {got}, want {want}");
@@ -174,7 +174,7 @@ fn sampled_pass_usable_standalone() {
     // library surface: the sampled pass without the facade
     let g = builders::karate_club();
     let csr = CsrGraph::from_graph(&g);
-    let s = sampled::sampled_traversal_csr(&csr, 8, 1);
+    let s = sampled::sampled_traversal_sharded(&csr, 8, stream::DEFAULT_SHARDS, 1);
     assert_eq!(s.sources, 8);
     assert_eq!(s.betweenness.len(), 34);
     assert!(s.distances.mean() > 0.0);

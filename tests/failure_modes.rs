@@ -86,14 +86,32 @@ fn impossible_3k_target_respects_patience() {
 
 #[test]
 fn dist_file_parse_errors_carry_context() {
-    let err = io::read_2k("1 2 x\n".as_bytes()).unwrap_err();
-    match err {
+    let expect_parse = |err: GraphError, want_line: usize, want: &str| match err {
         GraphError::Parse { line, msg } => {
-            assert_eq!(line, 1);
-            assert!(msg.contains("count"), "{msg}");
+            assert_eq!(line, want_line, "{msg}");
+            assert!(msg.contains(want), "{msg}");
         }
         other => panic!("expected parse error, got {other}"),
+    };
+    expect_parse(io::read_2k("1 2 x\n".as_bytes()).unwrap_err(), 1, "count");
+    // duplicate lines merge by addition; a sum past u64 (usize for 1K)
+    // is refused on the line that overflows instead of wrapping to 0
+    let max = u64::MAX;
+    let dup_1k = format!("2 {max}\n2 1\n");
+    expect_parse(io::read_1k(dup_1k.as_bytes()).unwrap_err(), 2, "overflow");
+    let dup_2k = format!("1 2 {max}\n# comment\n2 1 1\n");
+    expect_parse(io::read_2k(dup_2k.as_bytes()).unwrap_err(), 3, "overflow");
+    for tag in ["W", "T"] {
+        let dup_3k = format!("{tag} 1 2 3 {max}\n{tag} 3 2 1 1\n");
+        expect_parse(io::read_3k(dup_3k.as_bytes()).unwrap_err(), 2, "overflow");
     }
+    // a degree past u32, as the 2K and 3K readers already reject
+    let huge_degree = format!("{max} 1\n");
+    expect_parse(
+        io::read_1k(huge_degree.as_bytes()).unwrap_err(),
+        1,
+        "degree",
+    );
 }
 
 #[test]

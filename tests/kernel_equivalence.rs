@@ -6,40 +6,43 @@
 //! the greatest finite distance — whatever the batch grouping, shard
 //! layout or thread count.
 //!
-//! The oracle is the per-source `bfs_visit` histogram the exact and
-//! sampled shard passes ran before the batched kernel replaced them.
-//! The graphs cross batch boundaries (n ∈ {1, 63, 64, 65, 129, 200}),
-//! include disconnected graphs and isolated nodes, and the
-//! high-diameter shapes (cycle, path, grid) whose levels run top-down.
+//! The oracle is one FIFO-queue BFS per source
+//! (`traversal::bfs_distances`), its distance rows counted into a
+//! histogram. The graphs cross batch boundaries
+//! (n ∈ {1, 63, 64, 65, 129, 200}), include disconnected graphs and
+//! isolated nodes, and the high-diameter shapes (cycle, path, grid)
+//! whose levels run push.
 
 use dk_repro::graph::builders;
 use dk_repro::graph::csr::CsrGraph;
-use dk_repro::graph::traversal::{self, BatchScratch, BfsScratch, BATCH_LANES};
+use dk_repro::graph::traversal::{self, BatchScratch, BATCH_LANES, UNREACHABLE};
 use dk_repro::graph::{Graph, NodeId};
 use dk_repro::metrics::distance::DistanceDistribution;
 use dk_repro::metrics::sampled::{self, SampledDistances};
+use dk_repro::metrics::stream::DEFAULT_SHARDS;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 /// `(counts, unreachable pairs, greatest finite distance)`.
 type Histogram = (Vec<u64>, u64, u32);
 
-/// The oracle: one direction-optimizing BFS per source.
+/// The oracle: one FIFO-queue BFS per source.
 fn per_source(g: &CsrGraph, sources: &[NodeId]) -> Histogram {
-    let n = g.node_count() as u64;
     let mut counts: Vec<u64> = Vec::new();
     let (mut unreachable, mut depth) = (0, 0);
-    let mut scratch = BfsScratch::new(g.node_count());
     for &s in sources {
-        let (reached, d) = traversal::bfs_visit(g, s, &mut scratch, |_, du| {
-            let du = du as usize;
+        for d in traversal::bfs_distances(g, s) {
+            if d == UNREACHABLE {
+                unreachable += 1;
+                continue;
+            }
+            let du = d as usize;
             if counts.len() <= du {
                 counts.resize(du + 1, 0);
             }
             counts[du] += 1;
-        });
-        unreachable += n - reached;
-        depth = depth.max(d);
+            depth = depth.max(d);
+        }
     }
     (counts, unreachable, depth)
 }
@@ -164,10 +167,7 @@ fn exact_distribution_matches_oracle_on_every_route() {
             assert_eq!(d.nodes, n, "{name}, {route}");
             assert_eq!(d.diameter(), depth as usize, "{name}, {route}");
         };
-        check(
-            DistanceDistribution::from_graph_with_threads(&g, 2),
-            "graph",
-        );
+        check(DistanceDistribution::from_graph(&g), "graph");
         for shards in [1, 2, 7, n] {
             for threads in [1, 3] {
                 check(
@@ -196,7 +196,10 @@ fn sampled_distance_pass_matches_oracle_on_every_route() {
                 assert_eq!(d.max_depth, depth, "{name}, k = {k}, {route}");
                 assert_eq!(d.sources, pivots.len(), "{name}, k = {k}, {route}");
             };
-            check(sampled::sampled_distances_csr(&csr, k, 2), "csr");
+            check(
+                sampled::sampled_distances_sharded(&csr, k, DEFAULT_SHARDS, 2),
+                "default shards",
+            );
             for shards in [1, 2, 7, n] {
                 for threads in [1, 3] {
                     check(

@@ -18,8 +18,8 @@
 //! * **Rejection hygiene** — an all-rejecting run leaves graph *and*
 //!   census byte-identical (exercising the tentative-apply revert path);
 //! * **Edge order** — golden digests of `Graph::edges()` after the 3K
-//!   chains and the 2K-space explorer pin the order the output files
-//!   carry.
+//!   chains and the 1K-, 2K- and custom-objective explorers pin the
+//!   order the output files carry.
 
 use dk_repro::core::dist::{canon_triangle, canon_wedge, Degree, Dist2K, Dist3K};
 use dk_repro::core::generate::delta::{frozen_degrees, Delta2K, Delta3K};
@@ -551,17 +551,24 @@ fn edge_order_digest(g: &Graph) -> u64 {
     h
 }
 
-/// The 3K chains and the 2K-space explorer apply every evaluated move
-/// and revert the rejected ones, and `revert_swap` moves the two removed
-/// edges to the end of the edge list. Output files carry that order, so
-/// it is part of the byte-identity contract. The digests were recorded
-/// with the per-edge oracle above computing the 3K deltas, and hold for
-/// any delta that keeps the moves, their order and the RNG draws.
+/// The 3K chains, the 2K-space explorer and the custom-objective
+/// explorer apply every evaluated move and revert the rejected ones, and
+/// `revert_swap` moves the two removed edges to the end of the edge
+/// list; the 1K explorer applies only the moves it accepts. Output files
+/// carry that order, so it is part of the byte-identity contract. The
+/// digests were recorded with the per-edge oracle above computing the 3K
+/// deltas and with the explorers drawing and applying their swaps
+/// inline, and hold for any code that keeps the moves, their order and
+/// the RNG draws.
 #[test]
 fn chain_outputs_keep_their_edge_order() {
-    use dk_repro::core::explore::{explore_2k, Direction, ExploreOptions, Objective2K as Explore};
+    use dk_repro::core::explore::{
+        explore_1k_likelihood, explore_2k, explore_custom, Direction, ExploreOptions,
+        Objective2K as Explore,
+    };
     use dk_repro::core::generate::rewire::{randomize, RewireOptions};
     use dk_repro::core::generate::target::{generate_3k_random, Bootstrap, TargetOptions};
+    use dk_repro::metrics::clustering::triangle_count;
 
     let ba = barabasi_albert(
         &BaParams {
@@ -622,26 +629,58 @@ fn chain_outputs_keep_their_edge_order() {
             explore_2k(&mut g, objective, dir, &explore, &mut rng);
             got.push((format!("explore_{tag}/{name}"), edge_order_digest(&g)));
         }
+        for (tag, dir) in [
+            ("s_max", Direction::Maximize),
+            ("s_min", Direction::Minimize),
+        ] {
+            let mut g = g0.clone();
+            let mut rng = StdRng::seed_from_u64(7);
+            explore_1k_likelihood(&mut g, dir, &explore, &mut rng);
+            got.push((format!("explore_{tag}/{name}"), edge_order_digest(&g)));
+        }
+        let custom = ExploreOptions {
+            max_attempts: 1_500,
+            patience: Some(750),
+        };
+        for d in [1, 2] {
+            let mut g = g0.clone();
+            let mut rng = StdRng::seed_from_u64(7);
+            let triangles = |g: &Graph| triangle_count(g) as f64;
+            explore_custom(&mut g, d, Direction::Maximize, triangles, &custom, &mut rng);
+            got.push((format!("explore_custom{d}/{name}"), edge_order_digest(&g)));
+        }
     }
-    let expected: [(&str, u64); 18] = [
+    let expected: [(&str, u64); 30] = [
         ("randomize3/karate", 0x464b4fd6f6fe2e1c),
         ("target3/karate", 0x2d302b1e79a29593),
         ("explore_s2_max/karate", 0xaafc43c9aa1171ec),
         ("explore_s2_min/karate", 0x55db7aef2dc7008c),
         ("explore_cbar_max/karate", 0x6109bd1c2c015b0c),
         ("explore_cbar_min/karate", 0xd08e4675a5d1116c),
+        ("explore_s_max/karate", 0xdfa0b65642db0e7c),
+        ("explore_s_min/karate", 0x0354d77bf95f9e3c),
+        ("explore_custom1/karate", 0x9bc7e13e86834d7c),
+        ("explore_custom2/karate", 0x3da5eea8f06e3c3c),
         ("randomize3/grid12", 0xff226fccec239385),
         ("target3/grid12", 0x4830a88ed2e23f75),
         ("explore_s2_max/grid12", 0xdd735d01f465feb5),
         ("explore_s2_min/grid12", 0xd35cd163410f4725),
         ("explore_cbar_max/grid12", 0x721c9087fc7339b5),
         ("explore_cbar_min/grid12", 0x2bce11965faeefe5),
+        ("explore_s_max/grid12", 0xa2bd76d0a3ee7465),
+        ("explore_s_min/grid12", 0x8e5d39fc4c9eef85),
+        ("explore_custom1/grid12", 0xbd6e4a827fe29ac5),
+        ("explore_custom2/grid12", 0xf855d5e76c66c335),
         ("randomize3/ba200", 0x09f95e4b827ad656),
         ("target3/ba200", 0x4cce18f15befaf2a),
         ("explore_s2_max/ba200", 0xb56e41edadf852b6),
         ("explore_s2_min/ba200", 0xd33028470aa077c6),
         ("explore_cbar_max/ba200", 0xf95a5a1312f0ad06),
         ("explore_cbar_min/ba200", 0xc0bff726f71daec6),
+        ("explore_s_max/ba200", 0x3bd99887b1cbee36),
+        ("explore_s_min/ba200", 0xf4dc0f2fe92d9fa6),
+        ("explore_custom1/ba200", 0xfdd2208a8e71d466),
+        ("explore_custom2/ba200", 0x327a88e3211d1596),
     ];
     let expected: Vec<(String, u64)> = expected.iter().map(|&(k, v)| (k.to_string(), v)).collect();
     assert_eq!(got, expected);

@@ -11,7 +11,8 @@
 use dk_repro::graph::csr::CsrGraph;
 use dk_repro::graph::{builders, Graph};
 use dk_repro::metrics::distance::DistanceDistribution;
-use dk_repro::metrics::sketch::{self, hyper_anf_csr, HyperAnf};
+use dk_repro::metrics::sketch::{self, hyper_anf_sharded, HyperAnf};
+use dk_repro::metrics::stream::DEFAULT_SHARDS;
 use dk_repro::metrics::Analyzer;
 use dk_repro::topologies::ba::{barabasi_albert, BaParams};
 use rand::rngs::StdRng;
@@ -37,7 +38,7 @@ const BITS: [u32; 3] = [6, 8, 10];
 const ROUNDS: usize = 64;
 
 fn anf(g: &Graph, bits: u32) -> HyperAnf {
-    hyper_anf_csr(&CsrGraph::from_graph(g), bits, ROUNDS, 2)
+    hyper_anf_sharded(&CsrGraph::from_graph(g), bits, ROUNDS, DEFAULT_SHARDS, 2)
 }
 
 /// Exact N(t) from the oracle histogram: cumulative ordered pairs
@@ -90,7 +91,7 @@ fn closed_form_neighborhood_functions_and_mean_distance() {
     ];
     for (name, g, want_nf, want_mean) in cases {
         // the hand-computed N(t) agrees with the exact oracle histogram
-        let oracle = exact_neighborhood(&DistanceDistribution::from_graph_with_threads(&g, 1));
+        let oracle = exact_neighborhood(&DistanceDistribution::from_graph(&g));
         assert_eq!(oracle, want_nf, "{name}: closed form vs oracle");
         for bits in BITS {
             let a = anf(&g, bits);
@@ -123,7 +124,7 @@ fn closed_form_neighborhood_functions_and_mean_distance() {
 #[test]
 fn karate_club_matches_literature_and_oracle() {
     let g = builders::karate_club();
-    let exact = DistanceDistribution::from_graph_with_threads(&g, 1);
+    let exact = DistanceDistribution::from_graph(&g);
     // literature anchor (same value analyzer_golden.rs pins): d̄ = 2.4082
     assert!(
         (exact.mean() - 2.4082).abs() < 1e-3,
@@ -158,7 +159,7 @@ fn karate_club_matches_literature_and_oracle() {
 #[test]
 fn karate_distance_distribution_shape() {
     let g = builders::karate_club();
-    let exact = DistanceDistribution::from_graph_with_threads(&g, 1);
+    let exact = DistanceDistribution::from_graph(&g);
     let exact_pdf = exact.pdf_positive();
     for bits in BITS {
         let pdf = anf(&g, bits).distance_pdf();
@@ -215,7 +216,13 @@ fn max_register_count_degrades_gracefully_on_small_graphs() {
     }
     // degenerate shapes under maximum bits: still no panic, no NaN
     for g in [Graph::new(), Graph::with_nodes(1), Graph::with_nodes(4)] {
-        let a = hyper_anf_csr(&CsrGraph::from_graph(&g), sketch::MAX_SKETCH_BITS, 8, 2);
+        let a = hyper_anf_sharded(
+            &CsrGraph::from_graph(&g),
+            sketch::MAX_SKETCH_BITS,
+            8,
+            DEFAULT_SHARDS,
+            2,
+        );
         assert!(a.avg_distance().is_finite());
         assert!(a.effective_diameter(0.9).is_finite());
     }
@@ -335,8 +342,8 @@ fn ba_10k_avg_distance_within_five_percent_across_seeds() {
             &mut rng,
         );
         let csr = CsrGraph::from_graph(&g);
-        let exact = DistanceDistribution::from_csr_with_threads(&csr, 0).mean();
-        let a = hyper_anf_csr(&csr, bits, ROUNDS, 0);
+        let exact = DistanceDistribution::from_csr_sharded(&csr, DEFAULT_SHARDS, 0).mean();
+        let a = hyper_anf_sharded(&csr, bits, ROUNDS, DEFAULT_SHARDS, 0);
         assert!(a.converged, "seed {seed}");
         let rel = rel_err(a.avg_distance(), exact);
         worst = worst.max(rel);

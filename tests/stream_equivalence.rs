@@ -87,7 +87,7 @@ fn distance_streamed_identical_for_every_shard_count() {
     // count matches the default shard count's, not just at equal ones
     for g in zoo() {
         let csr = CsrGraph::from_graph(&g);
-        let want = DistanceDistribution::from_csr_with_threads(&csr, 1);
+        let want = DistanceDistribution::from_csr_sharded(&csr, stream::DEFAULT_SHARDS, 1);
         for shards in [1, 2, 7, g.node_count()] {
             for threads in [1, 3] {
                 assert_eq!(
@@ -124,8 +124,8 @@ fn sampled_streamed_bit_identical_to_oracle() {
 fn eccentricity_reducer_agrees_with_histogram() {
     for g in zoo() {
         let csr = CsrGraph::from_graph(&g);
-        let fused = betweenness::betweenness_and_distances_sharded(&csr, 7, 2);
-        assert_eq!(fused.max_depth as usize, fused.distances.diameter());
+        let exact = betweenness::betweenness_and_distances_sharded(&csr, 7, 2);
+        assert_eq!(exact.max_depth as usize, exact.distances.diameter());
         let s = sampled::sampled_traversal_sharded(&csr, 8, 3, 2);
         assert_eq!(s.max_depth as usize, s.distances.diameter());
     }
@@ -321,7 +321,12 @@ fn sampled_estimators_finite_on_disconnected_graphs() {
     }
     // all-isolated graph: every pair unreachable, mean distance 0
     let isolated = Graph::with_nodes(4);
-    let s = sampled::sampled_traversal(&isolated, 2, 1);
+    let s = sampled::sampled_traversal_sharded(
+        &CsrGraph::from_graph(&isolated),
+        2,
+        stream::DEFAULT_SHARDS,
+        1,
+    );
     assert_eq!(s.distances.mean(), 0.0);
     assert!(s.unreachable_fraction() > 0.0);
     assert!(s.pdf_estimate().iter().all(|p| p.is_finite()));
