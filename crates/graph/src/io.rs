@@ -14,7 +14,15 @@ use crate::graph::{Graph, NodeId};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
+/// The most nodes an edge list may hold: ids run `0..n` and must fit a
+/// [`NodeId`], so `n ≤ NodeId::MAX`.
+const MAX_NODES: usize = NodeId::MAX as usize;
+
 /// Parses a graph from edge-list text.
+///
+/// A node count past the id space — a `nodes N` header above
+/// `NodeId::MAX`, or an id of `NodeId::MAX` itself — is refused as a
+/// [`GraphError::Parse`] naming its line, before anything is allocated.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, GraphError> {
     let buf = BufReader::new(reader);
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
@@ -41,6 +49,12 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, GraphError> {
                     line: lineno,
                     msg: format!("bad node count: {e}"),
                 })?;
+            if n > MAX_NODES {
+                return Err(GraphError::Parse {
+                    line: lineno,
+                    msg: format!("node count {n} is past the id space (at most {MAX_NODES})"),
+                });
+            }
             declared_nodes = Some(n);
             continue;
         }
@@ -62,7 +76,16 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, GraphError> {
                 msg: "trailing tokens after edge".into(),
             });
         }
-        max_id = Some(max_id.map_or(u.max(v), |m| m.max(u).max(v)));
+        let top = u.max(v);
+        if top as usize >= MAX_NODES {
+            return Err(GraphError::Parse {
+                line: lineno,
+                msg: format!(
+                    "node id {top} needs a node count past the id space (at most {MAX_NODES})"
+                ),
+            });
+        }
+        max_id = Some(max_id.map_or(top, |m| m.max(top)));
         edges.push((u, v));
     }
     let implied = max_id.map_or(0, |m| m as usize + 1);
@@ -184,6 +207,21 @@ mod tests {
         assert!(read_edge_list("nodes x\n".as_bytes()).is_err());
         // declared node count too small
         assert!(read_edge_list("nodes 1\n0 1\n".as_bytes()).is_err());
+        // node counts past the id space, refused before any allocation
+        for (text, want) in [
+            ("nodes 18446744073709551615\n0 1\n", 1),
+            ("0 1\nnodes 5000000000\n", 2),
+            ("nodes 4294967296\n", 1),
+            ("# ids\n0 1\n4294967295 2\n", 3),
+            ("0 4294967295\n", 1),
+        ] {
+            let got = read_edge_list(text.as_bytes());
+            assert!(
+                matches!(&got, Err(GraphError::Parse { line, msg })
+                    if *line == want && msg.contains("id space")),
+                "{text:?}: {got:?}"
+            );
+        }
     }
 
     #[test]

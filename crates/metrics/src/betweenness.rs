@@ -16,8 +16,9 @@
 use crate::distance::default_threads;
 use crate::sampled::{self, SampledTraversal};
 use crate::stream::{run_sharded_fold, DEFAULT_SHARDS};
-use dk_graph::{AdjacencyView, CsrGraph, Graph, NodeId};
+use dk_graph::{CsrGraph, Graph, NodeId};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// The exact all-source Brandes pass over a CSR snapshot: node
 /// betweenness (unordered-pair convention, as [`node_betweenness`]),
@@ -85,98 +86,147 @@ impl BrandesSums {
     }
 }
 
-/// Per-node forward state packed into one 16-byte slot (`repr(C)`: the
-/// i32 distance at offset 0, the f64 path count at offset 8) so each
-/// neighbor probe in the hot loops — "is `v` on a shortest path?" plus
-/// the `sigma`/`delta` accumulate that follows — lands on one cache
-/// line instead of two. The kernel is memory-latency-bound at 10⁶
-/// nodes, so halving the random lines touched per edge is the single
-/// biggest lever; the arithmetic itself is untouched (same f64 adds in
-/// the same order → bit-identical to the split-array layout).
+/// Level code of a node the current source has not reached. Reached
+/// nodes carry their BFS depth mod 3 (see [`brandes_shard`]).
+const UNSEEN: u8 = u8::MAX;
+
+/// The shortest-path count σ and the dependency δ of one node, side by
+/// side in one 16-byte slot: the forward sweep adds to σ and the reverse
+/// sweep adds `σ · coeff` to δ of the same node, so each DAG arc lands
+/// on one cache line.
 #[derive(Clone, Copy)]
-#[repr(C)]
-struct PathState {
-    dist: i32,
+struct Flow {
     sigma: f64,
+    delta: f64,
 }
 
-const UNSEEN: PathState = PathState {
-    dist: -1,
-    sigma: 0.0,
-};
+/// A queued node and its CSR span, read once when the node is
+/// discovered.
+#[derive(Clone, Copy)]
+struct Visit {
+    node: NodeId,
+    span: (u32, u32),
+}
 
 /// One shard's worth of Brandes sources: BFS + dependency
 /// back-propagation per source in `range`, accumulated into one compact
-/// [`BrandesSums`] partial. The per-source buffers (`state`, `delta`,
-/// `order`) are worker scratch reused across the shard; `order` doubles
-/// as the FIFO queue (discovered nodes are appended and scanned by
-/// cursor), so the vector left behind IS the BFS visit order the
-/// reverse dependency sweep needs — one push per node, no ring buffer.
-fn brandes_shard<V: AdjacencyView + ?Sized>(
-    g: &V,
-    sources: &[NodeId],
-    range: std::ops::Range<u32>,
-) -> BrandesSums {
+/// [`BrandesSums`] partial. The per-source buffers are worker scratch
+/// reused across the shard, laid out so that the hot loops branch only on
+/// a cache-resident array (the kernel is memory-latency-bound at 10⁶
+/// nodes):
+///
+/// * **A one-byte level code per node** (`code`) holds the BFS depth
+///   mod 3, or [`UNSEEN`]. A neighbour of a depth-`d` node sits at depth
+///   `d − 1`, `d` or `d + 1`, and these three are distinct mod 3 at any
+///   diameter, so the code alone tells a DAG arc (to `d + 1` forward,
+///   to `d − 1` in reverse) from an arc within a level. An `n`-byte
+///   array stays cache-resident at 10⁶ nodes, where a 16-byte
+///   depth-and-σ probe per arc would miss; the depth itself is the level
+///   counter of the walk, so the code never needs more than mod 3.
+/// * **σ and δ share one [`Flow`] slot**, touched only on DAG arcs and
+///   at the node's own visit. A slot is written whole when its node is
+///   discovered (σ from the discovering parent, δ = 0), so no per-source
+///   fill of σ or δ is needed; the codes are reset to [`UNSEEN`] by the
+///   reverse sweep as it leaves each node.
+/// * **The FIFO queue doubles as the visit order** and is walked level by
+///   level, keeping each level's start: the reverse sweep runs the
+///   levels deepest first, each back to front — the exact reverse BFS
+///   order — and knows every node's depth without a lookup. Each entry
+///   carries its node's CSR span, read at discovery, so neither sweep
+///   waits on a random `offsets` load before scanning a node.
+///
+/// Every f64 operation — each σ add, each `(1 + δ_w) / σ_w`, each δ and
+/// betweenness add — happens in the same order as in the textbook
+/// kernel with an `i32` distance array and per-source fills, so the sums
+/// are bit-identical to it (`tests/kernel_equivalence.rs` keeps that
+/// kernel as its oracle).
+fn brandes_shard(g: &CsrGraph, sources: &[NodeId], range: Range<u32>) -> BrandesSums {
     let n = g.node_count();
     let mut out = BrandesSums::zero(n);
-    // reusable per-source buffers
-    let mut state = vec![UNSEEN; n];
-    let mut delta = vec![0.0f64; n];
-    let mut order: Vec<NodeId> = Vec::with_capacity(n);
+    let mut code = vec![UNSEEN; n];
+    let mut flow = vec![
+        Flow {
+            sigma: 0.0,
+            delta: 0.0
+        };
+        n
+    ];
+    let mut queue: Vec<Visit> = Vec::with_capacity(n);
+    // queue index where each BFS level starts
+    let mut levels: Vec<usize> = Vec::new();
     for idx in range {
         let s = sources[idx as usize];
-        state.fill(UNSEEN);
-        delta.fill(0.0);
-        order.clear();
-        state[s as usize] = PathState {
-            dist: 0,
+        queue.clear();
+        levels.clear();
+        code[s as usize] = 0;
+        flow[s as usize] = Flow {
             sigma: 1.0,
+            delta: 0.0,
         };
-        order.push(s);
-        let mut cursor = 0usize;
-        while let Some(&u) = order.get(cursor) {
-            cursor += 1;
-            let du = state[u as usize].dist;
-            let dx = du as usize;
-            out.depth = out.depth.max(du as u32);
-            if out.counts.len() <= dx {
-                out.counts.resize(dx + 1, 0);
-            }
-            out.counts[dx] += 1;
-            // sigma[u] is final once u is scanned — every contribution
-            // comes from the previous BFS level, all scanned before u —
-            // so hoist the read out of the neighbor loop (the aliasing
-            // the compiler can't rule out never happens: a neighbor at
-            // depth du+1 is never u itself)
-            let su = state[u as usize].sigma;
-            for &v in g.neighbors(u) {
-                let st = &mut state[v as usize];
-                if st.dist < 0 {
-                    st.dist = du + 1;
-                    order.push(v);
+        queue.push(Visit {
+            node: s,
+            span: g.span(s),
+        });
+        let mut start = 0;
+        while start < queue.len() {
+            let depth = levels.len();
+            levels.push(start);
+            let next = ((depth + 1) % 3) as u8;
+            let end = queue.len();
+            for i in start..end {
+                let Visit { node: u, span } = queue[i];
+                // σ of a level is final before the level is scanned:
+                // every contribution comes from the level above
+                let su = flow[u as usize].sigma;
+                for &v in g.targets_in(span) {
+                    let vi = v as usize;
+                    let c = code[vi];
+                    if c == UNSEEN {
+                        code[vi] = next;
+                        // σ starts at 0 + σ_u, which is σ_u (σ_u ≥ 1)
+                        flow[vi] = Flow {
+                            sigma: su,
+                            delta: 0.0,
+                        };
+                        queue.push(Visit {
+                            node: v,
+                            span: g.span(v),
+                        });
+                    } else if c == next {
+                        flow[vi].sigma += su;
+                    }
                 }
-                if st.dist == du + 1 {
-                    st.sigma += su;
-                }
             }
+            if out.counts.len() <= depth {
+                out.counts.resize(depth + 1, 0);
+            }
+            out.counts[depth] += (end - start) as u64;
+            start = end;
         }
-        out.unreachable += n as u64 - order.len() as u64;
-        // dependency accumulation in reverse BFS order
-        for &w in order.iter().rev() {
-            let wi = w as usize;
-            let coeff = (1.0 + delta[wi]) / state[wi].sigma;
-            let dw = state[wi].dist;
-            for &v in g.neighbors(w) {
-                let vi = v as usize;
-                let st = state[vi];
-                if st.dist + 1 == dw {
-                    delta[vi] += st.sigma * coeff;
+        out.depth = out.depth.max(levels.len() as u32 - 1);
+        out.unreachable += n as u64 - queue.len() as u64;
+        // dependency accumulation in reverse BFS order; the source (level
+        // 0) has no predecessor and no betweenness of its own
+        let mut end = queue.len();
+        for depth in (1..levels.len()).rev() {
+            let prev = ((depth + 2) % 3) as u8;
+            for &Visit { node: w, span } in queue[levels[depth]..end].iter().rev() {
+                let wi = w as usize;
+                let Flow { sigma, delta } = flow[wi];
+                let coeff = (1.0 + delta) / sigma;
+                for &v in g.targets_in(span) {
+                    let vi = v as usize;
+                    if code[vi] == prev {
+                        let f = &mut flow[vi];
+                        f.delta += f.sigma * coeff;
+                    }
                 }
+                out.bc[wi] += delta;
+                code[wi] = UNSEEN;
             }
-            if w != s {
-                out.bc[wi] += delta[wi];
-            }
+            end = levels[depth];
         }
+        code[s as usize] = UNSEEN;
     }
     out
 }
@@ -189,8 +239,8 @@ fn brandes_shard<V: AdjacencyView + ?Sized>(
 /// The pass behind both the exact betweenness (sources = all nodes) and
 /// the Brandes–Pich estimator of [`crate::sampled`] (sources = K
 /// pivots).
-pub(crate) fn brandes_over_sources_sharded<V: AdjacencyView + ?Sized>(
-    g: &V,
+pub(crate) fn brandes_over_sources_sharded(
+    g: &CsrGraph,
     sources: &[NodeId],
     shards: usize,
     threads: usize,

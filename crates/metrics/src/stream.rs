@@ -115,21 +115,23 @@ pub struct ExecPlan {
 
 /// Working-set bytes one streaming worker needs for the Brandes pass
 /// (betweenness and distances) on an `n`-node graph: the `O(n)`
-/// betweenness partial (`f64`) plus the BFS scratch (`dist`, `sigma`,
-/// `delta`, `order`, queue). The distance histogram is `O(diameter)` —
-/// noise.
+/// betweenness partial (`f64`) plus the kernel's per-source scratch (the
+/// packed σ/δ slot, the one-byte level code, the span-carrying FIFO
+/// queue). The distance histogram and the level starts are
+/// `O(diameter)` — noise.
 ///
 /// Total traversal memory is `workers × per_worker_bytes` plus
 /// [`fixed_bytes`], never a function of the shard count.
 pub fn per_worker_bytes(n: usize) -> u64 {
-    // bc 8 + sigma 8 + delta 8 + dist 4 + order 4 + queue 4 = 36 B/node;
-    // round up for allocator slack and the histogram. The distance-only
-    // passes (exact and sampled) run the batched kernel, whose
-    // `BatchScratch` — three u64 words plus two frontier node lists,
-    // at most 32 B/node — fits inside the same 40 B/node. The two n-bit
-    // terms are slack, kept so that the worker counts a memory budget
-    // plans, and the byte counts `dk serve` reports in its `over_budget`
-    // rejections, stay what clients and scripts already see.
+    // bc 8 + sigma/delta 16 + level code 1 + queue entry 12 (node and
+    // its CSR span) = 37 B/node; round up to 40 for allocator slack and
+    // the histogram. The distance-only passes (exact and sampled) run
+    // the batched kernel, whose `BatchScratch` — three u64 words plus
+    // two frontier node lists, at most 32 B/node — fits inside the same
+    // 40 B/node. The two n-bit terms are slack, kept so that the worker
+    // counts a memory budget plans, and the byte counts `dk serve`
+    // reports in its `over_budget` rejections, stay what clients and
+    // scripts already see.
     40 * n as u64 + 2 * (n as u64).div_ceil(8)
 }
 

@@ -141,7 +141,16 @@ fn generators_survive_extreme_but_valid_inputs() {
 #[test]
 fn graph_io_rejects_truncated_and_corrupt_files() {
     use dk_repro::graph::io::read_edge_list;
-    for bad in ["0\n", "0 1 2\n", "nodes\n", "a b\n", "nodes 1\n0 5\n"] {
+    for bad in [
+        "0\n",
+        "0 1 2\n",
+        "nodes\n",
+        "a b\n",
+        "nodes 1\n0 5\n",
+        // node counts past the id space: refused, not allocated
+        "nodes 18446744073709551615\n0 1\n",
+        "nodes 5000000000\n0 1\n",
+    ] {
         assert!(read_edge_list(bad.as_bytes()).is_err(), "{bad:?}");
     }
 }

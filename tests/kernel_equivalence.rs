@@ -12,13 +12,21 @@
 //! (n ∈ {1, 63, 64, 65, 129, 200}), include disconnected graphs and
 //! isolated nodes, and the high-diameter shapes (cycle, path, grid)
 //! whose levels run push.
+//!
+//! The Brandes pivot pass behind every betweenness value (the exact
+//! `b_max` / `b_k` pass, `betweenness_approx` and the betweenness attack
+//! ranking) has its own oracle: the textbook kernel with an `i32`
+//! distance per node, two per-source fills and an adjacency lookup per
+//! scanned node, kept below as it ran in the library. The library
+//! kernel must reproduce its every betweenness bit, its distance
+//! histogram and its greatest depth.
 
 use dk_repro::graph::builders;
-use dk_repro::graph::csr::CsrGraph;
+use dk_repro::graph::csr::{AdjacencyView, CsrGraph};
 use dk_repro::graph::traversal::{self, BatchScratch, BATCH_LANES, UNREACHABLE};
 use dk_repro::graph::{Graph, NodeId};
 use dk_repro::metrics::distance::DistanceDistribution;
-use dk_repro::metrics::sampled::{self, SampledDistances};
+use dk_repro::metrics::sampled::{self, SampledDistances, SampledTraversal};
 use dk_repro::metrics::stream::DEFAULT_SHARDS;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -208,6 +216,168 @@ fn sampled_distance_pass_matches_oracle_on_every_route() {
                     );
                 }
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Oracle: the textbook Brandes kernel, one source at a time
+// ---------------------------------------------------------------------
+
+/// The reducer the oracle kernel fills: raw dependency sums, distance
+/// histogram, unreached pairs and greatest depth.
+struct BrandesSums {
+    bc: Vec<f64>,
+    counts: Vec<u64>,
+    unreachable: u64,
+    depth: u32,
+}
+
+impl BrandesSums {
+    fn zero(n: usize) -> Self {
+        BrandesSums {
+            bc: vec![0.0f64; n],
+            counts: Vec::new(),
+            unreachable: 0,
+            depth: 0,
+        }
+    }
+}
+
+/// Per-node forward state packed into one 16-byte slot (`repr(C)`: the
+/// i32 distance at offset 0, the f64 path count at offset 8) so each
+/// neighbor probe in the hot loops — "is `v` on a shortest path?" plus
+/// the `sigma`/`delta` accumulate that follows — lands on one cache
+/// line instead of two. The kernel is memory-latency-bound at 10⁶
+/// nodes, so halving the random lines touched per edge is the single
+/// biggest lever; the arithmetic itself is untouched (same f64 adds in
+/// the same order → bit-identical to the split-array layout).
+#[derive(Clone, Copy)]
+#[repr(C)]
+struct PathState {
+    dist: i32,
+    sigma: f64,
+}
+
+const UNSEEN: PathState = PathState {
+    dist: -1,
+    sigma: 0.0,
+};
+
+/// One shard's worth of Brandes sources: BFS + dependency
+/// back-propagation per source in `range`, accumulated into one compact
+/// [`BrandesSums`] partial. The per-source buffers (`state`, `delta`,
+/// `order`) are worker scratch reused across the shard; `order` doubles
+/// as the FIFO queue (discovered nodes are appended and scanned by
+/// cursor), so the vector left behind IS the BFS visit order the
+/// reverse dependency sweep needs — one push per node, no ring buffer.
+fn brandes_shard<V: AdjacencyView + ?Sized>(
+    g: &V,
+    sources: &[NodeId],
+    range: std::ops::Range<u32>,
+) -> BrandesSums {
+    let n = g.node_count();
+    let mut out = BrandesSums::zero(n);
+    // reusable per-source buffers
+    let mut state = vec![UNSEEN; n];
+    let mut delta = vec![0.0f64; n];
+    let mut order: Vec<NodeId> = Vec::with_capacity(n);
+    for idx in range {
+        let s = sources[idx as usize];
+        state.fill(UNSEEN);
+        delta.fill(0.0);
+        order.clear();
+        state[s as usize] = PathState {
+            dist: 0,
+            sigma: 1.0,
+        };
+        order.push(s);
+        let mut cursor = 0usize;
+        while let Some(&u) = order.get(cursor) {
+            cursor += 1;
+            let du = state[u as usize].dist;
+            let dx = du as usize;
+            out.depth = out.depth.max(du as u32);
+            if out.counts.len() <= dx {
+                out.counts.resize(dx + 1, 0);
+            }
+            out.counts[dx] += 1;
+            // sigma[u] is final once u is scanned — every contribution
+            // comes from the previous BFS level, all scanned before u —
+            // so hoist the read out of the neighbor loop (the aliasing
+            // the compiler can't rule out never happens: a neighbor at
+            // depth du+1 is never u itself)
+            let su = state[u as usize].sigma;
+            for &v in g.neighbors(u) {
+                let st = &mut state[v as usize];
+                if st.dist < 0 {
+                    st.dist = du + 1;
+                    order.push(v);
+                }
+                if st.dist == du + 1 {
+                    st.sigma += su;
+                }
+            }
+        }
+        out.unreachable += n as u64 - order.len() as u64;
+        // dependency accumulation in reverse BFS order
+        for &w in order.iter().rev() {
+            let wi = w as usize;
+            let coeff = (1.0 + delta[wi]) / state[wi].sigma;
+            let dw = state[wi].dist;
+            for &v in g.neighbors(w) {
+                let vi = v as usize;
+                let st = state[vi];
+                if st.dist + 1 == dw {
+                    delta[vi] += st.sigma * coeff;
+                }
+            }
+            if w != s {
+                out.bc[wi] += delta[wi];
+            }
+        }
+    }
+    out
+}
+
+/// The oracle pivot pass: the kernel above over `sample_pivots(n, k)` as
+/// one shard, then the library's finish (halve each unordered pair and
+/// extrapolate by `n/K`).
+fn brandes_oracle(g: &CsrGraph, k: usize) -> SampledTraversal {
+    let n = g.node_count();
+    let pivots = sampled::sample_pivots(n, k.max(1));
+    let sums = brandes_shard(g, &pivots, 0..pivots.len() as u32);
+    let scale = 0.5 * (n as f64 / pivots.len() as f64);
+    SampledTraversal {
+        distances: DistanceDistribution {
+            counts: sums.counts,
+            nodes: n,
+            unreachable_pairs: sums.unreachable,
+        },
+        betweenness: sums.bc.into_iter().map(|b| b * scale).collect(),
+        sources: pivots.len(),
+        max_depth: sums.depth,
+    }
+}
+
+#[test]
+fn brandes_pass_matches_parent_kernel_oracle() {
+    let mut graphs = zoo();
+    // depths past 255: a kernel that keeps the depth in a byte wraps
+    graphs.push(("path(600)".into(), builders::path(600)));
+    for (name, g) in graphs {
+        let n = g.node_count();
+        let csr = CsrGraph::from_graph(&g);
+        for k in [1, 8, n] {
+            let want = brandes_oracle(&csr, k);
+            let got = sampled::sampled_traversal_sharded(&csr, k, 1, 1);
+            let bits = |t: &SampledTraversal| -> Vec<u64> {
+                t.betweenness.iter().map(|b| b.to_bits()).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "{name}, k = {k}: betweenness");
+            assert_eq!(got.distances, want.distances, "{name}, k = {k}");
+            assert_eq!(got.max_depth, want.max_depth, "{name}, k = {k}");
+            assert_eq!(got.sources, want.sources, "{name}, k = {k}");
         }
     }
 }
