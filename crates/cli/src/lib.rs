@@ -127,6 +127,11 @@ pub fn cmd_rewire(
     attempts: Option<u64>,
     seed: u64,
 ) -> Result<String, GraphError> {
+    if d > 3 {
+        return Err(GraphError::ConstructionFailed(format!(
+            "rewire supports d in 0..=3, got {d}"
+        )));
+    }
     let mut g = graph_io::load_edge_list(graph_path)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let opts = RewireOptions {

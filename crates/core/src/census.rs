@@ -19,6 +19,7 @@
 
 use crate::generate::delta::{frozen_degrees, Delta3K};
 use dk_graph::Graph;
+use dk_mcmc::{check_swap, ProposalKind};
 
 /// Result of [`count_initial_rewirings`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,7 +65,7 @@ pub fn count_initial_rewirings(g: &Graph, d: u8) -> RewireCensus {
             let mut any_non_iso = false;
             // two orientations of the second edge
             for (c, dd) in [(c0, d0), (d0, c0)] {
-                if !swap_ok(g, d, &deg, &mut scratch, a, b, c, dd) {
+                if !swap_ok(g, d, &deg, &mut scratch, [(a, b), (c, dd)]) {
                     continue;
                 }
                 any_valid = true;
@@ -101,29 +102,22 @@ fn edge_relocations(n: u64, m: u64) -> u128 {
 }
 
 /// Checks the swap `{a,b},{c,d} → {a,d},{c,b}` for validity at level `dk`
-/// without mutating `g`.
-#[allow(clippy::too_many_arguments)] // four endpoints + level + scratch is the natural shape
-fn swap_ok(
-    g: &Graph,
-    dk: u8,
-    deg: &[u32],
-    scratch: &mut Delta3K,
-    a: u32,
-    b: u32,
-    c: u32,
-    d: u32,
-) -> bool {
-    if a == d || c == b || g.has_edge_indexed(a, d) || g.has_edge_indexed(c, b) {
-        return false;
-    }
-    if dk >= 2 && !(g.degree(b) == g.degree(d) || g.degree(a) == g.degree(c)) {
+/// without mutating `g`: [`check_swap`] (JDD-preserving from `dk = 2`),
+/// then, at `dk = 3`, a zero swap-level 3K delta.
+fn swap_ok(g: &Graph, dk: u8, deg: &[u32], scratch: &mut Delta3K, swap: [(u32, u32); 2]) -> bool {
+    let kind = if dk >= 2 {
+        ProposalKind::JddPreserving
+    } else {
+        ProposalKind::Plain
+    };
+    if check_swap(g, deg, kind, swap).is_err() {
         return false;
     }
     if dk < 3 {
         return true;
     }
     scratch.clear();
-    scratch.track_swap(g, deg, [(a, b), (c, d)]);
+    scratch.track_swap(g, deg, swap);
     scratch.is_zero()
 }
 
@@ -192,12 +186,15 @@ mod tests {
         assert_eq!(c.excluding_obvious_isomorphic, Some(0));
     }
 
+    /// Two hubs joined, three leaves on each: leaf-pair swaps across the
+    /// hubs are valid but isomorphic-obvious.
+    fn double_star() -> Graph {
+        Graph::from_edges(8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7), (0, 4)]).unwrap()
+    }
+
     #[test]
     fn leaf_swap_discount_on_double_star() {
-        // two hubs joined; leaves on each side: leaf-pair swaps across
-        // hubs are valid but isomorphic-obvious.
-        let g =
-            Graph::from_edges(8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7), (0, 4)]).unwrap();
+        let g = double_star();
         let c1 = count_initial_rewirings(&g, 1);
         assert!(c1.total > 0);
         let ex = c1.excluding_obvious_isomorphic.unwrap();
@@ -216,6 +213,50 @@ mod tests {
         let c2 = count_initial_rewirings(&g, 2).total;
         let c3 = count_initial_rewirings(&g, 3).total;
         assert!(c1 >= c2 && c2 >= c3);
+    }
+
+    #[test]
+    fn census_counts_are_pinned() {
+        // (total, excluding obvious isomorphisms) for d = 0..=3. Every
+        // valid swap of the double star exchanges two leaves, so its
+        // whole count is discounted.
+        let cases = [
+            (
+                "karate",
+                builders::karate_club(),
+                [37_674, 1_820, 408, 17],
+                [1_820, 408, 17],
+            ),
+            (
+                "petersen",
+                builders::petersen(),
+                [450, 75, 75, 60],
+                [75, 75, 60],
+            ),
+            (
+                "grid(5, 5)",
+                builders::grid(5, 5),
+                [10_400, 686, 486, 190],
+                [686, 486, 190],
+            ),
+            ("double star", double_star(), [147, 9, 9, 9], [0, 0, 0]),
+        ];
+        for (name, g, totals, non_iso) in cases {
+            let c0 = count_initial_rewirings(&g, 0);
+            assert_eq!(
+                (c0.total, c0.excluding_obvious_isomorphic),
+                (totals[0], None),
+                "{name}"
+            );
+            for d in 1..=3u8 {
+                let c = count_initial_rewirings(&g, d);
+                assert_eq!(
+                    (c.total, c.excluding_obvious_isomorphic),
+                    (totals[d as usize], Some(non_iso[d as usize - 1])),
+                    "{name}, d = {d}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,17 +9,17 @@
 //! * [`Dist3K`] — wedge (`P∧`) and triangle (`P△`) histograms over
 //!   **induced** node triples (see the crate docs for the convention).
 //!
-//! Each type supports extraction ([`DkDistribution::from_graph`]), the
-//! Table 1 derivation maps (`to_1k`, `to_2k`, `to_0k`), the squared
-//! distance `D_d` of §4.1.4 (`distance_sq`), Orbis-style text I/O
-//! ([`crate::io`]), and §6 rescaling ([`crate::rescale`]).
+//! Each type supports extraction (`from_graph`), the Table 1 derivation
+//! maps (`to_1k`, `to_2k`, `to_0k`) and the squared distance `D_d` of
+//! §4.1.4 (`distance_sq`) as inherent methods; Orbis-style text I/O lives
+//! in [`crate::io`] and §6 rescaling in [`crate::rescale`].
 //!
-//! ## One family, one interface
+//! ## One family, one runtime type
 //!
-//! The [`DkDistribution`] trait unifies the four concrete types behind
-//! one interface, and [`AnyDist`] type-erases them so callers can hold
-//! "a dK-distribution of runtime-chosen `d`" — the input type of the
-//! [`crate::generate::Generator`] facade:
+//! [`AnyDist`] holds "a dK-distribution of runtime-chosen `d`" — the
+//! input type of the [`crate::generate::Generator`] facade — and
+//! dispatches extraction, I/O, distance and rescaling to the concrete
+//! type of its order:
 //!
 //! ```
 //! use dk_core::dist::AnyDist;
@@ -64,42 +64,6 @@ pub fn canon_triangle(a: Degree, b: Degree, c: Degree) -> (Degree, Degree, Degre
     let mut t = [a, b, c];
     t.sort_unstable();
     (t[0], t[1], t[2])
-}
-
-// ---------------------------------------------------------------------
-// The unified interface
-// ---------------------------------------------------------------------
-
-/// Common interface of all four dK-distribution types.
-///
-/// Inherent methods of the concrete types stay available unchanged; this
-/// trait is the generic surface the [`crate::generate::Generator`] facade
-/// and [`AnyDist`] build on.
-pub trait DkDistribution: Sized + Clone + PartialEq + std::fmt::Debug {
-    /// The order `d` of this distribution type.
-    const ORDER: u8;
-
-    /// The order `d` (as a method, for symmetry with [`AnyDist::order`]).
-    fn order(&self) -> u8 {
-        Self::ORDER
-    }
-
-    /// Extracts the distribution from a graph.
-    fn from_graph(g: &Graph) -> Self;
-
-    /// Squared distance `D_d` to another distribution of the same order
-    /// (sum of squared count differences, §4.1.4).
-    fn distance_sq(&self, other: &Self) -> f64;
-
-    /// Reads the Orbis-style text form (see [`crate::io`]).
-    fn read<R: Read>(r: R) -> Result<Self, GraphError>;
-
-    /// Writes the Orbis-style text form.
-    fn write<W: Write>(&self, w: W) -> Result<(), GraphError>;
-
-    /// Rescales toward a target node count (§6). Errors when the type has
-    /// no rescaling strategy (3K) or the input is degenerate.
-    fn rescale(&self, new_nodes: usize) -> Result<Self, GraphError>;
 }
 
 // ---------------------------------------------------------------------
@@ -150,30 +114,6 @@ impl Dist0K {
         let dn = self.nodes as f64 - other.nodes as f64;
         let dm = self.edges as f64 - other.edges as f64;
         dn * dn + dm * dm
-    }
-}
-
-impl DkDistribution for Dist0K {
-    const ORDER: u8 = 0;
-
-    fn from_graph(g: &Graph) -> Self {
-        Dist0K::from_graph(g)
-    }
-
-    fn distance_sq(&self, other: &Self) -> f64 {
-        Dist0K::distance_sq(self, other)
-    }
-
-    fn read<R: Read>(r: R) -> Result<Self, GraphError> {
-        crate::io::read_0k(r)
-    }
-
-    fn write<W: Write>(&self, w: W) -> Result<(), GraphError> {
-        crate::io::write_0k(self, w)
-    }
-
-    fn rescale(&self, new_nodes: usize) -> Result<Self, GraphError> {
-        Ok(crate::rescale::rescale_0k(self, new_nodes))
     }
 }
 
@@ -274,30 +214,6 @@ impl Dist1K {
             acc += (a - b) * (a - b);
         }
         acc
-    }
-}
-
-impl DkDistribution for Dist1K {
-    const ORDER: u8 = 1;
-
-    fn from_graph(g: &Graph) -> Self {
-        Dist1K::from_graph(g)
-    }
-
-    fn distance_sq(&self, other: &Self) -> f64 {
-        Dist1K::distance_sq(self, other)
-    }
-
-    fn read<R: Read>(r: R) -> Result<Self, GraphError> {
-        crate::io::read_1k(r)
-    }
-
-    fn write<W: Write>(&self, w: W) -> Result<(), GraphError> {
-        crate::io::write_1k(self, w)
-    }
-
-    fn rescale(&self, new_nodes: usize) -> Result<Self, GraphError> {
-        crate::rescale::rescale_1k(self, new_nodes)
     }
 }
 
@@ -425,30 +341,6 @@ impl Dist2K {
             }
         }
         acc
-    }
-}
-
-impl DkDistribution for Dist2K {
-    const ORDER: u8 = 2;
-
-    fn from_graph(g: &Graph) -> Self {
-        Dist2K::from_graph(g)
-    }
-
-    fn distance_sq(&self, other: &Self) -> f64 {
-        Dist2K::distance_sq(self, other)
-    }
-
-    fn read<R: Read>(r: R) -> Result<Self, GraphError> {
-        crate::io::read_2k(r)
-    }
-
-    fn write<W: Write>(&self, w: W) -> Result<(), GraphError> {
-        crate::io::write_2k(self, w)
-    }
-
-    fn rescale(&self, new_nodes: usize) -> Result<Self, GraphError> {
-        crate::rescale::rescale_2k(self, new_nodes)
     }
 }
 
@@ -642,34 +534,6 @@ impl Dist3K {
     }
 }
 
-impl DkDistribution for Dist3K {
-    const ORDER: u8 = 3;
-
-    fn from_graph(g: &Graph) -> Self {
-        Dist3K::from_graph(g)
-    }
-
-    fn distance_sq(&self, other: &Self) -> f64 {
-        Dist3K::distance_sq(self, other)
-    }
-
-    fn read<R: Read>(r: R) -> Result<Self, GraphError> {
-        crate::io::read_3k(r)
-    }
-
-    fn write<W: Write>(&self, w: W) -> Result<(), GraphError> {
-        crate::io::write_3k(self, w)
-    }
-
-    fn rescale(&self, _new_nodes: usize) -> Result<Self, GraphError> {
-        Err(GraphError::ConstructionFailed(
-            "3K rescaling is not defined: the paper's §6 strategy stops at 2K \
-             (rescale the derived 2K instead, via to_2k())"
-                .into(),
-        ))
-    }
-}
-
 // ---------------------------------------------------------------------
 // Type erasure
 // ---------------------------------------------------------------------
@@ -760,10 +624,16 @@ impl AnyDist {
     /// Rescales the wrapped distribution (§6); errors for 3K.
     pub fn rescale(&self, new_nodes: usize) -> Result<Self, GraphError> {
         Ok(match self {
-            AnyDist::D0(d) => AnyDist::D0(DkDistribution::rescale(d, new_nodes)?),
-            AnyDist::D1(d) => AnyDist::D1(DkDistribution::rescale(d, new_nodes)?),
-            AnyDist::D2(d) => AnyDist::D2(DkDistribution::rescale(d, new_nodes)?),
-            AnyDist::D3(d) => AnyDist::D3(DkDistribution::rescale(d, new_nodes)?),
+            AnyDist::D0(d) => AnyDist::D0(crate::rescale::rescale_0k(d, new_nodes)),
+            AnyDist::D1(d) => AnyDist::D1(crate::rescale::rescale_1k(d, new_nodes)?),
+            AnyDist::D2(d) => AnyDist::D2(crate::rescale::rescale_2k(d, new_nodes)?),
+            AnyDist::D3(_) => {
+                return Err(GraphError::ConstructionFailed(
+                    "3K rescaling is not defined: the paper's §6 strategy stops at 2K \
+                     (rescale the derived 2K instead, via to_2k())"
+                        .into(),
+                ))
+            }
         })
     }
 
@@ -1004,7 +874,7 @@ mod tests {
     }
 
     #[test]
-    fn trait_and_anydist_roundtrip() {
+    fn anydist_roundtrip() {
         let g = builders::karate_club();
         for d in 0..=3u8 {
             let dist = AnyDist::from_graph(d, &g).unwrap();

@@ -172,7 +172,7 @@ pub fn explore_2k<R: Rng + ?Sized>(
         }
         stats.attempts += 1;
         since += 1;
-        let Some(swap) = pick_2k_swap(g, rng) else {
+        let Some(swap) = pick_2k_swap(g, &deg, rng) else {
             continue;
         };
         delta.clear();
@@ -244,7 +244,7 @@ pub fn explore_custom<R: Rng + ?Sized, F: Fn(&Graph) -> f64>(
         since += 1;
         // candidate selection per level
         let swap = if d == 2 {
-            pick_2k_swap(g, rng)
+            pick_2k_swap(g, &deg, rng)
         } else {
             propose_swap(g, &deg, ProposalKind::Plain, rng).ok()
         };

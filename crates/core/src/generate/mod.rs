@@ -521,7 +521,7 @@ impl Generator {
 #[cfg(test)]
 mod facade_tests {
     use super::*;
-    use crate::dist::{Dist2K, DkDistribution};
+    use crate::dist::Dist2K;
     use dk_graph::builders;
 
     #[test]
@@ -685,7 +685,7 @@ mod facade_tests {
     }
 
     #[test]
-    fn generator_order_agnostic_over_trait_orders() {
+    fn generator_is_order_agnostic() {
         // one facade covers d = 0..=3 without caller-side matching
         let g = builders::karate_club();
         for d in 0..=3u8 {
@@ -695,7 +695,5 @@ mod facade_tests {
             let out = gen.build(&dist).unwrap();
             out.graph.check_invariants().unwrap();
         }
-        // DkDistribution::ORDER agrees with AnyDist::order
-        assert_eq!(crate::dist::Dist2K::ORDER, 2);
     }
 }

@@ -112,8 +112,6 @@ impl SwapObjective for Objective2K {
         self.d_cur += self.pending_dd;
     }
 
-    fn discard(&mut self) {}
-
     fn distance(&self) -> Option<f64> {
         Some(self.d_cur)
     }
@@ -202,8 +200,6 @@ impl SwapObjective for Objective3K {
         self.d_cur += self.pending_dd;
     }
 
-    fn discard(&mut self) {}
-
     fn distance(&self) -> Option<f64> {
         Some(self.d_cur)
     }
@@ -238,8 +234,6 @@ impl SwapObjective for Preserve3K {
     }
 
     fn commit(&mut self) {}
-
-    fn discard(&mut self) {}
 
     fn distance(&self) -> Option<f64> {
         None

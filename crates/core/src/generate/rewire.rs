@@ -26,16 +26,19 @@
 //! The paper performs `10 ×` (number of possible initial rewirings) steps
 //! and then verifies stationarity. That recipe is quadratic in `m` for
 //! `d ≥ 1` and infeasible at skitter scale for `d = 0`; Gkantsidis et
-//! al. \[15\] show O(m) steps suffice in practice. The default budget is
-//! therefore **attempts = 50·m**, with [`SwapBudget`] offering the
-//! paper-literal census-based budget for small graphs, and
-//! [`verify_randomization`] implementing the paper's stationarity probe
-//! (rewire more, confirm metrics stay put).
+//! al. \[15\] show O(m) steps suffice in practice. The budget is
+//! therefore counted in attempts — **50·m** by default
+//! ([`SwapBudget::AttemptsPerEdge`]) or a fixed count
+//! ([`SwapBudget::Attempts`]) — and [`verify_randomization`] implements
+//! the paper's stationarity probe (rewire more, confirm metrics stay
+//! put).
 
 use crate::constraints::{NoConstraint, RewireConstraint};
 use crate::generate::objective::Preserve3K;
 use dk_graph::Graph;
-use dk_mcmc::{ChainOptions, McmcChain, MoveProposal, NullObjective, ProposalKind, RunBudget};
+use dk_mcmc::{
+    check_swap, ChainOptions, McmcChain, MoveProposal, NullObjective, ProposalKind, RunBudget,
+};
 use rand::Rng;
 
 /// How many rewiring steps to attempt.
@@ -45,9 +48,6 @@ pub enum SwapBudget {
     Attempts(u64),
     /// `factor × m` attempted moves (default policy).
     AttemptsPerEdge(f64),
-    /// Paper-literal: `factor ×` the Table-5 census of possible initial
-    /// rewirings. O(m²) to compute — use on HOT-scale graphs only.
-    CensusTimes(f64),
 }
 
 impl Default for SwapBudget {
@@ -103,7 +103,7 @@ pub fn randomize_with<R: Rng + ?Sized, C: RewireConstraint + ?Sized>(
     rng: &mut R,
 ) -> RewireStats {
     assert!(d <= 3, "dK-randomizing rewiring implemented for d ≤ 3");
-    let attempts = resolve_budget(g, d, opts.budget);
+    let attempts = resolve_budget(g, opts.budget);
     let mut stats = RewireStats::default();
     if g.edge_count() < 2 {
         return stats;
@@ -143,14 +143,10 @@ pub fn randomize_with<R: Rng + ?Sized, C: RewireConstraint + ?Sized>(
     }
 }
 
-fn resolve_budget(g: &Graph, d: u8, budget: SwapBudget) -> u64 {
+fn resolve_budget(g: &Graph, budget: SwapBudget) -> u64 {
     match budget {
         SwapBudget::Attempts(n) => n,
         SwapBudget::AttemptsPerEdge(f) => (f * g.edge_count() as f64).ceil() as u64,
-        SwapBudget::CensusTimes(f) => {
-            let census = crate::census::count_initial_rewirings(g, d);
-            (f * census.total as f64).ceil() as u64
-        }
     }
 }
 
@@ -190,29 +186,12 @@ fn two_edges<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Option<((u32, u32), (u3
     Some((g.edge_at(i), g.edge_at(j)))
 }
 
-/// Validity of replacing `{a,b},{c,d}` by `{a,d},{c,b}` in a simple graph.
-///
-/// Presence goes through the canonical edge index
-/// ([`Graph::has_edge_indexed`]), one O(1) hash probe per query
-/// regardless of degree — the same path the MCMC engine's own validator
-/// uses.
-#[inline]
-fn swap_valid(g: &Graph, a: u32, b: u32, c: u32, d: u32) -> bool {
-    a != d && c != b && !g.has_edge_indexed(a, d) && !g.has_edge_indexed(c, b)
-}
-
-/// JDD preservation test for the swap `{a,b},{c,d} → {a,d},{c,b}`:
-/// edge classes are conserved iff `deg(b) = deg(d)` or `deg(a) = deg(c)`.
-#[inline]
-fn preserves_jdd(g: &Graph, a: u32, b: u32, c: u32, d: u32) -> bool {
-    g.degree(b) == g.degree(d) || g.degree(a) == g.degree(c)
-}
-
-/// Selects two edges plus an orientation such that the swap is both
-/// simple-graph-valid and JDD-preserving, trying the other orientation
-/// as a fallback, and returns it as the move record the caller applies
-/// and reverts. Returns `None` if the sampled pair admits no such
-/// orientation (the attempt just fails).
+/// Selects two edges plus an orientation such that the swap passes
+/// [`check_swap`] as a [`ProposalKind::JddPreserving`] move, trying the
+/// other orientation as a fallback, and returns it as the move record the
+/// caller applies and reverts. Returns `None` if the sampled pair admits
+/// no such orientation (the attempt just fails). Degrees are read from
+/// the caller's frozen vector `deg`.
 ///
 /// Used by the exploration walks ([`crate::explore`]), which want the
 /// higher hit rate of the fallback scan. The rewiring/targeting chains
@@ -221,7 +200,11 @@ fn preserves_jdd(g: &Graph, a: u32, b: u32, c: u32, d: u32) -> bool {
 /// symmetric — the fallback would bias the MH proposal density. The
 /// greedy walks never read the proposal probabilities, so the record
 /// carries `1.0` for both.
-pub(crate) fn pick_2k_swap<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Option<MoveProposal> {
+pub(crate) fn pick_2k_swap<R: Rng + ?Sized>(
+    g: &Graph,
+    deg: &[u32],
+    rng: &mut R,
+) -> Option<MoveProposal> {
     let (e1, e2) = two_edges(g, rng)?;
     let (a, b) = e1;
     let mut orientations = [true, false];
@@ -230,7 +213,7 @@ pub(crate) fn pick_2k_swap<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Option<Mo
     }
     for orient in orientations {
         let (c, d) = if orient { e2 } else { (e2.1, e2.0) };
-        if swap_valid(g, a, b, c, d) && preserves_jdd(g, a, b, c, d) {
+        if check_swap(g, deg, ProposalKind::JddPreserving, [(a, b), (c, d)]).is_ok() {
             return Some(MoveProposal {
                 remove: [(a, b), (c, d)],
                 add: [(a, d), (c, b)],
@@ -371,10 +354,8 @@ mod tests {
     #[test]
     fn budget_resolution() {
         let g = builders::karate_club();
-        assert_eq!(resolve_budget(&g, 1, SwapBudget::Attempts(7)), 7);
-        assert_eq!(resolve_budget(&g, 1, SwapBudget::AttemptsPerEdge(2.0)), 156);
-        let census = resolve_budget(&g, 1, SwapBudget::CensusTimes(1.0));
-        assert!(census > 0);
+        assert_eq!(resolve_budget(&g, SwapBudget::Attempts(7)), 7);
+        assert_eq!(resolve_budget(&g, SwapBudget::AttemptsPerEdge(2.0)), 156);
     }
 
     #[test]

@@ -14,17 +14,19 @@
 //!   with [`TargetOptions::accept_neutral`] for the paper-literal strict
 //!   descent).
 //!
-//! Three instances are provided, matching the paper's §5.1 pipeline:
-//! 1K ← 0K moves, 2K ← 1K moves, 3K ← 2K moves; plus the bootstrap
-//! helpers [`generate_2k_random`] / [`generate_3k_random`] ("construct
-//! 1K-random graphs with the pseudograph algorithm, then apply
-//! 2K-targeting 1K-preserving rewiring…, then 3K-targeting 2K-preserving
-//! rewiring").
+//! Two instances are provided, both on the [`dk_mcmc`] chain and matching
+//! the paper's §5.1 pipeline: 2K-targeting 1K-preserving swaps
+//! ([`target_2k_from_1k`]) and 3K-targeting 2K-preserving swaps
+//! ([`target_3k_from_2k`]); plus the bootstrap helpers
+//! [`generate_2k_random`] / [`generate_3k_random`] ("construct 1K-random
+//! graphs with the pseudograph algorithm, then apply 2K-targeting
+//! 1K-preserving rewiring…, then 3K-targeting 2K-preserving rewiring").
+//! Targeting at `d ≤ 1` is pointless: the pseudograph and matching
+//! constructions are already exact there.
 
-use crate::dist::{Dist1K, Dist2K, Dist3K};
+use crate::dist::{Dist2K, Dist3K};
 use crate::generate::objective::{Objective2K, Objective3K};
 use crate::generate::{matching, pseudograph};
-use dk_graph::hashers::{det_hash_map, DetHashMap};
 use dk_graph::{Graph, GraphError};
 use dk_mcmc::{ChainOptions, McmcChain, ProposalKind, RunBudget, SwapObjective};
 use rand::Rng;
@@ -68,135 +70,6 @@ pub struct TargetStats {
     pub initial_distance: f64,
     /// `D_d` after the run (0.0 = target reached exactly).
     pub final_distance: f64,
-}
-
-/// Metropolis acceptance on a distance change.
-fn accept<R: Rng + ?Sized>(delta: f64, opts: &TargetOptions, rng: &mut R) -> bool {
-    if delta < 0.0 {
-        true
-    } else if delta == 0.0 {
-        opts.accept_neutral
-    } else if opts.temperature > 0.0 {
-        rng.gen_bool((-delta / opts.temperature).exp().clamp(0.0, 1.0))
-    } else {
-        false
-    }
-}
-
-// ---------------------------------------------------------------------
-// 1K-targeting 0K-preserving rewiring
-// ---------------------------------------------------------------------
-
-/// Rewires `g` with 0K-preserving moves toward a target degree
-/// distribution, minimizing `D_1 = Σ_k (n_cur(k) − n_tgt(k))²`.
-pub fn target_1k_from_0k<R: Rng + ?Sized>(
-    g: &mut Graph,
-    target: &Dist1K,
-    opts: &TargetOptions,
-    rng: &mut R,
-) -> TargetStats {
-    // current degree histogram, padded
-    let kmax_t = target.counts.len();
-    let mut cur: Vec<i64> = dk_graph::degree::degree_histogram(g)
-        .into_iter()
-        .map(|c| c as i64)
-        .collect();
-    let tgt: Vec<i64> = target.counts.iter().map(|&c| c as i64).collect();
-    let pad = cur.len().max(tgt.len()).max(kmax_t) + 2;
-    cur.resize(pad, 0);
-    let mut tgt_padded = tgt;
-    tgt_padded.resize(pad, 0);
-    let dist = |cur: &[i64]| -> f64 {
-        cur.iter()
-            .zip(&tgt_padded)
-            .map(|(&a, &b)| ((a - b) as f64).powi(2))
-            .sum()
-    };
-    let mut d_cur = dist(&cur);
-    let mut stats = TargetStats {
-        attempts: 0,
-        accepted: 0,
-        initial_distance: d_cur,
-        final_distance: d_cur,
-    };
-    let n = g.node_count() as u32;
-    if n < 2 || g.edge_count() == 0 {
-        return stats;
-    }
-    let mut since_improve = 0u64;
-    for _ in 0..opts.max_attempts {
-        if opts.stop_at_zero && d_cur == 0.0 {
-            break;
-        }
-        if let Some(p) = opts.patience {
-            if since_improve >= p {
-                break;
-            }
-        }
-        stats.attempts += 1;
-        since_improve += 1;
-        // 0K move: move edge (u,v) to empty slot (x,y)
-        let Ok((u, v)) = g.random_edge(rng) else {
-            break;
-        };
-        let x = rng.gen_range(0..n);
-        let y = rng.gen_range(0..n);
-        if x == y || g.has_edge(x, y) {
-            continue;
-        }
-        // degree changes: u,v lose one; x,y gain one — compute ΔD1.
-        // (u,v,x,y may overlap; fold increments.)
-        let mut bump: DetHashMap<u32, i64> = det_hash_map();
-        *bump.entry(u).or_insert(0) -= 1;
-        *bump.entry(v).or_insert(0) -= 1;
-        *bump.entry(x).or_insert(0) += 1;
-        *bump.entry(y).or_insert(0) += 1;
-        // histogram deltas: node w moving from degree k to k+δ shifts
-        // hist[k] -= 1, hist[k+δ] += 1
-        let mut hist_delta: DetHashMap<usize, i64> = det_hash_map();
-        let mut ok = true;
-        for (&w, &dv) in &bump {
-            if dv == 0 {
-                continue;
-            }
-            let k = g.degree(w) as i64;
-            let k2 = k + dv;
-            if k2 < 0 || (k2 as usize) >= pad {
-                ok = false;
-                break;
-            }
-            *hist_delta.entry(k as usize).or_insert(0) -= 1;
-            *hist_delta.entry(k2 as usize).or_insert(0) += 1;
-        }
-        if !ok {
-            continue;
-        }
-        let mut dd = 0.0;
-        for (&k, &dv) in &hist_delta {
-            if dv == 0 {
-                continue;
-            }
-            let before = (cur[k] - tgt_padded[k]) as f64;
-            let after = (cur[k] + dv - tgt_padded[k]) as f64;
-            dd += after * after - before * before;
-        }
-        if !accept(dd, opts, rng) {
-            continue;
-        }
-        g.remove_edge(u, v).expect("sampled edge");
-        g.add_edge(x, y).expect("checked slot");
-        for (&k, &dv) in &hist_delta {
-            cur[k] += dv;
-        }
-        d_cur += dd;
-        stats.accepted += 1;
-        if dd < 0.0 {
-            since_improve = 0;
-        }
-    }
-    stats.final_distance = Dist1K::from_graph(g).distance_sq(target);
-    debug_assert!((stats.final_distance - d_cur).abs() < 1e-6);
-    stats
 }
 
 // ---------------------------------------------------------------------
@@ -301,25 +174,6 @@ pub fn target_3k_from_2k<R: Rng + ?Sized>(
     stats
 }
 
-/// Dispatch wrapper: `(d', d)` ∈ {(0,1), (1,2), (2,3)} targeting, taking
-/// the target as the appropriate extracted distribution of `reference`.
-///
-/// Convenience for harness code that iterates over `d`.
-pub fn target_rewire<R: Rng + ?Sized>(
-    g: &mut Graph,
-    reference: &Graph,
-    d: u8,
-    opts: &TargetOptions,
-    rng: &mut R,
-) -> TargetStats {
-    match d {
-        1 => target_1k_from_0k(g, &Dist1K::from_graph(reference), opts, rng),
-        2 => target_2k_from_1k(g, &Dist2K::from_graph(reference), opts, rng),
-        3 => target_3k_from_2k(g, &Dist3K::from_graph(reference), opts, rng),
-        _ => panic!("target_rewire supports d ∈ {{1, 2, 3}}"),
-    }
-}
-
 // ---------------------------------------------------------------------
 // §5.1 bootstrap pipelines
 // ---------------------------------------------------------------------
@@ -422,26 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn targeting_1k_from_0k() {
-        // start: ER-ish graph with same n, m as karate; target karate P(k)
-        let original = builders::karate_club();
-        let target = Dist1K::from_graph(&original);
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut g = crate::generate::stochastic::generate_0k(
-            &crate::dist::Dist0K::from_graph(&original),
-            &mut rng,
-        )
-        .graph;
-        let stats = target_1k_from_0k(&mut g, &target, &quick_opts(), &mut rng);
-        assert!(
-            stats.final_distance < stats.initial_distance / 4.0,
-            "D1 {} → {}",
-            stats.initial_distance,
-            stats.final_distance
-        );
-    }
-
-    #[test]
     fn temperature_infinity_behaves_like_randomizing() {
         // With huge T every candidate is accepted: distance can grow.
         let original = builders::karate_club();
@@ -497,25 +331,5 @@ mod tests {
         let d_before = Dist2K::from_graph(&g).distance_sq(&target);
         let stats = target_2k_from_1k(&mut g, &target, &opts, &mut rng);
         assert!(stats.final_distance <= d_before);
-    }
-
-    #[test]
-    fn dispatch_wrapper() {
-        let original = builders::karate_club();
-        let mut g = original.clone();
-        let mut rng = StdRng::seed_from_u64(7);
-        // already at the target: distance 0, zero accepted improving moves
-        let stats = target_rewire(&mut g, &original, 2, &quick_opts(), &mut rng);
-        assert_eq!(stats.initial_distance, 0.0);
-        assert_eq!(stats.final_distance, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "supports d")]
-    fn dispatch_rejects_bad_d() {
-        let g0 = builders::path(3);
-        let mut g = g0.clone();
-        let mut rng = StdRng::seed_from_u64(8);
-        target_rewire(&mut g, &g0, 0, &TargetOptions::default(), &mut rng);
     }
 }

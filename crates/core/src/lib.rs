@@ -13,8 +13,10 @@
 //!   [`generate::stochastic`] (0K/1K/2K), [`generate::pseudograph`]
 //!   (1K/2K), [`generate::matching`] (1K/2K with deadlock resolution),
 //!   [`generate::rewire`] (dK-randomizing rewiring, `d = 0..3`), and
-//!   [`generate::target`] (dK-targeting d'K-preserving rewiring with
-//!   simulated-annealing temperature, §4.1.4);
+//!   [`generate::target`] (2K- and 3K-targeting d'K-preserving rewiring
+//!   with simulated-annealing temperature, §4.1.4). Every swap-based
+//!   family runs on the one `dk-mcmc` chain, whose `check_swap` is the
+//!   only swap-validity rule;
 //! * the **rewiring census** of Table 5 ([`census`]);
 //! * **dK-space exploration** (§4.3): extremal rewiring that maximizes or
 //!   minimizes scalar metrics defined by `P_{d+1}` — likelihood `S`,
@@ -88,9 +90,7 @@ pub mod io;
 pub mod rescale;
 pub mod space;
 
-pub use dist::{
-    canon_triangle, canon_wedge, AnyDist, Dist0K, Dist1K, Dist2K, Dist3K, DkDistribution,
-};
+pub use dist::{canon_triangle, canon_wedge, AnyDist, Dist0K, Dist1K, Dist2K, Dist3K};
 pub use generate::rewire::{randomize, RewireOptions};
-pub use generate::target::{target_rewire, TargetOptions};
+pub use generate::target::TargetOptions;
 pub use generate::{GenError, Generated, Generator, Method};

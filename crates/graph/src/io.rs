@@ -27,7 +27,8 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, GraphError> {
     let buf = BufReader::new(reader);
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
     let mut declared_nodes: Option<usize> = None;
-    let mut max_id: Option<NodeId> = None;
+    // the largest id so far and the line it first appears on
+    let mut max_id: Option<(NodeId, usize)> = None;
     for (lineno, line) in buf.lines().enumerate() {
         let lineno = lineno + 1;
         let line = line.map_err(GraphError::from)?;
@@ -85,19 +86,20 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, GraphError> {
                 ),
             });
         }
-        max_id = Some(max_id.map_or(top, |m| m.max(top)));
+        if max_id.is_none_or(|(m, _)| top > m) {
+            max_id = Some((top, lineno));
+        }
         edges.push((u, v));
     }
-    let implied = max_id.map_or(0, |m| m as usize + 1);
-    let n = match declared_nodes {
-        Some(n) if n < implied => {
+    let n = match (declared_nodes, max_id) {
+        (Some(n), Some((top, line))) if n <= top as usize => {
             return Err(GraphError::Parse {
-                line: 0,
-                msg: format!("declared nodes {n} smaller than max id {}", implied - 1),
+                line,
+                msg: format!("declared nodes {n} smaller than max id {top}"),
             })
         }
-        Some(n) => n,
-        None => implied,
+        (Some(n), _) => n,
+        (None, _) => max_id.map_or(0, |(top, _)| top as usize + 1),
     };
     // Measured topology snapshots routinely contain both (u,v) and (v,u);
     // treat duplicates as one undirected edge rather than failing.
@@ -205,8 +207,21 @@ mod tests {
         assert!(read_edge_list("0 1 2\n".as_bytes()).is_err());
         assert!(read_edge_list("nodes\n".as_bytes()).is_err());
         assert!(read_edge_list("nodes x\n".as_bytes()).is_err());
-        // declared node count too small
-        assert!(read_edge_list("nodes 1\n0 1\n".as_bytes()).is_err());
+        // declared node count too small: the error names the line of
+        // the largest id
+        for (text, want, max) in [
+            ("nodes 1\n0 1\n", 2, 1),
+            ("nodes 3\n7 1\n", 2, 7),
+            ("nodes 2\n0 1\n0 5\n5 1\n", 3, 5),
+            ("0 9\n1 2\nnodes 4\n", 1, 9),
+        ] {
+            let got = read_edge_list(text.as_bytes());
+            assert!(
+                matches!(&got, Err(GraphError::Parse { line, msg })
+                    if *line == want && msg.ends_with(&format!("smaller than max id {max}"))),
+                "{text:?}: {got:?}"
+            );
+        }
         // node counts past the id space, refused before any allocation
         for (text, want) in [
             ("nodes 18446744073709551615\n0 1\n", 1),

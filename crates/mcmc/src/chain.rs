@@ -1,10 +1,8 @@
-//! The seeded, resumable chain: propose → dry-run-validated record →
+//! The seeded, resumable chain: propose a validated record →
 //! Metropolis–Hastings accept/reject → delta commit, with acceptance
 //! statistics and a convergence probe on the objective's distance.
 
-use crate::proposal::{
-    apply_swap, propose_swap, revert_swap, MoveProposal, ProposalKind, SwapInvalid,
-};
+use crate::proposal::{apply_swap, propose_swap, revert_swap, MoveProposal, ProposalKind};
 use dk_graph::Graph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,11 +26,12 @@ pub struct Evaluation {
 /// bookkeeping only when the chain accepts.
 ///
 /// Contract: the chain calls `evaluate` once per validated proposal,
-/// then exactly one of `commit` (move accepted — the graph is in the
-/// post-move state) or `discard` (move rejected — the graph has been
-/// restored). `distance` reports the current distance to the target, if
-/// the objective has one; the chain records it into its
-/// [`DistanceTrace`] after every accepted move and uses it for
+/// then `commit` if it accepts the move (the graph is then in the
+/// post-move state). A rejected move gets no call: the chain restores
+/// the graph, and the next `evaluate` overwrites the pending delta.
+/// `distance` reports the current distance to the target, if the
+/// objective has one; the chain records it into its [`DistanceTrace`]
+/// after every accepted move and uses it for
 /// [`RunBudget::stop_at_zero`].
 pub trait SwapObjective {
     /// Evaluates `ΔD` for a validated proposal. May tentatively mutate
@@ -41,8 +40,6 @@ pub trait SwapObjective {
     fn evaluate(&mut self, g: &mut Graph, deg: &[u32], p: &MoveProposal) -> Evaluation;
     /// The chain accepted the evaluated move: fold the pending delta in.
     fn commit(&mut self);
-    /// The chain rejected the evaluated move: drop the pending delta.
-    fn discard(&mut self);
     /// Current distance to the target (`None` for unconstrained
     /// randomizing objectives).
     fn distance(&self) -> Option<f64>;
@@ -61,7 +58,6 @@ impl SwapObjective for NullObjective {
         }
     }
     fn commit(&mut self) {}
-    fn discard(&mut self) {}
     fn distance(&self) -> Option<f64> {
         None
     }
@@ -130,15 +126,6 @@ pub struct ChainStats {
 }
 
 impl ChainStats {
-    /// Accepted fraction of all attempts (0 when nothing was attempted).
-    pub fn acceptance_rate(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            self.accepted as f64 / self.attempts as f64
-        }
-    }
-
     fn since(&self, earlier: &ChainStats) -> ChainStats {
         ChainStats {
             attempts: self.attempts - earlier.attempts,
@@ -148,25 +135,6 @@ impl ChainStats {
             rejected_metropolis: self.rejected_metropolis - earlier.rejected_metropolis,
         }
     }
-}
-
-/// Outcome of one attempted step.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum StepOutcome {
-    /// Move applied; `delta_d` is the objective change.
-    Accepted {
-        /// Objective change of the applied move.
-        delta_d: f64,
-    },
-    /// The sampled candidate failed structural validation.
-    Invalid(SwapInvalid),
-    /// The caller's filter vetoed a valid candidate.
-    Vetoed,
-    /// Metropolis–Hastings rejected the evaluated move.
-    Rejected {
-        /// Objective change the rejected move would have caused.
-        delta_d: f64,
-    },
 }
 
 /// Convergence probe on the objective's distance: a sliding window over
@@ -318,29 +286,23 @@ impl<R: Rng> McmcChain<R> {
         self.graph
     }
 
-    /// Attempts one move.
-    pub fn step<O: SwapObjective>(&mut self, obj: &mut O) -> StepOutcome {
-        self.step_filtered(obj, &|_, _| true)
-    }
-
     /// Attempts one move, letting `veto` reject valid candidates before
-    /// evaluation (external rewiring constraints, paper §6).
-    pub fn step_filtered<O, F>(&mut self, obj: &mut O, veto: &F) -> StepOutcome
+    /// evaluation (external rewiring constraints, paper §6). Returns the
+    /// objective change `ΔD` of the accepted move, or `None` when no move
+    /// was applied.
+    fn step<O, F>(&mut self, obj: &mut O, veto: &F) -> Option<f64>
     where
         O: SwapObjective,
         F: Fn(&Graph, &MoveProposal) -> bool,
     {
         self.stats.attempts += 1;
-        let p = match propose_swap(&self.graph, &self.deg, self.opts.proposal, &mut self.rng) {
-            Ok(p) => p,
-            Err(reason) => {
-                self.stats.rejected_invalid += 1;
-                return StepOutcome::Invalid(reason);
-            }
+        let Ok(p) = propose_swap(&self.graph, &self.deg, self.opts.proposal, &mut self.rng) else {
+            self.stats.rejected_invalid += 1;
+            return None;
         };
         if !veto(&self.graph, &p) {
             self.stats.rejected_vetoed += 1;
-            return StepOutcome::Vetoed;
+            return None;
         }
         let ev = obj.evaluate(&mut self.graph, &self.deg, &p);
         if metropolis(ev.delta_d, p.proposal_ratio(), &self.opts, &mut self.rng) {
@@ -352,18 +314,13 @@ impl<R: Rng> McmcChain<R> {
             if let Some(d) = obj.distance() {
                 self.trace.record(d);
             }
-            StepOutcome::Accepted {
-                delta_d: ev.delta_d,
-            }
+            Some(ev.delta_d)
         } else {
             if ev.applied {
                 revert_swap(&mut self.graph, &p);
             }
-            obj.discard();
             self.stats.rejected_metropolis += 1;
-            StepOutcome::Rejected {
-                delta_d: ev.delta_d,
-            }
+            None
         }
     }
 
@@ -391,8 +348,8 @@ impl<R: Rng> McmcChain<R> {
                     break;
                 }
             }
-            match self.step_filtered(obj, veto) {
-                StepOutcome::Accepted { delta_d } if delta_d < 0.0 => since_improve = 0,
+            match self.step(obj, veto) {
+                Some(delta_d) if delta_d < 0.0 => since_improve = 0,
                 _ => since_improve += 1,
             }
         }
@@ -464,7 +421,6 @@ mod tests {
         fn commit(&mut self) {
             self.committed += 1;
         }
-        fn discard(&mut self) {}
         fn distance(&self) -> Option<f64> {
             None
         }

@@ -8,26 +8,27 @@
 //! instead of a fused sample-validate-mutate loop, and so per-move costs
 //! are O(1) at 10⁶-node scale.
 //!
-//! ## The move / dry-run / delta contract
+//! ## The move / validation / delta contract
 //!
 //! * **Move records** ([`MoveProposal`]): a proposal names the two edges
 //!   it removes, the two it adds, and its forward/reverse proposal
 //!   probabilities under the sampler that produced it. Nothing about a
-//!   proposal is implicit — it can be logged, replayed against another
-//!   graph, or handed to the validator below without touching the chain.
-//! * **Dry-run validation** ([`dry_run`]): a proposal can be checked
-//!   against any graph without mutating it; the verdict
-//!   ([`DryRunVerdict`]) carries a typed reason ([`SwapInvalid`]) on
-//!   failure. The mutating path ([`apply_swap_checked`]) succeeds exactly
-//!   when the dry run says `Valid` — the equivalence suite pins this.
+//!   proposal is implicit: the acceptance rule, the objective and the
+//!   revert path all read the same record.
+//! * **One validity rule** ([`check_swap`]): a swap is valid when it
+//!   creates no self-loop and no parallel edge, and — for
+//!   [`ProposalKind::JddPreserving`] — satisfies Figure 4's degree-class
+//!   condition. The sampler ([`propose_swap`]), the explorers' scan and
+//!   the Table 5 census in `dk-core` all decide validity through it, and
+//!   it reports a typed reason ([`SwapInvalid`]) on failure.
 //! * **Census deltas** ([`SwapObjective`]): the chain never re-extracts
 //!   a distribution. An objective inspects a validated proposal, reports
 //!   the distance change `ΔD` of the move (for 2K targets this is four
 //!   O(1) histogram bumps on the frozen endpoint degrees; see
 //!   `dk_core::generate::delta`), and folds the pending delta into its
-//!   bookkeeping **only when the chain accepts** — `commit` on accept,
-//!   `discard` (plus an engine-side revert of any tentative mutation) on
-//!   reject.
+//!   bookkeeping **only when the chain accepts** (`commit`); on a
+//!   rejection the engine reverts any tentative mutation and the pending
+//!   delta is simply overwritten by the next evaluation.
 //!
 //! ## Acceptance
 //!
@@ -59,9 +60,8 @@ mod proposal;
 
 pub use chain::{
     ChainOptions, ChainStats, DistanceTrace, Evaluation, McmcChain, NullObjective, RunBudget,
-    StepOutcome, SwapObjective,
+    SwapObjective,
 };
 pub use proposal::{
-    apply_swap, apply_swap_checked, dry_run, propose_swap, revert_swap, DryRunVerdict,
-    MoveProposal, ProposalKind, SwapInvalid,
+    apply_swap, check_swap, propose_swap, revert_swap, MoveProposal, ProposalKind, SwapInvalid,
 };

@@ -1,7 +1,7 @@
-//! Double-edge-swap move records: sampling, dry-run validation, and the
-//! (checked and unchecked) mutating paths.
+//! Double-edge-swap move records: the swap-validity rule, sampling, and
+//! the mutating paths.
 
-use dk_graph::{canon_edge, Graph};
+use dk_graph::Graph;
 use rand::Rng;
 
 /// Which swaps the sampler may propose.
@@ -28,11 +28,6 @@ pub enum SwapInvalid {
     /// A replacement edge is already present: the swap would create a
     /// parallel edge.
     EdgeExists,
-    /// An edge slated for removal is absent (a stale record re-validated
-    /// against a graph that has moved on).
-    MissingEdge,
-    /// Both removals name the same edge.
-    DuplicateEdge,
     /// The swap would change the JDD although the sampler is restricted
     /// to [`ProposalKind::JddPreserving`] moves.
     ClassMismatch,
@@ -58,40 +53,48 @@ pub struct MoveProposal {
 }
 
 impl MoveProposal {
-    /// All four touched edges in canonical orientation: the two removed,
-    /// then the two added.
-    pub fn touched_edges(&self) -> [(u32, u32); 4] {
-        let c = |e: (u32, u32)| canon_edge(e.0, e.1);
-        [
-            c(self.remove[0]),
-            c(self.remove[1]),
-            c(self.add[0]),
-            c(self.add[1]),
-        ]
-    }
-
     /// The Metropolis–Hastings proposal ratio `q_rev / q_fwd`.
     pub fn proposal_ratio(&self) -> f64 {
         self.reverse_prob / self.forward_prob
     }
+}
 
-    /// The exact inverse move (adds become removals and vice versa, with
-    /// the proposal probabilities swapped accordingly).
-    pub fn reverse(&self) -> MoveProposal {
-        MoveProposal {
-            remove: self.add,
-            add: self.remove,
-            forward_prob: self.reverse_prob,
-            reverse_prob: self.forward_prob,
-        }
+/// Decides whether the swap `{a,b},{c,d} → {a,d},{c,b}` keeps `g` simple
+/// and, for [`ProposalKind::JddPreserving`], its JDD: the one validity
+/// rule behind every sampler, explorer and census in the workspace.
+///
+/// The two removed edges must be distinct edges of `g`; the check reads
+/// only what the swap adds. Presence goes through the canonical edge
+/// index ([`Graph::has_edge_indexed`]), two O(1) probes regardless of
+/// degree. Degrees are read from the caller's frozen degree vector `deg`,
+/// which equals `g`'s degrees on any walk of degree-preserving moves.
+#[inline]
+pub fn check_swap(
+    g: &Graph,
+    deg: &[u32],
+    kind: ProposalKind,
+    [(a, b), (c, d)]: [(u32, u32); 2],
+) -> Result<(), SwapInvalid> {
+    if a == d || c == b {
+        return Err(SwapInvalid::SelfLoop);
     }
+    if g.has_edge_indexed(a, d) || g.has_edge_indexed(c, b) {
+        return Err(SwapInvalid::EdgeExists);
+    }
+    if kind == ProposalKind::JddPreserving
+        && deg[b as usize] != deg[d as usize]
+        && deg[a as usize] != deg[c as usize]
+    {
+        return Err(SwapInvalid::ClassMismatch);
+    }
+    Ok(())
 }
 
 /// Samples one double-edge-swap proposal: two distinct uniform edges plus
-/// a uniform orientation of the second, validated against `g` (presence
-/// tests are O(1) via the canonical edge index). Degrees are read from
-/// the caller's frozen degree vector `deg` — every move this sampler
-/// produces preserves all degrees, so the vector never goes stale.
+/// a uniform orientation of the second, validated against `g` by
+/// [`check_swap`]. Degrees are read from the caller's frozen degree
+/// vector `deg` — every move this sampler produces preserves all
+/// degrees, so the vector never goes stale.
 ///
 /// The sampler always consumes exactly three RNG draws, whether or not
 /// the candidate validates, so rejection never desynchronizes a seeded
@@ -121,18 +124,7 @@ pub fn propose_swap<R: Rng + ?Sized>(
     let e2 = g.edge_at(j);
     // random orientation of the second edge covers both swap variants
     let (c, d) = if rng.gen_bool(0.5) { e2 } else { (e2.1, e2.0) };
-    if a == d || c == b {
-        return Err(SwapInvalid::SelfLoop);
-    }
-    if g.has_edge_indexed(a, d) || g.has_edge_indexed(c, b) {
-        return Err(SwapInvalid::EdgeExists);
-    }
-    if kind == ProposalKind::JddPreserving
-        && deg[b as usize] != deg[d as usize]
-        && deg[a as usize] != deg[c as usize]
-    {
-        return Err(SwapInvalid::ClassMismatch);
-    }
+    check_swap(g, deg, kind, [(a, b), (c, d)])?;
     let q = 1.0 / (m as f64 * (m - 1) as f64);
     Ok(MoveProposal {
         remove: [(a, b), (c, d)],
@@ -142,68 +134,18 @@ pub fn propose_swap<R: Rng + ?Sized>(
     })
 }
 
-/// Validation outcome of a proposal against a graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DryRunVerdict {
-    /// The mutating path would succeed.
-    Valid,
-    /// The mutating path would refuse, for this reason.
-    Invalid(SwapInvalid),
-}
-
-impl DryRunVerdict {
-    /// `true` for [`DryRunVerdict::Valid`].
-    pub fn is_valid(&self) -> bool {
-        matches!(self, DryRunVerdict::Valid)
-    }
-}
-
-/// Checks a proposal against `g` **without mutating it**. The verdict
-/// matches [`apply_swap_checked`] exactly: `Valid` iff applying would
-/// succeed (the equivalence suite asserts this over random records,
-/// stale and fresh).
-pub fn dry_run(g: &Graph, p: &MoveProposal) -> DryRunVerdict {
-    let [(a, b), (c, d)] = p.remove;
-    if canon_edge(a, b) == canon_edge(c, d) {
-        return DryRunVerdict::Invalid(SwapInvalid::DuplicateEdge);
-    }
-    if !g.has_edge_indexed(a, b) || !g.has_edge_indexed(c, d) {
-        return DryRunVerdict::Invalid(SwapInvalid::MissingEdge);
-    }
-    if a == d || c == b {
-        return DryRunVerdict::Invalid(SwapInvalid::SelfLoop);
-    }
-    if g.has_edge_indexed(a, d) || g.has_edge_indexed(c, b) {
-        return DryRunVerdict::Invalid(SwapInvalid::EdgeExists);
-    }
-    DryRunVerdict::Valid
-}
-
 /// Applies a **validated** proposal.
 ///
 /// # Panics
-/// Panics if the proposal does not validate against `g` — chain
-/// internals only call this on records freshly produced by
-/// [`propose_swap`]. External callers should prefer
-/// [`apply_swap_checked`].
+/// Panics if the proposal does not validate against `g` — callers only
+/// apply records freshly produced by [`propose_swap`] or checked by
+/// [`check_swap`].
 pub fn apply_swap(g: &mut Graph, p: &MoveProposal) {
     for &(u, v) in &p.remove {
         g.remove_edge(u, v).expect("validated swap: edge present");
     }
     for &(u, v) in &p.add {
         g.add_edge(u, v).expect("validated swap: slot free");
-    }
-}
-
-/// The checked mutating path: dry-run, then apply. On an invalid verdict
-/// the graph is untouched and the typed reason is returned.
-pub fn apply_swap_checked(g: &mut Graph, p: &MoveProposal) -> Result<(), SwapInvalid> {
-    match dry_run(g, p) {
-        DryRunVerdict::Valid => {
-            apply_swap(g, p);
-            Ok(())
-        }
-        DryRunVerdict::Invalid(reason) => Err(reason),
     }
 }
 
@@ -268,87 +210,27 @@ mod tests {
     }
 
     #[test]
-    fn reverse_of_reverse_is_identity() {
+    fn check_swap_catches_each_reason() {
         let g = builders::karate_club();
         let deg = frozen(&g);
-        let mut rng = StdRng::seed_from_u64(3);
-        loop {
-            if let Ok(p) = propose_swap(&g, &deg, ProposalKind::Plain, &mut rng) {
-                assert_eq!(p.reverse().reverse(), p);
-                // the reverse validates against the post-move graph
-                let mut h = g.clone();
-                apply_swap(&mut h, &p);
-                assert_eq!(dry_run(&h, &p.reverse()), DryRunVerdict::Valid);
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn dry_run_catches_each_reason() {
-        let g = builders::karate_club();
-        // karate: (0,1) and (0,2) are edges
-        let stale = MoveProposal {
-            remove: [(30, 31), (32, 33)],
-            add: [(30, 33), (32, 31)],
-            forward_prob: 1.0,
-            reverse_prob: 1.0,
-        };
-        // (30,31) is not an edge of karate
+        let check = |kind, swap| check_swap(&g, &deg, kind, swap);
+        // (0,1),(2,0) → (0,0),(2,1): a = d
         assert_eq!(
-            dry_run(&g, &stale),
-            DryRunVerdict::Invalid(SwapInvalid::MissingEdge)
+            check(ProposalKind::Plain, [(0, 1), (2, 0)]),
+            Err(SwapInvalid::SelfLoop)
         );
-        let dup = MoveProposal {
-            remove: [(0, 1), (1, 0)],
-            add: [(0, 0), (1, 1)],
-            forward_prob: 1.0,
-            reverse_prob: 1.0,
-        };
+        // (0,1),(3,2) → (0,2),(3,1): both replacements are karate edges
         assert_eq!(
-            dry_run(&g, &dup),
-            DryRunVerdict::Invalid(SwapInvalid::DuplicateEdge)
+            check(ProposalKind::Plain, [(0, 1), (3, 2)]),
+            Err(SwapInvalid::EdgeExists)
         );
-        let self_loop = MoveProposal {
-            remove: [(0, 1), (2, 0)],
-            add: [(0, 0), (2, 1)],
-            forward_prob: 1.0,
-            reverse_prob: 1.0,
-        };
+        // (0,1),(32,33) → (0,33),(32,1): simple, but k(1) = 9 ≠ k(33) = 17
+        // and k(0) = 16 ≠ k(32) = 12, so the JDD moves
+        assert_eq!(check(ProposalKind::Plain, [(0, 1), (32, 33)]), Ok(()));
         assert_eq!(
-            dry_run(&g, &self_loop),
-            DryRunVerdict::Invalid(SwapInvalid::SelfLoop)
+            check(ProposalKind::JddPreserving, [(0, 1), (32, 33)]),
+            Err(SwapInvalid::ClassMismatch)
         );
-        // (0,1),(2,3) are edges; (0,3)?? karate has 0-3 — pick targets that
-        // collide with existing edges: swap (0,1),(3,2) → (0,2),(3,1): both
-        // 0-2 and 1-3 exist in karate, so the add collides.
-        let collide = MoveProposal {
-            remove: [(0, 1), (3, 2)],
-            add: [(0, 2), (3, 1)],
-            forward_prob: 1.0,
-            reverse_prob: 1.0,
-        };
-        assert_eq!(
-            dry_run(&g, &collide),
-            DryRunVerdict::Invalid(SwapInvalid::EdgeExists)
-        );
-    }
-
-    #[test]
-    fn checked_apply_matches_dry_run_and_preserves_graph_on_refusal() {
-        let g0 = builders::karate_club();
-        let bad = MoveProposal {
-            remove: [(30, 31), (32, 33)],
-            add: [(30, 33), (32, 31)],
-            forward_prob: 1.0,
-            reverse_prob: 1.0,
-        };
-        let mut g = g0.clone();
-        assert_eq!(
-            apply_swap_checked(&mut g, &bad),
-            Err(SwapInvalid::MissingEdge)
-        );
-        assert_eq!(g, g0);
     }
 
     #[test]
@@ -367,16 +249,5 @@ mod tests {
             }
             checked += 1;
         }
-    }
-
-    #[test]
-    fn touched_edges_are_canonical() {
-        let p = MoveProposal {
-            remove: [(5, 2), (7, 1)],
-            add: [(5, 1), (7, 2)],
-            forward_prob: 1.0,
-            reverse_prob: 1.0,
-        };
-        assert_eq!(p.touched_edges(), [(2, 5), (1, 7), (1, 5), (2, 7)]);
     }
 }

@@ -144,6 +144,25 @@ fn rewire_and_metrics_via_binary() {
 }
 
 #[test]
+fn rewire_refuses_orders_past_three() {
+    // refused before the graph is read: the path need not exist
+    let dir = tmpdir("rewire_refuses_orders_past_three");
+    let graph = dir.join("absent.edges");
+    let out = dir.join("out.edges");
+    let (ok, text) = run(&[
+        "rewire",
+        "4",
+        graph.to_str().unwrap(),
+        "-o",
+        out.to_str().unwrap(),
+    ]);
+    assert!(!ok, "{text}");
+    assert!(!text.contains("panicked"), "{text}");
+    assert!(text.contains("rewire supports d in 0..=3, got 4"), "{text}");
+    assert!(!out.exists());
+}
+
+#[test]
 fn metrics_flags_via_binary() {
     let dir = tmpdir("metrics_flags_via_binary");
     let graph = write_karate(&dir);
