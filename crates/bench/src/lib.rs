@@ -13,9 +13,7 @@
 //!   (per-metric mean/std/min/max, per-degree / per-distance series
 //!   means);
 //! * [`csv`] — series CSV output (tables use the shared
-//!   `dk_metrics::MetricTable` formatter);
-//! * [`perf`] — the shared harness of the `perf_*` binaries (flags,
-//!   seeded input, timing, RSS, `BENCH_metrics.json` records).
+//!   `dk_metrics::MetricTable` formatter).
 //!
 //! Paper-scale notes: the paper averages over 100 graphs; the default
 //! here is 5 seeds at CI scale so every experiment finishes in minutes —
@@ -27,7 +25,6 @@
 pub mod csv;
 pub mod ensemble;
 pub mod inputs;
-pub mod perf;
 pub mod variants;
 
 use std::path::PathBuf;
@@ -68,24 +65,26 @@ impl Config {
     /// silently ignored would corrupt experiments).
     pub fn from_args() -> Config {
         let mut cfg = Config::default();
-        let parsed = parse_flags(
-            &mut cfg.full,
-            &mut [
-                ("--seeds", set(&mut cfg.seeds)),
-                ("--seed", set(&mut cfg.master_seed)),
-                ("--threads", set(&mut cfg.threads)),
-                ("--out", set(&mut cfg.out_dir)),
-            ],
-        );
-        match parsed {
-            Ok(()) => {}
-            Err(FlagError::Help) => {
-                eprintln!(
-                    "flags: --full (paper scale)  --seeds N (ensemble size, default 5)\n       --seed N (master seed)   --out DIR (default results/)\n       --threads N (ensemble workers, default 0 = all cores)"
-                );
-                std::process::exit(0);
-            }
-            Err(FlagError::Refused(msg)) => {
+        let mut raw = std::env::args().skip(1);
+        while let Some(flag) = raw.next() {
+            let parsed = match flag.as_str() {
+                "--full" => {
+                    cfg.full = true;
+                    Ok(())
+                }
+                "--help" | "-h" => {
+                    eprintln!(
+                        "flags: --full (paper scale)  --seeds N (ensemble size, default 5)\n       --seed N (master seed)   --out DIR (default results/)\n       --threads N (ensemble workers, default 0 = all cores)"
+                    );
+                    std::process::exit(0);
+                }
+                "--seeds" => flag_value(&flag, raw.next()).map(|v| cfg.seeds = v),
+                "--seed" => flag_value(&flag, raw.next()).map(|v| cfg.master_seed = v),
+                "--threads" => flag_value(&flag, raw.next()).map(|v| cfg.threads = v),
+                "--out" => flag_value(&flag, raw.next()).map(|v| cfg.out_dir = v),
+                _ => Err(format!("unknown flag {flag:?}")),
+            };
+            if let Err(msg) = parsed {
                 eprintln!("error: {msg}\nrun with --help for flags");
                 std::process::exit(2)
             }
@@ -102,46 +101,12 @@ impl Config {
     }
 }
 
-/// Stores one flag value; `false` when the value does not parse.
-pub type Setter<'a> = Box<dyn FnMut(&str) -> bool + 'a>;
-
-/// A [`Setter`] that parses the value into `slot`.
-pub fn set<T: std::str::FromStr>(slot: &mut T) -> Setter<'_> {
-    Box::new(move |v| v.parse().map(|x| *slot = x).is_ok())
-}
-
-/// Why [`parse_flags`] refused a command line.
-enum FlagError {
-    /// `-h` / `--help`.
-    Help,
-    /// An unknown flag, a missing value or a value that does not parse.
-    Refused(String),
-}
-
-/// The one flag loop of the bench binaries ([`Config::from_args`] and
-/// [`perf::PerfArgs::from_args`]): `--full` is the only switch, and
-/// each flag named in `values` takes the next argument, which its
-/// setter must accept.
-fn parse_flags(full: &mut bool, values: &mut [(&str, Setter<'_>)]) -> Result<(), FlagError> {
-    let mut raw = std::env::args().skip(1);
-    while let Some(flag) = raw.next() {
-        match flag.as_str() {
-            "--full" => *full = true,
-            "--help" | "-h" => return Err(FlagError::Help),
-            _ => {
-                let Some((_, setter)) = values.iter_mut().find(|(name, _)| *name == flag) else {
-                    return Err(FlagError::Refused(format!("unknown flag {flag:?}")));
-                };
-                let Some(value) = raw.next() else {
-                    return Err(FlagError::Refused(format!("{flag} needs a value")));
-                };
-                if !setter(&value) {
-                    return Err(FlagError::Refused(format!("bad {flag} value {value:?}")));
-                }
-            }
-        }
-    }
-    Ok(())
+/// The value of `flag`, which must be present and parse.
+fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("bad {flag} value {value:?}"))
 }
 
 /// Writes a text artifact, creating parent dirs — so every emitter is
@@ -152,41 +117,6 @@ fn write_text(path: &std::path::Path, text: &str) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
     }
     std::fs::write(path, text)
-}
-
-/// Writes a machine-readable JSON artifact next to the CSVs (creating
-/// parent dirs) — every experiment binary persists its
-/// `Report`/`EnsembleSummary` data this way so runs are diffable without
-/// re-parsing the human-facing tables.
-pub fn write_json(path: &std::path::Path, json: &str) -> std::io::Result<()> {
-    write_text(path, json)
-}
-
-/// Appends one JSON record to a JSON-lines log (creating parent dirs).
-///
-/// `results/BENCH_metrics.json` is such a log: one self-contained bench
-/// record per line (each tagged with a `"bench"` key), so the perf
-/// trajectory of the hot paths **accumulates** run over run instead of
-/// each binary overwriting the last one's point. Tolerates a legacy
-/// record written without a trailing newline.
-pub fn append_json_line(path: &std::path::Path, record: &str) -> std::io::Result<()> {
-    use std::io::Write;
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let needs_newline = match std::fs::read(path) {
-        Ok(existing) => !existing.is_empty() && !existing.ends_with(b"\n"),
-        Err(_) => false,
-    };
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    if needs_newline {
-        f.write_all(b"\n")?;
-    }
-    f.write_all(record.as_bytes())?;
-    f.write_all(b"\n")
 }
 
 /// JSON form of an integer-keyed series: `[[x, y], ...]` — used by the
@@ -207,7 +137,7 @@ pub fn emit_table(cfg: &Config, name: &str, table: &dk_metrics::MetricTable) {
     write_text(&out, &table.to_csv()).unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
     println!("wrote {}", out.display());
     let out = cfg.out_dir.join(format!("{name}.json"));
-    write_json(&out, &table.to_json()).unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
+    write_text(&out, &table.to_json()).unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
     println!("wrote {}", out.display());
 }
 
@@ -226,7 +156,7 @@ pub fn emit_series(
         .unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
     println!("wrote {}", out.display());
     let out = cfg.out_dir.join(format!("{name}.json"));
-    write_json(&out, &dk_metrics::json::object(entries))
+    write_text(&out, &dk_metrics::json::object(entries))
         .unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
     println!("wrote {}", out.display());
 }
@@ -240,27 +170,6 @@ mod tests {
         let cfg = Config::default();
         let seeds: std::collections::BTreeSet<u64> = (0..100).map(|i| cfg.run_seed(i)).collect();
         assert_eq!(seeds.len(), 100);
-    }
-
-    #[test]
-    fn append_json_line_accumulates_and_repairs_missing_newline() {
-        let dir = std::env::temp_dir().join("dk_bench_jsonl");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("log.json");
-        let _ = std::fs::remove_file(&path);
-        append_json_line(&path, "{\"bench\":\"a\"}").unwrap();
-        append_json_line(&path, "{\"bench\":\"b\"}").unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            "{\"bench\":\"a\"}\n{\"bench\":\"b\"}\n"
-        );
-        // a legacy record without a trailing newline stays on its own line
-        std::fs::write(&path, "{\"legacy\":1}").unwrap();
-        append_json_line(&path, "{\"bench\":\"c\"}").unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            "{\"legacy\":1}\n{\"bench\":\"c\"}\n"
-        );
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! Argument parsing only; all behavior lives in [`dk_cli`] (tested there).
 
 use dk_cli::*;
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -263,11 +264,17 @@ fn run() -> Result<String, String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(msg) => {
-            println!("{msg}");
-            ExitCode::SUCCESS
+    let written = run().and_then(|msg| {
+        let mut stdout = std::io::stdout().lock();
+        match writeln!(stdout, "{msg}").and_then(|()| stdout.flush()) {
+            // the reader is gone (`dk metrics g.edges | head -1`): no
+            // one is left to tell, so exit quietly as a filter should
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+            written => written.map_err(|e| format!("writing to stdout: {e}")),
         }
+    });
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::from(2)

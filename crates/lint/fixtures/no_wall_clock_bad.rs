@@ -1,4 +1,4 @@
-// BAD: wall-clock reads outside crates/bench.
+// BAD: wall-clock reads, which no workspace path may make.
 pub fn elapsed_sketch() -> u128 {
     let t0 = std::time::Instant::now();
     let _epoch = std::time::SystemTime::now();

@@ -1,9 +1,8 @@
 //! Bench-log JSON schema check, over the shared [`dk_json`] parser.
 //!
-//! `results/BENCH_metrics.json` is a JSON-lines perf log appended to by
-//! the `perf_*` bench binaries (`dk_bench::append_json_line`); nothing
-//! in the workspace ever *read* it back until the serve daemon arrived,
-//! which is exactly how a log format rots. `dk-lint --bench-log`
+//! `results/BENCH_metrics.json` is the repository's historical JSON-lines
+//! perf log. No program in the workspace writes or reads it, which is
+//! exactly how a log format rots. `dk-lint --bench-log`
 //! re-parses every line and checks the schema invariants every
 //! consumer of the log relies on: each line is a JSON **object**
 //! carrying a `"bench"` key that names the emitting benchmark and a

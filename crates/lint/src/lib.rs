@@ -10,7 +10,7 @@
 //! that historically introduce silent nondeterminism:
 //!
 //! * std `HashMap`/`HashSet` (random iteration order) — [`rules::NO_STD_HASH`];
-//! * wall-clock reads outside the bench crate — [`rules::NO_WALL_CLOCK`];
+//! * wall-clock reads — [`rules::NO_WALL_CLOCK`];
 //! * OS-entropy RNG seeding — [`rules::NO_ENTROPY`];
 //! * crate roots missing `#![forbid(unsafe_code)]` — [`rules::FORBID_UNSAFE_DRIFT`];
 //! * unordered f64 reductions in traversal crates — [`rules::ORDERED_FLOAT_MERGE`];
@@ -22,10 +22,10 @@
 //! test that backs each rule — lives in `LINTS.md` at the workspace
 //! root.
 //!
-//! The crate is **dependency-free**: [`lexer`] is a hand-rolled Rust
-//! lexical stripper producing a comment/string-blanked *code view* (so
-//! rules never fire in docs), [`jsonchk`] is a minimal recursive-descent
-//! JSON reader for the bench log, and [`rules`] is the engine with
+//! The crate's one dependency is the dependency-free `dk-json`:
+//! [`lexer`] is a hand-rolled Rust lexical stripper producing a
+//! comment/string-blanked *code view* (so rules never fire in docs),
+//! [`jsonchk`] is the bench-log schema check, and [`rules`] is the engine with
 //! per-rule allowlists and the `// lint: allow(<rule>) — <reason>`
 //! waiver syntax.
 //!

@@ -35,9 +35,8 @@ use std::path::Path;
 /// makes iteration order differ between runs, which breaks seeded
 /// reproducibility anywhere a map is iterated while making choices.
 pub const NO_STD_HASH: &str = "no-std-hash";
-/// Rule: `Instant::now` / `SystemTime` forbidden outside `crates/bench`
-/// (and the vendored criterion shim) — wall-clock reads are inherently
-/// run-dependent.
+/// Rule: `Instant::now` / `SystemTime` forbidden everywhere —
+/// wall-clock reads are inherently run-dependent.
 pub const NO_WALL_CLOCK: &str = "no-wall-clock";
 /// Rule: `thread_rng` / `from_entropy` / `getrandom` / `OsRng`
 /// forbidden everywhere — every RNG must be seeded from an explicit,
@@ -282,8 +281,6 @@ fn parse_waivers(
 /// ordered-float-merge.
 fn token_rules(rel: &str, stripped: &Stripped, scoped: bool, findings: &mut Vec<Finding>) {
     let hash_exempt = scoped && rel == "crates/graph/src/hashers.rs";
-    let clock_exempt =
-        scoped && (rel.starts_with("crates/bench/") || rel.starts_with("crates/vendor/criterion/"));
     let merge_in_scope =
         !scoped || rel.starts_with("crates/graph/src/") || rel.starts_with("crates/metrics/src/");
     let merge_allowed = scoped && ORDERED_MERGE_ALLOW.iter().any(|&(p, _)| p == rel);
@@ -313,17 +310,15 @@ fn token_rules(rel: &str, stripped: &Stripped, scoped: bool, findings: &mut Vec<
             }
         }
 
-        if !clock_exempt {
-            for ident in ["Instant", "SystemTime", "UNIX_EPOCH"] {
-                if !lexer::find_ident(line, ident).is_empty() {
-                    push(
-                        NO_WALL_CLOCK,
-                        format!(
-                            "`{ident}` reads the wall clock — timing belongs in crates/bench; \
-                             library results must be pure functions of their inputs"
-                        ),
-                    );
-                }
+        for ident in ["Instant", "SystemTime", "UNIX_EPOCH"] {
+            if !lexer::find_ident(line, ident).is_empty() {
+                push(
+                    NO_WALL_CLOCK,
+                    format!(
+                        "`{ident}` reads the wall clock — results must be pure functions of \
+                         their inputs; timing lives in perfbench/, outside the workspace"
+                    ),
+                );
             }
         }
 
@@ -968,14 +963,14 @@ mod tests {
     }
 
     #[test]
-    fn clock_allowed_only_in_bench() {
+    fn clock_has_no_allowlist() {
         let src = "fn f() { let t = std::time::Instant::now(); }\n";
-        let (f, _) = scan_file("crates/metrics/src/x.rs", src, &ctx(), true);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, NO_WALL_CLOCK);
-        assert_eq!(f[0].line, 1);
-        let (f, _) = scan_file("crates/bench/src/bin/perf.rs", src, &ctx(), true);
-        assert!(f.is_empty());
+        for rel in ["crates/metrics/src/x.rs", "crates/bench/src/bin/table3.rs"] {
+            let (f, _) = scan_file(rel, src, &ctx(), true);
+            assert_eq!(f.len(), 1, "{rel}");
+            assert_eq!(f[0].rule, NO_WALL_CLOCK);
+            assert_eq!(f[0].line, 1);
+        }
     }
 
     #[test]

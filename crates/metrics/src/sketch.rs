@@ -75,8 +75,8 @@ pub const DEFAULT_SKETCH_ROUNDS: usize = 128;
 
 /// The one range check on a requested register-bit count: `Some(bits)`
 /// when it lies in [`MIN_SKETCH_BITS`]`..=`[`MAX_SKETCH_BITS`], `None`
-/// otherwise. The CLI's `--sketch-bits`, the daemon's `sketch_bits`
-/// knob and `perf_sketch --bits` all validate through it.
+/// otherwise. The CLI's `--sketch-bits` and the daemon's `sketch_bits`
+/// knob both validate through it.
 pub fn checked_bits(bits: u64) -> Option<u32> {
     u32::try_from(bits)
         .ok()

@@ -3,7 +3,8 @@
 //! byte-identical to a per-step `connected_components` recompute oracle
 //! across graph shapes, strategies, and seeds — plus closed-form
 //! anchors, the GCC tie-break inheritance, and fixed-seed thread-count
-//! bit-identity through the ensemble runner.
+//! bit-identity through the ensemble runner. A release-only case runs
+//! the 10⁶-node trajectories.
 
 use dk_repro::graph::csr::CsrGraph;
 use dk_repro::graph::traversal;
@@ -13,7 +14,10 @@ use dk_repro::metrics::attack::{
     DEFAULT_ATTACK_SEED,
 };
 use dk_repro::metrics::Analyzer;
+use dk_repro::topologies::ba::{barabasi_albert, BaParams};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Strategy: a random simple graph with up to `n` nodes.
 fn arb_graph(n: u32, max_edges: usize) -> impl Strategy<Value = Graph> {
@@ -25,11 +29,14 @@ fn arb_graph(n: u32, max_edges: usize) -> impl Strategy<Value = Graph> {
 /// removal prefix — the `O(n·(n+m))` baseline the engine replaces.
 fn oracle_trajectory(g: &Graph, order: &[NodeId]) -> (Vec<u32>, Vec<u32>) {
     let n = g.node_count();
+    let mut alive = vec![true; n];
     let mut gcc_sizes = Vec::with_capacity(n + 1);
     let mut component_counts = Vec::with_capacity(n + 1);
     for i in 0..=n {
-        let removed = &order[..i];
-        let keep: Vec<NodeId> = (0..n as NodeId).filter(|u| !removed.contains(u)).collect();
+        if i > 0 {
+            alive[order[i - 1] as usize] = false;
+        }
+        let keep: Vec<NodeId> = (0..n as NodeId).filter(|&u| alive[u as usize]).collect();
         let (sub, _) = g.subgraph(&keep).expect("valid selection");
         let sizes = traversal::component_sizes(&sub);
         gcc_sizes.push(sizes.iter().copied().max().unwrap_or(0) as u32);
@@ -91,6 +98,60 @@ proptest! {
                     c.removed, hub, giant);
             }
         }
+    }
+}
+
+/// The seeded Barabási–Albert input (2 edges per new node, 3 seed
+/// nodes) of the scale checks, at the repository's master seed.
+fn ba(nodes: usize) -> Graph {
+    barabasi_albert(
+        &BaParams {
+            nodes,
+            ..Default::default()
+        },
+        &mut StdRng::seed_from_u64(20060911),
+    )
+}
+
+/// The engine against the oracle on a 2000-node BA graph, for every
+/// strategy: hubs, long removal tails and many small components, at
+/// a scale the arbitrary graphs above never reach.
+#[test]
+fn ba_trajectories_match_per_step_oracle() {
+    let g = ba(2000);
+    let csr = CsrGraph::from_graph(&g);
+    for strategy in AttackStrategy::all() {
+        let order = removal_order(&csr, strategy, 20060911, 16, 2);
+        assert_eq!(
+            gcc_trajectory(&csr, &order),
+            oracle_trajectory(&g, &order),
+            "{strategy}"
+        );
+    }
+}
+
+/// Full 10⁶-node removal trajectories: one entry per removal prefix,
+/// GCC sizes that never grow and end at zero, and a defined halving
+/// threshold.
+#[test]
+#[ignore = "release only: cargo test --release --test attack_equivalence -- --ignored --exact ba_1m_trajectories_are_well_formed --test-threads=1"]
+fn ba_1m_trajectories_are_well_formed() {
+    let g = ba(1_000_000);
+    let n = g.node_count();
+    let csr = CsrGraph::from_graph(&g);
+    for strategy in [
+        AttackStrategy::Degree,
+        AttackStrategy::DegreeAdaptive,
+        AttackStrategy::Random,
+    ] {
+        let order = removal_order(&csr, strategy, 20060911, 16, 0);
+        let (sizes, _) = gcc_trajectory(&csr, &order);
+        assert_eq!(sizes.len(), n + 1, "{strategy}");
+        assert_eq!(sizes[0] as usize, n, "{strategy}: BA graphs are connected");
+        assert!(sizes.windows(2).all(|w| w[1] <= w[0]), "{strategy}");
+        assert_eq!(sizes[n], 0, "{strategy}");
+        let t = attack::threshold_from_sizes(&sizes, n, 0.5);
+        assert!(t.is_some_and(|t| t > 0.0 && t < 1.0), "{strategy}: {t:?}");
     }
 }
 

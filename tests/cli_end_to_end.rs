@@ -2,18 +2,34 @@
 //! through the real executable (argument parsing included).
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output, Stdio};
+use std::sync::OnceLock;
 
-fn dk_bin() -> PathBuf {
-    // this test runs as `<target dir>/<profile>/deps/cli_end_to_end-<hash>`
-    // and cargo builds the `dk` binary of the same profile into
-    // `<target dir>/<profile>`, wherever `CARGO_TARGET_DIR` points
-    let exe = std::env::current_exe().expect("test executable path");
-    let profile_dir = exe
-        .parent()
-        .and_then(Path::parent)
-        .expect("test executable lives in <profile>/deps");
-    profile_dir.join(format!("dk{}", std::env::consts::EXE_SUFFIX))
+/// The `dk` binary of this test's profile, built once per test process.
+/// Cargo rebuilds it when a crate it uses changed and does nothing when
+/// it is fresh, so the suite never drives a stale binary.
+fn dk_bin() -> &'static Path {
+    static DK: OnceLock<PathBuf> = OnceLock::new();
+    DK.get_or_init(|| {
+        let mut args = vec!["build", "-q", "-p", "dk-cli"];
+        if !cfg!(debug_assertions) {
+            args.push("--release");
+        }
+        let status = Command::new(env!("CARGO"))
+            .args(&args)
+            .status()
+            .expect("cargo build dk-cli");
+        assert!(status.success(), "cargo build -p dk-cli failed");
+        // this test runs as `<target dir>/<profile>/deps/cli_end_to_end-<hash>`
+        // and cargo builds the `dk` binary of the same profile into
+        // `<target dir>/<profile>`, wherever `CARGO_TARGET_DIR` points
+        let exe = std::env::current_exe().expect("test executable path");
+        let profile_dir = exe
+            .parent()
+            .and_then(Path::parent)
+            .expect("test executable lives in <profile>/deps");
+        profile_dir.join(format!("dk{}", std::env::consts::EXE_SUFFIX))
+    })
 }
 
 /// The scratch directory of one test, removed when dropped. The process
@@ -49,20 +65,7 @@ fn write_karate(dir: &Path) -> PathBuf {
 }
 
 fn run(args: &[&str]) -> (bool, String) {
-    let bin = dk_bin();
-    if !bin.exists() {
-        // binary not built in this profile — build it once
-        let mut args = vec!["build", "-p", "dk-cli"];
-        if !cfg!(debug_assertions) {
-            args.push("--release");
-        }
-        let status = Command::new(env!("CARGO"))
-            .args(&args)
-            .status()
-            .expect("cargo build dk-cli");
-        assert!(status.success());
-    }
-    let out = Command::new(&bin).args(args).output().expect("run dk");
+    let out = Command::new(dk_bin()).args(args).output().expect("run dk");
     let text = format!(
         "{}{}",
         String::from_utf8_lossy(&out.stdout),
@@ -372,4 +375,41 @@ fn missing_arguments_fail_cleanly() {
     let (ok, text) = run(&["extract", "2", graph.to_str().unwrap()]);
     assert!(!ok);
     assert!(text.contains("missing -o"), "{text}");
+}
+
+/// `dk` writes its result through a checked write. A reader that went
+/// away ends it quietly with status 0; any other write error is an
+/// `error:` line and status 2. Neither may panic (status 101).
+#[test]
+fn closed_or_full_stdout_fails_cleanly() {
+    let dir = tmpdir("closed_or_full_stdout_fails_cleanly");
+    let graph = write_karate(&dir);
+    let dk = |stdout: Stdio| -> Output {
+        Command::new(dk_bin())
+            .args(["metrics", graph.to_str().unwrap()])
+            .stdout(stdout)
+            .output()
+            .expect("run dk")
+    };
+
+    // a pipe whose read end is closed before `dk` starts
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = dk(writer.into());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.is_empty(),
+        "a closed reader is not an error: {stderr}"
+    );
+
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let out = dk(full.into());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

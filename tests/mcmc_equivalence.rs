@@ -17,7 +17,11 @@
 //! * **Edge order** — golden digests of `Graph::edges()` after the
 //!   0K–3K randomizing chains, the 3K targeting chain and the 1K-, 2K-
 //!   and custom-objective explorers pin the order the output files
-//!   carry.
+//!   carry;
+//! * **Recovery** — a 1K-scrambled BA graph 2K-targeted back to its own
+//!   JDD recovers ≥ 95 % of the D₂ distance, at 2000 nodes and (release
+//!   only) at 10⁶, where the recovered graph's assortativity and sketch
+//!   d̄ must also stay near the original's.
 
 use dk_repro::core::dist::{canon_triangle, canon_wedge, Degree, Dist2K, Dist3K};
 use dk_repro::core::generate::delta::{frozen_degrees, Delta2K, Delta3K};
@@ -640,4 +644,99 @@ fn chain_outputs_keep_their_edge_order() {
     ];
     let expected: Vec<(String, u64)> = expected.iter().map(|&(k, v)| (k.to_string(), v)).collect();
     assert_eq!(got, expected);
+}
+
+/// The seeded Barabási–Albert input (2 edges per new node, 3 seed
+/// nodes) of the recovery checks, at the repository's master seed.
+fn ba(nodes: usize) -> Graph {
+    barabasi_albert(
+        &BaParams {
+            nodes,
+            ..Default::default()
+        },
+        &mut StdRng::seed_from_u64(20060911),
+    )
+}
+
+/// Scramble-then-recover: 1K-randomizes `original` (2·m attempts), then
+/// 2K-targets it back to `original`'s JDD within `max_attempts`. The
+/// original realizes the target, so the run measures the chain, not the
+/// realizability of a synthetic JDD. Returns the recovered graph.
+fn scramble_then_recover_2k(original: &Graph, max_attempts: u64) -> Graph {
+    use dk_repro::core::generate::rewire::{randomize, RewireOptions, SwapBudget};
+    use dk_repro::core::generate::target::{target_2k_from_1k, TargetOptions};
+
+    let target = Dist2K::from_graph(original);
+    let mut g = original.clone();
+    let mut rng = StdRng::seed_from_u64(20060911 ^ 0x2b);
+    let scramble = RewireOptions {
+        budget: SwapBudget::Attempts(2 * original.edge_count() as u64),
+    };
+    randomize(&mut g, 1, &scramble, &mut rng);
+    let opts = TargetOptions {
+        max_attempts,
+        patience: Some((max_attempts / 10).max(200_000)),
+        ..Default::default()
+    };
+    let stats = target_2k_from_1k(&mut g, &target, &opts, &mut rng);
+    assert!(
+        stats.final_distance < stats.initial_distance * 0.05,
+        "2K targeting must recover most of the JDD distance: D2 {} -> {} in {} attempts",
+        stats.initial_distance,
+        stats.final_distance,
+        stats.attempts
+    );
+    g
+}
+
+/// 2K recovery on a 2000-node BA graph, and a 3K-preserving
+/// randomization of the same graph at the default budget: every accepted
+/// swap's census delta must cancel, so the census ends where it started.
+#[test]
+fn scrambled_ba_recovers_its_jdd_and_3k_randomizing_keeps_the_census() {
+    use dk_repro::core::generate::rewire::{randomize, RewireOptions};
+
+    let original = ba(2000);
+    scramble_then_recover_2k(&original, 4_000_000);
+
+    let mut g = original.clone();
+    let mut rng = StdRng::seed_from_u64(20060911 ^ 0x3b);
+    let stats = randomize(&mut g, 3, &RewireOptions::default(), &mut rng);
+    assert!(stats.accepted > 0, "no 3K-preserving swap accepted");
+    assert_eq!(
+        Dist3K::from_graph(&g),
+        Dist3K::from_graph(&original),
+        "3K-preserving rewiring changed the wedge/triangle census"
+    );
+}
+
+/// The recovery at 10⁶ nodes with 6·10⁷ attempts. Assortativity is a
+/// function of the JDD the chain targets, so it must match closely; the
+/// sketch d̄ (b = 6) is 2K-correlated but not pinned, so it only has to
+/// stay within 25 %.
+#[test]
+#[ignore = "release only: cargo test --release --test mcmc_equivalence -- --ignored --exact ba_1m_recovers_its_jdd --test-threads=1"]
+fn ba_1m_recovers_its_jdd() {
+    use dk_repro::metrics::Analyzer;
+
+    let original = ba(1_000_000);
+    let recovered = scramble_then_recover_2k(&original, 60_000_000);
+    let analyzer = Analyzer::new()
+        .metric_names("r,avg_distance_sketch")
+        .unwrap()
+        .threads(0)
+        .sketch_bits(6);
+    let (before, after) = (analyzer.analyze(&original), analyzer.analyze(&recovered));
+    let scalar = |report: &dk_repro::metrics::Report, name: &str| {
+        report
+            .scalar(name)
+            .unwrap_or_else(|| panic!("{name} undefined"))
+    };
+    let (r0, r1) = (scalar(&before, "r"), scalar(&after, "r"));
+    assert!((r1 - r0).abs() < 0.02, "assortativity {r0} -> {r1}");
+    let (d0, d1) = (
+        scalar(&before, "avg_distance_sketch"),
+        scalar(&after, "avg_distance_sketch"),
+    );
+    assert!((d1 - d0).abs() / d0 < 0.25, "sketch d̄ {d0} -> {d1}");
 }

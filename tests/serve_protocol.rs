@@ -12,6 +12,9 @@
 //!   `not_finite` on the wire while the legacy report JSON keeps its
 //!   untagged `null`s;
 //! * byte-identity of response transcripts across `--threads` values;
+//! * concurrent load — mixed requests from several connections, and a
+//!   barrage of identical cold requests that one computation answers
+//!   (at 2·10⁴ and 2·10⁵ nodes in a release-only case);
 //! * a malformed-request battery: truncated JSON, unknown verbs, bad
 //!   knob values, and oversized requests all produce structured errors
 //!   and never kill the daemon.
@@ -19,9 +22,13 @@
 use dk_json::JsonValue;
 use dk_repro::graph::{builders, io as graph_io};
 use dk_repro::metrics::{Analyzer, MetricValue, Report};
+use dk_repro::topologies::ba::{barabasi_albert, BaParams};
 use dk_serve::{handle_line, Client, Registry, Server, ServerConfig};
-use std::path::PathBuf;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
+use std::sync::Barrier;
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -592,4 +599,164 @@ fn oversized_requests_close_the_connection_not_the_daemon() {
     let mut again = Client::connect(&config.socket).expect("reconnect");
     assert_ok(&again.request(r#"{"op":"stats"}"#).expect("stats"));
     server.stop();
+}
+
+/// A seeded Barabási–Albert graph (2 edges per new node, 3 seed nodes)
+/// written as an edge list.
+fn write_ba(tag: &str, nodes: usize, seed: u64) -> PathBuf {
+    let path = tmp(&format!("{tag}_ba.edges"));
+    let g = barabasi_albert(
+        &BaParams {
+            nodes,
+            ..Default::default()
+        },
+        &mut StdRng::seed_from_u64(seed),
+    );
+    graph_io::save_edge_list(&g, &path).expect("write edge list");
+    path
+}
+
+/// A daemon on its own socket holding `edges` as graph `g`.
+fn serve_graph(tag: &str, edges: &Path) -> (Server, PathBuf) {
+    let config = ServerConfig {
+        socket: tmp(&format!("{tag}.sock")),
+        memory_budget: None,
+        threads: 2,
+    };
+    let server = Server::spawn(&config).expect("bind socket");
+    let mut client = Client::connect(&config.socket).expect("connect");
+    let load = format!(
+        r#"{{"op":"load","graph":"g","path":"{}"}}"#,
+        edges.display()
+    );
+    assert_ok(&client.request(&load).expect("load"));
+    (server, config.socket)
+}
+
+/// One client's share of [`mixed_load`]: `requests` requests cycling
+/// through ten warm lookups, two distinct-knob passes, one per-client
+/// sample budget, two stats polls and one `over_budget` probe. Every
+/// probe must be rejected and every other request succeed; returns the
+/// number of probes.
+fn client_mix(socket: &Path, id: usize, requests: usize) -> u64 {
+    let mut client = Client::connect(socket).expect("connect");
+    let mut probes = 0;
+    for i in 0..requests {
+        let request = match i % 16 {
+            0..=9 => r#"{"op":"metric","graph":"g","metrics":"cheap"}"#.to_string(),
+            10 | 11 => r#"{"op":"metric","graph":"g","metrics":"k_avg,r"}"#.to_string(),
+            12 => format!(
+                r#"{{"op":"metric","graph":"g","metrics":"cheap","samples":{}}}"#,
+                32 + (id % 4) * 16
+            ),
+            13 | 14 => r#"{"op":"stats"}"#.to_string(),
+            _ => r#"{"op":"metric","graph":"g","memory_budget":64}"#.to_string(),
+        };
+        let response = client.request(&request).expect("request");
+        if i % 16 == 15 {
+            assert_error(&response, "over_budget");
+            probes += 1;
+        } else {
+            assert_ok(&response);
+        }
+    }
+    probes
+}
+
+/// `clients` connections run [`client_mix`] at once against a BA graph
+/// of `nodes` nodes; the rejection counter must have seen every probe.
+fn mixed_load(tag: &str, nodes: usize, clients: usize, requests: usize) {
+    let edges = write_ba(tag, nodes, 20060911);
+    let (server, socket) = serve_graph(tag, &edges);
+    let socket = socket.as_path();
+    let probes: u64 = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|id| scope.spawn(move || client_mix(socket, id, requests)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .sum()
+    });
+    let (_, _, _, rejected) = counter_snapshot(server.registry());
+    assert!(
+        rejected >= probes,
+        "{rejected} rejections for {probes} probes"
+    );
+    server.stop();
+    let _ = std::fs::remove_file(&edges);
+}
+
+/// `clients` connections send one identical cold request at once: one
+/// computation answers all of them byte for byte, and every other
+/// request parked on its flight or replayed its memo.
+fn coalescing_barrage(tag: &str, nodes: usize, clients: usize) {
+    let edges = write_ba(tag, nodes, 20060912);
+    let (server, socket) = serve_graph(tag, &edges);
+    let start = Barrier::new(clients);
+    let bodies: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = Client::connect(&socket).expect("connect");
+                    start.wait();
+                    client
+                        .request(r#"{"op":"metric","graph":"g","metrics":"cheap","samples":48}"#)
+                        .expect("request")
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    assert_ok(&bodies[0]);
+    assert!(
+        bodies.iter().all(|b| *b == bodies[0]),
+        "coalesced responses must be byte-identical"
+    );
+    let (computed, coalesced, memo_hits, _) = counter_snapshot(server.registry());
+    assert_eq!(computed, 1, "one computation for {clients} clients");
+    assert_eq!(coalesced + memo_hits, clients as u64 - 1);
+    server.stop();
+    let _ = std::fs::remove_file(&edges);
+}
+
+#[test]
+fn concurrent_mixed_load_and_coalescing_barrage() {
+    mixed_load("mixed", 2000, 4, 32);
+    coalescing_barrage("barrage", 2000, 4);
+}
+
+/// The daemon at scale: 8 × 150 concurrent mixed requests and an
+/// 8-client barrage on 2·10⁴ nodes, then a 2·10⁵-node graph behind it:
+/// a cold cheap pass, its warm repeat (a memo hit that computes
+/// nothing and replays the same bytes) and one attack sweep.
+#[test]
+#[ignore = "release only: cargo test --release --test serve_protocol -- --ignored --exact large_graphs_under_concurrent_load --test-threads=1"]
+fn large_graphs_under_concurrent_load() {
+    mixed_load("mixed_large", 20_000, 8, 150);
+    coalescing_barrage("barrage_large", 20_000, 8);
+
+    let edges = write_ba("large", 200_000, 20060911);
+    let (server, socket) = serve_graph("large", &edges);
+    let mut client = Client::connect(&socket).expect("connect");
+    let cheap = r#"{"op":"metric","graph":"g","metrics":"cheap"}"#;
+    let cold = client.request(cheap).expect("cold request");
+    assert_ok(&cold);
+    let (computed, _, memo_hits, _) = counter_snapshot(server.registry());
+    let warm = client.request(cheap).expect("warm request");
+    assert_eq!(warm, cold, "the memo replays the cold response");
+    let (computed_after, _, memo_hits_after, _) = counter_snapshot(server.registry());
+    assert_eq!(
+        (computed_after, memo_hits_after),
+        (computed, memo_hits + 1),
+        "the repeat is a memo hit"
+    );
+    let attack =
+        r#"{"op":"attack","graph":"g","strategy":"degree","checkpoints":[0.05,0.25],"samples":16}"#;
+    assert_ok(&client.request(attack).expect("attack request"));
+    server.stop();
+    let _ = std::fs::remove_file(&edges);
 }

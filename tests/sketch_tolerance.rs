@@ -5,8 +5,8 @@
 //! **derived from the HyperLogLog standard error** `1.04/√2^b`
 //! ([`sketch::standard_error`]) — never hand-tuned constants. The
 //! working bound is three standard errors; the 10⁴-node acceptance run
-//! additionally pins `avg_distance_sketch` at `b = 10` within 5% of the
-//! oracle across ≥ 5 seeds.
+//! holds `b = 6` and `8` to it and additionally pins `avg_distance_sketch`
+//! at `b = 10` within 5% of the oracle across ≥ 5 seeds.
 
 use dk_repro::graph::csr::CsrGraph;
 use dk_repro::graph::{builders, Graph};
@@ -321,8 +321,20 @@ fn round_capped_runs_report_undefined_not_truncated_estimates() {
     assert!(full.series("distance_sketch").is_some());
 }
 
+/// The seeded Barabási–Albert input (2 edges per new node, 3 seed nodes).
+fn ba(nodes: usize, seed: u64) -> Graph {
+    barabasi_albert(
+        &BaParams {
+            nodes,
+            ..Default::default()
+        },
+        &mut StdRng::seed_from_u64(seed),
+    )
+}
+
 // ---------------------------------------------------------------------
-// The acceptance run: 10⁴-node BA, b = 10, ≥ 5 seeds, within 5%
+// The acceptance run: 10⁴-node BA, b = 6 and 8 within 3σ, b = 10 within
+// 5%, ≥ 5 seeds
 // ---------------------------------------------------------------------
 
 #[test]
@@ -332,17 +344,19 @@ fn ba_10k_avg_distance_within_five_percent_across_seeds() {
     let seeds: [u64; 5] = [1, 2, 3, 4, 5];
     let mut worst = 0.0f64;
     for seed in seeds {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = barabasi_albert(
-            &BaParams {
-                nodes: n,
-                edges_per_node: 2,
-                seed_nodes: 3,
-            },
-            &mut rng,
-        );
+        let g = ba(n, seed);
         let csr = CsrGraph::from_graph(&g);
         let exact = DistanceDistribution::from_csr_sharded(&csr, DEFAULT_SHARDS, 0).mean();
+        for coarse in [6, 8] {
+            let a = hyper_anf_sharded(&csr, coarse, ROUNDS, DEFAULT_SHARDS, 0);
+            assert!(a.converged, "seed {seed}, b = {coarse}");
+            let rel = rel_err(a.avg_distance(), exact);
+            assert!(
+                rel <= tol(coarse),
+                "seed {seed}, b = {coarse}: sketch d̄ = {}, exact {exact}, rel {rel}",
+                a.avg_distance()
+            );
+        }
         let a = hyper_anf_sharded(&csr, bits, ROUNDS, DEFAULT_SHARDS, 0);
         assert!(a.converged, "seed {seed}");
         let rel = rel_err(a.avg_distance(), exact);
@@ -358,4 +372,39 @@ fn ba_10k_avg_distance_within_five_percent_across_seeds() {
     // cancels much of the per-counter noise — record the observed worst
     // case so a future estimator regression is visible in the log
     println!("worst relative error across seeds: {worst:.4}");
+}
+
+// ---------------------------------------------------------------------
+// Release-only scale check (10⁶ nodes)
+// ---------------------------------------------------------------------
+
+/// The sketch battery on a 10⁶-node BA graph at `b = 6` (64 MiB of
+/// registers), where no exact oracle is affordable: every estimate
+/// converges and is finite, and the sketch's d̄ stays within 3σ of the
+/// sampled Brandes–Pich twin (K = 64 pivots) computed alongside.
+#[test]
+#[ignore = "release only: cargo test --release --test sketch_tolerance -- --ignored --exact ba_1m_sketch_battery_tracks_sampled_twin --test-threads=1"]
+fn ba_1m_sketch_battery_tracks_sampled_twin() {
+    let bits = 6;
+    let battery = "n,m,k_avg,distance_approx,avg_distance_sketch,effective_diameter_sketch";
+    let report = Analyzer::new()
+        .metric_names(battery)
+        .unwrap()
+        .threads(0)
+        .sample_sources(64)
+        .sketch_bits(bits)
+        .analyze(&ba(1_000_000, 20060911));
+    let scalar = |name: &str| {
+        let value = report.scalar(name);
+        assert!(value.is_some_and(f64::is_finite), "{name} = {value:?}");
+        value.unwrap()
+    };
+    for name in battery.split(',') {
+        scalar(name);
+    }
+    let (sketch, sampled) = (scalar("avg_distance_sketch"), scalar("distance_approx"));
+    assert!(
+        rel_err(sketch, sampled) <= tol(bits),
+        "sketch d̄ = {sketch}, sampled twin {sampled}"
+    );
 }

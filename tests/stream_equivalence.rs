@@ -19,6 +19,21 @@ use dk_repro::metrics::metric::AnyMetric;
 use dk_repro::metrics::stream;
 use dk_repro::metrics::{betweenness, distance::DistanceDistribution, sampled, Analyzer};
 use dk_repro::metrics::{AnalysisCache, AnalyzeOptions};
+use dk_repro::topologies::ba::{barabasi_albert, BaParams};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// The seeded Barabási–Albert input (2 edges per new node, 3 seed
+/// nodes) of the scale checks, at the repository's master seed.
+fn ba(nodes: usize) -> Graph {
+    barabasi_albert(
+        &BaParams {
+            nodes,
+            ..Default::default()
+        },
+        &mut StdRng::seed_from_u64(20060911),
+    )
+}
 
 /// The graphs every equivalence check runs over: golden anchors plus a
 /// disconnected graph (unreachable-pair accounting) and one with
@@ -65,10 +80,16 @@ fn traversal_metric_names() -> String {
 
 #[test]
 fn fused_streamed_bit_identical_to_oracle_across_shards_and_threads() {
-    for g in zoo() {
-        let csr = CsrGraph::from_graph(&g);
+    // the zoo at every shard shape, and a 2000-node BA graph, whose hubs
+    // give the f64 merge tree something to round, at the default and an
+    // odd shard count
+    let zoo = zoo().into_iter().map(|g| {
         let n = g.node_count();
-        for shards in [1, 2, 7, n] {
+        (g, vec![1, 2, 7, n])
+    });
+    for (g, shard_counts) in zoo.chain([(ba(2000), vec![stream::DEFAULT_SHARDS, 7])]) {
+        let csr = CsrGraph::from_graph(&g);
+        for shards in shard_counts {
             let oracle = betweenness::betweenness_and_distances_sharded(&csr, shards, 1);
             for threads in [1, 3] {
                 let s = betweenness::betweenness_and_distances_sharded(&csr, shards, threads);
@@ -330,4 +351,62 @@ fn sampled_estimators_finite_on_disconnected_graphs() {
     assert_eq!(s.distances.mean(), 0.0);
     assert!(s.unreachable_fraction() > 0.0);
     assert!(s.pdf_estimate().iter().all(|p| p.is_finite()));
+}
+
+// ---------------------------------------------------------------------
+// Release-only scale check (10⁶ nodes)
+// ---------------------------------------------------------------------
+
+/// Process resident set in bytes (Linux `VmRSS`).
+fn rss_now_bytes() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    let kib: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.split_whitespace().next())
+        .and_then(|v| v.parse().ok())
+        .expect("VmRSS line in /proc/self/status");
+    kib * 1024
+}
+
+/// The memory model at 10⁶ nodes: a streamed sampled pass (K = 64
+/// pivots) grows the process RSS by at most its workers' scratch
+/// (`stream::per_worker_bytes`), the O(n) global accumulator and 64 MiB
+/// of slack for the allocator and the pass's output; then the default
+/// battery, with its exact all-pairs columns swapped for their sampled
+/// twins, analyzes the graph through the shard executor. Any other test
+/// in the process would move the RSS, so it runs alone.
+#[test]
+#[ignore = "release only: cargo test --release --test stream_equivalence -- --ignored --exact large_sampled_pass_fits_the_memory_model --test-threads=1"]
+fn large_sampled_pass_fits_the_memory_model() {
+    let samples = 64;
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let g = ba(1_000_000);
+    let n = g.node_count();
+    let csr = CsrGraph::from_graph(&g);
+    let before = rss_now_bytes();
+    let pass = sampled::sampled_traversal_sharded(&csr, samples, stream::DEFAULT_SHARDS, threads);
+    let grown = rss_now_bytes().saturating_sub(before);
+    let model = threads as u64 * stream::per_worker_bytes(n) + 8 * n as u64 + (64 << 20);
+    assert!(
+        grown <= model,
+        "the streamed pass grew RSS by {grown} B, over the {model} B model bound"
+    );
+    assert!(pass.distances.mean() > 0.0);
+    drop(pass);
+    drop(csr);
+
+    let battery =
+        "n,m,gcc_fraction,k_avg,r,c_mean,s,s2,kcore_max,distance_approx,betweenness_approx";
+    let report = Analyzer::new()
+        .metric_names(battery)
+        .unwrap()
+        .threads(threads)
+        .sample_sources(samples)
+        .analyze(&g);
+    for name in battery.split(',') {
+        let value = report.scalar(name);
+        assert!(value.is_some_and(f64::is_finite), "{name} = {value:?}");
+    }
+    assert_eq!(report.scalar("n"), Some(n as f64));
 }
