@@ -382,7 +382,9 @@ pub fn cmd_compare(
     }
 }
 
-/// `dk metrics`: analyzes one graph through the [`Analyzer`] facade.
+/// `dk metrics`: analyzes one graph through the [`Analyzer`] facade,
+/// over the CSR read straight from the edge list (no [`dk_graph::Graph`]
+/// is built).
 ///
 /// The default selection is the paper's Table 2 battery; `--metrics`
 /// takes any registry names or sets (`--metrics all` includes
@@ -398,9 +400,9 @@ pub fn cmd_metrics(graph_path: &Path, opts: &MetricsOptions) -> Result<String, G
     if opts.metrics.as_deref() == Some("help") {
         return Ok(AnyMetric::listing());
     }
-    let g = graph_io::load_edge_list(graph_path)?;
+    let g = graph_io::load_edge_list_csr(graph_path)?;
     let analyzer = build_analyzer(opts, None)?;
-    let rep = analyzer.analyze(&g);
+    let rep = analyzer.analyze_csr(&g);
     Ok(match opts.format {
         OutputFormat::Json => rep.to_json(),
         OutputFormat::Text => format!("{}\n{}", graph_path.display(), rep.to_text()),
@@ -491,7 +493,7 @@ pub fn cmd_attack(graph_path: &Path, opts: &AttackCmdOptions) -> Result<String, 
         None => vec![0.01, 0.05, 0.1, 0.25, 0.5],
         Some(s) => parse_checkpoints(s).map_err(GraphError::ConstructionFailed)?,
     };
-    let g = graph_io::load_edge_list(graph_path)?;
+    let g = graph_io::load_edge_list_csr(graph_path)?;
     let mut analyzer = Analyzer::new();
     if opts.gcc_off {
         analyzer = analyzer.gcc(GccPolicy::Whole);
@@ -499,7 +501,7 @@ pub fn cmd_attack(graph_path: &Path, opts: &AttackCmdOptions) -> Result<String, 
     if let Some(k) = opts.samples {
         analyzer = analyzer.sample_sources(k);
     }
-    let rep = analyzer.attack(
+    let rep = analyzer.attack_csr(
         &g,
         &AttackOptions {
             strategy,

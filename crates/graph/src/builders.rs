@@ -207,6 +207,7 @@ pub fn karate_club() -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::AdjacencyView;
     use crate::traversal::is_connected;
 
     #[test]

@@ -1,28 +1,41 @@
-//! Frozen CSR (compressed sparse row) snapshot of a graph.
+//! Compressed sparse row (CSR) adjacency: the read-only graph analysis
+//! runs on.
 //!
 //! [`Graph`] stores adjacency as `Vec<Vec<NodeId>>` — the right shape for
 //! *mutation* (rewiring inserts and removes edges in O(deg)), but every
 //! neighbor-list access pays a pointer chase to a separately allocated
 //! vector, and all-source traversals (distance distribution, Brandes
 //! betweenness, GCC extraction, triangle census, k-core peeling) walk
-//! those lists millions of times. [`CsrGraph`] freezes the adjacency into
+//! those lists millions of times. [`CsrGraph`] holds the adjacency in
 //! two flat arrays:
 //!
 //! * `offsets[u]..offsets[u + 1]` — the slice of `targets` holding the
 //!   (sorted) neighbors of `u`;
 //! * `targets` — all neighbor lists back to back, 2·m entries.
 //!
-//! Built in O(n + m) from a [`Graph`], it preserves neighbor order
-//! exactly, so any traversal ported from `Graph` to `CsrGraph` visits
-//! nodes in the identical sequence and produces bit-identical results —
-//! just without the per-list cache miss.
+//! A `CsrGraph` comes from one of three constructors:
+//!
+//! * [`CsrGraph::from_edges`] — a counting sort of an edge list, each row
+//!   then sorted and deduplicated; what
+//!   [`io::read_edge_list_csr`](crate::io::read_edge_list_csr) builds
+//!   from a file, so analysis never allocates a [`Graph`];
+//! * [`CsrGraph::from_graph`] — a frozen snapshot of a [`Graph`] in
+//!   O(n + m), preserving neighbor order exactly;
+//! * [`CsrGraph::induced_subgraph`] — the subgraph on a node set in
+//!   O(n + m) (a giant component, an attack checkpoint's residual
+//!   component).
+//!
+//! All three keep the same invariants as `Graph` (sorted, loop-free,
+//! symmetric rows), so a traversal visits nodes in the identical
+//! sequence on either representation and produces bit-identical
+//! results.
 //!
 //! The [`AdjacencyView`] trait abstracts the read-only neighbor access
 //! both representations share, letting traversal code in
 //! [`crate::traversal`] (and the metric passes in `dk-metrics`) run on
-//! either: on a `Graph` for convenience, on a `CsrGraph` snapshot when an
-//! analyzer amortizes the build cost across many passes.
+//! either.
 
+use crate::error::GraphError;
 use crate::graph::{Graph, NodeId};
 
 /// Read-only adjacency access shared by [`Graph`] and [`CsrGraph`].
@@ -57,6 +70,53 @@ pub trait AdjacencyView: Sync {
             .map(|u| self.degree(u) as u64)
             .sum()
     }
+
+    /// Number of undirected edges, `edge_endpoints() / 2`.
+    fn edge_count(&self) -> usize {
+        (self.edge_endpoints() / 2) as usize
+    }
+
+    /// Maximum degree, or 0 for a graph without nodes.
+    fn max_degree(&self) -> usize {
+        (0..self.node_count() as NodeId)
+            .map(|u| self.degree(u))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Number of common neighbors of `u` and `v`: a linear merge of the
+    /// two sorted neighbor slices.
+    fn common_neighbors(&self, u: NodeId, v: NodeId) -> usize {
+        let (a, b) = (self.neighbors(u), self.neighbors(v));
+        let (mut i, mut j, mut count) = (0, 0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    count += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        count
+    }
+}
+
+/// Every undirected edge of `g` once, as `(u, v)` with `u < v`, in row
+/// order (by `u`, then by `v`) — the order a CSR walk visits edges in,
+/// which is not a [`Graph`]'s [`Graph::edges`] order. Sums over it that
+/// must not depend on the order are kept exact (integer accumulators).
+pub fn undirected_edges<V: AdjacencyView + ?Sized>(
+    g: &V,
+) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    (0..g.node_count() as NodeId).flat_map(move |u| {
+        let row = g.neighbors(u);
+        row[row.partition_point(|&v| v < u)..]
+            .iter()
+            .map(move |&v| (u, v))
+    })
 }
 
 impl AdjacencyView for Graph {
@@ -79,12 +139,18 @@ impl AdjacencyView for Graph {
     fn edge_endpoints(&self) -> u64 {
         2 * Graph::edge_count(self) as u64
     }
+
+    #[inline]
+    fn edge_count(&self) -> usize {
+        Graph::edge_count(self)
+    }
 }
 
-/// Frozen CSR snapshot of an undirected simple graph.
+/// Read-only CSR adjacency of an undirected simple graph.
 ///
-/// See the [module docs](self) for rationale. Immutable by construction:
-/// take a fresh snapshot after mutating the source [`Graph`].
+/// See the [module docs](self) for rationale and constructors.
+/// Immutable by construction: take a fresh snapshot after mutating a
+/// source [`Graph`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CsrGraph {
     /// `offsets[u]..offsets[u+1]` delimits the neighbors of `u`;
@@ -109,6 +175,109 @@ impl CsrGraph {
         offsets.push(0);
         for u in 0..n as NodeId {
             targets.extend_from_slice(g.neighbors(u));
+            offsets.push(targets.len() as u32);
+        }
+        CsrGraph { offsets, targets }
+    }
+
+    /// Builds the CSR graph on `n` nodes whose edges are `edges`: a
+    /// counting sort into rows in O(n + m), then each row sorted and
+    /// deduplicated in place. Self-loops are dropped and an edge listed
+    /// more than once (in either orientation) is kept once — the graph
+    /// `Graph::from_edges_dedup(n, edges)` builds, without its per-edge
+    /// hash inserts.
+    ///
+    /// An endpoint `≥ n` is a [`GraphError::NodeOutOfRange`]; more
+    /// distinct edge endpoints than the `u32` offsets hold is a
+    /// [`GraphError::ConstructionFailed`] — never a panic or a wrap.
+    pub fn from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Result<Self, GraphError> {
+        // ends[u + 1] counts u's endpoints; after the prefix sum ends[u]
+        // is where row u starts, and after the scatter where it ends
+        let mut ends = vec![0usize; n + 1];
+        for &(u, v) in edges {
+            if u == v {
+                continue;
+            }
+            if u as usize >= n || v as usize >= n {
+                return Err(GraphError::NodeOutOfRange {
+                    node: u.max(v),
+                    nodes: n,
+                });
+            }
+            ends[u as usize + 1] += 1;
+            ends[v as usize + 1] += 1;
+        }
+        for u in 0..n {
+            ends[u + 1] += ends[u];
+        }
+        let mut targets: Vec<NodeId> = vec![0; ends[n]];
+        for &(u, v) in edges.iter().filter(|(u, v)| u != v) {
+            targets[ends[u as usize]] = v;
+            ends[u as usize] += 1;
+            targets[ends[v as usize]] = u;
+            ends[v as usize] += 1;
+        }
+        // sort each row, then compact it left past the repeats dropped
+        // from the rows before it
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let (mut lo, mut len) = (0, 0);
+        for &hi in &ends[..n] {
+            targets[lo..hi].sort_unstable();
+            for i in lo..hi {
+                if i == lo || targets[i] != targets[i - 1] {
+                    targets[len] = targets[i];
+                    len += 1;
+                }
+            }
+            lo = hi;
+            offsets.push(u32::try_from(len).map_err(|_| {
+                GraphError::ConstructionFailed(format!(
+                    "more than {} edge endpoints overflow the u32 CSR offsets",
+                    u32::MAX
+                ))
+            })?);
+        }
+        targets.truncate(len);
+        targets.shrink_to_fit();
+        Ok(CsrGraph { offsets, targets })
+    }
+
+    /// The subgraph induced by `nodes`, renumbered `0..nodes.len()` in
+    /// ascending id order, in O(n + m): each selected row is filtered
+    /// through a dense old → new table, and stays sorted because the
+    /// renumbering is monotone. Subgraph node `i` is `nodes[i]`. Equals
+    /// the snapshot of [`Graph::subgraph`] on the same selection — the
+    /// giant component the analysis cache extracts, and the residual
+    /// components of an attack sweep's checkpoints.
+    ///
+    /// # Panics
+    /// Panics unless `nodes` is strictly ascending and in range.
+    pub fn induced_subgraph(&self, nodes: &[NodeId]) -> Self {
+        const ABSENT: NodeId = NodeId::MAX;
+        assert!(
+            nodes.windows(2).all(|w| w[0] < w[1])
+                && nodes
+                    .last()
+                    .is_none_or(|&u| (u as usize) < self.node_count()),
+            "subgraph selection must be ascending node ids"
+        );
+        let mut old_to_new = vec![ABSENT; self.node_count()];
+        for (new, &old) in nodes.iter().enumerate() {
+            old_to_new[old as usize] = new as NodeId;
+        }
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        let mut targets = Vec::new();
+        offsets.push(0);
+        for &old in nodes {
+            targets.extend(
+                self.neighbors(old)
+                    .iter()
+                    .map(|&v| old_to_new[v as usize])
+                    .filter(|&v| v != ABSENT),
+            );
+            // a subgraph has no more endpoints than `self`, whose
+            // offsets are u32
             offsets.push(targets.len() as u32);
         }
         CsrGraph { offsets, targets }
@@ -171,6 +340,16 @@ impl CsrGraph {
         (self.offsets[u as usize + 1] - self.offsets[u as usize]) as usize
     }
 
+    /// Average degree `2m/n`, or 0.0 without nodes (as
+    /// [`Graph::avg_degree`]).
+    pub fn avg_degree(&self) -> f64 {
+        if self.is_empty() {
+            0.0
+        } else {
+            2.0 * self.edge_count() as f64 / self.node_count() as f64
+        }
+    }
+
     /// The degree of every node, indexed by node id.
     pub fn degrees(&self) -> Vec<usize> {
         self.offsets
@@ -191,14 +370,6 @@ impl CsrGraph {
     /// Iterator over all node ids, `0..n`.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         0..self.node_count() as NodeId
-    }
-
-    /// Heap footprint of the snapshot in bytes (the two flat arrays) —
-    /// what the streaming planner and the perf binaries charge for the
-    /// shared read-only side of a traversal's working set.
-    pub fn size_bytes(&self) -> usize {
-        std::mem::size_of_val(self.offsets.as_slice())
-            + std::mem::size_of_val(self.targets.as_slice())
     }
 }
 
@@ -221,6 +392,15 @@ impl AdjacencyView for CsrGraph {
     #[inline]
     fn edge_endpoints(&self) -> u64 {
         self.targets.len() as u64
+    }
+
+    #[inline]
+    fn edge_count(&self) -> usize {
+        CsrGraph::edge_count(self)
+    }
+
+    fn max_degree(&self) -> usize {
+        CsrGraph::max_degree(self)
     }
 }
 
@@ -286,11 +466,71 @@ mod tests {
     }
 
     #[test]
-    fn size_bytes_counts_both_arrays() {
-        let g = builders::path(4); // 4 nodes, 3 edges
+    fn counting_sort_equals_the_frozen_graph() -> Result<(), GraphError> {
+        // repeats in both orientations, a self-loop, trailing isolated
+        // nodes
+        let edges = [
+            (3, 1),
+            (1, 3),
+            (0, 0),
+            (2, 0),
+            (0, 2),
+            (4, 1),
+            (1, 2),
+            (3, 1),
+        ];
+        let csr = CsrGraph::from_edges(7, &edges)?;
+        assert_eq!(
+            csr,
+            CsrGraph::from_graph(&Graph::from_edges_dedup(7, edges)?)
+        );
+        assert_eq!(csr.edge_count(), 4);
+        for g in [
+            Graph::new(),
+            Graph::with_nodes(3),
+            builders::karate_club(),
+            builders::petersen(),
+        ] {
+            let csr = CsrGraph::from_edges(g.node_count(), g.edges())?;
+            assert_eq!(csr, CsrGraph::from_graph(&g));
+        }
+        assert_eq!(
+            CsrGraph::from_edges(2, &[(0, 2)]),
+            Err(GraphError::NodeOutOfRange { node: 2, nodes: 2 })
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn induced_subgraph_equals_the_graph_subgraph() -> Result<(), GraphError> {
+        let mut g = builders::karate_club();
+        g.add_node();
         let csr = CsrGraph::from_graph(&g);
-        // offsets: (n + 1) u32s; targets: 2m u32s
-        assert_eq!(csr.size_bytes(), 5 * 4 + 6 * 4);
+        let every_third: Vec<NodeId> = (0..35).step_by(3).collect();
+        let all: Vec<NodeId> = (0..35).collect();
+        for nodes in [&[][..], &[0, 1, 2, 33, 34], &every_third, &all] {
+            let (sub, _) = g.subgraph(nodes)?;
+            assert_eq!(csr.induced_subgraph(nodes), CsrGraph::from_graph(&sub));
+        }
+        Ok(())
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending node ids")]
+    fn induced_subgraph_refuses_unsorted_selections() {
+        CsrGraph::from_graph(&builders::path(3)).induced_subgraph(&[2, 1]);
+    }
+
+    #[test]
+    fn undirected_edges_visit_each_edge_once_in_row_order() {
+        let g = builders::karate_club();
+        let csr = CsrGraph::from_graph(&g);
+        let mut want = g.edges().to_vec();
+        want.sort_unstable();
+        assert_eq!(undirected_edges(&csr).collect::<Vec<_>>(), want);
+        assert_eq!(undirected_edges(&g).collect::<Vec<_>>(), want);
+        assert_eq!(AdjacencyView::edge_count(&csr), 78);
+        assert_eq!(AdjacencyView::max_degree(&g), 17);
     }
 
     #[test]

@@ -6,15 +6,16 @@
 //! realized sequences. This module provides the sequence-level checks and
 //! transforms they need.
 
+use crate::csr::AdjacencyView;
 use crate::error::GraphError;
-use crate::graph::Graph;
+use crate::graph::{Graph, NodeId};
 
 /// Degree histogram: `hist[k]` = number of nodes of degree `k`
 /// (`n(k)` in the paper's notation).
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
+pub fn degree_histogram<V: AdjacencyView + ?Sized>(g: &V) -> Vec<usize> {
     let mut hist = vec![0usize; g.max_degree() + 1];
-    for d in g.degrees() {
-        hist[d] += 1;
+    for u in 0..g.node_count() as NodeId {
+        hist[g.degree(u)] += 1;
     }
     hist
 }

@@ -298,25 +298,6 @@ impl Graph {
         Ok(())
     }
 
-    /// Number of common neighbors of `u` and `v` (used by clustering and
-    /// triangle counting). Linear merge over the two sorted lists.
-    pub fn common_neighbors(&self, u: NodeId, v: NodeId) -> usize {
-        let (a, b) = (&self.adj[u as usize], &self.adj[v as usize]);
-        let (mut i, mut j, mut count) = (0, 0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    count += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        count
-    }
-
     /// Induced subgraph on `nodes`.
     ///
     /// Returns the subgraph (with nodes renumbered `0..nodes.len()` in the
@@ -694,6 +675,7 @@ mod tests {
 
     #[test]
     fn common_neighbors_counts() -> Result<(), GraphError> {
+        use crate::csr::AdjacencyView;
         let g = Graph::from_edges(5, [(0, 1), (0, 2), (0, 3), (4, 1), (4, 2)])?;
         assert_eq!(g.common_neighbors(0, 4), 2); // 1 and 2
         assert_eq!(g.common_neighbors(1, 2), 2); // 0 and 4

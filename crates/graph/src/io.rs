@@ -8,7 +8,13 @@
 //! isolated nodes round-trip. This is the format CAIDA-style adjacency
 //! snapshots use, and it is what the reproduction binaries write under
 //! `results/` so generated topologies can be inspected with standard tools.
+//!
+//! One parser reads the format into two shapes: [`read_edge_list`]
+//! builds the mutable [`Graph`] the generators and chains rewire, and
+//! [`read_edge_list_csr`] builds the read-only [`CsrGraph`] analysis
+//! reads, by counting sort and without a `Graph` in between.
 
+use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::graph::{Graph, NodeId};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -18,26 +24,42 @@ use std::path::Path;
 /// [`NodeId`], so `n ≤ NodeId::MAX`.
 const MAX_NODES: usize = NodeId::MAX as usize;
 
-/// Parses a graph from edge-list text.
+/// Parses edge-list text into its node count and its edge lines, in
+/// file order, self-loops and repeats included — the one parser behind
+/// [`read_edge_list`] and [`read_edge_list_csr`], so both accept the
+/// same files and refuse the rest with the same error on the same line.
 ///
-/// A node count past the id space — a `nodes N` header above
-/// `NodeId::MAX`, or an id of `NodeId::MAX` itself — is refused as a
-/// [`GraphError::Parse`] naming its line, before anything is allocated.
-pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, GraphError> {
-    let buf = BufReader::new(reader);
+/// Lines are read as bytes into one reused buffer and checked as UTF-8
+/// there, so a line that is not UTF-8 fails as [`BufRead::lines`]
+/// fails on it. The errors are documented on [`read_edge_list`].
+fn parse_edge_list<R: Read>(reader: R) -> Result<(usize, Vec<(NodeId, NodeId)>), GraphError> {
+    let mut input = BufReader::with_capacity(1 << 16, reader);
+    let mut bytes = Vec::new();
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
     let mut declared_nodes: Option<usize> = None;
     // the largest id so far and the line it first appears on
     let mut max_id: Option<(NodeId, usize)> = None;
-    for (lineno, line) in buf.lines().enumerate() {
-        let lineno = lineno + 1;
-        let line = line.map_err(GraphError::from)?;
+    let mut lineno = 0;
+    loop {
+        bytes.clear();
+        if input.read_until(b'\n', &mut bytes)? == 0 {
+            break;
+        }
+        lineno += 1;
+        let line = std::str::from_utf8(&bytes).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         let mut parts = line.split_whitespace();
-        let first = parts.next().expect("non-empty trimmed line has a token");
+        let Some(first) = parts.next() else {
+            continue;
+        };
         if first == "nodes" {
             let n = parts
                 .next()
@@ -101,9 +123,39 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, GraphError> {
         (Some(n), _) => n,
         (None, _) => max_id.map_or(0, |(top, _)| top as usize + 1),
     };
-    // Measured topology snapshots routinely contain both (u,v) and (v,u);
-    // treat duplicates as one undirected edge rather than failing.
+    Ok((n, edges))
+}
+
+/// Parses a graph from edge-list text.
+///
+/// The graph's [`Graph::edges`] list keeps each edge's first
+/// occurrence in file order (the rewiring chains sample from it).
+/// Measured topology snapshots routinely contain both (u,v) and (v,u),
+/// so repeats are one undirected edge rather than an error; self-loops
+/// are dropped.
+///
+/// Malformed lines are a [`GraphError::Parse`] naming the line, and a
+/// line that is not UTF-8 a [`GraphError::Io`]. A node count past the
+/// id space — a `nodes N` header above `NodeId::MAX`, or an id of
+/// `NodeId::MAX` itself — is refused as a `Parse` error naming its
+/// line, before anything is allocated.
+pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, GraphError> {
+    let (n, edges) = parse_edge_list(reader)?;
     Graph::from_edges_dedup(n, edges)
+}
+
+/// Parses edge-list text straight into a [`CsrGraph`] — the
+/// representation analysis reads — without building a [`Graph`].
+///
+/// Accepts and refuses exactly the files [`read_edge_list`] does, and
+/// equals `CsrGraph::from_graph(&read_edge_list(..)?)`: the counting
+/// sort of [`CsrGraph::from_edges`] sorts and deduplicates each row and
+/// drops self-loops. An edge list whose distinct edges overflow the
+/// CSR's `u32` offsets is a [`GraphError`], never a panic. The parsed
+/// edges are freed before this returns.
+pub fn read_edge_list_csr<R: Read>(reader: R) -> Result<CsrGraph, GraphError> {
+    let (n, edges) = parse_edge_list(reader)?;
+    CsrGraph::from_edges(n, &edges)
 }
 
 /// Writes a graph in edge-list format (with `nodes` header).
@@ -125,6 +177,12 @@ pub fn write_edge_list<W: Write>(g: &Graph, mut writer: W) -> Result<(), GraphEr
 pub fn load_edge_list<P: AsRef<Path>>(path: P) -> Result<Graph, GraphError> {
     let file = std::fs::File::open(path)?;
     read_edge_list(file)
+}
+
+/// Convenience wrapper: read a [`CsrGraph`] from a file path through
+/// [`read_edge_list_csr`].
+pub fn load_edge_list_csr<P: AsRef<Path>>(path: P) -> Result<CsrGraph, GraphError> {
+    read_edge_list_csr(std::fs::File::open(path)?)
 }
 
 /// Convenience wrapper: write a graph to a file path, through a buffer
@@ -240,6 +298,34 @@ mod tests {
     }
 
     #[test]
+    fn csr_reader_equals_the_frozen_graph_reader() -> Result<(), GraphError> {
+        for text in [
+            "# c\n0 1\n1 0\n1 2\n2 2\n",
+            "nodes 6\n4 1\n0 3\n",
+            "",
+            "nodes 2\n",
+            "0\t1\r\n 1  3 \n+2 0",
+        ] {
+            let g = read_edge_list(text.as_bytes())?;
+            assert_eq!(
+                read_edge_list_csr(text.as_bytes())?,
+                CsrGraph::from_graph(&g)
+            );
+        }
+        for text in [
+            &b"0 1\nbogus\n"[..],
+            b"nodes 1\n0 1\n",
+            b"0 4294967295\n",
+            b"0 1\n\xff 2\n",
+        ] {
+            let (csr, graph) = (read_edge_list_csr(text), read_edge_list(text));
+            assert!(csr.is_err(), "{text:?}");
+            assert_eq!(csr.err(), graph.err(), "{text:?}");
+        }
+        Ok(())
+    }
+
+    #[test]
     fn empty_input_is_empty_graph() {
         let g = read_edge_list("".as_bytes()).unwrap();
         assert!(g.is_empty());
@@ -267,6 +353,7 @@ mod tests {
         let g = builders::cycle(7);
         save_edge_list(&g, &path)?;
         assert_eq!(load_edge_list(&path)?, g);
+        assert_eq!(load_edge_list_csr(&path)?, CsrGraph::from_graph(&g));
         // the buffered file holds exactly the writer's bytes
         let mut want = Vec::new();
         write_edge_list(&g, &mut want)?;

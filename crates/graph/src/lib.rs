@@ -10,9 +10,12 @@
 //!   The edge list gives O(1) uniform random edge sampling, which is the hot
 //!   operation of every dK-rewiring algorithm; the sorted adjacency gives
 //!   O(log deg) membership tests used by wedge/triangle counting.
-//! * [`CsrGraph`] — a frozen CSR snapshot (two flat arrays) of a [`Graph`],
-//!   the representation every all-source analysis traversal runs on; the
-//!   [`AdjacencyView`] trait lets traversal code accept either form.
+//! * [`CsrGraph`] — read-only CSR adjacency (two flat arrays), the
+//!   representation analysis runs on: read straight from an edge list
+//!   ([`io::read_edge_list_csr`], a counting sort with no [`Graph`] in
+//!   between), frozen from a [`Graph`], or induced on a node subset. The
+//!   [`AdjacencyView`] trait lets traversal and metric code accept either
+//!   form.
 //! * [`MultiGraph`] — an undirected **pseudograph** (self-loops and parallel
 //!   edges allowed), the natural output of stub-matching ("configuration")
 //!   constructions before cleanup (paper §4.1.2).
@@ -23,7 +26,9 @@
 //!   percolation sweeps in `dk-metrics`.
 //! * [`degree`] — degree-sequence utilities, including the Erdős–Gallai
 //!   graphicality test.
-//! * [`io`] — plain-text edge-list reader/writer and Graphviz DOT export.
+//! * [`io`] — plain-text edge-list readers (to [`Graph`] and to
+//!   [`CsrGraph`], through one parser) and writer, and Graphviz DOT
+//!   export.
 //! * [`layout`] / [`svg`] — Fruchterman–Reingold force-directed layout and a
 //!   minimal SVG renderer, used to regenerate the paper's Figure 3
 //!   "picturizations".
@@ -70,7 +75,7 @@ pub mod svg;
 pub mod traversal;
 pub mod unionfind;
 
-pub use csr::{AdjacencyView, CsrGraph};
+pub use csr::{undirected_edges, AdjacencyView, CsrGraph};
 pub use error::GraphError;
 pub use graph::{canon_edge, Graph, NodeId, SubgraphMap};
 pub use multigraph::MultiGraph;

@@ -6,9 +6,9 @@
 //! of the whole reproduction harness.
 //!
 //! Every routine here is generic over [`AdjacencyView`], so it runs both
-//! on a mutable [`Graph`] and on a frozen [`CsrGraph`]
-//! snapshot (two flat arrays, no per-list pointer chase — the
-//! representation the analyzer-side all-source sweeps use). Neighbor
+//! on a mutable [`Graph`] and on a [`CsrGraph`](crate::CsrGraph) (two
+//! flat arrays, no per-list pointer chase — the representation analysis
+//! runs on). Neighbor
 //! order is identical in both representations, so results are
 //! bit-identical regardless of which one a caller traverses.
 //!
@@ -42,7 +42,7 @@
 //! the per-source walks cost together. The direction changes speed
 //! only: both directions set the same bits at the same level.
 
-use crate::csr::{AdjacencyView, CsrGraph};
+use crate::csr::AdjacencyView;
 use crate::graph::{Graph, NodeId};
 use std::collections::VecDeque;
 
@@ -339,36 +339,25 @@ pub fn giant_component_nodes<V: AdjacencyView + ?Sized>(g: &V) -> Vec<NodeId> {
         .collect()
 }
 
-/// The giant component of `g` as a new graph, or `None` when there is
-/// nothing to extract: `g` is empty or one connected component.
-///
-/// `csr` must be a snapshot of `g`; the component labeling runs on it,
-/// so a caller that keeps the snapshot for later passes (the analysis
-/// cache) labels without building a second one. When some component is
-/// left out, the GCC is [`Graph::subgraph`] of its members (ascending
-/// ids, so nodes are renumbered `0..size` in original-id order), built
-/// in O(n + m), and comes with the mapping `new id → original id`. Ties
-/// between equal-size components break toward the component containing
-/// the smallest node id — the rule stated on [`giant_component_nodes`].
-pub fn giant_subgraph(g: &Graph, csr: &CsrGraph) -> Option<(Graph, Vec<NodeId>)> {
-    let nodes = giant_component_nodes(csr);
-    (nodes.len() < g.node_count()).then(|| {
-        g.subgraph(&nodes)
-            .expect("component nodes are valid and unique")
-    })
-}
-
 /// Extracts the giant (largest) connected component.
 ///
 /// Returns the GCC with nodes renumbered `0..size` (in ascending
-/// original-id order) and the mapping `new id → original id`, through
-/// [`giant_subgraph`] on a fresh [`CsrGraph`] snapshot. A connected
-/// input is its own GCC: the result is `g.clone()` and the identity
-/// map, equal to what a rebuild would give (same edge list order,
-/// adjacency and edge index) and cheaper. An empty input gives an
-/// empty graph.
+/// original-id order) and the mapping `new id → original id`. When some
+/// component is left out, the GCC is [`Graph::subgraph`] of the
+/// [`giant_component_nodes`], built in O(n + m). A connected input is
+/// its own GCC: the result is `g.clone()` and the identity map, equal
+/// to what a rebuild would give (same edge list order, adjacency and
+/// edge index) and cheaper. An empty input gives an empty graph. Ties
+/// between equal-size components break toward the component containing
+/// the smallest node id.
 pub fn giant_component(g: &Graph) -> (Graph, Vec<NodeId>) {
-    giant_subgraph(g, &CsrGraph::from_graph(g)).unwrap_or_else(|| (g.clone(), g.nodes().collect()))
+    let nodes = giant_component_nodes(g);
+    if nodes.len() < g.node_count() {
+        g.subgraph(&nodes)
+            .expect("component nodes are valid and unique")
+    } else {
+        (g.clone(), nodes)
+    }
 }
 
 /// Fraction of nodes inside the giant component (1.0 for connected graphs).
@@ -384,6 +373,7 @@ pub fn gcc_fraction<V: AdjacencyView + ?Sized>(g: &V) -> f64 {
 mod tests {
     use super::*;
     use crate::builders;
+    use crate::csr::CsrGraph;
 
     #[test]
     fn bfs_on_path() {

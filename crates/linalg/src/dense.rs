@@ -5,7 +5,7 @@
 //! that the Lanczos path is validated against. It is also the production
 //! path for small graphs (n ≤ 512), where its cost is negligible.
 
-use dk_graph::Graph;
+use dk_graph::AdjacencyView;
 
 /// Dense symmetric matrix (row-major, full storage).
 #[derive(Clone, Debug)]
@@ -42,17 +42,17 @@ impl DenseSym {
     }
 
     /// Normalized Laplacian of `g` as a dense matrix.
-    pub fn normalized_laplacian(g: &Graph) -> Self {
+    pub fn normalized_laplacian<V: AdjacencyView + ?Sized>(g: &V) -> Self {
         let n = g.node_count();
         let mut m = DenseSym::zeros(n);
         for u in 0..n as u32 {
             if g.degree(u) > 0 {
                 m.set_sym(u as usize, u as usize, 1.0);
             }
-        }
-        for &(u, v) in g.edges() {
-            let w = -1.0 / ((g.degree(u) as f64) * (g.degree(v) as f64)).sqrt();
-            m.set_sym(u as usize, v as usize, w);
+            for &v in g.neighbors(u).iter().filter(|&&v| v > u) {
+                let w = -1.0 / ((g.degree(u) as f64) * (g.degree(v) as f64)).sqrt();
+                m.set_sym(u as usize, v as usize, w);
+            }
         }
         m
     }

@@ -16,7 +16,7 @@
 use crate::dense::{jacobi_eigenvalues, DenseSym};
 use crate::lanczos::{lanczos_ritz_values, LanczosOptions};
 use crate::sparse::SparseSym;
-use dk_graph::{is_connected, Graph};
+use dk_graph::{is_connected, AdjacencyView};
 
 /// Below this node count the dense Jacobi path is used.
 pub const DENSE_CUTOFF: usize = 512;
@@ -61,8 +61,8 @@ impl std::error::Error for SpectralError {}
 /// they move by less than 1e-14 between 100 and 3000 steps, and they
 /// match a fully reorthogonalized Lanczos run to within 5e-15 (the
 /// `spectral_equivalence` test suite asserts 3e-14).
-pub fn spectral_extremes_with(
-    g: &Graph,
+pub fn spectral_extremes_with<V: AdjacencyView + ?Sized>(
+    g: &V,
     lanczos_iter: usize,
 ) -> Result<SpectralExtremes, SpectralError> {
     let n = g.node_count();
@@ -127,14 +127,16 @@ pub fn spectral_bytes(n: usize, m: usize) -> u64 {
 }
 
 /// [`spectral_extremes_with`] using the default Lanczos budget.
-pub fn spectral_extremes(g: &Graph) -> Result<SpectralExtremes, SpectralError> {
+pub fn spectral_extremes<V: AdjacencyView + ?Sized>(
+    g: &V,
+) -> Result<SpectralExtremes, SpectralError> {
     spectral_extremes_with(g, LanczosOptions::default().max_iter)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dk_graph::builders;
+    use dk_graph::{builders, Graph};
 
     #[test]
     fn complete_graph_extremes() {

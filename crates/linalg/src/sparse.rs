@@ -1,6 +1,6 @@
 //! Symmetric sparse matrices in CSR form.
 
-use dk_graph::Graph;
+use dk_graph::AdjacencyView;
 
 /// A symmetric sparse matrix stored in CSR (compressed sparse row) layout.
 ///
@@ -50,7 +50,7 @@ impl SparseSym {
     /// Built straight into the CSR arrays: every row stores its diagonal
     /// plus one entry per neighbour, in ascending column order, so the
     /// matrix holds exactly `n + 2m` entries.
-    pub fn normalized_laplacian(g: &Graph) -> Self {
+    pub fn normalized_laplacian<V: AdjacencyView + ?Sized>(g: &V) -> Self {
         let n = g.node_count();
         let inv_sqrt_deg: Vec<f64> = (0..n as u32)
             .map(|u| {
@@ -62,7 +62,7 @@ impl SparseSym {
                 }
             })
             .collect();
-        let nnz = n + 2 * g.edge_count();
+        let nnz = n + g.edge_endpoints() as usize;
         let mut row_ptr = Vec::with_capacity(n + 1);
         let mut col_idx = Vec::with_capacity(nnz);
         let mut values = Vec::with_capacity(nnz);
@@ -170,7 +170,7 @@ impl SparseSym {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dk_graph::builders;
+    use dk_graph::{builders, Graph};
 
     #[test]
     fn laplacian_of_single_edge() {

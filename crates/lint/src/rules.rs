@@ -112,11 +112,11 @@ const ORDERED_MERGE_ALLOW: &[(&str, &str)] = &[
     ),
     (
         "crates/metrics/src/likelihood.rs",
-        "serial edge/wedge scan, no parallel reduction; maxent + analyzer_golden",
+        "S and S2 sum exact integers, in any edge order; the S upper bound sums sorted stubs serially; csr_equivalence + maxent",
     ),
     (
         "crates/metrics/src/jdd.rs",
-        "serial edge scan, no parallel reduction; analyzer_golden",
+        "r sums exact integers, in any edge order; k_nn sums serially in node order; csr_equivalence + analyzer_golden",
     ),
 ];
 

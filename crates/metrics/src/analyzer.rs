@@ -36,7 +36,7 @@ use crate::cache::{AnalysisCache, AnalyzeOptions, GccPolicy};
 use crate::json;
 use crate::metric::{AnyMetric, Kind, MetricValue};
 use crate::report::{GraphSummary, MetricRecord, Report};
-use dk_graph::Graph;
+use dk_graph::{CsrGraph, Graph};
 use rand::rngs::StdRng;
 
 /// Builder facade over the metric registry and the shared-computation
@@ -183,19 +183,31 @@ impl Analyzer {
     }
 
     /// Analyzes one graph: builds the shared cache for the selected
-    /// metrics, then computes independent metrics in parallel (serial
-    /// when the thread budget is 1 — post-cache computes are cheap, so
-    /// the ensemble runner's pool is skipped when it cannot pay off).
+    /// metrics over the CSR frozen from `g` ([`AnalysisCache::build`]),
+    /// then computes independent metrics in parallel (serial when the
+    /// thread budget is 1 — post-cache computes are cheap, so the
+    /// ensemble runner's pool is skipped when it cannot pay off).
     pub fn analyze(&self, g: &Graph) -> Report {
-        let cache = AnalysisCache::build(g, &self.metrics, &self.opts);
+        self.report(&AnalysisCache::build(g, &self.metrics, &self.opts))
+    }
+
+    /// [`Analyzer::analyze`] over a CSR graph, analyzed in place when it
+    /// is connected ([`AnalysisCache::build_csr`]) — what `dk metrics`
+    /// runs on the CSR it reads straight from the edge list.
+    pub fn analyze_csr(&self, g: &CsrGraph) -> Report {
+        self.report(&AnalysisCache::build_csr(g, &self.metrics, &self.opts))
+    }
+
+    /// The report of the selected metrics over a prepared cache.
+    fn report(&self, cache: &AnalysisCache<'_>) -> Report {
         let values: Vec<MetricValue> = if self.opts.threads == 1 || self.metrics.len() <= 1 {
-            self.metrics.iter().map(|m| m.compute(&cache)).collect()
+            self.metrics.iter().map(|m| m.compute(cache)).collect()
         } else {
             dk_graph::ensemble::run(
                 self.metrics.len() as u64,
                 0,
                 self.opts.threads,
-                |i, _rng| self.metrics[i as usize].compute(&cache),
+                |i, _rng| self.metrics[i as usize].compute(cache),
             )
         };
         Report {
@@ -218,8 +230,7 @@ impl Analyzer {
 
     /// Runs a percolation / targeted-attack sweep (see [`crate::attack`])
     /// under this analyzer's configuration: the GCC policy decides the
-    /// analyzed graph, the cached CSR snapshot is built once (shared
-    /// with any later metric pass on the same cache), and the
+    /// analyzed graph (the CSR frozen from `g`), and the
     /// `sample_sources` / `threads` budgets drive the sampled
     /// betweenness ranking and the checkpoint distance probes.
     pub fn attack(
@@ -227,9 +238,17 @@ impl Analyzer {
         g: &Graph,
         opts: &crate::attack::AttackOptions,
     ) -> crate::attack::AttackReport {
-        let prep = [AnyMetric::get("attack_threshold").expect("registered")];
-        let cache = AnalysisCache::build(g, &prep, &self.opts);
-        crate::attack::attack_sweep_cached(&cache, opts)
+        crate::attack::attack_sweep_cached(&AnalysisCache::build(g, &[], &self.opts), opts)
+    }
+
+    /// [`Analyzer::attack`] over a CSR graph — what `dk attack` runs on
+    /// the CSR it reads straight from the edge list.
+    pub fn attack_csr(
+        &self,
+        g: &CsrGraph,
+        opts: &crate::attack::AttackOptions,
+    ) -> crate::attack::AttackReport {
+        crate::attack::attack_sweep_cached(&AnalysisCache::build_csr(g, &[], &self.opts), opts)
     }
 
     /// Analyzes an ensemble: `make(rng)` builds replica `i` from the

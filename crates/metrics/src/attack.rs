@@ -52,9 +52,8 @@
 //! [`AttackReport::threshold`] where the GCC fraction crosses a level
 //! (the registry metrics use 1/2), and optional [`Checkpoint`]s at
 //! requested removal fractions — each with a sampled average-distance
-//! estimate over the residual GCC (a subgraph CSR snapshot through
-//! [`crate::sampled`]) and results keyed by original node ids via
-//! [`dk_graph::SubgraphMap`].
+//! estimate over the residual GCC (an induced CSR subgraph through
+//! [`crate::sampled`]) and results keyed by original node ids.
 
 use crate::cache::AnalysisCache;
 use crate::distance::default_threads;
@@ -62,7 +61,7 @@ use crate::json;
 use crate::metric::MetricValue;
 use crate::sampled;
 use crate::stream::DEFAULT_SHARDS;
-use dk_graph::{AdjacencyView, CsrGraph, Graph, NodeId, UnionFind};
+use dk_graph::{AdjacencyView, CsrGraph, NodeId, UnionFind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -191,8 +190,8 @@ pub struct Checkpoint {
     /// has fewer than two nodes).
     pub avg_distance_estimate: Option<f64>,
     /// Highest-degree node of the residual GCC, keyed by **original**
-    /// (pre-subgraph) node id via [`dk_graph::SubgraphMap`]; ties
-    /// toward the smaller id. `None` when the residual GCC is empty.
+    /// (pre-subgraph) node id; ties toward the smaller id. `None` when
+    /// the residual GCC is empty.
     pub hub: Option<NodeId>,
 }
 
@@ -512,13 +511,11 @@ fn giant_members(uf: &mut UnionFind, alive: &[bool]) -> Vec<NodeId> {
         .collect()
 }
 
-/// Runs a full attack sweep: removal order from the strategy, reverse
-/// union-find trajectory, and distance checkpoints on residual-GCC
-/// subgraph snapshots. `g` and `csr` must describe the same graph
-/// (the cache's analyzed graph and its frozen snapshot);
+/// Runs a full attack sweep over `csr`: removal order from the
+/// strategy, reverse union-find trajectory, and distance checkpoints on
+/// residual-GCC subgraphs ([`CsrGraph::induced_subgraph`]);
 /// `samples`/`threads` budget the sampled passes.
 pub fn attack_sweep(
-    g: &Graph,
     csr: &CsrGraph,
     opts: &AttackOptions,
     samples: usize,
@@ -555,7 +552,7 @@ pub fn attack_sweep(
                 .expect("every requested removal count was snapshot")
                 .1;
             checkpoint_at(
-                g,
+                csr,
                 fraction,
                 removed,
                 members,
@@ -577,9 +574,9 @@ pub fn attack_sweep(
     }
 }
 
-/// Distance probe over one residual-GCC member set.
+/// Distance probe over one residual-GCC member set (ascending ids).
 fn checkpoint_at(
-    g: &Graph,
+    g: &CsrGraph,
     fraction: f64,
     removed: usize,
     members: &[NodeId],
@@ -596,11 +593,10 @@ fn checkpoint_at(
     let (avg_distance_estimate, hub) = if members.is_empty() {
         (None, None)
     } else {
-        let (sub, map) = g
-            .subgraph_mapped(members)
-            .expect("GCC members are valid, unique node ids");
-        // report the residual hub by ORIGINAL node id — the inverse
-        // permutation keeps checkpoint output keyed to the input graph
+        let sub = g.induced_subgraph(members);
+        // report the residual hub by ORIGINAL node id: subgraph node i
+        // is `members[i]`, which keeps checkpoint output keyed to the
+        // input graph
         let degrees = sub.degrees();
         let hub_new = (0..sub.node_count() as NodeId)
             .max_by(|&a, &b| {
@@ -609,12 +605,11 @@ fn checkpoint_at(
                     .then(b.cmp(&a))
             })
             .expect("non-empty residual GCC");
-        let hub = Some(map.to_old(hub_new));
+        let hub = Some(members[hub_new as usize]);
         // the distance-only pivot pass: the same histogram as the
         // Brandes pass over the same pivots, without its σ/δ work
         let avg = (members.len() >= 2).then(|| {
-            let sub_csr = CsrGraph::from_graph(&sub);
-            sampled::sampled_distances_sharded(&sub_csr, samples.max(1), DEFAULT_SHARDS, threads)
+            sampled::sampled_distances_sharded(&sub, samples.max(1), DEFAULT_SHARDS, threads)
                 .distances
                 .mean()
         });
@@ -631,29 +626,23 @@ fn checkpoint_at(
     }
 }
 
-/// Attack sweep over a prepared [`AnalysisCache`]: reuses the cached
-/// CSR snapshot and the cache's sampling/threading budgets — the
+/// Attack sweep over a prepared [`AnalysisCache`]: sweeps the analyzed
+/// CSR with the cache's sampling/threading budgets — the
 /// [`Analyzer::attack`](crate::analyzer::Analyzer::attack) backend.
 pub fn attack_sweep_cached(cx: &AnalysisCache<'_>, opts: &AttackOptions) -> AttackReport {
-    attack_sweep(
-        cx.graph(),
-        cx.csr().as_ref(),
-        opts,
-        cx.samples_budget(),
-        cx.worker_threads(),
-    )
+    attack_sweep(cx.graph(), opts, cx.samples_budget(), cx.worker_threads())
 }
 
 /// `attack_threshold` registry metric: interpolated removal fraction
 /// where the GCC halves under the degree-ranked attack order.
 pub(crate) fn attack_threshold_metric(cx: &AnalysisCache<'_>) -> MetricValue {
-    let csr = cx.csr();
+    let csr = cx.graph();
     let n = csr.node_count();
     if n == 0 {
         return MetricValue::Undefined;
     }
-    let order = removal_order(csr.as_ref(), Strategy::Degree, DEFAULT_ATTACK_SEED, 1, 1);
-    let (sizes, _) = gcc_trajectory(csr.as_ref(), &order);
+    let order = removal_order(csr, Strategy::Degree, DEFAULT_ATTACK_SEED, 1, 1);
+    let (sizes, _) = gcc_trajectory(csr, &order);
     threshold_from_sizes(&sizes, n, 0.5).map_or(MetricValue::Undefined, MetricValue::Scalar)
 }
 
@@ -661,7 +650,7 @@ pub(crate) fn attack_threshold_metric(cx: &AnalysisCache<'_>) -> MetricValue {
 /// halving fraction over [`FAILURE_REPLICAS`] fixed-seed uniform
 /// failure orders.
 pub(crate) fn random_failure_threshold_metric(cx: &AnalysisCache<'_>) -> MetricValue {
-    let csr = cx.csr();
+    let csr = cx.graph();
     let n = csr.node_count();
     if n == 0 {
         return MetricValue::Undefined;
@@ -670,8 +659,8 @@ pub(crate) fn random_failure_threshold_metric(cx: &AnalysisCache<'_>) -> MetricV
     let mut defined = 0usize;
     for replica in 0..FAILURE_REPLICAS {
         let seed = DEFAULT_ATTACK_SEED.wrapping_add(replica);
-        let order = removal_order(csr.as_ref(), Strategy::Random, seed, 1, 1);
-        let (sizes, _) = gcc_trajectory(csr.as_ref(), &order);
+        let order = removal_order(csr, Strategy::Random, seed, 1, 1);
+        let (sizes, _) = gcc_trajectory(csr, &order);
         if let Some(t) = threshold_from_sizes(&sizes, n, 0.5) {
             total += t; // serial fold in fixed replica order
             defined += 1;
@@ -687,8 +676,8 @@ pub(crate) fn random_failure_threshold_metric(cx: &AnalysisCache<'_>) -> MetricV
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dk_graph::builders;
     use dk_graph::traversal;
+    use dk_graph::{builders, Graph};
 
     fn csr(g: &Graph) -> CsrGraph {
         CsrGraph::from_graph(g)
@@ -825,7 +814,7 @@ mod tests {
             checkpoints: vec![0.0, 0.2, 1.0],
             ..Default::default()
         };
-        let rep = attack_sweep(&g, &c, &opts, 64, 1);
+        let rep = attack_sweep(&c, &opts, 64, 1);
         assert_eq!(rep.checkpoints.len(), 3);
         let intact = &rep.checkpoints[0];
         assert_eq!((intact.removed, intact.gcc_nodes), (0, 10));
@@ -865,7 +854,7 @@ mod tests {
                     checkpoints: vec![0.0, 0.05, 0.2, 0.5],
                     ..Default::default()
                 };
-                let rep = attack_sweep(&g, &c, &opts, samples, 2);
+                let rep = attack_sweep(&c, &opts, samples, 2);
                 for cp in &rep.checkpoints {
                     let alive: Vec<NodeId> = (0..g.node_count() as NodeId)
                         .filter(|u| !rep.order[..cp.removed].contains(u))
@@ -912,7 +901,7 @@ mod tests {
             checkpoints: vec![0.0],
             ..Default::default()
         };
-        let rep = attack_sweep(&g, &c, &opts, 1, 1);
+        let rep = attack_sweep(&c, &opts, 1, 1);
         assert_eq!(rep.checkpoints[0].gcc_nodes, 3);
         assert_eq!(
             rep.checkpoints[0].hub,
@@ -945,7 +934,7 @@ mod tests {
             checkpoints: vec![0.25],
             ..Default::default()
         };
-        let rep = attack_sweep(&g, &c, &opts, 8, 1);
+        let rep = attack_sweep(&c, &opts, 8, 1);
         let js = rep.to_json();
         assert!(js.contains("\"strategy\":\"degree-adaptive\""), "{js}");
         assert!(js.contains("\"attack_threshold\":"), "{js}");
@@ -958,7 +947,7 @@ mod tests {
     #[test]
     fn registry_metric_backends_match_engine() {
         let g = builders::karate_club();
-        let cx = AnalysisCache::bare(&g, &crate::cache::AnalyzeOptions::default());
+        let cx = AnalysisCache::build(&g, &[], &crate::cache::AnalyzeOptions::default());
         let MetricValue::Scalar(t) = attack_threshold_metric(&cx) else {
             panic!("defined on karate");
         };
@@ -977,7 +966,7 @@ mod tests {
     fn empty_graph_sweep() {
         let g = Graph::new();
         let c = csr(&g);
-        let rep = attack_sweep(&g, &c, &AttackOptions::default(), 1, 1);
+        let rep = attack_sweep(&c, &AttackOptions::default(), 1, 1);
         assert_eq!(rep.gcc_sizes, vec![0]);
         assert_eq!(rep.threshold(0.5), None);
         assert_eq!(rep.gcc_fraction_at(0), 1.0);

@@ -16,7 +16,7 @@
 use crate::distance::default_threads;
 use crate::sampled::{self, SampledTraversal};
 use crate::stream::{run_sharded_fold, DEFAULT_SHARDS};
-use dk_graph::{CsrGraph, Graph, NodeId};
+use dk_graph::{AdjacencyView, CsrGraph, Graph, NodeId};
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -363,7 +363,7 @@ pub fn betweenness_by_degree(g: &Graph) -> Vec<(usize, f64)> {
 
 /// `(k, b̄(k))` series from precomputed normalized betweenness values —
 /// lets the analyzer cache reuse one traversal for `b_max` and `b_k`.
-pub(crate) fn by_degree_from(g: &Graph, bc: &[f64]) -> Vec<(usize, f64)> {
+pub(crate) fn by_degree_from<V: AdjacencyView + ?Sized>(g: &V, bc: &[f64]) -> Vec<(usize, f64)> {
     let kmax = g.max_degree();
     let mut sum = vec![0.0f64; kmax + 1];
     let mut cnt = vec![0usize; kmax + 1];

@@ -3,21 +3,25 @@
 //! The legacy battery recomputed everything per metric: requesting the
 //! distance distribution *and* betweenness meant two independent
 //! all-source sweeps, and every clustering-family scalar re-ran the
-//! triangle census. [`AnalysisCache::build`] instead unions the
+//! triangle census. [`AnalysisCache::build_csr`] instead unions the
 //! [`Dep`]s of the selected metrics and computes each shared pass once:
 //!
+//! * **One read-only [`CsrGraph`]** is the analyzed graph, and every
+//!   metric and pass reads it ([`AnalysisCache::graph`]): the Brandes and
+//!   distance passes, the triangle census, the sketches, k-core
+//!   peeling, the attack sweeps and the Laplacian. `dk metrics` reads it
+//!   straight from the edge list
+//!   ([`dk_graph::io::read_edge_list_csr`]); [`AnalysisCache::build`]
+//!   freezes one from a [`Graph`] for callers that hold one.
 //! * **GCC extraction** happens once, up front (§5.2 of the paper: "We
 //!   report all the metrics calculated for the giant connected
 //!   component"); [`GccPolicy::Whole`] opts out. The components are
-//!   labeled on a CSR snapshot of the input, and the input is copied
-//!   only when its GCC is smaller than it: a connected input is
-//!   analyzed in place (borrowed, or shared through its `Arc`), and the
-//!   labeling snapshot becomes the [`Dep::Csr`] snapshot.
-//! * **One frozen [`CsrGraph`] snapshot** ([`Dep::Csr`]) of the analyzed
-//!   graph backs every traversal-shaped pass — the Brandes and distance
-//!   passes, the triangle census, the sketches, and k-core peeling all
-//!   read the same two flat arrays, so the O(n + m) snapshot cost is
-//!   paid once per analyzer run.
+//!   labeled on the input CSR, and the input is copied only when its GCC
+//!   is smaller than it: a connected input is analyzed in place (a
+//!   borrowed CSR is not copied), and a disconnected one is replaced by
+//!   its GCC, [`CsrGraph::induced_subgraph`] of the giant component's
+//!   nodes in ascending id order — the CSR of
+//!   [`traversal::giant_component`]'s graph, built in O(n + m).
 //! * **One traversal pass per source set**: all nodes for the exact
 //!   `d_*`/`b_*` metrics, and [`AnalyzeOptions::samples`] pivots for the
 //!   `*_approx` metrics ([`crate::sampled`]; the exact set is the pivot
@@ -32,7 +36,7 @@
 //! * **Triangles** are censused once for `c_mean`/`c_k`/`transitivity`.
 //! * **Neighborhood sketches** ([`crate::sketch`]) iterate once at
 //!   [`AnalyzeOptions::sketch_bits`] register bits for the `*_sketch`
-//!   metrics — every round a sharded pass over the same CSR snapshot.
+//!   metrics — every round a sharded pass over the same CSR.
 //! * Every traversal-shaped pass runs through the sharded fold of
 //!   [`crate::stream`] with the resolved [`ExecPlan`]: per-shard partials
 //!   fold into `O(n)` reducers in shard order, the shard count fixes the
@@ -57,26 +61,6 @@ use crate::{clustering, spectral};
 use dk_graph::{traversal, CsrGraph, Graph};
 use dk_linalg::laplacian::SpectralExtremes;
 use std::borrow::Cow;
-use std::ops::Deref;
-use std::sync::Arc;
-
-/// The graph a cache analyzes: the caller's graph, borrowed, or a
-/// shared one (a long-lived holder's snapshot, or an extracted GCC).
-enum Analyzed<'g> {
-    Borrowed(&'g Graph),
-    Shared(Arc<Graph>),
-}
-
-impl Deref for Analyzed<'_> {
-    type Target = Graph;
-
-    fn deref(&self) -> &Graph {
-        match self {
-            Analyzed::Borrowed(g) => g,
-            Analyzed::Shared(g) => g,
-        }
-    }
-}
 
 /// Whether metrics describe the giant connected component (the paper's
 /// §5.2 convention, the default) or the whole input graph.
@@ -158,7 +142,8 @@ enum Pass {
 pub struct AnalysisCache<'g> {
     original_nodes: usize,
     original_edges: usize,
-    target: Analyzed<'g>,
+    /// The analyzed graph: the input CSR, borrowed or owned, or its GCC.
+    graph: Cow<'g, CsrGraph>,
     gcc_fraction: f64,
     gcc_applied: bool,
     lanczos_iter: usize,
@@ -171,9 +156,6 @@ pub struct AnalysisCache<'g> {
     /// Generation stamp copied from [`AnalyzeOptions::epoch`] at build
     /// time (see there).
     epoch: u64,
-    /// Frozen CSR snapshot of `target`, shared by every traversal-shaped
-    /// pass ([`Dep::Csr`]).
-    csr: Option<CsrGraph>,
     triangles: Option<Vec<usize>>,
     /// The pass from every node (exact `d_*`, `b_*`).
     exact: Option<Pass>,
@@ -185,35 +167,34 @@ pub struct AnalysisCache<'g> {
 }
 
 impl<'g> AnalysisCache<'g> {
-    /// Prepares the cache for `metrics` over `g`: applies the GCC
-    /// policy, then computes the union of the metrics' [`Dep`]s, one
-    /// pass at a time (each pass owns the full thread budget
+    /// Prepares the cache for `metrics` over the CSR graph `g`: applies
+    /// the GCC policy, then computes the union of the metrics' [`Dep`]s,
+    /// one pass at a time (each pass owns the full thread budget
     /// internally), with distances and betweenness fused into one
     /// traversal when both are needed. A connected `g` is analyzed in
     /// place, without a copy.
-    pub fn build(g: &'g Graph, metrics: &[AnyMetric], opts: &AnalyzeOptions) -> Self {
-        Self::build_from(Analyzed::Borrowed(g), metrics, opts)
+    pub fn build_csr(g: &'g CsrGraph, metrics: &[AnyMetric], opts: &AnalyzeOptions) -> Self {
+        Self::prepare(Cow::Borrowed(g), metrics, opts)
     }
 
-    /// As [`AnalysisCache::build`], but over a shared graph, so the
-    /// cache borrows nothing — the `'static` lifetime long-lived holders
-    /// need. The `dk serve` registry keeps one of these warm per graph
-    /// next to the epoch that stamps it: the cache holds the registry's
-    /// own snapshot (a connected input is never copied; a disconnected
-    /// one costs one GCC copy), and shares the frozen CSR snapshot and
-    /// every prepared dep across requests.
-    pub fn build_shared(
-        g: Arc<Graph>,
+    /// As [`AnalysisCache::build_csr`] over a CSR frozen from `g`
+    /// ([`CsrGraph::from_graph`]), which the cache owns — so it borrows
+    /// nothing, the `'static` lifetime long-lived holders (the `dk
+    /// serve` registry) need. Kept for every caller that holds a
+    /// [`Graph`]: `dk compare`, the daemon, the benchmark helper's traced
+    /// walks, and the tests.
+    pub fn build(
+        g: &Graph,
         metrics: &[AnyMetric],
         opts: &AnalyzeOptions,
     ) -> AnalysisCache<'static> {
-        AnalysisCache::build_from(Analyzed::Shared(g), metrics, opts)
+        AnalysisCache::prepare(Cow::Owned(CsrGraph::from_graph(g)), metrics, opts)
     }
 
-    /// Shared body of [`AnalysisCache::build`] and
-    /// [`AnalysisCache::build_shared`]: applies the GCC policy, then
-    /// unions the metrics' deps and computes each shared pass once.
-    fn build_from(input: Analyzed<'g>, metrics: &[AnyMetric], opts: &AnalyzeOptions) -> Self {
+    /// The one route behind [`AnalysisCache::build_csr`] and
+    /// [`AnalysisCache::build`]: applies the GCC policy, then unions the
+    /// metrics' deps and computes each shared pass once.
+    fn prepare(input: Cow<'g, CsrGraph>, metrics: &[AnyMetric], opts: &AnalyzeOptions) -> Self {
         let deps: Vec<Dep> = {
             let mut d: Vec<Dep> = metrics.iter().flat_map(|m| m.deps()).copied().collect();
             d.sort_unstable();
@@ -221,26 +202,56 @@ impl<'g> AnalysisCache<'g> {
             d
         };
         let (original_nodes, original_edges) = (input.node_count(), input.edge_count());
-        // `labeled` is a snapshot of `target` when GCC labeling built one
-        // and kept the input whole
-        let (target, gcc_fraction, gcc_applied, labeled) = match opts.gcc {
+        let (graph, gcc_fraction, gcc_applied) = match opts.gcc {
             GccPolicy::Extract => {
-                let snap = CsrGraph::from_graph(&input);
-                match traversal::giant_subgraph(&input, &snap) {
-                    Some((gcc, _)) => {
-                        let fraction = gcc.node_count() as f64 / original_nodes as f64;
-                        (Analyzed::Shared(Arc::new(gcc)), fraction, true, None)
-                    }
-                    None => (input, 1.0, true, Some(snap)),
+                let nodes = traversal::giant_component_nodes(input.as_ref());
+                if nodes.len() < original_nodes {
+                    let gcc = input.induced_subgraph(&nodes);
+                    let fraction = gcc.node_count() as f64 / original_nodes as f64;
+                    (Cow::Owned(gcc), fraction, true)
+                } else {
+                    (input, 1.0, true)
                 }
             }
-            GccPolicy::Whole => (input, 1.0, false, None),
+            GccPolicy::Whole => (input, 1.0, false),
         };
-        let exec = stream::plan(target.node_count(), target.edge_count(), opts);
-        let mut cache = AnalysisCache {
+        let exec = stream::plan(graph.node_count(), graph.edge_count(), opts);
+        let (shards, workers) = (exec.shards, exec.workers);
+        let g: &CsrGraph = &graph;
+        // Passes run one after another; the heavy ones (traversal) use
+        // the *full* worker budget internally, parallelizing over BFS
+        // source shards. Running passes concurrently on top of that
+        // would oversubscribe an explicit `threads` cap (and a memory
+        // budget: `workers` is what the budget capped).
+        let triangles = deps
+            .contains(&Dep::Triangles)
+            .then(|| clustering::triangles_per_node(g));
+        // one pass per source set: Brandes when a betweenness reader is
+        // selected (its histogram serves the distance readers), the
+        // batched distance histogram otherwise
+        let pass = |k: usize, brandes: Dep, distances: Dep| {
+            if deps.contains(&brandes) {
+                Some(Pass::Brandes(sampled::sampled_traversal_sharded(
+                    g, k, shards, workers,
+                )))
+            } else {
+                deps.contains(&distances).then(|| {
+                    Pass::Histogram(sampled::sampled_distances_sharded(g, k, shards, workers))
+                })
+            }
+        };
+        let exact = pass(g.node_count(), Dep::Betweenness, Dep::Distances);
+        let pivots = pass(opts.samples, Dep::Sampled, Dep::SampledDistances);
+        let sketch = deps.contains(&Dep::Sketch).then(|| {
+            sketch::hyper_anf_sharded(g, opts.sketch_bits, opts.sketch_rounds, shards, workers)
+        });
+        let spectral = deps
+            .contains(&Dep::Spectral)
+            .then(|| spectral_of(g, opts.lanczos_iter));
+        AnalysisCache {
             original_nodes,
             original_edges,
-            target,
+            graph,
             gcc_fraction,
             gcc_applied,
             lanczos_iter: opts.lanczos_iter,
@@ -249,80 +260,20 @@ impl<'g> AnalysisCache<'g> {
             sketch_rounds: opts.sketch_rounds,
             exec,
             epoch: opts.epoch,
-            csr: None,
-            triangles: None,
-            exact: None,
-            pivots: None,
-            sketch: None,
-            spectral: None,
-        };
-
-        let target = &*cache.target;
-        // every traversal-shaped dep reads the shared CSR snapshot
-        let csr = deps
-            .iter()
-            .any(|d| d.implies_csr())
-            .then(|| labeled.unwrap_or_else(|| CsrGraph::from_graph(target)));
-        let (shards, workers) = (cache.exec.shards, cache.exec.workers);
-        // Passes run one after another; the heavy ones (traversal) use
-        // the *full* worker budget internally, parallelizing over BFS
-        // source shards. Running passes concurrently on top of that
-        // would oversubscribe an explicit `threads` cap (and a memory
-        // budget: `workers` is what the budget capped).
-        if let Some(snap) = &csr {
-            if deps.contains(&Dep::Triangles) {
-                cache.triangles = Some(clustering::triangles_per_node(snap));
-            }
-            // one pass per source set: Brandes when a betweenness reader
-            // is selected (its histogram serves the distance readers),
-            // the batched distance histogram otherwise
-            let run = |k: usize, brandes: bool| {
-                if brandes {
-                    Pass::Brandes(sampled::sampled_traversal_sharded(snap, k, shards, workers))
-                } else {
-                    Pass::Histogram(sampled::sampled_distances_sharded(snap, k, shards, workers))
-                }
-            };
-            let brandes = deps.contains(&Dep::Betweenness);
-            if brandes || deps.contains(&Dep::Distances) {
-                cache.exact = Some(run(target.node_count(), brandes));
-            }
-            let brandes = deps.contains(&Dep::Sampled);
-            if brandes || deps.contains(&Dep::SampledDistances) {
-                cache.pivots = Some(run(opts.samples, brandes));
-            }
-            if deps.contains(&Dep::Sketch) {
-                cache.sketch = Some(sketch::hyper_anf_sharded(
-                    snap,
-                    opts.sketch_bits,
-                    opts.sketch_rounds,
-                    shards,
-                    workers,
-                ));
-            }
+            triangles,
+            exact,
+            pivots,
+            sketch,
+            spectral,
         }
-        if deps.contains(&Dep::Spectral) {
-            cache.spectral = Some(if target.node_count() >= 2 {
-                spectral::spectral_extremes_with(target, opts.lanczos_iter).ok()
-            } else {
-                None
-            });
-        }
-        cache.csr = csr;
-        cache
-    }
-
-    /// A cache with no precomputed deps — metric computations fall back
-    /// to on-demand evaluation. Used by the legacy one-shot entry points.
-    pub fn bare(g: &'g Graph, opts: &AnalyzeOptions) -> Self {
-        Self::build(g, &[], opts)
     }
 
     /// The analyzed graph (the GCC under [`GccPolicy::Extract`]). For
     /// a connected input, or under [`GccPolicy::Whole`], this is the
-    /// input graph itself, not a copy.
-    pub fn graph(&self) -> &Graph {
-        &self.target
+    /// input CSR itself — the caller's, when built by
+    /// [`AnalysisCache::build_csr`] — not a copy.
+    pub fn graph(&self) -> &CsrGraph {
+        &self.graph
     }
 
     /// Node count of the original (pre-GCC) input.
@@ -371,22 +322,13 @@ impl<'g> AnalysisCache<'g> {
         self.exec.workers
     }
 
-    /// The frozen CSR snapshot of the analyzed graph (cached when any
-    /// traversal-shaped dep was prepared; built on demand otherwise).
-    pub fn csr(&self) -> Cow<'_, CsrGraph> {
-        match &self.csr {
-            Some(c) => Cow::Borrowed(c),
-            None => Cow::Owned(CsrGraph::from_graph(self.graph())),
-        }
-    }
-
     /// The Brandes pass over `k` sources: the prepared `slot` when it
     /// holds one, else run on demand with this cache's plan.
     fn brandes<'a>(&'a self, slot: &'a Option<Pass>, k: usize) -> Cow<'a, SampledTraversal> {
         match slot {
             Some(Pass::Brandes(t)) => Cow::Borrowed(t),
             _ => Cow::Owned(sampled::sampled_traversal_sharded(
-                self.csr().as_ref(),
+                self.graph(),
                 k,
                 self.exec.shards,
                 self.exec.workers,
@@ -406,7 +348,7 @@ impl<'g> AnalysisCache<'g> {
                 max_depth: t.max_depth,
             }),
             None => Cow::Owned(sampled::sampled_distances_sharded(
-                self.csr().as_ref(),
+                self.graph(),
                 k,
                 self.exec.shards,
                 self.exec.workers,
@@ -432,7 +374,7 @@ impl<'g> AnalysisCache<'g> {
         match &self.sketch {
             Some(s) => Cow::Borrowed(s),
             None => Cow::Owned(sketch::hyper_anf_sharded(
-                self.csr().as_ref(),
+                self.graph(),
                 self.sketch_bits,
                 self.sketch_rounds,
                 self.exec.shards,
@@ -469,17 +411,15 @@ impl<'g> AnalysisCache<'g> {
     /// (fewer than 2 nodes, disconnected under [`GccPolicy::Whole`], or
     /// solver failure).
     pub fn spectral(&self) -> Option<SpectralExtremes> {
-        match &self.spectral {
-            Some(s) => *s,
-            None => {
-                if self.graph().node_count() >= 2 {
-                    spectral::spectral_extremes_with(self.graph(), self.lanczos_iter).ok()
-                } else {
-                    None
-                }
-            }
-        }
+        self.spectral
+            .unwrap_or_else(|| spectral_of(self.graph(), self.lanczos_iter))
     }
+}
+
+/// Spectral extremes of `g`, or `None` where they are undefined (fewer
+/// than 2 nodes, disconnected, or solver failure).
+fn spectral_of(g: &CsrGraph, lanczos_iter: usize) -> Option<SpectralExtremes> {
+    spectral::spectral_extremes_with(g, lanczos_iter).ok()
 }
 
 #[cfg(test)]
@@ -495,24 +435,23 @@ mod tests {
     #[test]
     fn gcc_policy_extract_vs_whole() {
         let opts = AnalyzeOptions::default();
-        // a connected input is analyzed in place, borrowed or shared,
-        // and the CSR dep is a snapshot of the input itself
+        // a connected CSR input is analyzed in place; a Graph input is
+        // analyzed through the CSR frozen from it
         let karate = builders::karate_club();
-        let cache = AnalysisCache::build(&karate, &metrics("c_mean"), &opts);
-        assert!(std::ptr::eq(cache.graph(), &karate));
+        let csr = CsrGraph::from_graph(&karate);
+        let cache = AnalysisCache::build_csr(&csr, &metrics("c_mean"), &opts);
+        assert!(std::ptr::eq(cache.graph(), &csr));
         assert_eq!(cache.gcc_fraction(), 1.0);
         assert!(cache.gcc_applied());
-        assert_eq!(cache.csr().as_ref(), &CsrGraph::from_graph(&karate));
-        let shared = Arc::new(karate.clone());
-        let cache = AnalysisCache::build_shared(shared.clone(), &[], &opts);
-        assert!(std::ptr::eq(cache.graph(), &*shared));
+        let cache = AnalysisCache::build(&karate, &[], &opts);
+        assert_eq!(cache.graph(), &csr);
         assert_eq!(cache.gcc_fraction(), 1.0);
         // the daemon shares warm caches across connection threads
         fn send_sync<T: Send + Sync>(_: &T) {}
         send_sync(&cache);
 
-        // path(4) plus 2 isolated nodes: the GCC is a copy, built exactly
-        // as `giant_component` builds it
+        // path(4) plus 2 isolated nodes: the GCC is a copy, the CSR of
+        // the graph `giant_component` builds
         let mut g = builders::path(4);
         g.add_node();
         g.add_node();
@@ -522,8 +461,8 @@ mod tests {
         assert!(cache.gcc_applied());
         assert_eq!(cache.original_nodes(), 6);
         assert_eq!(
-            cache.graph().edges(),
-            traversal::giant_component(&g).0.edges()
+            cache.graph(),
+            &CsrGraph::from_graph(&traversal::giant_component(&g).0)
         );
 
         // the empty graph keeps the historical fraction of 1
@@ -557,7 +496,7 @@ mod tests {
             &metrics("c_mean,d_avg,b_max,lambda1,avg_distance_sketch"),
             &opts,
         );
-        let cold = AnalysisCache::bare(&g, &opts);
+        let cold = AnalysisCache::build(&g, &[], &opts);
         assert_eq!(warm.triangles(), cold.triangles());
         assert_eq!(warm.distances(), cold.distances());
         assert_eq!(warm.betweenness(), cold.betweenness());
@@ -617,8 +556,9 @@ mod tests {
         // the attack sweep and every on-demand fallback read the plan's
         // worker count, never the uncapped thread knob
         let g = builders::karate_club();
-        let cache = AnalysisCache::bare(
+        let cache = AnalysisCache::build(
             &g,
+            &[],
             &AnalyzeOptions {
                 threads: 4,
                 memory_budget: Some(1),

@@ -7,13 +7,13 @@
 //! other common convention — both are exposed, the paper-facing reports use
 //! the degree-≥2 mean, matching CAIDA's usage in ref \[20\]).
 
-use dk_graph::{AdjacencyView, Graph};
+use dk_graph::AdjacencyView;
 
 /// Per-node triangle counts: `t[v]` = number of triangles through `v`.
 ///
 /// Runs in O(Σ_e (deg(u) + deg(v))) via sorted-adjacency merges, generic
 /// over [`AdjacencyView`] — the analyzer cache runs the census on its
-/// frozen CSR snapshot. Edges are enumerated as `(u, v)` with `v > u`
+/// CSR. Edges are enumerated as `(u, v)` with `v > u`
 /// from the sorted neighbor slices; counts are identical either way.
 pub fn triangles_per_node<V: AdjacencyView + ?Sized>(g: &V) -> Vec<usize> {
     let n = g.node_count();
@@ -51,14 +51,17 @@ pub fn triangle_count<V: AdjacencyView + ?Sized>(g: &V) -> usize {
 }
 
 /// Local clustering coefficient per node; `None` for degree < 2.
-pub fn local_clustering(g: &Graph) -> Vec<Option<f64>> {
+pub fn local_clustering<V: AdjacencyView + ?Sized>(g: &V) -> Vec<Option<f64>> {
     local_clustering_from(g, &triangles_per_node(g))
 }
 
 /// [`local_clustering`] from precomputed per-node triangle counts — lets
 /// the analyzer cache amortize one triangle census across `c_mean`,
 /// `c_k`, and `transitivity`.
-pub(crate) fn local_clustering_from(g: &Graph, tri: &[usize]) -> Vec<Option<f64>> {
+pub(crate) fn local_clustering_from<V: AdjacencyView + ?Sized>(
+    g: &V,
+    tri: &[usize],
+) -> Vec<Option<f64>> {
     (0..g.node_count())
         .map(|v| {
             let k = g.degree(v as u32);
@@ -73,12 +76,15 @@ pub(crate) fn local_clustering_from(g: &Graph, tri: &[usize]) -> Vec<Option<f64>
 
 /// Degree-dependent clustering `C(k)`: mean local clustering of `k`-degree
 /// nodes, as `(k, C(k))` pairs for degrees with at least one defined value.
-pub fn clustering_by_degree(g: &Graph) -> Vec<(usize, f64)> {
+pub fn clustering_by_degree<V: AdjacencyView + ?Sized>(g: &V) -> Vec<(usize, f64)> {
     clustering_by_degree_from(g, &triangles_per_node(g))
 }
 
 /// [`clustering_by_degree`] from precomputed triangle counts.
-pub(crate) fn clustering_by_degree_from(g: &Graph, tri: &[usize]) -> Vec<(usize, f64)> {
+pub(crate) fn clustering_by_degree_from<V: AdjacencyView + ?Sized>(
+    g: &V,
+    tri: &[usize],
+) -> Vec<(usize, f64)> {
     let local = local_clustering_from(g, tri);
     let kmax = g.max_degree();
     let mut sum = vec![0.0f64; kmax + 1];
@@ -99,12 +105,12 @@ pub(crate) fn clustering_by_degree_from(g: &Graph, tri: &[usize]) -> Vec<(usize,
 /// Mean clustering `C̄` over nodes of degree ≥ 2 (the paper-facing scalar).
 ///
 /// Returns 0.0 if no node has degree ≥ 2.
-pub fn mean_clustering(g: &Graph) -> f64 {
+pub fn mean_clustering<V: AdjacencyView + ?Sized>(g: &V) -> f64 {
     mean_clustering_from(g, &triangles_per_node(g))
 }
 
 /// [`mean_clustering`] from precomputed triangle counts.
-pub(crate) fn mean_clustering_from(g: &Graph, tri: &[usize]) -> f64 {
+pub(crate) fn mean_clustering_from<V: AdjacencyView + ?Sized>(g: &V, tri: &[usize]) -> f64 {
     let local = local_clustering_from(g, tri);
     let (mut sum, mut cnt) = (0.0, 0usize);
     for c in local.into_iter().flatten() {
@@ -120,7 +126,7 @@ pub(crate) fn mean_clustering_from(g: &Graph, tri: &[usize]) -> f64 {
 
 /// Mean clustering counting degree-<2 nodes as zero (alternative
 /// convention; exposed for cross-checking against other tools).
-pub fn mean_clustering_all_nodes(g: &Graph) -> f64 {
+pub fn mean_clustering_all_nodes<V: AdjacencyView + ?Sized>(g: &V) -> f64 {
     if g.node_count() == 0 {
         return 0.0;
     }
@@ -130,15 +136,14 @@ pub fn mean_clustering_all_nodes(g: &Graph) -> f64 {
 
 /// Global transitivity: `3 × #triangles / #wedges` — a wedge-weighted
 /// alternative to `C̄` (dominated by hubs in heavy-tailed graphs).
-pub fn transitivity(g: &Graph) -> f64 {
+pub fn transitivity<V: AdjacencyView + ?Sized>(g: &V) -> f64 {
     transitivity_from(g, &triangles_per_node(g))
 }
 
 /// [`transitivity`] from precomputed triangle counts.
-pub(crate) fn transitivity_from(g: &Graph, tri: &[usize]) -> f64 {
+pub(crate) fn transitivity_from<V: AdjacencyView + ?Sized>(g: &V, tri: &[usize]) -> f64 {
     let tri = tri.iter().sum::<usize>() / 3;
-    let wedges: usize = g
-        .nodes()
+    let wedges: usize = (0..g.node_count() as u32)
         .map(|v| {
             let k = g.degree(v);
             k * (k.saturating_sub(1)) / 2
@@ -154,7 +159,7 @@ pub(crate) fn transitivity_from(g: &Graph, tri: &[usize]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dk_graph::builders;
+    use dk_graph::{builders, Graph};
 
     #[test]
     fn triangle_counts_on_classics() {

@@ -1,7 +1,7 @@
 //! Degree distribution `P(k)` — the paper's 1K-distribution viewed as a
 //! metric.
 
-use dk_graph::Graph;
+use dk_graph::AdjacencyView;
 
 /// Empirical degree distribution.
 #[derive(Clone, Debug, PartialEq)]
@@ -14,7 +14,7 @@ pub struct DegreeDistribution {
 
 impl DegreeDistribution {
     /// Extracts `P(k)` from a graph.
-    pub fn from_graph(g: &Graph) -> Self {
+    pub fn from_graph<V: AdjacencyView + ?Sized>(g: &V) -> Self {
         DegreeDistribution {
             counts: dk_graph::degree::degree_histogram(g),
             nodes: g.node_count(),
@@ -102,7 +102,7 @@ pub fn poisson_pmf(lambda: f64, k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dk_graph::builders;
+    use dk_graph::{builders, Graph};
 
     #[test]
     fn star_distribution() {

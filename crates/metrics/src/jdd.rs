@@ -6,7 +6,7 @@
 //! the *scalar metric* view: Newman's assortativity coefficient and the
 //! average-neighbor-degree curve `k_nn(k)` commonly plotted alongside it.
 
-use dk_graph::Graph;
+use dk_graph::{undirected_edges, AdjacencyView};
 
 /// Newman's assortativity coefficient `r` ∈ [−1, 1]
 /// (Phys. Rev. Lett. 89, 208701 — paper ref \[25\]).
@@ -16,22 +16,28 @@ use dk_graph::Graph;
 /// Internet). The paper reports `r ≈ −0.24` for skitter and `−0.22` for
 /// HOT.
 ///
+/// The three edge sums (`Σ j·k`, `Σ (j+k)/2`, `Σ (j²+k²)/2` over edges
+/// with endpoint degrees `j`, `k`) are accumulated exactly in integers
+/// and converted once, so `r` does not depend on the order edges are
+/// visited in, and it equals the f64 sums in any order wherever those
+/// are exact (every partial sum below 2⁵³).
+///
 /// Returns 0.0 when undefined (fewer than 1 edge or zero variance, e.g.
 /// regular graphs).
-pub fn assortativity(g: &Graph) -> f64 {
+pub fn assortativity<V: AdjacencyView + ?Sized>(g: &V) -> f64 {
     let m = g.edge_count();
     if m == 0 {
         return 0.0;
     }
     let minv = 1.0 / m as f64;
-    let (mut sum_jk, mut sum_half, mut sum_sq) = (0.0, 0.0, 0.0);
-    for &(u, v) in g.edges() {
-        let j = g.degree(u) as f64;
-        let k = g.degree(v) as f64;
-        sum_jk += j * k;
-        sum_half += 0.5 * (j + k);
-        sum_sq += 0.5 * (j * j + k * k);
+    let (mut jk, mut ends, mut squares) = (0u128, 0u128, 0u128);
+    for (u, v) in undirected_edges(g) {
+        let (j, k) = (g.degree(u) as u128, g.degree(v) as u128);
+        jk += j * k;
+        ends += j + k;
+        squares += j * j + k * k;
     }
+    let (sum_jk, sum_half, sum_sq) = (jk as f64, 0.5 * ends as f64, 0.5 * squares as f64);
     let num = minv * sum_jk - (minv * sum_half).powi(2);
     let den = minv * sum_sq - (minv * sum_half).powi(2);
     if den.abs() < 1e-15 {
@@ -46,10 +52,10 @@ pub fn assortativity(g: &Graph) -> f64 {
 ///
 /// A decreasing `k_nn(k)` is the standard signature of disassortativity in
 /// AS topologies.
-pub fn avg_neighbor_degree(g: &Graph) -> Vec<(usize, f64)> {
+pub fn avg_neighbor_degree<V: AdjacencyView + ?Sized>(g: &V) -> Vec<(usize, f64)> {
     let mut sum = vec![0.0f64; g.max_degree() + 1];
     let mut cnt = vec![0usize; g.max_degree() + 1];
-    for u in g.nodes() {
+    for u in 0..g.node_count() as u32 {
         let k = g.degree(u);
         if k == 0 {
             continue;
@@ -67,10 +73,10 @@ pub fn avg_neighbor_degree(g: &Graph) -> Vec<(usize, f64)> {
 /// Raw JDD edge counts `m(k1, k2)` with `k1 ≤ k2`, as a sorted vector —
 /// the metric-side view used by figure generators (the authoritative
 /// distribution type is `dk_core::Dist2K`).
-pub fn jdd_counts(g: &Graph) -> Vec<((usize, usize), usize)> {
+pub fn jdd_counts<V: AdjacencyView + ?Sized>(g: &V) -> Vec<((usize, usize), usize)> {
     let mut map: std::collections::BTreeMap<(usize, usize), usize> =
         std::collections::BTreeMap::new();
-    for &(u, v) in g.edges() {
+    for (u, v) in undirected_edges(g) {
         let a = g.degree(u);
         let b = g.degree(v);
         let key = (a.min(b), a.max(b));
@@ -82,7 +88,7 @@ pub fn jdd_counts(g: &Graph) -> Vec<((usize, usize), usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dk_graph::builders;
+    use dk_graph::{builders, Graph};
 
     #[test]
     fn star_is_maximally_disassortative() {

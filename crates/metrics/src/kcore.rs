@@ -11,7 +11,7 @@
 //!
 //! Implemented with the linear-time Batagelj–Zaveršnik bucket algorithm,
 //! generic over [`AdjacencyView`] so the peeling runs on the analyzer's
-//! frozen CSR snapshot (the inner loop touches every neighbor list once —
+//! CSR (the inner loop touches every neighbor list once —
 //! exactly the access pattern CSR flattens).
 
 use dk_graph::AdjacencyView;

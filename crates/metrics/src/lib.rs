@@ -64,8 +64,8 @@
 //!   [`cache::GccPolicy::Whole`].
 //! * All-pairs computations (distances, betweenness) run **exactly** by
 //!   default and in parallel across BFS sources using scoped threads;
-//!   every traversal-shaped pass reads a frozen
-//!   [`dk_graph::CsrGraph`] snapshot built once per analyzer run. Graphs
+//!   every metric reads the analyzer's one [`dk_graph::CsrGraph`],
+//!   which `dk metrics` reads straight from the edge list. Graphs
 //!   at paper scale (10⁴ nodes, 3×10⁴ edges) complete in seconds. For
 //!   larger graphs the explicit `distance_approx`/`betweenness_approx`
 //!   metrics ([`sampled`], `Cost::Sampled`) estimate from K pivot

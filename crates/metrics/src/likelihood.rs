@@ -16,41 +16,48 @@
 //! pairs per center via `((Σ k_u)² − Σ k_u²)/2`, minus the closed
 //! (triangle) pairs found by sorted-adjacency merges.
 
-use dk_graph::Graph;
+use dk_graph::{undirected_edges, AdjacencyView, NodeId};
 
-/// Likelihood `S = Σ_{(i,j)∈E} k_i·k_j`.
-pub fn likelihood_s(g: &Graph) -> f64 {
-    g.likelihood_s()
+/// Likelihood `S = Σ_{(i,j)∈E} k_i·k_j`, summed exactly in integers and
+/// converted once: independent of edge order, and equal to the f64 sum
+/// in any order wherever that sum is exact (below 2⁵³). An edgeless
+/// graph has `S = 0` (not the `-0.0` an empty f64 sum starts from).
+pub fn likelihood_s<V: AdjacencyView + ?Sized>(g: &V) -> f64 {
+    undirected_edges(g)
+        .map(|(u, v)| g.degree(u) as u128 * g.degree(v) as u128)
+        .sum::<u128>() as f64
 }
 
 /// Second-order likelihood: `S2 = Σ_{induced wedges (u−v−w)} k_u·k_w`
 /// (each unordered wedge counted once; endpoints at distance exactly 2).
-pub fn likelihood_s2(g: &Graph) -> f64 {
+///
+/// Summed exactly in integers and converted once, like
+/// [`likelihood_s`].
+pub fn likelihood_s2<V: AdjacencyView + ?Sized>(g: &V) -> f64 {
     // all neighbor pairs (open + closed) per center
-    let mut total = 0.0f64;
-    for v in g.nodes() {
-        let mut sum = 0.0f64;
-        let mut sum_sq = 0.0f64;
+    let mut total = 0i128;
+    for v in 0..g.node_count() as NodeId {
+        let (mut sum, mut sum_sq) = (0i128, 0i128);
         for &u in g.neighbors(v) {
-            let k = g.degree(u) as f64;
+            let k = g.degree(u) as i128;
             sum += k;
             sum_sq += k * k;
         }
-        total += (sum * sum - sum_sq) / 2.0;
+        total += (sum * sum - sum_sq) / 2;
     }
     // subtract closed pairs: for every edge (u,v) and common neighbor w,
     // the pair {u,v} is a triangle-closed neighbor pair of center w
-    for &(u, v) in g.edges() {
-        let t = g.common_neighbors(u, v) as f64;
-        total -= t * (g.degree(u) as f64) * (g.degree(v) as f64);
+    for (u, v) in undirected_edges(g) {
+        let t = g.common_neighbors(u, v) as i128;
+        total -= t * g.degree(u) as i128 * g.degree(v) as i128;
     }
-    total
+    total as f64
 }
 
 /// Number of paths of 2 edges (open **and** closed), `Σ_v C(k_v, 2)` —
 /// the denominator of global transitivity.
-pub fn wedge_count(g: &Graph) -> u64 {
-    g.nodes()
+pub fn wedge_count<V: AdjacencyView + ?Sized>(g: &V) -> u64 {
+    (0..g.node_count() as NodeId)
         .map(|v| {
             let k = g.degree(v) as u64;
             k * k.saturating_sub(1) / 2
@@ -60,7 +67,7 @@ pub fn wedge_count(g: &Graph) -> u64 {
 
 /// Number of *induced* wedges (endpoints at distance exactly 2):
 /// `Σ_v C(k_v, 2) − 3·#triangles`. This is the paper's `P∧` total.
-pub fn induced_wedge_count(g: &Graph) -> u64 {
+pub fn induced_wedge_count<V: AdjacencyView + ?Sized>(g: &V) -> u64 {
     wedge_count(g) - 3 * crate::clustering::triangle_count(g) as u64
 }
 
@@ -71,11 +78,11 @@ pub fn induced_wedge_count(g: &Graph) -> u64 {
 /// This is the cheap analytic bound used to sanity-check the
 /// rewiring-based `S_max` estimates (the true max over *simple connected*
 /// graphs is generally lower).
-pub fn likelihood_s_upper_bound(g: &Graph) -> f64 {
+pub fn likelihood_s_upper_bound<V: AdjacencyView + ?Sized>(g: &V) -> f64 {
     // Each node of degree k contributes k "stubs" of weight k. Pairing the
     // sorted stub weights greedily maximizes Σ products.
     let mut stubs: Vec<f64> = Vec::with_capacity(2 * g.edge_count());
-    for v in g.nodes() {
+    for v in 0..g.node_count() as NodeId {
         let k = g.degree(v) as f64;
         for _ in 0..g.degree(v) {
             stubs.push(k);
@@ -91,7 +98,7 @@ pub fn likelihood_s_upper_bound(g: &Graph) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dk_graph::builders;
+    use dk_graph::{builders, Graph};
 
     #[test]
     fn s_on_star() {

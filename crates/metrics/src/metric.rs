@@ -34,10 +34,9 @@
 //! Metrics sharing a [`Dep`] are computed from one shared pass: `d_*` and
 //! `b_*` both ride the all-source Brandes pass
 //! ([`crate::betweenness::betweenness_and_distances_sharded`]) when a
-//! `b_*` metric is selected, the clustering family shares one triangle
-//! census, and every traversal-shaped pass (traversals, census, k-core
-//! peeling) runs over one frozen [`CsrGraph`](dk_graph::CsrGraph)
-//! snapshot ([`Dep::Csr`]) built once per analyzer run.
+//! `b_*` metric is selected, and the clustering family shares one
+//! triangle census. Every metric and pass reads the cache's one
+//! [`CsrGraph`](dk_graph::CsrGraph), the analyzed graph.
 //!
 //! ## Approximate (sampled) modes
 //!
@@ -72,17 +71,17 @@
 //!
 //! ## Execution routes and memory bounds
 //!
-//! Each cost class maps to an execution route over the shared
-//! [`CsrGraph`](dk_graph::CsrGraph) snapshot; the traversal-shaped
+//! Each cost class maps to an execution route over the analyzed
+//! [`CsrGraph`](dk_graph::CsrGraph); the traversal-shaped
 //! classes run through the **sharded streaming** executor of
 //! [`crate::stream`]:
 //!
 //! | cost | route | traversal working memory |
 //! |------|-------|--------------------------|
-//! | `trivial`, `linear` | single pass over the snapshot | O(n + m) |
+//! | `trivial`, `linear` | single pass over the CSR | O(n + m) |
 //! | `sampled` | the `all-pairs` route from K pivots instead of all n nodes | **O(workers·n)** |
 //! | `sketch` | ≤ diameter rounds of register unions through the shard executor | **n·2^b bytes** per register file (×2 per round: Jacobi double buffer), error 1.04/√2^b |
-//! | `incremental` | reverse union-find percolation sweep over the snapshot ([`crate::attack`]) | O(n) forest + trajectory |
+//! | `incremental` | reverse union-find percolation sweep over the CSR ([`crate::attack`]) | O(n) forest + trajectory |
 //! | `all-pairs` | n sources through the shard executor: per-source Brandes when a betweenness metric is selected, else batched BFS, 64 sources per sweep | **O(workers·n)** |
 //! | `spectral` | Lanczos three-term recurrence on the sparse Laplacian (dense Jacobi below cutoff) | O(n + m) Laplacian + O(n) iteration vectors; **16·n² bytes** on the dense path ([`spectral::spectral_bytes`](crate::spectral::spectral_bytes)) |
 //!
@@ -202,14 +201,6 @@ impl Cost {
 /// all-source Brandes pass serves both.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Dep {
-    /// Frozen [`CsrGraph`](dk_graph::CsrGraph) snapshot of the analyzed
-    /// graph — the flat-array adjacency every traversal-shaped pass
-    /// reads. [`Dep::Triangles`], [`Dep::Distances`],
-    /// [`Dep::Betweenness`], and [`Dep::Sampled`] all imply it, so the
-    /// snapshot is built **once** and amortized across every selected
-    /// metric; declare it directly for metrics that only need fast
-    /// neighbor iteration (k-core peeling).
-    Csr,
     /// Per-node triangle counts (clustering family).
     Triangles,
     /// Exact distance distribution (all-source BFS).
@@ -228,20 +219,13 @@ pub enum Dep {
     /// pass's integer histogram is identical by construction).
     SampledDistances,
     /// HyperANF neighborhood-sketch iteration ([`crate::sketch`]) — the
-    /// `*_sketch` metrics' shared pass (implies [`Dep::Csr`]).
+    /// `*_sketch` metrics' shared pass.
     Sketch,
     /// Normalized-Laplacian spectral extremes.
     Spectral,
 }
 
 impl Dep {
-    /// Whether this dep reads the shared CSR snapshot — the one place
-    /// the "traversal-shaped passes run on CSR" relationship lives; the
-    /// cache builds the snapshot iff any selected dep implies it.
-    pub fn implies_csr(self) -> bool {
-        !matches!(self, Dep::Spectral)
-    }
-
     /// Whether this dep's pass runs **through the sharded traversal
     /// executor** ([`crate::stream`]) and therefore owes the
     /// thread-count equivalence contract (any worker count reproduces
@@ -403,8 +387,8 @@ static REGISTRY: &[Metric] = &[
         description: "graph degeneracy (maximum k-core index)",
         kind: Kind::Scalar,
         cost: Cost::Linear,
-        deps: &[Dep::Csr],
-        compute: |cx| scalar(kcore::degeneracy(cx.csr().as_ref()) as f64),
+        deps: &[],
+        compute: |cx| scalar(kcore::degeneracy(cx.graph()) as f64),
     },
     Metric {
         name: "d_avg",
@@ -543,7 +527,7 @@ static REGISTRY: &[Metric] = &[
         description: "removal fraction halving the GCC under the degree-ranked attack",
         kind: Kind::Scalar,
         cost: Cost::Incremental,
-        deps: &[Dep::Csr],
+        deps: &[],
         compute: crate::attack::attack_threshold_metric,
     },
     Metric {
@@ -552,7 +536,7 @@ static REGISTRY: &[Metric] = &[
         description: "mean removal fraction halving the GCC under seeded uniform failure",
         kind: Kind::Scalar,
         cost: Cost::Incremental,
-        deps: &[Dep::Csr],
+        deps: &[],
         compute: crate::attack::random_failure_threshold_metric,
     },
     Metric {

@@ -41,7 +41,7 @@
 //!   function of the input — **independent of shard count and thread
 //!   count** (the registers are `u8` max-merges, and the `N(t)` sums
 //!   are accumulated in fixed node order).
-//! * Rounds run as sharded passes over the frozen
+//! * Rounds run as sharded passes over the analyzed
 //!   [`CsrGraph`] through the same streaming
 //!   machinery as the exact traversals ([`crate::stream`] →
 //!   [`dk_graph::ensemble::run_fold`]): in-flight partials are bounded
@@ -53,7 +53,7 @@
 //! The register file is `n · 2^b` bytes; a round holds the previous and
 //! the next file simultaneously (the Jacobi buffer the determinism
 //! contract requires), so the pass peaks at `2 · n · 2^b` bytes plus
-//! `O(workers · shard)` partial blocks — see [`sketch_bytes`].
+//! `O(workers · shard)` partial blocks.
 
 use crate::stream::run_sharded_fold;
 use dk_graph::CsrGraph;
@@ -88,13 +88,6 @@ pub fn checked_bits(bits: u64) -> Option<u32> {
 /// from (never a hand-tuned constant).
 pub fn standard_error(bits: u32) -> f64 {
     1.04 / ((1u64 << bits) as f64).sqrt()
-}
-
-/// Bytes of one register file for `n` nodes at `bits` register bits —
-/// the `n·2^b` footprint the cost table in [`crate::metric`] quotes. A
-/// running round holds two (previous + next).
-pub fn sketch_bytes(n: usize, bits: u32) -> u64 {
-    n as u64 * (1u64 << bits)
 }
 
 /// SplitMix64 finalizer over a node id — the deterministic per-node
@@ -744,6 +737,5 @@ mod tests {
     fn standard_error_formula() {
         assert!((standard_error(8) - 1.04 / 16.0).abs() < 1e-12);
         assert!((standard_error(10) - 1.04 / 32.0).abs() < 1e-12);
-        assert_eq!(sketch_bytes(1000, 8), 256_000);
     }
 }

@@ -4,21 +4,23 @@
 //! the full Table 2 battery; the heavy lifting (Jacobi/Lanczos) lives in
 //! [`dk_linalg`].
 
-use dk_graph::Graph;
+use dk_graph::AdjacencyView;
 pub use dk_linalg::laplacian::{spectral_bytes, SpectralError, SpectralExtremes};
 
 /// `λ1` and `λ_{n−1}` of the normalized Laplacian of a **connected** graph.
 ///
 /// See [`dk_linalg::laplacian::spectral_extremes`] for strategy and
 /// accuracy notes.
-pub fn spectral_extremes(g: &Graph) -> Result<SpectralExtremes, SpectralError> {
+pub fn spectral_extremes<V: AdjacencyView + ?Sized>(
+    g: &V,
+) -> Result<SpectralExtremes, SpectralError> {
     dk_linalg::spectral_extremes(g)
 }
 
 /// As [`spectral_extremes`] with an explicit Lanczos iteration budget for
 /// large graphs.
-pub fn spectral_extremes_with(
-    g: &Graph,
+pub fn spectral_extremes_with<V: AdjacencyView + ?Sized>(
+    g: &V,
     lanczos_iter: usize,
 ) -> Result<SpectralExtremes, SpectralError> {
     dk_linalg::laplacian::spectral_extremes_with(g, lanczos_iter)
@@ -27,7 +29,7 @@ pub fn spectral_extremes_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dk_graph::builders;
+    use dk_graph::{builders, Graph};
 
     #[test]
     fn wrapper_delegates() {

@@ -136,8 +136,8 @@ pub fn per_worker_bytes(n: usize) -> u64 {
 }
 
 /// Bytes every traversal pass holds regardless of the worker count: the
-/// shared frozen [`CsrGraph`](dk_graph::CsrGraph) snapshot
-/// (`CsrGraph::size_bytes`: `4(n+1) + 8m`) plus the `O(n)` global
+/// analyzed [`CsrGraph`](dk_graph::CsrGraph) (`n + 1` `u32` offsets and
+/// `2m` `u32` targets: `4(n+1) + 8m`) plus the `O(n)` global
 /// accumulator the shard partials fold into. A memory budget is
 /// charged these up front; only the remainder buys workers.
 pub fn fixed_bytes(n: usize, edges: usize) -> u64 {

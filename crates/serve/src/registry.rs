@@ -97,8 +97,8 @@ pub struct WarmCache {
     pub knobs: String,
     /// Epoch of the graph snapshot the cache was built from.
     pub epoch: u64,
-    /// The cache itself; `'static` because it shares the slot's graph
-    /// snapshot through its `Arc` (or holds the snapshot's extracted
+    /// The cache itself; `'static` because it owns the CSR it analyzes
+    /// (frozen from the slot's graph snapshot, or that CSR's extracted
     /// GCC when the snapshot is disconnected) instead of borrowing it.
     pub cache: Arc<AnalysisCache<'static>>,
 }

@@ -266,7 +266,7 @@ fn metric_fragment_at(
             Some(cache) => cache,
             None => {
                 let opts = analyze_options(reg, knobs, epoch, budget);
-                let built = Arc::new(AnalysisCache::build_shared(graph, &knobs.metrics, &opts));
+                let built = Arc::new(AnalysisCache::build(&graph, &knobs.metrics, &opts));
                 let mut state = lock(slot);
                 if state.epoch == epoch {
                     state.warm = Some(WarmCache {

@@ -23,7 +23,7 @@
 //! Defaults are calibrated to the published HOT scale: n ≈ 939,
 //! m ≈ 988, `k̄ ≈ 2.1`, `r ≈ −0.22`, `C̄ ≈ 0`, `d̄ ≈ 6.8`.
 
-use dk_graph::{Graph, NodeId};
+use dk_graph::{AdjacencyView, Graph, NodeId};
 use rand::Rng;
 
 use crate::powerlaw::{sample_sequence, PowerLawParams};

@@ -80,7 +80,7 @@ proptest! {
             seed,
             checkpoints: (0..=4).map(|i| i as f64 / 4.0).collect(),
         };
-        let rep = attack::attack_sweep(&g, &csr, &opts, 1, 1);
+        let rep = attack::attack_sweep(&csr, &opts, 1, 1);
         for c in &rep.checkpoints {
             let keep: Vec<NodeId> = (0..n as NodeId)
                 .filter(|u| !rep.order[..c.removed].contains(u))
@@ -202,7 +202,7 @@ fn two_triangle_tie_break_is_inherited() {
         seed: 3,
         checkpoints: vec![0.0],
     };
-    let rep = attack::attack_sweep(&g, &csr, &opts, 4, 1);
+    let rep = attack::attack_sweep(&csr, &opts, 4, 1);
     let c = &rep.checkpoints[0];
     assert_eq!(c.gcc_nodes, 3);
     assert_eq!(c.hub, Some(0), "winner is the component containing node 0");
@@ -227,7 +227,7 @@ fn fixed_seed_reports_are_bit_identical_across_thread_counts() {
                 seed: DEFAULT_ATTACK_SEED.wrapping_add(i),
                 checkpoints: vec![0.1, 0.5],
             };
-            attack::attack_sweep(&g, &csr, &opts, 8, 1).to_json()
+            attack::attack_sweep(&csr, &opts, 8, 1).to_json()
         })
     };
     let serial = sweep_batch(1);

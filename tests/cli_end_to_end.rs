@@ -413,3 +413,212 @@ fn closed_or_full_stdout_fails_cleanly() {
     assert!(stderr.starts_with("error: "), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// SHA-256 of `data` as lowercase hex (FIPS 180-4), for pinning report
+/// bytes without storing them.
+fn sha256_hex(data: &[u8]) -> String {
+    const K: [u32; 64] = [
+        0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
+        0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
+        0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
+        0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
+        0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
+        0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+        0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
+        0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+        0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
+        0xc67178f2,
+    ];
+    let mut h: [u32; 8] = [
+        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+        0x5be0cd19,
+    ];
+    let mut msg = data.to_vec();
+    msg.push(0x80);
+    while msg.len() % 64 != 56 {
+        msg.push(0);
+    }
+    msg.extend_from_slice(&(8 * data.len() as u64).to_be_bytes());
+    for block in msg.chunks(64) {
+        let mut w = [0u32; 64];
+        for (i, word) in block.chunks(4).enumerate() {
+            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
+        for i in 0..64 {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ (!e & g);
+            let t1 = hh
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[i])
+                .wrapping_add(w[i]);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = s0.wrapping_add(maj);
+            hh = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+        for (x, y) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+            *x = x.wrapping_add(y);
+        }
+    }
+    h.iter().map(|x| format!("{x:08x}")).collect()
+}
+
+/// Runs `dk` in `dir` (so relative paths echoed into a report are the
+/// same on every run) and returns the sha256 of its stdout.
+fn stdout_digest(dir: &Path, args: &[&str]) -> String {
+    let out = Command::new(dk_bin())
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .expect("run dk");
+    assert!(
+        out.status.success(),
+        "dk {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    sha256_hex(&out.stdout)
+}
+
+/// Report bytes pinned at the commit before analysis read its graph
+/// from a CSR built straight from the edge list: every report below
+/// must keep its exact bytes. The inputs cover a connected graph
+/// analyzed in place, a GCC copy, an annealed skitter-like graph whose
+/// file order is far from sorted (`r`, `s` and `s2` sum over edges),
+/// the attack sweep, `compare`, and a 2·10⁴-node BA graph under the
+/// sampled and sketch battery of the 10⁶-node benchmark.
+#[test]
+fn reports_match_parent_digests() {
+    use dk_repro::graph::{builders, io::save_edge_list};
+    use dk_repro::topologies::ba::{barabasi_albert, BaParams};
+    use dk_repro::topologies::{skitter_like, AsLikeParams};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    // the digest itself, on published vectors (one and two blocks)
+    assert_eq!(
+        sha256_hex(b"abc"),
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    );
+    assert_eq!(
+        sha256_hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+    );
+
+    let dir = tmpdir("reports_match_parent_digests");
+    save_edge_list(&builders::karate_club(), dir.join("karate.edges")).unwrap();
+    let mut split = builders::path(4);
+    split.add_node();
+    split.add_node();
+    save_edge_list(&split, dir.join("split.edges")).unwrap();
+    let skitter = skitter_like(&AsLikeParams::small(), &mut StdRng::seed_from_u64(27));
+    save_edge_list(&skitter, dir.join("skitter.edges")).unwrap();
+    let ba = barabasi_albert(
+        &BaParams {
+            nodes: 20_000,
+            edges_per_node: 2,
+            seed_nodes: 3,
+        },
+        &mut StdRng::seed_from_u64(1),
+    );
+    save_edge_list(&ba, dir.join("ba.edges")).unwrap();
+
+    let battery_1m = "n,m,gcc_fraction,k_avg,r,c_mean,kcore_max,distance_approx,\
+betweenness_approx,avg_distance_sketch,effective_diameter_sketch";
+    let json = ["--format", "json"];
+    let cases: [(&[&str], &str); 10] = [
+        (
+            &["metrics", "karate.edges"],
+            "a39739b7cc807a7850d2bdc1c85386953cc0a5470291047b48b0dfc747e963d6",
+        ),
+        (
+            &["metrics", "karate.edges", "--metrics", "all"],
+            "006e0824f91878d8907e57c01f7fd42eb83ae650d7df32a0a1254841e3c04e77",
+        ),
+        (
+            &["metrics", "karate.edges", "--no-gcc", "--metrics", "all"],
+            "0eee6ebc3ff41031cd74ad5a264ce5d277d6cb9ecca8cc80452ea261e195a314",
+        ),
+        (
+            &["metrics", "split.edges", "--metrics", "all"],
+            "a01eb0d022486572602badf9b11a934a3f001953787e317f8f681dae23214a23",
+        ),
+        (
+            &["metrics", "skitter.edges"],
+            "ce5c6be758b5ff2851d91feb100e98c6f5b100c37b48de113346a5758cb3e39c",
+        ),
+        (
+            &["metrics", "skitter.edges", "--metrics", "all"],
+            "f5dc5d420c88d0b6048b383d0027c2448dfaa5eff2b2b55499439297a3084b85",
+        ),
+        (
+            &["attack", "skitter.edges"],
+            "2cfeb75e2a81aade89088190b52de6e586ad62e26a768690b15d6d54aeabfe10",
+        ),
+        (
+            &["compare", "skitter.edges", "karate.edges"],
+            "736dda60523bbe01abadcb5d347a766ea6a19da96f70d76dba84af2aba36d375",
+        ),
+        (
+            &[
+                "compare",
+                "skitter.edges",
+                "karate.edges",
+                "--metrics",
+                "default,s2",
+            ],
+            "cab4b0f24574f66fbd44d4055bef4cd284916b5886b5f3d4244451011f754d67",
+        ),
+        (
+            &[
+                "metrics",
+                "ba.edges",
+                "--metrics",
+                battery_1m,
+                "--sketch-bits",
+                "6",
+            ],
+            "428637e5462e1665a4bac77da38eb5829922a6df499f3966b6f180949bbba7b8",
+        ),
+    ];
+    let mut wrong = Vec::new();
+    for (args, want) in cases {
+        let got = stdout_digest(&dir, &[args, &json[..]].concat());
+        if got != want {
+            wrong.push(format!("{args:?}: {got}"));
+        }
+    }
+    assert!(wrong.is_empty(), "reports changed:\n{}", wrong.join("\n"));
+}
+
+/// An edgeless analyzed graph has likelihood `S = 0`, printed `0`: the
+/// sum starts from an exact zero, not from the `-0.0` an empty f64 sum
+/// gives.
+#[test]
+fn edgeless_inputs_report_s_zero() {
+    let dir = tmpdir("edgeless_inputs_report_s_zero");
+    for (name, text) in [("empty", ""), ("nodes3", "nodes 3\n"), ("loop", "0 0\n")] {
+        let path = dir.join(format!("{name}.edges"));
+        std::fs::write(&path, text).unwrap();
+        let (ok, out) = run(&["metrics", path.to_str().unwrap(), "--format", "json"]);
+        assert!(ok, "{name}: {out}");
+        assert!(out.contains("\"s\":0,"), "{name}: {out}");
+        assert!(!out.contains("\"s\":-0"), "{name}: {out}");
+    }
+}

@@ -5,11 +5,23 @@
 //!
 //! Golden anchors: K5 / S5 / C6 closed forms and Zachary's karate club
 //! (the same anchors `analyzer_golden.rs` pins for the exact metrics).
+//!
+//! Analysis reads one CSR whose edges come in row order, not a
+//! `Graph`'s `edges()` order, so the edge sums of `r`, `S` and `S2` are
+//! exact integers; the exact-sum oracles below hold them to the f64
+//! `edges()`-order sums, bit for bit, and the GCC oracle holds the
+//! cache's CSR giant component to `giant_component`'s graph.
 
 use dk_repro::graph::builders;
 use dk_repro::graph::csr::CsrGraph;
-use dk_repro::graph::{traversal, Graph};
-use dk_repro::metrics::{sampled, stream, Analyzer, Report};
+use dk_repro::graph::{traversal, AdjacencyView, Graph, GraphError};
+use dk_repro::metrics::{
+    jdd, likelihood, sampled, stream, AnalysisCache, AnalyzeOptions, Analyzer, Report,
+};
+use dk_repro::topologies::ba::{barabasi_albert, BaParams};
+use dk_repro::topologies::{skitter_like, AsLikeParams};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn close(got: f64, want: f64, what: &str) {
     assert!((got - want).abs() < 1e-9, "{what}: got {got}, want {want}");
@@ -190,4 +202,186 @@ fn sampled_undefined_on_degenerate_graphs() {
         .analyze(&builders::path(1));
     assert_eq!(rep.scalar("distance_approx"), None);
     assert_eq!(rep.scalar("betweenness_approx"), None);
+}
+
+// ---------------------------------------------------------------------
+// Exact edge sums keep the edges()-order f64 sums, bit for bit
+// ---------------------------------------------------------------------
+
+/// `r` as it was summed before analysis read a CSR: f64 terms added in
+/// `edges()` order.
+fn assortativity_f64(g: &Graph) -> f64 {
+    let m = g.edge_count();
+    if m == 0 {
+        return 0.0;
+    }
+    let minv = 1.0 / m as f64;
+    let (mut sum_jk, mut sum_half, mut sum_sq) = (0.0, 0.0, 0.0);
+    for &(u, v) in g.edges() {
+        let j = g.degree(u) as f64;
+        let k = g.degree(v) as f64;
+        sum_jk += j * k;
+        sum_half += 0.5 * (j + k);
+        sum_sq += 0.5 * (j * j + k * k);
+    }
+    let num = minv * sum_jk - (minv * sum_half).powi(2);
+    let den = minv * sum_sq - (minv * sum_half).powi(2);
+    if den.abs() < 1e-15 {
+        0.0
+    } else {
+        num / den
+    }
+}
+
+/// `S` summed in f64 in `edges()` order (`Graph::likelihood_s`).
+fn likelihood_s_f64(g: &Graph) -> f64 {
+    g.edges()
+        .iter()
+        .map(|&(u, v)| (g.degree(u) as f64) * (g.degree(v) as f64))
+        .sum()
+}
+
+/// `S2` summed in f64: neighbor pairs per center, then the closed pairs
+/// subtracted in `edges()` order.
+fn likelihood_s2_f64(g: &Graph) -> f64 {
+    let mut total = 0.0f64;
+    for v in g.nodes() {
+        let mut sum = 0.0f64;
+        let mut sum_sq = 0.0f64;
+        for &u in g.neighbors(v) {
+            let k = g.degree(u) as f64;
+            sum += k;
+            sum_sq += k * k;
+        }
+        total += (sum * sum - sum_sq) / 2.0;
+    }
+    for &(u, v) in g.edges() {
+        let t = g.common_neighbors(u, v) as f64;
+        total -= t * (g.degree(u) as f64) * (g.degree(v) as f64);
+    }
+    total
+}
+
+/// `g` with its `edges()` order scrambled: random edges removed (the
+/// list swap-removes) and re-added (appended), reversed.
+fn scrambled(g: &Graph, seed: u64) -> Result<Graph, GraphError> {
+    let mut h = g.clone();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for _ in 0..2 * g.edge_count() {
+        let (u, v) = h.edge_at(rng.gen_range(0..h.edge_count()));
+        h.remove_edge(u, v)?;
+        h.add_edge(v, u)?;
+    }
+    Ok(h)
+}
+
+/// The small skitter-like graph and a BA graph of 2·10⁴ nodes, seeded
+/// as the CLI digests seed them.
+fn large_inputs() -> Vec<Graph> {
+    let skitter = skitter_like(&AsLikeParams::small(), &mut StdRng::seed_from_u64(27));
+    let ba = barabasi_albert(
+        &BaParams {
+            nodes: 20_000,
+            edges_per_node: 2,
+            seed_nodes: 3,
+        },
+        &mut StdRng::seed_from_u64(1),
+    );
+    vec![skitter, ba]
+}
+
+#[test]
+fn exact_edge_sums_equal_the_edge_order_f64_sums() -> Result<(), GraphError> {
+    let mut inputs = zoo();
+    for (seed, g) in zoo().iter().enumerate() {
+        let h = scrambled(g, seed as u64)?;
+        assert_eq!(&h, g);
+        inputs.push(h);
+    }
+    inputs.extend(large_inputs());
+    for g in &inputs {
+        let csr = CsrGraph::from_graph(g);
+        let cases = [
+            (
+                "r",
+                assortativity_f64(g),
+                jdd::assortativity(&csr),
+                jdd::assortativity(g),
+            ),
+            (
+                "s",
+                likelihood_s_f64(g),
+                likelihood::likelihood_s(&csr),
+                likelihood::likelihood_s(g),
+            ),
+            (
+                "s2",
+                likelihood_s2_f64(g),
+                likelihood::likelihood_s2(&csr),
+                likelihood::likelihood_s2(g),
+            ),
+        ];
+        for (name, want, on_csr, on_graph) in cases {
+            let n = g.node_count();
+            assert_eq!(
+                on_csr.to_bits(),
+                want.to_bits(),
+                "{name}, n = {n}: {on_csr} vs {want}"
+            );
+            assert_eq!(
+                on_graph.to_bits(),
+                want.to_bits(),
+                "{name} on the Graph, n = {n}"
+            );
+        }
+    }
+    // the one intended change: an edgeless graph's S is 0, where the
+    // empty f64 sum gave -0
+    let edgeless = Graph::with_nodes(3);
+    assert_eq!(likelihood_s_f64(&edgeless).to_bits(), (-0.0f64).to_bits());
+    let s = likelihood::likelihood_s(&CsrGraph::from_graph(&edgeless));
+    assert_eq!(s.to_bits(), 0.0f64.to_bits());
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// The cache's CSR GCC is the CSR of `giant_component`'s graph
+// ---------------------------------------------------------------------
+
+#[test]
+fn cache_gcc_is_the_csr_of_the_giant_component() -> Result<(), GraphError> {
+    let tied_triangles = Graph::from_edges(7, [(1, 3), (3, 5), (5, 1), (0, 2), (2, 4), (4, 0)])?;
+    let mut tied_k4s = Graph::with_nodes(11);
+    for (lo, hi) in [(6u32, 10u32), (1, 5)] {
+        for u in lo..hi {
+            for v in u + 1..hi {
+                tied_k4s.add_edge(u, v)?;
+            }
+        }
+    }
+    let mut inputs: Vec<Graph> = zoo();
+    inputs.extend([tied_triangles, tied_k4s]);
+    for g in large_inputs() {
+        // the large graph beside a path of three, and beside its own
+        // copy (a tie broken toward the smaller ids)
+        let n = g.node_count() as u32;
+        let mut edges: Vec<(u32, u32)> = g.edges().to_vec();
+        edges.extend([(n + 1, n + 2), (n + 2, n + 3)]);
+        inputs.push(Graph::from_edges(n as usize + 4, edges.iter().copied())?);
+        edges.truncate(g.edge_count());
+        edges.extend(g.edges().iter().map(|&(u, v)| (u + n, v + n)));
+        inputs.push(Graph::from_edges(2 * n as usize, edges)?);
+    }
+    let opts = AnalyzeOptions::default();
+    for g in &inputs {
+        let want = CsrGraph::from_graph(&traversal::giant_component(g).0);
+        let csr = CsrGraph::from_graph(g);
+        let cache = AnalysisCache::build_csr(&csr, &[], &opts);
+        assert_eq!(cache.graph(), &want, "n = {}", g.node_count());
+        assert_eq!(AnalysisCache::build(g, &[], &opts).graph(), &want);
+        if want.node_count() == g.node_count() {
+            assert!(std::ptr::eq(cache.graph(), &csr), "connected: in place");
+        }
+    }
+    Ok(())
 }

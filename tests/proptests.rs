@@ -34,6 +34,159 @@ fn subgraph_oracle(g: &Graph, nodes: &[NodeId]) -> Graph {
     .expect("a valid selection induces a simple graph")
 }
 
+/// The most nodes an edge list may hold (`NodeId::MAX`), as the reader
+/// oracle below refuses past it.
+const MAX_NODES: usize = NodeId::MAX as usize;
+
+/// The edge-list reader as it was before one byte-level parser fed both
+/// the `Graph` and the CSR builders — its body verbatim, split before
+/// its last line (`Graph::from_edges_dedup(n, edges)`) so a test can
+/// see the node count before anything that size is allocated. See
+/// [`read_edge_list_oracle`].
+fn oracle_edges<R: std::io::Read>(reader: R) -> Result<(usize, Vec<(NodeId, NodeId)>), GraphError> {
+    use std::io::{BufRead, BufReader};
+    let buf = BufReader::new(reader);
+    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+    let mut declared_nodes: Option<usize> = None;
+    // the largest id so far and the line it first appears on
+    let mut max_id: Option<(NodeId, usize)> = None;
+    for (lineno, line) in buf.lines().enumerate() {
+        let lineno = lineno + 1;
+        let line = line.map_err(GraphError::from)?;
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut parts = line.split_whitespace();
+        let first = parts.next().expect("non-empty trimmed line has a token");
+        if first == "nodes" {
+            let n = parts
+                .next()
+                .ok_or_else(|| GraphError::Parse {
+                    line: lineno,
+                    msg: "header `nodes` missing count".into(),
+                })?
+                .parse::<usize>()
+                .map_err(|e| GraphError::Parse {
+                    line: lineno,
+                    msg: format!("bad node count: {e}"),
+                })?;
+            if n > MAX_NODES {
+                return Err(GraphError::Parse {
+                    line: lineno,
+                    msg: format!("node count {n} is past the id space (at most {MAX_NODES})"),
+                });
+            }
+            declared_nodes = Some(n);
+            continue;
+        }
+        let u: NodeId = first.parse().map_err(|e| GraphError::Parse {
+            line: lineno,
+            msg: format!("bad node id {first:?}: {e}"),
+        })?;
+        let vtok = parts.next().ok_or_else(|| GraphError::Parse {
+            line: lineno,
+            msg: "expected two node ids".into(),
+        })?;
+        let v: NodeId = vtok.parse().map_err(|e| GraphError::Parse {
+            line: lineno,
+            msg: format!("bad node id {vtok:?}: {e}"),
+        })?;
+        if parts.next().is_some() {
+            return Err(GraphError::Parse {
+                line: lineno,
+                msg: "trailing tokens after edge".into(),
+            });
+        }
+        let top = u.max(v);
+        if top as usize >= MAX_NODES {
+            return Err(GraphError::Parse {
+                line: lineno,
+                msg: format!(
+                    "node id {top} needs a node count past the id space (at most {MAX_NODES})"
+                ),
+            });
+        }
+        if max_id.is_none_or(|(m, _)| top > m) {
+            max_id = Some((top, lineno));
+        }
+        edges.push((u, v));
+    }
+    let n = match (declared_nodes, max_id) {
+        (Some(n), Some((top, line))) if n <= top as usize => {
+            return Err(GraphError::Parse {
+                line,
+                msg: format!("declared nodes {n} smaller than max id {top}"),
+            })
+        }
+        (Some(n), _) => n,
+        (None, _) => max_id.map_or(0, |(top, _)| top as usize + 1),
+    };
+    Ok((n, edges))
+}
+
+/// The oracle reader: [`oracle_edges`] and its last line. Measured
+/// topology snapshots routinely contain both (u,v) and (v,u); treat
+/// duplicates as one undirected edge rather than failing.
+fn read_edge_list_oracle(n: usize, edges: Vec<(NodeId, NodeId)>) -> Result<Graph, GraphError> {
+    Graph::from_edges_dedup(n, edges)
+}
+
+/// Fragments of the reader fuzz's lines, `FIELD SEP FIELD END`: node
+/// ids (signed, at the edge of the id space and past it), `nodes`, `#`
+/// and junk in the field slots; every whitespace the parser trims or
+/// splits on (ASCII, U+00A0, U+3000) as separators; and line ends that
+/// add a third token, a lone `\r`, a comment, a non-UTF-8 byte, or no
+/// newline at all (gluing the line to the next). The first
+/// `CLEAN_FIELDS` fields (`CLEAN_IDS` in the second slot) and the first
+/// `CLEAN_SEPS` separators and `CLEAN_ENDS` ends only make well-formed
+/// lines, so clean cases reach the graph builders.
+const LINE_FIELDS: &[&[u8]] = &[
+    b"0",
+    b"1",
+    b"2",
+    b"3",
+    b"7",
+    b"12",
+    b"+4",
+    b"nodes",
+    b"#",
+    b"-1",
+    b"4294967294",
+    b"4294967295",
+    b"4294967296",
+    b"",
+    b"x",
+];
+const LINE_SEPS: &[&[u8]] = &[
+    b" ",
+    b" ",
+    b"\t",
+    b"  ",
+    "\u{a0}".as_bytes(),
+    "\u{3000}".as_bytes(),
+    b"\x0b",
+    b"",
+];
+const LINE_ENDS: &[&[u8]] = &[
+    b"\n",
+    b"\n",
+    b"\n",
+    b"\r\n",
+    b" \n",
+    "\u{a0}\n".as_bytes(),
+    b"\r",
+    b" 5\n",
+    b"\xff\n",
+    b"\xe3\x80\n",
+    b" # c\n",
+    b"",
+];
+const CLEAN_FIELDS: usize = 9;
+const CLEAN_IDS: usize = 7;
+const CLEAN_SEPS: usize = 7;
+const CLEAN_ENDS: usize = 6;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -340,5 +493,62 @@ proptest! {
             g.subgraph_mapped(&[0, n as NodeId]).map(|_| ()),
             Err(GraphError::NodeOutOfRange { node: n as NodeId, nodes: n })
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Both edge-list readers agree with the oracle on arbitrary bytes:
+    /// `read_edge_list` returns the oracle's graph (node count and
+    /// `edges()` order) or its error (variant, line and message), and
+    /// `read_edge_list_csr` returns that graph's CSR or the same error.
+    /// A valid file declaring more than 2^16 nodes (an id near
+    /// `u32::MAX`) is checked up to its node count only: neither reader
+    /// can build a 4·10⁹-node graph here.
+    #[test]
+    fn edge_list_readers_match_the_oracle(
+        clean in 0..2usize,
+        lines in proptest::collection::vec(
+            (0..LINE_FIELDS.len(), 0..LINE_SEPS.len(), 0..LINE_FIELDS.len(), 0..LINE_ENDS.len()),
+            0..24,
+        )
+    ) {
+        use dk_repro::graph::io::{read_edge_list, read_edge_list_csr};
+        let pick = |table: &[&'static [u8]], i: usize, clean_len: usize| {
+            table[if clean == 1 { i % clean_len } else { i }]
+        };
+        let bytes: Vec<u8> = lines
+            .iter()
+            .flat_map(|&(a, sep, b, end)| {
+                [
+                    pick(LINE_FIELDS, a, CLEAN_FIELDS),
+                    pick(LINE_SEPS, sep, CLEAN_SEPS),
+                    pick(LINE_FIELDS, b, CLEAN_IDS),
+                    pick(LINE_ENDS, end, CLEAN_ENDS),
+                ]
+                .concat()
+            })
+            .collect();
+        let want = match oracle_edges(bytes.as_slice()) {
+            Ok((n, _)) if n > 1 << 16 => return Ok(()),
+            Ok((n, edges)) => read_edge_list_oracle(n, edges),
+            Err(e) => Err(e),
+        };
+        let got = read_edge_list(bytes.as_slice());
+        let csr = read_edge_list_csr(bytes.as_slice());
+        match &want {
+            Ok(g) => {
+                prop_assert!(got.is_ok(), "{:?}: {:?}", bytes, got);
+                let h = got.as_ref().ok();
+                prop_assert_eq!(h.map(Graph::node_count), Some(g.node_count()), "{:?}", bytes);
+                prop_assert_eq!(h.map(Graph::edges), Some(g.edges()), "{:?}", bytes);
+                prop_assert_eq!(csr, Ok(CsrGraph::from_graph(g)), "{:?}", bytes);
+            }
+            Err(e) => {
+                prop_assert_eq!(got.as_ref().err(), Some(e), "{:?}", bytes);
+                prop_assert_eq!(csr.as_ref().err(), Some(e), "{:?}", bytes);
+            }
+        }
     }
 }

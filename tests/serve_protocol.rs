@@ -198,16 +198,18 @@ fn mutation_invalidates_warm_cache_and_memo() {
 
     let first = assert_ok(&handle_line(&reg, metric));
     assert_eq!(counter_snapshot(&reg), (1, 0, 0, 0), "first: computed");
-    // karate is connected: the warm cache analyzes the registry's own
-    // snapshot, not a copy of it
+    // karate is connected: the warm cache analyzes the CSR frozen from
+    // the registry's snapshot, not a GCC copy of it
     {
         let slot = reg.slot("k").expect("loaded");
         let state = dk_serve::registry::lock(&slot);
         let warm = state.warm.as_ref().expect("cold read leaves a warm cache");
-        assert!(
-            std::ptr::eq(warm.cache.graph(), &*state.graph),
-            "warm cache shares the snapshot"
+        assert_eq!(
+            warm.cache.graph(),
+            &dk_repro::graph::CsrGraph::from_graph(&state.graph),
+            "warm cache analyzes the snapshot's CSR"
         );
+        assert_eq!(warm.cache.gcc_fraction(), 1.0);
     }
     let repeat = assert_ok(&handle_line(&reg, metric));
     assert_eq!(counter_snapshot(&reg), (1, 0, 1, 0), "repeat: memo hit");

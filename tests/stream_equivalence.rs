@@ -265,7 +265,7 @@ fn bare_cache_fallbacks_equal_prepared_deps_bitwise() {
                 samples: 16,
                 ..Default::default()
             };
-            let bare = AnalysisCache::bare(&g, &opts);
+            let bare = AnalysisCache::build(&g, &[], &opts);
             for name in names {
                 let metric = AnyMetric::get(name).unwrap();
                 let prepared = AnalysisCache::build(&g, &[metric], &opts);
