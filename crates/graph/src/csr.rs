@@ -309,31 +309,6 @@ impl CsrGraph {
         &self.targets[lo..hi]
     }
 
-    /// The span of `u`'s neighbor list in the flat target array: the
-    /// `(lo, hi)` pair with `targets_in((lo, hi)) == neighbors(u)`.
-    ///
-    /// A traversal that reads the span when it discovers a node and keeps
-    /// it beside the node in its queue can scan the list later without a
-    /// second, random `offsets` load.
-    ///
-    /// # Panics
-    /// Panics if `u` is out of range.
-    #[inline]
-    pub fn span(&self, u: NodeId) -> (u32, u32) {
-        (self.offsets[u as usize], self.offsets[u as usize + 1])
-    }
-
-    /// The targets in a span returned by [`CsrGraph::span`] — the
-    /// neighbor slice of the node the span was read from.
-    ///
-    /// # Panics
-    /// Panics if the span does not lie within this snapshot's target
-    /// array (a span read from another snapshot may).
-    #[inline]
-    pub fn targets_in(&self, (lo, hi): (u32, u32)) -> &[NodeId] {
-        &self.targets[lo as usize..hi as usize]
-    }
-
     /// Degree of node `u`.
     #[inline]
     pub fn degree(&self, u: NodeId) -> usize {
@@ -445,7 +420,6 @@ mod tests {
         assert_eq!(csr.max_degree(), g.max_degree());
         for u in g.nodes() {
             assert_eq!(csr.neighbors(u), g.neighbors(u), "node {u}");
-            assert_eq!(csr.targets_in(csr.span(u)), csr.neighbors(u), "node {u}");
             assert_eq!(csr.degree(u), g.degree(u));
         }
     }
@@ -550,7 +524,6 @@ mod tests {
         let csr = CsrGraph::from_graph(&g);
         assert_eq!(csr.neighbors(3), &[] as &[NodeId]);
         assert_eq!(csr.degree(3), 0);
-        assert_eq!(csr.span(3), (4, 4));
         snapshot_matches(&g);
     }
 

@@ -100,7 +100,7 @@ const ORDERED_MERGE_ALLOW: &[(&str, &str)] = &[
     ),
     (
         "crates/metrics/src/sketch.rs",
-        "registers are integer max-merges; N(t) sums run sequentially in node order; sketch_tolerance",
+        "registers are integer max-merges; each N(t) adds the per-node estimates in node order as shards fold in shard order; kernel_equivalence + sketch_tolerance",
     ),
     (
         "crates/metrics/src/analyzer.rs",

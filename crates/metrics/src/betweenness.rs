@@ -17,6 +17,7 @@ use crate::distance::default_threads;
 use crate::sampled::{self, SampledTraversal};
 use crate::stream::{run_sharded_fold, DEFAULT_SHARDS};
 use dk_graph::{AdjacencyView, CsrGraph, Graph, NodeId};
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -26,8 +27,8 @@ use std::ops::Range;
 /// [`DistanceDistribution::from_graph`](crate::distance::DistanceDistribution::from_graph))
 /// and the greatest finite distance, in one sweep.
 ///
-/// Each worker streams its source shards over the snapshot into a
-/// compact `BrandesSums` partial (betweenness accumulation,
+/// Each worker streams its source shards over a BFS-ordered copy of the
+/// snapshot into a compact `BrandesSums` partial (betweenness accumulation,
 /// distance-histogram merge, eccentricity max-merge), and partials fold
 /// into one global accumulator in shard order — in-flight memory
 /// `O(workers · n)`, with no per-source n-vector beyond the worker's
@@ -100,20 +101,105 @@ struct Flow {
     delta: f64,
 }
 
-/// A queued node and its CSR span, read once when the node is
-/// discovered.
+/// A queued node and its row span in the [`BfsOrdered`] copy, read once
+/// when the node is discovered.
 #[derive(Clone, Copy)]
 struct Visit {
     node: NodeId,
     span: (u32, u32),
 }
 
+/// Marks a node [`BfsOrdered::new`] has not numbered yet.
+const UNPLACED: NodeId = NodeId::MAX;
+
+/// The analyzed CSR renumbered in BFS order, the graph every Brandes
+/// shard reads. New id `i` is the `i`-th node a BFS discovers, starting
+/// from the node of highest degree (the lowest id on ties), then from the
+/// lowest unnumbered id of each further component; the BFS scans each
+/// row in the source's order. Row `to_new[u]` is the source row of `u`,
+/// each target mapped through `to_new`, **in the source row's order**.
+///
+/// A Brandes BFS from `to_new[s]` therefore discovers `to_new` of the
+/// nodes the same BFS from `s` discovers, in the same order, and every
+/// σ/δ operation keeps its operands and its place in the sequence: the
+/// sums are bit-identical, only their ids are renumbered. What changes
+/// is locality: the nodes of one BFS level, and their σ/δ slots, sit
+/// close together instead of at arrival-order ids spread over the whole
+/// array. The rows are not sorted, so this is not a [`CsrGraph`].
+struct BfsOrdered {
+    /// Row `u` is `targets[offsets[u]..offsets[u + 1]]`.
+    offsets: Vec<u32>,
+    targets: Vec<NodeId>,
+}
+
+impl BfsOrdered {
+    /// The copy of `g` and its id map `to_new` (old id → new id).
+    fn new(g: &CsrGraph) -> (Self, Vec<NodeId>) {
+        let n = g.node_count();
+        let mut to_new = vec![UNPLACED; n];
+        // order[i] = the source id of new node i
+        let mut order: Vec<NodeId> = Vec::with_capacity(n);
+        // the first of the highest-degree nodes: the lowest id on ties
+        let hub = (0..n as NodeId).min_by_key(|&v| Reverse(g.degree(v)));
+        for root in hub.into_iter().chain(0..n as NodeId) {
+            if to_new[root as usize] != UNPLACED {
+                continue;
+            }
+            let mut head = order.len();
+            to_new[root as usize] = head as NodeId;
+            order.push(root);
+            while head < order.len() {
+                let u = order[head];
+                head += 1;
+                for &v in g.neighbors(u) {
+                    if to_new[v as usize] == UNPLACED {
+                        to_new[v as usize] = order.len() as NodeId;
+                        order.push(v);
+                    }
+                }
+            }
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(2 * g.edge_count());
+        offsets.push(0);
+        for &u in &order {
+            targets.extend(g.neighbors(u).iter().map(|&v| to_new[v as usize]));
+            // as many targets as the source CSR, whose offsets are u32
+            offsets.push(targets.len() as u32);
+        }
+        (BfsOrdered { offsets, targets }, to_new)
+    }
+
+    fn node_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The `(lo, hi)` span of `u`'s row in `targets`.
+    #[inline]
+    fn span(&self, u: NodeId) -> (u32, u32) {
+        (self.offsets[u as usize], self.offsets[u as usize + 1])
+    }
+
+    /// The targets in a span returned by [`BfsOrdered::span`].
+    #[inline]
+    fn targets_in(&self, (lo, hi): (u32, u32)) -> &[NodeId] {
+        &self.targets[lo as usize..hi as usize]
+    }
+}
+
 /// One shard's worth of Brandes sources: BFS + dependency
 /// back-propagation per source in `range`, accumulated into one compact
-/// [`BrandesSums`] partial. The per-source buffers are worker scratch
-/// reused across the shard, laid out so that the hot loops branch only on
-/// a cache-resident array (the kernel is memory-latency-bound at 10⁶
-/// nodes):
+/// [`BrandesSums`] partial. The kernel is memory-latency-bound at 10⁶
+/// nodes, so its data is laid out for locality:
+///
+/// * **The graph is the [`BfsOrdered`] copy**, and `sources` are ids in
+///   it. Renumbering puts each BFS level's nodes, and so its σ/δ slots
+///   and level codes, close together; keeping every row in the source
+///   row's order keeps the discovery order, and with it every f64
+///   operation, exactly as on the source CSR (see [`BfsOrdered`]).
+///
+/// The per-source buffers are worker scratch reused across the shard,
+/// laid out so that the hot loops branch only on a cache-resident array:
 ///
 /// * **A one-byte level code per node** (`code`) holds the BFS depth
 ///   mod 3, or [`UNSEEN`]. A neighbour of a depth-`d` node sits at depth
@@ -132,15 +218,15 @@ struct Visit {
 ///   level, keeping each level's start: the reverse sweep runs the
 ///   levels deepest first, each back to front — the exact reverse BFS
 ///   order — and knows every node's depth without a lookup. Each entry
-///   carries its node's CSR span, read at discovery, so neither sweep
+///   carries its node's row span, read at discovery, so neither sweep
 ///   waits on a random `offsets` load before scanning a node.
 ///
 /// Every f64 operation — each σ add, each `(1 + δ_w) / σ_w`, each δ and
 /// betweenness add — happens in the same order as in the textbook
-/// kernel with an `i32` distance array and per-source fills, so the sums
-/// are bit-identical to it (`tests/kernel_equivalence.rs` keeps that
-/// kernel as its oracle).
-fn brandes_shard(g: &CsrGraph, sources: &[NodeId], range: Range<u32>) -> BrandesSums {
+/// kernel with an `i32` distance array and per-source fills on the
+/// source CSR, so the sums are bit-identical to it
+/// (`tests/kernel_equivalence.rs` keeps that kernel as its oracle).
+fn brandes_shard(g: &BfsOrdered, sources: &[NodeId], range: Range<u32>) -> BrandesSums {
     let n = g.node_count();
     let mut out = BrandesSums::zero(n);
     let mut code = vec![UNSEEN; n];
@@ -239,6 +325,12 @@ fn brandes_shard(g: &CsrGraph, sources: &[NodeId], range: Range<u32>) -> Brandes
 /// The pass behind both the exact betweenness (sources = all nodes) and
 /// the Brandes–Pich estimator of [`crate::sampled`] (sources = K
 /// pivots).
+///
+/// The shards read a [`BfsOrdered`] copy of `g`: the sources are mapped
+/// into its ids, and the betweenness sums back out of them, so the
+/// caller sees `g`'s ids throughout. The copy and its id map are the
+/// bytes [`stream::brandes_copy_bytes`](crate::stream::brandes_copy_bytes)
+/// charges.
 pub(crate) fn brandes_over_sources_sharded(
     g: &CsrGraph,
     sources: &[NodeId],
@@ -248,15 +340,20 @@ pub(crate) fn brandes_over_sources_sharded(
     let n = g.node_count();
     let k = sources.len();
     let threads = threads.clamp(1, k.max(1));
-    run_sharded_fold(
+    let (copy, to_new) = BfsOrdered::new(g);
+    let sources: Vec<NodeId> = sources.iter().map(|&s| to_new[s as usize]).collect();
+    let mut sums = run_sharded_fold(
         k as u32,
         shards,
         1,
         threads,
-        |range| brandes_shard(g, sources, range),
+        |range| brandes_shard(&copy, &sources, range),
         BrandesSums::zero(n),
         |acc, p| acc.merge(p),
-    )
+    );
+    drop(copy);
+    sums.bc = to_new.iter().map(|&v| sums.bc[v as usize]).collect();
+    sums
 }
 
 /// Exact node betweenness, **unordered-pair convention**: each `{s, t}`

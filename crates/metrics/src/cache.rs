@@ -36,14 +36,19 @@
 //! * **Triangles** are censused once for `c_mean`/`c_k`/`transitivity`.
 //! * **Neighborhood sketches** ([`crate::sketch`]) iterate once at
 //!   [`AnalyzeOptions::sketch_bits`] register bits for the `*_sketch`
-//!   metrics — every round a sharded pass over the same CSR.
+//!   metrics — every round a sharded pass over the same CSR. The sketch
+//!   pass runs before the traversal passes, so its two register files,
+//!   the largest allocation of a run, never sit beside traversal
+//!   scratch the workers' allocator arenas still hold.
 //! * Every traversal-shaped pass runs through the sharded fold of
 //!   [`crate::stream`] with the resolved [`ExecPlan`]: per-shard partials
 //!   fold into `O(n)` reducers in shard order, the shard count fixes the
 //!   f64 merge tree, and the worker count is the thread budget capped by
-//!   [`AnalyzeOptions::memory_budget`]. Each pass owns that worker budget
-//!   while it runs; passes execute sequentially so an explicit `threads`
-//!   cap is never oversubscribed.
+//!   [`AnalyzeOptions::memory_budget`], which first pays the snapshot,
+//!   the accumulator and, when a Brandes pass runs, its BFS-ordered copy
+//!   ([`stream::brandes_copy_bytes`]). Each pass owns that worker
+//!   budget while it runs; passes execute sequentially so an explicit
+//!   `threads` cap is never oversubscribed.
 //!
 //! Metrics computed outside an [`Analyzer`](crate::analyzer::Analyzer)
 //! run (no prepared dep) fall back to computing on demand through the
@@ -215,7 +220,12 @@ impl<'g> AnalysisCache<'g> {
             }
             GccPolicy::Whole => (input, 1.0, false),
         };
-        let exec = stream::plan(graph.node_count(), graph.edge_count(), opts);
+        let (n, m) = (graph.node_count(), graph.edge_count());
+        let mut fixed = stream::fixed_bytes(n, m);
+        if deps.iter().any(|d| d.runs_brandes()) {
+            fixed += stream::brandes_copy_bytes(n, m);
+        }
+        let exec = stream::plan_after(fixed, n, opts);
         let (shards, workers) = (exec.shards, exec.workers);
         let g: &CsrGraph = &graph;
         // Passes run one after another; the heavy ones (traversal) use
@@ -226,6 +236,13 @@ impl<'g> AnalysisCache<'g> {
         let triangles = deps
             .contains(&Dep::Triangles)
             .then(|| clustering::triangles_per_node(g));
+        // the sketch pass runs before the traversal passes: its two
+        // register files are the run's largest allocation, and freed
+        // traversal scratch left in the workers' allocator arenas would
+        // otherwise sit beside them
+        let sketch = deps.contains(&Dep::Sketch).then(|| {
+            sketch::hyper_anf_sharded(g, opts.sketch_bits, opts.sketch_rounds, shards, workers)
+        });
         // one pass per source set: Brandes when a betweenness reader is
         // selected (its histogram serves the distance readers), the
         // batched distance histogram otherwise
@@ -242,9 +259,6 @@ impl<'g> AnalysisCache<'g> {
         };
         let exact = pass(g.node_count(), Dep::Betweenness, Dep::Distances);
         let pivots = pass(opts.samples, Dep::Sampled, Dep::SampledDistances);
-        let sketch = deps.contains(&Dep::Sketch).then(|| {
-            sketch::hyper_anf_sharded(g, opts.sketch_bits, opts.sketch_rounds, shards, workers)
-        });
         let spectral = deps
             .contains(&Dep::Spectral)
             .then(|| spectral_of(g, opts.lanczos_iter));

@@ -38,10 +38,8 @@ pub fn triangles_per_node<V: AdjacencyView + ?Sized>(g: &V) -> Vec<usize> {
             }
         }
     }
-    // each triangle {u,v,w} was seen from all 3 of its edges, each time
-    // crediting the opposite vertex once → every vertex counted exactly
-    // once per edge pair = 2×? No: triangle edges (u,v),(u,w),(v,w) credit
-    // w, v, u respectively — each vertex exactly once. No correction needed.
+    // each triangle's three edges credit its three opposite vertices, so
+    // every vertex of a triangle is counted exactly once
     t
 }
 

@@ -80,7 +80,7 @@
 //! |------|-------|--------------------------|
 //! | `trivial`, `linear` | single pass over the CSR | O(n + m) |
 //! | `sampled` | the `all-pairs` route from K pivots instead of all n nodes | **O(workers·n)** |
-//! | `sketch` | ≤ diameter rounds of register unions through the shard executor | **n·2^b bytes** per register file (×2 per round: Jacobi double buffer), error 1.04/√2^b |
+//! | `sketch` | ≤ diameter rounds of register unions through the shard executor | **n·2^b bytes** per register file (×2 per run: Jacobi double buffer), error 1.04/√2^b |
 //! | `incremental` | reverse union-find percolation sweep over the CSR ([`crate::attack`]) | O(n) forest + trajectory |
 //! | `all-pairs` | n sources through the shard executor: per-source Brandes when a betweenness metric is selected, else batched BFS, 64 sources per sweep | **O(workers·n)** |
 //! | `spectral` | Lanczos three-term recurrence on the sparse Laplacian (dense Jacobi below cutoff) | O(n + m) Laplacian + O(n) iteration vectors; **16·n² bytes** on the dense path ([`spectral::spectral_bytes`](crate::spectral::spectral_bytes)) |
@@ -91,9 +91,12 @@
 //! charges `40n` bytes of Brandes scratch, which also covers the
 //! batched BFS scratch of the distance-only passes (three `u64` words
 //! and two frontier lists per node, at most `32n` bytes), plus `2·n/8`
-//! bytes of slack. `Analyzer::memory_budget` (CLI `--memory-budget`)
-//! caps the worker count against that model; results are bit-identical
-//! for every worker count at a given shard count.
+//! bytes of slack. A Brandes pass also holds one BFS-ordered copy of the
+//! graph and its id map, whatever its worker count
+//! ([`stream::brandes_copy_bytes`](crate::stream::brandes_copy_bytes)).
+//! `Analyzer::memory_budget` (CLI `--memory-budget`) caps the worker
+//! count against that model; results are bit-identical for every worker
+//! count at a given shard count.
 
 use crate::cache::AnalysisCache;
 use crate::{betweenness, clustering, jdd, kcore, likelihood, richclub};
@@ -240,6 +243,15 @@ impl Dep {
             self,
             Dep::Distances | Dep::Betweenness | Dep::Sampled | Dep::SampledDistances | Dep::Sketch
         )
+    }
+
+    /// Whether this dep's pass is a Brandes pass, the one that holds a
+    /// BFS-ordered copy of the graph
+    /// ([`stream::brandes_copy_bytes`](crate::stream::brandes_copy_bytes)):
+    /// the cache's worker plan and `dk serve`'s admission charge the
+    /// copy when a selected metric declares such a dep.
+    pub fn runs_brandes(self) -> bool {
+        matches!(self, Dep::Betweenness | Dep::Sampled)
     }
 }
 

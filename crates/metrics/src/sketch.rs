@@ -44,20 +44,23 @@
 //! * Rounds run as sharded passes over the analyzed
 //!   [`CsrGraph`] through the same streaming
 //!   machinery as the exact traversals ([`crate::stream`] →
-//!   [`dk_graph::ensemble::run_fold`]): in-flight partials are bounded
-//!   by the worker count, and the memory budget / worker caps of the
-//!   analyzer plan apply unchanged.
+//!   [`dk_graph::ensemble::run_fold`]): each shard writes its node
+//!   range of the next register file in place, and the memory budget /
+//!   worker caps of the analyzer plan apply unchanged.
 //!
 //! ## Memory
 //!
-//! The register file is `n · 2^b` bytes; a round holds the previous and
-//! the next file simultaneously (the Jacobi buffer the determinism
-//! contract requires), so the pass peaks at `2 · n · 2^b` bytes plus
-//! `O(workers · shard)` partial blocks.
+//! The register file is `n · 2^b` bytes. A run allocates two files
+//! once, the previous round's and the next (the Jacobi buffer the
+//! determinism contract requires), and swaps them after every round:
+//! each shard writes its node range of the next file in place, so the
+//! pass peaks at `2 · n · 2^b` bytes plus one `f64` estimate per node of
+//! the shards in flight.
 
-use crate::stream::run_sharded_fold;
+use crate::stream::{run_sharded_fold, shard_layout};
 use dk_graph::CsrGraph;
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Smallest supported register-bit count (`m = 16` registers).
 pub const MIN_SKETCH_BITS: u32 = 4;
@@ -211,50 +214,19 @@ impl HllSketch {
     }
 }
 
-/// Byte-wise unsigned max of two `u64`s holding 8 packed `u8` registers
-/// — the SWAR (SIMD-within-a-register) core of [`union_registers`], on
-/// stable Rust with no `std::simd`. With `H` the per-byte high-bit
-/// mask: the low-7-bit comparison `(x | H) − (y & !H)` can never borrow
-/// across byte lanes (each lane computes `low7(x) + 128 − low7(y) ≥ 1`),
-/// and its surviving high bit says `low7(x) ≥ low7(y)`; combining with
-/// the high bits themselves gives a per-byte `x ≥ y` flag, widened to a
-/// per-byte select mask by the `· 0xFF` carry-free multiply.
-#[inline]
-fn swar_max8(x: u64, y: u64) -> u64 {
-    const H: u64 = 0x8080_8080_8080_8080;
-    let xh = x & H;
-    let yh = y & H;
-    let low_ge = ((x | H).wrapping_sub(y & !H)) & H;
-    let ge = (xh & !yh) | (!(xh ^ yh) & low_ge);
-    let mask = (ge >> 7).wrapping_mul(0xFF);
-    (x & mask) | (y & !mask)
-}
-
 /// Elementwise register max — the union kernel shared by [`HllSketch`]
-/// and the HyperANF round. Registers are processed 8 at a time via
-/// `swar_max8` (register files are `2^b ≥ 16` bytes, so the scalar
-/// tail only runs for ad-hoc slices); equality with the scalar
-/// byte-loop oracle on arbitrary register files is locked down by
-/// `proptests::swar_union_matches_scalar_oracle`. Exposed for that
-/// oracle; semantically it is exactly the per-byte
-/// `if *d < *s { *d = *s }` loop.
+/// and the HyperANF round: the per-byte `if *d < *s { *d = *s }` loop,
+/// written as a `max` the compiler turns into packed byte-max
+/// instructions. `proptests::swar_union_matches_scalar_oracle` holds it
+/// to that loop on arbitrary register files.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
 #[inline]
 pub fn union_registers(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "union of mismatched register files");
-    let mut dc = dst.chunks_exact_mut(8);
-    let mut sc = src.chunks_exact(8);
-    for (d, s) in (&mut dc).zip(&mut sc) {
-        let x = u64::from_le_bytes(d.try_into().expect("8-byte chunk"));
-        let y = u64::from_le_bytes(s.try_into().expect("8-byte chunk"));
-        d.copy_from_slice(&swar_max8(x, y).to_le_bytes());
-    }
-    for (d, s) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
-        if *d < *s {
-            *d = *s;
-        }
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = (*d).max(s);
     }
 }
 
@@ -305,18 +277,23 @@ impl NodeSketches {
     }
 }
 
-/// One shard's worth of a HyperANF round: for every node in `range`,
-/// union the **previous** round's own counter with the previous
-/// counters of its neighbors. Returns the shard's new register block
-/// plus whether any register changed (the convergence reducer).
-fn union_shard(g: &CsrGraph, prev: &NodeSketches, range: Range<u32>) -> (Vec<u8>, bool) {
+/// One shard's worth of a HyperANF round, written in place: for every
+/// node in `range`, `block` (the range's slice of the next register
+/// file) gets the union of the **previous** round's own counter with the
+/// previous counters of its neighbors. Returns those nodes' estimates in
+/// node order, plus whether any register changed (the convergence
+/// reducer).
+fn union_shard(
+    g: &CsrGraph,
+    prev: &NodeSketches,
+    range: Range<u32>,
+    block: &mut [u8],
+) -> (Vec<f64>, bool) {
     let m = 1usize << prev.bits;
-    let mut block = Vec::with_capacity(range.len() * m);
+    let mut estimates = Vec::with_capacity(range.len());
     let mut changed = false;
-    for v in range {
-        let base = block.len();
-        block.extend_from_slice(prev.node(v));
-        let dst = &mut block[base..];
+    for (v, dst) in range.zip(block.chunks_exact_mut(m)) {
+        dst.copy_from_slice(prev.node(v));
         for &w in g.neighbors(v) {
             union_registers(dst, prev.node(w));
         }
@@ -326,16 +303,49 @@ fn union_shard(g: &CsrGraph, prev: &NodeSketches, range: Range<u32>) -> (Vec<u8>
         if !changed {
             changed = dst != prev.node(v);
         }
+        estimates.push(estimate_registers(dst, prev.bits));
     }
-    (block, changed)
+    (estimates, changed)
 }
 
-/// Shard-order merge of round partials: blocks concatenate back into a
-/// full register file (shards are contiguous node ranges in order), the
-/// change flags OR together.
-fn merge_round(acc: &mut (Vec<u8>, bool), partial: (Vec<u8>, bool)) {
-    acc.0.extend_from_slice(&partial.0);
-    acc.1 |= partial.1;
+/// One HyperANF round over `prev`, written into `next` (a file of the
+/// same size): each shard fills its node range of `next` through its
+/// own slot of `chunks_mut`, which only that shard locks. Returns
+/// `N(t)`, the estimates added one by one in node order as the shards
+/// fold in shard order, and whether any register changed.
+fn union_round(
+    g: &CsrGraph,
+    prev: &NodeSketches,
+    next: &mut [u8],
+    shards: usize,
+    threads: usize,
+) -> (f64, bool) {
+    let n = g.node_count() as u32;
+    let (len, _) = shard_layout(n, shards, 1);
+    let slots: Vec<Mutex<&mut [u8]>> = next
+        .chunks_mut((len as usize) << prev.bits)
+        .map(Mutex::new)
+        .collect();
+    run_sharded_fold(
+        n,
+        shards,
+        1,
+        threads,
+        |range: Range<u32>| {
+            let slot = &slots[(range.start / len) as usize];
+            let mut block = slot
+                .lock()
+                .expect("a slot is locked once per round, by its own shard");
+            union_shard(g, prev, range, &mut block)
+        },
+        (0.0f64, false),
+        |acc, (estimates, changed)| {
+            for e in estimates {
+                acc.0 += e;
+            }
+            acc.1 |= changed;
+        },
+    )
 }
 
 /// The HyperANF result: the estimated neighborhood function and the
@@ -434,12 +444,14 @@ impl HyperAnf {
     }
 }
 
-/// HyperANF with an explicit shard count: each round's shard blocks
-/// fold into the next register file in shard order as workers finish
-/// ([`dk_graph::ensemble::run_fold`] via [`crate::stream`]), so
-/// in-flight partials are bounded by the worker count. Since registers
-/// are integer max-merges and the `N(t)` sums run in fixed node order,
-/// the result is identical for **any** shard and thread count.
+/// HyperANF with an explicit shard count: the run allocates its two
+/// register files once, and each round's shards write their node ranges
+/// of the next file in place and estimate those nodes; the estimates
+/// fold into `N(t)` in node order as the shards fold in shard order
+/// ([`dk_graph::ensemble::run_fold`] via [`crate::stream`]). Since
+/// registers are integer max-merges and every `N(t)` is one left fold
+/// over nodes `0..n`, the result is identical for **any** shard and
+/// thread count.
 pub fn hyper_anf_sharded(
     g: &CsrGraph,
     bits: u32,
@@ -457,31 +469,20 @@ pub fn hyper_anf_sharded(
     }
     let threads = threads.clamp(1, n);
     let mut cur = NodeSketches::init(n, bits);
+    let mut next = vec![0u8; cur.regs.len()];
     let mut neighborhood = vec![cur.sum_estimates()];
     let mut converged = false;
     for _round in 1..=max_rounds.max(1) {
-        let (next, changed) = run_sharded_fold(
-            n as u32,
-            shards,
-            1,
-            threads,
-            |range: Range<u32>| union_shard(g, &cur, range),
-            (Vec::with_capacity(cur.regs.len()), false),
-            merge_round,
-        );
+        let (sum, changed) = union_round(g, &cur, &mut next, shards, threads);
         if !changed {
             // fixpoint: this round's file equals the last one, so its
             // estimate adds no information — stop without recording it
             converged = true;
             break;
         }
-        cur = NodeSketches {
-            bits,
-            nodes: n,
-            regs: next,
-        };
+        std::mem::swap(&mut cur.regs, &mut next);
         let prev = *neighborhood.last().expect("N(0) recorded");
-        neighborhood.push(cur.sum_estimates().max(prev));
+        neighborhood.push(sum.max(prev));
     }
     HyperAnf {
         bits,
@@ -635,28 +636,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn swar_union_agrees_with_scalar_loop() {
-        // deterministic pseudo-random register files, including the
-        // byte-boundary cases 0x00/0x7F/0x80/0xFF in both operands
-        let mut a: Vec<u8> = (0..64u64).map(|i| (node_hash(i) & 0xFF) as u8).collect();
-        let b: Vec<u8> = (0..64u64)
-            .map(|i| (node_hash(i + 1000) & 0xFF) as u8)
-            .collect();
-        for (i, v) in [0x00, 0x7F, 0x80, 0xFF].into_iter().enumerate() {
-            a[i] = v;
-            a[i + 4] = 0x80;
-        }
-        let mut expect = a.clone();
-        for (d, s) in expect.iter_mut().zip(&b) {
-            if *d < *s {
-                *d = *s;
-            }
-        }
-        union_registers(&mut a, &b);
-        assert_eq!(a, expect);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   source count and the shard count — never of the worker count
 //!   ([`DEFAULT_SHARDS`] reproduces the historical chunking exactly).
 //! * **Streaming reducers**: each worker streams its shard over the
-//!   shared frozen [`CsrGraph`](dk_graph::CsrGraph) into compact
+//!   shared frozen [`CsrGraph`](dk_graph::CsrGraph) (the Brandes passes
+//!   over one shared BFS-ordered copy of it) into compact
 //!   per-shard state — a distance histogram, an `O(n)` betweenness
 //!   partial, a max-merged eccentricity — and partials fold into **one**
 //!   global accumulator in strict shard order
@@ -121,10 +122,11 @@ pub struct ExecPlan {
 /// `O(diameter)` — noise.
 ///
 /// Total traversal memory is `workers × per_worker_bytes` plus
-/// [`fixed_bytes`], never a function of the shard count.
+/// [`fixed_bytes`] (and [`brandes_copy_bytes`] for a Brandes pass),
+/// never a function of the shard count.
 pub fn per_worker_bytes(n: usize) -> u64 {
     // bc 8 + sigma/delta 16 + level code 1 + queue entry 12 (node and
-    // its CSR span) = 37 B/node; round up to 40 for allocator slack and
+    // its row span) = 37 B/node; round up to 40 for allocator slack and
     // the histogram. The distance-only passes (exact and sampled) run
     // the batched kernel, whose `BatchScratch` — three u64 words plus
     // two frontier node lists, at most 32 B/node — fits inside the same
@@ -146,6 +148,20 @@ pub fn fixed_bytes(n: usize, edges: usize) -> u64 {
     snapshot + accumulator
 }
 
+/// Bytes a Brandes pass (exact or sampled betweenness) holds on top of
+/// [`fixed_bytes`], whatever its worker count: the BFS-ordered copy of
+/// the analyzed graph its shards read (the snapshot's layout again,
+/// `4(n+1) + 8m`) and the `4n`-byte id map that renumbers the pivots
+/// into the copy and the betweenness back out. Charged up front
+/// wherever a Brandes pass runs: by the cache's worker plan when a
+/// metric needs one ([`Dep::runs_brandes`](crate::metric::Dep::runs_brandes))
+/// and by `dk serve`'s admission check.
+pub fn brandes_copy_bytes(n: usize, edges: usize) -> u64 {
+    let copy = 4 * (n as u64 + 1) + 8 * edges as u64;
+    let id_map = 4 * n as u64;
+    copy + id_map
+}
+
 /// Resolves the execution plan for one analyzer run over an analyzed
 /// graph of `n` nodes and `edges` edges: the shard count (`opts.shards`,
 /// default [`DEFAULT_SHARDS`]) and the worker count, from the thread
@@ -153,15 +169,23 @@ pub fn fixed_bytes(n: usize, edges: usize) -> u64 {
 /// worker-independent [`fixed_bytes`] (snapshot + global accumulator),
 /// then lowers the worker count until the per-worker scratch fits the
 /// remainder — never below 1 worker, the floor the pass needs to run at
-/// all.
+/// all. This is the plan of a run without a Brandes pass; the cache adds
+/// [`brandes_copy_bytes`] to the fixed charge when it runs one.
 pub fn plan(n: usize, edges: usize, opts: &AnalyzeOptions) -> ExecPlan {
+    plan_after(fixed_bytes(n, edges), n, opts)
+}
+
+/// [`plan`] with the worker-independent bytes `fixed` given: a
+/// `memory_budget` pays them first, and only the remainder buys
+/// workers.
+pub(crate) fn plan_after(fixed: u64, n: usize, opts: &AnalyzeOptions) -> ExecPlan {
     let mut workers = if opts.threads == 0 {
         default_threads()
     } else {
         opts.threads
     };
     if let Some(budget) = opts.memory_budget {
-        let scratch = budget.saturating_sub(fixed_bytes(n, edges));
+        let scratch = budget.saturating_sub(fixed);
         let fit = scratch / per_worker_bytes(n).max(1);
         workers = workers.min(fit.max(1) as usize);
     }
@@ -279,5 +303,13 @@ mod tests {
             },
         );
         assert_eq!(tiny.workers, 1);
+        // a Brandes pass pays its copy before it buys workers: the
+        // budget that bought 3 workers above buys 2
+        let brandes = fixed_bytes(n, m) + brandes_copy_bytes(n, m);
+        let opts = AnalyzeOptions {
+            memory_budget: Some(fixed_bytes(n, m) + per_worker_bytes(n) * 3),
+            ..opts_threads(8)
+        };
+        assert_eq!(plan_after(brandes, n, &opts).workers, 2);
     }
 }

@@ -32,8 +32,10 @@
 //! [`Registry::admit`] prices a request before any allocation using the
 //! exact byte model the sharded executor plans with
 //! ([`dk_metrics::stream::fixed_bytes`] /
-//! [`dk_metrics::stream::per_worker_bytes`]), plus HyperANF register
-//! sheets when a sketch metric is selected and the spectral solver's
+//! [`dk_metrics::stream::per_worker_bytes`]), plus the Brandes pass's
+//! BFS-ordered graph copy ([`dk_metrics::stream::brandes_copy_bytes`])
+//! when a betweenness metric is selected, HyperANF register sheets when
+//! a sketch metric is, and the spectral solver's
 //! working set ([`dk_metrics::spectral::spectral_bytes`]: the dense
 //! matrices below the Lanczos cutoff, the sparse Laplacian and a few
 //! n-vectors above it) when `lambda1` or `lambda_n` is. The spectral
@@ -324,6 +326,13 @@ impl Registry {
         };
         let mut min_bytes = dk_metrics::stream::fixed_bytes(nodes, edges)
             .saturating_add(dk_metrics::stream::per_worker_bytes(nodes));
+        if metrics
+            .iter()
+            .any(|m| m.deps().iter().any(|d| d.runs_brandes()))
+        {
+            min_bytes =
+                min_bytes.saturating_add(dk_metrics::stream::brandes_copy_bytes(nodes, edges));
+        }
         if metrics.iter().any(|m| m.cost() == Cost::Sketch) {
             let registers = (nodes as u64)
                 .saturating_mul(1u64 << sketch_bits)
@@ -564,6 +573,29 @@ mod tests {
         assert!(err.message.contains(&spectral_floor.to_string()));
         // so is the paper battery (`metrics: default`), which includes it
         assert!(reg.admit(n, m, &AnyMetric::default_set(), 8, None).is_err());
+    }
+
+    #[test]
+    fn admission_prices_the_brandes_copy_in() {
+        let metric = |name: &str| -> Vec<AnyMetric> {
+            AnyMetric::all().filter(|m| m.name() == name).collect()
+        };
+        let n = 10_000;
+        let m = 20_000;
+        let plain_floor =
+            dk_metrics::stream::fixed_bytes(n, m) + dk_metrics::stream::per_worker_bytes(n);
+        let brandes_floor = plain_floor + dk_metrics::stream::brandes_copy_bytes(n, m);
+        // a budget between the two floors: the batched distance pass
+        // fits, the Brandes pass and its BFS-ordered copy do not
+        let reg = Registry::new(Some((plain_floor + brandes_floor) / 2), 1);
+        assert_eq!(metric("distance_approx").len(), 1);
+        assert!(reg.admit(n, m, &metric("distance_approx"), 8, None).is_ok());
+        for name in ["betweenness_approx", "b_max"] {
+            assert_eq!(metric(name).len(), 1, "{name}");
+            let err = reg.admit(n, m, &metric(name), 8, None).unwrap_err();
+            assert_eq!(err.code, "over_budget", "{name}");
+            assert!(err.message.contains(&brandes_floor.to_string()), "{name}");
+        }
     }
 
     #[test]

@@ -17,9 +17,16 @@
 //! `b_max` / `b_k` pass, `betweenness_approx` and the betweenness attack
 //! ranking) has its own oracle: the textbook kernel with an `i32`
 //! distance per node, two per-source fills and an adjacency lookup per
-//! scanned node, kept below as it ran in the library. The library
-//! kernel must reproduce its every betweenness bit, its distance
+//! scanned node, run on the source CSR and kept below as it ran in the
+//! library. The library kernel, which runs on a BFS-renumbered copy of
+//! the graph, must reproduce its every betweenness bit, its distance
 //! histogram and its greatest depth.
+//!
+//! The HyperANF round has one too: the round as it ran before the union
+//! became a plain byte-max loop written in place — the word-packed SWAR
+//! union, one fresh register block per shard concatenated in shard
+//! order, and `N(t)` summed by one thread over the whole file. The
+//! library must reproduce every `N(t)` bit and the convergence flag.
 
 use dk_repro::graph::builders;
 use dk_repro::graph::csr::{AdjacencyView, CsrGraph};
@@ -27,7 +34,9 @@ use dk_repro::graph::traversal::{self, BatchScratch, BATCH_LANES, UNREACHABLE};
 use dk_repro::graph::{Graph, NodeId};
 use dk_repro::metrics::distance::DistanceDistribution;
 use dk_repro::metrics::sampled::{self, SampledDistances, SampledTraversal};
+use dk_repro::metrics::sketch::{self, HyperAnf};
 use dk_repro::metrics::stream::DEFAULT_SHARDS;
+use dk_repro::topologies::ba::{barabasi_albert, BaParams};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -105,6 +114,19 @@ fn disconnected(n: usize) -> Graph {
         }))
         .collect();
     Graph::from_edges(n, edges).unwrap()
+}
+
+/// The seeded Barabási–Albert graph (2 edges per new node, 3 seed
+/// nodes) at the repository's master seed: long hub rows, and a BFS
+/// order far from its arrival-order ids.
+fn ba(nodes: usize) -> Graph {
+    barabasi_albert(
+        &BaParams {
+            nodes,
+            ..Default::default()
+        },
+        &mut rand::rngs::StdRng::seed_from_u64(20060911),
+    )
 }
 
 fn zoo() -> Vec<(String, Graph)> {
@@ -365,6 +387,9 @@ fn brandes_pass_matches_parent_kernel_oracle() {
     let mut graphs = zoo();
     // depths past 255: a kernel that keeps the depth in a byte wraps
     graphs.push(("path(600)".into(), builders::path(600)));
+    // long hub rows and a BFS order far from id order: the renumbered
+    // copy must keep every row's order
+    graphs.push(("ba(2000)".into(), ba(2000)));
     for (name, g) in graphs {
         let n = g.node_count();
         let csr = CsrGraph::from_graph(&g);
@@ -380,6 +405,217 @@ fn brandes_pass_matches_parent_kernel_oracle() {
             assert_eq!(got.sources, want.sources, "{name}, k = {k}");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Oracle: the HyperANF round with a SWAR union and per-shard blocks
+// ---------------------------------------------------------------------
+
+/// HyperLogLog bias-correction constant α_m (Flajolet et al. 2007).
+fn alpha(m: usize) -> f64 {
+    match m {
+        16 => 0.673,
+        32 => 0.697,
+        64 => 0.709,
+        _ => 0.7213 / (1.0 + 1.079 / m as f64),
+    }
+}
+
+/// Register index and rank of one hashed item: the low `bits` bits pick
+/// the register, the leading-zero run of the remaining `64 − bits` bits
+/// (plus one) is the rank.
+#[inline]
+fn index_and_rank(h: u64, bits: u32) -> (usize, u8) {
+    let index = (h & ((1u64 << bits) - 1)) as usize;
+    let rank = (h >> bits).leading_zeros() + 1 - bits;
+    (index, rank as u8)
+}
+
+/// HLL cardinality estimate of one register slice, with the small-range
+/// (linear-counting) correction.
+fn estimate_registers(regs: &[u8], bits: u32) -> f64 {
+    let m = regs.len();
+    debug_assert_eq!(m, 1usize << bits);
+    let mut inv_sum = 0.0f64;
+    let mut zeros = 0usize;
+    for &r in regs {
+        inv_sum += f64::from_bits((1023u64 - u64::from(r)) << 52); // 2^-r
+        if r == 0 {
+            zeros += 1;
+        }
+    }
+    let mf = m as f64;
+    let raw = alpha(m) * mf * mf / inv_sum;
+    if raw <= 2.5 * mf && zeros > 0 {
+        mf * (mf / zeros as f64).ln()
+    } else {
+        raw
+    }
+}
+
+/// Byte-wise unsigned max of two `u64`s holding 8 packed `u8`
+/// registers (SIMD within a register).
+#[inline]
+fn swar_max8(x: u64, y: u64) -> u64 {
+    const H: u64 = 0x8080_8080_8080_8080;
+    let xh = x & H;
+    let yh = y & H;
+    let low_ge = ((x | H).wrapping_sub(y & !H)) & H;
+    let ge = (xh & !yh) | (!(xh ^ yh) & low_ge);
+    let mask = (ge >> 7).wrapping_mul(0xFF);
+    (x & mask) | (y & !mask)
+}
+
+/// Elementwise register max, 8 registers at a time.
+#[inline]
+fn union_registers(dst: &mut [u8], src: &[u8]) {
+    assert_eq!(dst.len(), src.len(), "union of mismatched register files");
+    let mut dc = dst.chunks_exact_mut(8);
+    let mut sc = src.chunks_exact(8);
+    for (d, s) in (&mut dc).zip(&mut sc) {
+        let x = u64::from_le_bytes(d.try_into().expect("8-byte chunk"));
+        let y = u64::from_le_bytes(s.try_into().expect("8-byte chunk"));
+        d.copy_from_slice(&swar_max8(x, y).to_le_bytes());
+    }
+    for (d, s) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
+        if *d < *s {
+            *d = *s;
+        }
+    }
+}
+
+/// The register file of one HyperANF iteration, flattened node-major.
+struct NodeSketches {
+    bits: u32,
+    nodes: usize,
+    regs: Vec<u8>,
+}
+
+impl NodeSketches {
+    /// Round-zero file: node `v`'s counter holds exactly `{v}`.
+    fn init(nodes: usize, bits: u32) -> Self {
+        let m = 1usize << bits;
+        let mut regs = vec![0u8; nodes * m];
+        for v in 0..nodes {
+            let (index, rank) = index_and_rank(sketch::node_hash(v as u64), bits);
+            regs[v * m + index] = rank;
+        }
+        NodeSketches { bits, nodes, regs }
+    }
+
+    fn node(&self, v: u32) -> &[u8] {
+        let m = 1usize << self.bits;
+        &self.regs[v as usize * m..(v as usize + 1) * m]
+    }
+
+    fn estimate_node(&self, v: u32) -> f64 {
+        estimate_registers(self.node(v), self.bits)
+    }
+
+    /// `N(t)`, summed by one thread in node order.
+    fn sum_estimates(&self) -> f64 {
+        (0..self.nodes as u32).map(|v| self.estimate_node(v)).sum()
+    }
+}
+
+/// One shard of a round: a fresh block of the range's new counters and
+/// whether any register changed.
+fn union_shard(g: &CsrGraph, prev: &NodeSketches, range: std::ops::Range<u32>) -> (Vec<u8>, bool) {
+    let m = 1usize << prev.bits;
+    let mut block = Vec::with_capacity(range.len() * m);
+    let mut changed = false;
+    for v in range {
+        let base = block.len();
+        block.extend_from_slice(prev.node(v));
+        let dst = &mut block[base..];
+        for &w in g.neighbors(v) {
+            union_registers(dst, prev.node(w));
+        }
+        if !changed {
+            changed = dst != prev.node(v);
+        }
+    }
+    (block, changed)
+}
+
+/// Shard-order merge: blocks concatenate into the next file, the change
+/// flags OR together.
+fn merge_round(acc: &mut (Vec<u8>, bool), partial: (Vec<u8>, bool)) {
+    acc.0.extend_from_slice(&partial.0);
+    acc.1 |= partial.1;
+}
+
+/// The oracle run: every round's shards in shard order on one thread,
+/// at the library's shard layout.
+fn hyper_anf_oracle(g: &CsrGraph, bits: u32, max_rounds: usize, shards: usize) -> HyperAnf {
+    let n = g.node_count();
+    if n == 0 {
+        return HyperAnf {
+            bits,
+            neighborhood: Vec::new(),
+            converged: true,
+        };
+    }
+    let len = n.div_ceil(shards.clamp(1, n));
+    let mut cur = NodeSketches::init(n, bits);
+    let mut neighborhood = vec![cur.sum_estimates()];
+    let mut converged = false;
+    for _round in 1..=max_rounds.max(1) {
+        let mut acc = (Vec::with_capacity(cur.regs.len()), false);
+        for lo in (0..n).step_by(len) {
+            let range = lo as u32..(lo + len).min(n) as u32;
+            merge_round(&mut acc, union_shard(g, &cur, range));
+        }
+        let (next, changed) = acc;
+        if !changed {
+            converged = true;
+            break;
+        }
+        cur = NodeSketches {
+            bits,
+            nodes: n,
+            regs: next,
+        };
+        let prev = *neighborhood.last().expect("N(0) recorded");
+        neighborhood.push(cur.sum_estimates().max(prev));
+    }
+    HyperAnf {
+        bits,
+        neighborhood,
+        converged,
+    }
+}
+
+#[test]
+fn hyper_anf_matches_parent_round_oracle() {
+    // the BA graph and the low-diameter zoo graphs converge within this
+    // cap, and the long paths and cycles hit it, so both values of
+    // `converged` are checked (asserted below)
+    const ROUNDS: usize = 16;
+    let mut graphs = zoo();
+    graphs.push(("ba(2000)".into(), ba(2000)));
+    let mut outcomes = [false; 2];
+    let bits_of =
+        |a: &HyperAnf| -> Vec<u64> { a.neighborhood.iter().map(|x| x.to_bits()).collect() };
+    for (name, g) in graphs {
+        let csr = CsrGraph::from_graph(&g);
+        for bits in [4, 6, 10] {
+            // the oracle's result is the same at every shard count; 7
+            // shards make it concatenate several blocks per round
+            let want = hyper_anf_oracle(&csr, bits, ROUNDS, 7);
+            for shards in [1, 7, 64] {
+                for threads in [1, 2] {
+                    let got = sketch::hyper_anf_sharded(&csr, bits, ROUNDS, shards, threads);
+                    let at = format!("{name}, b = {bits}, shards = {shards}, threads = {threads}");
+                    assert_eq!(bits_of(&got), bits_of(&want), "{at}: N(t)");
+                    assert_eq!(got.converged, want.converged, "{at}");
+                    assert_eq!(got.bits, want.bits, "{at}");
+                }
+            }
+            outcomes[want.converged as usize] = true;
+        }
+    }
+    assert_eq!(outcomes, [true, true], "both convergence outcomes covered");
 }
 
 #[test]

@@ -316,11 +316,13 @@ proptest! {
         }
     }
 
-    /// The word-packed SWAR union kernel (8 registers per `u64`, PR 10)
-    /// equals the scalar per-byte `if d < s { d = s }` loop on
-    /// arbitrary register files — including lengths that exercise both
-    /// the 8-byte fast path and the scalar remainder, and bytes on both
-    /// sides of the 0x80 sign-bit boundary the SWAR compare splits on.
+    /// The register union kernel (a per-byte `max` the compiler
+    /// vectorizes) equals the scalar per-byte `if d < s { d = s }` loop
+    /// on arbitrary register files: every length from 0 to 199, so
+    /// vector bodies and scalar tails alike, and bytes on both sides of
+    /// the 0x80 boundary where a signed byte compare would go wrong.
+    /// The name is kept from the word-packed SWAR kernel it first
+    /// checked.
     #[test]
     fn swar_union_matches_scalar_oracle(
         pairs in proptest::collection::vec((0u8..=255, 0u8..=255), 0..200)

@@ -91,7 +91,7 @@ fn fused_streamed_bit_identical_to_oracle_across_shards_and_threads() {
         let csr = CsrGraph::from_graph(&g);
         for shards in shard_counts {
             let oracle = betweenness::betweenness_and_distances_sharded(&csr, shards, 1);
-            for threads in [1, 3] {
+            for threads in [2, 3] {
                 let s = betweenness::betweenness_and_distances_sharded(&csr, shards, threads);
                 // Vec<f64> equality is exact — any rounding drift fails
                 assert_eq!(s.betweenness, oracle.betweenness, "shards = {shards}");
@@ -129,7 +129,7 @@ fn sampled_streamed_bit_identical_to_oracle() {
         for k in [1, 8, n, n + 10] {
             for shards in [1, 2, 7, n] {
                 let oracle = sampled::sampled_traversal_sharded(&csr, k, shards, 1);
-                for threads in [1, 3] {
+                for threads in [2, 3] {
                     assert_eq!(
                         sampled::sampled_traversal_sharded(&csr, k, shards, threads),
                         oracle,
