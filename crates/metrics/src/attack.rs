@@ -124,6 +124,14 @@ impl Strategy {
             Strategy::DegreeAdaptive => "highest current degree on the decremented graph",
         }
     }
+
+    /// Whether the removal order is ranked by a Brandes pass (the
+    /// sampled betweenness), which holds a BFS-ordered copy of the graph
+    /// on top of its workers' scratch
+    /// ([`stream::brandes_copy_bytes`](crate::stream::brandes_copy_bytes)).
+    pub const fn runs_brandes(self) -> bool {
+        matches!(self, Strategy::Betweenness)
+    }
 }
 
 impl fmt::Display for Strategy {
@@ -628,9 +636,18 @@ fn checkpoint_at(
 
 /// Attack sweep over a prepared [`AnalysisCache`]: sweeps the analyzed
 /// CSR with the cache's sampling/threading budgets — the
-/// [`Analyzer::attack`](crate::analyzer::Analyzer::attack) backend.
+/// [`Analyzer::attack`](crate::analyzer::Analyzer::attack) backend. A
+/// betweenness-ranked sweep runs with the plan's
+/// [`brandes_workers`](crate::stream::ExecPlan::brandes_workers), whose
+/// memory budget also paid the ranking's BFS-ordered copy.
 pub fn attack_sweep_cached(cx: &AnalysisCache<'_>, opts: &AttackOptions) -> AttackReport {
-    attack_sweep(cx.graph(), opts, cx.samples_budget(), cx.worker_threads())
+    let plan = cx.exec_plan();
+    let threads = if opts.strategy.runs_brandes() {
+        plan.brandes_workers
+    } else {
+        plan.workers
+    };
+    attack_sweep(cx.graph(), opts, cx.samples_budget(), threads)
 }
 
 /// `attack_threshold` registry metric: interpolated removal fraction

@@ -327,13 +327,13 @@ fn brandes_shard(g: &BfsOrdered, sources: &[NodeId], range: Range<u32>) -> Brand
 /// pivots).
 ///
 /// The shards read a [`BfsOrdered`] copy of `g`: the sources are mapped
-/// into its ids, and the betweenness sums back out of them, so the
-/// caller sees `g`'s ids throughout. The copy and its id map are the
+/// in place into its ids, and the betweenness sums back out of them, so
+/// the caller sees `g`'s ids throughout. The copy and its id map are the
 /// bytes [`stream::brandes_copy_bytes`](crate::stream::brandes_copy_bytes)
 /// charges.
 pub(crate) fn brandes_over_sources_sharded(
     g: &CsrGraph,
-    sources: &[NodeId],
+    mut sources: Vec<NodeId>,
     shards: usize,
     threads: usize,
 ) -> BrandesSums {
@@ -341,7 +341,9 @@ pub(crate) fn brandes_over_sources_sharded(
     let k = sources.len();
     let threads = threads.clamp(1, k.max(1));
     let (copy, to_new) = BfsOrdered::new(g);
-    let sources: Vec<NodeId> = sources.iter().map(|&s| to_new[s as usize]).collect();
+    for s in &mut sources {
+        *s = to_new[*s as usize];
+    }
     let mut sums = run_sharded_fold(
         k as u32,
         shards,

@@ -44,11 +44,12 @@
 //!   [`crate::stream`] with the resolved [`ExecPlan`]: per-shard partials
 //!   fold into `O(n)` reducers in shard order, the shard count fixes the
 //!   f64 merge tree, and the worker count is the thread budget capped by
-//!   [`AnalyzeOptions::memory_budget`], which first pays the snapshot,
-//!   the accumulator and, when a Brandes pass runs, its BFS-ordered copy
-//!   ([`stream::brandes_copy_bytes`]). Each pass owns that worker
-//!   budget while it runs; passes execute sequentially so an explicit
-//!   `threads` cap is never oversubscribed.
+//!   [`AnalyzeOptions::memory_budget`], which first pays the snapshot
+//!   and the accumulator. A Brandes pass, prepared or on demand, runs
+//!   with [`ExecPlan::brandes_workers`], whose budget also paid its
+//!   BFS-ordered copy. Each pass owns that worker budget while it runs;
+//!   passes execute sequentially so an explicit `threads` cap is never
+//!   oversubscribed.
 //!
 //! Metrics computed outside an [`Analyzer`](crate::analyzer::Analyzer)
 //! run (no prepared dep) fall back to computing on demand through the
@@ -220,12 +221,7 @@ impl<'g> AnalysisCache<'g> {
             }
             GccPolicy::Whole => (input, 1.0, false),
         };
-        let (n, m) = (graph.node_count(), graph.edge_count());
-        let mut fixed = stream::fixed_bytes(n, m);
-        if deps.iter().any(|d| d.runs_brandes()) {
-            fixed += stream::brandes_copy_bytes(n, m);
-        }
-        let exec = stream::plan_after(fixed, n, opts);
+        let exec = stream::plan(graph.node_count(), graph.edge_count(), opts);
         let (shards, workers) = (exec.shards, exec.workers);
         let g: &CsrGraph = &graph;
         // Passes run one after another; the heavy ones (traversal) use
@@ -249,7 +245,10 @@ impl<'g> AnalysisCache<'g> {
         let pass = |k: usize, brandes: Dep, distances: Dep| {
             if deps.contains(&brandes) {
                 Some(Pass::Brandes(sampled::sampled_traversal_sharded(
-                    g, k, shards, workers,
+                    g,
+                    k,
+                    shards,
+                    exec.brandes_workers,
                 )))
             } else {
                 deps.contains(&distances).then(|| {
@@ -330,12 +329,6 @@ impl<'g> AnalysisCache<'g> {
         self.samples
     }
 
-    /// The plan's worker count: an explicit `threads` cap, or the
-    /// machine default when unset, lowered by any memory budget.
-    pub(crate) fn worker_threads(&self) -> usize {
-        self.exec.workers
-    }
-
     /// The Brandes pass over `k` sources: the prepared `slot` when it
     /// holds one, else run on demand with this cache's plan.
     fn brandes<'a>(&'a self, slot: &'a Option<Pass>, k: usize) -> Cow<'a, SampledTraversal> {
@@ -345,7 +338,7 @@ impl<'g> AnalysisCache<'g> {
                 self.graph(),
                 k,
                 self.exec.shards,
-                self.exec.workers,
+                self.exec.brandes_workers,
             )),
         }
     }
@@ -567,20 +560,23 @@ mod tests {
 
     #[test]
     fn worker_threads_follow_the_budget_capped_plan() {
-        // the attack sweep and every on-demand fallback read the plan's
-        // worker count, never the uncapped thread knob
+        // the attack sweep and every pass, prepared or on demand, read
+        // the plan's worker counts, never the uncapped thread knob: a
+        // budget that buys a plain pass 2 workers buys a Brandes pass 1,
+        // since it must also hold the BFS-ordered copy
         let g = builders::karate_club();
+        let (n, m) = (g.node_count(), g.edge_count());
         let cache = AnalysisCache::build(
             &g,
             &[],
             &AnalyzeOptions {
                 threads: 4,
-                memory_budget: Some(1),
+                memory_budget: Some(stream::floor_bytes(n, m, false) + stream::per_worker_bytes(n)),
                 ..Default::default()
             },
         );
-        assert_eq!(cache.exec_plan().workers, 1);
-        assert_eq!(cache.worker_threads(), cache.exec_plan().workers);
+        let plan = cache.exec_plan();
+        assert_eq!((plan.workers, plan.brandes_workers), (2, 1));
     }
 
     #[test]

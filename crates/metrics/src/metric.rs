@@ -248,8 +248,11 @@ impl Dep {
     /// Whether this dep's pass is a Brandes pass, the one that holds a
     /// BFS-ordered copy of the graph
     /// ([`stream::brandes_copy_bytes`](crate::stream::brandes_copy_bytes)):
-    /// the cache's worker plan and `dk serve`'s admission charge the
-    /// copy when a selected metric declares such a dep.
+    /// `dk serve` admits a request that selects such a metric at the
+    /// Brandes floor
+    /// ([`stream::floor_bytes`](crate::stream::floor_bytes)), and the
+    /// cache runs the pass with the plan's
+    /// [`brandes_workers`](crate::stream::ExecPlan::brandes_workers).
     pub fn runs_brandes(self) -> bool {
         matches!(self, Dep::Betweenness | Dep::Sampled)
     }

@@ -150,8 +150,9 @@ pub fn sampled_traversal_sharded(
         return SampledTraversal::empty();
     }
     let pivots = sample_pivots(n, k.max(1));
-    let sums = brandes_over_sources_sharded(g, &pivots, shards, threads);
-    finish_sampled(n, pivots.len(), sums)
+    let k = pivots.len();
+    let sums = brandes_over_sources_sharded(g, pivots, shards, threads);
+    finish_sampled(n, k, sums)
 }
 
 /// Forwards to [`sampled_traversal_sharded`]. Kept for the benchmark

@@ -217,8 +217,9 @@ impl HllSketch {
 /// Elementwise register max — the union kernel shared by [`HllSketch`]
 /// and the HyperANF round: the per-byte `if *d < *s { *d = *s }` loop,
 /// written as a `max` the compiler turns into packed byte-max
-/// instructions. `proptests::swar_union_matches_scalar_oracle` holds it
-/// to that loop on arbitrary register files.
+/// instructions. A unit test holds it to that loop on every byte pair,
+/// and `proptests::swar_union_matches_scalar_oracle` on arbitrary
+/// register files of every length from 0 to 199.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
@@ -636,6 +637,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn swar_union_agrees_with_scalar_loop() {
+        // every one of the 65,536 (dst, src) byte pairs, so the
+        // boundary bytes 0x00/0x7F/0x80/0xFF meet each other in both
+        // operands; three more pairs leave a tail past the vector body.
+        // The name is kept from the word-packed SWAR kernel it first
+        // checked.
+        let mut pairs: Vec<(u8, u8)> = (0..=255u8)
+            .flat_map(|d| (0..=255u8).map(move |s| (d, s)))
+            .collect();
+        pairs.extend([(0x7F, 0x80), (0x80, 0x7F), (0xFF, 0x00)]);
+        let (mut a, b): (Vec<u8>, Vec<u8>) = pairs.into_iter().unzip();
+        let mut expect = a.clone();
+        for (d, s) in expect.iter_mut().zip(&b) {
+            if *d < *s {
+                *d = *s;
+            }
+        }
+        union_registers(&mut a, &b);
+        assert_eq!(a, expect);
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //!   `proptests::streamed_analysis_equals_in_memory` property).
 //! * **Planning** ([`plan`]): resolves the shard count (`Analyzer::shards`,
 //!   CLI `--shards`; default [`DEFAULT_SHARDS`]), which fixes the f64
-//!   merge tree of the betweenness passes, and the worker count (the
+//!   merge tree of the betweenness passes, and the worker counts (the
 //!   thread knob, capped by `Analyzer::memory_budget` / CLI
-//!   `--memory-budget` so the traversal working set stays under it).
+//!   `--memory-budget` so the traversal working set, with a Brandes
+//!   pass's BFS-ordered copy, stays under it).
 //!
 //! This is the Brandes–Pich shape (source partitioning with streaming
 //! per-source accumulation) applied to the *exact* passes; the sampled
@@ -112,6 +113,11 @@ pub struct ExecPlan {
     /// Worker threads for the traversal passes (the resolved thread
     /// budget, possibly lowered by a memory budget).
     pub workers: usize,
+    /// Worker threads for a Brandes pass (exact or sampled betweenness,
+    /// and the betweenness attack ranking): `workers`, lowered further
+    /// when a memory budget must also pay the pass's BFS-ordered copy
+    /// ([`brandes_copy_bytes`]).
+    pub brandes_workers: usize,
 }
 
 /// Working-set bytes one streaming worker needs for the Brandes pass
@@ -152,47 +158,61 @@ pub fn fixed_bytes(n: usize, edges: usize) -> u64 {
 /// [`fixed_bytes`], whatever its worker count: the BFS-ordered copy of
 /// the analyzed graph its shards read (the snapshot's layout again,
 /// `4(n+1) + 8m`) and the `4n`-byte id map that renumbers the pivots
-/// into the copy and the betweenness back out. Charged up front
-/// wherever a Brandes pass runs: by the cache's worker plan when a
-/// metric needs one ([`Dep::runs_brandes`](crate::metric::Dep::runs_brandes))
-/// and by `dk serve`'s admission check.
+/// into the copy and the betweenness back out. Charged here and
+/// nowhere else: [`plan`] pays it before it buys
+/// [`ExecPlan::brandes_workers`], the worker count every Brandes pass
+/// runs with, and [`floor_bytes`] adds it to the floor `dk serve`
+/// admits a Brandes request at.
 pub fn brandes_copy_bytes(n: usize, edges: usize) -> u64 {
     let copy = 4 * (n as u64 + 1) + 8 * edges as u64;
     let id_map = 4 * n as u64;
     copy + id_map
 }
 
-/// Resolves the execution plan for one analyzer run over an analyzed
-/// graph of `n` nodes and `edges` edges: the shard count (`opts.shards`,
-/// default [`DEFAULT_SHARDS`]) and the worker count, from the thread
-/// knob in `opts` (`0` = all cores). A `memory_budget` first pays the
-/// worker-independent [`fixed_bytes`] (snapshot + global accumulator),
-/// then lowers the worker count until the per-worker scratch fits the
-/// remainder — never below 1 worker, the floor the pass needs to run at
-/// all. This is the plan of a run without a Brandes pass; the cache adds
-/// [`brandes_copy_bytes`] to the fixed charge when it runs one.
-pub fn plan(n: usize, edges: usize, opts: &AnalyzeOptions) -> ExecPlan {
-    plan_after(fixed_bytes(n, edges), n, opts)
+/// The least memory a pass runs in: [`fixed_bytes`] and one worker's
+/// [`per_worker_bytes`], plus [`brandes_copy_bytes`] when it is a
+/// Brandes pass. [`plan`] never plans below one worker, so a budget
+/// under this floor is exceeded whatever the worker count; `dk serve`
+/// rejects such a request before it allocates.
+pub fn floor_bytes(n: usize, edges: usize, brandes: bool) -> u64 {
+    let copy = if brandes {
+        brandes_copy_bytes(n, edges)
+    } else {
+        0
+    };
+    fixed_bytes(n, edges)
+        .saturating_add(per_worker_bytes(n))
+        .saturating_add(copy)
 }
 
-/// [`plan`] with the worker-independent bytes `fixed` given: a
-/// `memory_budget` pays them first, and only the remainder buys
-/// workers.
-pub(crate) fn plan_after(fixed: u64, n: usize, opts: &AnalyzeOptions) -> ExecPlan {
-    let mut workers = if opts.threads == 0 {
+/// Resolves the execution plan for one analyzer run over an analyzed
+/// graph of `n` nodes and `edges` edges: the shard count (`opts.shards`,
+/// default [`DEFAULT_SHARDS`]) and the worker counts, from the thread
+/// knob in `opts` (`0` = all cores). A `memory_budget` first pays the
+/// worker-independent [`fixed_bytes`] (snapshot + global accumulator),
+/// and for [`ExecPlan::brandes_workers`] also [`brandes_copy_bytes`],
+/// then lowers the worker count until the per-worker scratch fits the
+/// remainder — never below 1 worker, the floor the pass needs to run at
+/// all.
+pub fn plan(n: usize, edges: usize, opts: &AnalyzeOptions) -> ExecPlan {
+    let threads = if opts.threads == 0 {
         default_threads()
     } else {
         opts.threads
     };
-    if let Some(budget) = opts.memory_budget {
-        let scratch = budget.saturating_sub(fixed);
-        let fit = scratch / per_worker_bytes(n).max(1);
-        workers = workers.min(fit.max(1) as usize);
-    }
+    let within = |fixed: u64| match opts.memory_budget {
+        Some(budget) => {
+            let fit = budget.saturating_sub(fixed) / per_worker_bytes(n).max(1);
+            threads.min(fit.max(1) as usize)
+        }
+        None => threads,
+    };
+    let fixed = fixed_bytes(n, edges);
     ExecPlan {
         streamed: true,
         shards: opts.shards.unwrap_or(DEFAULT_SHARDS).max(1),
-        workers,
+        workers: within(fixed),
+        brandes_workers: within(fixed + brandes_copy_bytes(n, edges)),
     }
 }
 
@@ -244,8 +264,13 @@ mod tests {
     fn plan_defaults() {
         let p = plan(1000, 2000, &opts_threads(1));
         assert!(p.streamed);
-        assert_eq!((p.shards, p.workers), (DEFAULT_SHARDS, 1));
-        assert_eq!(plan(10_000_000, 0, &opts_threads(3)).workers, 3);
+        assert_eq!(
+            (p.shards, p.workers, p.brandes_workers),
+            (DEFAULT_SHARDS, 1, 1)
+        );
+        // without a budget the copy costs no workers
+        let p = plan(10_000_000, 0, &opts_threads(3));
+        assert_eq!((p.workers, p.brandes_workers), (3, 3));
     }
 
     #[test]
@@ -294,6 +319,9 @@ mod tests {
             },
         );
         assert!(uncharged.workers < 3);
+        // a Brandes pass pays its copy before it buys workers: the
+        // budget that bought 3 workers above buys it 2
+        assert_eq!(generous.brandes_workers, 2);
         let tiny = plan(
             n,
             m,
@@ -302,14 +330,29 @@ mod tests {
                 ..opts_threads(8)
             },
         );
-        assert_eq!(tiny.workers, 1);
-        // a Brandes pass pays its copy before it buys workers: the
-        // budget that bought 3 workers above buys 2
-        let brandes = fixed_bytes(n, m) + brandes_copy_bytes(n, m);
-        let opts = AnalyzeOptions {
-            memory_budget: Some(fixed_bytes(n, m) + per_worker_bytes(n) * 3),
-            ..opts_threads(8)
+        assert_eq!((tiny.workers, tiny.brandes_workers), (1, 1));
+    }
+
+    #[test]
+    fn floor_bytes_is_the_one_worker_footprint() {
+        let (n, m) = (1_000_000, 2_000_000);
+        let plain = floor_bytes(n, m, false);
+        let brandes = floor_bytes(n, m, true);
+        assert_eq!(plain, fixed_bytes(n, m) + per_worker_bytes(n));
+        assert_eq!(brandes, plain + brandes_copy_bytes(n, m));
+        // the floor plus one more worker's scratch buys each pass
+        // exactly 2 workers
+        let two = |floor: u64| {
+            plan(
+                n,
+                m,
+                &AnalyzeOptions {
+                    memory_budget: Some(floor + per_worker_bytes(n)),
+                    ..opts_threads(8)
+                },
+            )
         };
-        assert_eq!(plan_after(brandes, n, &opts).workers, 2);
+        assert_eq!(two(plain).workers, 2);
+        assert_eq!(two(brandes).brandes_workers, 2);
     }
 }

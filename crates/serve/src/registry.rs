@@ -31,10 +31,10 @@
 //!
 //! [`Registry::admit`] prices a request before any allocation using the
 //! exact byte model the sharded executor plans with
-//! ([`dk_metrics::stream::fixed_bytes`] /
-//! [`dk_metrics::stream::per_worker_bytes`]), plus the Brandes pass's
-//! BFS-ordered graph copy ([`dk_metrics::stream::brandes_copy_bytes`])
-//! when a betweenness metric is selected, HyperANF register sheets when
+//! ([`dk_metrics::stream::floor_bytes`]: the fixed bytes and one
+//! worker's scratch, and the Brandes pass's BFS-ordered graph copy when
+//! a betweenness metric is selected or an attack is ranked by
+//! betweenness), plus HyperANF register sheets when
 //! a sketch metric is, and the spectral solver's
 //! working set ([`dk_metrics::spectral::spectral_bytes`]: the dense
 //! matrices below the Lanczos cutoff, the sparse Laplacian and a few
@@ -51,6 +51,7 @@
 use crate::protocol::ReqError;
 use dk_graph::hashers::DetHashMap;
 use dk_graph::Graph;
+use dk_metrics::attack::Strategy;
 use dk_metrics::metric::Cost;
 use dk_metrics::{AnalysisCache, AnyMetric};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -317,22 +318,10 @@ impl Registry {
         sketch_bits: u32,
         request_budget: Option<u64>,
     ) -> Result<Option<u64>, ReqError> {
-        let effective = match (self.memory_budget, request_budget) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let Some(budget) = effective else {
-            return Ok(None);
-        };
-        let mut min_bytes = dk_metrics::stream::fixed_bytes(nodes, edges)
-            .saturating_add(dk_metrics::stream::per_worker_bytes(nodes));
-        if metrics
+        let brandes = metrics
             .iter()
-            .any(|m| m.deps().iter().any(|d| d.runs_brandes()))
-        {
-            min_bytes =
-                min_bytes.saturating_add(dk_metrics::stream::brandes_copy_bytes(nodes, edges));
-        }
+            .any(|m| m.deps().iter().any(|d| d.runs_brandes()));
+        let mut min_bytes = dk_metrics::stream::floor_bytes(nodes, edges, brandes);
         if metrics.iter().any(|m| m.cost() == Cost::Sketch) {
             let registers = (nodes as u64)
                 .saturating_mul(1u64 << sketch_bits)
@@ -343,6 +332,39 @@ impl Registry {
             min_bytes =
                 min_bytes.saturating_add(dk_metrics::spectral::spectral_bytes(nodes, edges));
         }
+        self.gate(nodes, edges, min_bytes, request_budget)
+    }
+
+    /// Admission gate for an attack sweep: its CSR and union-find fit
+    /// the one-worker floor, and a betweenness-ranked sweep also pays
+    /// its Brandes pass's BFS-ordered copy. `Ok(effective budget)` to
+    /// pass into the analyzer, or an `over_budget` error.
+    pub fn admit_attack(
+        &self,
+        nodes: usize,
+        edges: usize,
+        strategy: Strategy,
+    ) -> Result<Option<u64>, ReqError> {
+        let min_bytes = dk_metrics::stream::floor_bytes(nodes, edges, strategy.runs_brandes());
+        self.gate(nodes, edges, min_bytes, None)
+    }
+
+    /// Rejects a request whose minimum footprint `min_bytes` exceeds the
+    /// effective budget, the smaller of the server's and the request's.
+    fn gate(
+        &self,
+        nodes: usize,
+        edges: usize,
+        min_bytes: u64,
+        request_budget: Option<u64>,
+    ) -> Result<Option<u64>, ReqError> {
+        let effective = match (self.memory_budget, request_budget) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        let Some(budget) = effective else {
+            return Ok(None);
+        };
         if budget < min_bytes {
             Counters::bump(&self.counters.rejected);
             return Err(ReqError::new(
@@ -562,8 +584,7 @@ mod tests {
         // the daemon's BA n = 10^5 graph: two edges per arriving node
         let n = 100_000;
         let m = 200_000;
-        let plain_floor =
-            dk_metrics::stream::fixed_bytes(n, m) + dk_metrics::stream::per_worker_bytes(n);
+        let plain_floor = dk_metrics::stream::floor_bytes(n, m, false);
         let spectral_floor = plain_floor + dk_metrics::spectral::spectral_bytes(n, m);
         // a budget between the two minimums
         let reg = Registry::new(Some((plain_floor + spectral_floor) / 2), 1);
@@ -582,9 +603,9 @@ mod tests {
         };
         let n = 10_000;
         let m = 20_000;
-        let plain_floor =
-            dk_metrics::stream::fixed_bytes(n, m) + dk_metrics::stream::per_worker_bytes(n);
-        let brandes_floor = plain_floor + dk_metrics::stream::brandes_copy_bytes(n, m);
+        let plain_floor = dk_metrics::stream::floor_bytes(n, m, false);
+        let brandes_floor = dk_metrics::stream::floor_bytes(n, m, true);
+        assert!(brandes_floor > plain_floor);
         // a budget between the two floors: the batched distance pass
         // fits, the Brandes pass and its BFS-ordered copy do not
         let reg = Registry::new(Some((plain_floor + brandes_floor) / 2), 1);
@@ -599,6 +620,31 @@ mod tests {
     }
 
     #[test]
+    fn admission_prices_the_betweenness_attack_in() {
+        let n = 10_000;
+        let m = 20_000;
+        let plain_floor = dk_metrics::stream::floor_bytes(n, m, false);
+        let brandes_floor = dk_metrics::stream::floor_bytes(n, m, true);
+        // a budget between the two floors: the sweeps ranked without a
+        // Brandes pass fit, the betweenness ranking and its copy do not
+        let reg = Registry::new(Some((plain_floor + brandes_floor) / 2), 1);
+        for strategy in Strategy::all() {
+            let admitted = reg.admit_attack(n, m, strategy);
+            if strategy.runs_brandes() {
+                let err = admitted.unwrap_err();
+                assert_eq!(err.code, "over_budget", "{strategy}");
+                assert!(err.message.contains(&brandes_floor.to_string()));
+            } else {
+                assert_eq!(admitted, Ok(reg.memory_budget), "{strategy}");
+            }
+        }
+        assert_eq!(Counters::get(&reg.counters.rejected), 1);
+        // the floor itself is enough: the plan never goes below one worker
+        let reg = Registry::new(Some(brandes_floor), 1);
+        assert!(reg.admit_attack(n, m, Strategy::Betweenness).is_ok());
+    }
+
+    #[test]
     fn admission_prices_sketch_registers_in() {
         let sketchy: Vec<AnyMetric> = AnyMetric::all()
             .filter(|m| m.cost() == Cost::Sketch)
@@ -606,8 +652,7 @@ mod tests {
         assert!(!sketchy.is_empty(), "sketch metrics exist");
         let n = 10_000;
         let m = 20_000;
-        let plain_floor =
-            dk_metrics::stream::fixed_bytes(n, m) + dk_metrics::stream::per_worker_bytes(n);
+        let plain_floor = dk_metrics::stream::floor_bytes(n, m, false);
         // a budget that fits the plain floor but not the register sheets
         let reg = Registry::new(Some(plain_floor + 1), 1);
         assert!(reg.admit(n, m, &AnyMetric::cheap_set(), 8, None).is_ok());

@@ -378,9 +378,10 @@ fn op_attack(reg: &Registry, req: &Req<'_>) -> Result<String, ReqError> {
         let state = lock(&slot);
         (state.epoch, state.graph.clone())
     };
-    // attack sweeps build a CSR + union-find over the analyzed graph;
-    // gate them on the same fixed-footprint floor as a metric pass
-    reg.admit(graph.node_count(), graph.edge_count(), &[], 8, None)?;
+    // attack sweeps build a CSR + union-find over the analyzed graph, and
+    // the betweenness ranking a Brandes pass with its BFS-ordered copy:
+    // gate them on that floor, and cap the sweep's workers by the budget
+    let budget = reg.admit_attack(graph.node_count(), graph.edge_count(), strategy)?;
     let key = format!(
         "g={name};e{epoch}:attack:strategy={strategy};seed={seed};\
          checkpoints={checkpoints:?};samples={samples:?};gcc={}",
@@ -400,6 +401,9 @@ fn op_attack(reg: &Registry, req: &Req<'_>) -> Result<String, ReqError> {
         }
         if let Some(k) = samples {
             analyzer = analyzer.sample_sources((k as usize).max(1));
+        }
+        if let Some(bytes) = budget {
+            analyzer = analyzer.memory_budget(bytes);
         }
         let report = analyzer.attack(&graph, &attack_opts);
         let mut fields = ok_head("attack");
