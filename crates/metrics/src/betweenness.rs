@@ -613,7 +613,7 @@ mod tests {
             let n = g.node_count();
             for shards in [1, 2, 7, n] {
                 let oracle = betweenness_and_distances_sharded(&csr, shards, 1);
-                for threads in [1, 3] {
+                for threads in [2, 3] {
                     let par = betweenness_and_distances_sharded(&csr, shards, threads);
                     assert_eq!(par.betweenness, oracle.betweenness, "shards = {shards}");
                     assert_eq!(par.distances, oracle.distances);

@@ -33,13 +33,19 @@
 //!   64 sources per [`dk_graph::traversal::bfs_batch`] sweep) otherwise.
 //!   Both count the same `(source, node, distance)` triples, so the
 //!   distance scalars are bit-identical either way.
-//! * **Triangles** are censused once for `c_mean`/`c_k`/`transitivity`.
+//! * **One triangle census** ([`crate::clustering`]'s degree-ordered
+//!   forward pass) serves `c_mean`, `c_k`, `transitivity` and `s2`: the
+//!   per-node counts and the closed-pair weight `S2` subtracts.
 //! * **Neighborhood sketches** ([`crate::sketch`]) iterate once at
 //!   [`AnalyzeOptions::sketch_bits`] register bits for the `*_sketch`
-//!   metrics — every round a sharded pass over the same CSR. The sketch
-//!   pass runs before the traversal passes, so its two register files,
-//!   the largest allocation of a run, never sit beside traversal
-//!   scratch the workers' allocator arenas still hold.
+//!   metrics — every round a sharded pass over the same CSR.
+//! * **Pass order**: the sketch pass, then the census, then the
+//!   traversal passes, then the spectral solve. The sketch's two
+//!   register files are the largest allocation of a run, so it runs
+//!   first: scratch that an earlier pass freed but the allocator still
+//!   holds (the census's oriented rows and mark array, the traversal
+//!   workers' arenas) would otherwise stay resident beside them and
+//!   raise the peak.
 //! * Every traversal-shaped pass runs through the sharded fold of
 //!   [`crate::stream`] with the resolved [`ExecPlan`]: per-shard partials
 //!   fold into `O(n)` reducers in shard order, the shard count fixes the
@@ -58,12 +64,13 @@
 //! way and a prepared value equals its on-demand twin bit for bit.
 
 use crate::betweenness;
+use crate::clustering::{self, TriangleCensus};
 use crate::distance::DistanceDistribution;
 use crate::metric::{AnyMetric, Dep};
 use crate::sampled::{self, SampledDistances, SampledTraversal};
 use crate::sketch::{self, HyperAnf};
+use crate::spectral;
 use crate::stream::{self, ExecPlan};
-use crate::{clustering, spectral};
 use dk_graph::{traversal, CsrGraph, Graph};
 use dk_linalg::laplacian::SpectralExtremes;
 use std::borrow::Cow;
@@ -162,7 +169,7 @@ pub struct AnalysisCache<'g> {
     /// Generation stamp copied from [`AnalyzeOptions::epoch`] at build
     /// time (see there).
     epoch: u64,
-    triangles: Option<Vec<usize>>,
+    triangles: Option<TriangleCensus>,
     /// The pass from every node (exact `d_*`, `b_*`).
     exact: Option<Pass>,
     /// The pass from the `samples` pivots (`*_approx`).
@@ -229,16 +236,16 @@ impl<'g> AnalysisCache<'g> {
         // source shards. Running passes concurrently on top of that
         // would oversubscribe an explicit `threads` cap (and a memory
         // budget: `workers` is what the budget capped).
-        let triangles = deps
-            .contains(&Dep::Triangles)
-            .then(|| clustering::triangles_per_node(g));
-        // the sketch pass runs before the traversal passes: its two
-        // register files are the run's largest allocation, and freed
-        // traversal scratch left in the workers' allocator arenas would
-        // otherwise sit beside them
+        // the sketch pass runs first: its two register files are the
+        // run's largest allocation, and scratch an earlier pass freed
+        // (the census's rows, the traversal workers' allocator arenas)
+        // would otherwise stay resident beside them
         let sketch = deps.contains(&Dep::Sketch).then(|| {
             sketch::hyper_anf_sharded(g, opts.sketch_bits, opts.sketch_rounds, shards, workers)
         });
+        let triangles = deps
+            .contains(&Dep::Triangles)
+            .then(|| clustering::census(g));
         // one pass per source set: Brandes when a betweenness reader is
         // selected (its histogram serves the distance readers), the
         // batched distance histogram otherwise
@@ -392,9 +399,18 @@ impl<'g> AnalysisCache<'g> {
 
     /// Per-node triangle counts (cached or computed on demand).
     pub fn triangles(&self) -> Cow<'_, [usize]> {
+        match self.census() {
+            Cow::Borrowed(c) => Cow::Borrowed(c.per_node.as_slice()),
+            Cow::Owned(c) => Cow::Owned(c.per_node),
+        }
+    }
+
+    /// The triangle census: per-node counts and the closed-pair weight
+    /// `s2` reads (cached or computed on demand).
+    pub(crate) fn census(&self) -> Cow<'_, TriangleCensus> {
         match &self.triangles {
-            Some(t) => Cow::Borrowed(t.as_slice()),
-            None => Cow::Owned(clustering::triangles_per_node(self.graph())),
+            Some(c) => Cow::Borrowed(c),
+            None => Cow::Owned(clustering::census(self.graph())),
         }
     }
 

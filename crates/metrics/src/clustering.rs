@@ -6,41 +6,101 @@
 //! of degree 0/1 have no defined value; including them as zeros is the
 //! other common convention — both are exposed, the paper-facing reports use
 //! the degree-≥2 mean, matching CAIDA's usage in ref \[20\]).
+//!
+//! Every quantity here reads one **triangle census**: a degree-ordered
+//! forward pass (Chiba–Nishizeki, Latapy's "compact-forward") that finds
+//! each triangle once, at its lowest-ranked corner, and yields the
+//! per-node triangle counts and the degree-product weight of the
+//! neighbor pairs the triangles close — the term
+//! [`likelihood_s2`](crate::likelihood::likelihood_s2) subtracts. The
+//! analyzer cache runs it once for `c_mean`, `c_k`, `transitivity` and
+//! `s2`.
 
-use dk_graph::AdjacencyView;
+use dk_graph::{AdjacencyView, NodeId};
 
-/// Per-node triangle counts: `t[v]` = number of triangles through `v`.
+/// One triangle census: what the clustering family and `S2` read.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct TriangleCensus {
+    /// `per_node[v]` = number of triangles through `v`.
+    pub(crate) per_node: Vec<usize>,
+    /// `Σ k_u·k_v + k_u·k_w + k_v·k_w` over the triangles `{u, v, w}`:
+    /// every neighbor pair a triangle closes, weighted by the product of
+    /// its degrees, counted once per center.
+    pub(crate) closed_weight: u128,
+}
+
+/// The degree-ordered forward census of `g` (see the module docs).
 ///
-/// Runs in O(Σ_e (deg(u) + deg(v))) via sorted-adjacency merges, generic
-/// over [`AdjacencyView`] — the analyzer cache runs the census on its
-/// CSR. Edges are enumerated as `(u, v)` with `v > u`
-/// from the sorted neighbor slices; counts are identical either way.
-pub fn triangles_per_node<V: AdjacencyView + ?Sized>(g: &V) -> Vec<usize> {
+/// Nodes are ranked by `(degree, id)`, and each keeps a forward row of
+/// the neighbors ranked above it — `m` entries in all, behind `u32`
+/// offsets. For each `u`, its forward row is marked with `u`; every
+/// `w` in the forward row of a `v` in `u`'s that carries the mark closes
+/// the triangle `{u, v, w}`, found only there since `u` is its
+/// lowest-ranked corner. A hub's forward row holds only neighbors of at
+/// least its degree, so the pass costs about `m` times a small forward
+/// degree (at most `√(2m)`), not `Σ k²`. Every sum is an integer, so the
+/// result does not depend on the order triangles are found in.
+///
+/// # Panics
+/// Panics if `g` has more than `u32::MAX` edges (the forward rows'
+/// offsets are `u32`).
+pub(crate) fn census<V: AdjacencyView + ?Sized>(g: &V) -> TriangleCensus {
     let n = g.node_count();
-    let mut t = vec![0usize; n];
-    for u in 0..n as u32 {
-        let a = g.neighbors(u);
-        for &v in a.iter().filter(|&&v| v > u) {
-            // every common neighbor w of (u,v) closes a triangle {u,v,w}
-            let b = g.neighbors(v);
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() && j < b.len() {
-                match a[i].cmp(&b[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        let w = a[i];
-                        t[w as usize] += 1;
-                        i += 1;
-                        j += 1;
-                    }
+    let m = g.edge_count();
+    assert!(
+        u32::try_from(m).is_ok(),
+        "more than u32::MAX edges overflow the census offsets"
+    );
+    // forward rows: the neighbors ranked above each node, by (degree, id)
+    let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut forward: Vec<NodeId> = Vec::with_capacity(m);
+    offsets.push(0);
+    for u in 0..n as NodeId {
+        let ku = g.degree(u);
+        forward.extend(
+            g.neighbors(u)
+                .iter()
+                .filter(|&&v| (g.degree(v), v) > (ku, u)),
+        );
+        offsets.push(forward.len() as u32);
+    }
+    let row = |u: NodeId| &forward[offsets[u as usize] as usize..offsets[u as usize + 1] as usize];
+    let mut per_node = vec![0usize; n];
+    let mut closed_weight = 0u128;
+    // mark[w] == u: w is in u's forward row (no node has id NodeId::MAX)
+    let mut mark = vec![NodeId::MAX; n];
+    for u in 0..n as NodeId {
+        let fu = row(u);
+        for &v in fu {
+            mark[v as usize] = u;
+        }
+        let ku = g.degree(u) as u128;
+        for &v in fu {
+            let kv = g.degree(v) as u128;
+            for &w in row(v) {
+                if mark[w as usize] == u {
+                    let kw = g.degree(w) as u128;
+                    per_node[u as usize] += 1;
+                    per_node[v as usize] += 1;
+                    per_node[w as usize] += 1;
+                    closed_weight += ku * kv + ku * kw + kv * kw;
                 }
             }
         }
     }
-    // each triangle's three edges credit its three opposite vertices, so
-    // every vertex of a triangle is counted exactly once
-    t
+    TriangleCensus {
+        per_node,
+        closed_weight,
+    }
+}
+
+/// Per-node triangle counts: `t[v]` = number of triangles through `v`.
+///
+/// One degree-ordered forward census ([module docs](self)), generic over
+/// [`AdjacencyView`]: about `m` times a small forward degree, where a
+/// merge of both endpoints' rows per edge costs `Σ k²`.
+pub fn triangles_per_node<V: AdjacencyView + ?Sized>(g: &V) -> Vec<usize> {
+    census(g).per_node
 }
 
 /// Total number of triangles in the graph.

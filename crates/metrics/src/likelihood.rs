@@ -12,10 +12,12 @@
 //! A **wedge** here is an *induced* path of length 2: the endpoints are at
 //! distance exactly 2 ("S2 measures the properly normalized correlation of
 //! degrees of nodes located at distance 2", §4.3) — a triangle contains no
-//! wedge. The whole-graph computation is still near-O(m): all neighbor
-//! pairs per center via `((Σ k_u)² − Σ k_u²)/2`, minus the closed
-//! (triangle) pairs found by sorted-adjacency merges.
+//! wedge. The whole-graph computation is all neighbor pairs per center via
+//! `((Σ k_u)² − Σ k_u²)/2` in O(m), minus the closed (triangle) pairs:
+//! the closed-pair weight of the one triangle census
+//! ([`crate::clustering`]) that also feeds `C̄`, `C(k)` and transitivity.
 
+use crate::clustering;
 use dk_graph::{undirected_edges, AdjacencyView, NodeId};
 
 /// Likelihood `S = Σ_{(i,j)∈E} k_i·k_j`, summed exactly in integers and
@@ -32,8 +34,15 @@ pub fn likelihood_s<V: AdjacencyView + ?Sized>(g: &V) -> f64 {
 /// (each unordered wedge counted once; endpoints at distance exactly 2).
 ///
 /// Summed exactly in integers and converted once, like
-/// [`likelihood_s`].
+/// [`likelihood_s`]; runs one triangle census for the closed pairs.
 pub fn likelihood_s2<V: AdjacencyView + ?Sized>(g: &V) -> f64 {
+    likelihood_s2_from(g, clustering::census(g).closed_weight)
+}
+
+/// [`likelihood_s2`] from a census's closed-pair weight
+/// ([`clustering::TriangleCensus::closed_weight`]) — lets the analyzer
+/// cache share one census with the clustering family.
+pub(crate) fn likelihood_s2_from<V: AdjacencyView + ?Sized>(g: &V, closed_weight: u128) -> f64 {
     // all neighbor pairs (open + closed) per center
     let mut total = 0i128;
     for v in 0..g.node_count() as NodeId {
@@ -45,13 +54,9 @@ pub fn likelihood_s2<V: AdjacencyView + ?Sized>(g: &V) -> f64 {
         }
         total += (sum * sum - sum_sq) / 2;
     }
-    // subtract closed pairs: for every edge (u,v) and common neighbor w,
-    // the pair {u,v} is a triangle-closed neighbor pair of center w
-    for (u, v) in undirected_edges(g) {
-        let t = g.common_neighbors(u, v) as i128;
-        total -= t * g.degree(u) as i128 * g.degree(v) as i128;
-    }
-    total as f64
+    // minus the closed ones, each a triangle's pair seen from its third
+    // corner
+    (total - closed_weight as i128) as f64
 }
 
 /// Number of paths of 2 edges (open **and** closed), `Σ_v C(k_v, 2)` —
@@ -68,7 +73,7 @@ pub fn wedge_count<V: AdjacencyView + ?Sized>(g: &V) -> u64 {
 /// Number of *induced* wedges (endpoints at distance exactly 2):
 /// `Σ_v C(k_v, 2) − 3·#triangles`. This is the paper's `P∧` total.
 pub fn induced_wedge_count<V: AdjacencyView + ?Sized>(g: &V) -> u64 {
-    wedge_count(g) - 3 * crate::clustering::triangle_count(g) as u64
+    wedge_count(g) - 3 * clustering::triangle_count(g) as u64
 }
 
 /// Upper bound on `S` over all simple graphs with the same degree

@@ -34,8 +34,8 @@
 //! Metrics sharing a [`Dep`] are computed from one shared pass: `d_*` and
 //! `b_*` both ride the all-source Brandes pass
 //! ([`crate::betweenness::betweenness_and_distances_sharded`]) when a
-//! `b_*` metric is selected, and the clustering family shares one
-//! triangle census. Every metric and pass reads the cache's one
+//! `b_*` metric is selected, and the clustering family and `s2` share
+//! one triangle census. Every metric and pass reads the cache's one
 //! [`CsrGraph`](dk_graph::CsrGraph), the analyzed graph.
 //!
 //! ## Approximate (sampled) modes
@@ -204,7 +204,9 @@ impl Cost {
 /// all-source Brandes pass serves both.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Dep {
-    /// Per-node triangle counts (clustering family).
+    /// The triangle census ([`crate::clustering`]): per-node triangle
+    /// counts for the clustering family (`c_mean`, `c_k`,
+    /// `transitivity`) and the closed-pair weight `s2` subtracts.
     Triangles,
     /// Exact distance distribution (all-source BFS).
     Distances,
@@ -393,8 +395,13 @@ static REGISTRY: &[Metric] = &[
         description: "second-order likelihood S2 over induced wedges (§4.3)",
         kind: Kind::Scalar,
         cost: Cost::Linear,
-        deps: &[],
-        compute: |cx| scalar(likelihood::likelihood_s2(cx.graph())),
+        deps: &[Dep::Triangles],
+        compute: |cx| {
+            scalar(likelihood::likelihood_s2_from(
+                cx.graph(),
+                cx.census().closed_weight,
+            ))
+        },
     },
     Metric {
         name: "kcore_max",

@@ -169,6 +169,20 @@ pub fn brandes_copy_bytes(n: usize, edges: usize) -> u64 {
     copy + id_map
 }
 
+/// Bytes the triangle census ([`crate::clustering`]) holds on top of
+/// [`fixed_bytes`] while it runs: the kept `8n`-byte per-node counts, its
+/// oriented copy of the rows (`n + 1` `u32` offsets and one `u32` per
+/// edge, `4(n+1) + 4m`) and its `4n`-byte mark array. Up to an average
+/// degree of about 12 this stays under one worker's
+/// [`per_worker_bytes`], so [`floor_bytes`] covers it; `dk serve` admits
+/// a census at the larger of the two.
+pub fn census_bytes(n: usize, edges: usize) -> u64 {
+    let counts = 8 * n as u64;
+    let rows = 4 * (n as u64 + 1) + 4 * edges as u64;
+    let mark = 4 * n as u64;
+    counts + rows + mark
+}
+
 /// The least memory a pass runs in: [`fixed_bytes`] and one worker's
 /// [`per_worker_bytes`], plus [`brandes_copy_bytes`] when it is a
 /// Brandes pass. [`plan`] never plans below one worker, so a budget
@@ -331,6 +345,16 @@ mod tests {
             },
         );
         assert_eq!((tiny.workers, tiny.brandes_workers), (1, 1));
+    }
+
+    #[test]
+    fn census_fits_the_floor_up_to_average_degree_twelve() {
+        // fixed + census stays under the plain floor while the oriented
+        // rows (4 bytes per edge) fit the worker scratch it replaces
+        let n = 100_000;
+        let under = |m: usize| fixed_bytes(n, m) + census_bytes(n, m) <= floor_bytes(n, m, false);
+        assert!(under(2 * n) && under(6 * n));
+        assert!(!under(6 * n + n / 10) && !under(16 * n));
     }
 
     #[test]

@@ -34,7 +34,11 @@
 //! ([`dk_metrics::stream::floor_bytes`]: the fixed bytes and one
 //! worker's scratch, and the Brandes pass's BFS-ordered graph copy when
 //! a betweenness metric is selected or an attack is ranked by
-//! betweenness), plus HyperANF register sheets when
+//! betweenness), raised to the triangle census's footprint
+//! ([`dk_metrics::stream::census_bytes`] on top of the fixed bytes) when
+//! a clustering metric or `s2` is selected on a graph dense enough
+//! (average degree above about 12) that the floor does not cover it,
+//! plus HyperANF register sheets when
 //! a sketch metric is, and the spectral solver's
 //! working set ([`dk_metrics::spectral::spectral_bytes`]: the dense
 //! matrices below the Lanczos cutoff, the sparse Laplacian and a few
@@ -52,7 +56,7 @@ use crate::protocol::ReqError;
 use dk_graph::hashers::DetHashMap;
 use dk_graph::Graph;
 use dk_metrics::attack::Strategy;
-use dk_metrics::metric::Cost;
+use dk_metrics::metric::{Cost, Dep};
 use dk_metrics::{AnalysisCache, AnyMetric};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -322,6 +326,13 @@ impl Registry {
             .iter()
             .any(|m| m.deps().iter().any(|d| d.runs_brandes()));
         let mut min_bytes = dk_metrics::stream::floor_bytes(nodes, edges, brandes);
+        if metrics.iter().any(|m| m.deps().contains(&Dep::Triangles)) {
+            // the census runs alone, before the traversal passes: it
+            // raises the minimum only where the floor does not cover it
+            let census = dk_metrics::stream::fixed_bytes(nodes, edges)
+                .saturating_add(dk_metrics::stream::census_bytes(nodes, edges));
+            min_bytes = min_bytes.max(census);
+        }
         if metrics.iter().any(|m| m.cost() == Cost::Sketch) {
             let registers = (nodes as u64)
                 .saturating_mul(1u64 << sketch_bits)
@@ -617,6 +628,43 @@ mod tests {
             assert_eq!(err.code, "over_budget", "{name}");
             assert!(err.message.contains(&brandes_floor.to_string()), "{name}");
         }
+    }
+
+    #[test]
+    fn admission_prices_the_census_in_where_the_floor_does_not_cover_it() {
+        let metric = |name: &str| -> Vec<AnyMetric> {
+            AnyMetric::all().filter(|m| m.name() == name).collect()
+        };
+        let census_floor = |n: usize, m: usize| {
+            dk_metrics::stream::fixed_bytes(n, m) + dk_metrics::stream::census_bytes(n, m)
+        };
+        // average degree 32: the census needs more than the floor
+        let (n, m) = (10_000, 160_000);
+        let plain_floor = dk_metrics::stream::floor_bytes(n, m, false);
+        let census = census_floor(n, m);
+        assert!(census > plain_floor);
+        // a budget between the two minimums
+        let reg = Registry::new(Some((plain_floor + census) / 2), 1);
+        assert!(reg.admit(n, m, &metric("k_avg"), 8, None).is_ok());
+        for name in ["c_mean", "s2"] {
+            assert_eq!(metric(name).len(), 1, "{name}");
+            let err = reg.admit(n, m, &metric(name), 8, None).unwrap_err();
+            assert_eq!(err.code, "over_budget", "{name}");
+            assert!(err.message.contains(&census.to_string()), "{name}");
+        }
+        // BA(10^4), two edges per arriving node: the floor covers it, so
+        // the minimum is the floor itself
+        let (n, m) = (10_000, 19_997);
+        let plain_floor = dk_metrics::stream::floor_bytes(n, m, false);
+        assert!(census_floor(n, m) < plain_floor);
+        let reg = Registry::new(Some(plain_floor - 1), 1);
+        for name in ["c_mean", "s2", "k_avg"] {
+            let err = reg.admit(n, m, &metric(name), 8, None).unwrap_err();
+            assert!(err.message.contains(&plain_floor.to_string()), "{name}");
+        }
+        assert!(Registry::new(Some(plain_floor), 1)
+            .admit(n, m, &metric("s2"), 8, None)
+            .is_ok());
     }
 
     #[test]

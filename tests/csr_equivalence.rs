@@ -11,15 +11,21 @@
 //! exact integers; the exact-sum oracles below hold them to the f64
 //! `edges()`-order sums, bit for bit, and the GCC oracle holds the
 //! cache's CSR giant component to `giant_component`'s graph.
+//!
+//! The triangle census is one degree-ordered forward pass; the census
+//! oracles hold its per-node counts and `S2` to the sorted-merge census
+//! it replaced, bit for bit.
 
 use dk_repro::graph::builders;
 use dk_repro::graph::csr::CsrGraph;
-use dk_repro::graph::{traversal, AdjacencyView, Graph, GraphError};
+use dk_repro::graph::{traversal, undirected_edges, AdjacencyView, Graph, GraphError, NodeId};
 use dk_repro::metrics::{
-    jdd, likelihood, sampled, stream, AnalysisCache, AnalyzeOptions, Analyzer, Report,
+    clustering, jdd, likelihood, sampled, stream, AnalysisCache, AnalyzeOptions, Analyzer,
+    AnyMetric, MetricValue, Report,
 };
 use dk_repro::topologies::ba::{barabasi_albert, BaParams};
 use dk_repro::topologies::{skitter_like, AsLikeParams};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -341,6 +347,212 @@ fn exact_edge_sums_equal_the_edge_order_f64_sums() -> Result<(), GraphError> {
     assert_eq!(likelihood_s_f64(&edgeless).to_bits(), (-0.0f64).to_bits());
     let s = likelihood::likelihood_s(&CsrGraph::from_graph(&edgeless));
     assert_eq!(s.to_bits(), 0.0f64.to_bits());
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// The forward census keeps the merge census's counts and S2, bit for bit
+// ---------------------------------------------------------------------
+
+/// `clustering::triangles_per_node` as it was before the degree-ordered
+/// census: its body verbatim, one sorted-adjacency merge per edge.
+fn triangles_per_node_oracle<V: AdjacencyView + ?Sized>(g: &V) -> Vec<usize> {
+    let n = g.node_count();
+    let mut t = vec![0usize; n];
+    for u in 0..n as u32 {
+        let a = g.neighbors(u);
+        for &v in a.iter().filter(|&&v| v > u) {
+            // every common neighbor w of (u,v) closes a triangle {u,v,w}
+            let b = g.neighbors(v);
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() && j < b.len() {
+                match a[i].cmp(&b[j]) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => {
+                        let w = a[i];
+                        t[w as usize] += 1;
+                        i += 1;
+                        j += 1;
+                    }
+                }
+            }
+        }
+    }
+    // each triangle's three edges credit its three opposite vertices, so
+    // every vertex of a triangle is counted exactly once
+    t
+}
+
+/// `likelihood::likelihood_s2` as it was before it read the census's
+/// closed-pair weight: its body verbatim, the closed pairs subtracted
+/// by one `common_neighbors` merge per edge.
+fn likelihood_s2_oracle<V: AdjacencyView + ?Sized>(g: &V) -> f64 {
+    // all neighbor pairs (open + closed) per center
+    let mut total = 0i128;
+    for v in 0..g.node_count() as NodeId {
+        let (mut sum, mut sum_sq) = (0i128, 0i128);
+        for &u in g.neighbors(v) {
+            let k = g.degree(u) as i128;
+            sum += k;
+            sum_sq += k * k;
+        }
+        total += (sum * sum - sum_sq) / 2;
+    }
+    // subtract closed pairs: for every edge (u,v) and common neighbor w,
+    // the pair {u,v} is a triangle-closed neighbor pair of center w
+    for (u, v) in undirected_edges(g) {
+        let t = g.common_neighbors(u, v) as i128;
+        total -= t * g.degree(u) as i128 * g.degree(v) as i128;
+    }
+    total as f64
+}
+
+/// Holds the census to both oracles on `g` and on its CSR.
+fn assert_census_matches_oracle(g: &Graph, what: &str) {
+    let csr = CsrGraph::from_graph(g);
+    let want = triangles_per_node_oracle(g);
+    assert_eq!(clustering::triangles_per_node(g), want, "{what}: Graph");
+    assert_eq!(clustering::triangles_per_node(&csr), want, "{what}: CSR");
+    let s2 = likelihood_s2_oracle(g).to_bits();
+    assert_eq!(
+        likelihood::likelihood_s2(g).to_bits(),
+        s2,
+        "{what}: S2 on the Graph"
+    );
+    assert_eq!(
+        likelihood::likelihood_s2(&csr).to_bits(),
+        s2,
+        "{what}: S2 on the CSR"
+    );
+}
+
+/// Two hubs of equal degree (a rank tie the id breaks) joined to each
+/// other and to every leaf, a clique among the first leaves, and a
+/// third, smaller hub on the last leaves.
+fn star_clique_hubs() -> Result<Graph, GraphError> {
+    let mut g = Graph::with_nodes(42);
+    g.add_edge(0, 1)?;
+    for leaf in 3..42 {
+        g.add_edge(0, leaf)?;
+        g.add_edge(1, leaf)?;
+    }
+    for u in 3..9 {
+        for v in u + 1..9 {
+            g.add_edge(u, v)?;
+        }
+    }
+    for leaf in 30..42 {
+        g.add_edge(2, leaf)?;
+    }
+    Ok(g)
+}
+
+/// The census inputs: the zoo, complete graphs, degree-regular graphs
+/// whose every rank tie falls to the id, hub-heavy graphs, and
+/// edgeless ones.
+fn census_inputs() -> Result<Vec<(String, Graph)>, GraphError> {
+    let mut inputs: Vec<(String, Graph)> = zoo()
+        .into_iter()
+        .enumerate()
+        .map(|(i, g)| (format!("zoo[{i}]"), g))
+        .collect();
+    for k in 3..=12 {
+        inputs.push((format!("K{k}"), builders::complete(k)));
+    }
+    inputs.extend([
+        ("cycle(9)".to_string(), builders::cycle(9)),
+        ("petersen".to_string(), builders::petersen()),
+        ("grid(6, 7)".to_string(), builders::grid(6, 7)),
+        ("star+clique hubs".to_string(), star_clique_hubs()?),
+        (
+            "BA(2000)".to_string(),
+            barabasi_albert(
+                &BaParams {
+                    nodes: 2000,
+                    edges_per_node: 2,
+                    seed_nodes: 3,
+                },
+                &mut StdRng::seed_from_u64(5),
+            ),
+        ),
+        (
+            "skitter_like(small)".to_string(),
+            skitter_like(&AsLikeParams::small(), &mut StdRng::seed_from_u64(27)),
+        ),
+        ("edgeless(5)".to_string(), Graph::with_nodes(5)),
+        ("empty".to_string(), Graph::new()),
+    ]);
+    Ok(inputs)
+}
+
+#[test]
+fn census_matches_the_merge_oracle() -> Result<(), GraphError> {
+    for (what, g) in census_inputs()? {
+        assert_census_matches_oracle(&g, &what);
+    }
+    Ok(())
+}
+
+/// Strategy: a simple graph on 40 nodes in which about half the edge
+/// endpoints land on one of 1–4 hubs spread over the id range, so the
+/// degrees span a wide range while the leaves tie on degree often.
+fn arb_hub_heavy() -> impl Strategy<Value = Graph> {
+    (
+        1u32..5,
+        proptest::collection::vec((0u32..40, 0u32..40, 0u32..4), 0..200),
+    )
+        .prop_map(|(hubs, ends)| {
+            let hub = |x: u32| (x % hubs) * 13 % 40;
+            let edges = ends.into_iter().map(|(u, v, pick)| match pick {
+                0 | 1 => (hub(u), v),
+                _ => (u, v),
+            });
+            Graph::from_edges_dedup(40, edges).expect("ids below 40")
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The census equals the merge oracle on random hub-heavy graphs.
+    #[test]
+    fn census_matches_the_merge_oracle_on_hub_heavy_graphs(g in arb_hub_heavy()) {
+        assert_census_matches_oracle(&g, "hub-heavy");
+    }
+}
+
+/// A metric value's bits: scalars and series points by `f64::to_bits`.
+fn value_bits(v: &MetricValue) -> Vec<u64> {
+    match v {
+        MetricValue::Scalar(x) => vec![x.to_bits()],
+        MetricValue::Series(s) => s
+            .iter()
+            .flat_map(|&(k, y)| [k as u64, y.to_bits()])
+            .collect(),
+        MetricValue::Undefined => vec![u64::MAX],
+    }
+}
+
+#[test]
+fn one_prepared_census_serves_each_metric_as_alone() -> Result<(), GraphError> {
+    let together = AnyMetric::parse_list("c_mean,c_k,transitivity,s2").expect("registry names");
+    for (what, g) in census_inputs()? {
+        let report = Analyzer::new().metrics(together.clone()).analyze(&g);
+        // no dep prepared: every read runs the census on demand
+        let on_demand = AnalysisCache::build(&g, &[], &AnalyzeOptions::default());
+        for (metric, record) in together.iter().zip(&report.records) {
+            let want = value_bits(&record.value);
+            let got = value_bits(&metric.compute(&on_demand));
+            assert_eq!(got, want, "{what}: {metric} on demand");
+            let alone = Analyzer::new().metrics([*metric]).analyze(&g);
+            assert_eq!(
+                value_bits(&alone.records[0].value),
+                want,
+                "{what}: {metric} alone"
+            );
+        }
+    }
     Ok(())
 }
 

@@ -168,7 +168,7 @@ fn analyzer_streamed_report_identical_to_in_memory_oracle() {
                 .shards(shards)
                 .threads(1)
                 .analyze(&g);
-            for threads in [1, 4] {
+            for threads in [2, 4] {
                 let streamed = Analyzer::new()
                     .metric_names(&names)
                     .unwrap()
