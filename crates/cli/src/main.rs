@@ -49,14 +49,15 @@ removal order (default degree), `--checkpoints` probes the residual GCC
 at the given removal fractions (default 0.01,0.05,0.1,0.25,0.5; sorted,
 duplicates dropped), and the JSON report carries the decimated curve
 plus the interpolated fraction where the GCC halves. `serve` runs a
-long-lived daemon holding named graphs with warm analysis caches behind
-a line-delimited JSON protocol on a Unix socket (ops: load, metric,
-compare, attack, rewire, generate-into, stats, shutdown — full
-reference in the dk-serve crate docs): identical concurrent requests
-coalesce onto one computation, `--memory-budget` admission-rejects
-requests that cannot fit, and responses are byte-identical for every
-`--threads` value. `client` sends one request line and prints the
-response, e.g. `dk client --socket /tmp/dk.sock '{\"op\":\"stats\"}'`.";
+long-lived daemon holding named graphs behind a line-delimited JSON
+protocol on a Unix socket (ops: load, metric, compare, attack, rewire,
+generate-into, stats, shutdown — full reference in the dk-serve crate
+docs): repeated requests replay a per-graph response table until the
+graph changes, identical concurrent requests coalesce onto one
+computation, `--memory-budget` admission-rejects requests that cannot
+fit, and responses are byte-identical for every `--threads` value.
+`client` sends one request line and prints the response, e.g.
+`dk client --socket /tmp/dk.sock '{\"op\":\"stats\"}'`.";
 
 struct Args {
     positional: Vec<String>,

@@ -159,15 +159,6 @@ impl Analyzer {
         self
     }
 
-    /// Stamps a generation counter onto the built caches and reports
-    /// (pure bookkeeping for long-lived holders such as the serve
-    /// registry: a mutation verb bumps its epoch and any cache carrying
-    /// an older stamp is known stale). Has no effect on metric values.
-    pub fn epoch(mut self, epoch: u64) -> Self {
-        self.opts.epoch = epoch;
-        self
-    }
-
     /// Caps the traversal passes' working memory (CLI `--memory-budget`):
     /// the worker count is lowered until `workers × per-worker scratch`
     /// fits the budget (never below one worker). Results are identical

@@ -18,7 +18,6 @@ use crate::sampled::{self, SampledTraversal};
 use crate::stream::{run_sharded_fold, DEFAULT_SHARDS};
 use dk_graph::{AdjacencyView, CsrGraph, Graph, NodeId};
 use std::cmp::Reverse;
-use std::collections::VecDeque;
 use std::ops::Range;
 
 /// The exact all-source Brandes pass over a CSR snapshot: node
@@ -391,69 +390,6 @@ pub fn normalize_raw(raw: Vec<f64>, n: usize) -> Vec<f64> {
     raw.into_iter().map(|b| b * scale).collect()
 }
 
-/// Exact **edge** betweenness (paper §2: centrality "both for nodes and
-/// links"; "link value \[29\]" is directly related), unordered-pair
-/// convention, keyed by canonical edge.
-///
-/// Same Brandes pass as node betweenness; the dependency flowing across
-/// each DAG edge is accumulated per graph edge.
-pub fn edge_betweenness(g: &Graph) -> Vec<((NodeId, NodeId), f64)> {
-    let n = g.node_count();
-    let mut acc: std::collections::BTreeMap<(NodeId, NodeId), f64> =
-        g.edges().iter().map(|&e| (e, 0.0)).collect();
-    if n == 0 {
-        return Vec::new();
-    }
-    // sequential: edge betweenness is used on small (HOT-scale) graphs
-    let mut dist = vec![-1i32; n];
-    let mut sigma = vec![0.0f64; n];
-    let mut delta = vec![0.0f64; n];
-    let mut order: Vec<NodeId> = Vec::with_capacity(n);
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    for s in 0..n as u32 {
-        for i in 0..n {
-            dist[i] = -1;
-            sigma[i] = 0.0;
-            delta[i] = 0.0;
-        }
-        order.clear();
-        queue.clear();
-        dist[s as usize] = 0;
-        sigma[s as usize] = 1.0;
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            let du = dist[u as usize];
-            for &v in g.neighbors(u) {
-                let vi = v as usize;
-                if dist[vi] < 0 {
-                    dist[vi] = du + 1;
-                    queue.push_back(v);
-                }
-                if dist[vi] == du + 1 {
-                    sigma[vi] += sigma[u as usize];
-                }
-            }
-        }
-        for &w in order.iter().rev() {
-            let wi = w as usize;
-            let coeff = (1.0 + delta[wi]) / sigma[wi];
-            let dw = dist[wi];
-            for &v in g.neighbors(w) {
-                let vi = v as usize;
-                if dist[vi] + 1 == dw {
-                    let flow = sigma[vi] * coeff;
-                    delta[vi] += flow;
-                    let key = if v < w { (v, w) } else { (w, v) };
-                    *acc.get_mut(&key).expect("edge exists") += flow;
-                }
-            }
-        }
-    }
-    // each unordered pair contributes from both endpoints
-    acc.into_iter().map(|(e, b)| (e, b / 2.0)).collect()
-}
-
 /// Mean normalized betweenness of `k`-degree nodes, as `(k, b̄(k))` pairs —
 /// the series plotted in the paper's betweenness figures.
 pub fn betweenness_by_degree(g: &Graph) -> Vec<(usize, f64)> {
@@ -644,72 +580,5 @@ mod tests {
     fn tiny_graphs() {
         assert!(node_betweenness(&Graph::new()).is_empty());
         assert_eq!(normalized_betweenness(&builders::path(2)), vec![0.0, 0.0]);
-        assert!(edge_betweenness(&Graph::new()).is_empty());
-    }
-
-    #[test]
-    fn edge_betweenness_on_path() {
-        // P4 edges: (0,1) carries pairs {0,1},{0,2},{0,3} → 3;
-        // (1,2) carries {0,2},{0,3},{1,2},{1,3} → 4; (2,3) symmetric 3.
-        let g = builders::path(4);
-        let eb = edge_betweenness(&g);
-        let get = |u: u32, v: u32| eb.iter().find(|&&(e, _)| e == (u, v)).unwrap().1;
-        assert!((get(0, 1) - 3.0).abs() < 1e-12);
-        assert!((get(1, 2) - 4.0).abs() < 1e-12);
-        assert!((get(2, 3) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn edge_betweenness_on_star_is_pairs_plus_one() {
-        // S_k: each spoke carries its own leaf pair with the hub (1) plus
-        // (k−1) leaf–leaf pairs split... no splitting: unique paths.
-        // pairs through spoke (0,i): {i, hub} = 1 + {i, j≠i} = k−1 → k.
-        let k = 5;
-        let g = builders::star(k);
-        for (_, b) in edge_betweenness(&g) {
-            assert!((b - k as f64).abs() < 1e-12, "b = {b}");
-        }
-    }
-
-    #[test]
-    fn edge_betweenness_splits_over_shortest_paths() {
-        // C4: each pair at distance 2 has two shortest paths → each edge
-        // carries 4 adjacent pairs' single paths... by symmetry all equal.
-        let g = builders::cycle(4);
-        let eb = edge_betweenness(&g);
-        for &(_, b) in &eb {
-            assert!((b - eb[0].1).abs() < 1e-12);
-        }
-        // total edge betweenness = Σ over pairs of path length
-        let total: f64 = eb.iter().map(|&(_, b)| b).sum();
-        let dd = DistanceDistribution::from_graph(&g);
-        let sum_dist: f64 = dd
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(x, &c)| x as f64 * c as f64)
-            .sum::<f64>()
-            / 2.0;
-        assert!((total - sum_dist).abs() < 1e-9);
-    }
-
-    #[test]
-    fn edge_betweenness_total_equals_sum_of_distances() {
-        // identity: Σ_e bc(e) = Σ_{pairs} d(u,v) (every shortest path of
-        // length ℓ contributes ℓ edge-visits, split across ties)
-        let g = builders::karate_club();
-        let total: f64 = edge_betweenness(&g).iter().map(|&(_, b)| b).sum();
-        let dd = DistanceDistribution::from_graph(&g);
-        let sum_dist: f64 = dd
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(x, &c)| x as f64 * c as f64)
-            .sum::<f64>()
-            / 2.0;
-        assert!(
-            (total - sum_dist).abs() < 1e-6,
-            "Σ edge-bc {total} vs Σ distances {sum_dist}"
-        );
     }
 }

@@ -116,13 +116,6 @@ pub struct AnalyzeOptions {
     /// worker count so `workers × per-worker scratch` stays under it
     /// (never below one worker). Results are identical for every budget.
     pub memory_budget: Option<u64>,
-    /// Generation stamp of the graph this analysis reads. Long-lived
-    /// holders (the `dk serve` registry) bump a per-graph epoch on every
-    /// mutation and stamp it here at build time; comparing
-    /// [`AnalysisCache::epoch`] against the current epoch makes a stale
-    /// cache *detectable by construction* instead of silently reusable.
-    /// Pure bookkeeping — no effect on any computed value. Default `0`.
-    pub epoch: u64,
 }
 
 impl Default for AnalyzeOptions {
@@ -136,7 +129,6 @@ impl Default for AnalyzeOptions {
             sketch_rounds: sketch::DEFAULT_SKETCH_ROUNDS,
             shards: None,
             memory_budget: None,
-            epoch: 0,
         }
     }
 }
@@ -166,9 +158,6 @@ pub struct AnalysisCache<'g> {
     /// Resolved execution plan for the traversal passes (shard count,
     /// worker count).
     exec: ExecPlan,
-    /// Generation stamp copied from [`AnalyzeOptions::epoch`] at build
-    /// time (see there).
-    epoch: u64,
     triangles: Option<TriangleCensus>,
     /// The pass from every node (exact `d_*`, `b_*`).
     exact: Option<Pass>,
@@ -191,11 +180,10 @@ impl<'g> AnalysisCache<'g> {
     }
 
     /// As [`AnalysisCache::build_csr`] over a CSR frozen from `g`
-    /// ([`CsrGraph::from_graph`]), which the cache owns — so it borrows
-    /// nothing, the `'static` lifetime long-lived holders (the `dk
-    /// serve` registry) need. Kept for every caller that holds a
-    /// [`Graph`]: `dk compare`, the daemon, the benchmark helper's traced
-    /// walks, and the tests.
+    /// ([`CsrGraph::from_graph`]), which the cache owns, so it borrows
+    /// nothing. Kept for every caller that holds a [`Graph`]: `dk
+    /// compare`, the daemon (one freeze per computed read), the
+    /// benchmark helper's traced walks, and the tests.
     pub fn build(
         g: &Graph,
         metrics: &[AnyMetric],
@@ -279,7 +267,6 @@ impl<'g> AnalysisCache<'g> {
             sketch_bits: opts.sketch_bits,
             sketch_rounds: opts.sketch_rounds,
             exec,
-            epoch: opts.epoch,
             triangles,
             exact,
             pivots,
@@ -320,14 +307,6 @@ impl<'g> AnalysisCache<'g> {
     /// and worker count. See [`stream::plan`] for how they are resolved.
     pub fn exec_plan(&self) -> ExecPlan {
         self.exec
-    }
-
-    /// The generation stamp this cache was built at
-    /// ([`AnalyzeOptions::epoch`]; `0` unless the builder set one).
-    /// A holder that mutates its graph must bump its epoch, at which
-    /// point `cache.epoch() != current_epoch` marks this cache stale.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The `samples` budget this cache was built with (pivot count for
@@ -469,7 +448,7 @@ mod tests {
         let cache = AnalysisCache::build(&karate, &[], &opts);
         assert_eq!(cache.graph(), &csr);
         assert_eq!(cache.gcc_fraction(), 1.0);
-        // the daemon shares warm caches across connection threads
+        // the analyzer's metric fan-out shares one cache across threads
         fn send_sync<T: Send + Sync>(_: &T) {}
         send_sync(&cache);
 

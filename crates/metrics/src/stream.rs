@@ -177,10 +177,18 @@ pub fn brandes_copy_bytes(n: usize, edges: usize) -> u64 {
 /// [`per_worker_bytes`], so [`floor_bytes`] covers it; `dk serve` admits
 /// a census at the larger of the two.
 pub fn census_bytes(n: usize, edges: usize) -> u64 {
-    let counts = 8 * n as u64;
+    let counts = census_counts_bytes(n);
     let rows = 4 * (n as u64 + 1) + 4 * edges as u64;
     let mark = 4 * n as u64;
     counts + rows + mark
+}
+
+/// The `8n` bytes of per-node triangle counts that the census keeps in
+/// the cache (part of [`census_bytes`]). They stay resident while the
+/// traversal passes after the census run, so `dk serve` adds them to the
+/// floor of a request that selects both kinds of metric.
+pub fn census_counts_bytes(n: usize) -> u64 {
+    8 * n as u64
 }
 
 /// The least memory a pass runs in: [`fixed_bytes`] and one worker's

@@ -1,11 +1,13 @@
 //! # dk-serve — long-running analysis/generation daemon
 //!
 //! Re-measuring a large topology for every `dk metrics` invocation
-//! re-pays graph loading, GCC extraction, and CSR construction each
-//! time. `dk serve` keeps that state warm: a daemon holds a registry of
-//! **named graphs**, each owning a frozen snapshot plus a warm
-//! [`dk_metrics::AnalysisCache`], and answers analysis/generation
-//! requests over a line-delimited JSON protocol on a Unix socket.
+//! re-pays graph loading each time. `dk serve` keeps graphs resident: a
+//! daemon holds a registry of **named graphs**, each owning a frozen
+//! snapshot and a per-epoch response table, and answers
+//! analysis/generation requests over a line-delimited JSON protocol on
+//! a Unix socket. Each computed read freezes a CSR from the snapshot
+//! and analyzes it ([`dk_metrics::AnalysisCache::build`]); repeats
+//! replay the table.
 //!
 //! ```text
 //! dk serve  --socket /tmp/dk.sock [--memory-budget BYTES] [--threads N]
@@ -16,7 +18,7 @@
 //!
 //! * **Batched coalescing** — identical concurrent requests (same
 //!   graph, epoch, op, knobs) collapse onto one computation; sequential
-//!   repeats replay from a per-epoch memo ([`registry`]).
+//!   repeats replay the graph's per-epoch response table ([`registry`]).
 //! * **Admission control** — requests are priced against the sharded
 //!   executor's byte model before any allocation; over-budget requests
 //!   get a structured `over_budget` error instead of an OOM, and
@@ -43,14 +45,14 @@
 //! | `attack` | `graph`, `strategy?`, `seed?`, `checkpoints?` (array in `0..=1`), `samples?`, `no_gcc?` | `graph`, `epoch`, `report` (the `dk attack` JSON) |
 //! | `rewire` | `graph`, `d` (0..=3), `attempts?`, `seed?` | `graph`, new `epoch`, `accepted`, `attempts`, `n`, `m` |
 //! | `generate-into` | `graph` (dest), `from` (source), `d`, `algo?` (default `pseudograph`), `seed?` | `graph`, `from`, `algo`, `d`, new `epoch`, `n`, `m` |
-//! | `stats` | — | `graphs` (sorted by name), `counters` |
+//! | `stats` | — | `graphs` (sorted by name; per graph `epoch`, `n`, `m`), `counters` |
 //! | `shutdown` | — | — (daemon exits after responding) |
 //!
 //! Metric values in `values` use a **tagged** encoding that separates
 //! "undefined on this graph" from "computed but not finite" — see
 //! [`protocol::tagged_value`]. `load`, `rewire`, and `generate-into`
-//! bump the entry's **epoch**, atomically invalidating its warm cache
-//! and memoized responses; `rewire` and `generate-into` are priced
+//! bump the entry's **epoch**, atomically clearing its response table;
+//! `rewire` and `generate-into` are priced
 //! through the same admission gate as analysis ops (the mutable
 //! clone / generated graph is the footprint), so an over-budget daemon
 //! rejects them structurally too. `stats` counters reflect scheduling

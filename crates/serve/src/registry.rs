@@ -1,31 +1,28 @@
-//! The daemon's shared state: named graphs with warm caches and epochs,
-//! the in-flight coalescing table, the per-epoch response memo, and the
-//! admission-control gate.
+//! The daemon's shared state: named graphs, each with an epoch and a
+//! response table, and the admission-control gate.
 //!
 //! # Epochs
 //!
 //! Every registry entry carries a monotonically increasing **epoch**.
-//! Mutation verbs (`load`, `rewire`, `generate-into`) bump it and drop
-//! the entry's warm [`AnalysisCache`] and response memo atomically
-//! under the entry lock, so analysis started before a mutation can
-//! never publish its (now stale) cache or memoized response back into
-//! the entry: publication re-checks the epoch first. Read verbs stamp
-//! the epoch they observed into their flight/memo keys, which makes a
-//! stale hit structurally impossible rather than merely unlikely.
+//! Mutation verbs (`load`, `rewire`, `generate-into`) bump it and clear
+//! the entry's response table atomically under the entry lock. A read
+//! verb observes the epoch and the frozen graph snapshot under one lock
+//! acquisition and computes from that snapshot. A read whose observed
+//! epoch is already behind the entry's computes without touching the
+//! table, so a stale response can never land in a newer epoch's table.
 //!
 //! # Coalescing
 //!
-//! Identical concurrent work — same `(graph, epoch, op, knobs)` key —
-//! collapses onto one computation: the first requester inserts a
-//! `Flight` and computes; later arrivals find the flight, park on its
-//! condvar, and are counted in [`Counters::coalesced`]. The flight
-//! table is registry-global, so every key embeds the graph *name* as
-//! well as the observed epoch — two same-epoch graphs must never share
-//! a flight. A computation that panics still resolves its flight (with
-//! a structured `io` error) on unwind, so followers are never wedged.
-//! Completed responses are memoized per entry (keyed by the same
-//! string), so *sequential* repeats are also free
-//! ([`Counters::memo_hits`]) until the next mutation clears the memo.
+//! Each entry's table maps a request key (op and knobs) to a pending
+//! flight or to a finished response body. In [`Registry::coalesce`], a
+//! finished body is replayed ([`Counters::memo_hits`]); a pending flight
+//! parks the caller on its condvar until it resolves
+//! ([`Counters::coalesced`]); otherwise the caller registers a pending
+//! flight and computes ([`Counters::computed`]). Only a successful body
+//! stays in the table: an error, or a computation that panics, removes
+//! its pending entry, and parked followers get the error (a structured
+//! `io` error after a panic), so they are never wedged. Tables belong to
+//! one entry, so two graphs never share a key.
 //!
 //! # Admission
 //!
@@ -37,12 +34,16 @@
 //! betweenness), raised to the triangle census's footprint
 //! ([`dk_metrics::stream::census_bytes`] on top of the fixed bytes) when
 //! a clustering metric or `s2` is selected on a graph dense enough
-//! (average degree above about 12) that the floor does not cover it,
-//! plus HyperANF register sheets when
-//! a sketch metric is, and the spectral solver's
-//! working set ([`dk_metrics::spectral::spectral_bytes`]: the dense
-//! matrices below the Lanczos cutoff, the sparse Laplacian and a few
-//! n-vectors above it) when `lambda1` or `lambda_n` is. The spectral
+//! (average degree above about 12) that the floor does not cover it.
+//! The census keeps its per-node counts
+//! ([`dk_metrics::stream::census_counts_bytes`]) in the cache while the
+//! traversal passes after it run, so a request that also selects a
+//! distance or betweenness metric adds them to the floor. HyperANF
+//! register sheets are added when a sketch metric is selected, and the
+//! spectral solver's working set
+//! ([`dk_metrics::spectral::spectral_bytes`]: the dense matrices below
+//! the Lanczos cutoff, the sparse Laplacian and a few n-vectors above
+//! it) when `lambda1` or `lambda_n` is. The spectral
 //! term is added, not maxed: the spectral job runs after the traversal
 //! jobs, so the sum over-approximates the peak. Requests whose
 //! *minimum* footprint (one worker) exceeds the effective budget — the
@@ -57,7 +58,7 @@ use dk_graph::hashers::DetHashMap;
 use dk_graph::Graph;
 use dk_metrics::attack::Strategy;
 use dk_metrics::metric::{Cost, Dep};
-use dk_metrics::{AnalysisCache, AnyMetric};
+use dk_metrics::AnyMetric;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -74,11 +75,11 @@ pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct Counters {
     /// Requests answered (including errors).
     pub served: AtomicU64,
-    /// Computations actually executed (cache builds + metric passes).
+    /// Computations actually executed.
     pub computed: AtomicU64,
     /// Requests that piggybacked on an identical in-flight computation.
     pub coalesced: AtomicU64,
-    /// Requests answered from the per-epoch response memo.
+    /// Requests answered from a finished body in the response table.
     pub memo_hits: AtomicU64,
     /// Requests rejected by admission control (`over_budget`).
     pub rejected: AtomicU64,
@@ -95,21 +96,6 @@ impl Counters {
     }
 }
 
-/// A warm analysis cache retained by a registry entry, valid only while
-/// the entry's epoch matches and only for the knob key it was built
-/// under.
-pub struct WarmCache {
-    /// Canonical knob key (metric list + analysis knobs) the cache's
-    /// dependency passes were planned for.
-    pub knobs: String,
-    /// Epoch of the graph snapshot the cache was built from.
-    pub epoch: u64,
-    /// The cache itself; `'static` because it owns the CSR it analyzes
-    /// (frozen from the slot's graph snapshot, or that CSR's extracted
-    /// GCC when the snapshot is disconnected) instead of borrowing it.
-    pub cache: Arc<AnalysisCache<'static>>,
-}
-
 /// Mutable state of one named graph.
 pub struct GraphState {
     /// Generation counter; bumped by every mutation verb.
@@ -117,27 +103,90 @@ pub struct GraphState {
     /// Frozen snapshot handed to readers (cheap `Arc` clone under the
     /// entry lock; all computation happens outside it).
     pub graph: Arc<Graph>,
-    /// Warm cache from the most recent metric pass, if still valid.
-    pub warm: Option<WarmCache>,
-    /// Completed response bodies keyed by `(graph, epoch, op, knobs)`
-    /// strings; cleared on mutation.
-    pub memo: DetHashMap<String, String>,
+    /// This epoch's responses, keyed by op and knobs; cleared on
+    /// mutation.
+    responses: DetHashMap<String, Response>,
 }
 
 /// One named graph: a lock around its [`GraphState`].
 pub type GraphSlot = Arc<Mutex<GraphState>>;
 
+/// One response-table entry.
+enum Response {
+    /// Being computed; identical requests park on the flight.
+    Pending(Arc<Flight>),
+    /// The finished body, replayed to later repeats.
+    Done(String),
+}
+
 /// One in-flight computation other requests can coalesce onto.
+#[derive(Default)]
 struct Flight {
-    /// `None` while computing; the finished response body after.
+    /// `None` while computing; the outcome after.
     result: Mutex<Option<Result<String, ReqError>>>,
     done: Condvar,
+}
+
+impl Flight {
+    /// Parks until the flight resolves, then returns its outcome.
+    fn wait(&self) -> Result<String, ReqError> {
+        let mut result = lock(&self.result);
+        loop {
+            if let Some(outcome) = result.as_ref() {
+                return outcome.clone();
+            }
+            result = self
+                .done
+                .wait(result)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+    }
+}
+
+/// Resolves a registered flight when dropped, so a computation that
+/// panics still resolves it (with a structured `io` error): otherwise
+/// its followers, and every later identical request, would park
+/// forever.
+struct Resolve<'a> {
+    slot: &'a GraphSlot,
+    key: &'a str,
+    flight: Arc<Flight>,
+    /// The computation's outcome; `None` while it runs or after a panic.
+    outcome: Option<Result<String, ReqError>>,
+}
+
+impl Drop for Resolve<'_> {
+    fn drop(&mut self) {
+        let outcome = self.outcome.take().unwrap_or_else(|| {
+            Err(ReqError::new(
+                "io",
+                "the computation serving this request panicked",
+            ))
+        });
+        let mut state = lock(self.slot);
+        // a mutation may have cleared the table, and a newer epoch's
+        // flight may hold the key by now: leave that one be
+        let ours = matches!(
+            state.responses.get(self.key),
+            Some(Response::Pending(f)) if Arc::ptr_eq(f, &self.flight)
+        );
+        if ours {
+            match &outcome {
+                Ok(body) => state
+                    .responses
+                    .insert(self.key.to_string(), Response::Done(body.clone())),
+                Err(_) => state.responses.remove(self.key),
+            };
+        }
+        drop(state);
+        *lock(&self.flight.result) = Some(outcome);
+        self.flight.done.notify_all();
+    }
 }
 
 /// The daemon's shared state (see the [module docs](self)).
 pub struct Registry {
     graphs: Mutex<DetHashMap<String, GraphSlot>>,
-    flights: Mutex<DetHashMap<String, Arc<Flight>>>,
     /// Event counters (`stats` op).
     pub counters: Counters,
     /// Server-wide memory budget (`dk serve --memory-budget`).
@@ -155,7 +204,6 @@ impl Registry {
     pub fn new(memory_budget: Option<u64>, threads: usize) -> Registry {
         Registry {
             graphs: Mutex::new(DetHashMap::default()),
-            flights: Mutex::new(DetHashMap::default()),
             counters: Counters::default(),
             memory_budget,
             threads: threads.max(1),
@@ -174,8 +222,7 @@ impl Registry {
     }
 
     /// Installs `graph` under `name`, bumping the epoch and atomically
-    /// dropping any warm cache and memoized responses. Returns the new
-    /// epoch.
+    /// clearing the response table. Returns the new epoch.
     pub fn install(&self, name: &str, graph: Graph) -> u64 {
         let slot = {
             let mut graphs = lock(&self.graphs);
@@ -185,8 +232,7 @@ impl Registry {
                     Arc::new(Mutex::new(GraphState {
                         epoch: 0,
                         graph: Arc::new(Graph::with_nodes(0)),
-                        warm: None,
-                        memo: DetHashMap::default(),
+                        responses: DetHashMap::default(),
                     }))
                 })
                 .clone()
@@ -194,14 +240,13 @@ impl Registry {
         let mut state = lock(&slot);
         state.epoch += 1;
         state.graph = Arc::new(graph);
-        state.warm = None;
-        state.memo.clear();
+        state.responses.clear();
         state.epoch
     }
 
-    /// `(name, epoch, nodes, edges, warm?)` for every entry, sorted by
-    /// name (the `stats` op must not leak hash-map iteration order).
-    pub fn listing(&self) -> Vec<(String, u64, usize, usize, bool)> {
+    /// `(name, epoch, nodes, edges)` for every entry, sorted by name
+    /// (the `stats` op must not leak hash-map iteration order).
+    pub fn listing(&self) -> Vec<(String, u64, usize, usize)> {
         let slots: Vec<(String, GraphSlot)> = {
             let graphs = lock(&self.graphs);
             let mut pairs: Vec<(String, GraphSlot)> =
@@ -218,21 +263,24 @@ impl Registry {
                     state.epoch,
                     state.graph.node_count(),
                     state.graph.edge_count(),
-                    state.warm.is_some(),
                 )
             })
             .collect()
     }
 
-    /// Runs `compute` under the coalescing/memo discipline for `key`
-    /// (which must already embed the graph name and the observed
-    /// epoch — the flight table is registry-global):
+    /// Runs `compute` for `key` through `slot`'s response table, as a
+    /// caller that observed `epoch`:
     ///
-    /// 1. memo hit on `slot` → replay the stored response;
-    /// 2. identical flight in progress → park, count as coalesced,
-    ///    return its result;
-    /// 3. otherwise compute (counted in [`Counters::computed`]), publish
-    ///    to the memo if the epoch is still current, wake waiters.
+    /// 1. a finished body → replay it (a memo hit);
+    /// 2. a pending flight → park, count as coalesced, return its
+    ///    outcome;
+    /// 3. otherwise register a pending flight, compute (counted in
+    ///    [`Counters::computed`]), keep an `Ok` body in the table, and
+    ///    wake the parked followers.
+    ///
+    /// A caller whose `epoch` is behind the entry's computes without
+    /// reading or registering anything. The entry lock is never held
+    /// while computing or waiting.
     pub fn coalesce(
         &self,
         slot: &GraphSlot,
@@ -240,75 +288,37 @@ impl Registry {
         key: &str,
         compute: impl FnOnce() -> Result<String, ReqError>,
     ) -> Result<String, ReqError> {
-        if let Some(hit) = lock(slot).memo.get(key) {
-            Counters::bump(&self.counters.memo_hits);
-            return Ok(hit.clone());
+        let mut state = lock(slot);
+        if state.epoch != epoch {
+            drop(state);
+            Counters::bump(&self.counters.computed);
+            return compute();
         }
-        let (flight, leader) = {
-            let mut flights = lock(&self.flights);
-            match flights.get(key) {
-                Some(f) => (f.clone(), false),
-                None => {
-                    let f = Arc::new(Flight {
-                        result: Mutex::new(None),
-                        done: Condvar::new(),
-                    });
-                    flights.insert(key.to_string(), f.clone());
-                    (f, true)
-                }
+        let flight = match state.responses.get(key) {
+            Some(Response::Done(body)) => {
+                Counters::bump(&self.counters.memo_hits);
+                return Ok(body.clone());
             }
+            Some(Response::Pending(flight)) => {
+                let flight = flight.clone();
+                drop(state);
+                Counters::bump(&self.counters.coalesced);
+                return flight.wait();
+            }
+            None => Arc::new(Flight::default()),
         };
-        if !leader {
-            Counters::bump(&self.counters.coalesced);
-            let mut result = lock(&flight.result);
-            while result.is_none() {
-                result = flight
-                    .done
-                    .wait(result)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-            }
-            return result
-                .clone()
-                .unwrap_or_else(|| Err(ReqError::new("io", "in-flight computation vanished")));
-        }
+        let pending = Response::Pending(flight.clone());
+        state.responses.insert(key.to_string(), pending);
+        drop(state);
         Counters::bump(&self.counters.computed);
-        // resolve-on-drop guard: if `compute` panics, the unwind still
-        // publishes an error result, wakes parked followers, and frees
-        // the key — otherwise the flight would wedge forever (current
-        // followers *and* every future identical request).
-        struct Resolve<'a> {
-            reg: &'a Registry,
-            flight: &'a Flight,
-            key: &'a str,
-        }
-        impl Drop for Resolve<'_> {
-            fn drop(&mut self) {
-                let mut result = lock(&self.flight.result);
-                if result.is_none() {
-                    *result = Some(Err(ReqError::new(
-                        "io",
-                        "the computation serving this request panicked",
-                    )));
-                }
-                drop(result);
-                self.flight.done.notify_all();
-                lock(&self.reg.flights).remove(self.key);
-            }
-        }
-        let resolve = Resolve {
-            reg: self,
-            flight: &flight,
+        let mut resolve = Resolve {
+            slot,
             key,
+            flight,
+            outcome: None,
         };
         let outcome = compute();
-        if let Ok(body) = &outcome {
-            let mut state = lock(slot);
-            if state.epoch == epoch {
-                state.memo.insert(key.to_string(), body.clone());
-            }
-        }
-        *lock(&flight.result) = Some(outcome.clone());
-        drop(resolve);
+        resolve.outcome = Some(outcome.clone());
         outcome
     }
 
@@ -327,8 +337,21 @@ impl Registry {
             .any(|m| m.deps().iter().any(|d| d.runs_brandes()));
         let mut min_bytes = dk_metrics::stream::floor_bytes(nodes, edges, brandes);
         if metrics.iter().any(|m| m.deps().contains(&Dep::Triangles)) {
-            // the census runs alone, before the traversal passes: it
-            // raises the minimum only where the floor does not cover it
+            // the census's counts stay in the cache while the traversal
+            // passes after it run
+            let traverses = metrics.iter().flat_map(|m| m.deps()).any(|d| {
+                matches!(
+                    d,
+                    Dep::Distances | Dep::Betweenness | Dep::Sampled | Dep::SampledDistances
+                )
+            });
+            if traverses {
+                min_bytes =
+                    min_bytes.saturating_add(dk_metrics::stream::census_counts_bytes(nodes));
+            }
+            // the census itself runs before them, with no worker scratch
+            // beside it: it raises the minimum only where the floor does
+            // not cover it
             let census = dk_metrics::stream::fixed_bytes(nodes, edges)
                 .saturating_add(dk_metrics::stream::census_bytes(nodes, edges));
             min_bytes = min_bytes.max(census);
@@ -398,10 +421,12 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
-    fn registry_with(name: &str, g: Graph) -> Registry {
+    /// A registry holding `path(n)` as graph `g`, and that graph's slot.
+    fn registry_with_path(n: usize) -> (Arc<Registry>, GraphSlot) {
         let reg = Registry::new(None, 1);
-        reg.install(name, g);
-        reg
+        reg.install("g", path_graph(n));
+        let slot = reg.slot("g").expect("loaded");
+        (Arc::new(reg), slot)
     }
 
     fn path_graph(n: usize) -> Graph {
@@ -413,18 +438,16 @@ mod tests {
     }
 
     #[test]
-    fn install_bumps_epoch_and_clears_warm_state() {
-        let reg = registry_with("g", path_graph(3));
-        let slot = reg.slot("g").expect("loaded");
+    fn install_bumps_epoch_and_clears_the_table() {
+        let (reg, slot) = registry_with_path(3);
         lock(&slot)
-            .memo
-            .insert("k".to_string(), "cached".to_string());
+            .responses
+            .insert("k".to_string(), Response::Done("cached".to_string()));
         assert_eq!(reg.install("g", path_graph(5)), 2);
         let state = lock(&slot);
         assert_eq!(state.epoch, 2);
         assert_eq!(state.graph.node_count(), 5);
-        assert!(state.warm.is_none());
-        assert!(state.memo.is_empty());
+        assert!(state.responses.is_empty());
     }
 
     #[test]
@@ -436,25 +459,24 @@ mod tests {
 
     #[test]
     fn memo_replays_and_mutation_invalidates() {
-        let reg = registry_with("g", path_graph(3));
-        let slot = reg.slot("g").expect("loaded");
+        let (reg, slot) = registry_with_path(3);
         let body = reg
-            .coalesce(&slot, 1, "e1:metric:x", || Ok("body".to_string()))
+            .coalesce(&slot, 1, "metric:x", || Ok("body".to_string()))
             .expect("ok");
         assert_eq!(body, "body");
         assert_eq!(Counters::get(&reg.counters.computed), 1);
         // replay: no second compute
         let again = reg
-            .coalesce(&slot, 1, "e1:metric:x", || {
+            .coalesce(&slot, 1, "metric:x", || {
                 Err(ReqError::new("io", "must not recompute"))
             })
             .expect("memo hit");
         assert_eq!(again, "body");
         assert_eq!(Counters::get(&reg.counters.memo_hits), 1);
-        // mutation clears the memo; the new epoch key recomputes
+        // mutation clears the table; the same key recomputes
         reg.install("g", path_graph(3));
         let fresh = reg
-            .coalesce(&slot, 2, "e2:metric:x", || Ok("fresh".to_string()))
+            .coalesce(&slot, 2, "metric:x", || Ok("fresh".to_string()))
             .expect("ok");
         assert_eq!(fresh, "fresh");
         assert_eq!(Counters::get(&reg.counters.computed), 2);
@@ -462,17 +484,29 @@ mod tests {
 
     #[test]
     fn stale_epoch_does_not_publish_into_the_memo() {
-        let reg = registry_with("g", path_graph(3));
-        let slot = reg.slot("g").expect("loaded");
+        let (reg, slot) = registry_with_path(3);
         // a compute that observed epoch 1 finishes after a mutation
         let body = reg
-            .coalesce(&slot, 1, "e1:metric:x", || {
+            .coalesce(&slot, 1, "metric:x", || {
                 reg.install("g", path_graph(4));
                 Ok("stale".to_string())
             })
             .expect("ok");
         assert_eq!(body, "stale"); // the waiter still gets its answer…
-        assert!(lock(&slot).memo.is_empty()); // …but nothing is cached
+        assert!(lock(&slot).responses.is_empty()); // …but nothing is kept
+    }
+
+    #[test]
+    fn an_error_outcome_is_not_replayed() {
+        let (reg, slot) = registry_with_path(3);
+        let failed = reg.coalesce(&slot, 1, "metric:x", || {
+            Err(ReqError::new("io", "transient"))
+        });
+        assert_eq!(failed.map_err(|e| e.code), Err("io"));
+        let body = reg.coalesce(&slot, 1, "metric:x", || Ok("body".to_string()));
+        assert_eq!(body, Ok("body".to_string()));
+        assert_eq!(Counters::get(&reg.counters.computed), 2);
+        assert_eq!(Counters::get(&reg.counters.memo_hits), 0);
     }
 
     /// The coalescing proof: two identical requests race, the leader
@@ -480,8 +514,7 @@ mod tests {
     /// counters show exactly one computation served both.
     #[test]
     fn concurrent_identical_requests_coalesce() {
-        let reg = Arc::new(registry_with("g", path_graph(3)));
-        let slot = reg.slot("g").expect("loaded");
+        let (reg, slot) = registry_with_path(3);
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let leader = {
             let reg = reg.clone();
@@ -521,20 +554,74 @@ mod tests {
         assert_eq!(Counters::get(&reg.counters.coalesced), 1);
     }
 
+    /// A mutation lands while a follower is parked on the leader's
+    /// flight: both still get the leader's body (the epoch they
+    /// observed), the cleared table keeps nothing of it, the next read
+    /// at the new epoch computes, and a caller still at the old epoch
+    /// computes without touching the new epoch's table.
+    #[test]
+    fn a_mutation_under_a_parked_follower_keeps_nothing_stale() {
+        let (reg, slot) = registry_with_path(3);
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let leader = {
+            let reg = reg.clone();
+            let slot = slot.clone();
+            thread::spawn(move || {
+                reg.coalesce(&slot, 1, "metric:slow", move || {
+                    release_rx
+                        .recv()
+                        .map_err(|_| ReqError::new("io", "release channel closed"))?;
+                    Ok("epoch-1 body".to_string())
+                })
+            })
+        };
+        while Counters::get(&reg.counters.computed) == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let follower = {
+            let reg = reg.clone();
+            let slot = slot.clone();
+            thread::spawn(move || {
+                reg.coalesce(&slot, 1, "metric:slow", || {
+                    Err(ReqError::new("io", "follower must never compute"))
+                })
+            })
+        };
+        while Counters::get(&reg.counters.coalesced) == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(reg.install("g", path_graph(4)), 2);
+        let _ = release_tx.send(());
+        let epoch_1 = Some(Ok("epoch-1 body".to_string()));
+        assert_eq!(leader.join().ok(), epoch_1);
+        assert_eq!(follower.join().ok(), epoch_1);
+        assert!(lock(&slot).responses.is_empty());
+        let fresh = reg.coalesce(&slot, 2, "metric:slow", || Ok("epoch-2 body".to_string()));
+        assert_eq!(fresh, Ok("epoch-2 body".to_string()));
+        let stale = reg.coalesce(&slot, 1, "metric:slow", || Ok("stale".to_string()));
+        assert_eq!(stale, Ok("stale".to_string()));
+        let again = reg.coalesce(&slot, 2, "metric:slow", || {
+            Err(ReqError::new("io", "must not recompute"))
+        });
+        assert_eq!(again, fresh);
+        assert_eq!(Counters::get(&reg.counters.computed), 3);
+        assert_eq!(Counters::get(&reg.counters.coalesced), 1);
+        assert_eq!(Counters::get(&reg.counters.memo_hits), 1);
+    }
+
     /// Panic safety: a leader that panics inside `compute` must still
     /// resolve the flight — parked followers get a structured `io`
     /// error, and the key is freed so the next request recomputes
     /// instead of parking on a wedged flight forever.
     #[test]
     fn panicking_compute_does_not_wedge_the_flight() {
-        let reg = Arc::new(registry_with("g", path_graph(3)));
-        let slot = reg.slot("g").expect("loaded");
+        let (reg, slot) = registry_with_path(3);
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let leader = {
             let reg = reg.clone();
             let slot = slot.clone();
             thread::spawn(move || {
-                reg.coalesce(&slot, 1, "g=g;e1:metric:boom", move || {
+                reg.coalesce(&slot, 1, "metric:boom", move || {
                     let _ = release_rx.recv();
                     panic!("computation exploded");
                 })
@@ -547,7 +634,7 @@ mod tests {
             let reg = reg.clone();
             let slot = slot.clone();
             thread::spawn(move || {
-                reg.coalesce(&slot, 1, "g=g;e1:metric:boom", || {
+                reg.coalesce(&slot, 1, "metric:boom", || {
                     Err(ReqError::new("io", "follower must never compute"))
                 })
             })
@@ -564,7 +651,7 @@ mod tests {
         assert_eq!(err.code, "io");
         // nothing was memoized and the key is free again: recomputes
         let fresh = reg
-            .coalesce(&slot, 1, "g=g;e1:metric:boom", || Ok("fresh".to_string()))
+            .coalesce(&slot, 1, "metric:boom", || Ok("fresh".to_string()))
             .expect("ok");
         assert_eq!(fresh, "fresh");
         assert_eq!(Counters::get(&reg.counters.computed), 2);
@@ -665,6 +752,32 @@ mod tests {
         assert!(Registry::new(Some(plain_floor), 1)
             .admit(n, m, &metric("s2"), 8, None)
             .is_ok());
+    }
+
+    #[test]
+    fn admission_keeps_the_census_counts_beside_the_traversal_passes() {
+        let metrics = |names: &[&str]| -> Vec<AnyMetric> {
+            AnyMetric::all()
+                .filter(|m| names.contains(&m.name()))
+                .collect()
+        };
+        // BA(10^4), two edges per arriving node: the floor covers the
+        // census, but its per-node counts stay in the cache while the
+        // Brandes pass after it runs
+        let (n, m) = (10_000, 19_997);
+        let old_floor = dk_metrics::stream::floor_bytes(n, m, true);
+        let new_floor = old_floor + dk_metrics::stream::census_counts_bytes(n);
+        // a budget between the two minimums
+        let reg = Registry::new(Some((old_floor + new_floor) / 2), 1);
+        assert!(reg.admit(n, m, &metrics(&["c_mean"]), 8, None).is_ok());
+        assert!(reg
+            .admit(n, m, &metrics(&["betweenness_approx"]), 8, None)
+            .is_ok());
+        let pair = metrics(&["c_mean", "betweenness_approx"]);
+        assert_eq!(pair.len(), 2);
+        let err = reg.admit(n, m, &pair, 8, None).unwrap_err();
+        assert_eq!(err.code, "over_budget");
+        assert!(err.message.contains(&new_floor.to_string()));
     }
 
     #[test]

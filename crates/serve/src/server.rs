@@ -17,7 +17,7 @@
 //! transcripts for every `--threads` value.
 
 use crate::protocol::{quoted, tagged_value, Req, ReqError, MAX_REQUEST_BYTES};
-use crate::registry::{lock, Counters, Registry, WarmCache};
+use crate::registry::{lock, Counters, GraphSlot, Registry};
 use dk_core::dist::{AnyDist, Dist1K, Dist2K, Dist3K};
 use dk_core::generate::rewire::{randomize, RewireOptions, SwapBudget};
 use dk_core::generate::{Generator, Method};
@@ -128,8 +128,9 @@ struct MetricKnobs {
     sketch_bits: Option<u32>,
     shards: Option<u64>,
     memory_budget: Option<u64>,
-    /// Canonical key: resolved metric names + every knob, so two
-    /// requests coalesce exactly when their analysis is identical.
+    /// Response-table key: the op, the resolved metric names and every
+    /// knob, so two requests coalesce exactly when their analysis is
+    /// identical.
     key: String,
 }
 
@@ -156,7 +157,7 @@ fn parse_metric_knobs(req: &Req<'_>) -> Result<MetricKnobs, ReqError> {
     let memory_budget = req.opt_positive_u64("memory_budget")?;
     let names: Vec<&str> = metrics.iter().map(|m| m.name()).collect();
     let key = format!(
-        "metrics={};gcc={};samples={:?};bits={:?};shards={:?};budget={:?}",
+        "metric:metrics={};gcc={};samples={:?};bits={:?};shards={:?};budget={:?}",
         names.join(","),
         !no_gcc,
         samples,
@@ -179,16 +180,10 @@ fn parse_metric_knobs(req: &Req<'_>) -> Result<MetricKnobs, ReqError> {
     })
 }
 
-fn analyze_options(
-    reg: &Registry,
-    knobs: &MetricKnobs,
-    epoch: u64,
-    budget: Option<u64>,
-) -> AnalyzeOptions {
+fn analyze_options(reg: &Registry, knobs: &MetricKnobs, budget: Option<u64>) -> AnalyzeOptions {
     let mut opts = AnalyzeOptions {
         gcc: knobs.gcc,
         threads: reg.threads,
-        epoch,
         // shard counts clamp to the node count, so saturating is exact
         shards: knobs
             .shards
@@ -205,52 +200,30 @@ fn analyze_options(
     opts
 }
 
-/// Flight/memo key for a metric pass. The flight table is
-/// registry-global, so the key must embed the graph *name*: two
-/// freshly loaded graphs share an epoch, and without the name their
-/// identical-knob requests would coalesce onto one computation and one
-/// would receive the other's values.
-fn metric_key(name: &str, epoch: u64, knobs_key: &str) -> String {
-    format!("g={name};e{epoch}:metric:{knobs_key}")
-}
-
 /// One consistent view of a slot for an analysis pass: the observed
-/// epoch, the frozen snapshot, and the warm cache if it matches
-/// `knobs` — all read under a single lock acquisition.
-fn snapshot(
-    slot: &crate::registry::GraphSlot,
-    knobs: &MetricKnobs,
-) -> (
-    u64,
-    Arc<dk_graph::Graph>,
-    Option<Arc<AnalysisCache<'static>>>,
-) {
+/// epoch and the frozen snapshot, read under a single lock acquisition.
+fn snapshot(slot: &GraphSlot) -> (u64, Arc<dk_graph::Graph>) {
     let state = lock(slot);
-    let warm = state
-        .warm
-        .as_ref()
-        .and_then(|w| (w.epoch == state.epoch && w.knobs == knobs.key).then(|| w.cache.clone()));
-    (state.epoch, state.graph.clone(), warm)
+    (state.epoch, state.graph.clone())
 }
 
-/// The memoizable per-graph analysis fragment
-/// (`{"epoch":…,"graph_summary":…,"values":…}`), produced under the
-/// coalescing discipline, reusing/refreshing the slot's warm cache.
+/// The per-graph analysis fragment
+/// (`{"epoch":…,"graph_summary":…,"values":…}`), produced through the
+/// graph's response table.
 fn metric_fragment(reg: &Registry, name: &str, knobs: &MetricKnobs) -> Result<String, ReqError> {
     let slot = reg.slot(name)?;
-    let (epoch, graph, warm) = snapshot(&slot, knobs);
-    metric_fragment_at(reg, name, &slot, epoch, graph, warm, knobs)
+    let (epoch, graph) = snapshot(&slot);
+    metric_fragment_at(reg, &slot, epoch, &graph, knobs)
 }
 
-/// [`metric_fragment`] over an already-captured `(epoch, graph, warm)`
-/// snapshot, so `compare` can pin both sides once up front.
+/// [`metric_fragment`] over an already-captured `(epoch, graph)`
+/// snapshot, so `compare` can pin both sides once up front. A computed
+/// fragment freezes a CSR from the snapshot and analyzes it.
 fn metric_fragment_at(
     reg: &Registry,
-    name: &str,
-    slot: &crate::registry::GraphSlot,
+    slot: &GraphSlot,
     epoch: u64,
-    graph: Arc<dk_graph::Graph>,
-    warm: Option<Arc<AnalysisCache<'static>>>,
+    graph: &dk_graph::Graph,
     knobs: &MetricKnobs,
 ) -> Result<String, ReqError> {
     let budget = reg.admit(
@@ -260,24 +233,9 @@ fn metric_fragment_at(
         knobs.sketch_bits.unwrap_or(sketch::DEFAULT_SKETCH_BITS),
         knobs.memory_budget,
     )?;
-    let key = metric_key(name, epoch, &knobs.key);
-    reg.coalesce(slot, epoch, &key, || {
-        let cache = match warm {
-            Some(cache) => cache,
-            None => {
-                let opts = analyze_options(reg, knobs, epoch, budget);
-                let built = Arc::new(AnalysisCache::build(&graph, &knobs.metrics, &opts));
-                let mut state = lock(slot);
-                if state.epoch == epoch {
-                    state.warm = Some(WarmCache {
-                        knobs: knobs.key.clone(),
-                        epoch,
-                        cache: built.clone(),
-                    });
-                }
-                built
-            }
-        };
+    reg.coalesce(slot, epoch, &knobs.key, || {
+        let opts = analyze_options(reg, knobs, budget);
+        let cache = AnalysisCache::build(graph, &knobs.metrics, &opts);
         let summary = json::object([
             ("nodes".into(), cache.original_nodes().to_string()),
             ("edges".into(), cache.original_edges().to_string()),
@@ -324,15 +282,16 @@ fn op_compare(reg: &Registry, req: &Req<'_>) -> Result<String, ReqError> {
     // one snapshot per side, captured up front: the metric fragments
     // and the dK-distance block below describe the same (epoch, graph)
     // pair even if a mutation lands mid-compare
-    let (ea, ga, warm_a) = snapshot(&slot_a, &knobs);
-    let (eb, gb, warm_b) = snapshot(&slot_b, &knobs);
-    // per-graph batteries share flight/memo keys with the metric op —
-    // a compare racing a metric on the same graph coalesces with it
-    let frag_a = metric_fragment_at(reg, a_name, &slot_a, ea, ga.clone(), warm_a, &knobs)?;
-    let frag_b = metric_fragment_at(reg, b_name, &slot_b, eb, gb.clone(), warm_b, &knobs)?;
-    // dK-distances over the same snapshots, under their own key (both
-    // names + both epochs: the flight table is registry-global)
-    let dist_key = format!("g={a_name};e{ea}:compare-dist:g={b_name};eb={eb}");
+    let (ea, ga) = snapshot(&slot_a);
+    let (eb, gb) = snapshot(&slot_b);
+    // per-graph batteries share response keys with the metric op — a
+    // compare racing a metric on the same graph coalesces with it
+    let frag_a = metric_fragment_at(reg, &slot_a, ea, &ga, &knobs)?;
+    let frag_b = metric_fragment_at(reg, &slot_b, eb, &gb, &knobs)?;
+    // dK-distances over the same snapshots, in `a`'s table under a key
+    // that names `b` and its epoch (a mutation of `b` does not clear
+    // `a`'s table)
+    let dist_key = format!("compare-dist:g={b_name};eb={eb}");
     let distances = reg.coalesce(&slot_a, ea, &dist_key, || {
         let d1 = Dist1K::from_graph(&ga).distance_sq(&Dist1K::from_graph(&gb));
         let d2 = Dist2K::from_graph(&ga).distance_sq(&Dist2K::from_graph(&gb));
@@ -374,16 +333,13 @@ fn op_attack(reg: &Registry, req: &Req<'_>) -> Result<String, ReqError> {
     let samples = req.opt_u64("samples")?;
     let no_gcc = req.opt_bool("no_gcc")?.unwrap_or(false);
     let slot = reg.slot(name)?;
-    let (epoch, graph) = {
-        let state = lock(&slot);
-        (state.epoch, state.graph.clone())
-    };
+    let (epoch, graph) = snapshot(&slot);
     // attack sweeps build a CSR + union-find over the analyzed graph, and
     // the betweenness ranking a Brandes pass with its BFS-ordered copy:
     // gate them on that floor, and cap the sweep's workers by the budget
     let budget = reg.admit_attack(graph.node_count(), graph.edge_count(), strategy)?;
     let key = format!(
-        "g={name};e{epoch}:attack:strategy={strategy};seed={seed};\
+        "attack:strategy={strategy};seed={seed};\
          checkpoints={checkpoints:?};samples={samples:?};gcc={}",
         !no_gcc
     );
@@ -393,9 +349,7 @@ fn op_attack(reg: &Registry, req: &Req<'_>) -> Result<String, ReqError> {
         checkpoints,
     };
     reg.coalesce(&slot, epoch, &key, || {
-        let mut analyzer = dk_metrics::Analyzer::new()
-            .threads(reg.threads)
-            .epoch(epoch);
+        let mut analyzer = dk_metrics::Analyzer::new().threads(reg.threads);
         if no_gcc {
             analyzer = analyzer.gcc(GccPolicy::Whole);
         }
@@ -503,14 +457,13 @@ fn parse_order(req: &Req<'_>) -> Result<u8, ReqError> {
 }
 
 fn op_stats(reg: &Registry) -> String {
-    let graphs = json::object(reg.listing().into_iter().map(|(name, epoch, n, m, warm)| {
+    let graphs = json::object(reg.listing().into_iter().map(|(name, epoch, n, m)| {
         (
             name,
             json::object([
                 ("epoch".into(), epoch.to_string()),
                 ("n".into(), n.to_string()),
                 ("m".into(), m.to_string()),
-                ("warm".into(), warm.to_string()),
             ]),
         )
     }));
@@ -720,19 +673,9 @@ mod tests {
         g
     }
 
-    /// Regression (review): flight/memo keys embed the graph name —
-    /// the flight table is registry-global, so without the name two
-    /// same-epoch graphs with identical knobs would coalesce onto one
-    /// computation and one would receive the other's response body.
-    #[test]
-    fn flight_keys_embed_the_graph_name() {
-        assert_ne!(metric_key("a", 1, "cheap"), metric_key("b", 1, "cheap"));
-        assert!(metric_key("a", 1, "cheap").starts_with("g=a;e1:"));
-    }
-
-    /// Behavioral half of the regression: while graph `a`'s flight is
-    /// open, an identical-knob request on graph `b` (same epoch) must
-    /// compute its own body instead of parking behind `a`'s.
+    /// Response tables are per graph: while graph `a`'s flight is open,
+    /// a request on graph `b` with the same key string (same epoch too)
+    /// computes its own body instead of parking behind `a`'s.
     #[test]
     fn same_epoch_requests_on_different_graphs_do_not_coalesce() {
         let reg = Arc::new(Registry::new(None, 1));
@@ -740,11 +683,12 @@ mod tests {
         reg.install("b", path_graph(5));
         let slot_a = reg.slot("a").expect("loaded");
         let slot_b = reg.slot("b").expect("loaded");
+        let key = "metric:metrics=c_mean";
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let leader = {
             let reg = reg.clone();
             thread::spawn(move || {
-                reg.coalesce(&slot_a, 1, &metric_key("a", 1, "cheap"), move || {
+                reg.coalesce(&slot_a, 1, key, move || {
                     let _ = release_rx.recv();
                     Ok("a-body".to_string())
                 })
@@ -754,9 +698,7 @@ mod tests {
             thread::sleep(Duration::from_millis(1));
         }
         let body = reg
-            .coalesce(&slot_b, 1, &metric_key("b", 1, "cheap"), || {
-                Ok("b-body".to_string())
-            })
+            .coalesce(&slot_b, 1, key, || Ok("b-body".to_string()))
             .expect("ok");
         assert_eq!(body, "b-body", "graph b computed its own response");
         assert_eq!(Counters::get(&reg.counters.coalesced), 0);
