@@ -13,15 +13,22 @@
 //!   straight from the edge list
 //!   ([`dk_graph::io::read_edge_list_csr`]); [`AnalysisCache::build`]
 //!   freezes one from a [`Graph`] for callers that hold one.
-//! * **GCC extraction** happens once, up front (§5.2 of the paper: "We
+//! * **The GCC step** happens once, up front (§5.2 of the paper: "We
 //!   report all the metrics calculated for the giant connected
-//!   component"); [`GccPolicy::Whole`] opts out. The components are
-//!   labeled on the input CSR, and the input is copied only when its GCC
-//!   is smaller than it: a connected input is analyzed in place (a
-//!   borrowed CSR is not copied), and a disconnected one is replaced by
-//!   its GCC, [`CsrGraph::induced_subgraph`] of the giant component's
-//!   nodes in ascending id order — the CSR of
-//!   [`traversal::giant_component`]'s graph, built in O(n + m).
+//!   component"); [`GccPolicy::Whole`] opts out. Its result is an
+//!   [`AnalysisBase`]: the analyzed CSR, the input's counts, the
+//!   retained fraction, the policy and a triangle census built on first
+//!   use. The components are labeled on the input CSR, and the input is
+//!   copied only when its GCC is smaller than it: a connected input is
+//!   analyzed in place (a borrowed CSR is not copied), and a
+//!   disconnected one is replaced by its GCC,
+//!   [`CsrGraph::induced_subgraph`] of the giant component's nodes in
+//!   ascending id order — the CSR of [`traversal::giant_component`]'s
+//!   graph, built in O(n + m). [`AnalysisCache::build`] and
+//!   [`AnalysisCache::build_csr`] build a private base and own it;
+//!   [`AnalysisCache::build_on`] borrows one that outlives the cache, so
+//!   one base serves any number of analyses. `dk serve` holds one per
+//!   graph epoch and GCC policy.
 //! * **One traversal pass per source set**: all nodes for the exact
 //!   `d_*`/`b_*` metrics, and [`AnalyzeOptions::samples`] pivots for the
 //!   `*_approx` metrics ([`crate::sampled`]; the exact set is the pivot
@@ -35,7 +42,9 @@
 //!   distance scalars are bit-identical either way.
 //! * **One triangle census** ([`crate::clustering`]'s degree-ordered
 //!   forward pass) serves `c_mean`, `c_k`, `transitivity` and `s2`: the
-//!   per-node counts and the closed-pair weight `S2` subtracts.
+//!   per-node counts and the closed-pair weight `S2` subtracts. It
+//!   belongs to the base, so every cache built on one base reads the
+//!   same census.
 //! * **Neighborhood sketches** ([`crate::sketch`]) iterate once at
 //!   [`AnalyzeOptions::sketch_bits`] register bits for the `*_sketch`
 //!   metrics — every round a sharded pass over the same CSR.
@@ -74,6 +83,7 @@ use crate::stream::{self, ExecPlan};
 use dk_graph::{traversal, CsrGraph, Graph};
 use dk_linalg::laplacian::SpectralExtremes;
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// Whether metrics describe the giant connected component (the paper's
 /// §5.2 convention, the default) or the whole input graph.
@@ -142,15 +152,85 @@ enum Pass {
     Histogram(SampledDistances),
 }
 
-/// Prepared per-graph state every [`Metric`](crate::metric::Metric)
-/// computes from.
-pub struct AnalysisCache<'g> {
-    original_nodes: usize,
-    original_edges: usize,
+/// The result of an analysis's GCC step, kept apart from its passes so
+/// that it can be shared: the analyzed CSR
+/// (the input's giant component under [`GccPolicy::Extract`], the whole
+/// input under [`GccPolicy::Whole`]), the input's node and edge counts,
+/// the retained fraction, the policy, and the triangle census, built on
+/// first use. It depends on the input graph and the policy alone, so
+/// any number of [`AnalysisCache`]s, with any metrics and options, can
+/// run their passes on one base ([`AnalysisCache::build_on`]): `dk
+/// serve` keeps one per graph epoch and GCC policy, and every other
+/// caller gets a private one from [`AnalysisCache::build`] or
+/// [`AnalysisCache::build_csr`].
+#[derive(Clone)]
+pub struct AnalysisBase<'g> {
     /// The analyzed graph: the input CSR, borrowed or owned, or its GCC.
     graph: Cow<'g, CsrGraph>,
+    original_nodes: usize,
+    original_edges: usize,
     gcc_fraction: f64,
-    gcc_applied: bool,
+    policy: GccPolicy,
+    census: OnceLock<TriangleCensus>,
+}
+
+impl AnalysisBase<'static> {
+    /// The base of `g` under `policy`, over a CSR frozen from `g`
+    /// ([`CsrGraph::from_graph`]) that the base owns.
+    pub fn new(g: &Graph, policy: GccPolicy) -> Self {
+        AnalysisBase::extract(Cow::Owned(CsrGraph::from_graph(g)), policy)
+    }
+}
+
+impl<'g> AnalysisBase<'g> {
+    /// Applies `policy` to `input`. The components are labeled on the
+    /// input, and it is replaced only when its GCC is smaller: a
+    /// connected input is analyzed in place.
+    fn extract(input: Cow<'g, CsrGraph>, policy: GccPolicy) -> Self {
+        let (original_nodes, original_edges) = (input.node_count(), input.edge_count());
+        let (graph, gcc_fraction) = match policy {
+            GccPolicy::Extract => {
+                let nodes = traversal::giant_component_nodes(input.as_ref());
+                if nodes.len() < original_nodes {
+                    let gcc = input.induced_subgraph(&nodes);
+                    let fraction = gcc.node_count() as f64 / original_nodes as f64;
+                    (Cow::Owned(gcc), fraction)
+                } else {
+                    (input, 1.0)
+                }
+            }
+            GccPolicy::Whole => (input, 1.0),
+        };
+        AnalysisBase {
+            graph,
+            original_nodes,
+            original_edges,
+            gcc_fraction,
+            policy,
+            census: OnceLock::new(),
+        }
+    }
+
+    /// The analyzed graph (the GCC under [`GccPolicy::Extract`]). For
+    /// a connected input, or under [`GccPolicy::Whole`], this is the
+    /// input CSR itself — the caller's, when built by
+    /// [`AnalysisCache::build_csr`] — not a copy.
+    pub fn graph(&self) -> &CsrGraph {
+        &self.graph
+    }
+
+    /// The triangle census of the analyzed graph, run by its first
+    /// reader; concurrent first readers wait for that one run.
+    fn census(&self) -> &TriangleCensus {
+        self.census.get_or_init(|| clustering::census(self.graph()))
+    }
+}
+
+/// Prepared per-graph state every [`Metric`](crate::metric::Metric)
+/// computes from: an [`AnalysisBase`], owned or shared, and the passes
+/// the selected metrics need.
+pub struct AnalysisCache<'g> {
+    base: Cow<'g, AnalysisBase<'g>>,
     lanczos_iter: usize,
     samples: usize,
     sketch_bits: u32,
@@ -158,7 +238,6 @@ pub struct AnalysisCache<'g> {
     /// Resolved execution plan for the traversal passes (shard count,
     /// worker count).
     exec: ExecPlan,
-    triangles: Option<TriangleCensus>,
     /// The pass from every node (exact `d_*`, `b_*`).
     exact: Option<Pass>,
     /// The pass from the `samples` pivots (`*_approx`).
@@ -176,49 +255,51 @@ impl<'g> AnalysisCache<'g> {
     /// traversal when both are needed. A connected `g` is analyzed in
     /// place, without a copy.
     pub fn build_csr(g: &'g CsrGraph, metrics: &[AnyMetric], opts: &AnalyzeOptions) -> Self {
-        Self::prepare(Cow::Borrowed(g), metrics, opts)
+        let base = AnalysisBase::extract(Cow::Borrowed(g), opts.gcc);
+        Self::prepare(Cow::Owned(base), metrics, opts)
     }
 
     /// As [`AnalysisCache::build_csr`] over a CSR frozen from `g`
     /// ([`CsrGraph::from_graph`]), which the cache owns, so it borrows
-    /// nothing. Kept for every caller that holds a [`Graph`]: `dk
-    /// compare`, the daemon (one freeze per computed read), the
-    /// benchmark helper's traced walks, and the tests.
+    /// nothing. Kept for every caller that holds a [`Graph`] and
+    /// analyzes it once: `dk compare`, the benchmark helper's traced
+    /// walks, and the tests.
     pub fn build(
         g: &Graph,
         metrics: &[AnyMetric],
         opts: &AnalyzeOptions,
     ) -> AnalysisCache<'static> {
-        AnalysisCache::prepare(Cow::Owned(CsrGraph::from_graph(g)), metrics, opts)
+        AnalysisCache::prepare(Cow::Owned(AnalysisBase::new(g, opts.gcc)), metrics, opts)
     }
 
-    /// The one route behind [`AnalysisCache::build_csr`] and
-    /// [`AnalysisCache::build`]: applies the GCC policy, then unions the
-    /// metrics' deps and computes each shared pass once.
-    fn prepare(input: Cow<'g, CsrGraph>, metrics: &[AnyMetric], opts: &AnalyzeOptions) -> Self {
+    /// Runs the passes for `metrics` on a prepared `base`, borrowing its
+    /// CSR and its census: the GCC step is not repeated, and the census
+    /// runs at most once per base, however many caches read it. The
+    /// base's GCC policy applies; `opts.gcc` is not read.
+    pub fn build_on(
+        base: &'g AnalysisBase<'_>,
+        metrics: &[AnyMetric],
+        opts: &AnalyzeOptions,
+    ) -> Self {
+        Self::prepare(Cow::Borrowed(base), metrics, opts)
+    }
+
+    /// The one route behind every builder: unions the metrics' deps and
+    /// computes each shared pass once on `base`'s graph.
+    fn prepare(
+        base: Cow<'g, AnalysisBase<'g>>,
+        metrics: &[AnyMetric],
+        opts: &AnalyzeOptions,
+    ) -> Self {
         let deps: Vec<Dep> = {
             let mut d: Vec<Dep> = metrics.iter().flat_map(|m| m.deps()).copied().collect();
             d.sort_unstable();
             d.dedup();
             d
         };
-        let (original_nodes, original_edges) = (input.node_count(), input.edge_count());
-        let (graph, gcc_fraction, gcc_applied) = match opts.gcc {
-            GccPolicy::Extract => {
-                let nodes = traversal::giant_component_nodes(input.as_ref());
-                if nodes.len() < original_nodes {
-                    let gcc = input.induced_subgraph(&nodes);
-                    let fraction = gcc.node_count() as f64 / original_nodes as f64;
-                    (Cow::Owned(gcc), fraction, true)
-                } else {
-                    (input, 1.0, true)
-                }
-            }
-            GccPolicy::Whole => (input, 1.0, false),
-        };
-        let exec = stream::plan(graph.node_count(), graph.edge_count(), opts);
+        let g: &CsrGraph = base.graph();
+        let exec = stream::plan(g.node_count(), g.edge_count(), opts);
         let (shards, workers) = (exec.shards, exec.workers);
-        let g: &CsrGraph = &graph;
         // Passes run one after another; the heavy ones (traversal) use
         // the *full* worker budget internally, parallelizing over BFS
         // source shards. Running passes concurrently on top of that
@@ -231,9 +312,9 @@ impl<'g> AnalysisCache<'g> {
         let sketch = deps.contains(&Dep::Sketch).then(|| {
             sketch::hyper_anf_sharded(g, opts.sketch_bits, opts.sketch_rounds, shards, workers)
         });
-        let triangles = deps
-            .contains(&Dep::Triangles)
-            .then(|| clustering::census(g));
+        if deps.contains(&Dep::Triangles) {
+            base.census();
+        }
         // one pass per source set: Brandes when a betweenness reader is
         // selected (its histogram serves the distance readers), the
         // batched distance histogram otherwise
@@ -257,17 +338,12 @@ impl<'g> AnalysisCache<'g> {
             .contains(&Dep::Spectral)
             .then(|| spectral_of(g, opts.lanczos_iter));
         AnalysisCache {
-            original_nodes,
-            original_edges,
-            graph,
-            gcc_fraction,
-            gcc_applied,
+            base,
             lanczos_iter: opts.lanczos_iter,
             samples: opts.samples,
             sketch_bits: opts.sketch_bits,
             sketch_rounds: opts.sketch_rounds,
             exec,
-            triangles,
             exact,
             pivots,
             sketch,
@@ -275,32 +351,30 @@ impl<'g> AnalysisCache<'g> {
         }
     }
 
-    /// The analyzed graph (the GCC under [`GccPolicy::Extract`]). For
-    /// a connected input, or under [`GccPolicy::Whole`], this is the
-    /// input CSR itself — the caller's, when built by
-    /// [`AnalysisCache::build_csr`] — not a copy.
+    /// The analyzed graph (the GCC under [`GccPolicy::Extract`]); see
+    /// [`AnalysisBase::graph`].
     pub fn graph(&self) -> &CsrGraph {
-        &self.graph
+        self.base.graph()
     }
 
     /// Node count of the original (pre-GCC) input.
     pub fn original_nodes(&self) -> usize {
-        self.original_nodes
+        self.base.original_nodes
     }
 
     /// Edge count of the original (pre-GCC) input.
     pub fn original_edges(&self) -> usize {
-        self.original_edges
+        self.base.original_edges
     }
 
     /// Fraction of original nodes retained (1.0 under [`GccPolicy::Whole`]).
     pub fn gcc_fraction(&self) -> f64 {
-        self.gcc_fraction
+        self.base.gcc_fraction
     }
 
     /// Whether GCC extraction was applied.
     pub fn gcc_applied(&self) -> bool {
-        self.gcc_applied
+        self.base.policy == GccPolicy::Extract
     }
 
     /// The resolved execution plan for the traversal passes: shard count
@@ -376,21 +450,16 @@ impl<'g> AnalysisCache<'g> {
         }
     }
 
-    /// Per-node triangle counts (cached or computed on demand).
-    pub fn triangles(&self) -> Cow<'_, [usize]> {
-        match self.census() {
-            Cow::Borrowed(c) => Cow::Borrowed(c.per_node.as_slice()),
-            Cow::Owned(c) => Cow::Owned(c.per_node),
-        }
+    /// Per-node triangle counts, from the base's census (run on first
+    /// use).
+    pub fn triangles(&self) -> &[usize] {
+        &self.census().per_node
     }
 
     /// The triangle census: per-node counts and the closed-pair weight
-    /// `s2` reads (cached or computed on demand).
-    pub(crate) fn census(&self) -> Cow<'_, TriangleCensus> {
-        match &self.triangles {
-            Some(c) => Cow::Borrowed(c),
-            None => Cow::Owned(clustering::census(self.graph())),
-        }
+    /// `s2` reads (the base's, run on first use).
+    pub(crate) fn census(&self) -> &TriangleCensus {
+        self.base.census()
     }
 
     /// Exact distance distribution (cached, read off the prepared

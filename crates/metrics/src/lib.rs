@@ -107,7 +107,7 @@ pub mod table;
 
 pub use analyzer::{Analyzer, EnsembleSummary, ScalarSummary};
 pub use attack::{AttackOptions, AttackReport, Checkpoint, Strategy};
-pub use cache::{AnalysisCache, AnalyzeOptions, GccPolicy};
+pub use cache::{AnalysisBase, AnalysisCache, AnalyzeOptions, GccPolicy};
 pub use metric::{AnyMetric, Metric, MetricValue};
 pub use report::Report;
 pub use stream::ExecPlan;

@@ -364,12 +364,7 @@ static REGISTRY: &[Metric] = &[
         kind: Kind::Scalar,
         cost: Cost::Linear,
         deps: &[Dep::Triangles],
-        compute: |cx| {
-            scalar(clustering::mean_clustering_from(
-                cx.graph(),
-                &cx.triangles(),
-            ))
-        },
+        compute: |cx| scalar(clustering::mean_clustering_from(cx.graph(), cx.triangles())),
     },
     Metric {
         name: "transitivity",
@@ -378,7 +373,7 @@ static REGISTRY: &[Metric] = &[
         kind: Kind::Scalar,
         cost: Cost::Linear,
         deps: &[Dep::Triangles],
-        compute: |cx| scalar(clustering::transitivity_from(cx.graph(), &cx.triangles())),
+        compute: |cx| scalar(clustering::transitivity_from(cx.graph(), cx.triangles())),
     },
     Metric {
         name: "s",
@@ -623,7 +618,7 @@ static REGISTRY: &[Metric] = &[
         compute: |cx| {
             MetricValue::Series(clustering::clustering_by_degree_from(
                 cx.graph(),
-                &cx.triangles(),
+                cx.triangles(),
             ))
         },
     },

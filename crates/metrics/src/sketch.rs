@@ -281,9 +281,12 @@ impl NodeSketches {
 /// One shard's worth of a HyperANF round, written in place: for every
 /// node in `range`, `block` (the range's slice of the next register
 /// file) gets the union of the **previous** round's own counter with the
-/// previous counters of its neighbors. Returns those nodes' estimates in
-/// node order, plus whether any register changed (the convergence
-/// reducer).
+/// previous counters of its neighbors. Then a second loop estimates the
+/// block's nodes, in node order, from the registers just written. The
+/// estimate is a chain of `2^b` dependent adds, kept out of the union
+/// loop so that it does not sit between one node's neighbour loads and
+/// the next node's. Returns the estimates, plus whether any register
+/// changed (the convergence reducer).
 fn union_shard(
     g: &CsrGraph,
     prev: &NodeSketches,
@@ -291,7 +294,6 @@ fn union_shard(
     block: &mut [u8],
 ) -> (Vec<f64>, bool) {
     let m = 1usize << prev.bits;
-    let mut estimates = Vec::with_capacity(range.len());
     let mut changed = false;
     for (v, dst) in range.zip(block.chunks_exact_mut(m)) {
         dst.copy_from_slice(prev.node(v));
@@ -304,8 +306,11 @@ fn union_shard(
         if !changed {
             changed = dst != prev.node(v);
         }
-        estimates.push(estimate_registers(dst, prev.bits));
     }
+    let estimates = block
+        .chunks_exact(m)
+        .map(|regs| estimate_registers(regs, prev.bits))
+        .collect();
     (estimates, changed)
 }
 

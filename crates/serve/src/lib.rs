@@ -3,11 +3,14 @@
 //! Re-measuring a large topology for every `dk metrics` invocation
 //! re-pays graph loading each time. `dk serve` keeps graphs resident: a
 //! daemon holds a registry of **named graphs**, each owning a frozen
-//! snapshot and a per-epoch response table, and answers
+//! snapshot per epoch and a per-epoch response table, and answers
 //! analysis/generation requests over a line-delimited JSON protocol on
-//! a Unix socket. Each computed read freezes a CSR from the snapshot
-//! and analyzes it ([`dk_metrics::AnalysisCache::build`]); repeats
-//! replay the table.
+//! a Unix socket. A snapshot ([`registry::Snapshot`]) holds the epoch's
+//! graph and the analysis bases ([`dk_metrics::AnalysisBase`]: frozen
+//! CSR, GCC, triangle census) that its first computed reads build, one
+//! per GCC policy; every computed read of the epoch runs only its own
+//! passes on that base ([`dk_metrics::AnalysisCache::build_on`]), and
+//! repeats replay the table.
 //!
 //! ```text
 //! dk serve  --socket /tmp/dk.sock [--memory-budget BYTES] [--threads N]

@@ -1,15 +1,22 @@
-//! The daemon's shared state: named graphs, each with an epoch and a
-//! response table, and the admission-control gate.
+//! The daemon's shared state: named graphs, each with an epoch, a
+//! snapshot and a response table, and the admission-control gate.
 //!
 //! # Epochs
 //!
 //! Every registry entry carries a monotonically increasing **epoch**.
-//! Mutation verbs (`load`, `rewire`, `generate-into`) bump it and clear
-//! the entry's response table atomically under the entry lock. A read
-//! verb observes the epoch and the frozen graph snapshot under one lock
-//! acquisition and computes from that snapshot. A read whose observed
-//! epoch is already behind the entry's computes without touching the
-//! table, so a stale response can never land in a newer epoch's table.
+//! Mutation verbs (`load`, `rewire`, `generate-into`) bump it, swap in a
+//! new [`Snapshot`] and clear the entry's response table atomically
+//! under the entry lock. A snapshot holds the epoch's graph and one
+//! [`AnalysisBase`] per GCC policy, which the epoch's first computed
+//! read under that policy builds (frozen CSR, GCC, and the triangle
+//! census on first use); every later computed read of the epoch, with
+//! any key, analyzes the same base. Nothing is built at install, and a
+//! replaced snapshot's bases are dropped with its last reader. A read
+//! verb observes the epoch and the snapshot under one lock acquisition
+//! and computes from that snapshot, so no response mixes two epochs. A
+//! read whose observed epoch is already behind the entry's computes
+//! without touching the table, so a stale response can never land in a
+//! newer epoch's table.
 //!
 //! # Coalescing
 //!
@@ -58,9 +65,9 @@ use dk_graph::hashers::DetHashMap;
 use dk_graph::Graph;
 use dk_metrics::attack::Strategy;
 use dk_metrics::metric::{Cost, Dep};
-use dk_metrics::AnyMetric;
+use dk_metrics::{AnalysisBase, AnyMetric, GccPolicy};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Locks a mutex, recovering the data from a poisoned lock (a panicking
 /// handler thread must not wedge the whole daemon).
@@ -96,13 +103,52 @@ impl Counters {
     }
 }
 
+/// One epoch of a named graph: its graph and the analysis bases its
+/// first computed reads build, one per GCC policy.
+pub struct Snapshot {
+    graph: Graph,
+    extract: OnceLock<AnalysisBase<'static>>,
+    whole: OnceLock<AnalysisBase<'static>>,
+}
+
+impl Snapshot {
+    /// A snapshot of `graph` with no base built yet.
+    pub fn new(graph: Graph) -> Snapshot {
+        Snapshot {
+            graph,
+            extract: OnceLock::new(),
+            whole: OnceLock::new(),
+        }
+    }
+
+    /// The epoch's graph.
+    pub fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    /// The epoch's analysis base under `policy`, built by its first
+    /// reader: concurrent first readers wait for that one build, and a
+    /// build that panics leaves the cell empty for the next reader.
+    pub fn base(&self, policy: GccPolicy) -> &AnalysisBase<'static> {
+        self.cell(policy)
+            .get_or_init(|| AnalysisBase::new(&self.graph, policy))
+    }
+
+    fn cell(&self, policy: GccPolicy) -> &OnceLock<AnalysisBase<'static>> {
+        match policy {
+            GccPolicy::Extract => &self.extract,
+            GccPolicy::Whole => &self.whole,
+        }
+    }
+}
+
 /// Mutable state of one named graph.
 pub struct GraphState {
     /// Generation counter; bumped by every mutation verb.
     pub epoch: u64,
-    /// Frozen snapshot handed to readers (cheap `Arc` clone under the
-    /// entry lock; all computation happens outside it).
-    pub graph: Arc<Graph>,
+    /// This epoch's snapshot, handed to readers (cheap `Arc` clone under
+    /// the entry lock; all computation happens outside it).
+    pub snapshot: Arc<Snapshot>,
     /// This epoch's responses, keyed by op and knobs; cleared on
     /// mutation.
     responses: DetHashMap<String, Response>,
@@ -221,8 +267,9 @@ impl Registry {
         })
     }
 
-    /// Installs `graph` under `name`, bumping the epoch and atomically
-    /// clearing the response table. Returns the new epoch.
+    /// Installs `graph` under `name` as a new [`Snapshot`], bumping the
+    /// epoch and atomically clearing the response table. Builds no
+    /// analysis base. Returns the new epoch.
     pub fn install(&self, name: &str, graph: Graph) -> u64 {
         let slot = {
             let mut graphs = lock(&self.graphs);
@@ -231,7 +278,7 @@ impl Registry {
                 .or_insert_with(|| {
                     Arc::new(Mutex::new(GraphState {
                         epoch: 0,
-                        graph: Arc::new(Graph::with_nodes(0)),
+                        snapshot: Arc::new(Snapshot::new(Graph::with_nodes(0))),
                         responses: DetHashMap::default(),
                     }))
                 })
@@ -239,7 +286,7 @@ impl Registry {
         };
         let mut state = lock(&slot);
         state.epoch += 1;
-        state.graph = Arc::new(graph);
+        state.snapshot = Arc::new(Snapshot::new(graph));
         state.responses.clear();
         state.epoch
     }
@@ -261,8 +308,8 @@ impl Registry {
                 (
                     name,
                     state.epoch,
-                    state.graph.node_count(),
-                    state.graph.edge_count(),
+                    state.snapshot.graph().node_count(),
+                    state.snapshot.graph().edge_count(),
                 )
             })
             .collect()
@@ -417,9 +464,16 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::handle_line;
+    use dk_graph::CsrGraph;
     use std::sync::mpsc;
     use std::thread;
     use std::time::Duration;
+
+    /// A `k_avg` read of graph `g`, and the response-table key it files
+    /// its body under.
+    const K_AVG: &str = r#"{"op":"metric","graph":"g","metrics":"k_avg"}"#;
+    const K_AVG_KEY: &str = "metric:metrics=k_avg;gcc=true;samples=None;bits=None;shards=None";
 
     /// A registry holding `path(n)` as graph `g`, and that graph's slot.
     fn registry_with_path(n: usize) -> (Arc<Registry>, GraphSlot) {
@@ -446,7 +500,7 @@ mod tests {
         assert_eq!(reg.install("g", path_graph(5)), 2);
         let state = lock(&slot);
         assert_eq!(state.epoch, 2);
-        assert_eq!(state.graph.node_count(), 5);
+        assert_eq!(state.snapshot.graph().node_count(), 5);
         assert!(state.responses.is_empty());
     }
 
@@ -821,5 +875,212 @@ mod tests {
             reg.admit(n, m, &sketchy, 8, None).unwrap_err().code,
             "over_budget"
         );
+    }
+
+    /// The current snapshot of `slot`.
+    fn snapshot_of(slot: &GraphSlot) -> Arc<Snapshot> {
+        lock(slot).snapshot.clone()
+    }
+
+    /// The CSR of the base a computed read built under `policy`, if any.
+    fn built(snap: &Snapshot, policy: GccPolicy) -> Option<*const CsrGraph> {
+        snap.cell(policy)
+            .get()
+            .map(|b| b.graph() as *const CsrGraph)
+    }
+
+    fn ok(response: String) -> String {
+        assert!(response.starts_with(r#"{"ok":true"#), "{response}");
+        response
+    }
+
+    #[test]
+    fn computed_reads_of_one_epoch_share_one_base() {
+        let (reg, slot) = registry_with_path(6);
+        let snap = snapshot_of(&slot);
+        assert_eq!(
+            built(&snap, GccPolicy::Extract),
+            None,
+            "install builds nothing"
+        );
+        // an attack, then metric reads with other keys: one base
+        ok(handle_line(&reg, r#"{"op":"attack","graph":"g"}"#));
+        let csr = built(&snap, GccPolicy::Extract);
+        assert!(csr.is_some(), "the first computed read builds the base");
+        ok(handle_line(&reg, K_AVG));
+        ok(handle_line(
+            &reg,
+            r#"{"op":"metric","graph":"g","metrics":"c_mean,s2"}"#,
+        ));
+        assert_eq!(Counters::get(&reg.counters.computed), 3);
+        assert_eq!(built(&snap, GccPolicy::Extract), csr);
+        assert_eq!(built(&snap, GccPolicy::Whole), None);
+        // the other policy gets its own base, built by its own first read
+        ok(handle_line(
+            &reg,
+            r#"{"op":"metric","graph":"g","metrics":"k_avg","no_gcc":true}"#,
+        ));
+        assert!(built(&snap, GccPolicy::Whole).is_some());
+        assert_eq!(built(&snap, GccPolicy::Extract), csr);
+    }
+
+    #[test]
+    fn a_mutation_swaps_in_a_new_base_and_the_old_snapshot_keeps_its_own() {
+        let (reg, slot) = registry_with_path(6);
+        ok(handle_line(&reg, K_AVG));
+        let old = snapshot_of(&slot);
+        let old_csr = built(&old, GccPolicy::Extract);
+        assert!(old_csr.is_some());
+        assert_eq!(reg.install("g", path_graph(7)), 2);
+        let new = snapshot_of(&slot);
+        assert_eq!(
+            built(&new, GccPolicy::Extract),
+            None,
+            "a mutation builds nothing"
+        );
+        assert!(ok(handle_line(&reg, K_AVG)).contains(r#""epoch":2"#));
+        let new_csr = built(&new, GccPolicy::Extract);
+        assert!(new_csr.is_some() && new_csr != old_csr);
+        assert_eq!(new.base(GccPolicy::Extract).graph().node_count(), 7);
+        // a read that captured the old snapshot computes at epoch 1, on
+        // that snapshot's base
+        let body = reg.coalesce(&slot, 1, K_AVG_KEY, || {
+            let csr = old.base(GccPolicy::Extract).graph();
+            assert_eq!(Some(csr as *const CsrGraph), old_csr);
+            Ok(csr.node_count().to_string())
+        });
+        assert_eq!(body, Ok("6".to_string()));
+    }
+
+    /// Two first reads of one epoch with different keys: the first holds
+    /// the base's build on a channel, the second parks on the cell (not
+    /// on a flight) and reads the base the first one built.
+    #[test]
+    fn concurrent_first_reads_build_the_base_once() {
+        let (reg, slot) = registry_with_path(6);
+        let snap = snapshot_of(&slot);
+        let builds = Arc::new(AtomicU64::new(0));
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let leader = {
+            let (reg, slot, snap, builds) =
+                (reg.clone(), slot.clone(), snap.clone(), builds.clone());
+            thread::spawn(move || {
+                reg.coalesce(&slot, 1, "metric:held", move || {
+                    let base = snap.cell(GccPolicy::Extract).get_or_init(|| {
+                        let _ = release_rx.recv();
+                        builds.fetch_add(1, Ordering::SeqCst);
+                        AnalysisBase::new(snap.graph(), GccPolicy::Extract)
+                    });
+                    Ok(format!("{:p}", base.graph()))
+                })
+            })
+        };
+        while Counters::get(&reg.counters.computed) == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let follower = {
+            let reg = reg.clone();
+            thread::spawn(move || handle_line(&reg, K_AVG))
+        };
+        while Counters::get(&reg.counters.computed) < 2 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        // the held build keeps a waiting second read from finishing; a
+        // read that built its own base would finish within this grace
+        thread::sleep(Duration::from_millis(20));
+        assert!(!follower.is_finished(), "the second read waits on the cell");
+        assert_eq!(built(&snap, GccPolicy::Extract), None);
+        let _ = release_tx.send(());
+        let csr = format!("{:p}", snap.base(GccPolicy::Extract).graph());
+        assert_eq!(leader.join().ok(), Some(Ok(csr)));
+        assert!(follower
+            .join()
+            .is_ok_and(|r| r.starts_with(r#"{"ok":true"#)));
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+        assert_eq!(Counters::get(&reg.counters.computed), 2);
+        assert_eq!(Counters::get(&reg.counters.coalesced), 0);
+    }
+
+    #[test]
+    fn memo_hits_and_rejections_build_no_base() {
+        let (reg, slot) = registry_with_path(6);
+        let snap = snapshot_of(&slot);
+        // a body filed under the k_avg read's key: the read replays it
+        let planted = reg.coalesce(&slot, 1, K_AVG_KEY, || Ok("planted".to_string()));
+        assert_eq!(planted, Ok("planted".to_string()));
+        assert!(handle_line(&reg, K_AVG).contains("planted"));
+        assert_eq!(Counters::get(&reg.counters.memo_hits), 1);
+        let probe = r#"{"op":"metric","graph":"g","memory_budget":64}"#;
+        assert!(handle_line(&reg, probe).contains(r#""code":"over_budget""#));
+        assert_eq!(Counters::get(&reg.counters.rejected), 1);
+        for policy in [GccPolicy::Extract, GccPolicy::Whole] {
+            assert_eq!(built(&snap, policy), None, "{policy:?}");
+        }
+    }
+
+    /// A build that panics leaves its cell empty; the flight's drop
+    /// guard answers the parked follower with the structured `io` error,
+    /// and the next read builds the base.
+    #[test]
+    fn a_panicking_build_leaves_the_cell_empty() {
+        let (reg, slot) = registry_with_path(6);
+        let snap = snapshot_of(&slot);
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let leader = {
+            let (reg, slot, snap) = (reg.clone(), slot.clone(), snap.clone());
+            thread::spawn(move || {
+                reg.coalesce(&slot, 1, "metric:boom", move || {
+                    snap.cell(GccPolicy::Extract).get_or_init(|| {
+                        let _ = release_rx.recv();
+                        panic!("build exploded");
+                    });
+                    Ok("unreachable".to_string())
+                })
+            })
+        };
+        while Counters::get(&reg.counters.computed) == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let follower = {
+            let (reg, slot) = (reg.clone(), slot.clone());
+            thread::spawn(move || {
+                reg.coalesce(&slot, 1, "metric:boom", || {
+                    Err(ReqError::new("io", "follower must never compute"))
+                })
+            })
+        };
+        while Counters::get(&reg.counters.coalesced) == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let _ = release_tx.send(());
+        assert!(leader.join().is_err(), "leader panicked");
+        let followed = follower.join().ok().map(|r| r.map_err(|e| e.code));
+        assert_eq!(followed, Some(Err("io")));
+        assert_eq!(built(&snap, GccPolicy::Extract), None);
+        ok(handle_line(&reg, K_AVG));
+        assert!(built(&snap, GccPolicy::Extract).is_some());
+    }
+
+    /// The budget only caps the worker count, so requests that differ in
+    /// it alone share one body; admission still runs per request.
+    #[test]
+    fn the_memory_budget_is_not_part_of_the_metric_key() {
+        let (reg, slot) = registry_with_path(6);
+        let bodies: Vec<String> = [1u64 << 30, 1 << 31, 1 << 32]
+            .iter()
+            .map(|b| {
+                let req = format!(
+                    r#"{{"op":"metric","graph":"g","metrics":"k_avg","memory_budget":{b}}}"#
+                );
+                ok(handle_line(&reg, &req))
+            })
+            .collect();
+        assert!(bodies.windows(2).all(|w| w[0] == w[1]));
+        assert_eq!(Counters::get(&reg.counters.computed), 1);
+        assert_eq!(Counters::get(&reg.counters.memo_hits), 2);
+        let probe = r#"{"op":"metric","graph":"g","metrics":"k_avg","memory_budget":64}"#;
+        assert!(handle_line(&reg, probe).contains(r#""code":"over_budget""#));
+        assert_eq!(Counters::get(&reg.counters.rejected), 1);
+        assert_eq!(lock(&slot).responses.len(), 1);
     }
 }

@@ -17,11 +17,12 @@
 //! transcripts for every `--threads` value.
 
 use crate::protocol::{quoted, tagged_value, Req, ReqError, MAX_REQUEST_BYTES};
-use crate::registry::{lock, Counters, GraphSlot, Registry};
+use crate::registry::{lock, Counters, GraphSlot, Registry, Snapshot};
 use dk_core::dist::{AnyDist, Dist1K, Dist2K, Dist3K};
 use dk_core::generate::rewire::{randomize, RewireOptions, SwapBudget};
 use dk_core::generate::{Generator, Method};
 use dk_graph::io as graph_io;
+use dk_metrics::attack::attack_sweep_cached;
 use dk_metrics::{json, sketch};
 use dk_metrics::{AnalysisCache, AnalyzeOptions, AnyMetric, AttackOptions, GccPolicy, Strategy};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -129,8 +130,10 @@ struct MetricKnobs {
     shards: Option<u64>,
     memory_budget: Option<u64>,
     /// Response-table key: the op, the resolved metric names and every
-    /// knob, so two requests coalesce exactly when their analysis is
-    /// identical.
+    /// knob that can change the body, so two requests coalesce exactly
+    /// when their analysis is identical. `memory_budget` is left out: it
+    /// only caps the worker count, and every metric is worker-count
+    /// invariant.
     key: String,
 }
 
@@ -157,13 +160,12 @@ fn parse_metric_knobs(req: &Req<'_>) -> Result<MetricKnobs, ReqError> {
     let memory_budget = req.opt_positive_u64("memory_budget")?;
     let names: Vec<&str> = metrics.iter().map(|m| m.name()).collect();
     let key = format!(
-        "metric:metrics={};gcc={};samples={:?};bits={:?};shards={:?};budget={:?}",
+        "metric:metrics={};gcc={};samples={:?};bits={:?};shards={:?}",
         names.join(","),
         !no_gcc,
         samples,
         sketch_bits,
         shards,
-        memory_budget,
     );
     Ok(MetricKnobs {
         metrics,
@@ -201,10 +203,13 @@ fn analyze_options(reg: &Registry, knobs: &MetricKnobs, budget: Option<u64>) -> 
 }
 
 /// One consistent view of a slot for an analysis pass: the observed
-/// epoch and the frozen snapshot, read under a single lock acquisition.
-fn snapshot(slot: &GraphSlot) -> (u64, Arc<dk_graph::Graph>) {
+/// epoch and that epoch's [`Snapshot`], read under a single lock
+/// acquisition. A computed read analyzes the snapshot's base, which the
+/// epoch's first computed read builds, so a mutation that lands
+/// meanwhile never mixes into the response.
+fn snapshot(slot: &GraphSlot) -> (u64, Arc<Snapshot>) {
     let state = lock(slot);
-    (state.epoch, state.graph.clone())
+    (state.epoch, state.snapshot.clone())
 }
 
 /// The per-graph analysis fragment
@@ -212,20 +217,22 @@ fn snapshot(slot: &GraphSlot) -> (u64, Arc<dk_graph::Graph>) {
 /// graph's response table.
 fn metric_fragment(reg: &Registry, name: &str, knobs: &MetricKnobs) -> Result<String, ReqError> {
     let slot = reg.slot(name)?;
-    let (epoch, graph) = snapshot(&slot);
-    metric_fragment_at(reg, &slot, epoch, &graph, knobs)
+    let (epoch, snap) = snapshot(&slot);
+    metric_fragment_at(reg, &slot, epoch, &snap, knobs)
 }
 
-/// [`metric_fragment`] over an already-captured `(epoch, graph)`
-/// snapshot, so `compare` can pin both sides once up front. A computed
-/// fragment freezes a CSR from the snapshot and analyzes it.
+/// [`metric_fragment`] over an already-captured `(epoch, snapshot)`
+/// pair, so `compare` can pin both sides once up front. Admission runs
+/// first; only a computed fragment reads (or builds) the snapshot's
+/// base, and it runs just the passes its metrics need.
 fn metric_fragment_at(
     reg: &Registry,
     slot: &GraphSlot,
     epoch: u64,
-    graph: &dk_graph::Graph,
+    snap: &Snapshot,
     knobs: &MetricKnobs,
 ) -> Result<String, ReqError> {
+    let graph = snap.graph();
     let budget = reg.admit(
         graph.node_count(),
         graph.edge_count(),
@@ -235,7 +242,7 @@ fn metric_fragment_at(
     )?;
     reg.coalesce(slot, epoch, &knobs.key, || {
         let opts = analyze_options(reg, knobs, budget);
-        let cache = AnalysisCache::build(graph, &knobs.metrics, &opts);
+        let cache = AnalysisCache::build_on(snap.base(knobs.gcc), &knobs.metrics, &opts);
         let summary = json::object([
             ("nodes".into(), cache.original_nodes().to_string()),
             ("edges".into(), cache.original_edges().to_string()),
@@ -293,9 +300,10 @@ fn op_compare(reg: &Registry, req: &Req<'_>) -> Result<String, ReqError> {
     // `a`'s table)
     let dist_key = format!("compare-dist:g={b_name};eb={eb}");
     let distances = reg.coalesce(&slot_a, ea, &dist_key, || {
-        let d1 = Dist1K::from_graph(&ga).distance_sq(&Dist1K::from_graph(&gb));
-        let d2 = Dist2K::from_graph(&ga).distance_sq(&Dist2K::from_graph(&gb));
-        let d3 = Dist3K::from_graph(&ga).distance_sq(&Dist3K::from_graph(&gb));
+        let (ga, gb) = (ga.graph(), gb.graph());
+        let d1 = Dist1K::from_graph(ga).distance_sq(&Dist1K::from_graph(gb));
+        let d2 = Dist2K::from_graph(ga).distance_sq(&Dist2K::from_graph(gb));
+        let d3 = Dist3K::from_graph(ga).distance_sq(&Dist3K::from_graph(gb));
         Ok(json::object([
             ("d1".into(), json::number(d1)),
             ("d2".into(), json::number(d2)),
@@ -333,7 +341,8 @@ fn op_attack(reg: &Registry, req: &Req<'_>) -> Result<String, ReqError> {
     let samples = req.opt_u64("samples")?;
     let no_gcc = req.opt_bool("no_gcc")?.unwrap_or(false);
     let slot = reg.slot(name)?;
-    let (epoch, graph) = snapshot(&slot);
+    let (epoch, snap) = snapshot(&slot);
+    let graph = snap.graph();
     // attack sweeps build a CSR + union-find over the analyzed graph, and
     // the betweenness ranking a Brandes pass with its BFS-ordered copy:
     // gate them on that floor, and cap the sweep's workers by the budget
@@ -348,18 +357,24 @@ fn op_attack(reg: &Registry, req: &Req<'_>) -> Result<String, ReqError> {
         seed,
         checkpoints,
     };
+    let gcc = if no_gcc {
+        GccPolicy::Whole
+    } else {
+        GccPolicy::Extract
+    };
     reg.coalesce(&slot, epoch, &key, || {
-        let mut analyzer = dk_metrics::Analyzer::new().threads(reg.threads);
-        if no_gcc {
-            analyzer = analyzer.gcc(GccPolicy::Whole);
-        }
+        // the options `Analyzer::attack` would run with, on the epoch's base
+        let mut opts = AnalyzeOptions {
+            gcc,
+            threads: reg.threads,
+            memory_budget: budget,
+            ..AnalyzeOptions::default()
+        };
         if let Some(k) = samples {
-            analyzer = analyzer.sample_sources((k as usize).max(1));
+            opts.samples = (k as usize).max(1);
         }
-        if let Some(bytes) = budget {
-            analyzer = analyzer.memory_budget(bytes);
-        }
-        let report = analyzer.attack(&graph, &attack_opts);
+        let cache = AnalysisCache::build_on(snap.base(gcc), &[], &opts);
+        let report = attack_sweep_cached(&cache, &attack_opts);
         let mut fields = ok_head("attack");
         fields.extend([
             ("graph".into(), quoted(name)),
@@ -376,11 +391,12 @@ fn op_rewire(reg: &Registry, req: &Req<'_>) -> Result<String, ReqError> {
     let seed = req.opt_u64("seed")?.unwrap_or(DEFAULT_SEED);
     let attempts = req.opt_u64("attempts")?;
     let slot = reg.slot(name)?;
-    let graph = lock(&slot).graph.clone();
+    let snap = lock(&slot).snapshot.clone();
+    let graph = snap.graph();
     // the rewire works on a full mutable clone of the snapshot: price
     // that footprint through the admission gate before allocating it
     reg.admit(graph.node_count(), graph.edge_count(), &[], 8, None)?;
-    let mut g = (*graph).clone();
+    let mut g = graph.clone();
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
     let opts = RewireOptions {
         budget: attempts.map_or(SwapBudget::AttemptsPerEdge(50.0), SwapBudget::Attempts),
@@ -410,21 +426,22 @@ fn op_generate_into(reg: &Registry, req: &Req<'_>) -> Result<String, ReqError> {
         .parse()
         .map_err(|e: String| ReqError::new("bad_knob", e))?;
     let seed = req.opt_u64("seed")?.unwrap_or(DEFAULT_SEED);
-    let source = {
+    let snap = {
         let slot = reg.slot(from)?;
         let state = lock(&slot);
-        state.graph.clone()
+        state.snapshot.clone()
     };
+    let source = snap.graph();
     // generation materializes a census and a graph on the source's
     // scale: gate it on the same fixed-footprint floor as a metric pass
     reg.admit(source.node_count(), source.edge_count(), &[], 8, None)?;
     let generated = if algo.needs_reference() {
         Generator::new(algo)
             .seed(seed)
-            .reference(&source)
+            .reference(source)
             .build_randomized(d)
     } else {
-        let dist = AnyDist::from_graph(d, &source)
+        let dist = AnyDist::from_graph(d, source)
             .map_err(|e| ReqError::new("bad_knob", format!("cannot extract {d}K: {e}")))?;
         Generator::new(algo).seed(seed).build(&dist)
     }

@@ -15,13 +15,17 @@
 //! The triangle census is one degree-ordered forward pass; the census
 //! oracles hold its per-node counts and `S2` to the sorted-merge census
 //! it replaced, bit for bit.
+//!
+//! A cache built on a shared `AnalysisBase` (the GCC step and its
+//! census, as `dk serve` keeps one per graph epoch) reports what a cache
+//! that builds its own base reports, bit for bit.
 
 use dk_repro::graph::builders;
 use dk_repro::graph::csr::CsrGraph;
 use dk_repro::graph::{traversal, undirected_edges, AdjacencyView, Graph, GraphError, NodeId};
 use dk_repro::metrics::{
-    clustering, jdd, likelihood, sampled, stream, AnalysisCache, AnalyzeOptions, Analyzer,
-    AnyMetric, MetricValue, Report,
+    clustering, jdd, likelihood, sampled, stream, AnalysisBase, AnalysisCache, AnalyzeOptions,
+    Analyzer, AnyMetric, GccPolicy, MetricValue, Report,
 };
 use dk_repro::topologies::ba::{barabasi_albert, BaParams};
 use dk_repro::topologies::{skitter_like, AsLikeParams};
@@ -594,6 +598,74 @@ fn cache_gcc_is_the_csr_of_the_giant_component() -> Result<(), GraphError> {
         if want.node_count() == g.node_count() {
             assert!(std::ptr::eq(cache.graph(), &csr), "connected: in place");
         }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// A cache on a shared analysis base equals one that builds its own
+// ---------------------------------------------------------------------
+
+/// A cache's graph summary: the input's counts, the analyzed counts,
+/// the retained fraction's bits and the policy flag.
+fn summary_bits(c: &AnalysisCache<'_>) -> (usize, usize, usize, usize, u64, bool) {
+    (
+        c.original_nodes(),
+        c.original_edges(),
+        c.graph().node_count(),
+        c.graph().edge_count(),
+        c.gcc_fraction().to_bits(),
+        c.gcc_applied(),
+    )
+}
+
+#[test]
+fn caches_on_one_base_match_their_own_builds() -> Result<(), GraphError> {
+    let all: Vec<AnyMetric> = AnyMetric::all().collect();
+    let mut inputs = zoo();
+    // beyond the zoo's: a path and a triangle apart, isolated nodes
+    // only, and the empty graph
+    inputs.extend([
+        Graph::from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4)])?,
+        Graph::with_nodes(3),
+        Graph::new(),
+    ]);
+    for (i, g) in inputs.iter().enumerate() {
+        for policy in [GccPolicy::Extract, GccPolicy::Whole] {
+            // one base for both thread counts: a base read by earlier
+            // caches serves a later one unchanged
+            let base = AnalysisBase::new(g, policy);
+            for threads in [1, 2] {
+                let opts = AnalyzeOptions {
+                    gcc: policy,
+                    threads,
+                    ..AnalyzeOptions::default()
+                };
+                let own = AnalysisCache::build(g, &all, &opts);
+                let shared = AnalysisCache::build_on(&base, &all, &opts);
+                let what = format!("input {i}, {policy:?}, threads {threads}");
+                assert_eq!(summary_bits(&shared), summary_bits(&own), "{what}");
+                assert_eq!(shared.graph(), own.graph(), "{what}");
+                for metric in &all {
+                    assert_eq!(
+                        value_bits(&metric.compute(&shared)),
+                        value_bits(&metric.compute(&own)),
+                        "{what}: {metric}"
+                    );
+                }
+            }
+        }
+        // two caches on one base read one census: the first prepares it,
+        // the second reads it on demand
+        let base = AnalysisBase::new(g, GccPolicy::Extract);
+        let opts = AnalyzeOptions::default();
+        let c_mean = AnyMetric::parse_list("c_mean").expect("registry name");
+        let prepared = AnalysisCache::build_on(&base, &c_mean, &opts);
+        let on_demand = AnalysisCache::build_on(&base, &[], &opts);
+        assert!(
+            std::ptr::eq(prepared.triangles(), on_demand.triangles()),
+            "input {i}"
+        );
     }
     Ok(())
 }
