@@ -14,6 +14,7 @@
 
 use crate::dist::{Dist0K, Dist1K, Dist2K, Dist3K};
 use dk_graph::GraphError;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 
 fn parse_err(line: usize, msg: impl Into<String>) -> GraphError {
@@ -85,8 +86,18 @@ pub fn write_1k<W: Write>(d: &Dist1K, mut w: W) -> Result<(), GraphError> {
 }
 
 /// Reads a 1K-distribution.
+///
+/// Every line is parsed before anything is sized: duplicate degrees
+/// merge in an ordered map, and the node count `n` is the sum of the
+/// counts. A degree of `n` or more with a positive count is refused,
+/// naming the first line that gives one, since no node of a simple
+/// graph on `n` nodes has that many neighbours; the dense count vector
+/// is built only then, so its length never exceeds `n`. Zero-count
+/// lines parse but add nothing.
 pub fn read_1k<R: Read>(r: R) -> Result<Dist1K, GraphError> {
-    let mut counts: Vec<usize> = Vec::new();
+    // degree -> (merged count, first line that gave it a positive count)
+    let mut merged: BTreeMap<u32, (usize, usize)> = BTreeMap::new();
+    let mut nodes: usize = 0;
     for (no, line) in BufReader::new(r).lines().enumerate() {
         let no = no + 1;
         let line = line?;
@@ -100,7 +111,6 @@ pub fn read_1k<R: Read>(r: R) -> Result<Dist1K, GraphError> {
             .ok_or_else(|| parse_err(no, "missing degree"))?
             .parse()
             .map_err(|e| parse_err(no, format!("bad degree: {e}")))?;
-        let k = k as usize;
         let c: usize = it
             .next()
             .ok_or_else(|| parse_err(no, "missing count"))?
@@ -109,10 +119,30 @@ pub fn read_1k<R: Read>(r: R) -> Result<Dist1K, GraphError> {
         if it.next().is_some() {
             return Err(parse_err(no, "trailing tokens"));
         }
-        if counts.len() <= k {
-            counts.resize(k + 1, 0);
+        if c == 0 {
+            continue;
         }
-        counts[k] = counts[k].checked_add(c).ok_or_else(|| overflow_err(no))?;
+        let (count, _) = merged.entry(k).or_insert((0, no));
+        *count = count.checked_add(c).ok_or_else(|| overflow_err(no))?;
+        nodes = nodes
+            .checked_add(c)
+            .ok_or_else(|| parse_err(no, "node total overflows when this line is added"))?;
+    }
+    // refuse the first line, in file order, whose degree no node of an
+    // n-node graph can have; a node total past u32 allows every degree
+    let impossible = u32::try_from(nodes)
+        .ok()
+        .and_then(|n| merged.range(n..).map(|(&k, &(_, no))| (no, k)).min());
+    if let Some((no, k)) = impossible {
+        return Err(parse_err(
+            no,
+            format!("degree {k} is impossible: the counts total {nodes} nodes"),
+        ));
+    }
+    let len = merged.last_key_value().map_or(0, |(&k, _)| k as usize + 1);
+    let mut counts = vec![0; len];
+    for (k, (c, _)) in merged {
+        counts[k as usize] = c;
     }
     Ok(Dist1K { counts })
 }

@@ -301,39 +301,22 @@ impl Graph {
     /// Induced subgraph on `nodes`.
     ///
     /// Returns the subgraph (with nodes renumbered `0..nodes.len()` in the
-    /// order given) and the mapping `new id → old id`. Callers that also
-    /// need the inverse (old → new) direction should use
-    /// [`Graph::subgraph_mapped`] instead of re-deriving it.
-    ///
-    /// Duplicate entries in `nodes` are an error.
-    pub fn subgraph(&self, nodes: &[NodeId]) -> Result<(Graph, Vec<NodeId>), GraphError> {
-        let (g, map) = self.subgraph_mapped(nodes)?;
-        Ok((g, map.new_to_old))
-    }
-
-    /// Induced subgraph on `nodes`, with **both** directions of the node
-    /// renumbering.
-    ///
-    /// Like [`Graph::subgraph`], but instead of only the `new → old`
-    /// permutation it returns a [`SubgraphMap`] that also exposes the
-    /// dense `old → new` inverse the construction builds anyway — so
-    /// callers reporting subgraph results keyed by *original* node ids
-    /// (e.g. the attack-sweep checkpoints in `dk-metrics`) need not
-    /// re-derive it ad hoc.
+    /// order given) and the mapping `new id → old id`.
     ///
     /// Built in O(n + m), with no per-edge duplicate probe or sorted
     /// insert: each selected node's sorted neighbor list is filtered
-    /// through the dense `old → new` table (and re-sorted only when
+    /// through a dense `old → new` table (and re-sorted only when
     /// `nodes` is not ascending), the edge list is this graph's
     /// [`Graph::edges`] filtered and remapped in the same order, and the
     /// edge index is pre-sized with one insert per edge. The result
     /// equals adding the surviving edges one at a time in `edges()`
-    /// order, edge list order included. Callers are GCC extraction of a
-    /// disconnected graph and the attack sweep's checkpoints.
+    /// order, edge list order included.
     ///
     /// Duplicate entries in `nodes` are an error.
-    pub fn subgraph_mapped(&self, nodes: &[NodeId]) -> Result<(Graph, SubgraphMap), GraphError> {
-        let mut old_to_new: Vec<NodeId> = vec![SubgraphMap::ABSENT; self.node_count()];
+    pub fn subgraph(&self, nodes: &[NodeId]) -> Result<(Graph, Vec<NodeId>), GraphError> {
+        // marks nodes outside the selection in the dense table
+        const ABSENT: NodeId = NodeId::MAX;
+        let mut old_to_new: Vec<NodeId> = vec![ABSENT; self.node_count()];
         for (new, &old) in nodes.iter().enumerate() {
             if !self.has_node(old) {
                 return Err(GraphError::NodeOutOfRange {
@@ -341,7 +324,7 @@ impl Graph {
                     nodes: self.node_count(),
                 });
             }
-            if old_to_new[old as usize] != SubgraphMap::ABSENT {
+            if old_to_new[old as usize] != ABSENT {
                 return Err(GraphError::ConstructionFailed(format!(
                     "duplicate node {old} in subgraph selection"
                 )));
@@ -357,7 +340,7 @@ impl Graph {
                 let mut list: Vec<NodeId> = self.adj[old as usize]
                     .iter()
                     .map(|&v| old_to_new[v as usize])
-                    .filter(|&v| v != SubgraphMap::ABSENT)
+                    .filter(|&v| v != ABSENT)
                     .collect();
                 if !ascending {
                     list.sort_unstable();
@@ -370,24 +353,19 @@ impl Graph {
             .iter()
             .filter_map(|&(u, v)| {
                 let (nu, nv) = (old_to_new[u as usize], old_to_new[v as usize]);
-                (nu != SubgraphMap::ABSENT && nv != SubgraphMap::ABSENT).then(|| canon_edge(nu, nv))
+                (nu != ABSENT && nv != ABSENT).then(|| canon_edge(nu, nv))
             })
             .collect();
         let mut edge_index = DetHashMap::with_capacity_and_hasher(edges.len(), Default::default());
         for (i, &e) in edges.iter().enumerate() {
             edge_index.insert(e, i as u32);
         }
-        Ok((
-            Graph {
-                adj,
-                edges,
-                edge_index,
-            },
-            SubgraphMap {
-                new_to_old: nodes.to_vec(),
-                old_to_new,
-            },
-        ))
+        let g = Graph {
+            adj,
+            edges,
+            edge_index,
+        };
+        Ok((g, nodes.to_vec()))
     }
 
     /// Sum over edges of the product of endpoint degrees:
@@ -467,70 +445,6 @@ impl Graph {
             }
             Err(_) => unreachable!("removing absent adjacency entry"),
         }
-    }
-}
-
-/// Node-id translation for an induced subgraph: both directions of the
-/// renumbering applied by [`Graph::subgraph_mapped`].
-///
-/// The forward direction is the `new → old` permutation (what
-/// [`Graph::subgraph`] returns); the inverse is the dense `old → new`
-/// table the construction builds anyway, with [`SubgraphMap::ABSENT`]
-/// marking nodes outside the selection. Exposing both lets callers key
-/// subgraph-level results by *original* node ids without re-deriving
-/// the inverse ad hoc.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SubgraphMap {
-    /// `new id → old id`, ascending subgraph ids.
-    new_to_old: Vec<NodeId>,
-    /// Dense `old id → new id`; [`SubgraphMap::ABSENT`] = not selected.
-    old_to_new: Vec<NodeId>,
-}
-
-impl SubgraphMap {
-    /// Sentinel in the dense `old → new` table for nodes outside the
-    /// subgraph selection.
-    pub const ABSENT: NodeId = NodeId::MAX;
-
-    /// Original id of subgraph node `new`.
-    ///
-    /// # Panics
-    /// Panics if `new` is not a subgraph node id.
-    pub fn to_old(&self, new: NodeId) -> NodeId {
-        self.new_to_old[new as usize]
-    }
-
-    /// Subgraph id of original node `old`, or `None` if `old` was not
-    /// selected.
-    ///
-    /// # Panics
-    /// Panics if `old` is out of range for the original graph.
-    pub fn to_new(&self, old: NodeId) -> Option<NodeId> {
-        match self.old_to_new[old as usize] {
-            Self::ABSENT => None,
-            new => Some(new),
-        }
-    }
-
-    /// The `new id → old id` permutation.
-    pub fn new_to_old(&self) -> &[NodeId] {
-        &self.new_to_old
-    }
-
-    /// The dense `old id → new id` table; [`SubgraphMap::ABSENT`] marks
-    /// unselected nodes.
-    pub fn old_to_new(&self) -> &[NodeId] {
-        &self.old_to_new
-    }
-
-    /// Number of selected (subgraph) nodes.
-    pub fn len(&self) -> usize {
-        self.new_to_old.len()
-    }
-
-    /// `true` if the selection was empty.
-    pub fn is_empty(&self) -> bool {
-        self.new_to_old.is_empty()
     }
 }
 
@@ -696,29 +610,14 @@ mod tests {
     }
 
     #[test]
-    fn subgraph_mapped_exposes_inverse_permutation() -> Result<(), GraphError> {
+    fn subgraph_renumbers_in_selection_order() -> Result<(), GraphError> {
         let g = Graph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])?;
         // non-identity selection: subgraph order differs from id order
-        let (sub, map) = g.subgraph_mapped(&[4, 1, 2])?;
+        let (sub, map) = g.subgraph(&[4, 1, 2])?;
         assert_eq!(sub.node_count(), 3);
         assert_eq!(sub.edge_count(), 1); // only (1,2) survives, as new (1,2)
-        assert_eq!(map.len(), 3);
-        assert!(!map.is_empty());
-        assert_eq!(map.new_to_old(), &[4, 1, 2]);
-        // forward and inverse agree on every selected node
-        for new in 0..3 {
-            assert_eq!(map.to_new(map.to_old(new)), Some(new));
-        }
-        assert_eq!(map.to_new(1), Some(1));
-        assert_eq!(map.to_new(4), Some(0));
-        // unselected nodes are ABSENT in the dense table and None here
-        assert_eq!(map.to_new(0), None);
-        assert_eq!(map.old_to_new()[0], SubgraphMap::ABSENT);
-        assert_eq!(map.old_to_new().len(), g.node_count());
-        // `subgraph` stays the forward projection of `subgraph_mapped`
-        let (sub2, forward) = g.subgraph(&[4, 1, 2])?;
-        assert_eq!(sub, sub2);
-        assert_eq!(forward, map.new_to_old());
+        assert!(sub.has_edge(1, 2));
+        assert_eq!(map, vec![4, 1, 2]);
         Ok(())
     }
 

@@ -77,7 +77,7 @@ pub mod unionfind;
 
 pub use csr::{undirected_edges, AdjacencyView, CsrGraph};
 pub use error::GraphError;
-pub use graph::{canon_edge, Graph, NodeId, SubgraphMap};
+pub use graph::{canon_edge, Graph, NodeId};
 pub use multigraph::MultiGraph;
 pub use traversal::{bfs_distances, connected_components, giant_component, is_connected};
 pub use unionfind::UnionFind;

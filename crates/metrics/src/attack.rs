@@ -58,7 +58,7 @@
 use crate::cache::AnalysisCache;
 use crate::distance::default_threads;
 use crate::json;
-use crate::metric::MetricValue;
+use crate::metric::{Dep, MetricValue};
 use crate::sampled;
 use crate::stream::DEFAULT_SHARDS;
 use dk_graph::{AdjacencyView, CsrGraph, NodeId, UnionFind};
@@ -125,12 +125,16 @@ impl Strategy {
         }
     }
 
-    /// Whether the removal order is ranked by a Brandes pass (the
-    /// sampled betweenness), which holds a BFS-ordered copy of the graph
-    /// on top of its workers' scratch
-    /// ([`stream::brandes_copy_bytes`](crate::stream::brandes_copy_bytes)).
-    pub const fn runs_brandes(self) -> bool {
-        matches!(self, Strategy::Betweenness)
+    /// The shared passes the removal order reads: the betweenness
+    /// ranking is a sampled Brandes pass ([`Dep::Sampled`]), which holds a
+    /// BFS-ordered copy of the graph on top of its workers' scratch, and
+    /// the other orders read the graph alone. A sweep's price is
+    /// [`stream::min_bytes`](crate::stream::min_bytes) of these deps.
+    pub const fn deps(self) -> &'static [Dep] {
+        match self {
+            Strategy::Betweenness => &[Dep::Sampled],
+            Strategy::Random | Strategy::Degree | Strategy::DegreeAdaptive => &[],
+        }
     }
 }
 
@@ -642,7 +646,7 @@ fn checkpoint_at(
 /// memory budget also paid the ranking's BFS-ordered copy.
 pub fn attack_sweep_cached(cx: &AnalysisCache<'_>, opts: &AttackOptions) -> AttackReport {
     let plan = cx.exec_plan();
-    let threads = if opts.strategy.runs_brandes() {
+    let threads = if opts.strategy.deps().iter().any(|d| d.runs_brandes()) {
         plan.brandes_workers
     } else {
         plan.workers

@@ -54,7 +54,9 @@
 //!   first: scratch that an earlier pass freed but the allocator still
 //!   holds (the census's oriented rows and mark array, the traversal
 //!   workers' arenas) would otherwise stay resident beside them and
-//!   raise the peak.
+//!   raise the peak. [`stream::min_bytes`] prices this order (the
+//!   [footprint model](crate::stream#footprint-model)); a change to it
+//!   changes the model there too.
 //! * Every traversal-shaped pass runs through the sharded fold of
 //!   [`crate::stream`] with the resolved [`ExecPlan`]: per-shard partials
 //!   fold into `O(n)` reducers in shard order, the shard count fixes the
@@ -291,12 +293,7 @@ impl<'g> AnalysisCache<'g> {
         metrics: &[AnyMetric],
         opts: &AnalyzeOptions,
     ) -> Self {
-        let deps: Vec<Dep> = {
-            let mut d: Vec<Dep> = metrics.iter().flat_map(|m| m.deps()).copied().collect();
-            d.sort_unstable();
-            d.dedup();
-            d
-        };
+        let deps = AnyMetric::deps_of(metrics);
         let g: &CsrGraph = base.graph();
         let exec = stream::plan(g.node_count(), g.edge_count(), opts);
         let (shards, workers) = (exec.shards, exec.workers);

@@ -92,8 +92,9 @@
 //! batched BFS scratch of the distance-only passes (three `u64` words
 //! and two frontier lists per node, at most `32n` bytes), plus `2·n/8`
 //! bytes of slack. A Brandes pass also holds one BFS-ordered copy of the
-//! graph and its id map, whatever its worker count
-//! ([`stream::brandes_copy_bytes`](crate::stream::brandes_copy_bytes)).
+//! graph and its id map, whatever its worker count (the
+//! [footprint model](crate::stream#footprint-model), whose one price is
+//! [`stream::min_bytes`](crate::stream::min_bytes)).
 //! `Analyzer::memory_budget` (CLI `--memory-budget`) caps the worker
 //! count against that model; results are bit-identical for every worker
 //! count at a given shard count.
@@ -248,13 +249,10 @@ impl Dep {
     }
 
     /// Whether this dep's pass is a Brandes pass, the one that holds a
-    /// BFS-ordered copy of the graph
-    /// ([`stream::brandes_copy_bytes`](crate::stream::brandes_copy_bytes)):
-    /// `dk serve` admits a request that selects such a metric at the
-    /// Brandes floor
-    /// ([`stream::floor_bytes`](crate::stream::floor_bytes)), and the
-    /// cache runs the pass with the plan's
-    /// [`brandes_workers`](crate::stream::ExecPlan::brandes_workers).
+    /// BFS-ordered copy of the graph: [`stream::min_bytes`](crate::stream::min_bytes)
+    /// prices the copy in, and the cache runs the pass with the plan's
+    /// [`brandes_workers`](crate::stream::ExecPlan::brandes_workers),
+    /// whose memory budget paid for it.
     pub fn runs_brandes(self) -> bool {
         matches!(self, Dep::Betweenness | Dep::Sampled)
     }
@@ -734,6 +732,17 @@ impl AnyMetric {
             .iter()
             .map(|n| AnyMetric::get(n).expect("registered"))
             .collect()
+    }
+
+    /// The union of `metrics`' [`Dep`]s, sorted and deduplicated: the
+    /// passes an analysis of `metrics` runs.
+    /// [`AnalysisCache`] prepares them and
+    /// [`stream::min_bytes`](crate::stream::min_bytes) prices them.
+    pub fn deps_of(metrics: &[AnyMetric]) -> Vec<Dep> {
+        let mut deps: Vec<Dep> = metrics.iter().flat_map(|m| m.deps()).copied().collect();
+        deps.sort_unstable();
+        deps.dedup();
+        deps
     }
 
     /// Parses a comma-separated metric list. Each element is a metric

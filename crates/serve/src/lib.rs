@@ -22,10 +22,12 @@
 //! * **Batched coalescing** — identical concurrent requests (same
 //!   graph, epoch, op, knobs) collapse onto one computation; sequential
 //!   repeats replay the graph's per-epoch response table ([`registry`]).
-//! * **Admission control** — requests are priced against the sharded
-//!   executor's byte model before any allocation; over-budget requests
-//!   get a structured `over_budget` error instead of an OOM, and
-//!   admitted ones carry the budget into the executor ([`registry`]).
+//! * **Admission control** — each request is priced before any
+//!   allocation by the one footprint model of the passes it runs
+//!   ([`dk_metrics::stream::min_bytes`]), and the registry's gate only
+//!   compares that price with the budget: over-budget requests get a
+//!   structured `over_budget` error instead of an OOM, and admitted
+//!   ones carry the budget into the executor ([`registry`]).
 //! * **Determinism** — the same request stream with the same seeds
 //!   produces byte-identical response bodies for every `--threads`
 //!   value ([`server`]).
@@ -55,11 +57,13 @@
 //! "undefined on this graph" from "computed but not finite" — see
 //! [`protocol::tagged_value`]. `load`, `rewire`, and `generate-into`
 //! bump the entry's **epoch**, atomically clearing its response table;
-//! `rewire` and `generate-into` are priced
-//! through the same admission gate as analysis ops (the mutable
-//! clone / generated graph is the footprint), so an over-budget daemon
-//! rejects them structurally too. `stats` counters reflect scheduling
-//! and are the one response exempt from the byte-identity contract.
+//! `rewire` and `generate-into` pass through the same admission gate as
+//! analysis ops, priced at the one-worker floor of no analysis pass (a
+//! proxy for the mutable clone / generated graph they build), so an
+//! over-budget daemon rejects them structurally too. A computation that
+//! panics answers its own client and every coalesced follower with a
+//! structured `io` error. `stats` counters reflect scheduling and are
+//! the one response exempt from the byte-identity contract.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

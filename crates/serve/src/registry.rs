@@ -27,45 +27,28 @@
 //! ([`Counters::coalesced`]); otherwise the caller registers a pending
 //! flight and computes ([`Counters::computed`]). Only a successful body
 //! stays in the table: an error, or a computation that panics, removes
-//! its pending entry, and parked followers get the error (a structured
-//! `io` error after a panic), so they are never wedged. Tables belong to
-//! one entry, so two graphs never share a key.
+//! its pending entry, and the caller and its parked followers get the
+//! error (a structured `io` error after a panic), so nobody is left
+//! unanswered or wedged. Tables belong to one entry, so two graphs never
+//! share a key.
 //!
 //! # Admission
 //!
-//! [`Registry::admit`] prices a request before any allocation using the
-//! exact byte model the sharded executor plans with
-//! ([`dk_metrics::stream::floor_bytes`]: the fixed bytes and one
-//! worker's scratch, and the Brandes pass's BFS-ordered graph copy when
-//! a betweenness metric is selected or an attack is ranked by
-//! betweenness), raised to the triangle census's footprint
-//! ([`dk_metrics::stream::census_bytes`] on top of the fixed bytes) when
-//! a clustering metric or `s2` is selected on a graph dense enough
-//! (average degree above about 12) that the floor does not cover it.
-//! The census keeps its per-node counts
-//! ([`dk_metrics::stream::census_counts_bytes`]) in the cache while the
-//! traversal passes after it run, so a request that also selects a
-//! distance or betweenness metric adds them to the floor. HyperANF
-//! register sheets are added when a sketch metric is selected, and the
-//! spectral solver's working set
-//! ([`dk_metrics::spectral::spectral_bytes`]: the dense matrices below
-//! the Lanczos cutoff, the sparse Laplacian and a few n-vectors above
-//! it) when `lambda1` or `lambda_n` is. The spectral
-//! term is added, not maxed: the spectral job runs after the traversal
-//! jobs, so the sum over-approximates the peak. Requests whose
-//! *minimum* footprint (one worker) exceeds the effective budget — the
-//! smaller of the server-wide `--memory-budget` and the request's own
-//! `memory_budget` knob — are rejected with a structured `over_budget`
-//! error. Admitted requests carry the effective budget into the
-//! analyzer, which lowers the worker count to stay inside it; the
-//! daemon never OOMs on an admitted request.
+//! [`Registry::admit`] is a gate. It compares a request's price, the
+//! least memory its passes need ([`dk_metrics::stream::min_bytes`], the
+//! one price of the
+//! [footprint model](dk_metrics::stream#footprint-model)), with the
+//! effective budget: the smaller of the server-wide `--memory-budget`
+//! and the request's own `memory_budget` knob. A price over the budget is
+//! rejected with a structured `over_budget` error before anything is
+//! allocated. An admitted request carries the effective budget into the
+//! analyzer, which lowers its worker count to stay inside it.
 
 use crate::protocol::ReqError;
 use dk_graph::hashers::DetHashMap;
 use dk_graph::Graph;
-use dk_metrics::attack::Strategy;
-use dk_metrics::metric::{Cost, Dep};
-use dk_metrics::{AnalysisBase, AnyMetric, GccPolicy};
+use dk_metrics::{AnalysisBase, GccPolicy};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
@@ -189,8 +172,22 @@ impl Flight {
     }
 }
 
+/// The error a computation that panicked answers with.
+fn panicked() -> ReqError {
+    ReqError::new("io", "the computation serving this request panicked")
+}
+
+/// Runs `compute`, turning a panic into the [`panicked`] error, so the
+/// caller's own client is answered. Nothing `compute` can leave half
+/// done stays broken: the registry's locks recover from poisoning
+/// ([`lock`]), a snapshot's base cell stays empty after a panicking
+/// build, and the counters are atomics.
+fn run_caught(compute: impl FnOnce() -> Result<String, ReqError>) -> Result<String, ReqError> {
+    panic::catch_unwind(AssertUnwindSafe(compute)).unwrap_or_else(|_| Err(panicked()))
+}
+
 /// Resolves a registered flight when dropped, so a computation that
-/// panics still resolves it (with a structured `io` error): otherwise
+/// panics still resolves it (with the [`panicked`] error): otherwise
 /// its followers, and every later identical request, would park
 /// forever.
 struct Resolve<'a> {
@@ -203,12 +200,7 @@ struct Resolve<'a> {
 
 impl Drop for Resolve<'_> {
     fn drop(&mut self) {
-        let outcome = self.outcome.take().unwrap_or_else(|| {
-            Err(ReqError::new(
-                "io",
-                "the computation serving this request panicked",
-            ))
-        });
+        let outcome = self.outcome.take().unwrap_or_else(|| Err(panicked()));
         let mut state = lock(self.slot);
         // a mutation may have cleared the table, and a newer epoch's
         // flight may hold the key by now: leave that one be
@@ -327,7 +319,8 @@ impl Registry {
     ///
     /// A caller whose `epoch` is behind the entry's computes without
     /// reading or registering anything. The entry lock is never held
-    /// while computing or waiting.
+    /// while computing or waiting. A `compute` that panics returns the
+    /// structured `io` error its followers get.
     pub fn coalesce(
         &self,
         slot: &GraphSlot,
@@ -339,7 +332,7 @@ impl Registry {
         if state.epoch != epoch {
             drop(state);
             Counters::bump(&self.counters.computed);
-            return compute();
+            return run_caught(compute);
         }
         let flight = match state.responses.get(key) {
             Some(Response::Done(body)) => {
@@ -364,75 +357,18 @@ impl Registry {
             flight,
             outcome: None,
         };
-        let outcome = compute();
+        let outcome = run_caught(compute);
         resolve.outcome = Some(outcome.clone());
         outcome
     }
 
-    /// Admission gate (see the [module docs](self)): `Ok(effective
-    /// budget)` to pass into the analyzer, or an `over_budget` error.
-    pub fn admit(
-        &self,
-        nodes: usize,
-        edges: usize,
-        metrics: &[AnyMetric],
-        sketch_bits: u32,
-        request_budget: Option<u64>,
-    ) -> Result<Option<u64>, ReqError> {
-        let brandes = metrics
-            .iter()
-            .any(|m| m.deps().iter().any(|d| d.runs_brandes()));
-        let mut min_bytes = dk_metrics::stream::floor_bytes(nodes, edges, brandes);
-        if metrics.iter().any(|m| m.deps().contains(&Dep::Triangles)) {
-            // the census's counts stay in the cache while the traversal
-            // passes after it run
-            let traverses = metrics.iter().flat_map(|m| m.deps()).any(|d| {
-                matches!(
-                    d,
-                    Dep::Distances | Dep::Betweenness | Dep::Sampled | Dep::SampledDistances
-                )
-            });
-            if traverses {
-                min_bytes =
-                    min_bytes.saturating_add(dk_metrics::stream::census_counts_bytes(nodes));
-            }
-            // the census itself runs before them, with no worker scratch
-            // beside it: it raises the minimum only where the floor does
-            // not cover it
-            let census = dk_metrics::stream::fixed_bytes(nodes, edges)
-                .saturating_add(dk_metrics::stream::census_bytes(nodes, edges));
-            min_bytes = min_bytes.max(census);
-        }
-        if metrics.iter().any(|m| m.cost() == Cost::Sketch) {
-            let registers = (nodes as u64)
-                .saturating_mul(1u64 << sketch_bits)
-                .saturating_mul(2);
-            min_bytes = min_bytes.saturating_add(registers);
-        }
-        if metrics.iter().any(|m| m.cost() == Cost::Spectral) {
-            min_bytes =
-                min_bytes.saturating_add(dk_metrics::spectral::spectral_bytes(nodes, edges));
-        }
-        self.gate(nodes, edges, min_bytes, request_budget)
-    }
-
-    /// Admission gate for an attack sweep: its CSR and union-find fit
-    /// the one-worker floor, and a betweenness-ranked sweep also pays
-    /// its Brandes pass's BFS-ordered copy. `Ok(effective budget)` to
-    /// pass into the analyzer, or an `over_budget` error.
-    pub fn admit_attack(
-        &self,
-        nodes: usize,
-        edges: usize,
-        strategy: Strategy,
-    ) -> Result<Option<u64>, ReqError> {
-        let min_bytes = dk_metrics::stream::floor_bytes(nodes, edges, strategy.runs_brandes());
-        self.gate(nodes, edges, min_bytes, None)
-    }
-
-    /// Rejects a request whose minimum footprint `min_bytes` exceeds the
+    /// Admission gate (see the [module docs](self)): rejects a request
+    /// whose price `min_bytes` (from [`dk_metrics::stream::min_bytes`],
+    /// on a graph of `nodes` nodes and `edges` edges) exceeds the
     /// effective budget, the smaller of the server's and the request's.
-    fn gate(
+    /// `Ok(effective budget)` to pass into the analyzer, or an
+    /// `over_budget` error.
+    pub fn admit(
         &self,
         nodes: usize,
         edges: usize,
@@ -465,7 +401,8 @@ impl Registry {
 mod tests {
     use super::*;
     use crate::server::handle_line;
-    use dk_graph::CsrGraph;
+    use dk_graph::{CsrGraph, GraphError};
+    use dk_metrics::AnyMetric;
     use std::sync::mpsc;
     use std::thread;
     use std::time::Duration;
@@ -664,9 +601,10 @@ mod tests {
     }
 
     /// Panic safety: a leader that panics inside `compute` must still
-    /// resolve the flight — parked followers get a structured `io`
-    /// error, and the key is freed so the next request recomputes
-    /// instead of parking on a wedged flight forever.
+    /// resolve the flight — the leader's own caller and its parked
+    /// followers get a structured `io` error, and the key is freed so the
+    /// next request recomputes instead of parking on a wedged flight
+    /// forever.
     #[test]
     fn panicking_compute_does_not_wedge_the_flight() {
         let (reg, slot) = registry_with_path(3);
@@ -697,184 +635,71 @@ mod tests {
             thread::sleep(Duration::from_millis(1));
         }
         release_tx.send(()).expect("leader is waiting");
-        assert!(leader.join().is_err(), "leader panicked");
-        let err = follower
+        let led = leader
             .join()
-            .expect("follower thread survives")
-            .expect_err("follower sees the failure");
-        assert_eq!(err.code, "io");
+            .ok()
+            .map(|r| r.map_err(|e| (e.code, e.message)));
+        assert_eq!(led, Some(Err(("io", panicked().message))));
+        let followed = follower.join().ok().map(|r| r.map_err(|e| e.code));
+        assert_eq!(followed, Some(Err("io")));
         // nothing was memoized and the key is free again: recomputes
-        let fresh = reg
-            .coalesce(&slot, 1, "metric:boom", || Ok("fresh".to_string()))
-            .expect("ok");
-        assert_eq!(fresh, "fresh");
+        let fresh = reg.coalesce(&slot, 1, "metric:boom", || Ok("fresh".to_string()));
+        assert_eq!(fresh, Ok("fresh".to_string()));
         assert_eq!(Counters::get(&reg.counters.computed), 2);
+    }
+
+    /// A caller whose epoch is already stale computes outside the table:
+    /// when that computation panics, the caller still gets the
+    /// structured `io` error, and the table stays empty.
+    #[test]
+    fn a_panicking_stale_epoch_compute_answers_its_caller() {
+        let (reg, slot) = registry_with_path(3);
+        assert_eq!(reg.install("g", path_graph(4)), 2);
+        let stale = reg.coalesce(&slot, 1, "metric:boom", || panic!("stale compute exploded"));
+        assert_eq!(stale.map_err(|e| e.message), Err(panicked().message));
+        assert_eq!(Counters::get(&reg.counters.computed), 1);
+        assert!(lock(&slot).responses.is_empty());
     }
 
     #[test]
     fn admission_rejects_undersized_budgets_and_takes_the_min() {
         let reg = Registry::new(Some(1 << 30), 1);
-        let metrics = AnyMetric::cheap_set();
+        let deps = AnyMetric::deps_of(&AnyMetric::cheap_set());
+        let price = dk_metrics::stream::min_bytes(100, 200, &deps, 8);
         // no request budget: the generous server budget admits
-        assert_eq!(
-            reg.admit(100, 200, &metrics, 8, None).expect("admitted"),
-            Some(1 << 30)
-        );
+        assert_eq!(reg.admit(100, 200, price, None), Ok(Some(1 << 30)));
         // a tiny request budget wins the min and rejects
-        let err = reg.admit(100, 200, &metrics, 8, Some(64)).unwrap_err();
+        let err = reg.admit(100, 200, price, Some(64)).unwrap_err();
         assert_eq!(err.code, "over_budget");
+        assert_eq!(Counters::get(&reg.counters.rejected), 1);
+        // the price itself is enough: the plan never goes below one worker
+        assert_eq!(reg.admit(100, 200, price, Some(price)), Ok(Some(price)));
         assert_eq!(Counters::get(&reg.counters.rejected), 1);
         // no budgets anywhere: always admitted
         let open = Registry::new(None, 1);
-        assert_eq!(open.admit(1 << 20, 1 << 22, &metrics, 8, None), Ok(None));
+        assert_eq!(open.admit(1 << 20, 1 << 22, u64::MAX, None), Ok(None));
     }
 
+    /// An `over_budget` message quotes the model's price: a `cheap` read
+    /// (the default metrics) on a graph of the `serve_mixed` size, under a
+    /// 64-byte request budget, needs the one-worker floor, which covers
+    /// the census at this density.
     #[test]
-    fn admission_prices_the_spectral_pass_in() {
-        let spectral: Vec<AnyMetric> = AnyMetric::all().filter(|m| m.name() == "lambda1").collect();
-        assert!(spectral.len() == 1 && spectral[0].cost() == Cost::Spectral);
-        // the daemon's BA n = 10^5 graph: two edges per arriving node
-        let n = 100_000;
-        let m = 200_000;
-        let plain_floor = dk_metrics::stream::floor_bytes(n, m, false);
-        let spectral_floor = plain_floor + dk_metrics::spectral::spectral_bytes(n, m);
-        // a budget between the two minimums
-        let reg = Registry::new(Some((plain_floor + spectral_floor) / 2), 1);
-        assert!(reg.admit(n, m, &AnyMetric::cheap_set(), 8, None).is_ok());
-        let err = reg.admit(n, m, &spectral, 8, None).unwrap_err();
-        assert_eq!(err.code, "over_budget");
-        assert!(err.message.contains(&spectral_floor.to_string()));
-        // so is the paper battery (`metrics: default`), which includes it
-        assert!(reg.admit(n, m, &AnyMetric::default_set(), 8, None).is_err());
-    }
-
-    #[test]
-    fn admission_prices_the_brandes_copy_in() {
-        let metric = |name: &str| -> Vec<AnyMetric> {
-            AnyMetric::all().filter(|m| m.name() == name).collect()
-        };
-        let n = 10_000;
-        let m = 20_000;
-        let plain_floor = dk_metrics::stream::floor_bytes(n, m, false);
-        let brandes_floor = dk_metrics::stream::floor_bytes(n, m, true);
-        assert!(brandes_floor > plain_floor);
-        // a budget between the two floors: the batched distance pass
-        // fits, the Brandes pass and its BFS-ordered copy do not
-        let reg = Registry::new(Some((plain_floor + brandes_floor) / 2), 1);
-        assert_eq!(metric("distance_approx").len(), 1);
-        assert!(reg.admit(n, m, &metric("distance_approx"), 8, None).is_ok());
-        for name in ["betweenness_approx", "b_max"] {
-            assert_eq!(metric(name).len(), 1, "{name}");
-            let err = reg.admit(n, m, &metric(name), 8, None).unwrap_err();
-            assert_eq!(err.code, "over_budget", "{name}");
-            assert!(err.message.contains(&brandes_floor.to_string()), "{name}");
-        }
-    }
-
-    #[test]
-    fn admission_prices_the_census_in_where_the_floor_does_not_cover_it() {
-        let metric = |name: &str| -> Vec<AnyMetric> {
-            AnyMetric::all().filter(|m| m.name() == name).collect()
-        };
-        let census_floor = |n: usize, m: usize| {
-            dk_metrics::stream::fixed_bytes(n, m) + dk_metrics::stream::census_bytes(n, m)
-        };
-        // average degree 32: the census needs more than the floor
-        let (n, m) = (10_000, 160_000);
-        let plain_floor = dk_metrics::stream::floor_bytes(n, m, false);
-        let census = census_floor(n, m);
-        assert!(census > plain_floor);
-        // a budget between the two minimums
-        let reg = Registry::new(Some((plain_floor + census) / 2), 1);
-        assert!(reg.admit(n, m, &metric("k_avg"), 8, None).is_ok());
-        for name in ["c_mean", "s2"] {
-            assert_eq!(metric(name).len(), 1, "{name}");
-            let err = reg.admit(n, m, &metric(name), 8, None).unwrap_err();
-            assert_eq!(err.code, "over_budget", "{name}");
-            assert!(err.message.contains(&census.to_string()), "{name}");
-        }
-        // BA(10^4), two edges per arriving node: the floor covers it, so
-        // the minimum is the floor itself
-        let (n, m) = (10_000, 19_997);
-        let plain_floor = dk_metrics::stream::floor_bytes(n, m, false);
-        assert!(census_floor(n, m) < plain_floor);
-        let reg = Registry::new(Some(plain_floor - 1), 1);
-        for name in ["c_mean", "s2", "k_avg"] {
-            let err = reg.admit(n, m, &metric(name), 8, None).unwrap_err();
-            assert!(err.message.contains(&plain_floor.to_string()), "{name}");
-        }
-        assert!(Registry::new(Some(plain_floor), 1)
-            .admit(n, m, &metric("s2"), 8, None)
-            .is_ok());
-    }
-
-    #[test]
-    fn admission_keeps_the_census_counts_beside_the_traversal_passes() {
-        let metrics = |names: &[&str]| -> Vec<AnyMetric> {
-            AnyMetric::all()
-                .filter(|m| names.contains(&m.name()))
-                .collect()
-        };
-        // BA(10^4), two edges per arriving node: the floor covers the
-        // census, but its per-node counts stay in the cache while the
-        // Brandes pass after it runs
-        let (n, m) = (10_000, 19_997);
-        let old_floor = dk_metrics::stream::floor_bytes(n, m, true);
-        let new_floor = old_floor + dk_metrics::stream::census_counts_bytes(n);
-        // a budget between the two minimums
-        let reg = Registry::new(Some((old_floor + new_floor) / 2), 1);
-        assert!(reg.admit(n, m, &metrics(&["c_mean"]), 8, None).is_ok());
-        assert!(reg
-            .admit(n, m, &metrics(&["betweenness_approx"]), 8, None)
-            .is_ok());
-        let pair = metrics(&["c_mean", "betweenness_approx"]);
-        assert_eq!(pair.len(), 2);
-        let err = reg.admit(n, m, &pair, 8, None).unwrap_err();
-        assert_eq!(err.code, "over_budget");
-        assert!(err.message.contains(&new_floor.to_string()));
-    }
-
-    #[test]
-    fn admission_prices_the_betweenness_attack_in() {
-        let n = 10_000;
-        let m = 20_000;
-        let plain_floor = dk_metrics::stream::floor_bytes(n, m, false);
-        let brandes_floor = dk_metrics::stream::floor_bytes(n, m, true);
-        // a budget between the two floors: the sweeps ranked without a
-        // Brandes pass fit, the betweenness ranking and its copy do not
-        let reg = Registry::new(Some((plain_floor + brandes_floor) / 2), 1);
-        for strategy in Strategy::all() {
-            let admitted = reg.admit_attack(n, m, strategy);
-            if strategy.runs_brandes() {
-                let err = admitted.unwrap_err();
-                assert_eq!(err.code, "over_budget", "{strategy}");
-                assert!(err.message.contains(&brandes_floor.to_string()));
-            } else {
-                assert_eq!(admitted, Ok(reg.memory_budget), "{strategy}");
-            }
-        }
-        assert_eq!(Counters::get(&reg.counters.rejected), 1);
-        // the floor itself is enough: the plan never goes below one worker
-        let reg = Registry::new(Some(brandes_floor), 1);
-        assert!(reg.admit_attack(n, m, Strategy::Betweenness).is_ok());
-    }
-
-    #[test]
-    fn admission_prices_sketch_registers_in() {
-        let sketchy: Vec<AnyMetric> = AnyMetric::all()
-            .filter(|m| m.cost() == Cost::Sketch)
-            .collect();
-        assert!(!sketchy.is_empty(), "sketch metrics exist");
-        let n = 10_000;
-        let m = 20_000;
-        let plain_floor = dk_metrics::stream::floor_bytes(n, m, false);
-        // a budget that fits the plain floor but not the register sheets
-        let reg = Registry::new(Some(plain_floor + 1), 1);
-        assert!(reg.admit(n, m, &AnyMetric::cheap_set(), 8, None).is_ok());
+    fn an_over_budget_message_quotes_the_models_bytes() -> Result<(), GraphError> {
+        // n = 10^5, m = 199,997: each node joined to the two before it
+        let n: u32 = 100_000;
+        let near = (1..n).map(|v| (v - 1, v)).chain((2..n).map(|v| (v - 2, v)));
+        let g = Graph::from_edges(n as usize, near)?;
+        assert_eq!(g.edge_count(), 199_997);
+        let reg = Registry::new(None, 1);
+        reg.install("g", g);
+        let probe = r#"{"op":"metric","graph":"g","memory_budget":64}"#;
         assert_eq!(
-            reg.admit(n, m, &sketchy, 8, None).unwrap_err().code,
-            "over_budget"
+            handle_line(&reg, probe),
+            r#"{"ok":false,"error":{"code":"over_budget","message":"request needs at least 6824980 bytes (n = 100000, m = 199997, single worker) but the effective memory budget is 64 bytes"}}"#
         );
+        assert_eq!(Counters::get(&reg.counters.rejected), 1);
+        Ok(())
     }
 
     /// The current snapshot of `slot`.
@@ -1053,7 +878,11 @@ mod tests {
             thread::sleep(Duration::from_millis(1));
         }
         let _ = release_tx.send(());
-        assert!(leader.join().is_err(), "leader panicked");
+        let led = leader
+            .join()
+            .ok()
+            .map(|r| r.map_err(|e| (e.code, e.message)));
+        assert_eq!(led, Some(Err(("io", panicked().message))));
         let followed = follower.join().ok().map(|r| r.map_err(|e| e.code));
         assert_eq!(followed, Some(Err("io")));
         assert_eq!(built(&snap, GccPolicy::Extract), None);

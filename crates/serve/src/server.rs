@@ -23,7 +23,7 @@ use dk_core::generate::rewire::{randomize, RewireOptions, SwapBudget};
 use dk_core::generate::{Generator, Method};
 use dk_graph::io as graph_io;
 use dk_metrics::attack::attack_sweep_cached;
-use dk_metrics::{json, sketch};
+use dk_metrics::{json, sketch, stream};
 use dk_metrics::{AnalysisCache, AnalyzeOptions, AnyMetric, AttackOptions, GccPolicy, Strategy};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -223,8 +223,9 @@ fn metric_fragment(reg: &Registry, name: &str, knobs: &MetricKnobs) -> Result<St
 
 /// [`metric_fragment`] over an already-captured `(epoch, snapshot)`
 /// pair, so `compare` can pin both sides once up front. Admission runs
-/// first; only a computed fragment reads (or builds) the snapshot's
-/// base, and it runs just the passes its metrics need.
+/// first, at the price of the passes the metrics need; only a computed
+/// fragment reads (or builds) the snapshot's base, and it runs just
+/// those passes.
 fn metric_fragment_at(
     reg: &Registry,
     slot: &GraphSlot,
@@ -232,14 +233,11 @@ fn metric_fragment_at(
     snap: &Snapshot,
     knobs: &MetricKnobs,
 ) -> Result<String, ReqError> {
-    let graph = snap.graph();
-    let budget = reg.admit(
-        graph.node_count(),
-        graph.edge_count(),
-        &knobs.metrics,
-        knobs.sketch_bits.unwrap_or(sketch::DEFAULT_SKETCH_BITS),
-        knobs.memory_budget,
-    )?;
+    let (n, m) = (snap.graph().node_count(), snap.graph().edge_count());
+    let deps = AnyMetric::deps_of(&knobs.metrics);
+    let bits = knobs.sketch_bits.unwrap_or(sketch::DEFAULT_SKETCH_BITS);
+    let price = stream::min_bytes(n, m, &deps, bits);
+    let budget = reg.admit(n, m, price, knobs.memory_budget)?;
     reg.coalesce(slot, epoch, &knobs.key, || {
         let opts = analyze_options(reg, knobs, budget);
         let cache = AnalysisCache::build_on(snap.base(knobs.gcc), &knobs.metrics, &opts);
@@ -342,11 +340,11 @@ fn op_attack(reg: &Registry, req: &Req<'_>) -> Result<String, ReqError> {
     let no_gcc = req.opt_bool("no_gcc")?.unwrap_or(false);
     let slot = reg.slot(name)?;
     let (epoch, snap) = snapshot(&slot);
-    let graph = snap.graph();
-    // attack sweeps build a CSR + union-find over the analyzed graph, and
-    // the betweenness ranking a Brandes pass with its BFS-ordered copy:
-    // gate them on that floor, and cap the sweep's workers by the budget
-    let budget = reg.admit_attack(graph.node_count(), graph.edge_count(), strategy)?;
+    // a sweep's CSR and union-find fit the one-worker floor; price the
+    // passes its ranking runs (no sketch pass, so no register bits), and
+    // cap the sweep's workers by the budget
+    let (n, m) = (snap.graph().node_count(), snap.graph().edge_count());
+    let budget = reg.admit(n, m, stream::min_bytes(n, m, strategy.deps(), 0), None)?;
     let key = format!(
         "attack:strategy={strategy};seed={seed};\
          checkpoints={checkpoints:?};samples={samples:?};gcc={}",
@@ -393,9 +391,11 @@ fn op_rewire(reg: &Registry, req: &Req<'_>) -> Result<String, ReqError> {
     let slot = reg.slot(name)?;
     let snap = lock(&slot).snapshot.clone();
     let graph = snap.graph();
-    // the rewire works on a full mutable clone of the snapshot: price
-    // that footprint through the admission gate before allocating it
-    reg.admit(graph.node_count(), graph.edge_count(), &[], 8, None)?;
+    // the rewire works on a full mutable clone of the snapshot; it runs
+    // no analysis pass, so the one-worker floor of no deps stands in as
+    // the price of that footprint, checked before allocating it
+    let (n, m) = (graph.node_count(), graph.edge_count());
+    reg.admit(n, m, stream::min_bytes(n, m, &[], 0), None)?;
     let mut g = graph.clone();
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
     let opts = RewireOptions {
@@ -433,8 +433,10 @@ fn op_generate_into(reg: &Registry, req: &Req<'_>) -> Result<String, ReqError> {
     };
     let source = snap.graph();
     // generation materializes a census and a graph on the source's
-    // scale: gate it on the same fixed-footprint floor as a metric pass
-    reg.admit(source.node_count(), source.edge_count(), &[], 8, None)?;
+    // scale; it runs no analysis pass, so the one-worker floor of no
+    // deps stands in as the price of that footprint
+    let (n, m) = (source.node_count(), source.edge_count());
+    reg.admit(n, m, stream::min_bytes(n, m, &[], 0), None)?;
     let generated = if algo.needs_reference() {
         Generator::new(algo)
             .seed(seed)

@@ -112,6 +112,31 @@ fn dist_file_parse_errors_carry_context() {
         1,
         "degree",
     );
+    // the node total passing usize is an overflow on the line that
+    // passes it, even across degrees
+    let total = format!("2 {max}\n3 1\n");
+    expect_parse(io::read_1k(total.as_bytes()).unwrap_err(), 2, "overflow");
+    // a degree no node of a graph with the file's node count can have:
+    // refused by name, after every line is parsed
+    expect_parse(io::read_1k("3 1\n".as_bytes()).unwrap_err(), 1, "degree");
+    expect_parse(
+        io::read_1k("1 2\n# comment\n5 1\n2 1\n".as_bytes()).unwrap_err(),
+        3,
+        "degree",
+    );
+    // a representable degree near 4·10^9 is refused before the dense
+    // count vector is sized for it (≈ 32 GB before this check)
+    expect_parse(
+        io::read_1k("4000000000 1\n".as_bytes()).unwrap_err(),
+        1,
+        "degree",
+    );
+    // a zero-count line parses but sizes nothing
+    let zero = io::read_1k("0 3\n9 0\n".as_bytes()).expect("zero counts parse");
+    assert_eq!(zero.counts, [3]);
+    // duplicate lines still merge
+    let merged = io::read_1k("2 3\n2 4\n".as_bytes()).expect("duplicates merge");
+    assert_eq!(merged.counts, [0, 0, 7]);
 }
 
 #[test]

@@ -18,7 +18,7 @@ fn arb_graph(n: u32, max_edges: usize) -> impl Strategy<Value = Graph> {
 }
 
 /// The per-edge induced-subgraph construction, kept as the oracle of
-/// `Graph::subgraph_mapped`: `g.edges()` filtered to the selection,
+/// `Graph::subgraph`: `g.edges()` filtered to the selection,
 /// remapped, and added one at a time in that order.
 fn subgraph_oracle(g: &Graph, nodes: &[NodeId]) -> Graph {
     let mut old_to_new = vec![None; g.node_count()];
@@ -425,7 +425,7 @@ proptest! {
         }
     }
 
-    /// `Graph::subgraph_mapped`'s O(n + m) construction equals the
+    /// `Graph::subgraph`'s O(n + m) construction equals the
     /// per-edge oracle exactly — edge list order included, which
     /// `Graph`'s set equality cannot see but `r`, `s` and the MCMC
     /// proposals read — on ER, BA and karate inputs whose edge order
@@ -468,9 +468,9 @@ proptest! {
             g.nodes().collect(),
         ];
         for sel in &selections {
-            let (sub, map) = g.subgraph_mapped(sel).expect("valid selection");
+            let (sub, map) = g.subgraph(sel).expect("valid selection");
             let oracle = subgraph_oracle(&g, sel);
-            prop_assert_eq!(map.new_to_old(), sel.as_slice());
+            prop_assert_eq!(map.as_slice(), sel.as_slice());
             prop_assert_eq!(sub.node_count(), oracle.node_count());
             prop_assert_eq!(sub.edges(), oracle.edges(), "selection {:?}", sel);
             for u in sub.nodes() {
@@ -486,13 +486,13 @@ proptest! {
         }
         let last = n as NodeId - 1;
         prop_assert_eq!(
-            g.subgraph_mapped(&[last, 0, last]).map(|_| ()),
+            g.subgraph(&[last, 0, last]).map(|_| ()),
             Err(GraphError::ConstructionFailed(format!(
                 "duplicate node {last} in subgraph selection"
             )))
         );
         prop_assert_eq!(
-            g.subgraph_mapped(&[0, n as NodeId]).map(|_| ()),
+            g.subgraph(&[0, n as NodeId]).map(|_| ()),
             Err(GraphError::NodeOutOfRange { node: n as NodeId, nodes: n })
         );
     }
