@@ -110,7 +110,7 @@ fn swap_ok(g: &Graph, dk: u8, deg: &[u32], scratch: &mut Delta3K, swap: [(u32, u
     } else {
         ProposalKind::Plain
     };
-    if check_swap(g, deg, kind, swap).is_err() {
+    if check_swap(g.edge_list(), kind, swap).is_err() {
         return false;
     }
     if dk < 3 {

@@ -32,6 +32,7 @@
 
 use dk_graph::hashers::{det_hash_map, DetHashMap};
 use dk_graph::{degree, Graph, GraphError};
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 
 /// Node degree, as used in distribution keys.
@@ -279,38 +280,64 @@ impl Dist2K {
     /// Isolated (degree-0) nodes are invisible to a JDD, so they are
     /// absent from the result.
     ///
+    /// Nothing is sized before the classes are checked: the stubs are
+    /// totalled per degree in an ordered map, the classes are checked for
+    /// divisibility in ascending order, and the node count `n = Σ n(k)` is
+    /// summed. A degree of `n` or more is refused, since no node of a
+    /// simple graph on `n` nodes has that many neighbours, so the dense
+    /// histogram built last is at most `n` long. A key whose count is 0
+    /// owns no stubs and sizes nothing.
+    ///
     /// # Errors
-    /// [`GraphError::NotGraphical`] if some class's stub count is not
-    /// divisible by its degree, or a key mentions degree 0.
+    /// [`GraphError::NotGraphical`] if a key mentions degree 0, a class's
+    /// stub total or the node total overflows, some class's stub count is
+    /// not divisible by its degree (the smallest such class is named), or
+    /// a degree is impossible for the implied node count (the smallest is
+    /// named).
     pub fn to_1k(&self) -> Result<Dist1K, GraphError> {
-        // single pass: accumulate per-class stub totals (this runs once
-        // per ensemble replica in every distribution-driven construction,
-        // so kmax separate map scans would be wasted hot-path work)
-        let mut kmax = 0usize;
-        for &(k1, k2) in self.counts.keys() {
-            if k1 == 0 || k2 == 0 {
-                return Err(GraphError::NotGraphical(
-                    "2K key mentions degree 0 (degree-0 nodes cannot carry edges)".into(),
-                ));
-            }
-            kmax = kmax.max(k2 as usize);
+        if self.counts.keys().any(|&(k1, k2)| k1 == 0 || k2 == 0) {
+            return Err(GraphError::NotGraphical(
+                "2K key mentions degree 0 (degree-0 nodes cannot carry edges)".into(),
+            ));
         }
-        let mut stubs = vec![0u64; kmax + 1];
+        let mut stubs: BTreeMap<Degree, u64> = BTreeMap::new();
         for (&(k1, k2), &c) in &self.counts {
-            stubs[k1 as usize] += c;
-            stubs[k2 as usize] += c;
-        }
-        let mut counts = vec![0usize; kmax + 1];
-        for (k, (&s, slot)) in stubs.iter().zip(counts.iter_mut()).enumerate().skip(1) {
-            if s == 0 {
+            if c == 0 {
                 continue;
             }
-            if !s.is_multiple_of(k as u64) {
+            for k in [k1, k2] {
+                let s = stubs.entry(k).or_insert(0);
+                *s = s.checked_add(c).ok_or_else(|| {
+                    GraphError::NotGraphical(format!(
+                        "2K inconsistent: the stubs of degree class {k} overflow a u64"
+                    ))
+                })?;
+            }
+        }
+        let mut nodes: u64 = 0;
+        for (&k, &s) in &stubs {
+            if !s.is_multiple_of(u64::from(k)) {
                 return Err(GraphError::NotGraphical(format!(
                     "2K inconsistent: degree class {k} owns {s} stubs, not divisible by {k}"
                 )));
             }
-            *slot = (s / k as u64) as usize;
+            nodes = nodes.checked_add(s / u64::from(k)).ok_or_else(|| {
+                GraphError::NotGraphical("2K inconsistent: the node total overflows a u64".into())
+            })?;
+        }
+        // a node total past u32 allows every degree
+        let impossible = u32::try_from(nodes)
+            .ok()
+            .and_then(|n| stubs.range(n..).next());
+        if let Some((&k, _)) = impossible {
+            return Err(GraphError::NotGraphical(format!(
+                "2K inconsistent: degree {k} is impossible: the classes total {nodes} nodes"
+            )));
+        }
+        let len = stubs.last_key_value().map_or(0, |(&k, _)| k as usize + 1);
+        let mut counts = vec![0usize; len];
+        for (k, s) in stubs {
+            counts[k as usize] = (s / u64::from(k)) as usize;
         }
         Ok(Dist1K { counts })
     }

@@ -101,7 +101,7 @@ pub fn explore_1k_likelihood<R: Rng + ?Sized>(
         }
         stats.attempts += 1;
         since += 1;
-        let Ok(swap) = propose_swap(g, &deg, ProposalKind::Plain, rng) else {
+        let Ok(swap) = propose_swap(g.edge_list(), ProposalKind::Plain, rng) else {
             continue;
         };
         let [(a, b), (c, d)] = swap.remove;
@@ -172,13 +172,13 @@ pub fn explore_2k<R: Rng + ?Sized>(
         }
         stats.attempts += 1;
         since += 1;
-        let Some(swap) = pick_2k_swap(g, &deg, rng) else {
+        let Some(swap) = pick_2k_swap(g.edge_list(), rng) else {
             continue;
         };
         delta.clear();
         delta.track_swap(g, &deg, swap.remove);
         // Applied before the verdict for the edge order: a rejection's
-        // revert permutes `Graph::edges`, which the next pick reads.
+        // revert permutes the edge list, which the next pick reads.
         apply_swap(g, &swap);
         let obj_delta = match objective {
             Objective2K::SecondOrderLikelihood => delta
@@ -232,7 +232,6 @@ pub fn explore_custom<R: Rng + ?Sized, F: Fn(&Graph) -> f64>(
     if g.edge_count() < 2 {
         return stats;
     }
-    let deg = frozen_degrees(g);
     let mut since = 0u64;
     for _ in 0..opts.max_attempts {
         if let Some(p) = opts.patience {
@@ -244,9 +243,9 @@ pub fn explore_custom<R: Rng + ?Sized, F: Fn(&Graph) -> f64>(
         since += 1;
         // candidate selection per level
         let swap = if d == 2 {
-            pick_2k_swap(g, &deg, rng)
+            pick_2k_swap(g.edge_list(), rng)
         } else {
-            propose_swap(g, &deg, ProposalKind::Plain, rng).ok()
+            propose_swap(g.edge_list(), ProposalKind::Plain, rng).ok()
         };
         let Some(swap) = swap else { continue };
         apply_swap(g, &swap);

@@ -1,8 +1,9 @@
 //! Incremental census bookkeeping for rewiring.
 //!
 //! A degree-preserving double-edge swap `{a,b},{c,d} → {a,d},{c,b}`
-//! changes the JDD in exactly four entries ([`Delta2K`], O(1) per move)
-//! and the wedge/triangle census only around its four endpoints
+//! changes the JDD in exactly four entries (the dense table of
+//! [`super::objective::Objective2K`], O(1) per move) and the
+//! wedge/triangle census only around its four endpoints
 //! ([`Delta3K::track_swap`]) — the difference between an O(1)-amortized
 //! rewiring step and re-extracting an O(Σ deg²) distribution per step.
 //! The MCMC chain's objectives ([`super::objective`]) compute these
@@ -15,7 +16,9 @@
 //!
 //! ## The 3K swap delta
 //!
-//! [`Delta3K::track_swap`] reads the pre-swap graph only. Split the
+//! [`Delta3K::track_swap`] reads the pre-swap sorted rows only (any
+//! [`AdjacencyView`]: a [`dk_graph::Graph`], or the rows a 3K objective
+//! keeps beside the chain's edge list). Split the
 //! induced-wedge census into *paths* (all 2-paths `u − v − w`, keyed
 //! `(k(u), k(v), k(w))` with the centre in the middle) minus *closed
 //! wedges* (the three paths around each triangle):
@@ -44,74 +47,9 @@
 //! swap; walking both endpoints' neighbour lists for each of the four
 //! edge operations would visit ≈ 1,720.
 
-use crate::dist::{canon_pair, canon_triangle, canon_wedge, Degree, Dist2K, Dist3K};
+use crate::dist::{canon_triangle, canon_wedge, Degree, Dist3K};
 use dk_graph::hashers::DetHashMap;
-use dk_graph::Graph;
-
-/// Signed change to the JDD (2K) histogram, keyed on canonical degree
-/// pairs.
-///
-/// A double-edge swap `{a,b},{c,d} → {a,d},{c,b}` touches exactly four
-/// entries — `−1` on each removed edge's degree class, `+1` on each
-/// added edge's — all keyed on **frozen** endpoint degrees (the swap
-/// preserves every degree, so frozen keys stay exact mid-swap). Tracking
-/// a move is therefore O(1), independent of graph size and degree.
-#[derive(Clone, Debug, Default)]
-pub struct Delta2K {
-    /// JDD count changes by canonical degree pair.
-    pub counts: DetHashMap<(Degree, Degree), i64>,
-}
-
-impl Delta2K {
-    /// `true` if every accumulated change cancels out (the move was
-    /// JDD-preserving).
-    pub fn is_zero(&self) -> bool {
-        self.counts.values().all(|&v| v == 0)
-    }
-
-    /// Resets the delta for reuse.
-    pub fn clear(&mut self) {
-        self.counts.clear();
-    }
-
-    /// Adjusts the count of one canonical degree class.
-    pub fn bump(&mut self, key: (Degree, Degree), dv: i64) {
-        *self.counts.entry(key).or_insert(0) += dv;
-    }
-
-    /// Accumulates the JDD change of a swap removing `remove` and adding
-    /// `add`, under frozen degrees `deg`.
-    pub fn track_swap(&mut self, deg: &[Degree], remove: &[(u32, u32)], add: &[(u32, u32)]) {
-        let kd = |u: u32| deg[u as usize];
-        for &(u, v) in remove {
-            self.bump(canon_pair(kd(u), kd(v)), -1);
-        }
-        for &(u, v) in add {
-            self.bump(canon_pair(kd(u), kd(v)), 1);
-        }
-    }
-
-    /// Applies the delta to a [`Dist2K`].
-    ///
-    /// # Panics
-    /// Panics if a count would go negative — a bookkeeping bug, not a
-    /// data condition.
-    pub fn apply_to(&self, dist: &mut Dist2K) {
-        for (&key, &dv) in &self.counts {
-            if dv == 0 {
-                continue;
-            }
-            let e = dist.counts.entry(key).or_insert(0);
-            let nv = (*e as i64) + dv;
-            assert!(nv >= 0, "JDD count underflow at {key:?}");
-            if nv == 0 {
-                dist.counts.remove(&key);
-            } else {
-                *e = nv as u64;
-            }
-        }
-    }
-}
+use dk_graph::{AdjacencyView, Graph};
 
 /// Signed change to the wedge/triangle histograms.
 #[derive(Clone, Debug, Default)]
@@ -172,7 +110,7 @@ impl Delta3K {
 
     /// Accumulates the 3K change of the double-edge swap
     /// `{a,b},{c,d} → {a,d},{c,b}` (`swap = [(a, b), (c, d)]`), reading
-    /// the **pre-swap** graph `g`, which is not mutated. `a, b, c, d`
+    /// the **pre-swap** sorted rows `g`, which are not mutated. `a, b, c, d`
     /// must be distinct and `{a,d}`, `{c,b}` absent (a valid proposal);
     /// keys use the frozen degrees `deg`.
     ///
@@ -182,7 +120,12 @@ impl Delta3K {
     /// [`Delta3K::triangles`] in a fixed order — dying on `{a,b}`, then
     /// `{c,d}`, born on `{a,d}`, then `{c,b}`, each by ascending node id
     /// — so order-sensitive f64 folds over the map are reproducible.
-    pub fn track_swap(&mut self, g: &Graph, deg: &[Degree], swap: [(u32, u32); 2]) {
+    pub fn track_swap<G: AdjacencyView + ?Sized>(
+        &mut self,
+        g: &G,
+        deg: &[Degree],
+        swap: [(u32, u32); 2],
+    ) {
         let [(a, b), (c, d)] = swap;
         let k = |v: u32| deg[v as usize];
         // centre v trades partner p for q; the other arm z ranges over
@@ -208,9 +151,9 @@ impl Delta3K {
     /// `dv`, and each of their three closed paths by `−dv` on the
     /// open-wedge side. Scans the shorter sorted list and binary-searches
     /// the longer one, so `z` ascends either way.
-    fn track_triangles(
+    fn track_triangles<G: AdjacencyView + ?Sized>(
         &mut self,
-        g: &Graph,
+        g: &G,
         deg: &[Degree],
         (x, y): (u32, u32),
         skip: &[u32],
@@ -255,7 +198,7 @@ mod tests {
     use dk_graph::builders;
     use dk_mcmc::{apply_swap, propose_swap, ProposalKind};
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     /// Oracle: delta computed by full re-extraction.
     fn oracle_delta(before: &Dist3K, after: &Dist3K) -> Delta3K {
@@ -320,7 +263,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut done = 0;
         while done < 30 {
-            let Ok(p) = propose_swap(&g0, &deg, ProposalKind::Plain, &mut rng) else {
+            let Ok(p) = propose_swap(g0.edge_list(), ProposalKind::Plain, &mut rng) else {
                 continue;
             };
             let mut delta = Delta3K::default();
@@ -336,57 +279,6 @@ mod tests {
             assert_eq!(patched, after);
             done += 1;
         }
-    }
-
-    #[test]
-    fn delta2k_tracks_a_swap_exactly() {
-        use crate::dist::Dist2K;
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut done = 0;
-        while done < 30 {
-            let mut g = builders::karate_club();
-            let before = Dist2K::from_graph(&g);
-            let deg = frozen_degrees(&g);
-            let (a, b) = g.random_edge(&mut rng).unwrap();
-            let e2 = g.random_edge(&mut rng).unwrap();
-            let (c, d) = if rng.gen_bool(0.5) { e2 } else { (e2.1, e2.0) };
-            if a == d || c == b || g.has_edge(a, d) || g.has_edge(c, b) {
-                continue;
-            }
-            let mut delta = Delta2K::default();
-            delta.track_swap(&deg, &[(a, b), (c, d)], &[(a, d), (c, b)]);
-            g.remove_edge(a, b).unwrap();
-            g.remove_edge(c, d).unwrap();
-            g.add_edge(a, d).unwrap();
-            g.add_edge(c, b).unwrap();
-            let mut patched = before.clone();
-            delta.apply_to(&mut patched);
-            assert_eq!(patched, Dist2K::from_graph(&g));
-            done += 1;
-        }
-    }
-
-    #[test]
-    fn delta2k_zero_on_class_preserving_swap() {
-        // swapping two edges whose endpoints share degrees leaves the
-        // JDD untouched, and the delta must cancel to zero
-        let g = builders::cycle(8); // all degrees 2
-        let deg = frozen_degrees(&g);
-        let mut delta = Delta2K::default();
-        delta.track_swap(&deg, &[(0, 1), (4, 5)], &[(0, 5), (4, 1)]);
-        assert!(delta.is_zero());
-        delta.clear();
-        assert!(delta.counts.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn delta2k_apply_catches_underflow() {
-        use crate::dist::Dist2K;
-        let mut d = Delta2K::default();
-        d.bump((2, 3), -1);
-        let mut dist = Dist2K::default();
-        d.apply_to(&mut dist);
     }
 
     #[test]

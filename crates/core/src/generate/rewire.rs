@@ -15,11 +15,17 @@
 //!   histograms unchanged, verified exactly by the swap-level census
 //!   delta ([`super::delta`]) with revert on violation.
 //!
-//! The swap families (`d ≥ 1`) run on the [`dk_mcmc`] engine: explicit
+//! Every order runs on the graph's [`EdgeList`] — degrees, canonical
+//! edges and their index, which is all a move reads — and the sorted
+//! rows are rebuilt once at the end ([`randomize_edges`] is that entry;
+//! [`randomize`] and [`randomize_with`] wrap it for a [`Graph`]). The
+//! swap families (`d ≥ 1`) run on the [`dk_mcmc`] engine: explicit
 //! [`MoveProposal`] records, O(1) edge-index presence checks, and — for
 //! `d = 3` — the [`Preserve3K`] objective deciding acceptance from the
-//! swap-level census delta. External [`RewireConstraint`]s plug in as the
-//! chain's veto filter.
+//! swap-level census delta on rows of its own. The `d = 0` relocation
+//! loop keeps the degrees of its edge list current. External
+//! [`RewireConstraint`]s plug in as the chain's veto filter, and see the
+//! pre-move edge list.
 //!
 //! ## Convergence budget
 //!
@@ -35,7 +41,7 @@
 
 use crate::constraints::{NoConstraint, RewireConstraint};
 use crate::generate::objective::Preserve3K;
-use dk_graph::Graph;
+use dk_graph::{EdgeList, Graph};
 use dk_mcmc::{
     check_swap, ChainOptions, McmcChain, MoveProposal, NullObjective, ProposalKind, RunBudget,
 };
@@ -88,13 +94,11 @@ pub fn randomize<R: Rng + ?Sized>(
 
 /// [`randomize`] with an external [`RewireConstraint`] (paper §6).
 ///
-/// `d ∈ {1, 2, 3}` runs on the [`dk_mcmc`] double-edge-swap chain
-/// (neutral temperature: every valid, constraint-allowed, preserving
-/// move is accepted), so each attempt costs O(1) presence lookups plus
-/// — for `d = 3` only — the swap-level census delta, whose cost follows
-/// the swapped edges' common neighbours (see [`super::delta`]). The `d = 0`
-/// move is an edge *relocation*, not a swap, and keeps its dedicated
-/// loop.
+/// Runs [`randomize_edges`] on the edge list of `g` and rebuilds the
+/// sorted rows once from the result.
+///
+/// # Panics
+/// Panics if `d > 3`.
 pub fn randomize_with<R: Rng + ?Sized, C: RewireConstraint + ?Sized>(
     g: &mut Graph,
     d: u8,
@@ -102,16 +106,44 @@ pub fn randomize_with<R: Rng + ?Sized, C: RewireConstraint + ?Sized>(
     constraint: &C,
     rng: &mut R,
 ) -> RewireStats {
+    let mut edges = std::mem::take(g).into_edge_list();
+    let stats = randomize_edges(&mut edges, d, opts, constraint, rng);
+    *g = Graph::from_edge_list(edges);
+    stats
+}
+
+/// dK-randomizing rewiring of a graph's [`EdgeList`] in place, under an
+/// external [`RewireConstraint`]: the entry point [`randomize_with`]
+/// wraps, and the one `dk serve`'s `rewire` runs on a copy of a
+/// snapshot's edge list.
+///
+/// `d ∈ {1, 2, 3}` runs on the [`dk_mcmc`] double-edge-swap chain
+/// (neutral temperature: every valid, constraint-allowed, preserving
+/// move is accepted), so each attempt costs O(1) presence lookups plus
+/// — for `d = 3` only — the swap-level census delta, whose cost follows
+/// the swapped edges' common neighbours (see [`super::delta`]). The `d = 0`
+/// move is an edge *relocation*, not a swap, and keeps its dedicated
+/// loop, which updates the degrees it moves.
+///
+/// # Panics
+/// Panics if `d > 3` (the paper's and our implementations stop at 3).
+pub fn randomize_edges<R: Rng + ?Sized, C: RewireConstraint + ?Sized>(
+    edges: &mut EdgeList,
+    d: u8,
+    opts: &RewireOptions,
+    constraint: &C,
+    rng: &mut R,
+) -> RewireStats {
     assert!(d <= 3, "dK-randomizing rewiring implemented for d ≤ 3");
-    let attempts = resolve_budget(g, opts.budget);
+    let attempts = resolve_budget(edges.edge_count(), opts.budget);
     let mut stats = RewireStats::default();
-    if g.edge_count() < 2 {
+    if edges.edge_count() < 2 {
         return stats;
     }
     if d == 0 {
         for _ in 0..attempts {
             stats.attempts += 1;
-            if try_move_0k(g, constraint, rng) {
+            if try_move_0k(edges, constraint, rng) {
                 stats.accepted += 1;
             }
         }
@@ -125,73 +157,73 @@ pub fn randomize_with<R: Rng + ?Sized, C: RewireConstraint + ?Sized>(
         },
         ..Default::default()
     };
-    let veto = |gr: &Graph, p: &MoveProposal| constraint.allows(gr, &p.remove, &p.add);
-    let mut chain = McmcChain::from_rng(std::mem::take(g), rng, chain_opts);
-    let run = if d == 3 {
-        chain.run_filtered(
-            &mut Preserve3K::default(),
-            &RunBudget::steps(attempts),
-            &veto,
-        )
-    } else {
-        chain.run_filtered(&mut NullObjective, &RunBudget::steps(attempts), &veto)
+    let veto = |e: &EdgeList, p: &MoveProposal| constraint.allows(e, &p.remove, &p.add);
+    let preserve = (d == 3).then(|| Preserve3K::new(edges));
+    let mut chain = McmcChain::from_edges(std::mem::take(edges), rng, chain_opts);
+    let budget = RunBudget::steps(attempts);
+    let run = match preserve {
+        Some(mut obj) => chain.run_filtered(&mut obj, &budget, &veto),
+        None => chain.run_filtered(&mut NullObjective, &budget, &veto),
     };
-    *g = chain.into_graph();
+    *edges = chain.into_edges();
     RewireStats {
         attempts: run.attempts,
         accepted: run.accepted,
     }
 }
 
-fn resolve_budget(g: &Graph, budget: SwapBudget) -> u64 {
+fn resolve_budget(m: usize, budget: SwapBudget) -> u64 {
     match budget {
         SwapBudget::Attempts(n) => n,
-        SwapBudget::AttemptsPerEdge(f) => (f * g.edge_count() as f64).ceil() as u64,
+        SwapBudget::AttemptsPerEdge(f) => (f * m as f64).ceil() as u64,
     }
 }
 
-/// 0K move: relocate one random edge to a random empty slot.
+/// 0K move: relocate one random edge to a random empty slot. The edge
+/// list keeps the degrees current, so a constraint sees those of the
+/// pre-move graph.
 fn try_move_0k<R: Rng + ?Sized, C: RewireConstraint + ?Sized>(
-    g: &mut Graph,
+    edges: &mut EdgeList,
     constraint: &C,
     rng: &mut R,
 ) -> bool {
-    let Ok((u, v)) = g.random_edge(rng) else {
+    let m = edges.edge_count();
+    if m == 0 {
         return false;
-    };
-    let n = g.node_count() as u32;
+    }
+    let (u, v) = edges.edge_at(rng.gen_range(0..m));
+    let n = edges.node_count() as u32;
     let x = rng.gen_range(0..n);
     let y = rng.gen_range(0..n);
     // endpoints sampled from 0..n are valid by construction
-    if x == y || g.has_edge_indexed(x, y) {
+    if x == y || edges.has_edge(x, y) {
         return false;
     }
-    if !constraint.allows(g, &[(u, v)], &[(x, y)]) {
+    if !constraint.allows(edges, &[(u, v)], &[(x, y)]) {
         return false;
     }
-    g.remove_edge(u, v).expect("sampled edge exists");
-    g.add_edge(x, y).expect("checked empty slot");
+    edges.remove_edge(u, v).expect("sampled edge exists");
+    edges.add_edge(x, y).expect("checked empty slot");
     true
 }
 
 /// Draws two distinct random edges.
-fn two_edges<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Option<((u32, u32), (u32, u32))> {
-    let m = g.edge_count();
+fn two_edges<R: Rng + ?Sized>(edges: &EdgeList, rng: &mut R) -> Option<((u32, u32), (u32, u32))> {
+    let m = edges.edge_count();
     if m < 2 {
         return None;
     }
     let i = rng.gen_range(0..m);
     let j = rng.gen_range(0..m - 1);
     let j = if j >= i { j + 1 } else { j };
-    Some((g.edge_at(i), g.edge_at(j)))
+    Some((edges.edge_at(i), edges.edge_at(j)))
 }
 
 /// Selects two edges plus an orientation such that the swap passes
 /// [`check_swap`] as a [`ProposalKind::JddPreserving`] move, trying the
 /// other orientation as a fallback, and returns it as the move record the
 /// caller applies and reverts. Returns `None` if the sampled pair admits
-/// no such orientation (the attempt just fails). Degrees are read from
-/// the caller's frozen vector `deg`.
+/// no such orientation (the attempt just fails).
 ///
 /// Used by the exploration walks ([`crate::explore`]), which want the
 /// higher hit rate of the fallback scan. The rewiring/targeting chains
@@ -200,12 +232,8 @@ fn two_edges<R: Rng + ?Sized>(g: &Graph, rng: &mut R) -> Option<((u32, u32), (u3
 /// symmetric — the fallback would bias the MH proposal density. The
 /// greedy walks never read the proposal probabilities, so the record
 /// carries `1.0` for both.
-pub(crate) fn pick_2k_swap<R: Rng + ?Sized>(
-    g: &Graph,
-    deg: &[u32],
-    rng: &mut R,
-) -> Option<MoveProposal> {
-    let (e1, e2) = two_edges(g, rng)?;
+pub(crate) fn pick_2k_swap<R: Rng + ?Sized>(edges: &EdgeList, rng: &mut R) -> Option<MoveProposal> {
+    let (e1, e2) = two_edges(edges, rng)?;
     let (a, b) = e1;
     let mut orientations = [true, false];
     if rng.gen_bool(0.5) {
@@ -213,7 +241,7 @@ pub(crate) fn pick_2k_swap<R: Rng + ?Sized>(
     }
     for orient in orientations {
         let (c, d) = if orient { e2 } else { (e2.1, e2.0) };
-        if check_swap(g, deg, ProposalKind::JddPreserving, [(a, b), (c, d)]).is_ok() {
+        if check_swap(edges, ProposalKind::JddPreserving, [(a, b), (c, d)]).is_ok() {
             return Some(MoveProposal {
                 remove: [(a, b), (c, d)],
                 add: [(a, d), (c, b)],
@@ -354,15 +382,16 @@ mod tests {
     #[test]
     fn budget_resolution() {
         let g = builders::karate_club();
-        assert_eq!(resolve_budget(&g, SwapBudget::Attempts(7)), 7);
-        assert_eq!(resolve_budget(&g, SwapBudget::AttemptsPerEdge(2.0)), 156);
+        let m = g.edge_count();
+        assert_eq!(resolve_budget(m, SwapBudget::Attempts(7)), 7);
+        assert_eq!(resolve_budget(m, SwapBudget::AttemptsPerEdge(2.0)), 156);
     }
 
     #[test]
     fn constraint_blocks_moves() {
         use crate::constraints::PredicateConstraint;
         let mut g = builders::karate_club();
-        let veto = PredicateConstraint(|_: &Graph, _: &[(u32, u32)], _: &[(u32, u32)]| false);
+        let veto = PredicateConstraint(|_: &EdgeList, _: &[(u32, u32)], _: &[(u32, u32)]| false);
         let mut rng = StdRng::seed_from_u64(6);
         let stats = randomize_with(&mut g, 1, &opts(500), &veto, &mut rng);
         assert_eq!(stats.accepted, 0);

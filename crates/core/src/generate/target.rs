@@ -92,9 +92,9 @@ fn chain_config(opts: &TargetOptions, proposal: ProposalKind) -> (ChainOptions, 
     )
 }
 
-/// Runs one targeting pass on the [`dk_mcmc`] chain: take ownership of
-/// the graph, drive the objective to budget exhaustion (or target), put
-/// the graph back, and report [`TargetStats`].
+/// Runs one targeting pass on the [`dk_mcmc`] chain: hand it the graph's
+/// edge list, drive the objective to budget exhaustion (or target), put
+/// the graph back with its rows rebuilt, and report [`TargetStats`].
 fn run_targeting_chain<R: Rng + ?Sized, O: SwapObjective>(
     g: &mut Graph,
     obj: &mut O,
@@ -126,8 +126,8 @@ fn run_targeting_chain<R: Rng + ?Sized, O: SwapObjective>(
 /// `D_2 = Σ (m_cur(k1,k2) − m_tgt(k1,k2))²` (the paper's §4.1.4 metric).
 ///
 /// Runs on the [`dk_mcmc`] chain with the O(1)-per-move [`Objective2K`]
-/// census delta — four frozen-degree histogram bumps per proposal, no
-/// re-extraction.
+/// census delta — four cells of its dense table over the frozen degree
+/// classes per proposal, no re-extraction.
 pub fn target_2k_from_1k<R: Rng + ?Sized>(
     g: &mut Graph,
     target: &Dist2K,

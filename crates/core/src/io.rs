@@ -199,32 +199,52 @@ pub fn write_3k<W: Write>(d: &Dist3K, mut w: W) -> Result<(), GraphError> {
 }
 
 /// Reads a 3K-distribution (keys canonicalized on read).
+///
+/// Lines are read as bytes into one reused buffer and checked as UTF-8
+/// there, and their tokens are taken without collecting them, so no line
+/// allocates; a line that is not UTF-8 fails with the [`GraphError::Io`]
+/// error [`BufRead::lines`] gives. Lines are taken in file order, so the
+/// maps are filled, and iterate, in the order a line-by-line reader fills
+/// them. A malformed line is a [`GraphError::Parse`] naming it: its token
+/// count, then its three degrees, its count and its tag are checked in
+/// that order, and a count that overflows when merged with an earlier
+/// line's is refused.
 pub fn read_3k<R: Read>(r: R) -> Result<Dist3K, GraphError> {
     let mut d = Dist3K::default();
-    for (no, line) in BufReader::new(r).lines().enumerate() {
-        let no = no + 1;
-        let line = line?;
+    let mut input = BufReader::with_capacity(1 << 16, r);
+    let mut bytes = Vec::new();
+    let mut no = 0;
+    loop {
+        bytes.clear();
+        if input.read_until(b'\n', &mut bytes)? == 0 {
+            break;
+        }
+        no += 1;
+        let line = std::str::from_utf8(&bytes).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        if toks.len() != 5 {
+        let mut toks = line.split_whitespace();
+        let [Some(tag), Some(t1), Some(t2), Some(t3), Some(tn), None] =
+            [(); 6].map(|()| toks.next())
+        else {
             return Err(parse_err(no, "expected `W|T k1 k2 k3 count`"));
-        }
-        let parse_u32 = |s: &str| -> Result<u32, GraphError> {
+        };
+        let parse_degree = |s: &str| -> Result<u32, GraphError> {
             s.parse()
                 .map_err(|e| parse_err(no, format!("bad degree: {e}")))
         };
-        let (a, b, c) = (
-            parse_u32(toks[1])?,
-            parse_u32(toks[2])?,
-            parse_u32(toks[3])?,
-        );
-        let n: u64 = toks[4]
+        let (a, b, c) = (parse_degree(t1)?, parse_degree(t2)?, parse_degree(t3)?);
+        let n: u64 = tn
             .parse()
             .map_err(|e| parse_err(no, format!("bad count: {e}")))?;
-        let total = match toks[0] {
+        let total = match tag {
             "W" => d.wedges.entry(crate::dist::canon_wedge(a, b, c)),
             "T" => d.triangles.entry(crate::dist::canon_triangle(a, b, c)),
             other => return Err(parse_err(no, format!("unknown tag {other:?}"))),

@@ -36,7 +36,7 @@
 //! either.
 
 use crate::error::GraphError;
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Graph, NodeId, SortedRows};
 
 /// Read-only adjacency access shared by [`Graph`] and [`CsrGraph`].
 ///
@@ -376,6 +376,18 @@ impl AdjacencyView for CsrGraph {
 
     fn max_degree(&self) -> usize {
         CsrGraph::max_degree(self)
+    }
+}
+
+impl AdjacencyView for SortedRows {
+    #[inline]
+    fn node_count(&self) -> usize {
+        SortedRows::node_count(self)
+    }
+
+    #[inline]
+    fn neighbors(&self, u: NodeId) -> &[NodeId] {
+        SortedRows::neighbors(self, u)
     }
 }
 

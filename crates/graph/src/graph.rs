@@ -1,25 +1,28 @@
 //! Undirected simple graph with O(1) random-edge access.
 //!
-//! [`Graph`] is the workhorse of the workspace. The representation is chosen
-//! for the access patterns of dK-series algorithms:
+//! [`Graph`] is the workhorse of the workspace. It is two halves, each
+//! chosen for an access pattern of the dK-series algorithms:
 //!
-//! * **sorted adjacency vectors** (`Vec<Vec<NodeId>>`) — O(log deg)
-//!   membership tests (needed by wedge/triangle censuses and by rewiring
-//!   feasibility checks), O(deg) neighbor iteration, cache-friendly;
-//! * **canonical edge list** (`Vec<(u, v)` with `u < v`) — O(1) *uniform*
-//!   random edge sampling, the inner-loop operation of every rewiring
-//!   process (paper §4.1.4);
-//! * **edge index** (deterministic hash map `(u, v) → position`) — O(1)
-//!   targeted removal so a rewiring step (2 removals + 2 insertions) costs
-//!   O(deg) overall.
+//! * **the edge list** ([`EdgeList`]): node degrees, the canonical edge
+//!   list (`(u, v)` with `u < v`) and a deterministic hash index
+//!   `(u, v) → position`. The list gives O(1) *uniform* random edge
+//!   sampling and the index O(1) presence probes and targeted removal,
+//!   the inner-loop operations of every rewiring process (paper §4.1.4);
+//! * **sorted adjacency rows** ([`SortedRows`]): O(log deg) membership
+//!   tests and O(deg) neighbour iteration, which wedge/triangle censuses,
+//!   the 3K swap delta and every traversal read.
+//!
+//! The swap chains read only the edge list, so they take it out of the
+//! graph ([`Graph::into_edge_list`]), run on it, and rebuild the rows
+//! once when they hand the graph back ([`Graph::from_edge_list`]).
 //!
 //! The structure maintains the *simple graph* invariant at all times: no
 //! self-loops, no parallel edges. Violations are reported as errors, never
 //! silently ignored (callers that want "insert if absent" semantics use
 //! [`Graph::try_add_edge`]).
 
+use crate::edges::EdgeList;
 use crate::error::GraphError;
-use crate::hashers::{det_hash_map, DetHashMap};
 use rand::Rng;
 
 /// Node identifier: dense index in `0..node_count()`.
@@ -29,17 +32,89 @@ use rand::Rng;
 /// benchmark and attack inputs) are far below the 4 Gi limit.
 pub type NodeId = u32;
 
-/// An undirected simple graph.
+/// Sorted adjacency rows: `neighbors(u)` is the ascending list of the
+/// neighbours of `u`.
+///
+/// The rows half of [`Graph`]; the 3K swap objectives also keep a copy of
+/// their own, updated only when a move is committed.
+#[derive(Clone, Debug, Default)]
+pub struct SortedRows {
+    rows: Vec<Vec<NodeId>>,
+}
+
+impl SortedRows {
+    /// The rows of `list`: each row is sized by its node's degree, filled
+    /// from the edge list and sorted.
+    pub fn from_edges(list: &EdgeList) -> Self {
+        let mut rows: Vec<Vec<NodeId>> = list
+            .degrees()
+            .iter()
+            .map(|&k| Vec::with_capacity(k as usize))
+            .collect();
+        for &(u, v) in list.edges() {
+            rows[u as usize].push(v);
+            rows[v as usize].push(u);
+        }
+        for row in &mut rows {
+            row.sort_unstable();
+        }
+        SortedRows { rows }
+    }
+
+    /// Number of nodes.
+    #[inline]
+    pub fn node_count(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Sorted neighbour slice of `u`.
+    #[inline]
+    pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
+        &self.rows[u as usize]
+    }
+
+    /// Inserts `v` into the row of `u` and `u` into the row of `v`. The
+    /// caller has checked that the edge is absent.
+    pub fn insert(&mut self, u: NodeId, v: NodeId) {
+        Self::row_insert(&mut self.rows[u as usize], v);
+        Self::row_insert(&mut self.rows[v as usize], u);
+    }
+
+    /// Removes `v` from the row of `u` and `u` from the row of `v`. The
+    /// caller has checked that the edge is present.
+    pub fn remove(&mut self, u: NodeId, v: NodeId) {
+        Self::row_remove(&mut self.rows[u as usize], v);
+        Self::row_remove(&mut self.rows[v as usize], u);
+    }
+
+    #[inline]
+    fn row_insert(list: &mut Vec<NodeId>, v: NodeId) {
+        match list.binary_search(&v) {
+            Err(pos) => list.insert(pos, v),
+            Ok(_) => unreachable!("duplicate adjacency entry"),
+        }
+    }
+
+    #[inline]
+    fn row_remove(list: &mut Vec<NodeId>, v: NodeId) {
+        match list.binary_search(&v) {
+            Ok(pos) => {
+                list.remove(pos);
+            }
+            Err(_) => unreachable!("removing absent adjacency entry"),
+        }
+    }
+}
+
+/// An undirected simple graph: an [`EdgeList`] plus its [`SortedRows`].
 ///
 /// See the [module docs](self) for representation rationale.
 #[derive(Clone, Debug, Default)]
 pub struct Graph {
-    /// `adj[u]` is the sorted list of neighbors of `u`.
-    adj: Vec<Vec<NodeId>>,
-    /// Canonical edge list; each edge appears once as `(min, max)`.
-    edges: Vec<(NodeId, NodeId)>,
-    /// Position of each canonical edge in `edges`.
-    edge_index: DetHashMap<(NodeId, NodeId), u32>,
+    /// `rows.neighbors(u)` is the sorted list of neighbors of `u`.
+    rows: SortedRows,
+    /// Degrees, the canonical edge list and its index.
+    edges: EdgeList,
 }
 
 /// Returns the canonical (ordered) form of an undirected edge.
@@ -61,10 +136,32 @@ impl Graph {
     /// Creates a graph with `n` isolated nodes.
     pub fn with_nodes(n: usize) -> Self {
         Graph {
-            adj: vec![Vec::new(); n],
-            edges: Vec::new(),
-            edge_index: det_hash_map(),
+            rows: SortedRows {
+                rows: vec![Vec::new(); n],
+            },
+            edges: EdgeList::with_nodes(n),
         }
+    }
+
+    /// The graph of `list`, its rows rebuilt by
+    /// [`SortedRows::from_edges`]. The edge list and its index move in
+    /// unchanged, storage order included.
+    pub fn from_edge_list(list: EdgeList) -> Self {
+        Graph {
+            rows: SortedRows::from_edges(&list),
+            edges: list,
+        }
+    }
+
+    /// The edge-list half: degrees, canonical edges and their index.
+    #[inline]
+    pub fn edge_list(&self) -> &EdgeList {
+        &self.edges
+    }
+
+    /// Drops the rows and returns the edge-list half.
+    pub fn into_edge_list(self) -> EdgeList {
+        self.edges
     }
 
     /// Builds a graph with `n` nodes from an edge iterator.
@@ -109,19 +206,19 @@ impl Graph {
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.adj.len()
+        self.rows.rows.len()
     }
 
     /// Number of edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.edges.edge_count()
     }
 
     /// `true` if the graph has no nodes.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
+        self.rows.rows.is_empty()
     }
 
     /// Iterator over all node ids, `0..n`.
@@ -131,8 +228,9 @@ impl Graph {
 
     /// Appends a new isolated node, returning its id.
     pub fn add_node(&mut self) -> NodeId {
-        self.adj.push(Vec::new());
-        (self.adj.len() - 1) as NodeId
+        self.rows.rows.push(Vec::new());
+        self.edges.add_node();
+        (self.rows.rows.len() - 1) as NodeId
     }
 
     /// Degree of node `u`.
@@ -142,40 +240,40 @@ impl Graph {
     /// [`Graph::has_node`] to validate external input first).
     #[inline]
     pub fn degree(&self, u: NodeId) -> usize {
-        self.adj[u as usize].len()
+        self.rows.rows[u as usize].len()
     }
 
     /// `true` if `u` is a valid node id.
     #[inline]
     pub fn has_node(&self, u: NodeId) -> bool {
-        (u as usize) < self.adj.len()
+        (u as usize) < self.rows.rows.len()
     }
 
     /// The degree of every node, indexed by node id.
     pub fn degrees(&self) -> Vec<usize> {
-        self.adj.iter().map(Vec::len).collect()
+        self.rows.rows.iter().map(Vec::len).collect()
     }
 
     /// Average degree `k̄ = 2m/n`; the paper's 0K-distribution.
     ///
     /// Returns 0.0 for the empty graph.
     pub fn avg_degree(&self) -> f64 {
-        if self.adj.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
-            2.0 * self.edges.len() as f64 / self.adj.len() as f64
+            2.0 * self.edge_count() as f64 / self.node_count() as f64
         }
     }
 
     /// Maximum degree, or 0 for the empty graph.
     pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).max().unwrap_or(0)
+        self.rows.rows.iter().map(Vec::len).max().unwrap_or(0)
     }
 
     /// Sorted neighbor slice of `u`.
     #[inline]
     pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
-        &self.adj[u as usize]
+        self.rows.neighbors(u)
     }
 
     /// Membership test, O(log deg(min(u, v))).
@@ -190,36 +288,33 @@ impl Graph {
         } else {
             (v, u)
         };
-        self.adj[a as usize].binary_search(&b).is_ok()
+        self.neighbors(a).binary_search(&b).is_ok()
     }
 
     /// Membership test through the canonical edge index, O(1).
     ///
-    /// Every mutation already maintains `edge_index` (a
-    /// deterministic-hasher map from canonical edge to its position in
-    /// the edge list), so membership is one hash probe regardless of
-    /// degree. The swap loops (MCMC proposals, rewiring, the rewiring
-    /// census, the 2K-space explorer) validate two presence queries per
-    /// attempt at 10⁶-node scale, where hub degrees make even the
-    /// O(log deg) binary search of [`Graph::has_edge`] measurable.
-    /// Out-of-range ids simply hash to an absent key, so this never
-    /// panics.
+    /// Every mutation already maintains the index (a deterministic-hasher
+    /// map from canonical edge to its position in the edge list), so
+    /// membership is one hash probe regardless of degree, where hub
+    /// degrees make even the O(log deg) binary search of
+    /// [`Graph::has_edge`] measurable. Out-of-range ids simply hash to an
+    /// absent key, so this never panics.
     #[inline]
     pub fn has_edge_indexed(&self, u: NodeId, v: NodeId) -> bool {
-        self.edge_index.contains_key(&canon_edge(u, v))
+        self.edges.has_edge(u, v)
     }
 
     /// The canonical edge list. Each undirected edge appears exactly once as
     /// `(u, v)` with `u < v`, in **arbitrary but deterministic** order.
     #[inline]
     pub fn edges(&self) -> &[(NodeId, NodeId)] {
-        &self.edges
+        self.edges.edges()
     }
 
     /// The `i`-th edge of the canonical edge list.
     #[inline]
     pub fn edge_at(&self, i: usize) -> (NodeId, NodeId) {
-        self.edges[i]
+        self.edges.edge_at(i)
     }
 
     /// A uniformly random edge (canonical orientation), O(1).
@@ -230,10 +325,11 @@ impl Graph {
         &self,
         rng: &mut R,
     ) -> Result<(NodeId, NodeId), GraphError> {
-        if self.edges.is_empty() {
+        let m = self.edge_count();
+        if m == 0 {
             return Err(GraphError::EmptyGraph);
         }
-        Ok(self.edges[rng.gen_range(0..self.edges.len())])
+        Ok(self.edge_at(rng.gen_range(0..m)))
     }
 
     /// Adds undirected edge `(u, v)`.
@@ -243,24 +339,8 @@ impl Graph {
     /// * [`GraphError::SelfLoop`] if `u == v`,
     /// * [`GraphError::DuplicateEdge`] if the edge already exists.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
-        let n = self.adj.len();
-        if (u as usize) >= n {
-            return Err(GraphError::NodeOutOfRange { node: u, nodes: n });
-        }
-        if (v as usize) >= n {
-            return Err(GraphError::NodeOutOfRange { node: v, nodes: n });
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop(u));
-        }
-        let key = canon_edge(u, v);
-        if self.edge_index.contains_key(&key) {
-            return Err(GraphError::DuplicateEdge(key.0, key.1));
-        }
-        self.edge_index.insert(key, self.edges.len() as u32);
-        self.edges.push(key);
-        Self::adj_insert(&mut self.adj[u as usize], v);
-        Self::adj_insert(&mut self.adj[v as usize], u);
+        self.edges.add_edge(u, v)?;
+        self.rows.insert(u, v);
         Ok(())
     }
 
@@ -281,20 +361,8 @@ impl Graph {
     /// # Errors
     /// [`GraphError::MissingEdge`] if the edge is not present.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
-        let key = canon_edge(u, v);
-        let pos = match self.edge_index.remove(&key) {
-            Some(p) => p as usize,
-            None => return Err(GraphError::MissingEdge(key.0, key.1)),
-        };
-        // swap_remove keeps random-edge sampling O(1); fix the index of the
-        // edge that moved into `pos`.
-        self.edges.swap_remove(pos);
-        if pos < self.edges.len() {
-            let moved = self.edges[pos];
-            self.edge_index.insert(moved, pos as u32);
-        }
-        Self::adj_remove(&mut self.adj[u as usize], v);
-        Self::adj_remove(&mut self.adj[v as usize], u);
+        self.edges.remove_edge(u, v)?;
+        self.rows.remove(u, v);
         Ok(())
     }
 
@@ -334,10 +402,11 @@ impl Graph {
         // an ascending selection keeps the renumbering monotone, so the
         // filtered neighbor lists stay sorted
         let ascending = nodes.windows(2).all(|w| w[0] < w[1]);
-        let adj: Vec<Vec<NodeId>> = nodes
+        let rows: Vec<Vec<NodeId>> = nodes
             .iter()
             .map(|&old| {
-                let mut list: Vec<NodeId> = self.adj[old as usize]
+                let mut list: Vec<NodeId> = self
+                    .neighbors(old)
                     .iter()
                     .map(|&v| old_to_new[v as usize])
                     .filter(|&v| v != ABSENT)
@@ -349,21 +418,17 @@ impl Graph {
             })
             .collect();
         let edges: Vec<(NodeId, NodeId)> = self
-            .edges
+            .edges()
             .iter()
             .filter_map(|&(u, v)| {
                 let (nu, nv) = (old_to_new[u as usize], old_to_new[v as usize]);
                 (nu != ABSENT && nv != ABSENT).then(|| canon_edge(nu, nv))
             })
             .collect();
-        let mut edge_index = DetHashMap::with_capacity_and_hasher(edges.len(), Default::default());
-        for (i, &e) in edges.iter().enumerate() {
-            edge_index.insert(e, i as u32);
-        }
+        let deg = rows.iter().map(|row| row.len() as u32).collect();
         let g = Graph {
-            adj,
-            edges,
-            edge_index,
+            rows: SortedRows { rows },
+            edges: EdgeList::from_parts(deg, edges),
         };
         Ok((g, nodes.to_vec()))
     }
@@ -374,20 +439,25 @@ impl Graph {
     /// Lives on `Graph` (rather than in `dk-metrics`) because rewiring-based
     /// explorers evaluate it in their inner loop.
     pub fn likelihood_s(&self) -> f64 {
-        self.edges
+        self.edges()
             .iter()
             .map(|&(u, v)| (self.degree(u) as f64) * (self.degree(v) as f64))
             .sum()
     }
 
-    /// Internal consistency check: adjacency, edge list, and edge index
-    /// describe the same simple graph. O(n + m log m). Used by tests and
-    /// debug assertions in the generators.
+    /// Internal consistency check: adjacency, edge list, degrees and edge
+    /// index describe the same simple graph. O(n + m log m). Used by
+    /// tests and debug assertions in the generators.
     pub fn check_invariants(&self) -> Result<(), GraphError> {
         let n = self.node_count();
+        if self.edges.node_count() != n {
+            return Err(GraphError::ConstructionFailed(
+                "edge list and adjacency disagree on the node count".into(),
+            ));
+        }
         let mut from_adj: Vec<(NodeId, NodeId)> = Vec::new();
         for u in 0..n {
-            let nbrs = &self.adj[u];
+            let nbrs = &self.rows.rows[u];
             if !nbrs.windows(2).all(|w| w[0] < w[1]) {
                 return Err(GraphError::ConstructionFailed(format!(
                     "adjacency of node {u} not sorted/unique"
@@ -405,7 +475,7 @@ impl Graph {
                 }
             }
         }
-        let mut from_list = self.edges.clone();
+        let mut from_list = self.edges().to_vec();
         from_adj.sort_unstable();
         from_list.sort_unstable();
         if from_adj != from_list {
@@ -413,38 +483,7 @@ impl Graph {
                 "edge list and adjacency disagree".into(),
             ));
         }
-        if self.edge_index.len() != self.edges.len() {
-            return Err(GraphError::ConstructionFailed(
-                "edge index size mismatch".into(),
-            ));
-        }
-        for (i, e) in self.edges.iter().enumerate() {
-            if self.edge_index.get(e) != Some(&(i as u32)) {
-                return Err(GraphError::ConstructionFailed(format!(
-                    "edge index stale for {e:?}"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    #[inline]
-    fn adj_insert(list: &mut Vec<NodeId>, v: NodeId) {
-        match list.binary_search(&v) {
-            // add_edge already rejected duplicates, so the entry is absent.
-            Err(pos) => list.insert(pos, v),
-            Ok(_) => unreachable!("duplicate adjacency entry"),
-        }
-    }
-
-    #[inline]
-    fn adj_remove(list: &mut Vec<NodeId>, v: NodeId) {
-        match list.binary_search(&v) {
-            Ok(pos) => {
-                list.remove(pos);
-            }
-            Err(_) => unreachable!("removing absent adjacency entry"),
-        }
+        self.edges.check_invariants()
     }
 }
 
@@ -455,7 +494,7 @@ impl PartialEq for Graph {
         if self.node_count() != other.node_count() || self.edge_count() != other.edge_count() {
             return false;
         }
-        self.edges.iter().all(|&(u, v)| other.has_edge(u, v))
+        self.edges().iter().all(|&(u, v)| other.has_edge(u, v))
     }
 }
 
@@ -647,6 +686,21 @@ mod tests {
         let rebuilt = Graph::from_edges(g.node_count(), g.edges().iter().copied())?;
         assert_eq!(rebuilt.node_count(), 4);
         assert_eq!(rebuilt, g);
+        Ok(())
+    }
+
+    #[test]
+    fn edge_list_roundtrip_keeps_order_and_rebuilds_rows() -> Result<(), GraphError> {
+        let mut g = Graph::from_edges(6, [(0, 1), (4, 2), (2, 5), (1, 3), (5, 0)])?;
+        g.remove_edge(4, 2)?;
+        let order = g.edges().to_vec();
+        let back = Graph::from_edge_list(g.clone().into_edge_list());
+        back.check_invariants()?;
+        assert_eq!(back.edges(), &order[..]);
+        for u in g.nodes() {
+            assert_eq!(back.neighbors(u), g.neighbors(u));
+        }
+        assert_eq!(g.edge_list().degrees(), &[2, 2, 1, 1, 0, 2]);
         Ok(())
     }
 

@@ -6,10 +6,11 @@
 //! predictable, in the spirit of robust systems code:
 //!
 //! * [`Graph`] — an undirected **simple** graph (no self-loops, no parallel
-//!   edges) stored as sorted adjacency vectors plus a canonical edge list.
-//!   The edge list gives O(1) uniform random edge sampling, which is the hot
-//!   operation of every dK-rewiring algorithm; the sorted adjacency gives
-//!   O(log deg) membership tests used by wedge/triangle counting.
+//!   edges) stored as an [`EdgeList`] (degrees, a canonical edge list and
+//!   its index) plus [`SortedRows`]. The edge list gives O(1) uniform
+//!   random edge sampling and presence probes, the hot operations of every
+//!   dK-rewiring algorithm, which run on an [`EdgeList`] alone; the sorted
+//!   rows give O(log deg) membership tests used by wedge/triangle counting.
 //! * [`CsrGraph`] — read-only CSR adjacency (two flat arrays), the
 //!   representation analysis runs on: read straight from an edge list
 //!   ([`io::read_edge_list_csr`], a counting sort with no [`Graph`] in
@@ -64,6 +65,7 @@
 pub mod builders;
 pub mod csr;
 pub mod degree;
+pub mod edges;
 pub mod ensemble;
 pub mod error;
 pub mod graph;
@@ -76,8 +78,9 @@ pub mod traversal;
 pub mod unionfind;
 
 pub use csr::{undirected_edges, AdjacencyView, CsrGraph};
+pub use edges::EdgeList;
 pub use error::GraphError;
-pub use graph::{canon_edge, Graph, NodeId};
+pub use graph::{canon_edge, Graph, NodeId, SortedRows};
 pub use multigraph::MultiGraph;
 pub use traversal::{bfs_distances, connected_components, giant_component, is_connected};
 pub use unionfind::UnionFind;

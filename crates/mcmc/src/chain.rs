@@ -3,7 +3,7 @@
 //! statistics and a convergence probe on the objective's distance.
 
 use crate::proposal::{apply_swap, propose_swap, revert_swap, MoveProposal, ProposalKind};
-use dk_graph::Graph;
+use dk_graph::{EdgeList, Graph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -12,12 +12,13 @@ use rand::{Rng, SeedableRng};
 pub struct Evaluation {
     /// Change `ΔD` of the objective's distance if the move is applied.
     pub delta_d: f64,
-    /// `true` if evaluation tentatively applied the move to the graph.
-    /// The chain reverts the mutation on rejection and skips its own
+    /// `true` if evaluation tentatively applied the move to the chain's
+    /// edge list. The chain reverts it on rejection and skips its own
     /// apply on acceptance. The revert moves the two removed edges to the
-    /// end of `Graph::edges`, which later proposals read, so an objective
+    /// end of the edge list, which later proposals read, so an objective
     /// whose outputs are pinned to that edge order (the 3K objectives in
-    /// `dk_core::generate::objective`) applies every move it evaluates.
+    /// `dk_core::generate::objective`) applies every move it evaluates,
+    /// although its delta reads only its own rows.
     pub applied: bool,
 }
 
@@ -26,9 +27,11 @@ pub struct Evaluation {
 /// bookkeeping only when the chain accepts.
 ///
 /// Contract: the chain calls `evaluate` once per validated proposal,
-/// then `commit` if it accepts the move (the graph is then in the
+/// then `commit` if it accepts the move (the edge list is then in the
 /// post-move state). A rejected move gets no call: the chain restores
-/// the graph, and the next `evaluate` overwrites the pending delta.
+/// the edge list, and the next `evaluate` overwrites the pending delta.
+/// The chain runs on an [`EdgeList`] alone, so an objective that reads
+/// neighbours keeps rows of its own and updates them in `commit`.
 /// `distance` reports the current distance to the target, if the
 /// objective has one; the chain records it into its [`DistanceTrace`]
 /// after every accepted move and uses it for
@@ -36,8 +39,9 @@ pub struct Evaluation {
 pub trait SwapObjective {
     /// Evaluates `ΔD` for a validated proposal. May tentatively mutate
     /// `g` (see [`Evaluation::applied`]); must not mutate its own
-    /// accepted-state bookkeeping until `commit`.
-    fn evaluate(&mut self, g: &mut Graph, deg: &[u32], p: &MoveProposal) -> Evaluation;
+    /// accepted-state bookkeeping until `commit`. The degrees of `g` are
+    /// the frozen degrees of the chain.
+    fn evaluate(&mut self, g: &mut EdgeList, p: &MoveProposal) -> Evaluation;
     /// The chain accepted the evaluated move: fold the pending delta in.
     fn commit(&mut self);
     /// Current distance to the target (`None` for unconstrained
@@ -51,7 +55,7 @@ pub trait SwapObjective {
 pub struct NullObjective;
 
 impl SwapObjective for NullObjective {
-    fn evaluate(&mut self, _g: &mut Graph, _deg: &[u32], _p: &MoveProposal) -> Evaluation {
+    fn evaluate(&mut self, _g: &mut EdgeList, _p: &MoveProposal) -> Evaluation {
         Evaluation {
             delta_d: 0.0,
             applied: false,
@@ -223,15 +227,16 @@ fn metropolis<R: Rng + ?Sized>(delta: f64, ratio: f64, opts: &ChainOptions, rng:
 
 /// A seeded, resumable double-edge-swap chain over one graph.
 ///
-/// The chain owns the graph, the frozen degree vector (every move it
-/// makes is degree-preserving, so the vector never goes stale), its RNG
+/// The chain owns the graph's [`EdgeList`] — what its proposals read: the
+/// canonical edges, their index and the degrees (every move it makes is
+/// degree-preserving, so the degrees never go stale) — plus its RNG
 /// stream, cumulative [`ChainStats`], and a [`DistanceTrace`] fed by the
-/// driving objective. Runs compose: `run(k)` then `run(m)` is
-/// byte-identical to `run(k + m)`.
+/// driving objective. A graph handed in drops its sorted rows, and
+/// [`McmcChain::into_graph`] rebuilds them once. Runs compose: `run(k)`
+/// then `run(m)` is byte-identical to `run(k + m)`.
 #[derive(Clone, Debug)]
 pub struct McmcChain<R> {
-    graph: Graph,
-    deg: Vec<u32>,
+    edges: EdgeList,
     rng: R,
     opts: ChainOptions,
     stats: ChainStats,
@@ -249,20 +254,18 @@ impl<R: Rng> McmcChain<R> {
     /// A chain over `graph` drawing from the given RNG (used by callers
     /// that thread one stream through a bootstrap + targeting pipeline).
     pub fn from_rng(graph: Graph, rng: R, opts: ChainOptions) -> Self {
-        let deg = graph.degrees().iter().map(|&d| d as u32).collect();
+        McmcChain::from_edges(graph.into_edge_list(), rng, opts)
+    }
+
+    /// A chain over the graph of `edges`, drawing from the given RNG.
+    pub fn from_edges(edges: EdgeList, rng: R, opts: ChainOptions) -> Self {
         McmcChain {
-            graph,
-            deg,
+            edges,
             rng,
             opts,
             stats: ChainStats::default(),
             trace: DistanceTrace::new(DistanceTrace::DEFAULT_WINDOW),
         }
-    }
-
-    /// The chain's current graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
     }
 
     /// Cumulative statistics over the chain's whole lifetime.
@@ -281,9 +284,15 @@ impl<R: Rng> McmcChain<R> {
         self.trace.converged(tol)
     }
 
-    /// Consumes the chain, returning the final graph.
+    /// Consumes the chain, returning the final graph with its rows
+    /// rebuilt from the edge list.
     pub fn into_graph(self) -> Graph {
-        self.graph
+        Graph::from_edge_list(self.edges)
+    }
+
+    /// Consumes the chain, returning the final edge list.
+    pub fn into_edges(self) -> EdgeList {
+        self.edges
     }
 
     /// Attempts one move, letting `veto` reject valid candidates before
@@ -293,21 +302,21 @@ impl<R: Rng> McmcChain<R> {
     fn step<O, F>(&mut self, obj: &mut O, veto: &F) -> Option<f64>
     where
         O: SwapObjective,
-        F: Fn(&Graph, &MoveProposal) -> bool,
+        F: Fn(&EdgeList, &MoveProposal) -> bool,
     {
         self.stats.attempts += 1;
-        let Ok(p) = propose_swap(&self.graph, &self.deg, self.opts.proposal, &mut self.rng) else {
+        let Ok(p) = propose_swap(&self.edges, self.opts.proposal, &mut self.rng) else {
             self.stats.rejected_invalid += 1;
             return None;
         };
-        if !veto(&self.graph, &p) {
+        if !veto(&self.edges, &p) {
             self.stats.rejected_vetoed += 1;
             return None;
         }
-        let ev = obj.evaluate(&mut self.graph, &self.deg, &p);
+        let ev = obj.evaluate(&mut self.edges, &p);
         if metropolis(ev.delta_d, p.proposal_ratio(), &self.opts, &mut self.rng) {
             if !ev.applied {
-                apply_swap(&mut self.graph, &p);
+                apply_swap(&mut self.edges, &p);
             }
             obj.commit();
             self.stats.accepted += 1;
@@ -317,7 +326,7 @@ impl<R: Rng> McmcChain<R> {
             Some(ev.delta_d)
         } else {
             if ev.applied {
-                revert_swap(&mut self.graph, &p);
+                revert_swap(&mut self.edges, &p);
             }
             self.stats.rejected_metropolis += 1;
             None
@@ -331,11 +340,12 @@ impl<R: Rng> McmcChain<R> {
         self.run_filtered(obj, budget, &|_, _| true)
     }
 
-    /// [`McmcChain::run`] with a per-move veto filter.
+    /// [`McmcChain::run`] with a per-move veto filter, which sees the
+    /// pre-move edge list.
     pub fn run_filtered<O, F>(&mut self, obj: &mut O, budget: &RunBudget, veto: &F) -> ChainStats
     where
         O: SwapObjective,
-        F: Fn(&Graph, &MoveProposal) -> bool,
+        F: Fn(&EdgeList, &MoveProposal) -> bool,
     {
         let before = self.stats;
         let mut since_improve = 0u64;
@@ -410,7 +420,7 @@ mod tests {
     }
 
     impl SwapObjective for RejectAll {
-        fn evaluate(&mut self, g: &mut Graph, _deg: &[u32], p: &MoveProposal) -> Evaluation {
+        fn evaluate(&mut self, g: &mut EdgeList, p: &MoveProposal) -> Evaluation {
             crate::proposal::apply_swap(g, p);
             self.pending += 1;
             Evaluation {

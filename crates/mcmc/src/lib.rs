@@ -20,12 +20,15 @@
 //!   [`ProposalKind::JddPreserving`] — satisfies Figure 4's degree-class
 //!   condition. The sampler ([`propose_swap`]), the explorers' scan and
 //!   the Table 5 census in `dk-core` all decide validity through it, and
-//!   it reports a typed reason ([`SwapInvalid`]) on failure.
+//!   it reports a typed reason ([`SwapInvalid`]) on failure: the first
+//!   of its tests that fails (self-loop, then the class condition, then
+//!   the presence probes), so a counter of reasons counts each invalid
+//!   proposal once, under that first test.
 //! * **Census deltas** ([`SwapObjective`]): the chain never re-extracts
 //!   a distribution. An objective inspects a validated proposal, reports
 //!   the distance change `ΔD` of the move (for 2K targets this is four
-//!   O(1) histogram bumps on the frozen endpoint degrees; see
-//!   `dk_core::generate::delta`), and folds the pending delta into its
+//!   O(1) reads of a dense table over the frozen degree classes; see
+//!   `dk_core::generate::objective`), and folds the pending delta into its
 //!   bookkeeping **only when the chain accepts** (`commit`); on a
 //!   rejection the engine reverts any tentative mutation and the pending
 //!   delta is simply overwritten by the next evaluation.
@@ -47,11 +50,19 @@
 //! every subsequent draw — edge pair, orientation, acceptance coin — is
 //! taken from that stream in a fixed order, so a run is exactly
 //! re-runnable and **resumable**: running `k` steps and then `m` steps
-//! is byte-identical to running `k + m` steps. Edge-presence tests go
-//! through the graph's canonical edge index
-//! ([`dk_graph::Graph::has_edge_indexed`], the deterministic-hasher set
-//! every mutation already maintains), so validity checks are O(1)
-//! regardless of degree.
+//! is byte-identical to running `k + m` steps.
+//!
+//! ## State
+//!
+//! A chain runs on a [`dk_graph::EdgeList`]: the degrees, the canonical
+//! edge list and its index, which is all its proposals read. Presence
+//! probes go through that index ([`dk_graph::EdgeList::has_edge`], a
+//! deterministic-hasher map every mutation maintains), so validity checks
+//! are O(1) regardless of degree, and an accepted move edits the list and
+//! its index, not four sorted adjacency rows. A [`dk_graph::Graph`]
+//! handed to a chain drops its rows, and [`McmcChain::into_graph`]
+//! rebuilds them once. The swap helpers also apply to a whole `Graph`
+//! ([`SwapTarget`]) for the walks that read neighbours on every step.
 
 #![forbid(unsafe_code)]
 
@@ -64,4 +75,5 @@ pub use chain::{
 };
 pub use proposal::{
     apply_swap, check_swap, propose_swap, revert_swap, MoveProposal, ProposalKind, SwapInvalid,
+    SwapTarget,
 };

@@ -18,10 +18,11 @@
 
 use crate::protocol::{quoted, tagged_value, Req, ReqError, MAX_REQUEST_BYTES};
 use crate::registry::{lock, Counters, GraphSlot, Registry, Snapshot};
+use dk_core::constraints::NoConstraint;
 use dk_core::dist::{AnyDist, Dist1K, Dist2K, Dist3K};
-use dk_core::generate::rewire::{randomize, RewireOptions, SwapBudget};
+use dk_core::generate::rewire::{randomize_edges, RewireOptions, SwapBudget};
 use dk_core::generate::{Generator, Method};
-use dk_graph::io as graph_io;
+use dk_graph::{io as graph_io, Graph};
 use dk_metrics::attack::attack_sweep_cached;
 use dk_metrics::{json, sketch, stream};
 use dk_metrics::{AnalysisCache, AnalyzeOptions, AnyMetric, AttackOptions, GccPolicy, Strategy};
@@ -391,17 +392,19 @@ fn op_rewire(reg: &Registry, req: &Req<'_>) -> Result<String, ReqError> {
     let slot = reg.slot(name)?;
     let snap = lock(&slot).snapshot.clone();
     let graph = snap.graph();
-    // the rewire works on a full mutable clone of the snapshot; it runs
+    // the rewire runs on a copy of the snapshot's edge list (degrees,
+    // edges, index) and rebuilds the rows of the new graph once; it runs
     // no analysis pass, so the one-worker floor of no deps stands in as
     // the price of that footprint, checked before allocating it
     let (n, m) = (graph.node_count(), graph.edge_count());
     reg.admit(n, m, stream::min_bytes(n, m, &[], 0), None)?;
-    let mut g = graph.clone();
+    let mut edges = graph.edge_list().clone();
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
     let opts = RewireOptions {
         budget: attempts.map_or(SwapBudget::AttemptsPerEdge(50.0), SwapBudget::Attempts),
     };
-    let stats = randomize(&mut g, d, &opts, &mut rng);
+    let stats = randomize_edges(&mut edges, d, &opts, &NoConstraint, &mut rng);
+    let g = Graph::from_edge_list(edges);
     let (n, m) = (g.node_count(), g.edge_count());
     let epoch = reg.install(name, g);
     let mut fields = ok_head("rewire");

@@ -139,6 +139,59 @@ fn dist_file_parse_errors_carry_context() {
     assert_eq!(merged.counts, [0, 0, 7]);
 }
 
+/// `Dist2K::to_1k` — the path `dk generate 2` and `3` take — checks
+/// every class before it sizes its dense vectors, so a degree no node of
+/// the implied node count can have is refused by name. The first case
+/// sized two dense vectors of ≈ 32 GB each before this check.
+#[test]
+fn to_1k_refuses_an_impossible_degree_before_sizing() {
+    let refused = |file: &str, want: &str| {
+        let d = io::read_2k(file.as_bytes()).expect("the file parses");
+        match d.to_1k() {
+            Err(GraphError::NotGraphical(msg)) => assert!(msg.contains(want), "{file:?}: {msg}"),
+            other => panic!("{file:?}: expected NotGraphical, got {other:?}"),
+        }
+    };
+    // one stub in the degree-4·10⁹ class: not divisible, and refused
+    // with no dense vector sized, through the generator too
+    refused("1 4000000000 1\n", "class 4000000000 owns 1 stubs");
+    let hostile = io::read_2k("1 4000000000 1\n".as_bytes()).expect("the file parses");
+    assert!(matches!(
+        generate_2k_random(
+            &hostile,
+            Bootstrap::Matching,
+            &TargetOptions::default(),
+            &mut rng()
+        ),
+        Err(GraphError::NotGraphical(_))
+    ));
+    // divisible but impossible: one node of degree 4·10⁹ alone
+    refused(
+        "4000000000 4000000000 2000000000\n",
+        "degree 4000000000 is impossible: the classes total 1 nodes",
+    );
+    refused(
+        "2 2 1\n",
+        "degree 2 is impossible: the classes total 1 nodes",
+    );
+    // the smallest impossible degree is named
+    refused("1 3 1\n1 5 1\n1 1 1\n", "class 3 owns 1 stubs");
+    refused(
+        "4 4 2\n3 3 3\n",
+        "degree 3 is impossible: the classes total 3 nodes",
+    );
+    // degree 0 is refused first, a zero count included
+    refused("1 4000000000 1\n0 2 0\n", "degree 0");
+    // stub and node totals are summed with checks
+    let max = u64::MAX;
+    refused(&format!("1 1 {max}\n"), "stubs of degree class 1 overflow");
+    let half = max / 2;
+    refused(&format!("1 1 {half}\n2 2 {half}\n"), "node total overflows");
+    // a zero-count key owns no stubs and sizes nothing
+    let zero = io::read_2k("1 1 1\n1 3000000000 0\n".as_bytes()).expect("the file parses");
+    assert_eq!(zero.to_1k().expect("one edge, two nodes").counts, [0, 2]);
+}
+
 #[test]
 fn rescale_rejects_empty_inputs() {
     assert!(rescale::rescale_1k(&Dist1K::default(), 10).is_err());

@@ -1,8 +1,19 @@
 //! Equivalence harness for the `dk-mcmc` engine (PR contract):
 //!
-//! * **Delta equivalence** — `Delta2K`/`Delta3K` accumulated over a
-//!   random accepted-move sequence equal recompute-from-scratch on the
-//!   final graph, across seeds and graph shapes (hub-rich ones included);
+//! * **Delta equivalence** — `Objective2K`'s dense JDD table and the
+//!   swap-level `Delta3K` accumulated over a random accepted-move
+//!   sequence equal recompute-from-scratch on the final graph, across
+//!   seeds and graph shapes (hub-rich ones included);
+//! * **Graph oracle** — the chain as it ran on `Graph` (sorted rows
+//!   edited by every applied and reverted move, presence probes before
+//!   the class test, the `d = 0` loop on `Graph`, the hash-map
+//!   `Objective2K` and the 3K objectives reading the chain's own rows)
+//!   is kept below; the edge-list chain matches it bit for bit on edge
+//!   order, chain statistics, RNG position and distance, on hubs,
+//!   isolated nodes, graphs with one edge and with none, a
+//!   `DegreeProductCap` veto at `d = 0` and `d = 1`, and a 2K target
+//!   whose degree set differs from the graph's (a pseudograph
+//!   bootstrap);
 //! * **Swap-delta oracle** — on small fixtures, every simple-valid swap's
 //!   swap-level `Delta3K::track_swap` equals both a per-edge oracle (one
 //!   tracked neighbourhood walk per edge removal or addition on a
@@ -23,12 +34,18 @@
 //!   only) at 10⁶, where the recovered graph's assortativity and sketch
 //!   d̄ must also stay near the original's.
 
-use dk_repro::core::dist::{canon_triangle, canon_wedge, Degree, Dist2K, Dist3K};
-use dk_repro::core::generate::delta::{frozen_degrees, Delta2K, Delta3K};
+use dk_repro::core::constraints::DegreeProductCap;
+use dk_repro::core::dist::{canon_pair, canon_triangle, canon_wedge, Degree, Dist2K, Dist3K};
+use dk_repro::core::generate::delta::{frozen_degrees, Delta3K};
 use dk_repro::core::generate::objective::{Objective2K, Objective3K};
+use dk_repro::core::generate::pseudograph;
+use dk_repro::core::generate::rewire::{randomize, randomize_with, RewireOptions, SwapBudget};
+use dk_repro::core::generate::target::{generate_2k_random, Bootstrap, TargetOptions};
+use dk_repro::graph::hashers::{det_hash_map, DetHashMap};
 use dk_repro::graph::{builders, ensemble, Graph};
 use dk_repro::mcmc::{
-    apply_swap, propose_swap, ChainOptions, McmcChain, NullObjective, ProposalKind, RunBudget,
+    apply_swap, propose_swap, revert_swap, ChainOptions, ChainStats, Evaluation, McmcChain,
+    MoveProposal, NullObjective, ProposalKind, RunBudget, SwapObjective,
 };
 use dk_repro::topologies::ba::{barabasi_albert, BaParams};
 use proptest::prelude::*;
@@ -138,6 +155,672 @@ pub fn add_edge_tracked(g: &mut Graph, x: u32, y: u32, deg: &[Degree], delta: &m
     g.add_edge(x, y).expect("swap adds a checked-legal edge");
 }
 
+// ---------------------------------------------------------------------
+// Oracle: the chain as it ran on `Graph`
+// ---------------------------------------------------------------------
+
+/// The swap-validity rule as it ran on `Graph`: the self-loop test, the
+/// two presence probes, then the class test. It accepts the same swaps as
+/// `check_swap`; only the reason reported for a swap failing both of the
+/// last two tests differs, and the chain counts every invalid proposal
+/// alike.
+fn oracle_valid(
+    g: &Graph,
+    deg: &[u32],
+    kind: ProposalKind,
+    [(a, b), (c, d)]: [(u32, u32); 2],
+) -> bool {
+    if a == d || c == b {
+        return false;
+    }
+    if g.has_edge_indexed(a, d) || g.has_edge_indexed(c, b) {
+        return false;
+    }
+    !(kind == ProposalKind::JddPreserving
+        && deg[b as usize] != deg[d as usize]
+        && deg[a as usize] != deg[c as usize])
+}
+
+/// `propose_swap` as it ran on `Graph`: three draws, then the rule.
+fn oracle_propose<R: Rng>(
+    g: &Graph,
+    deg: &[u32],
+    kind: ProposalKind,
+    rng: &mut R,
+) -> Option<MoveProposal> {
+    let m = g.edge_count();
+    if m < 2 {
+        return None;
+    }
+    let i = rng.gen_range(0..m);
+    let j = rng.gen_range(0..m - 1);
+    let j = if j >= i { j + 1 } else { j };
+    let (a, b) = g.edge_at(i);
+    let e2 = g.edge_at(j);
+    let (c, d) = if rng.gen_bool(0.5) { e2 } else { (e2.1, e2.0) };
+    if !oracle_valid(g, deg, kind, [(a, b), (c, d)]) {
+        return None;
+    }
+    let q = 1.0 / (m as f64 * (m - 1) as f64);
+    Some(MoveProposal {
+        remove: [(a, b), (c, d)],
+        add: [(a, d), (c, b)],
+        forward_prob: q,
+        reverse_prob: q,
+    })
+}
+
+/// The objective contract as it ran: evaluation saw the chain's `Graph`
+/// and its frozen degrees.
+trait OracleObjective {
+    fn evaluate(&mut self, g: &mut Graph, deg: &[u32], p: &MoveProposal) -> Evaluation;
+    fn commit(&mut self);
+    fn distance(&self) -> Option<f64>;
+}
+
+struct OracleNull;
+
+impl OracleObjective for OracleNull {
+    fn evaluate(&mut self, _g: &mut Graph, _deg: &[u32], _p: &MoveProposal) -> Evaluation {
+        Evaluation {
+            delta_d: 0.0,
+            applied: false,
+        }
+    }
+    fn commit(&mut self) {}
+    fn distance(&self) -> Option<f64> {
+        None
+    }
+}
+
+/// `Objective2K` as it ran: the current and target JDD in two hash maps,
+/// and the swap's four bumps in a third (the deleted `Delta2K`), summed
+/// in that map's order.
+struct Oracle2K {
+    cur: DetHashMap<(Degree, Degree), i64>,
+    tgt: DetHashMap<(Degree, Degree), i64>,
+    d_cur: f64,
+    pending: DetHashMap<(Degree, Degree), i64>,
+    pending_dd: f64,
+}
+
+impl Oracle2K {
+    fn new(g: &Graph, target: &Dist2K) -> Self {
+        let mut cur: DetHashMap<(Degree, Degree), i64> = det_hash_map();
+        for (&k, &v) in &Dist2K::from_graph(g).counts {
+            cur.insert(k, v as i64);
+        }
+        let tgt: DetHashMap<(Degree, Degree), i64> =
+            target.counts.iter().map(|(&k, &v)| (k, v as i64)).collect();
+        let mut d_cur = 0.0;
+        for (k, &a) in &cur {
+            let b = tgt.get(k).copied().unwrap_or(0);
+            d_cur += ((a - b) as f64).powi(2);
+        }
+        for (k, &b) in &tgt {
+            if !cur.contains_key(k) {
+                d_cur += (b as f64).powi(2);
+            }
+        }
+        Oracle2K {
+            cur,
+            tgt,
+            d_cur,
+            pending: det_hash_map(),
+            pending_dd: 0.0,
+        }
+    }
+
+    fn current_jdd(&self) -> Dist2K {
+        let mut out = Dist2K::default();
+        for (&k, &v) in &self.cur {
+            if v > 0 {
+                out.counts.insert(k, v as u64);
+            }
+        }
+        out
+    }
+}
+
+impl OracleObjective for Oracle2K {
+    fn evaluate(&mut self, _g: &mut Graph, deg: &[u32], p: &MoveProposal) -> Evaluation {
+        self.pending.clear();
+        let kd = |u: u32| deg[u as usize];
+        for &(u, v) in &p.remove {
+            *self.pending.entry(canon_pair(kd(u), kd(v))).or_insert(0) -= 1;
+        }
+        for &(u, v) in &p.add {
+            *self.pending.entry(canon_pair(kd(u), kd(v))).or_insert(0) += 1;
+        }
+        let mut dd = 0.0;
+        for (key, &dv) in &self.pending {
+            if dv == 0 {
+                continue;
+            }
+            let c0 = self.cur.get(key).copied().unwrap_or(0);
+            let t0 = self.tgt.get(key).copied().unwrap_or(0);
+            let before = (c0 - t0) as f64;
+            let after = (c0 + dv - t0) as f64;
+            dd += after * after - before * before;
+        }
+        self.pending_dd = dd;
+        Evaluation {
+            delta_d: dd,
+            applied: false,
+        }
+    }
+
+    fn commit(&mut self) {
+        for (key, &dv) in &self.pending {
+            if dv != 0 {
+                *self.cur.entry(*key).or_insert(0) += dv;
+            }
+        }
+        self.d_cur += self.pending_dd;
+    }
+
+    fn distance(&self) -> Option<f64> {
+        Some(self.d_cur)
+    }
+}
+
+/// `Objective3K` as it ran: the swap delta read off the chain's own
+/// `Graph`, then the move applied to it for the edge order.
+struct Oracle3K {
+    cur: Dist3K,
+    tgt: Dist3K,
+    d_cur: f64,
+    pending: Delta3K,
+    pending_dd: f64,
+}
+
+impl Oracle3K {
+    fn new(g: &Graph, target: &Dist3K) -> Self {
+        let cur = Dist3K::from_graph(g);
+        let d_cur = cur.distance_sq(target);
+        Oracle3K {
+            cur,
+            tgt: target.clone(),
+            d_cur,
+            pending: Delta3K::default(),
+            pending_dd: 0.0,
+        }
+    }
+}
+
+impl OracleObjective for Oracle3K {
+    fn evaluate(&mut self, g: &mut Graph, deg: &[u32], p: &MoveProposal) -> Evaluation {
+        self.pending.clear();
+        self.pending.track_swap(g, deg, p.remove);
+        apply_swap(g, p);
+        let mut dd = 0.0;
+        for (key, &dv) in &self.pending.wedges {
+            if dv == 0 {
+                continue;
+            }
+            let c0 = self.cur.wedges.get(key).copied().unwrap_or(0) as i64;
+            let t0 = self.tgt.wedges.get(key).copied().unwrap_or(0) as i64;
+            let before = (c0 - t0) as f64;
+            let after = (c0 + dv - t0) as f64;
+            dd += after * after - before * before;
+        }
+        for (key, &dv) in &self.pending.triangles {
+            if dv == 0 {
+                continue;
+            }
+            let c0 = self.cur.triangles.get(key).copied().unwrap_or(0) as i64;
+            let t0 = self.tgt.triangles.get(key).copied().unwrap_or(0) as i64;
+            let before = (c0 - t0) as f64;
+            let after = (c0 + dv - t0) as f64;
+            dd += after * after - before * before;
+        }
+        self.pending_dd = dd;
+        Evaluation {
+            delta_d: dd,
+            applied: true,
+        }
+    }
+
+    fn commit(&mut self) {
+        self.pending.apply_to(&mut self.cur);
+        self.d_cur += self.pending_dd;
+    }
+
+    fn distance(&self) -> Option<f64> {
+        Some(self.d_cur)
+    }
+}
+
+/// `Preserve3K` as it ran: `Oracle3K`'s delta and apply, accepting only
+/// a zero delta.
+#[derive(Default)]
+struct OraclePreserve3K {
+    pending: Delta3K,
+}
+
+impl OracleObjective for OraclePreserve3K {
+    fn evaluate(&mut self, g: &mut Graph, deg: &[u32], p: &MoveProposal) -> Evaluation {
+        self.pending.clear();
+        self.pending.track_swap(g, deg, p.remove);
+        apply_swap(g, p);
+        Evaluation {
+            delta_d: if self.pending.is_zero() {
+                0.0
+            } else {
+                f64::INFINITY
+            },
+            applied: true,
+        }
+    }
+    fn commit(&mut self) {}
+    fn distance(&self) -> Option<f64> {
+        None
+    }
+}
+
+/// The chain's Metropolis–Hastings rule, as it ran.
+fn oracle_metropolis<R: Rng>(delta: f64, ratio: f64, opts: &ChainOptions, rng: &mut R) -> bool {
+    if opts.temperature > 0.0 {
+        let p = ((-delta / opts.temperature).exp() * ratio).min(1.0);
+        if p >= 1.0 {
+            true
+        } else {
+            rng.gen_bool(p.max(0.0))
+        }
+    } else if delta < 0.0 {
+        true
+    } else if delta == 0.0 {
+        opts.accept_neutral
+    } else {
+        false
+    }
+}
+
+/// `McmcChain` as it ran: it owned a `Graph`, so every applied and
+/// reverted move also edited four sorted rows.
+struct OracleChain<R> {
+    graph: Graph,
+    deg: Vec<u32>,
+    rng: R,
+    opts: ChainOptions,
+    stats: ChainStats,
+}
+
+impl<R: Rng> OracleChain<R> {
+    fn new(graph: Graph, rng: R, opts: ChainOptions) -> Self {
+        let deg = graph.degrees().iter().map(|&d| d as u32).collect();
+        OracleChain {
+            graph,
+            deg,
+            rng,
+            opts,
+            stats: ChainStats::default(),
+        }
+    }
+
+    fn step<O, F>(&mut self, obj: &mut O, veto: &F) -> Option<f64>
+    where
+        O: OracleObjective,
+        F: Fn(&Graph, &MoveProposal) -> bool,
+    {
+        self.stats.attempts += 1;
+        let Some(p) = oracle_propose(&self.graph, &self.deg, self.opts.proposal, &mut self.rng)
+        else {
+            self.stats.rejected_invalid += 1;
+            return None;
+        };
+        if !veto(&self.graph, &p) {
+            self.stats.rejected_vetoed += 1;
+            return None;
+        }
+        let ev = obj.evaluate(&mut self.graph, &self.deg, &p);
+        if oracle_metropolis(ev.delta_d, p.proposal_ratio(), &self.opts, &mut self.rng) {
+            if !ev.applied {
+                apply_swap(&mut self.graph, &p);
+            }
+            obj.commit();
+            self.stats.accepted += 1;
+            Some(ev.delta_d)
+        } else {
+            if ev.applied {
+                revert_swap(&mut self.graph, &p);
+            }
+            self.stats.rejected_metropolis += 1;
+            None
+        }
+    }
+
+    /// `run_filtered` on a fresh chain: its stats are the run's.
+    fn run<O, F>(&mut self, obj: &mut O, budget: &RunBudget, veto: &F) -> ChainStats
+    where
+        O: OracleObjective,
+        F: Fn(&Graph, &MoveProposal) -> bool,
+    {
+        let mut since_improve = 0u64;
+        for _ in 0..budget.max_steps {
+            if budget.stop_at_zero && obj.distance() == Some(0.0) {
+                break;
+            }
+            if let Some(p) = budget.patience {
+                if since_improve >= p {
+                    break;
+                }
+            }
+            match self.step(obj, veto) {
+                Some(delta_d) if delta_d < 0.0 => since_improve = 0,
+                _ => since_improve += 1,
+            }
+        }
+        self.stats
+    }
+}
+
+/// `DegreeProductCap` as it read a `Graph` (`None` allows every move).
+fn oracle_cap_allows(cap: Option<u64>, g: &Graph, added: &[(u32, u32)]) -> bool {
+    cap.is_none_or(|cap| {
+        added
+            .iter()
+            .all(|&(u, v)| (g.degree(u) as u64) * (g.degree(v) as u64) <= cap)
+    })
+}
+
+/// `randomize_with` as it ran on `Graph`, for `attempts` attempts: the
+/// `d = 0` relocation loop on the graph itself, else the chain. Returns
+/// `(attempts, accepted)`.
+fn oracle_randomize<R: Rng>(
+    g: &mut Graph,
+    d: u8,
+    attempts: u64,
+    cap: Option<u64>,
+    rng: &mut R,
+) -> (u64, u64) {
+    if g.edge_count() < 2 {
+        return (0, 0);
+    }
+    if d == 0 {
+        let mut accepted = 0;
+        for _ in 0..attempts {
+            let Ok((u, v)) = g.random_edge(rng) else {
+                continue;
+            };
+            let n = g.node_count() as u32;
+            let x = rng.gen_range(0..n);
+            let y = rng.gen_range(0..n);
+            if x == y || g.has_edge_indexed(x, y) || !oracle_cap_allows(cap, g, &[(x, y)]) {
+                continue;
+            }
+            g.remove_edge(u, v).expect("sampled edge exists");
+            g.add_edge(x, y).expect("checked empty slot");
+            accepted += 1;
+        }
+        return (attempts, accepted);
+    }
+    let opts = ChainOptions {
+        proposal: if d == 1 {
+            ProposalKind::Plain
+        } else {
+            ProposalKind::JddPreserving
+        },
+        ..Default::default()
+    };
+    let veto = |gr: &Graph, p: &MoveProposal| oracle_cap_allows(cap, gr, &p.add);
+    let mut chain = OracleChain::new(std::mem::take(g), rng, opts);
+    let budget = RunBudget::steps(attempts);
+    let run = if d == 3 {
+        chain.run(&mut OraclePreserve3K::default(), &budget, &veto)
+    } else {
+        chain.run(&mut OracleNull, &budget, &veto)
+    };
+    *g = chain.graph;
+    (run.attempts, run.accepted)
+}
+
+/// The oracle fixtures: `shape` 0 has no edge, 1 has one edge beside
+/// isolated nodes, 2 is `edges` on 18 nodes (isolated ones included) and
+/// 3 is a star core of `hub` nodes plus `edges`.
+fn oracle_fixture(shape: usize, edges: &[(u32, u32)], hub: u32) -> Graph {
+    match shape {
+        0 => Graph::with_nodes(6),
+        1 => Graph::from_edges(5, [(1, 3)]).expect("one edge"),
+        2 => Graph::from_edges_dedup(18, edges.iter().copied()).expect("in range"),
+        _ => {
+            let core = (1..hub).map(|v| (0, v));
+            Graph::from_edges_dedup(18, core.chain(edges.iter().copied())).expect("in range")
+        }
+    }
+}
+
+/// The acceptance knobs of the targeting cases: strict descent, plateau
+/// walks and two positive temperatures, which draw acceptance coins.
+fn oracle_chain_options(knob: usize, proposal: ProposalKind) -> ChainOptions {
+    let (temperature, accept_neutral) =
+        [(0.0, false), (0.0, true), (2.0, true), (40.0, true)][knob];
+    ChainOptions {
+        temperature,
+        accept_neutral,
+        proposal,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `randomize` and `randomize_with` on the edge list against the
+    /// `Graph` oracle at every order, with and without a
+    /// `DegreeProductCap` veto: the same edge order, the same counts and
+    /// the same RNG position afterwards.
+    #[test]
+    fn randomize_matches_the_graph_chain_oracle(
+        shape in 0..4usize,
+        edges in proptest::collection::vec((0..18u32, 0..18u32), 0..60),
+        hub in 2..18u32,
+        d in 0..4u8,
+        cap in 0..40u64,
+        seed in 0u64..10_000,
+    ) {
+        let g = oracle_fixture(shape, &edges, hub);
+        let attempts = 400;
+        let cap = (cap > 4).then_some(cap);
+        let mut want = g.clone();
+        let mut oracle_rng = StdRng::seed_from_u64(seed);
+        let (attempted, accepted) = oracle_randomize(&mut want, d, attempts, cap, &mut oracle_rng);
+
+        let mut got = g;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let opts = RewireOptions {
+            budget: SwapBudget::Attempts(attempts),
+        };
+        let st = match cap {
+            Some(cap) => randomize_with(&mut got, d, &opts, &DegreeProductCap { cap }, &mut rng),
+            None => randomize(&mut got, d, &opts, &mut rng),
+        };
+        prop_assert_eq!(got.edges(), want.edges(), "d = {}", d);
+        prop_assert_eq!((st.attempts, st.accepted), (attempted, accepted), "d = {}", d);
+        prop_assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>(), "d = {}", d);
+        prop_assert!(got.check_invariants().is_ok());
+    }
+
+    /// The dense 2K objective on the edge-list chain against the
+    /// hash-map oracle on the `Graph` chain, under plain proposals at
+    /// four acceptance settings: the same edge order, statistics, RNG
+    /// position, `D₂` bits and tracked JDD. The target is the JDD of a
+    /// second graph, so its degree set differs from the chain's.
+    #[test]
+    fn targeting_2k_chain_matches_the_hash_map_oracle(
+        edges in proptest::collection::vec((0..16u32, 0..16u32), 2..48),
+        other in proptest::collection::vec((0..20u32, 0..20u32), 2..60),
+        hub in 2..16u32,
+        knob in 0..4usize,
+        seed in 0u64..10_000,
+    ) {
+        let g = oracle_fixture(3, &edges, hub);
+        let target = Dist2K::from_graph(
+            &Graph::from_edges_dedup(20, other).expect("in range"),
+        );
+        let opts = oracle_chain_options(knob, ProposalKind::Plain);
+        let budget = RunBudget::steps(1500);
+
+        let mut oracle = Oracle2K::new(&g, &target);
+        let mut want = OracleChain::new(g.clone(), StdRng::seed_from_u64(seed), opts);
+        let want_run = want.run(&mut oracle, &budget, &|_, _| true);
+
+        let mut obj = Objective2K::new(&g, &target);
+        let mut chain = McmcChain::seeded(g, seed, opts);
+        let run = chain.run(&mut obj, &budget);
+        prop_assert_eq!(run, want_run);
+        prop_assert_eq!(obj.current_distance().to_bits(), oracle.d_cur.to_bits());
+        prop_assert_eq!(obj.current_jdd(), oracle.current_jdd());
+        let got = chain.into_graph();
+        prop_assert_eq!(got.edges(), want.graph.edges());
+        prop_assert_eq!(
+            obj.current_distance().to_bits(),
+            Dist2K::from_graph(&got).distance_sq(&target).to_bits()
+        );
+    }
+
+    /// The `§5.1` pipeline from a pseudograph bootstrap against the
+    /// oracle, bit for bit (see [`pseudograph_targeting_vs_oracle`]).
+    #[test]
+    fn pseudograph_bootstrap_targeting_matches_the_oracle(
+        other in proptest::collection::vec((0..20u32, 0..20u32), 4..70),
+        seed in 0u64..10_000,
+    ) {
+        let target = Dist2K::from_graph(&Graph::from_edges_dedup(20, other).expect("in range"));
+        let (got, want) = pseudograph_targeting_vs_oracle(&target, seed);
+        prop_assert_eq!(got, want);
+    }
+
+    /// The 3K objective on its own rows beside the edge-list chain
+    /// against the oracle reading the `Graph` chain, under
+    /// JDD-preserving proposals at four acceptance settings: the same
+    /// edge order, statistics, `D₃` bits and tracked census.
+    #[test]
+    fn targeting_3k_chain_matches_the_graph_oracle(
+        edges in proptest::collection::vec((0..16u32, 0..16u32), 2..48),
+        other in proptest::collection::vec((0..16u32, 0..16u32), 2..48),
+        hub in 2..16u32,
+        knob in 0..4usize,
+        seed in 0u64..10_000,
+    ) {
+        let g = oracle_fixture(3, &edges, hub);
+        let target = Dist3K::from_graph(&oracle_fixture(2, &other, hub));
+        let opts = oracle_chain_options(knob, ProposalKind::JddPreserving);
+        let budget = RunBudget::steps(1500);
+
+        let mut oracle = Oracle3K::new(&g, &target);
+        let mut want = OracleChain::new(g.clone(), StdRng::seed_from_u64(seed), opts);
+        let want_run = want.run(&mut oracle, &budget, &|_, _| true);
+
+        let mut obj = Objective3K::new(&g, &target);
+        let mut chain = McmcChain::seeded(g, seed, opts);
+        let run = chain.run(&mut obj, &budget);
+        prop_assert_eq!(run, want_run);
+        prop_assert_eq!(obj.current_distance().to_bits(), oracle.d_cur.to_bits());
+        prop_assert_eq!(obj.current_census(), &oracle.cur);
+        let got = chain.into_graph();
+        prop_assert_eq!(got.edges(), want.graph.edges());
+    }
+}
+
+/// What one `§5.1` targeting run reports: the graph's edges in order,
+/// attempts, accepted moves, and the initial and final `D₂` bits — or
+/// the bootstrap's error.
+type TargetingRun = Result<(Vec<(u32, u32)>, u64, u64, u64, u64), String>;
+
+/// `generate_2k_random` from a pseudograph bootstrap, whose cleanup
+/// drops loops and parallel edges and so can leave the graph with
+/// another degree set than the target's, beside the same RNG stream
+/// through `pseudograph::generate_1k`, the `Graph` chain and the
+/// hash-map oracle.
+fn pseudograph_targeting_vs_oracle(target: &Dist2K, seed: u64) -> (TargetingRun, TargetingRun) {
+    let opts = TargetOptions {
+        max_attempts: 3_000,
+        patience: Some(800),
+        ..Default::default()
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let got = generate_2k_random(target, Bootstrap::Pseudograph, &opts, &mut rng)
+        .map(|(g, st)| {
+            (
+                g.edges().to_vec(),
+                st.attempts,
+                st.accepted,
+                st.initial_distance.to_bits(),
+                st.final_distance.to_bits(),
+            )
+        })
+        .map_err(|e| e.to_string());
+
+    let mut oracle_rng = StdRng::seed_from_u64(seed);
+    let want = target
+        .to_1k()
+        .and_then(|d1| pseudograph::generate_1k(&d1, &mut oracle_rng))
+        .map(|boot| {
+            let mut g = boot.graph;
+            let mut oracle = Oracle2K::new(&g, target);
+            let initial = oracle.d_cur;
+            let (mut attempts, mut accepted) = (0, 0);
+            if g.edge_count() >= 2 {
+                let chain_opts = ChainOptions {
+                    temperature: opts.temperature,
+                    accept_neutral: opts.accept_neutral,
+                    proposal: ProposalKind::Plain,
+                };
+                let budget = RunBudget {
+                    max_steps: opts.max_attempts,
+                    patience: opts.patience,
+                    stop_at_zero: opts.stop_at_zero,
+                };
+                let mut chain =
+                    OracleChain::new(std::mem::take(&mut g), &mut oracle_rng, chain_opts);
+                let run = chain.run(&mut oracle, &budget, &|_, _| true);
+                (attempts, accepted) = (run.attempts, run.accepted);
+                g = chain.graph;
+            }
+            let fin = Dist2K::from_graph(&g).distance_sq(target);
+            (
+                g.edges().to_vec(),
+                attempts,
+                accepted,
+                initial.to_bits(),
+                fin.to_bits(),
+            )
+        })
+        .map_err(|e| e.to_string());
+    assert_eq!(
+        rng.gen::<u64>(),
+        oracle_rng.gen::<u64>(),
+        "the library and the oracle drew different RNG counts"
+    );
+    (got, want)
+}
+
+/// The fixed pseudograph case: karate's JDD, where the bootstrap at seed
+/// 3 lands on a degree set other than the target's, so the dense table
+/// holds target pairs outside its classes.
+#[test]
+fn pseudograph_bootstrap_with_other_degree_classes_matches_the_oracle() {
+    let target = Dist2K::from_graph(&builders::karate_club());
+    let d1 = target.to_1k().expect("karate's own JDD");
+    let boot = pseudograph::generate_1k(&d1, &mut StdRng::seed_from_u64(3))
+        .expect("pseudograph bootstrap")
+        .graph;
+    let classes = |degrees: Vec<usize>| {
+        let mut k: Vec<usize> = degrees.into_iter().filter(|&k| k > 0).collect();
+        k.sort_unstable();
+        k.dedup();
+        k
+    };
+    assert_ne!(
+        classes(boot.degrees()),
+        classes(builders::karate_club().degrees()),
+        "the bootstrap kept the target's degree set"
+    );
+    let (got, want) = pseudograph_targeting_vs_oracle(&target, 3);
+    assert!(got.is_ok(), "{got:?}");
+    assert_eq!(got, want);
+}
+
 /// Strategy: a random simple graph with up to `n` nodes.
 fn arb_graph(n: u32, max_edges: usize) -> impl Strategy<Value = Graph> {
     proptest::collection::vec((0..n, 0..n), 4..max_edges)
@@ -171,7 +854,7 @@ fn accumulate_swap_deltas(mut g: Graph, seed: u64) -> (Dist3K, Dist3K) {
     let mut acc = Delta3K::default();
     let mut step = Delta3K::default();
     for _ in 0..200 {
-        let Ok(p) = propose_swap(&g, &deg, ProposalKind::Plain, &mut rng) else {
+        let Ok(p) = propose_swap(g.edge_list(), ProposalKind::Plain, &mut rng) else {
             continue;
         };
         step.clear();
@@ -192,29 +875,31 @@ fn accumulate_swap_deltas(mut g: Graph, seed: u64) -> (Dist3K, Dist3K) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Accumulated `Delta2K` over accepted plain swaps == re-extraction.
+    /// `Objective2K`'s dense table, committed over accepted plain swaps,
+    /// == re-extraction: the tracked JDD and the exact `D₂` to the start.
     #[test]
     fn delta2k_accumulation_matches_extraction(g in arb_graph(16, 48), seed in 0u64..500) {
-        let mut g = g;
         if g.edge_count() < 2 {
             return Ok(());
         }
-        let deg = frozen_degrees(&g);
         let initial = Dist2K::from_graph(&g);
+        let mut obj = Objective2K::new(&g, &initial);
+        let mut edges = g.into_edge_list();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut acc = Delta2K::default();
         let mut accepted = 0u32;
         for _ in 0..400 {
-            let Ok(p) = propose_swap(&g, &deg, ProposalKind::Plain, &mut rng) else {
+            let Ok(p) = propose_swap(&edges, ProposalKind::Plain, &mut rng) else {
                 continue;
             };
-            apply_swap(&mut g, &p);
-            acc.track_swap(&deg, &p.remove, &p.add);
+            obj.evaluate(&mut edges, &p);
+            apply_swap(&mut edges, &p);
+            obj.commit();
             accepted += 1;
         }
-        let mut patched = initial;
-        acc.apply_to(&mut patched);
-        prop_assert_eq!(patched, Dist2K::from_graph(&g), "after {} accepted", accepted);
+        let g = Graph::from_edge_list(edges);
+        let fin = Dist2K::from_graph(&g);
+        prop_assert_eq!(obj.current_jdd(), fin.clone(), "after {} accepted", accepted);
+        prop_assert_eq!(obj.current_distance(), fin.distance_sq(&initial));
     }
 
     /// Accumulated swap-level `Delta3K` over accepted plain swaps ==
@@ -239,10 +924,9 @@ proptest! {
         if g.edge_count() < 2 {
             return Ok(());
         }
-        let deg = frozen_degrees(&g);
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..50 {
-            let Ok(p) = propose_swap(&g, &deg, ProposalKind::Plain, &mut rng) else {
+            let Ok(p) = propose_swap(g.edge_list(), ProposalKind::Plain, &mut rng) else {
                 continue;
             };
             prop_assert_eq!(p.forward_prob, p.reverse_prob);

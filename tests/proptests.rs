@@ -554,3 +554,145 @@ proptest! {
         }
     }
 }
+
+/// The 3K reader as it ran before it read lines into one reused buffer:
+/// `BufRead::lines` (a `String` per line), the tokens collected into a
+/// `Vec`, each parsed by `str::parse`. The oracle of `io::read_3k`.
+fn read_3k_oracle<R: std::io::Read>(r: R) -> Result<Dist3K, GraphError> {
+    use dk_repro::core::dist::{canon_triangle, canon_wedge};
+    use std::io::BufRead;
+    let parse_err = |line: usize, msg: String| GraphError::Parse { line, msg };
+    let mut d = Dist3K::default();
+    for (no, line) in std::io::BufReader::new(r).lines().enumerate() {
+        let no = no + 1;
+        let line = line?;
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let toks: Vec<&str> = line.split_whitespace().collect();
+        if toks.len() != 5 {
+            return Err(parse_err(no, "expected `W|T k1 k2 k3 count`".into()));
+        }
+        let parse_u32 = |s: &str| -> Result<u32, GraphError> {
+            s.parse()
+                .map_err(|e| parse_err(no, format!("bad degree: {e}")))
+        };
+        let (a, b, c) = (
+            parse_u32(toks[1])?,
+            parse_u32(toks[2])?,
+            parse_u32(toks[3])?,
+        );
+        let n: u64 = toks[4]
+            .parse()
+            .map_err(|e| parse_err(no, format!("bad count: {e}")))?;
+        let total = match toks[0] {
+            "W" => d.wedges.entry(canon_wedge(a, b, c)),
+            "T" => d.triangles.entry(canon_triangle(a, b, c)),
+            other => return Err(parse_err(no, format!("unknown tag {other:?}"))),
+        }
+        .or_insert(0);
+        *total = total.checked_add(n).ok_or_else(|| {
+            parse_err(
+                no,
+                "count overflows when merged with an earlier line".into(),
+            )
+        })?;
+    }
+    Ok(d)
+}
+
+/// Fragments of the 3K reader fuzz's lines, `TAG SEP K SEP K SEP K SEP
+/// COUNT END`: tags (and a comment mark) in the tag slot; degrees and
+/// counts plain, signed, zero-padded, at the edge of `u32` and `u64` and
+/// past them, empty and junk; every whitespace the reader trims or splits
+/// on (ASCII, U+0085, U+00A0, U+3000) as separators, plus none at all;
+/// and line ends that add a sixth token, a lone `\r`, a comment, a
+/// non-UTF-8 byte, or no newline (gluing the line to the next). The
+/// first `CLEAN_*` entries of each table make only well-formed lines.
+const TAGS_3K: &[&str] = &["W", "T", "X", "w", "#", "", "W5"];
+const NUMS_3K: &[&str] = &[
+    "1",
+    "2",
+    "3",
+    "7",
+    "12",
+    "007",
+    "000000000005",
+    "18446744073709551615",
+    "+4",
+    "-1",
+    "4294967295",
+    "4294967296",
+    "99999999999",
+    "18446744073709551616",
+    "x",
+    "",
+];
+const SEPS_3K: &[&str] = &[
+    " ", "\t", "  ", "\x0b", "\x0c", "\u{85}", "\u{a0}", "\u{3000}", "",
+];
+const ENDS_3K: &[&[u8]] = &[
+    b"\n",
+    b"\r\n",
+    b" \n",
+    "\u{a0}\n".as_bytes(),
+    b"\r",
+    b" 5\n",
+    b"\xff\n",
+    b"\xe3\x80\n",
+    b" # c\n",
+    b"",
+];
+const CLEAN_TAGS_3K: usize = 2;
+const CLEAN_NUMS_3K: usize = 7;
+const CLEAN_SEPS_3K: usize = 8;
+const CLEAN_ENDS_3K: usize = 4;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `io::read_3k` (one reused byte buffer, tokens taken without a
+    /// `Vec`) against the line-by-line reader it replaced, on fuzzed
+    /// bytes: the same error (variant, line and message, the `Io` error
+    /// of a non-UTF-8 line included), or the same census with its maps in
+    /// the same iteration order.
+    #[test]
+    fn read_3k_matches_the_line_reader_oracle(
+        clean in 0..2usize,
+        lines in proptest::collection::vec(
+            (
+                0..TAGS_3K.len(),
+                proptest::collection::vec((0..SEPS_3K.len(), 0..NUMS_3K.len()), 4..5),
+                0..ENDS_3K.len(),
+            ),
+            0..24,
+        )
+    ) {
+        use dk_repro::core::io::read_3k;
+        let pick = |len: usize, i: usize, clean_len: usize| {
+            if clean == 1 { i % clean_len } else { i % len }
+        };
+        let mut bytes: Vec<u8> = Vec::new();
+        for (tag, fields, end) in &lines {
+            bytes.extend_from_slice(TAGS_3K[pick(TAGS_3K.len(), *tag, CLEAN_TAGS_3K)].as_bytes());
+            for &(sep, num) in fields {
+                bytes.extend_from_slice(SEPS_3K[pick(SEPS_3K.len(), sep, CLEAN_SEPS_3K)].as_bytes());
+                bytes.extend_from_slice(NUMS_3K[pick(NUMS_3K.len(), num, CLEAN_NUMS_3K)].as_bytes());
+            }
+            bytes.extend_from_slice(ENDS_3K[pick(ENDS_3K.len(), *end, CLEAN_ENDS_3K)]);
+        }
+        let want = read_3k_oracle(bytes.as_slice());
+        let got = read_3k(bytes.as_slice());
+        prop_assert_eq!(&got, &want, "{:?}", String::from_utf8_lossy(&bytes));
+        if let (Ok(got), Ok(want)) = (&got, &want) {
+            let order = |d: &Dist3K| {
+                (
+                    d.wedges.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>(),
+                    d.triangles.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>(),
+                )
+            };
+            prop_assert_eq!(order(got), order(want));
+        }
+    }
+}
