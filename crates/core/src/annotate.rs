@@ -13,7 +13,7 @@
 //! pseudograph-style generator whose output matches the annotated JDD
 //! exactly before cleanup.
 
-use crate::dist::{canon_pair, Degree, Dist2K};
+use crate::dist::{canon_pair, Degree, Dist2K, ExactSum};
 use dk_graph::hashers::{det_hash_map, DetHashMap};
 use dk_graph::{Graph, GraphError, MultiGraph};
 use rand::seq::SliceRandom;
@@ -117,19 +117,21 @@ impl Annotated2K {
         v
     }
 
-    /// Squared distance between annotated JDDs (the `D_2` analogue).
+    /// Squared distance between annotated JDDs (the `D_2` analogue),
+    /// summed exactly and converted once, so the maps' iteration order
+    /// does not reach its bits.
     pub fn distance_sq(&self, other: &Annotated2K) -> f64 {
-        let mut acc = 0.0;
+        let mut acc = ExactSum::default();
         for (k, &a) in &self.counts {
             let b = other.counts.get(k).copied().unwrap_or(0);
-            acc += (a as f64 - b as f64).powi(2);
+            acc.add_square(a.abs_diff(b));
         }
         for (k, &b) in &other.counts {
             if !self.counts.contains_key(k) {
-                acc += (b as f64).powi(2);
+                acc.add_square(b);
             }
         }
-        acc
+        acc.to_f64()
     }
 }
 

@@ -11,9 +11,18 @@
 //! * [`Objective2K`] keeps the current and the target JDD in one dense
 //!   table over the graph's degree classes, and a swap's `ΔD_2` is four
 //!   cell reads;
-//! * [`Objective3K`] and [`Preserve3K`] keep sorted rows of their own
-//!   ([`SortedRows`]) for the swap-level [`Delta3K`], and update them
-//!   only when a move is committed.
+//! * [`Objective3K`] merges the census of the start graph with the target
+//!   census into one table holding the current and the target count of
+//!   every key either side has, and reads one entry per key a swap
+//!   changes. It reads the target once and does not keep it;
+//! * both 3K objectives, [`Objective3K`] and [`Preserve3K`], keep sorted
+//!   rows of their own ([`SortedRows`]) for the swap-level [`Delta3K`],
+//!   and update their rows and counts only when a move is committed.
+//!
+//! Every starting distance is an exact integer sum converted once, so no
+//! map or merge order reaches its bits. A swap's `ΔD` adds its integer
+//! terms in the order the delta lists them (see [`Delta3K`]'s module doc
+//! for why that order is kept).
 //!
 //! The 3K objectives still apply each evaluated move to the chain's edge
 //! list ([`Evaluation::applied`]), although their delta does not need the
@@ -23,13 +32,15 @@
 //! that order, so the apply is part of their byte-identity
 //! (`tests/mcmc_equivalence.rs` pins it with golden edge-order digests).
 
-use crate::dist::{Degree, Dist2K, Dist3K};
+use crate::dist::{merge_columns, Degree, Dist2K, Dist3K, Entry3K, ExactSum, Key3K};
 use crate::generate::delta::Delta3K;
+use dk_graph::hashers::DetHashMap;
 use dk_graph::{EdgeList, Graph, NodeId, SortedRows};
 use dk_mcmc::{apply_swap, Evaluation, MoveProposal, SwapObjective};
 
-/// One cell of [`Objective2K`]'s table: the current and the target edge
-/// count of one canonical pair of degree classes.
+/// One cell of an objective's table: the current and the target count
+/// of one key (a canonical pair of degree classes in [`Objective2K`], a
+/// 3K key in [`Objective3K`]).
 #[derive(Clone, Copy, Debug, Default)]
 struct Cell {
     cur: i64,
@@ -103,7 +114,8 @@ impl Objective2K {
             let i = obj.cell(u, v);
             obj.cells[i].cur += 1;
         }
-        let mut outside = 0.0;
+        // D_2 = the cells' terms plus the outside pairs' m_tgt², exactly
+        let mut d = ExactSum::default();
         for (&(k1, k2), &v) in &target.counts {
             let ranks = (
                 obj.classes.binary_search(&k1),
@@ -111,15 +123,13 @@ impl Objective2K {
             );
             match ranks {
                 (Ok(r), Ok(s)) if r <= s => obj.cells[obj.row[r] + s].tgt = v as i64,
-                _ => outside += (v as f64).powi(2),
+                _ => d.add_square(v),
             }
         }
-        let inside: f64 = obj
-            .cells
-            .iter()
-            .map(|c| ((c.cur - c.tgt) as f64).powi(2))
-            .sum();
-        obj.d_cur = inside + outside;
+        for c in &obj.cells {
+            d.add_square(c.cur.abs_diff(c.tgt));
+        }
+        obj.d_cur = d.to_f64();
         obj
     }
 
@@ -203,6 +213,96 @@ fn commit_rows(rows: &mut SortedRows, [(a, b), (c, d)]: [(u32, u32); 2]) {
     rows.insert(c, b);
 }
 
+/// One column (wedges or triangles) of [`Objective3K`]'s table.
+///
+/// `cells` holds the current and the target count of every key the start
+/// census or the target has. It is sized for that union before it is
+/// filled and never grows, so it never rehashes: a key that neither side
+/// had, which a committed move can create, goes to `fresh` (its target
+/// count is 0). Sized to the union, `cells` has little spare room, and
+/// inserting into it would soon rehash it into twice the buckets: on the
+/// skitter-like input that is ≈ 23 MB more at the height of a `dk
+/// generate 3` run.
+#[derive(Clone, Debug)]
+struct Column3K {
+    cells: DetHashMap<Key3K, Cell>,
+    fresh: DetHashMap<Key3K, i64>,
+}
+
+impl Column3K {
+    /// Merges the current and the target column, and adds `Σ (cur −
+    /// tgt)²` over their union to `d`.
+    fn merge(cur: &[Entry3K], tgt: &[Entry3K], d: &mut ExactSum) -> Self {
+        let union = merge_columns(cur, tgt).count();
+        let mut cells = DetHashMap::with_capacity_and_hasher(union, Default::default());
+        for (key, c, t) in merge_columns(cur, tgt) {
+            d.add_square(c.abs_diff(t));
+            cells.insert(
+                key,
+                Cell {
+                    cur: c as i64,
+                    tgt: t as i64,
+                },
+            );
+        }
+        Column3K {
+            cells,
+            fresh: DetHashMap::default(),
+        }
+    }
+
+    /// The current and the target count of `key`.
+    fn get(&self, key: &Key3K) -> Cell {
+        match self.cells.get(key) {
+            Some(&cell) => cell,
+            None => Cell {
+                cur: self.fresh.get(key).copied().unwrap_or(0),
+                tgt: 0,
+            },
+        }
+    }
+
+    /// Adds the `ΔD` of the pending changes to `dd`: each changed key's
+    /// `after² − before²`, in the pending map's order.
+    fn delta(&self, pending: &DetHashMap<Key3K, i64>, dd: &mut f64) {
+        for (key, &dv) in pending {
+            if dv == 0 {
+                continue;
+            }
+            let Cell { cur: c0, tgt: t0 } = self.get(key);
+            let before = (c0 - t0) as f64;
+            let after = (c0 + dv - t0) as f64;
+            *dd += after * after - before * before;
+        }
+    }
+
+    /// Adds the committed changes to the current counts.
+    fn commit(&mut self, pending: &DetHashMap<Key3K, i64>) {
+        for (key, &dv) in pending {
+            if dv == 0 {
+                continue;
+            }
+            match self.cells.get_mut(key) {
+                Some(cell) => cell.cur += dv,
+                None => *self.fresh.entry(*key).or_insert(0) += dv,
+            }
+        }
+    }
+
+    /// The positive current counts, ascending by key.
+    fn current(&self) -> Vec<Entry3K> {
+        let cells = self.cells.iter().map(|(&key, cell)| (key, cell.cur));
+        let fresh = self.fresh.iter().map(|(&key, &cur)| (key, cur));
+        let mut out: Vec<Entry3K> = cells
+            .chain(fresh)
+            .filter(|&(_, cur)| cur > 0)
+            .map(|(key, cur)| (key, cur as u64))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+}
+
 /// 3K-targeting objective: minimizes `D_3` (wedge + triangle squared
 /// differences). `ΔD_3` comes from [`Delta3K::track_swap`] on the
 /// objective's own pre-swap rows, which it updates on commit; evaluation
@@ -212,8 +312,10 @@ fn commit_rows(rows: &mut SortedRows, [(a, b), (c, d)]: [(u32, u32); 2]) {
 /// module doc).
 #[derive(Clone, Debug)]
 pub struct Objective3K {
-    cur: Dist3K,
-    tgt: Dist3K,
+    /// (current, target) per wedge key either side has.
+    wedges: Column3K,
+    /// (current, target) per triangle key either side has.
+    triangles: Column3K,
     d_cur: f64,
     rows: SortedRows,
     pending: Delta3K,
@@ -222,16 +324,19 @@ pub struct Objective3K {
 }
 
 impl Objective3K {
-    /// Extracts the current 3K census of `g` and copies its rows once;
-    /// every subsequent update is incremental. The chain it drives must
-    /// run on `g`.
+    /// Censuses `g` ([`Dist3K::from_graph`]), merges the census with the
+    /// target into the objective's table, and copies the rows of `g`
+    /// once; every subsequent update is incremental. The target is read,
+    /// not kept. The chain it drives must run on `g`.
     pub fn new(g: &Graph, target: &Dist3K) -> Self {
         let cur = Dist3K::from_graph(g);
-        let d_cur = cur.distance_sq(target);
+        let mut d = ExactSum::default();
+        let wedges = Column3K::merge(cur.wedges(), target.wedges(), &mut d);
+        let triangles = Column3K::merge(cur.triangles(), target.triangles(), &mut d);
         Objective3K {
-            cur,
-            tgt: target.clone(),
-            d_cur,
+            wedges,
+            triangles,
+            d_cur: d.to_f64(),
             rows: SortedRows::from_edges(g.edge_list()),
             pending: Delta3K::default(),
             pending_swap: [(0, 0); 2],
@@ -245,9 +350,9 @@ impl Objective3K {
     }
 
     /// The incrementally maintained 3K census (for equivalence
-    /// harnesses).
-    pub fn current_census(&self) -> &Dist3K {
-        &self.cur
+    /// harnesses): the positive current counts of the table.
+    pub fn current_census(&self) -> Dist3K {
+        Dist3K::from_sorted(self.wedges.current(), self.triangles.current())
     }
 }
 
@@ -261,26 +366,8 @@ impl SwapObjective for Objective3K {
         // sampler reads that order.
         apply_swap(g, p);
         let mut dd = 0.0;
-        for (key, &dv) in &self.pending.wedges {
-            if dv == 0 {
-                continue;
-            }
-            let c0 = self.cur.wedges.get(key).copied().unwrap_or(0) as i64;
-            let t0 = self.tgt.wedges.get(key).copied().unwrap_or(0) as i64;
-            let before = (c0 - t0) as f64;
-            let after = (c0 + dv - t0) as f64;
-            dd += after * after - before * before;
-        }
-        for (key, &dv) in &self.pending.triangles {
-            if dv == 0 {
-                continue;
-            }
-            let c0 = self.cur.triangles.get(key).copied().unwrap_or(0) as i64;
-            let t0 = self.tgt.triangles.get(key).copied().unwrap_or(0) as i64;
-            let before = (c0 - t0) as f64;
-            let after = (c0 + dv - t0) as f64;
-            dd += after * after - before * before;
-        }
+        self.wedges.delta(&self.pending.wedges, &mut dd);
+        self.triangles.delta(&self.pending.triangles, &mut dd);
         self.pending_dd = dd;
         Evaluation {
             delta_d: dd,
@@ -289,7 +376,8 @@ impl SwapObjective for Objective3K {
     }
 
     fn commit(&mut self) {
-        self.pending.apply_to(&mut self.cur);
+        self.wedges.commit(&self.pending.wedges);
+        self.triangles.commit(&self.pending.triangles);
         self.d_cur += self.pending_dd;
         commit_rows(&mut self.rows, self.pending_swap);
     }
@@ -406,7 +494,7 @@ mod tests {
         let run = chain.run(&mut obj, &RunBudget::steps(5000));
         assert!(run.accepted > 0);
         let g = chain.into_graph();
-        assert_eq!(obj.current_census(), &Dist3K::from_graph(&g));
+        assert_eq!(obj.current_census(), Dist3K::from_graph(&g));
         let exact = Dist3K::from_graph(&g).distance_sq(&target);
         assert!(
             (obj.current_distance() - exact).abs() < 1e-6,

@@ -12,7 +12,7 @@
 //! Comments (`#`) and blank lines are ignored. All writers emit sorted,
 //! deterministic output.
 
-use crate::dist::{Dist0K, Dist1K, Dist2K, Dist3K};
+use crate::dist::{canon_triangle, canon_wedge, Dist0K, Dist1K, Dist2K, Dist3K, SortedColumn};
 use dk_graph::GraphError;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -185,17 +185,48 @@ pub fn read_2k<R: Read>(r: R) -> Result<Dist2K, GraphError> {
     Ok(d)
 }
 
-/// Writes a 3K-distribution as `W/T k1 k2 k3 count` lines.
+/// Writes a 3K-distribution as `W/T k1 k2 k3 count` lines: a header,
+/// then the entries in storage order (wedges, then triangles, each
+/// ascending by key), each number formatted straight into a 64 KiB
+/// buffer that is written whole.
 pub fn write_3k<W: Write>(d: &Dist3K, mut w: W) -> Result<(), GraphError> {
+    const CHUNK: usize = 1 << 16;
     writeln!(
         w,
         "# dK-series 3K distribution: `W k1 k2 k3 n` (wedge, center k2) / `T k1 k2 k3 n` (triangle)"
     )?;
-    for (is_tri, (a, b, c), n) in d.sorted_entries() {
-        let tag = if is_tri { 'T' } else { 'W' };
-        writeln!(w, "{tag} {a} {b} {c} {n}")?;
+    let mut buf: Vec<u8> = Vec::with_capacity(CHUNK + 128);
+    for (tag, column) in [(b'W', d.wedges()), (b'T', d.triangles())] {
+        for &((a, b, c), n) in column {
+            buf.push(tag);
+            for x in [u64::from(a), u64::from(b), u64::from(c), n] {
+                buf.push(b' ');
+                push_decimal(&mut buf, x);
+            }
+            buf.push(b'\n');
+            if buf.len() >= CHUNK {
+                w.write_all(&buf)?;
+                buf.clear();
+            }
+        }
     }
+    w.write_all(&buf)?;
     Ok(())
+}
+
+/// Appends the decimal digits of `x`, as `write!` formats a `u64`.
+fn push_decimal(buf: &mut Vec<u8>, mut x: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[i..]);
 }
 
 /// Reads a 3K-distribution (keys canonicalized on read).
@@ -203,21 +234,46 @@ pub fn write_3k<W: Write>(d: &Dist3K, mut w: W) -> Result<(), GraphError> {
 /// Lines are read as bytes into one reused buffer and checked as UTF-8
 /// there, and their tokens are taken without collecting them, so no line
 /// allocates; a line that is not UTF-8 fails with the [`GraphError::Io`]
-/// error [`BufRead::lines`] gives. Lines are taken in file order, so the
-/// maps are filled, and iterate, in the order a line-by-line reader fills
-/// them. A malformed line is a [`GraphError::Parse`] naming it: its token
-/// count, then its three degrees, its count and its tag are checked in
-/// that order, and a count that overflows when merged with an earlier
-/// line's is refused.
+/// error [`BufRead::lines`] gives. A malformed line is a
+/// [`GraphError::Parse`] naming it: its token count, then its three
+/// degrees, its count and its tag are checked in that order, and a count
+/// that overflows when merged with an earlier line's is refused.
+///
+/// Each line's canonical key goes straight into its sorted column. While
+/// a column's keys come in ascending order, as [`write_3k`] writes them,
+/// a repeated key merges into the last entry on the spot and nothing is
+/// hashed or sorted. A column that comes out of order is stable-sorted
+/// and merged once the input ends, so a repeated key's counts still add
+/// in file order. Either way the error returned is the earliest in file
+/// order: the reader stops at the first bad line, and an overflow that
+/// the final merge finds lies on a line before it.
 pub fn read_3k<R: Read>(r: R) -> Result<Dist3K, GraphError> {
-    let mut d = Dist3K::default();
+    let mut wedges = SortedColumn::default();
+    let mut triangles = SortedColumn::default();
+    let read = read_3k_lines(r, &mut wedges, &mut triangles);
+    match (wedges.finish(), triangles.finish()) {
+        (Ok(w), Ok(t)) => read.map(|()| Dist3K::from_sorted(w, t)),
+        (w, t) => {
+            let first = w.err().into_iter().chain(t.err()).min().unwrap_or(0);
+            Err(overflow_err(first))
+        }
+    }
+}
+
+/// The line loop of [`read_3k`]: pushes each line's key and count into
+/// its column, and stops at the first bad line.
+fn read_3k_lines<R: Read>(
+    r: R,
+    wedges: &mut SortedColumn,
+    triangles: &mut SortedColumn,
+) -> Result<(), GraphError> {
     let mut input = BufReader::with_capacity(1 << 16, r);
     let mut bytes = Vec::new();
     let mut no = 0;
     loop {
         bytes.clear();
         if input.read_until(b'\n', &mut bytes)? == 0 {
-            break;
+            return Ok(());
         }
         no += 1;
         let line = std::str::from_utf8(&bytes).map_err(|_| {
@@ -244,15 +300,13 @@ pub fn read_3k<R: Read>(r: R) -> Result<Dist3K, GraphError> {
         let n: u64 = tn
             .parse()
             .map_err(|e| parse_err(no, format!("bad count: {e}")))?;
-        let total = match tag {
-            "W" => d.wedges.entry(crate::dist::canon_wedge(a, b, c)),
-            "T" => d.triangles.entry(crate::dist::canon_triangle(a, b, c)),
+        match tag {
+            "W" => wedges.push(canon_wedge(a, b, c), n, no),
+            "T" => triangles.push(canon_triangle(a, b, c), n, no),
             other => return Err(parse_err(no, format!("unknown tag {other:?}"))),
         }
-        .or_insert(0);
-        *total = total.checked_add(n).ok_or_else(|| overflow_err(no))?;
+        .map_err(overflow_err)?;
     }
-    Ok(d)
 }
 
 #[cfg(test)]

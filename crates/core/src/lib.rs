@@ -88,7 +88,6 @@ pub mod explore;
 pub mod generate;
 pub mod io;
 pub mod rescale;
-pub mod space;
 
 pub use dist::{canon_triangle, canon_wedge, AnyDist, Dist0K, Dist1K, Dist2K, Dist3K};
 pub use generate::rewire::{randomize, RewireOptions};

@@ -30,6 +30,20 @@ pub struct EdgeList {
     index: DetHashMap<(NodeId, NodeId), u32>,
 }
 
+/// The index entry of the edge at list position `i`: positions are stored
+/// as `u32`, so a list holds at most 2³² edges, and the position of one
+/// more fails here rather than wrapping to the position of another edge.
+///
+/// # Errors
+/// [`GraphError::ConstructionFailed`] if `i` is past `u32::MAX`.
+pub fn edge_position(i: usize) -> Result<u32, GraphError> {
+    u32::try_from(i).map_err(|_| {
+        GraphError::ConstructionFailed(format!(
+            "edge position {i} overflows the u32 edge index (an edge list holds at most 2^32 edges)"
+        ))
+    })
+}
+
 impl EdgeList {
     /// `n` isolated nodes.
     pub(crate) fn with_nodes(n: usize) -> Self {
@@ -43,12 +57,19 @@ impl EdgeList {
     /// An edge list whose degrees and canonical, distinct edges the
     /// caller already knows; the index is sized once and filled in list
     /// order.
-    pub(crate) fn from_parts(deg: Vec<u32>, edges: Vec<(NodeId, NodeId)>) -> Self {
+    ///
+    /// # Errors
+    /// [`GraphError::ConstructionFailed`] if the list has more edges than
+    /// [`edge_position`] can index.
+    pub(crate) fn from_parts(
+        deg: Vec<u32>,
+        edges: Vec<(NodeId, NodeId)>,
+    ) -> Result<Self, GraphError> {
         let mut index = DetHashMap::with_capacity_and_hasher(edges.len(), Default::default());
         for (i, &e) in edges.iter().enumerate() {
-            index.insert(e, i as u32);
+            index.insert(e, edge_position(i)?);
         }
-        EdgeList { deg, edges, index }
+        Ok(EdgeList { deg, edges, index })
     }
 
     /// Appends an isolated node.
@@ -107,7 +128,9 @@ impl EdgeList {
     /// # Errors
     /// * [`GraphError::NodeOutOfRange`] for invalid endpoints,
     /// * [`GraphError::SelfLoop`] if `u == v`,
-    /// * [`GraphError::DuplicateEdge`] if the edge already exists.
+    /// * [`GraphError::DuplicateEdge`] if the edge already exists,
+    /// * [`GraphError::ConstructionFailed`] if the list already holds as
+    ///   many edges as [`edge_position`] can index.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
         let n = self.deg.len();
         if (u as usize) >= n {
@@ -120,7 +143,7 @@ impl EdgeList {
             return Err(GraphError::SelfLoop(u));
         }
         let key = canon_edge(u, v);
-        let pos = self.edges.len() as u32;
+        let pos = edge_position(self.edges.len())?;
         match self.index.entry(key) {
             Entry::Occupied(_) => return Err(GraphError::DuplicateEdge(key.0, key.1)),
             Entry::Vacant(slot) => slot.insert(pos),
@@ -141,10 +164,10 @@ impl EdgeList {
         let Some(pos) = self.index.remove(&key) else {
             return Err(GraphError::MissingEdge(key.0, key.1));
         };
-        let pos = pos as usize;
-        self.edges.swap_remove(pos);
-        if let Some(&moved) = self.edges.get(pos) {
-            self.index.insert(moved, pos as u32);
+        // the moved edge takes over the removed edge's stored position
+        self.edges.swap_remove(pos as usize);
+        if let Some(&moved) = self.edges.get(pos as usize) {
+            self.index.insert(moved, pos);
         }
         self.deg[u as usize] -= 1;
         self.deg[v as usize] -= 1;
@@ -166,7 +189,7 @@ impl EdgeList {
             if (v as usize) >= n {
                 return Err(GraphError::NodeOutOfRange { node: v, nodes: n });
             }
-            if self.index.get(&(u, v)) != Some(&(i as u32)) {
+            if self.index.get(&(u, v)).copied() != edge_position(i).ok() {
                 return Err(GraphError::ConstructionFailed(format!(
                     "edge index stale for {:?}",
                     (u, v)

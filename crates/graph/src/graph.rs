@@ -428,7 +428,7 @@ impl Graph {
         let deg = rows.iter().map(|row| row.len() as u32).collect();
         let g = Graph {
             rows: SortedRows { rows },
-            edges: EdgeList::from_parts(deg, edges),
+            edges: EdgeList::from_parts(deg, edges)?,
         };
         Ok((g, nodes.to_vec()))
     }

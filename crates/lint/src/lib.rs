@@ -13,7 +13,7 @@
 //! * wall-clock reads — [`rules::NO_WALL_CLOCK`];
 //! * OS-entropy RNG seeding — [`rules::NO_ENTROPY`];
 //! * crate roots missing `#![forbid(unsafe_code)]` — [`rules::FORBID_UNSAFE_DRIFT`];
-//! * unordered f64 reductions in traversal crates — [`rules::ORDERED_FLOAT_MERGE`];
+//! * unordered f64 reductions in the graph, metrics and core crates — [`rules::ORDERED_FLOAT_MERGE`];
 //! * panic-site growth vs `baseline.toml` — [`rules::PANIC_RATCHET`];
 //! * metric doc tables drifting from the registry — [`rules::DOC_DRIFT`];
 //! * bench-log lines that stop being valid JSON — [`rules::BENCH_LOG`].

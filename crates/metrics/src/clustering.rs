@@ -29,7 +29,39 @@ pub(crate) struct TriangleCensus {
     pub(crate) closed_weight: u128,
 }
 
-/// The degree-ordered forward census of `g` (see the module docs).
+/// The degree-ordered forward census of `g` (see the module docs): the
+/// triangles of [`for_each_triangle`], tallied per node and weighted by
+/// the degree products of the neighbor pairs they close. Every sum is an
+/// integer, so the result does not depend on the order triangles are
+/// found in.
+///
+/// # Panics
+/// Panics if `g` has more than `u32::MAX` edges (see
+/// [`for_each_triangle`]).
+pub(crate) fn census<V: AdjacencyView + ?Sized>(g: &V) -> TriangleCensus {
+    let mut per_node = vec![0usize; g.node_count()];
+    let mut closed_weight = 0u128;
+    for_each_triangle(g, |u, v, w| {
+        let (ku, kv, kw) = (
+            g.degree(u) as u128,
+            g.degree(v) as u128,
+            g.degree(w) as u128,
+        );
+        per_node[u as usize] += 1;
+        per_node[v as usize] += 1;
+        per_node[w as usize] += 1;
+        closed_weight += ku * kv + ku * kw + kv * kw;
+    });
+    TriangleCensus {
+        per_node,
+        closed_weight,
+    }
+}
+
+/// Calls `visit(u, v, w)` once per triangle `{u, v, w}` of `g`, from its
+/// lowest-ranked corner `u`. The one triangle enumerator of the
+/// workspace: the clustering census above and the 3K census of
+/// `dk_core::dist::Dist3K` both read it.
 ///
 /// Nodes are ranked by `(degree, id)`, and each keeps a forward row of
 /// the neighbors ranked above it — `m` entries in all, behind `u32`
@@ -38,13 +70,16 @@ pub(crate) struct TriangleCensus {
 /// the triangle `{u, v, w}`, found only there since `u` is its
 /// lowest-ranked corner. A hub's forward row holds only neighbors of at
 /// least its degree, so the pass costs about `m` times a small forward
-/// degree (at most `√(2m)`), not `Σ k²`. Every sum is an integer, so the
-/// result does not depend on the order triangles are found in.
+/// degree (at most `√(2m)`), not `Σ k²`.
 ///
 /// # Panics
 /// Panics if `g` has more than `u32::MAX` edges (the forward rows'
 /// offsets are `u32`).
-pub(crate) fn census<V: AdjacencyView + ?Sized>(g: &V) -> TriangleCensus {
+pub fn for_each_triangle<V, F>(g: &V, mut visit: F)
+where
+    V: AdjacencyView + ?Sized,
+    F: FnMut(NodeId, NodeId, NodeId),
+{
     let n = g.node_count();
     let m = g.edge_count();
     assert!(
@@ -65,8 +100,6 @@ pub(crate) fn census<V: AdjacencyView + ?Sized>(g: &V) -> TriangleCensus {
         offsets.push(forward.len() as u32);
     }
     let row = |u: NodeId| &forward[offsets[u as usize] as usize..offsets[u as usize + 1] as usize];
-    let mut per_node = vec![0usize; n];
-    let mut closed_weight = 0u128;
     // mark[w] == u: w is in u's forward row (no node has id NodeId::MAX)
     let mut mark = vec![NodeId::MAX; n];
     for u in 0..n as NodeId {
@@ -74,23 +107,13 @@ pub(crate) fn census<V: AdjacencyView + ?Sized>(g: &V) -> TriangleCensus {
         for &v in fu {
             mark[v as usize] = u;
         }
-        let ku = g.degree(u) as u128;
         for &v in fu {
-            let kv = g.degree(v) as u128;
             for &w in row(v) {
                 if mark[w as usize] == u {
-                    let kw = g.degree(w) as u128;
-                    per_node[u as usize] += 1;
-                    per_node[v as usize] += 1;
-                    per_node[w as usize] += 1;
-                    closed_weight += ku * kv + ku * kw + kv * kw;
+                    visit(u, v, w);
                 }
             }
         }
-    }
-    TriangleCensus {
-        per_node,
-        closed_weight,
     }
 }
 

@@ -40,8 +40,8 @@ fn main() {
             .filter(|&&c| c > 0)
             .count(),
         d2.as_2k().unwrap().counts.len(),
-        d3.as_3k().unwrap().wedges.len(),
-        d3.as_3k().unwrap().triangles.len()
+        d3.as_3k().unwrap().wedges().len(),
+        d3.as_3k().unwrap().triangles().len()
     );
 
     // 3. Construct a random graph at each level. One builder per family;

@@ -6,6 +6,7 @@ use dk_repro::core::dist::{Dist1K, Dist2K, Dist3K};
 use dk_repro::core::generate::target::{generate_2k_random, Bootstrap, TargetOptions};
 use dk_repro::core::generate::{matching, pseudograph, stochastic};
 use dk_repro::core::{io, rescale};
+use dk_repro::graph::edges::edge_position;
 use dk_repro::graph::{Graph, GraphError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -104,6 +105,11 @@ fn dist_file_parse_errors_carry_context() {
     for tag in ["W", "T"] {
         let dup_3k = format!("{tag} 1 2 3 {max}\n{tag} 3 2 1 1\n");
         expect_parse(io::read_3k(dup_3k.as_bytes()).unwrap_err(), 2, "overflow");
+        // out of order, the repeated key merges once the input ends, and
+        // the line that overflows still beats a later bad line
+        let late =
+            format!("{tag} 9 9 9 1\n{tag} 1 2 3 {max}\n{tag} 2 2 2 1\n{tag} 3 2 1 1\nW 1 2\n");
+        expect_parse(io::read_3k(late.as_bytes()).unwrap_err(), 4, "overflow");
     }
     // a degree past u32, as the 2K and 3K readers already reject
     let huge_degree = format!("{max} 1\n");
@@ -231,6 +237,19 @@ fn graph_io_rejects_truncated_and_corrupt_files() {
     ] {
         assert!(read_edge_list(bad.as_bytes()).is_err(), "{bad:?}");
     }
+}
+
+/// `EdgeList` stores each edge's list position as a `u32`: the last
+/// position that fits is indexed, and the next one is a typed error where
+/// a cast would wrap it onto the position of the list's first edge.
+#[test]
+fn edge_positions_past_u32_fail_loudly() {
+    let last = u32::MAX as usize;
+    assert_eq!(edge_position(last), Ok(u32::MAX));
+    assert!(matches!(
+        edge_position(last + 1),
+        Err(GraphError::ConstructionFailed(_))
+    ));
 }
 
 #[test]

@@ -34,6 +34,9 @@
 //!   only) at 10⁶, where the recovered graph's assortativity and sketch
 //!   d̄ must also stay near the original's.
 
+mod census_oracle;
+
+use census_oracle::MapCensus;
 use dk_repro::core::constraints::DegreeProductCap;
 use dk_repro::core::dist::{canon_pair, canon_triangle, canon_wedge, Degree, Dist2K, Dist3K};
 use dk_repro::core::generate::delta::{frozen_degrees, Delta3K};
@@ -324,11 +327,13 @@ impl OracleObjective for Oracle2K {
     }
 }
 
-/// `Objective3K` as it ran: the swap delta read off the chain's own
-/// `Graph`, then the move applied to it for the edge order.
+/// `Objective3K` as it ran: the census and a clone of the target in hash
+/// maps, the starting `D₃` summed in their order, and the swap delta read
+/// off the chain's own `Graph`, then the move applied to it for the edge
+/// order.
 struct Oracle3K {
-    cur: Dist3K,
-    tgt: Dist3K,
+    cur: MapCensus,
+    tgt: MapCensus,
     d_cur: f64,
     pending: Delta3K,
     pending_dd: f64,
@@ -336,11 +341,12 @@ struct Oracle3K {
 
 impl Oracle3K {
     fn new(g: &Graph, target: &Dist3K) -> Self {
-        let cur = Dist3K::from_graph(g);
-        let d_cur = cur.distance_sq(target);
+        let cur = MapCensus::from_graph(g);
+        let tgt = MapCensus::of(target);
+        let d_cur = cur.distance_sq(&tgt);
         Oracle3K {
             cur,
-            tgt: target.clone(),
+            tgt,
             d_cur,
             pending: Delta3K::default(),
             pending_dd: 0.0,
@@ -382,7 +388,7 @@ impl OracleObjective for Oracle3K {
     }
 
     fn commit(&mut self) {
-        self.pending.apply_to(&mut self.cur);
+        self.cur.apply(&self.pending);
         self.d_cur += self.pending_dd;
     }
 
@@ -716,7 +722,7 @@ proptest! {
         let run = chain.run(&mut obj, &budget);
         prop_assert_eq!(run, want_run);
         prop_assert_eq!(obj.current_distance().to_bits(), oracle.d_cur.to_bits());
-        prop_assert_eq!(obj.current_census(), &oracle.cur);
+        prop_assert_eq!(obj.current_census(), oracle.cur.to_sorted());
         let got = chain.into_graph();
         prop_assert_eq!(got.edges(), want.graph.edges());
     }
@@ -867,9 +873,9 @@ fn accumulate_swap_deltas(mut g: Graph, seed: u64) -> (Dist3K, Dist3K) {
             *acc.triangles.entry(k).or_insert(0) += dv;
         }
     }
-    let mut patched = initial;
-    acc.apply_to(&mut patched);
-    (patched, Dist3K::from_graph(&g))
+    let mut patched = MapCensus::of(&initial);
+    patched.apply(&acc);
+    (patched.to_sorted(), Dist3K::from_graph(&g))
 }
 
 proptest! {
@@ -987,7 +993,7 @@ fn rejected_moves_leave_graph_and_census_byte_identical() {
     assert_eq!(run.accepted, 0);
     let g = chain.into_graph();
     assert_eq!(g, original, "reverted 3K moves must restore the graph");
-    assert_eq!(obj3.current_census(), &Dist3K::from_graph(&original));
+    assert_eq!(obj3.current_census(), Dist3K::from_graph(&original));
     assert_eq!(
         obj3.current_distance(),
         0.0,
@@ -1017,16 +1023,16 @@ fn nonzero_sorted(d: &Delta3K) -> SortedDelta {
 /// `after − before`, entry by entry.
 fn extraction_delta(before: &Dist3K, after: &Dist3K) -> Delta3K {
     let mut d = Delta3K::default();
-    for (&k, &v) in &after.wedges {
+    for &(k, v) in after.wedges() {
         *d.wedges.entry(k).or_insert(0) += v as i64;
     }
-    for (&k, &v) in &before.wedges {
+    for &(k, v) in before.wedges() {
         *d.wedges.entry(k).or_insert(0) -= v as i64;
     }
-    for (&k, &v) in &after.triangles {
+    for &(k, v) in after.triangles() {
         *d.triangles.entry(k).or_insert(0) += v as i64;
     }
-    for (&k, &v) in &before.triangles {
+    for &(k, v) in before.triangles() {
         *d.triangles.entry(k).or_insert(0) -= v as i64;
     }
     d

@@ -555,14 +555,18 @@ proptest! {
     }
 }
 
-/// The 3K reader as it ran before it read lines into one reused buffer:
-/// `BufRead::lines` (a `String` per line), the tokens collected into a
-/// `Vec`, each parsed by `str::parse`. The oracle of `io::read_3k`.
+/// The 3K reader as it ran before it read lines into one reused buffer
+/// and sorted columns: `BufRead::lines` (a `String` per line), the tokens
+/// collected into a `Vec`, each parsed by `str::parse`, each count merged
+/// into a hash map as its line is read; the maps then build the sorted
+/// census. The oracle of `io::read_3k`.
 fn read_3k_oracle<R: std::io::Read>(r: R) -> Result<Dist3K, GraphError> {
     use dk_repro::core::dist::{canon_triangle, canon_wedge};
+    use dk_repro::graph::hashers::DetHashMap;
     use std::io::BufRead;
     let parse_err = |line: usize, msg: String| GraphError::Parse { line, msg };
-    let mut d = Dist3K::default();
+    let mut wedges: DetHashMap<(u32, u32, u32), u64> = DetHashMap::default();
+    let mut triangles: DetHashMap<(u32, u32, u32), u64> = DetHashMap::default();
     for (no, line) in std::io::BufReader::new(r).lines().enumerate() {
         let no = no + 1;
         let line = line?;
@@ -587,8 +591,8 @@ fn read_3k_oracle<R: std::io::Read>(r: R) -> Result<Dist3K, GraphError> {
             .parse()
             .map_err(|e| parse_err(no, format!("bad count: {e}")))?;
         let total = match toks[0] {
-            "W" => d.wedges.entry(canon_wedge(a, b, c)),
-            "T" => d.triangles.entry(canon_triangle(a, b, c)),
+            "W" => wedges.entry(canon_wedge(a, b, c)),
+            "T" => triangles.entry(canon_triangle(a, b, c)),
             other => return Err(parse_err(no, format!("unknown tag {other:?}"))),
         }
         .or_insert(0);
@@ -599,8 +603,13 @@ fn read_3k_oracle<R: std::io::Read>(r: R) -> Result<Dist3K, GraphError> {
             )
         })?;
     }
-    Ok(d)
+    Dist3K::from_entries(wedges, triangles)
 }
+
+/// Counts of the 3K reader fuzz's well-formed keyed lines: zero (kept as
+/// an entry), small, and large enough that two of them on one key
+/// overflow a `u64`.
+const COUNTS_3K: &[u64] = &[0, 1, 5, 1 << 63, u64::MAX];
 
 /// Fragments of the 3K reader fuzz's lines, `TAG SEP K SEP K SEP K SEP
 /// COUNT END`: tags (and a comment mark) in the tag slot; degrees and
@@ -653,10 +662,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// `io::read_3k` (one reused byte buffer, tokens taken without a
-    /// `Vec`) against the line-by-line reader it replaced, on fuzzed
-    /// bytes: the same error (variant, line and message, the `Io` error
-    /// of a non-UTF-8 line included), or the same census with its maps in
-    /// the same iteration order.
+    /// `Vec`, keys pushed into sorted columns) against the line-by-line
+    /// hash-map reader it replaced, on fuzzed bytes: the same error
+    /// (variant, line and message, the `Io` error of a non-UTF-8 line and
+    /// an overflow that only the final merge of an out-of-order column
+    /// finds included), or the same census, whose columns are strictly
+    /// ascending and keep zero-count entries. The fuzzed lines follow
+    /// well-formed keyed lines over three small degrees, so keys repeat,
+    /// come non-canonical, and come in the order drawn, ascending (as
+    /// `write_3k` writes them) or descending.
     #[test]
     fn read_3k_matches_the_line_reader_oracle(
         clean in 0..2usize,
@@ -667,13 +681,32 @@ proptest! {
                 0..ENDS_3K.len(),
             ),
             0..24,
-        )
+        ),
+        keyed in proptest::collection::vec(
+            (0..2usize, (1..4u32, 1..4u32, 1..4u32), 0..COUNTS_3K.len()),
+            0..24,
+        ),
+        keyed_order in 0..3usize,
     ) {
+        use dk_repro::core::dist::{canon_triangle, canon_wedge};
         use dk_repro::core::io::read_3k;
         let pick = |len: usize, i: usize, clean_len: usize| {
             if clean == 1 { i % clean_len } else { i % len }
         };
+        let canon = |&(tri, (a, b, c), _): &(usize, (u32, u32, u32), usize)| {
+            (tri, if tri == 1 { canon_triangle(a, b, c) } else { canon_wedge(a, b, c) })
+        };
+        let mut keyed = keyed;
+        match keyed_order {
+            1 => keyed.sort_by_key(canon),
+            2 => keyed.sort_by_key(|line| std::cmp::Reverse(canon(line))),
+            _ => {}
+        }
         let mut bytes: Vec<u8> = Vec::new();
+        for &(tri, (a, b, c), count) in &keyed {
+            let tag = if tri == 1 { 'T' } else { 'W' };
+            bytes.extend_from_slice(format!("{tag} {a} {b} {c} {}\n", COUNTS_3K[count]).as_bytes());
+        }
         for (tag, fields, end) in &lines {
             bytes.extend_from_slice(TAGS_3K[pick(TAGS_3K.len(), *tag, CLEAN_TAGS_3K)].as_bytes());
             for &(sep, num) in fields {
@@ -685,14 +718,10 @@ proptest! {
         let want = read_3k_oracle(bytes.as_slice());
         let got = read_3k(bytes.as_slice());
         prop_assert_eq!(&got, &want, "{:?}", String::from_utf8_lossy(&bytes));
-        if let (Ok(got), Ok(want)) = (&got, &want) {
-            let order = |d: &Dist3K| {
-                (
-                    d.wedges.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>(),
-                    d.triangles.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>(),
-                )
-            };
-            prop_assert_eq!(order(got), order(want));
+        if let Ok(got) = &got {
+            for column in [got.wedges(), got.triangles()] {
+                prop_assert!(column.windows(2).all(|w| w[0].0 < w[1].0), "{:?}", column);
+            }
         }
     }
 }
